@@ -10,6 +10,7 @@ envelopes that depend on a set-regularity constant.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,11 @@ class RunConfig:
             raise ConfigError("constrained mode needs one set spec per agent")
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "rate_ks", tuple(self.rate_ks))
+        for k in self.rate_ks:
+            is_step = isinstance(k, numbers.Integral) and not isinstance(k, bool)
+            if k != "half" and not (is_step and 0 <= k <= self.horizon):
+                raise ConfigError(f"rate_ks entry {k!r} must be 'half' or an integer "
+                                  f"in [0, {self.horizon}]")
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunConfig":

@@ -1,13 +1,14 @@
 """Directed communication graphs, rootedness, and spanning trees.
 
 Nodes are ``0..m-1``.  An edge ``(j, i)`` means node ``j`` sends to node
-``i``.  Self-loops are never stored: every agent implicitly hears itself,
-and the weight builders account for that on the matrix diagonal.
+``i``.  A graph is stored as its ``m x m`` boolean in-adjacency array, so
+``adjacency[i, j]`` holds exactly when ``(j, i)`` is an edge.  Self-loops
+are never stored: every agent implicitly hears itself, and the weight
+builders account for that on the matrix diagonal.
 """
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,74 +21,93 @@ class NotRooted(ValueError):
     """The requested root does not reach every node of the graph."""
 
 
-@dataclass(frozen=True)
 class DiGraph:
-    """Immutable directed graph on ``m`` nodes with edge set ``{(sender, receiver)}``."""
+    """Immutable directed graph on ``m`` nodes with edge set ``{(sender, receiver)}``.
 
-    m: int
-    edges: frozenset
+    ``DiGraph(m, edges)`` takes the edge pairs; :meth:`from_adjacency` takes
+    the in-adjacency array.  Both reject self-loops and out-of-range nodes.
+    The array is read-only, and equality and hashing go by its content.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, edges):
+        if m < 1:
             raise ValueError("graph needs at least one node")
-        edges = frozenset((int(j), int(i)) for j, i in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for j, i in edges:
-            if j == i:
-                raise ValueError(f"self-loop ({j},{i}) must stay implicit")
-            if not (0 <= j < self.m and 0 <= i < self.m):
-                raise ValueError(f"edge ({j},{i}) out of range for m={self.m}")
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        outside = ((pairs < 0) | (pairs >= m)).any(axis=1)
+        if outside.any():
+            j, i = pairs[outside.argmax()]
+            raise ValueError(f"edge ({j},{i}) out of range for m={m}")
+        adjacency = np.zeros((m, m), dtype=bool)
+        adjacency[pairs[:, 1], pairs[:, 0]] = True
+        self._store(adjacency)
+
+    @classmethod
+    def from_adjacency(cls, adjacency) -> "DiGraph":
+        """Graph whose edge ``(j, i)`` is present iff ``adjacency[i, j]`` is nonzero."""
+        adjacency = np.array(adjacency, dtype=bool)
+        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+            raise ValueError(f"adjacency of shape {adjacency.shape} is not square, "
+                             "so some node is out of range")
+        if not adjacency.size:
+            raise ValueError("graph needs at least one node")
+        g = cls.__new__(cls)
+        g._store(adjacency)
+        return g
+
+    def _store(self, adjacency: np.ndarray) -> None:
+        loops = np.flatnonzero(adjacency.diagonal())
+        if loops.size:
+            raise ValueError(f"self-loop ({loops[0]},{loops[0]}) must stay implicit")
+        adjacency.setflags(write=False)
+        object.__setattr__(self, "adjacency", adjacency)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DiGraph is immutable; cannot set {name!r}")
+
+    @property
+    def m(self) -> int:
+        return self.adjacency.shape[0]
 
     @cached_property
-    def _out(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.m)]
-        for j, i in self.edges:
-            out[j].append(i)
-        return tuple(tuple(sorted(v)) for v in out)
+    def edges(self) -> frozenset:
+        receivers, senders = np.nonzero(self.adjacency)
+        return frozenset(zip(senders.tolist(), receivers.tolist()))
 
-    @cached_property
-    def _in(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.m)]
-        for j, i in self.edges:
-            inc[i].append(j)
-        return tuple(tuple(sorted(v)) for v in inc)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiGraph):
+            return NotImplemented
+        return np.array_equal(self.adjacency, other.adjacency)
 
-    def out_neighbors(self, j: int) -> tuple[int, ...]:
-        return self._out[j]
+    def __hash__(self) -> int:
+        return hash(self.adjacency.tobytes())
 
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        return self._in[i]
-
-    def in_degree(self, i: int) -> int:
-        return len(self._in[i])
+    def __repr__(self) -> str:
+        return f"DiGraph(m={self.m}, edges={sorted(self.edges)})"
 
     @cached_property
     def is_symmetric(self) -> bool:
-        return all((i, j) in self.edges for j, i in self.edges)
+        return bool(np.array_equal(self.adjacency, self.adjacency.T))
 
     def degree(self, i: int) -> int:
         """Undirected degree; only meaningful for symmetric edge sets."""
         if not self.is_symmetric:
             raise ValueError("degree is defined for symmetric graphs only")
-        return len(self._out[i])
+        return int(np.count_nonzero(self.adjacency[i]))
 
     def in_adjacency(self) -> np.ndarray:
         """Matrix ``M`` with ``M[i, j] = 1`` iff ``j`` sends to ``i``; zero diagonal."""
-        a = np.zeros((self.m, self.m))
-        for j, i in self.edges:
-            a[i, j] = 1.0
-        return a
+        return self.adjacency.astype(float)
 
     def to_json_dict(self) -> dict:
         """Serialization with 1-based node ids and lexicographically sorted edges."""
-        return {"m": self.m, "edges": [[j + 1, i + 1] for j, i in sorted(self.edges)]}
+        return {"m": self.m, "edges": (np.argwhere(self.adjacency.T) + 1).tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
     def from_json_dict(d: dict) -> "DiGraph":
-        return DiGraph(int(d["m"]), frozenset((int(j) - 1, int(i) - 1) for j, i in d["edges"]))
+        return DiGraph(int(d["m"]), [(int(j) - 1, int(i) - 1) for j, i in d["edges"]])
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,7 @@ class SpanningTree:
     def __post_init__(self):
         if self.parents[self.root] != -1:
             raise ValueError("root must have parent -1")
-        if sum(1 for p in self.parents if p == -1) != 1:
+        if self.parents.count(-1) != 1:
             raise ValueError("exactly one root expected")
 
     @property
@@ -113,54 +133,45 @@ class SpanningTree:
         return tuple((p, v) for v, p in enumerate(self.parents) if p >= 0)
 
 
+def _levels(adjacency: np.ndarray, source: int) -> np.ndarray:
+    """Hop distance from ``source`` along the edges of ``adjacency``; -1 where unreachable.
+
+    Pass ``g.adjacency`` for forward distances and ``g.adjacency.T`` for
+    distances against the edge direction.
+    """
+    level = np.full(adjacency.shape[0], -1)
+    level[source] = 0
+    frontier = [source]
+    k = 0
+    while len(frontier):
+        k += 1
+        reached = adjacency[:, frontier].any(axis=1)
+        reached &= level < 0
+        level[reached] = k
+        frontier = reached.nonzero()[0]
+    return level
+
+
 def roots(g: DiGraph) -> frozenset[int]:
     """All nodes with a directed path to every other node; empty if none exist.
 
-    Uses Kosaraju's two-pass strongly-connected-component decomposition:
-    the graph is rooted exactly when the condensation has a unique source
-    component, and every node of that component is a root.
+    Walks up the condensation: the nodes reaching candidate ``c`` but not
+    reached from it lie in components above ``c``'s, so the candidate moves
+    to the farthest of them until none is left.  ``c``'s component is then
+    a source; the graph is rooted exactly when ``c`` reaches every node,
+    and the roots are the nodes that reach ``c``.
     """
-    m = g.m
-    seen = [False] * m
-    order: list[int] = []
-    for s in range(m):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack = [(s, iter(g.out_neighbors(s)))]
-        while stack:
-            u, it = stack[-1]
-            v = next(it, None)
-            if v is None:
-                order.append(u)
-                stack.pop()
-            elif not seen[v]:
-                seen[v] = True
-                stack.append((v, iter(g.out_neighbors(v))))
-
-    comp = [-1] * m
-    ncomp = 0
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        comp[s] = ncomp
-        work = [s]
-        while work:
-            u = work.pop()
-            for v in g.in_neighbors(u):
-                if comp[v] == -1:
-                    comp[v] = ncomp
-                    work.append(v)
-        ncomp += 1
-
-    has_incoming = [False] * ncomp
-    for j, i in g.edges:
-        if comp[j] != comp[i]:
-            has_incoming[comp[i]] = True
-    sources = [c for c in range(ncomp) if not has_incoming[c]]
-    if len(sources) != 1:
+    c = 0
+    while True:
+        ahead = _levels(g.adjacency, c) >= 0
+        behind = _levels(g.adjacency.T, c)
+        above = np.where(ahead, -1, behind)
+        if above.max() < 0:
+            break
+        c = int(above.argmax())
+    if not ahead.all():
         return frozenset()
-    return frozenset(v for v in range(m) if comp[v] == sources[0])
+    return frozenset(np.flatnonzero(behind >= 0).tolist())
 
 
 def bfs_spanning_tree(g: DiGraph, root: int) -> SpanningTree:
@@ -170,25 +181,14 @@ def bfs_spanning_tree(g: DiGraph, root: int) -> SpanningTree:
     in-neighbor at level ``k``, so identical graphs always yield identical
     trees.  The tree depth equals the eccentricity of ``root``.
     """
-    m = g.m
-    dist = [-1] * m
-    dist[root] = 0
-    q: deque[int] = deque([root])
-    while q:
-        u = q.popleft()
-        for v in g.out_neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    unreachable = [v for v in range(m) if dist[v] < 0]
-    if unreachable:
+    level = _levels(g.adjacency, root)
+    unreachable = np.flatnonzero(level < 0)
+    if unreachable.size:
         raise NotRooted(f"node {unreachable[0]} is unreachable from {root}")
-    parents = [-1] * m
-    for v in range(m):
-        if v == root:
-            continue
-        parents[v] = min(u for u in g.in_neighbors(v) if dist[u] == dist[v] - 1)
-    return SpanningTree(root=root, parents=tuple(parents), depth=max(dist))
+    candidates = g.adjacency & (level == level[:, None] - 1)
+    parents = candidates.argmax(axis=1)
+    parents[root] = -1
+    return SpanningTree(root=root, parents=tuple(parents.tolist()), depth=int(level.max()))
 
 
 def regular_tree_graph(d: int) -> DiGraph:
@@ -202,17 +202,19 @@ def regular_tree_graph(d: int) -> DiGraph:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    und: set[tuple[int, int]] = {(0, 1)}
-    for v in range(1, 2 ** (d - 1)):
-        und.add((v, 2 * v))
-        und.add((v, 2 * v + 1))
-    leaves = list(range(2 ** (d - 1), 2 ** d))
-    for a, b in zip(leaves, leaves[1:]):
-        und.add((a, b))
-    und.add((0, leaves[0]))
-    und.add((0, leaves[-1]))
-    edges = {(a, b) for a, b in und} | {(b, a) for a, b in und}
-    return DiGraph(2 ** d, frozenset(edges))
+    m = 2 ** d
+    inner = np.arange(1, m // 2)
+    leaves = np.arange(m // 2, m)
+    ends = np.concatenate(([0, 0, 0], inner, inner, leaves[:-1]))
+    others = np.concatenate(([1, leaves[0], leaves[-1]], 2 * inner, 2 * inner + 1, leaves[1:]))
+    adjacency = np.zeros((m, m), dtype=bool)
+    adjacency[ends, others] = adjacency[others, ends] = True
+    return DiGraph.from_adjacency(adjacency)
+
+
+def _check_edge_prob(extra_edge_prob: float) -> None:
+    if not 0.0 <= extra_edge_prob <= 1.0:
+        raise ValueError(f"extra_edge_prob={extra_edge_prob} must lie in [0, 1]")
 
 
 def random_rooted_graph(m: int, extra_edge_prob: float = 0.0, seed=0) -> DiGraph:
@@ -220,26 +222,24 @@ def random_rooted_graph(m: int, extra_edge_prob: float = 0.0, seed=0) -> DiGraph
 
     The root is chosen uniformly; with ``extra_edge_prob=0`` the result has
     exactly ``m-1`` edges, with ``extra_edge_prob=1`` it is the complete
-    digraph without self-loops.  Always rooted by construction.
+    digraph without self-loops.  Always rooted by construction.  The node
+    ``order[k]`` joins the tree under ``order[picks[k-1]]``, a uniform pick
+    among the ``k`` nodes placed before it.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    _check_edge_prob(extra_edge_prob)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     root = int(rng.integers(m))
-    others = [v for v in range(m) if v != root]
-    others = [others[i] for i in rng.permutation(len(others))]
-    placed = [root]
-    edges: set[tuple[int, int]] = set()
-    for v in others:
-        parent = placed[int(rng.integers(len(placed)))]
-        edges.add((parent, v))
-        placed.append(v)
+    others = np.delete(np.arange(m), root)
+    order = np.concatenate(([root], others[rng.permutation(m - 1)]))
+    picks = rng.integers(0, np.arange(1, m))
+    adjacency = np.zeros((m, m), dtype=bool)
+    adjacency[order[1:], order[picks]] = True
     if extra_edge_prob > 0.0:
-        mask = rng.random((m, m)) < extra_edge_prob
-        for j, i in np.argwhere(mask):
-            if j != i:
-                edges.add((int(j), int(i)))
-    return DiGraph(m, frozenset(edges))
+        adjacency |= (rng.random((m, m)) < extra_edge_prob).T
+        np.fill_diagonal(adjacency, False)
+    return DiGraph.from_adjacency(adjacency)
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,7 @@ class GraphSequence:
 
     @staticmethod
     def random_rooted(m: int, extra_edge_prob: float, seed: int) -> "GraphSequence":
+        _check_edge_prob(extra_edge_prob)
         return GraphSequence(kind="random-rooted", m=m, seed=int(seed),
                              extra_edge_prob=float(extra_edge_prob))
 

@@ -74,7 +74,8 @@ def _absorb_row_residue(a: np.ndarray) -> np.ndarray:
 
 def equal_neighbor_weights(g: DiGraph) -> RowStochasticMatrix:
     """Each agent averages uniformly over its in-neighbors and itself."""
-    a = g.in_adjacency() + np.eye(g.m)
+    a = g.in_adjacency()
+    np.fill_diagonal(a, 1.0)
     a /= a.sum(axis=1, keepdims=True)
     return RowStochasticMatrix(_absorb_row_residue(a))
 
@@ -90,8 +91,7 @@ def laplacian_weights(g: DiGraph, gamma: float) -> RowStochasticMatrix:
     if not g.is_symmetric:
         raise AsymmetricGraph("laplacian weights need a symmetric edge set")
     a = g.in_adjacency() / gamma
-    deg = np.array([g.in_degree(i) for i in range(g.m)], dtype=float)
-    a[np.diag_indices_from(a)] = 1.0 - deg / gamma
+    a[np.diag_indices_from(a)] = 1.0 - g.adjacency.sum(axis=1) / gamma
     return RowStochasticMatrix(_absorb_row_residue(a))
 
 
@@ -99,7 +99,7 @@ def regular_quarter_weights(g: DiGraph) -> RowStochasticMatrix:
     """Weight 1/4 on the diagonal and every edge of a 3-regular symmetric graph."""
     if not g.is_symmetric:
         raise NotThreeRegular("quarter weights need a symmetric edge set")
-    if any(g.degree(i) != 3 for i in range(g.m)):
+    if (g.adjacency.sum(axis=1) != 3).any():
         raise NotThreeRegular("every node must have degree exactly 3")
     a = 0.25 * (g.in_adjacency() + np.eye(g.m))
     return RowStochasticMatrix(a)
@@ -113,11 +113,10 @@ def lazy_metropolis_weights(g: DiGraph) -> RowStochasticMatrix:
     """
     if not g.is_symmetric:
         raise AsymmetricGraph("lazy metropolis weights need a symmetric edge set")
-    m = g.m
-    deg = [g.degree(i) for i in range(m)]
-    a = np.zeros((m, m))
-    for j, i in g.edges:
-        a[i, j] = 1.0 / (2.0 * max(deg[i], deg[j]))
+    deg = g.adjacency.sum(axis=1)
+    receivers, senders = np.nonzero(g.adjacency)
+    a = np.zeros((g.m, g.m))
+    a[receivers, senders] = 1.0 / (2.0 * np.maximum(deg[receivers], deg[senders]))
     a[np.diag_indices_from(a)] = 1.0 - a.sum(axis=1)
     return RowStochasticMatrix(a)
 
@@ -131,9 +130,9 @@ _BUILDERS = {
 
 
 def _support_graph(a: np.ndarray) -> DiGraph:
-    m = a.shape[0]
-    edges = {(int(j), int(i)) for i in range(m) for j in range(m) if i != j and a[i, j] > 0.0}
-    return DiGraph(m, frozenset(edges))
+    support = a > 0.0
+    np.fill_diagonal(support, False)
+    return DiGraph.from_adjacency(support)
 
 
 @dataclass(frozen=True)
@@ -263,10 +262,12 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
             strong_ok = rooted_ok = False
             break
         tree = bfs_spanning_tree(g, min(root_set))
-        tree_entries = np.array([a[i, j] for j, i in tree.edges()]) if g.m > 1 else np.array([])
+        parents = np.array(tree.parents)
+        children = np.flatnonzero(parents >= 0)
+        tree_entries = a[children, parents[children]]
         if tree_entries.size and tree_entries.min() <= 0.0:
-            j, i = tree.edges()[int(tree_entries.argmin())]
-            note(f"t={t}: zero weight on tree edge ({j},{i})")
+            i = children[tree_entries.argmin()]
+            note(f"t={t}: zero weight on tree edge ({parents[i]},{i})")
             rooted_ok = False
             strong_ok = False
             break
@@ -275,13 +276,7 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
         if tree_entries.size:
             beta = min(beta, float(tree_entries.min()))
 
-        if strong_ok:
-            if len(root_set) != g.m:
-                strong_ok = False
-            else:
-                edge_entries = [a[i, j] for j, i in g.edges]
-                if edge_entries and min(edge_entries) <= 0.0:
-                    strong_ok = False
+        strong_ok = strong_ok and len(root_set) == g.m and bool((a[g.adjacency] > 0.0).all())
 
     if not rooted_ok:
         return ComplianceReport(level="neither", beta=0.0, doubly_stochastic=doubly,

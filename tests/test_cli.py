@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from consensus_lab import cli
 
 
@@ -19,6 +21,17 @@ def quarter_scenario(tmp_path: Path, **overrides) -> Path:
     }
     scenario.update(overrides)
     return write_json(tmp_path / "scenario.json", scenario)
+
+
+def random_rooted_scenario(tmp_path: Path, **overrides) -> Path:
+    scenario = {
+        "m": 6, "n": 1, "horizon": 40, "seed": 3, "mode": "unconstrained",
+        "graph": {"kind": "random-rooted", "extra_edge_prob": 0.2},
+        "weights": {"scheme": "equal-neighbor"},
+        "initial": {"kind": "uniform-box", "low": -5, "high": 5},
+    }
+    scenario.update(overrides)
+    return write_json(tmp_path / "random_rooted.json", scenario)
 
 
 def constrained_scenario(tmp_path: Path) -> Path:
@@ -78,6 +91,26 @@ class TestSimulate:
                   "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() != \
             (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+    def test_random_rooted_scenario_exit_zero(self, tmp_path):
+        code = cli.main(["simulate", "--scenario", str(random_rooted_scenario(tmp_path)),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+
+    @pytest.mark.parametrize("prob", [2.0, -0.5])
+    def test_out_of_range_edge_probability_exit_config(self, tmp_path, prob):
+        scenario = random_rooted_scenario(
+            tmp_path, graph={"kind": "random-rooted", "extra_edge_prob": prob})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("ks", [[-1], [1000000]])
+    def test_bad_rate_ks_exit_config(self, tmp_path, ks):
+        scenario = random_rooted_scenario(tmp_path, rate_ks=ks)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
 
     def test_no_certificates_flag(self, tmp_path):
         out = tmp_path / "out"

@@ -114,6 +114,22 @@ class TestTrackUV:
         np.testing.assert_array_equal(u, v)
 
 
+class TestRunConfigValidation:
+    BASE = {"m": 6, "n": 1, "horizon": 40, "seed": 3, "mode": "unconstrained",
+            "graph": {"kind": "random-rooted", "extra_edge_prob": 0.2},
+            "weights": {"scheme": "equal-neighbor"}, "initial": {"kind": "uniform-box"}}
+
+    @pytest.mark.parametrize("ks", [[-1], [41], [1000000], [True], [2.0], ["full"]])
+    def test_rate_ks_rejected(self, ks):
+        with pytest.raises(engine.ConfigError):
+            engine.RunConfig.from_json_dict(dict(self.BASE, rate_ks=ks))
+
+    def test_rate_ks_bounds_accepted(self):
+        cfg = engine.RunConfig.from_json_dict(dict(self.BASE, rate_ks=[0, "half", 40]))
+        res = engine.run(cfg)
+        assert {r.k for r in res.records if r.check == "vector-rate-contraction"} == {0, 20, 40}
+
+
 class TestRunUnconstrained:
     def test_quarter_run_report(self):
         cfg = engine.RunConfig.from_json_dict({

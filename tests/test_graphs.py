@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -21,7 +22,7 @@ def dfs_reachable(g, start):
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in g.out_neighbors(u):
+        for v in (i for j, i in g.edges if j == u):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -113,7 +114,7 @@ class TestBfsSpanningTree:
                 while frontier:
                     nxt = []
                     for u in frontier:
-                        for w in g.out_neighbors(u):
+                        for w in (i for j, i in g.edges if j == u):
                             if w not in dist:
                                 dist[w] = dist[u] + 1
                                 nxt.append(w)
@@ -169,11 +170,181 @@ class TestRandomRootedGraph:
         g = random_rooted_graph(10, 1.0, seed=0)
         assert len(g.edges) == 90
 
+    @pytest.mark.parametrize("p", [2.0, -0.5, 1.0000001, float("nan"), float("inf")])
+    def test_rejects_probability_outside_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            random_rooted_graph(5, p, seed=0)
+        with pytest.raises(ValueError):
+            GraphSequence.random_rooted(5, p, seed=0)
+
     def test_always_rooted(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             g = random_rooted_graph(int(rng.integers(2, 12)), rng.uniform(0, 1), rng)
             assert roots(g)
+
+
+class TestDiGraphContract:
+    def test_edge_and_array_constructors_agree(self):
+        g = random_rooted_graph(20, 0.2, seed=3)
+        from_edges = DiGraph(g.m, g.edges)
+        from_array = DiGraph.from_adjacency(g.adjacency.astype(int).tolist())
+        assert from_edges == from_array == g
+        assert hash(from_edges) == hash(from_array) == hash(g)
+        assert len({g, from_edges, from_array}) == 1
+        other = DiGraph(g.m, g.edges - {min(g.edges)})
+        assert other != g
+
+    def test_adjacency_orientation(self):
+        g = DiGraph(3, {(2, 0), (0, 1)})
+        assert g.adjacency.dtype == bool
+        assert g.adjacency[0, 2] and g.adjacency[1, 0]
+        assert g.adjacency.sum() == 2
+
+    def test_edges_round_trip_through_json(self):
+        for m, p in ((17, 0.0), (96, 0.1)):
+            g = random_rooted_graph(m, p, seed=m)
+            d = json.loads(g.to_json())
+            assert d["edges"] == sorted(d["edges"])
+            back = DiGraph.from_json_dict(d)
+            assert back.edges == g.edges
+            assert back == g
+
+    @pytest.mark.parametrize("build", [
+        lambda: DiGraph(3, {(1, 1)}),
+        lambda: DiGraph.from_adjacency(np.eye(3, dtype=bool)),
+        lambda: DiGraph(3, {(0, 3)}),
+        lambda: DiGraph(3, {(-1, 0)}),
+        lambda: DiGraph.from_adjacency(np.zeros((2, 3), dtype=bool)),
+        lambda: DiGraph.from_adjacency(np.zeros((0, 0), dtype=bool)),
+        lambda: DiGraph(0, ()),
+    ])
+    def test_constructors_reject_self_loops_and_out_of_range(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_array_is_read_only(self):
+        source = np.zeros((3, 3), dtype=bool)
+        source[1, 0] = True
+        g = DiGraph.from_adjacency(source)
+        with pytest.raises(ValueError):
+            g.adjacency[0, 1] = True
+        with pytest.raises(AttributeError):
+            g.adjacency = source
+        source[2, 0] = True  # the graph holds its own copy
+        assert g.edges == {(0, 1)}
+
+
+# sha256 of the concatenated to_json() of random_rooted_graph(m, p, seed) for
+# seeds 0..9, recorded before the array-backed rewrite: any change in the
+# order or number of random draws changes them.
+RANDOM_GRAPH_DIGESTS = {
+    (2, 0.0): "92e35e8e046ed3b8d4f1b0ed74bd4d1d8def4ad6209787881013374e2d760426",
+    (2, 0.1): "4567b0a88e86cf7aa549089530034d524864f63d2dfb094184b6938eca4701d6",
+    (2, 1.0): "bb2b28c4f8c52a6740ce919ecff98d74fb77e45ee2fed848c4b89f63a798490d",
+    (3, 0.0): "340db7ab50700e6d7f83c56895dd681bc8b1c9d128dc94dde7431428a87a0810",
+    (3, 0.1): "a2bfd0393b780e8445465d3562dd0645d8d80a4f62cfde3040fd3ee357a78f33",
+    (3, 1.0): "edf3452fe6a6df1989d6f0f44bf9f820ca2246f16002e67eee2c737bfd8c27d7",
+    (17, 0.0): "c25fe7b689644993222bf17c4a35bb999718feabcdeb03d0912fd47648cee38e",
+    (17, 0.1): "5b97cf2080f0773ab12b016d6bc2772b4a12674fa41b4da5a0929e8cf6a03cd1",
+    (17, 1.0): "494624a2788c04606d4581f2ad263089d38aeec62d1c3ee0bcca77f18bc54a39",
+    (96, 0.0): "eea32c78428568f7966618b5dbd5da5ab6cd290c1e5bafa7e060be79de171715",
+    (96, 0.1): "629e8f097ef415420fc0ba57361c7be046785d07684f642d9fb58510e075fa2f",
+    (96, 1.0): "bc53d95c511e53a6daef2dc70a1471205ef02fac3271ec44c61a02147891233a",
+}
+
+SEQUENCE_DIGESTS = {
+    0: "14c09f0fe8cfd4e370f028f4e585dfe3be4b8eac2fe14e0aea64de0bcebd8814",
+    299: "7cb9aa64892386c9d8d0d5b38790f4ccd8d25b3a28f07e82033d7c5dad24fd35",
+    364: "3f8843d8d64c2651598df4050610c6d271e4a9062350e39fa6dd88fcb9e1be35",
+}
+
+
+class TestRandomGraphDrawSequence:
+    @pytest.mark.parametrize("m, p", sorted(RANDOM_GRAPH_DIGESTS))
+    def test_random_rooted_graph_digest(self, m, p):
+        h = hashlib.sha256()
+        for seed in range(10):
+            h.update(random_rooted_graph(m, p, seed).to_json().encode())
+        assert h.hexdigest() == RANDOM_GRAPH_DIGESTS[(m, p)]
+
+    def test_sequence_digest(self):
+        seq = GraphSequence.random_rooted(96, 0.1, 5)
+        for t, digest in SEQUENCE_DIGESTS.items():
+            assert hashlib.sha256(seq.graph_at(t).to_json().encode()).hexdigest() == digest
+
+
+def _two_source_graph(m, rng):
+    """Unrooted: two disjoint random rooted parts, both sending into the rest."""
+    perm = rng.permutation(m)
+    a, b, rest = perm[: m // 3], perm[m // 3: 2 * m // 3], perm[2 * m // 3:]
+    adjacency = np.zeros((m, m), dtype=bool)
+    for part in (a, b):
+        sub = random_rooted_graph(len(part), 0.05, rng).adjacency
+        adjacency[np.ix_(part, part)] = sub
+    senders = np.concatenate((a, b))
+    adjacency[np.ix_(rest, senders)] = rng.random((len(rest), len(senders))) < 0.05
+    adjacency[rest, rng.choice(senders, len(rest))] = True
+    adjacency[np.ix_(rest, rest)] = rng.random((len(rest), len(rest))) < 0.05
+    np.fill_diagonal(adjacency, False)
+    return DiGraph.from_adjacency(adjacency)
+
+
+def _nx_graph(nx, g):
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.m))
+    G.add_edges_from(g.edges)
+    return G
+
+
+def _nx_roots(nx, G):
+    cond = nx.condensation(G)
+    sources = [c for c in cond if cond.in_degree(c) == 0]
+    if len(sources) != 1:
+        return frozenset(), len(sources)
+    return frozenset(cond.nodes[sources[0]]["members"]), 1
+
+
+def _scale_cases():
+    rng = np.random.default_rng(31)
+    for m in (20, 96, 256):
+        for p in (0.0, 2.0 / m, 0.1):
+            yield f"rooted-{m}-{p:.3f}", random_rooted_graph(m, p, rng)
+        yield f"two-sources-{m}", _two_source_graph(m, rng)
+    yield "cubic-8", regular_tree_graph(8)
+
+
+class TestRootsAndBfsAtScale:
+    @pytest.mark.parametrize("name, g", [pytest.param(*case, id=case[0])
+                                         for case in _scale_cases()])
+    def test_against_networkx(self, name, g):
+        nx = pytest.importorskip("networkx")
+        G = _nx_graph(nx, g)
+        expected, n_sources = _nx_roots(nx, G)
+        assert roots(g) == expected
+        if name.startswith("two-sources"):
+            assert n_sources == 2 and not expected
+            for v in (0, g.m - 1):
+                with pytest.raises(NotRooted):
+                    bfs_spanning_tree(g, v)
+            return
+        assert expected
+        ordered = sorted(expected)
+        for r in {ordered[0], ordered[len(ordered) // 2], ordered[-1]}:
+            layers = list(nx.bfs_layers(G, r))
+            level = {v: k for k, layer in enumerate(layers) for v in layer}
+            tree = bfs_spanning_tree(g, r)
+            assert tree.root == r
+            assert tree.depth == len(layers) - 1
+            for v in range(g.m):
+                want = -1 if v == r else min(u for u in G.predecessors(v)
+                                             if level[u] == level[v] - 1)
+                assert tree.parents[v] == want
+
+    def test_cases_reach_multi_level_frontiers(self):
+        depths = [bfs_spanning_tree(g, min(roots(g))).depth
+                  for name, g in _scale_cases() if not name.startswith("two-sources")]
+        assert max(depths) >= 8
 
 
 class TestGraphSequence:
