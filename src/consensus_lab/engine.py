@@ -20,7 +20,8 @@ from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_
                       uniform_adjoint)
 from .certificates import VALUE_SLACK, CertificateRecord, bounded, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
-from .lyapunov import VacuousBound, rate_quotient, vector_contraction_certificate
+from .lyapunov import (VacuousBound, decrement_series, rate_quotient, squared_spread,
+                       vector_contraction_certificate)
 from .sets import (Ball, ConvexSet, Intersection, distance,
                    regularity_interior, regularity_sampling, set_from_json_dict)
 from .weights import ComplianceReport, MatrixSequence, verify_compliance
@@ -71,6 +72,8 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        if self.n < 1:
+            raise ConfigError("n must be >= 1")
         if self.mode == "constrained" and len(self.constraints) != self.m:
             raise ConfigError("constrained mode needs one set spec per agent")
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -165,6 +168,8 @@ def initial_states(config: RunConfig, sets: tuple[ConvexSet, ...] | None) -> np.
         x0 = np.array(spec["states"], dtype=float)
         if x0.shape != (config.m, config.n):
             raise ConfigError(f"explicit states must have shape ({config.m}, {config.n})")
+        if not np.isfinite(x0).all():
+            raise ConfigError("explicit states must be finite")
         if sets is not None:
             for i, s in enumerate(sets):
                 if s.violation(x0[i]) > FEASIBILITY_TOL:
@@ -248,15 +253,6 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def _pairwise_sq_distances(block: np.ndarray) -> np.ndarray:
-    diff = block[:, None, :] - block[None, :, :]
-    return (diff * diff).sum(axis=-1)
-
-
-def _decrement_value(a: np.ndarray, delta_sq: np.ndarray, pi_next: np.ndarray) -> float:
-    return 0.5 * float(pi_next @ ((a @ delta_sq) * a).sum(axis=1))
-
-
 def simulate(config: RunConfig, mseq: MatrixSequence,
              sets: tuple[ConvexSet, ...] | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the dynamic; returns ``(states, w)`` with ``w`` only in constrained mode."""
@@ -291,14 +287,15 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
              adjoint: AbsoluteProbabilitySequence, states: np.ndarray,
              w: np.ndarray | None, sets: tuple[ConvexSet, ...] | None,
              intersection: ConvexSet | None) -> Trajectory:
-    """Derive every per-step series from the raw states."""
+    """Derive every per-step series from the raw states.
+
+    Per step, the decrement costs ``O(nnz(A) n)`` and the spread
+    ``O(m^2 n)``; see :func:`decrement_series` and :func:`squared_spread`.
+    """
     h = states.shape[0] - 1
     pi = adjoint.vectors
-    spread_sq = np.array([_pairwise_sq_distances(states[t]).max() for t in range(h + 1)])
-    decrement = np.empty(h)
-    for t in range(h):
-        decrement[t] = _decrement_value(mseq.matrix_at(t),
-                                        _pairwise_sq_distances(states[t]), pi[t + 1])
+    spread_sq = np.array([squared_spread(states[t]) for t in range(h + 1)])
+    decrement = decrement_series(mseq, states, pi)
 
     if sets is None:
         # moment-form comparison value, summed over coordinates
@@ -550,8 +547,12 @@ def _certify(config: RunConfig, mseq: MatrixSequence, compliance: ComplianceRepo
                      trajectory=traj, records=records, report=report)
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute a configured run end to end and assemble its report."""
+def _prepare(config: RunConfig):
+    """Everything a run derives from its config alone, in pipeline order.
+
+    Returns ``(mseq, compliance, adjoint, sets, intersection)``; raises
+    ``NotCompliant`` when the weight sequence fails the structural checks.
+    """
     gseq = build_graph_sequence(config)
     mseq = build_matrix_sequence(config, gseq)
     compliance = verify_compliance(mseq, config.horizon)
@@ -560,6 +561,12 @@ def run(config: RunConfig) -> RunResult:
     adjoint = _build_adjoint(config, mseq, compliance)
     sets = parse_constraints(config) if config.mode == "constrained" else None
     intersection = Intersection(sets) if sets else None
+    return mseq, compliance, adjoint, sets, intersection
+
+
+def run(config: RunConfig) -> RunResult:
+    """Execute a configured run end to end and assemble its report."""
+    mseq, compliance, adjoint, sets, intersection = _prepare(config)
     states, w = simulate(config, mseq, sets)
     return _certify(config, mseq, compliance, adjoint, states, w, sets, intersection)
 
@@ -638,30 +645,33 @@ def _per_t_verdicts(records) -> tuple[list[str], dict]:
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:
-    """One row per (t, agent, coord); per-step columns repeat across the block."""
+    """One row per (t, agent, coord); per-step columns repeat across the block.
+
+    The bytes are those of ``csv.writer`` (CRLF line ends; no cell needs
+    quoting), but each step's block is formatted in one pass and written
+    with one call.
+    """
     traj = result.trajectory
     checks, verdicts = _per_t_verdicts(result.records)
     columns = _BASE_COLUMNS + [f"cert_{c}" for c in checks]
     h = traj.horizon
     m, n = traj.states.shape[1], traj.states.shape[2]
+    agent_coord = [f"{agent},{coord}" for agent in range(m) for coord in range(n)]
+    blank = [""] * (m * n)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(columns)
+        fh.write(",".join(columns) + "\r\n")
         for t in range(h + 1):
+            xs = map(repr, traj.states[t].ravel().tolist())
+            ws = (map(repr, traj.w[t].ravel().tolist())
+                  if traj.w is not None and t > 0 else blank)
+            dsqs = ([repr(v) for v in traj.dist_sq[t].tolist() for _ in range(n)]
+                    if traj.dist_sq is not None else blank)
             dec = repr(float(traj.decrement[t])) if t < h else ""
             vvt = repr(float(traj.v_values[t])) if traj.v_values is not None else ""
-            for agent in range(m):
-                dsq = (repr(float(traj.dist_sq[t, agent]))
-                       if traj.dist_sq is not None else "")
-                for coord in range(n):
-                    wcell = (repr(float(traj.w[t, agent, coord]))
-                             if traj.w is not None and t > 0 else "")
-                    row = [t, agent, coord,
-                           repr(float(traj.states[t, agent, coord])), wcell,
-                           repr(float(traj.spread_sq[t])),
-                           repr(float(traj.lyap[t])), dec, vvt, dsq]
-                    row += [verdicts.get((c, t), "") for c in checks]
-                    wr.writerow(row)
+            mid = f"{float(traj.spread_sq[t])!r},{float(traj.lyap[t])!r},{dec},{vvt}"
+            tail = "".join("," + verdicts.get((c, t), "") for c in checks) + "\r\n"
+            fh.write("".join(f"{t},{ac},{x},{wc},{mid},{dsq}{tail}"
+                             for ac, x, wc, dsq in zip(agent_coord, xs, ws, dsqs)))
 
 
 def read_trajectory_states(path, m: int, n: int,
@@ -716,12 +726,5 @@ def replay_certificates(config: RunConfig, states: np.ndarray,
     quantity is rebuilt deterministically from the config, so verdicts are
     bit-stable against the original run.
     """
-    gseq = build_graph_sequence(config)
-    mseq = build_matrix_sequence(config, gseq)
-    compliance = verify_compliance(mseq, config.horizon)
-    if not compliance.ok:
-        raise NotCompliant(compliance.violation or "compliance level is neither")
-    adjoint = _build_adjoint(config, mseq, compliance)
-    sets = parse_constraints(config) if config.mode == "constrained" else None
-    intersection = Intersection(sets) if sets else None
+    mseq, compliance, adjoint, sets, intersection = _prepare(config)
     return _certify(config, mseq, compliance, adjoint, states, w, sets, intersection)

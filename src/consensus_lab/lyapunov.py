@@ -6,7 +6,8 @@ exactly along a weighted-averaging step: for any stochastic ``A``,
     phi(Ax, nu) = phi(x, A'nu) - (1/2) sum_i nu_i sum_{j,l} A_ij A_il (x_j - x_l)^2.
 
 With an adjoint sequence in the second slot the per-step loss ``D(t)`` is
-bounded below by ``delta * beta^2 / (4 p*)`` times the squared spread, which
+evaluated in ``O(nnz(A) n)`` by :func:`decrement_series` and is bounded below
+by ``delta * beta^2 / (4 p*)`` times the squared spread, which
 yields the per-step contraction quotient ``q = 1 - delta*beta^2/(4 p*)``
 certified here, together with its operator-norm consequence for the matrix
 products and the doubly-stochastic baseline factor ``1 - beta/(2 m^2)``.
@@ -56,16 +57,97 @@ def weighted_variance_direct(x: np.ndarray, nu: np.ndarray) -> float:
     return float(nu @ (x - center) ** 2)
 
 
-def pairwise_decrement_sum(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
-    """``(1/2) sum_i nu_i sum_{j,l} A_ij A_il (x_j - x_l)^2``.
+# Largest (steps, nnz, n) block the decrement kernel gathers at once, so each
+# of its temporaries stays under 512 KB however many steps share a matrix.
+_BLOCK_ELEMENTS = 1 << 16
 
-    Evaluated as ``(1/2) sum_i nu_i (A_i' Delta A_i)`` on the matrix of
-    squared differences, which keeps every term nonnegative (no
-    cancellation, unlike the expanded moment form).
+
+def _row_support(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row-major nonzeros of ``a`` as ``(rows, cols, weights, row starts)``."""
+    m = a.shape[0]
+    flat = np.flatnonzero(a)
+    rows, cols = np.divmod(flat, m)
+    counts = np.bincount(rows, minlength=m)
+    if not counts.all():
+        raise ValueError("every row of A needs a nonzero entry")
+    return rows, cols, a.ravel()[flat], np.cumsum(counts) - counts
+
+
+def _row_shifted_decrements(support: tuple[np.ndarray, ...], x: np.ndarray,
+                            nu: np.ndarray) -> np.ndarray:
+    """Decrement of each state block ``x[s]`` (shape ``(m, n)``) weighted by ``nu[s]``."""
+    rows, cols, weights, starts = support
+    d = x[:, cols] - x[:, rows]                                   # d_ij = x_j - x_i
+    mu = np.add.reduceat(d * weights[:, None], starts, axis=1)    # mu_i = sum_j A_ij d_ij
+    d -= mu[:, rows]
+    per_row = np.add.reduceat(np.einsum("sen,sen->se", d, d) * weights, starts, axis=1)
+    return np.einsum("si,si->s", per_row, nu)
+
+
+def pairwise_decrement_sum(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
+    """``(1/2) sum_i nu_i sum_{j,l} A_ij A_il ||x_j - x_l||^2`` for row-stochastic ``A``.
+
+    ``x`` has shape ``(m,)`` or ``(m, n)``.  The inner double sum is the
+    ``A_i``-weighted variance of the states, evaluated over the support of
+    row ``i`` in the row-shifted form ``sum_j A_ij ||d_ij - mu_i||^2`` with
+    ``d_ij = x_j - x_i`` and ``mu_i = sum_j A_ij d_ij``.  Every term is
+    nonnegative, and shifting by ``x_i`` keeps the differences exact near
+    consensus.  The plain centered form ``x_j - (Ax)_i`` is not accurate
+    there: the rounding of ``(Ax)_i`` is then as large as the spread.  The
+    cost is ``O(nnz(A) n)``; a row without a nonzero entry raises
+    ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
-    delta = (x[:, None] - x[None, :]) ** 2
-    return 0.5 * float(nu @ ((a @ delta) * a).sum(axis=1))
+    nu = np.asarray(nu, dtype=float)
+    block = x.reshape(1, x.shape[0], -1)
+    support = _row_support(np.asarray(a, dtype=float))
+    return float(_row_shifted_decrements(support, block, nu[None])[0])
+
+
+def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """``D(t)`` of :func:`pairwise_decrement_sum` with ``A(t)``, ``x(t)``, ``pi(t+1)``.
+
+    ``states`` has shape ``(horizon+1, m, n)`` and ``pi`` ``(horizon+1, m)``;
+    the result has one entry per step ``t < horizon``.  Steps whose matrix
+    is the same array (static and periodic sequences) are evaluated
+    together, in blocks of at most ``_BLOCK_ELEMENTS`` gathered entries.
+    """
+    h = states.shape[0] - 1
+    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for t in range(h):
+        a = seq.matrix_at(t)
+        groups.setdefault(id(a), (a, []))[1].append(t)
+    out = np.empty(h)
+    for a, steps in groups.values():
+        support = _row_support(a)
+        steps = np.array(steps)
+        size = max(1, _BLOCK_ELEMENTS // (support[0].size * states.shape[2]))
+        for s in range(0, steps.size, size):
+            ts = steps[s:s + size]
+            out[ts] = _row_shifted_decrements(support, states[ts], pi[ts + 1])
+    return out
+
+
+def squared_spread(x: np.ndarray) -> float:
+    """``max_{j,l} ||x_j - x_l||^2`` for ``x`` of shape ``(m,)`` or ``(m, n)``.
+
+    One coordinate reduces to ``(max - min)^2``.  Otherwise the squared
+    coordinate differences are added in coordinate order into one ``m x m``
+    buffer.  numpy sums fewer than 8 terms in that same order, so for
+    ``n < 8`` the value is bit-identical to the maximum of the full
+    ``m x m x n`` difference array summed over its last axis.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1 or x.shape[1] == 1:
+        return float((x.max() - x.min()) ** 2)
+    buf = np.subtract.outer(x[:, 0], x[:, 0])
+    buf *= buf
+    diff = np.empty_like(buf)
+    for k in range(1, x.shape[1]):
+        np.subtract.outer(x[:, k], x[:, k], out=diff)
+        diff *= diff
+        buf += diff
+    return float(buf.max())
 
 
 def averaging_identity_residual(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
@@ -95,7 +177,7 @@ def step_decrement(a: np.ndarray, x: np.ndarray, pi_next: np.ndarray,
         raise ValueError("pi_next must be stochastic")
     x = np.asarray(x, dtype=float)
     value = pairwise_decrement_sum(a, x, pi_next)
-    spread_sq = float((x.max() - x.min()) ** 2)
+    spread_sq = squared_spread(x)
     lower = delta * beta * beta / (4.0 * p_star) * spread_sq
     passed = value >= -1e-12 and lower <= value * VALUE_SLACK + 1e-10 * max(1.0, spread_sq)
     return DecrementRecord(t=t, value=value, spread_sq=spread_sq,
@@ -112,7 +194,7 @@ def spread_bound(x: np.ndarray, nu: np.ndarray) -> tuple[float, float]:
     if abs(nu.sum() - 1.0) > 1e-12 or (nu < 0).any():
         raise ValueError("nu must be stochastic")
     x = np.asarray(x, dtype=float)
-    spread_sq = float((x.max() - x.min()) ** 2)
+    spread_sq = squared_spread(x)
     wvar = weighted_variance_direct(x, nu)
     if wvar > spread_sq * VALUE_SLACK + 1e-12:
         raise ArithmeticError("weighted variance exceeded the squared spread")

@@ -33,7 +33,7 @@ class NotThreeRegular(ValueError):
 
 @dataclass(frozen=True)
 class RowStochasticMatrix:
-    """Dense nonnegative matrix whose rows each sum to 1 within 1e-12."""
+    """Dense finite nonnegative matrix whose rows each sum to 1 within 1e-12."""
 
     entries: np.ndarray
 
@@ -41,6 +41,8 @@ class RowStochasticMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
         if (a < 0).any():
             raise ValueError("entries must be nonnegative")
         err = np.abs(a.sum(axis=1) - 1.0).max()
@@ -245,7 +247,9 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     for t in range(horizon):
         a = seq.matrix_at(t)
         g = seq.graph_at(t)
-        if (a < 0).any() or np.abs(a.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        # Written so that a NaN or infinite entry, whose row sum is not
+        # finite, fails the row-sum test as well.
+        if (a < 0).any() or not np.abs(a.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
             note(f"t={t}: matrix is not row-stochastic")
             strong_ok = rooted_ok = False
             break

@@ -112,6 +112,25 @@ class TestSimulate:
         assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"weights": {"scheme": "custom",
+                     "matrices": [{"m": 2, "rows": [[0.5, float("nan")], [0.5, 0.5]]}]}},
+        {"initial": {"kind": "explicit", "states": [[float("nan")], [1.0]]}},
+    ], ids=["nan-weight", "nan-state"])
+    def test_non_finite_input_exit_config(self, tmp_path, overrides):
+        scenario = dict({
+            "m": 2, "n": 1, "horizon": 100, "seed": 0, "mode": "unconstrained",
+            "graph": {"kind": "static", "graph": {"m": 2, "edges": [[1, 2], [2, 1]]}},
+            "weights": {"scheme": "equal-neighbor"},
+            "initial": {"kind": "uniform-box"},
+        }, **overrides)
+        path = tmp_path / "non_finite.json"
+        # json writes NaN as the bare token NaN, which json.load reads back
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
     def test_no_certificates_flag(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path)),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,10 @@ class TestRunConfigValidation:
         with pytest.raises(engine.ConfigError):
             engine.RunConfig.from_json_dict(dict(self.BASE, rate_ks=ks))
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(engine.ConfigError):
+            engine.RunConfig.from_json_dict(dict(self.BASE, n=0))
+
     def test_rate_ks_bounds_accepted(self):
         cfg = engine.RunConfig.from_json_dict(dict(self.BASE, rate_ks=[0, "half", 40]))
         res = engine.run(cfg)
@@ -216,6 +222,13 @@ class TestRunConstrained:
         assert (np.diff(traj.lyap) <= 1e-12).all()
         assert res.report["consensus"]["final_max_dist_sq"] <= 1e-12
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_explicit_non_finite_start_rejected(self, bad):
+        cfg_dict = self.base_config("unconstrained")
+        cfg_dict["initial"] = {"kind": "explicit", "states": [[bad]] + [[1.0]] * 4}
+        with pytest.raises(engine.ConfigError):
+            engine.run(engine.RunConfig.from_json_dict(cfg_dict))
+
     def test_explicit_infeasible_start_rejected(self):
         cfg_dict = self.base_config("constrained")
         cfg_dict["constraints"] = [{"type": "ball", "center": [0.0], "radius": 1.0}] * 5
@@ -271,3 +284,75 @@ class TestTheoremFiveUnconstrainedReduction:
             v_t = v_function(traj.states[t], pi[t], c)
             v_next = v_function(traj.states[t + 1], pi[t + 1], c)
             assert v_next <= v_t - traj.decrement[t] + 1e-10 * max(1.0, v_t)
+
+
+def pairwise_block(x):
+    diff = x[:, None, :] - x[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+class TestAnnotateAgainstPairwiseOracle:
+    @pytest.mark.parametrize("m,graph,scheme,horizon", [
+        (32, {"kind": "static", "regular_tree_d": 5}, "quarter", 1000),
+        (40, {"kind": "random-rooted", "extra_edge_prob": 0.1}, "equal-neighbor", 300),
+    ])
+    def test_decrement_and_spread_every_step(self, m, graph, scheme, horizon):
+        cfg = engine.RunConfig.from_json_dict({
+            "m": m, "n": 2, "horizon": horizon, "seed": 31, "mode": "unconstrained",
+            "graph": graph, "weights": {"scheme": scheme},
+            "initial": {"kind": "uniform-box", "low": -5.0, "high": 5.0},
+        })
+        res = engine.run(cfg)
+        traj, pi = res.trajectory, res.adjoint.vectors
+        mseq = engine.build_matrix_sequence(cfg, engine.build_graph_sequence(cfg))
+        assert traj.spread_sq[horizon] < 1e-25  # the run reaches floating-point consensus
+        for t in range(horizon + 1):
+            delta_sq = pairwise_block(traj.states[t])
+            assert traj.spread_sq[t] == delta_sq.max()
+            if t < horizon:
+                a = mseq.matrix_at(t)
+                want = 0.5 * float(pi[t + 1] @ ((a @ delta_sq) * a).sum(axis=1))
+                assert abs(traj.decrement[t] - want) <= 1e-12 * want, t
+
+
+def csv_writer_trajectory(result, path):
+    """Row-by-row ``csv.writer`` export, the byte-level reference for the streamed writer."""
+    traj = result.trajectory
+    checks, verdicts = engine._per_t_verdicts(result.records)
+    h = traj.horizon
+    m, n = traj.states.shape[1], traj.states.shape[2]
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(engine._BASE_COLUMNS + [f"cert_{c}" for c in checks])
+        for t in range(h + 1):
+            dec = repr(float(traj.decrement[t])) if t < h else ""
+            vvt = repr(float(traj.v_values[t])) if traj.v_values is not None else ""
+            for agent in range(m):
+                dsq = repr(float(traj.dist_sq[t, agent])) if traj.dist_sq is not None else ""
+                for coord in range(n):
+                    wcell = (repr(float(traj.w[t, agent, coord]))
+                             if traj.w is not None and t > 0 else "")
+                    wr.writerow([t, agent, coord, repr(float(traj.states[t, agent, coord])),
+                                 wcell, repr(float(traj.spread_sq[t])),
+                                 repr(float(traj.lyap[t])), dec, vvt, dsq]
+                                + [verdicts.get((c, t), "") for c in checks])
+
+
+class TestTrajectoryCsv:
+    def _assert_same_bytes(self, result, tmp_path):
+        engine.write_trajectory_csv(result, tmp_path / "streamed.csv")
+        csv_writer_trajectory(result, tmp_path / "oracle.csv")
+        got = (tmp_path / "streamed.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        return got
+
+    def test_unconstrained_bytes(self, tmp_path, unconstrained_config):
+        res = engine.run(unconstrained_config(seed=5, scheme="equal-neighbor", m=7,
+                                              horizon=60, n=3))
+        got = self._assert_same_bytes(res, tmp_path)
+        assert got.count(b"\r\n") == 1 + 61 * 7 * 3
+
+    def test_constrained_bytes(self, tmp_path, constrained_config):
+        res = engine.run(constrained_config(seed=42, horizon=60))
+        assert res.trajectory.w is not None and res.trajectory.dist_sq is not None
+        self._assert_same_bytes(res, tmp_path)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, Vacuou
                            spread_bound, step_decrement, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
+from consensus_lab.lyapunov import decrement_series, squared_spread
 
 
 def triple_sum_oracle(a, x, nu):
@@ -85,6 +88,87 @@ class TestExactDecrease:
             assert abs(averaging_identity_residual(a, x, nu)) <= 1e-10 * scale
             assert abs(pairwise_decrement_sum(a, x, nu) -
                        triple_sum_oracle(a, x, nu)) <= 1e-10 * scale
+
+
+def exact_decrement(a, x, nu):
+    """Exact rational ``(1/2) sum_i nu_i sum_{j,l} A_ij A_il ||x_j - x_l||^2`` of float inputs."""
+    m = a.shape[0]
+    xf = [[Fraction(v) for v in row] for row in x.reshape(m, -1).tolist()]
+    sq = {(j, l): sum((p - q) ** 2 for p, q in zip(xf[j], xf[l]))
+          for j in range(m) for l in range(j + 1, m)}
+    total = Fraction(0)
+    for i in range(m):
+        row = [Fraction(v) for v in a[i].tolist()]
+        total += Fraction(float(nu[i])) * sum(row[j] * row[l] * d for (j, l), d in sq.items())
+    return total
+
+
+def sparse_stochastic_matrix(rng, m):
+    """Random row-stochastic matrix with zeros, positive on the diagonal and on a cycle."""
+    a = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
+    idx = np.arange(m)
+    a[idx, idx] += 0.05 + rng.random(m)
+    a[idx, (idx + 1) % m] += 0.05 + rng.random(m)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+class TestDecrementKernel:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_exact_oracle_near_consensus(self, n):
+        # c + eps*u with |c| up to 1e3 and eps down to a few ulps of c (1e-30
+        # at c = 0): the row shift keeps x_j - x_i exact, while the plain
+        # centered form x_j - (Ax)_i is off by the rounding of (Ax)_i.
+        rng = np.random.default_rng(4400 + n)
+        cases = [(0.0, eps) for eps in (1.0, 1e-10, 1e-30)]
+        cases += [(c, abs(c) * r) for c in (1.0, -37.5, 1e3) for r in (1.0, 1e-7, 1e-13, 1e-15)]
+        for c, eps in cases:
+            for m in (2, 3, 5, 8):
+                a = sparse_stochastic_matrix(rng, m)
+                nu = rng.random(m)
+                nu /= nu.sum()
+                u = rng.uniform(-1.0, 1.0, (m, n))
+                u[0], u[1] = -1.0, 1.0
+                x = c + eps * u
+                exact = exact_decrement(a, x, nu)
+                assert exact > 0
+                got = pairwise_decrement_sum(a, x[:, 0] if n == 1 else x, nu)
+                assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, (c, eps, m)
+
+    def test_vector_is_sum_of_coordinates(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            m, n = int(rng.integers(2, 12)), int(rng.integers(2, 6))
+            a = sparse_stochastic_matrix(rng, m)
+            nu = rng.random(m)
+            x = rng.uniform(-3, 3, (m, n))
+            whole = pairwise_decrement_sum(a, x, nu)
+            parts = sum(pairwise_decrement_sum(a, x[:, k], nu) for k in range(n))
+            assert abs(whole - parts) <= 1e-12 * parts
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_spread_bit_equal_to_pairwise_max(self, n):
+        rng = np.random.default_rng(90 + n)
+        for _ in range(40):
+            m = int(rng.integers(1, 40))
+            x = (rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 8, size=n)
+                 + rng.uniform(-1e3, 1e3, n))
+            diff = x[:, None, :] - x[None, :, :]
+            assert squared_spread(x) == (diff * diff).sum(axis=-1).max()
+            if n == 1:
+                assert squared_spread(x[:, 0]) == (diff * diff).max()
+
+    def test_series_on_periodic_sequence_against_oracle(self):
+        rng = np.random.default_rng(12)
+        mats = [sparse_stochastic_matrix(rng, 6) for _ in range(3)]
+        seq = MatrixSequence.custom(mats)
+        h = 40
+        states = rng.uniform(-2, 2, (h + 1, 6, 2))
+        pi = rng.random((h + 1, 6))
+        series = decrement_series(seq, states, pi)
+        assert series.shape == (h,)
+        for t in range(h):
+            want = float(exact_decrement(seq.matrix_at(t), states[t], pi[t + 1]))
+            assert series[t] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestStepDecrement:

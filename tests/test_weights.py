@@ -26,6 +26,11 @@ class TestRowStochasticMatrix:
         with pytest.raises(ValueError):
             RowStochasticMatrix(np.array([[0.6, 0.6], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RowStochasticMatrix(np.array([[0.5, bad], [0.5, 0.5]]))
+
     def test_entries_read_only(self):
         mat = RowStochasticMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -170,3 +175,19 @@ class TestVerifyCompliance:
         rep = verify_compliance(seq, 2)
         assert rep.level == "rooted"
         assert rep.beta == 0.5
+
+
+class TestComplianceNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_neither(self, bad):
+        class Seq:
+            # bypasses RowStochasticMatrix, which rejects the entry on construction
+            def matrix_at(self, t):
+                return np.array([[0.5, bad], [0.5, 0.5]])
+
+            def graph_at(self, t):
+                return two_cycle()
+
+        report = verify_compliance(Seq(), 5)
+        assert report.level == "neither"
+        assert "row-stochastic" in report.violation
