@@ -30,9 +30,7 @@ report = result.report
 traj = result.trajectory
 
 print("regularity constant r (interior-ball formula):", report["r_used"])
-print("tracked contraction quotient:",
-      1.0 - report["adjoint"]["delta"] * report["compliance"]["beta"] ** 2
-      / (4 * report["compliance"]["p_star"] * (report["r_used"] + 1.0) ** 2))
+print("tracked contraction quotient:", report["tracked_contraction_step"])
 print()
 
 print("V(t, v(t)) and the worst per-agent distance to the intersection:")

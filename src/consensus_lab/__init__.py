@@ -16,12 +16,10 @@ from .engine import (ConfigError, DimensionMismatch, NotCompliant, RunConfig, Ru
                      step_constrained, step_unconstrained, track_uv, v_function)
 from .graphs import (DiGraph, GraphSequence, NotRooted, SpanningTree, bfs_spanning_tree,
                      random_rooted_graph, regular_tree_graph, roots)
-from .lyapunov import (ComparisonValue, DecrementRecord, NegativeWeight, RateBound,
-                       VacuousBound, averaging_identity_residual, contraction_certificate,
+from .lyapunov import (NegativeWeight, VacuousBound, averaging_identity_residual,
                        doubly_stochastic_rate_factor, operator_norm_sq,
                        pairwise_decrement_sum, product_convergence_records, rate_quotient,
-                       spread_bound, step_decrement, vector_contraction_certificate,
-                       weighted_variance)
+                       vector_contraction_certificate, weighted_variance)
 from .sets import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
                    InfeasiblePoint, InteriorBallNotContained, Intersection,
                    NoInformativeSamples, Polyhedron, RegularityEstimate, YNotInSet,

@@ -58,10 +58,6 @@ def summarize(records) -> dict:
             "by_check": by_check}
 
 
-def all_pass(records) -> bool:
-    return all(r.passed for r in records)
-
-
 def write_certificates_json(records, path) -> None:
     with open(path, "w") as fh:
         json.dump([r.to_json_dict() for r in records], fh, indent=2, sort_keys=True)

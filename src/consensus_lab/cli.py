@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
     try:
         report = _load_json(Path(args.report))
         config = engine.RunConfig.from_json_dict(report["config"])
-    except (OSError, json.JSONDecodeError, KeyError, engine.ConfigError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         log.error("cannot load report: %s", exc)
         return EXIT_CONFIG
     try:
@@ -156,12 +156,12 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     try:
         result = engine.replay_certificates(config, states, w)
-    except engine.NotCompliant as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
+    except (ValueError, KeyError) as exc:
+        log.error("configuration error: %s", exc)
+        return EXIT_CONFIG
 
     if not result.certificates_pass:
         log.error("certificate violations found on replay: %s",

@@ -20,8 +20,9 @@ from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_
                       uniform_adjoint)
 from .certificates import VALUE_SLACK, CertificateRecord, bounded, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
-from .lyapunov import (VacuousBound, decrement_series, rate_quotient, squared_spread,
-                       vector_contraction_certificate)
+from .lyapunov import (contraction_drop, decrement_bound, decrement_series,
+                       doubly_stochastic_rate_factor, rate_quotient, squared_spread,
+                       vector_contraction_certificate, weighted_variance)
 from .sets import (Ball, ConvexSet, Intersection, distance,
                    regularity_interior, regularity_sampling, set_from_json_dict)
 from .weights import ComplianceReport, MatrixSequence, verify_compliance
@@ -289,8 +290,9 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
              intersection: ConvexSet | None) -> Trajectory:
     """Derive every per-step series from the raw states.
 
-    Per step, the decrement costs ``O(nnz(A) n)`` and the spread
-    ``O(m^2 n)``; see :func:`decrement_series` and :func:`squared_spread`.
+    Per step, the decrement costs ``O(nnz(A) n)``, the spread ``O(m^2 n)``
+    and the comparison value ``O(m n)``; see :func:`decrement_series`,
+    :func:`squared_spread` and :func:`weighted_variance`.
     """
     h = states.shape[0] - 1
     pi = adjoint.vectors
@@ -298,12 +300,9 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
     decrement = decrement_series(mseq, states, pi)
 
     if sets is None:
-        # moment-form comparison value, summed over coordinates
-        s1 = np.einsum("tm,tmn->tn", pi, states * states)
-        s2 = np.einsum("tm,tmn->tn", pi, states)
-        lyap = (s1 - s2 * s2).sum(axis=1)
+        lyap, conservation = weighted_variance(states, pi)
         return Trajectory(states=states, w=w, spread_sq=spread_sq, lyap=lyap,
-                          decrement=decrement, conservation=s2, feasibility=None,
+                          decrement=decrement, conservation=conservation, feasibility=None,
                           u_points=None, v_points=None, v_values=None,
                           dist_sq=None, y_point=None)
 
@@ -343,7 +342,7 @@ def v_noise_floor(traj: Trajectory) -> float:
 def constrained_decrease_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
                                      beta: float, p_star: int) -> list[CertificateRecord]:
     """Per-step decrease of ``V(t, y)`` by at least the spread-based decrement bound."""
-    drop = adjoint.delta * beta * beta / (4.0 * p_star)
+    drop = contraction_drop(adjoint.delta, beta, p_star)
     floor = v_noise_floor(traj)
     return [bounded("constrained-decrease", t, None, float(traj.lyap[t + 1]),
                     float(traj.lyap[t] - drop * traj.spread_sq[t]), floor=floor)
@@ -352,30 +351,20 @@ def constrained_decrease_certificate(traj: Trajectory, adjoint: AbsoluteProbabil
 
 def tracked_contraction_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
                                     beta: float, p_star: int,
-                                    r: float) -> tuple[list[CertificateRecord], float, bool]:
-    """Geometric decay of ``V(t, v(t))`` at quotient ``1 - delta beta^2 / (4 p* (r+1)^2)``.
-
-    Returns the records, the quotient, and a vacuous flag set when the
-    quotient is within 1e-12 of one (the bound then certifies nothing).
-    """
-    drop = adjoint.delta * beta * beta / (4.0 * p_star * (r + 1.0) ** 2)
-    q = 1.0 - drop
-    if q >= 1.0:
-        raise VacuousBound("tracked contraction factor is not below one")
-    vacuous = q >= 1.0 - VACUOUS_EPS
+                                    r: float) -> list[CertificateRecord]:
+    """Geometric decay of ``V(t, v(t))`` at quotient ``1 - delta beta^2 / (4 p* (r+1)^2)``."""
+    q = rate_quotient(adjoint.delta, beta, p_star, r)
     floor = v_noise_floor(traj)
-    records = [bounded("tracked-contraction", t, None, float(traj.v_values[t + 1]),
-                       q * float(traj.v_values[t]), floor=floor)
-               for t in range(traj.horizon)]
-    return records, q, vacuous
+    return [bounded("tracked-contraction", t, None, float(traj.v_values[t + 1]),
+                    q * float(traj.v_values[t]), floor=floor)
+            for t in range(traj.horizon)]
 
 
 def distance_envelope_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
                                   beta: float, p_star: int,
                                   r: float) -> list[CertificateRecord]:
     """Envelope ``sum_j dist^2(x_j(t), X) <= (1/delta) q^t V(0, v(0))``."""
-    drop = adjoint.delta * beta * beta / (4.0 * p_star * (r + 1.0) ** 2)
-    q = 1.0 - drop
+    q = rate_quotient(adjoint.delta, beta, p_star, r)
     base = float(traj.v_values[0]) / adjoint.delta
     floor = v_noise_floor(traj)
     return [bounded("distance-envelope", t, None, float(traj.dist_sq[t].sum()),
@@ -403,7 +392,6 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
     h = traj.horizon
     pi = adjoint.vectors
     beta, p_star = compliance.beta, compliance.p_star
-    drop = adjoint.delta * beta * beta / (4.0 * p_star)
 
     if config.mode == "unconstrained":
         x0_norms = np.linalg.norm(traj.states[0], axis=0)  # per coordinate
@@ -413,21 +401,20 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
             records.append(CertificateRecord("conservation", t, None, scaled,
                                              CONSERVATION_TOL, 1.0,
                                              scaled <= CONSERVATION_TOL))
+        lower, bound_ok = decrement_bound(traj.decrement, traj.spread_sq[:h],
+                                          contraction_drop(adjoint.delta, beta, p_star))
         for t in range(h):
             resid = float(abs(traj.lyap[t + 1] - (traj.lyap[t] - traj.decrement[t])))
             scale = max(1.0, float((traj.states[t] ** 2).sum()))
             records.append(CertificateRecord("step-identity", t, None, resid,
                                              IDENTITY_TOL * scale, 1.0,
                                              resid <= IDENTITY_TOL * scale))
-            lower = drop * float(traj.spread_sq[t])
-            dec = float(traj.decrement[t])
-            tol = 1e-10 * max(1.0, float(traj.spread_sq[t]))
-            ok = dec >= -1e-12 and lower <= dec * VALUE_SLACK + tol
-            records.append(CertificateRecord("decrement-bound", t, None, lower,
-                                             dec, VALUE_SLACK, ok))
+            records.append(CertificateRecord("decrement-bound", t, None, float(lower[t]),
+                                             float(traj.decrement[t]), VALUE_SLACK,
+                                             bool(bound_ok[t])))
         for k in _rate_k_values(config):
-            rb = vector_contraction_certificate(traj.states, adjoint, beta, p_star, k)
-            records.extend(rb.records)
+            records.extend(vector_contraction_certificate(traj.states, adjoint, beta,
+                                                          p_star, k))
         return records
 
     y = traj.y_point
@@ -447,8 +434,7 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                                w_val, floor=v_floor))
     records.extend(constrained_decrease_certificate(traj, adjoint, beta, p_star))
     if r_used is not None:
-        tracked, _, _ = tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used)
-        records.extend(tracked)
+        records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
         records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
     return records
 
@@ -585,7 +571,8 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
             "empirical_median_step_ratio": float(np.median(ratios)) if ratios else None,
             "empirical_max_step_ratio": float(np.max(ratios)) if ratios else None}
     if compliance.doubly_stochastic:
-        rate["doubly_stochastic_baseline_step"] = 1.0 - compliance.beta / (2.0 * config.m ** 2)
+        rate["doubly_stochastic_baseline_step"] = doubly_stochastic_rate_factor(
+            compliance.beta, config.m, 1)
     consensus = {"final_spread_sq": float(traj.spread_sq[h]),
                  "rho_observed": rho}
     if config.mode == "unconstrained":
@@ -616,10 +603,10 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
         report["r_used"] = r_used
         report["regularity_escalated"] = escalated
         if r_used is not None:
-            drop = adjoint.delta * compliance.beta ** 2 / (
-                4.0 * compliance.p_star * (r_used + 1.0) ** 2)
-            report["tracked_contraction_step"] = 1.0 - drop
-            report["tracked_contraction_vacuous"] = bool(1.0 - drop >= 1.0 - VACUOUS_EPS)
+            q_tracked = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star,
+                                      r_used)
+            report["tracked_contraction_step"] = q_tracked
+            report["tracked_contraction_vacuous"] = q_tracked >= 1.0 - VACUOUS_EPS
     report["consensus"] = consensus
     return report
 

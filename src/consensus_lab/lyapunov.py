@@ -7,14 +7,13 @@ exactly along a weighted-averaging step: for any stochastic ``A``,
 
 With an adjoint sequence in the second slot the per-step loss ``D(t)`` is
 evaluated in ``O(nnz(A) n)`` by :func:`decrement_series` and is bounded below
-by ``delta * beta^2 / (4 p*)`` times the squared spread, which
-yields the per-step contraction quotient ``q = 1 - delta*beta^2/(4 p*)``
-certified here, together with its operator-norm consequence for the matrix
-products and the doubly-stochastic baseline factor ``1 - beta/(2 m^2)``.
+by ``delta * beta^2 / (4 p*)`` times the squared spread (:func:`decrement_bound`),
+which yields the per-step contraction quotient ``q = 1 - delta*beta^2/(4 p*)``
+certified here (:func:`contraction_drop`), together with its operator-norm
+consequence for the matrix products and the doubly-stochastic baseline factor
+``1 - beta/(2 m^2)``.  Each formula has one implementation in this module.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +27,25 @@ class NegativeWeight(ValueError):
 
 
 class VacuousBound(ValueError):
-    """The claimed contraction quotient is not below one."""
+    """The claimed contraction quotient is not strictly between zero and one."""
 
 
-@dataclass(frozen=True)
-class ComparisonValue:
-    """Value of the weighted variance and the centering scalar ``nu'x``."""
+def weighted_variance(states: np.ndarray,
+                      weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``phi(x(t), nu(t))`` summed over coordinates, and the centers ``nu(t)'x(t)``.
 
-    value: float
-    center: float
-
-
-def weighted_variance(x: np.ndarray, nu: np.ndarray) -> ComparisonValue:
-    """Moment form ``sum nu_i x_i^2 - (nu'x)^2`` with nonnegative weights."""
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if (nu < 0).any():
+    ``states`` has shape ``(T, m, n)`` and ``weights`` ``(T, m)``; the values
+    have shape ``(T,)`` and the centers ``(T, n)``.  Moment form
+    ``sum_i nu_i ||x_i||^2 - ||nu'x||^2``; a negative weight raises
+    ``NegativeWeight``.
+    """
+    states = np.asarray(states, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if (weights < 0).any():
         raise NegativeWeight("weights must be nonnegative")
-    center = float(nu @ x)
-    return ComparisonValue(value=float(nu @ (x * x) - center * center), center=center)
-
-
-def weighted_variance_direct(x: np.ndarray, nu: np.ndarray) -> float:
-    """Centered form ``sum nu_i (x_i - nu'x)^2``; equals the moment form for stochastic nu."""
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    center = nu @ x
-    return float(nu @ (x - center) ** 2)
+    s1 = np.einsum("tm,tmn->tn", weights, states * states)
+    centers = np.einsum("tm,tmn->tn", weights, states)
+    return (s1 - centers * centers).sum(axis=1), centers
 
 
 # Largest (steps, nnz, n) block the decrement kernel gathers at once, so each
@@ -152,73 +143,49 @@ def squared_spread(x: np.ndarray) -> float:
 
 def averaging_identity_residual(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
     """Signed defect of the exact decrease identity; zero in exact arithmetic."""
-    lhs = weighted_variance(a @ np.asarray(x, dtype=float), nu).value
-    rhs = weighted_variance(x, a.T @ np.asarray(nu, dtype=float)).value
-    return lhs - (rhs - pairwise_decrement_sum(a, x, nu))
-
-
-@dataclass(frozen=True)
-class DecrementRecord:
-    """One step's exact loss, its squared spread, and the certified lower bound."""
-
-    t: int | None
-    value: float
-    spread_sq: float
-    lower_bound: float
-    passed: bool
-
-
-def step_decrement(a: np.ndarray, x: np.ndarray, pi_next: np.ndarray,
-                   delta: float, beta: float, p_star: int,
-                   t: int | None = None) -> DecrementRecord:
-    """Evaluate ``D(t)`` and check it against ``delta*beta^2/(4 p*) * spread^2``."""
-    pi_next = np.asarray(pi_next, dtype=float)
-    if (pi_next < 0).any() or abs(pi_next.sum() - 1.0) > 1e-12:
-        raise ValueError("pi_next must be stochastic")
+    a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    value = pairwise_decrement_sum(a, x, pi_next)
-    spread_sq = squared_spread(x)
-    lower = delta * beta * beta / (4.0 * p_star) * spread_sq
-    passed = value >= -1e-12 and lower <= value * VALUE_SLACK + 1e-10 * max(1.0, spread_sq)
-    return DecrementRecord(t=t, value=value, spread_sq=spread_sq,
-                           lower_bound=lower, passed=passed)
-
-
-def spread_bound(x: np.ndarray, nu: np.ndarray) -> tuple[float, float]:
-    """Return ``(max_{j,l}(x_j-x_l)^2, sum nu_i (x_i - nu'x)^2)`` for stochastic nu.
-
-    The weighted variance never exceeds the squared spread; the pair is
-    checked here and a violation (impossible in exact arithmetic) raises.
-    """
     nu = np.asarray(nu, dtype=float)
-    if abs(nu.sum() - 1.0) > 1e-12 or (nu < 0).any():
-        raise ValueError("nu must be stochastic")
-    x = np.asarray(x, dtype=float)
-    spread_sq = squared_spread(x)
-    wvar = weighted_variance_direct(x, nu)
-    if wvar > spread_sq * VALUE_SLACK + 1e-12:
-        raise ArithmeticError("weighted variance exceeded the squared spread")
-    return spread_sq, wvar
+    states = np.stack([a @ x, x]).reshape(2, x.shape[0], -1)
+    (lhs, rhs), _ = weighted_variance(states, np.stack([nu, a.T @ nu]))
+    return float(lhs - (rhs - pairwise_decrement_sum(a, x, nu)))
 
 
-def rate_quotient(delta: float, beta: float, p_star: int) -> float:
-    """Per-step contraction factor ``1 - delta*beta^2/(4 p*)``."""
-    drop = delta * beta * beta / (4.0 * p_star)
-    if drop >= 1.0:
-        raise VacuousBound(f"claimed per-step drop {drop} >= 1; check delta/beta/p*")
-    return 1.0 - drop
+def decrement_bound(decrement: np.ndarray, spread_sq: np.ndarray,
+                    drop: float) -> tuple[np.ndarray, np.ndarray]:
+    """Check ``D(t) >= drop * spread_sq(t)`` at every step; returns ``(lower, passed)``.
+
+    ``drop`` is :func:`contraction_drop` of the run.  A step passes when its
+    decrement is nonnegative to within 1e-12 and at least the lower bound
+    ``drop * spread_sq`` to within ``VALUE_SLACK`` and ``1e-10 * max(1, spread_sq)``.
+    """
+    decrement = np.asarray(decrement, dtype=float)
+    spread_sq = np.asarray(spread_sq, dtype=float)
+    lower = drop * spread_sq
+    tol = 1e-10 * np.maximum(1.0, spread_sq)
+    passed = (decrement >= -1e-12) & (lower <= decrement * VALUE_SLACK + tol)
+    return lower, passed
 
 
-@dataclass
-class RateBound:
-    """Contraction verdicts for a family of ``(t, k)`` pairs at quotient ``q_step``."""
+def contraction_drop(delta: float, beta: float, p_star: int, r: float = 0.0) -> float:
+    """Certified per-step drop ``delta*beta^2/(4 p* (r+1)^2)``; the quotient is ``1 - drop``.
 
-    q_step: float
-    records: list[CertificateRecord]
+    ``r`` is the set-regularity constant of a constrained run and ``0`` for
+    the unconstrained quotient (``4 p* * 1.0`` is exact, so ``r = 0`` gives
+    the bits of ``delta*beta^2/(4 p*)``).  Raises ``VacuousBound`` unless
+    ``0 < 1 - drop < 1``: a drop of at least one, or one so small that the
+    quotient rounds to one, certifies nothing.
+    """
+    drop = delta * beta * beta / (4.0 * p_star * (r + 1.0) ** 2)
+    if not 0.0 < 1.0 - drop < 1.0:
+        raise VacuousBound(f"contraction quotient 1 - {drop!r} is not in (0, 1); "
+                           "check delta/beta/p*/r")
+    return drop
 
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+
+def rate_quotient(delta: float, beta: float, p_star: int, r: float = 0.0) -> float:
+    """Per-step contraction factor ``1 - delta*beta^2/(4 p* (r+1)^2)``."""
+    return 1.0 - contraction_drop(delta, beta, p_star, r)
 
 
 def noise_floor(states: np.ndarray) -> float:
@@ -234,35 +201,15 @@ def noise_floor(states: np.ndarray) -> float:
     return m * (np.finfo(float).eps * scale) ** 2
 
 
-def contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabilitySequence,
-                            beta: float, p_star: int, k: int) -> RateBound:
-    """Check the scalar weighted variance against its geometric envelope from time ``k``.
-
-    ``states`` has shape ``(horizon+1, m)``.  The center is the conserved
-    value ``pi(0)'x(0)``; for each ``t >= k`` the check is
-
-        sum_i pi_i(t) (x_i(t) - c)^2  <=  q^(t-k) * sum_j pi_j(k) (x_j(k) - c)^2.
-    """
-    states = np.asarray(states, dtype=float)
-    pi = adjoint.vectors
-    q = rate_quotient(adjoint.delta, beta, p_star)
-    c = float(pi[0] @ states[0])
-    vals = np.einsum("tm,tm->t", pi, (states - c) ** 2)
-    floor = noise_floor(states)
-    records = [bounded("rate-contraction", t, k, vals[t], q ** (t - k) * vals[k],
-                       floor=floor)
-               for t in range(k, states.shape[0])]
-    return RateBound(q_step=q, records=records)
-
-
 def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabilitySequence,
-                                   beta: float, p_star: int, k: int) -> RateBound:
-    """Coordinate-summed contraction check for vector-valued runs.
+                                   beta: float, p_star: int,
+                                   k: int) -> list[CertificateRecord]:
+    """Check the weighted variance about the conserved center against its envelope from ``k``.
 
-    ``states`` has shape ``(horizon+1, m, n)``; the center is the
-    ``pi(0)``-weighted mean of the initial vectors and the envelope is the
-    same quotient as the scalar case.  With ``n = 1`` this reduces exactly
-    to :func:`contraction_certificate`.
+    ``states`` has shape ``(horizon+1, m, n)``.  The center is the conserved
+    value ``c = pi(0)'x(0)``; for each ``t >= k`` the check is
+
+        sum_i pi_i(t) ||x_i(t) - c||^2  <=  q^(t-k) * sum_j pi_j(k) ||x_j(k) - c||^2.
     """
     states = np.asarray(states, dtype=float)
     pi = adjoint.vectors
@@ -270,18 +217,17 @@ def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabil
     c = pi[0] @ states[0]
     vals = np.einsum("tm,tm->t", pi, ((states - c) ** 2).sum(axis=2))
     floor = noise_floor(states)
-    records = [bounded("vector-rate-contraction", t, k, vals[t], q ** (t - k) * vals[k],
-                       floor=floor)
-               for t in range(k, states.shape[0])]
-    return RateBound(q_step=q, records=records)
+    return [bounded("vector-rate-contraction", t, k, vals[t], q ** (t - k) * vals[k],
+                    floor=floor)
+            for t in range(k, states.shape[0])]
 
 
 def doubly_stochastic_rate_factor(beta: float, m: int, steps: int) -> float:
     """Baseline per-product factor ``(1 - beta/(2 m^2))^steps`` for doubly stochastic chains."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     return (1.0 - beta / (2.0 * m * m)) ** steps

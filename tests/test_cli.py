@@ -238,6 +238,26 @@ class TestVerify:
         assert cli.main(["verify", "--report", str(out / "report.json"),
                          "--trajectory", str(bad)]) == 2
 
+    @pytest.mark.parametrize("keys,value", [
+        (("graph", "kind"), "bogus"),
+        (("weights", "scheme"), "bogus"),
+        (("adjoint", "method"), "bogus"),
+        (("graph", "regular_tree_d"), 4),   # 16 nodes against m = 8
+        (("m",), "eight"),
+    ])
+    def test_bad_config_in_report_exit_config(self, tmp_path, keys, value):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path, horizon=20)),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        section = report["config"]
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        bad = write_json(tmp_path / "bad_report.json", report)
+        assert cli.main(["verify", "--report", str(bad),
+                         "--trajectory", str(out / "trajectory.csv")]) == 2
+
     def test_constrained_round_trip(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),

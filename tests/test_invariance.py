@@ -1,0 +1,80 @@
+"""Metamorphic invariances of unconstrained runs: scaling and coordinate splitting.
+
+Each example runs the full pipeline from explicit initial states, so the
+series under test come from ``engine.annotate`` and the verdicts from
+``engine.evaluate_certificates``.
+"""
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from consensus_lab import engine  # noqa: E402
+
+HORIZON = 60
+EXAMPLES = settings(derandomize=True, database=None, max_examples=15, deadline=None)
+
+# (graph kind, size, extra edge probability): random rooted graphs on m
+# agents with equal-neighbor weights, or the cubic tree on 2^d agents with
+# quarter weights (doubly stochastic, so the uniform adjoint).
+graphs = st.one_of(
+    st.tuples(st.just("random-rooted"), st.integers(3, 20), st.sampled_from([0.0, 0.2])),
+    st.tuples(st.just("regular-tree"), st.integers(2, 4), st.just(0.0)),
+)
+seeds = st.integers(0, 2 ** 16)
+
+
+def agents(graph) -> int:
+    kind, size, _ = graph
+    return 2 ** size if kind == "regular-tree" else size
+
+
+def initial(graph, n: int, state_seed: int) -> np.ndarray:
+    return np.random.default_rng(state_seed).uniform(-5.0, 5.0, (agents(graph), n))
+
+
+def run(graph, seed: int, x0: np.ndarray) -> engine.RunResult:
+    kind, size, prob = graph
+    if kind == "regular-tree":
+        spec, scheme = {"kind": "static", "regular_tree_d": size}, "quarter"
+    else:
+        spec, scheme = {"kind": kind, "extra_edge_prob": prob}, "equal-neighbor"
+    return engine.run(engine.RunConfig.from_json_dict({
+        "m": x0.shape[0], "n": x0.shape[1], "horizon": HORIZON, "seed": seed,
+        "mode": "unconstrained", "graph": spec, "weights": {"scheme": scheme},
+        "initial": {"kind": "explicit", "states": x0.tolist()},
+    }))
+
+
+def verdicts(result: engine.RunResult) -> list[tuple]:
+    return [(r.check, r.t, r.k, r.verdict) for r in result.records]
+
+
+@EXAMPLES
+@given(graph=graphs, n=st.integers(1, 3), seed=seeds, state_seed=seeds)
+def test_scaling_states_by_8_scales_series_by_64(graph, n, seed, state_seed):
+    # a power of two scales every product and sum exactly, so the series
+    # scale bit for bit and no verdict moves
+    x0 = initial(graph, n, state_seed)
+    base = run(graph, seed, x0)
+    scaled = run(graph, seed, 8.0 * x0)
+    for name in ("lyap", "decrement", "spread_sq"):
+        np.testing.assert_array_equal(getattr(scaled.trajectory, name),
+                                      64.0 * getattr(base.trajectory, name), err_msg=name)
+    assert verdicts(scaled) == verdicts(base)
+
+
+@EXAMPLES
+@given(graph=graphs, n=st.integers(2, 3), seed=seeds, state_seed=seeds)
+def test_vector_run_is_sum_of_coordinate_runs(graph, n, seed, state_seed):
+    # absolute tolerance: at floating-point consensus the values are rounding
+    # noise, so a relative error says nothing there
+    x0 = initial(graph, n, state_seed)
+    whole = run(graph, seed, x0).trajectory
+    parts = [run(graph, seed, x0[:, [k]]).trajectory for k in range(n)]
+    scale = np.maximum(1.0, (whole.states ** 2).sum(axis=(1, 2)))
+    for name in ("lyap", "decrement"):
+        got = getattr(whole, name)
+        want = sum(getattr(p, name) for p in parts)
+        assert (np.abs(got - want) <= 1e-12 * scale[:got.size]).all(), name

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, VacuousBound,
-                           averaging_identity_residual, contraction_certificate,
-                           doubly_stochastic_rate_factor, operator_norm_sq,
-                           pairwise_decrement_sum, product_convergence_records,
-                           rate_quotient, regular_tree_graph, regular_quarter_weights,
-                           spread_bound, step_decrement, uniform_adjoint,
+                           averaging_identity_residual, doubly_stochastic_rate_factor,
+                           operator_norm_sq, pairwise_decrement_sum,
+                           product_convergence_records, rate_quotient, regular_tree_graph,
+                           regular_quarter_weights, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
-from consensus_lab.lyapunov import decrement_series, squared_spread
+from consensus_lab.lyapunov import (contraction_drop, decrement_bound, decrement_series,
+                                    squared_spread)
 
 
 def triple_sum_oracle(a, x, nu):
@@ -32,22 +32,28 @@ def random_stochastic_matrix(rng, m):
     return a / a.sum(axis=1, keepdims=True)
 
 
+def phi(x, nu):
+    """``(phi(x, nu), nu'x)`` of one scalar state vector, through the time-axis form."""
+    values, centers = weighted_variance(np.asarray(x)[None, :, None], np.asarray(nu)[None])
+    return values[0], centers[0, 0]
+
+
 class TestWeightedVariance:
     def test_symmetric_two_point(self):
-        assert weighted_variance(np.array([1.0, -1.0]), np.array([0.5, 0.5])).value == 1.0
+        assert phi(np.array([1.0, -1.0]), np.array([0.5, 0.5]))[0] == 1.0
 
     def test_consensus_state_zero(self):
-        v = weighted_variance(np.full(5, 3.7), np.full(5, 0.2))
-        assert abs(v.value) <= 1e-12
+        value, _ = phi(np.full(5, 3.7), np.full(5, 0.2))
+        assert abs(value) <= 1e-12
 
     def test_hand_case(self):
-        v = weighted_variance(np.array([3.0, 0.0, 0.0]), np.full(3, 1 / 3))
-        assert v.value == pytest.approx(2.0, abs=1e-14)
-        assert v.center == pytest.approx(1.0, abs=1e-15)
+        value, center = phi(np.array([3.0, 0.0, 0.0]), np.full(3, 1 / 3))
+        assert value == pytest.approx(2.0, abs=1e-14)
+        assert center == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_weight_guard(self):
         with pytest.raises(NegativeWeight):
-            weighted_variance(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+            phi(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
 
     def test_moment_and_centered_forms_agree(self):
         rng = np.random.default_rng(17)
@@ -56,7 +62,7 @@ class TestWeightedVariance:
             x = rng.uniform(-8, 8, m)
             nu = rng.random(m)
             nu /= nu.sum()
-            moment = weighted_variance(x, nu).value
+            moment, _ = phi(x, nu)
             centered = float(nu @ (x - nu @ x) ** 2)
             assert abs(moment - centered) <= 1e-10 * max(1.0, x @ x)
             assert moment >= -1e-12
@@ -72,8 +78,8 @@ class TestExactDecrease:
         a = np.full((2, 2), 0.5)
         x = np.array([1.0, -1.0])
         nu = np.array([0.5, 0.5])
-        assert weighted_variance(a @ x, nu).value == 0.0
-        assert weighted_variance(x, a.T @ nu).value == 1.0
+        assert phi(a @ x, nu)[0] == 0.0
+        assert phi(x, a.T @ nu)[0] == 1.0
         assert pairwise_decrement_sum(a, x, nu) == 1.0
         assert averaging_identity_residual(a, x, nu) == 0.0
 
@@ -171,25 +177,42 @@ class TestDecrementKernel:
             assert series[t] == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def step_decrement(a, x, pi_next, delta, beta, p_star):
+    """``(D, spread_sq, lower bound, verdict)`` of one step, from the engine's functions."""
+    value = pairwise_decrement_sum(a, x, pi_next)
+    spread_sq = squared_spread(x)
+    lower, passed = decrement_bound(np.array([value]), np.array([spread_sq]),
+                                    contraction_drop(delta, beta, p_star))
+    return value, spread_sq, lower[0], bool(passed[0])
+
+
 class TestStepDecrement:
     def test_consensus_state(self):
         a = np.full((3, 3), 1 / 3)
-        rec = step_decrement(a, np.full(3, 2.0), np.full(3, 1 / 3),
-                             delta=1 / 3, beta=1 / 3, p_star=1)
-        assert rec.value == 0.0
-        assert rec.spread_sq == 0.0
-        assert rec.passed
+        value, spread_sq, _, passed = step_decrement(a, np.full(3, 2.0), np.full(3, 1 / 3),
+                                                     delta=1 / 3, beta=1 / 3, p_star=1)
+        assert value == 0.0
+        assert spread_sq == 0.0
+        assert passed
 
     def test_regular_tree_indicator(self):
         g = regular_tree_graph(3)
         a = regular_quarter_weights(g).entries
         x = np.zeros(8)
         x[3] = 1.0
-        rec = step_decrement(a, x, np.full(8, 0.125), delta=0.125, beta=0.25, p_star=2)
-        assert rec.spread_sq == 1.0
-        assert rec.lower_bound == pytest.approx(0.125 * 0.0625 / 8.0, abs=0)
-        assert rec.value >= rec.lower_bound
-        assert rec.passed
+        value, spread_sq, lower, passed = step_decrement(a, x, np.full(8, 0.125),
+                                                         delta=0.125, beta=0.25, p_star=2)
+        assert spread_sq == 1.0
+        assert lower == pytest.approx(0.125 * 0.0625 / 8.0, abs=0)
+        assert value >= lower
+        assert passed
+
+    def test_bound_verdicts(self):
+        # (decrement, spread_sq) at drop 0.25: met exactly, missed, negative
+        lower, passed = decrement_bound(np.array([0.25, 0.2, -1e-11]),
+                                        np.array([1.0, 1.0, 0.0]), 0.25)
+        assert lower.tolist() == [0.25, 0.25, 0.0]
+        assert passed.tolist() == [True, False, False]
 
     def test_random_certified_cases(self):
         rng = np.random.default_rng(55)
@@ -201,8 +224,12 @@ class TestStepDecrement:
             pi /= pi.sum()
             delta = float(pi.min())
             beta = float(a.min())
-            rec = step_decrement(a, x, pi, delta=delta, beta=beta, p_star=m - 1)
-            assert rec.passed
+            assert step_decrement(a, x, pi, delta=delta, beta=beta, p_star=m - 1)[3]
+
+
+def spread_bound(x, nu):
+    """``(squared spread, centered weighted variance sum nu_i (x_i - nu'x)^2)``."""
+    return squared_spread(x), float(nu @ (x - nu @ x) ** 2)
 
 
 class TestSpreadBound:
@@ -233,6 +260,25 @@ class TestRateQuotient:
         with pytest.raises(VacuousBound):
             rate_quotient(500.0, 1.0, 1)
 
+    @pytest.mark.parametrize("delta,r", [
+        (4.0, 0.0),     # drop exactly 1: q = 0
+        (8.0, 0.0),     # drop 2: q < 0
+        (1e-17, 0.0),   # drop below half an ulp of 1: q rounds to 1
+        (1.0, 1e12),    # tracked quotient at an absurd regularity constant
+    ])
+    def test_vacuous_guard_both_sides(self, delta, r):
+        with pytest.raises(VacuousBound):
+            contraction_drop(delta, 1.0, 1, r)
+        with pytest.raises(VacuousBound):
+            rate_quotient(delta, 1.0, 1, r)
+
+    def test_drop_is_the_coefficient(self):
+        # r = 0 keeps the unconstrained bits; callers get the drop, not 1 - q
+        assert contraction_drop(0.125, 0.25, 2) == 0.125 * 0.25 * 0.25 / (4.0 * 2)
+        assert contraction_drop(0.125, 0.25, 2, 1.0) == 0.125 * 0.25 * 0.25 / (4.0 * 2 * 4.0)
+        assert rate_quotient(0.5, 1.0, 1, 1.0) == 1.0 - 1.0 / 32.0
+        assert contraction_drop(1e-15, 1.0, 1) == 1e-15 / 4.0
+
 
 class TestContraction:
     def _run(self, d=3, horizon=120, seed=2):
@@ -249,31 +295,26 @@ class TestContraction:
 
     def test_t_equals_k_is_tight(self):
         _, aps, states = self._run()
-        rb = contraction_certificate(states, aps, beta=0.25, p_star=2, k=0)
-        first = rb.records[0]
+        records = vector_contraction_certificate(states[:, :, None], aps, beta=0.25,
+                                                 p_star=2, k=0)
+        first = records[0]
         assert first.t == 0 and first.lhs == first.rhs
-        assert rb.all_pass
+        assert all(r.passed for r in records)
 
     def test_all_pass_both_ks(self):
         _, aps, states = self._run()
         for k in (0, 60):
-            assert contraction_certificate(states, aps, 0.25, 2, k).all_pass
-
-    def test_vector_reduces_to_scalar(self):
-        _, aps, states = self._run()
-        scalar = contraction_certificate(states, aps, 0.25, 2, 0)
-        vector = vector_contraction_certificate(states[:, :, None], aps, 0.25, 2, 0)
-        assert [(r.lhs, r.rhs) for r in scalar.records] == \
-               [(r.lhs, r.rhs) for r in vector.records]
+            records = vector_contraction_certificate(states[:, :, None], aps, 0.25, 2, k)
+            assert all(r.passed for r in records)
 
     def test_equal_initial_states_stay_zero(self):
         seq = MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(2)),
                                          "quarter")
         aps = uniform_adjoint(seq, 10)
         states = np.full((11, 4, 3), 2.5)
-        rb = vector_contraction_certificate(states, aps, 0.25, 1, 0)
-        assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in rb.records)
-        assert rb.all_pass
+        records = vector_contraction_certificate(states, aps, 0.25, 1, 0)
+        assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in records)
+        assert all(r.passed for r in records)
 
 
 class TestBaselineFactor:
@@ -282,6 +323,10 @@ class TestBaselineFactor:
 
     def test_zero_steps(self):
         assert doubly_stochastic_rate_factor(0.25, 8, 0) == 1.0
+
+    def test_single_agent(self):
+        # a one-agent run is doubly stochastic, and its report carries this baseline
+        assert doubly_stochastic_rate_factor(1.0, 1, 1) == 0.5
 
     def test_crossover_with_new_quotient(self):
         # the tree-based quotient beats the baseline once m > 8p*
