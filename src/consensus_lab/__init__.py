@@ -12,20 +12,16 @@ from .adjoint import (AbsoluteProbabilitySequence, AdjointResidualTooLarge,
                       stationary_adjoint, uniform_adjoint, window_averaged_product)
 from .certificates import CertificateRecord, summarize
 from .engine import (ConfigError, DimensionMismatch, NotCompliant, RunConfig, RunResult,
-                     Trajectory, YNotInX, mean_square_identity_residual, run,
-                     step_constrained, step_unconstrained, track_uv, v_function)
+                     Trajectory, YNotInX, run, step_constrained, step_unconstrained, track_uv,
+                     v_function)
 from .graphs import (DiGraph, GraphSequence, NotRooted, SpanningTree, bfs_spanning_tree,
                      random_rooted_graph, regular_tree_graph, roots)
-from .lyapunov import (NegativeWeight, VacuousBound, averaging_identity_residual,
-                       doubly_stochastic_rate_factor, operator_norm_sq,
-                       pairwise_decrement_sum, product_convergence_records, rate_quotient,
-                       vector_contraction_certificate, weighted_variance)
+from .lyapunov import (NegativeWeight, VacuousBound, doubly_stochastic_rate_factor,
+                       rate_quotient, vector_contraction_certificate, weighted_variance)
 from .sets import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
-                   InfeasiblePoint, InteriorBallNotContained, Intersection,
-                   NoInformativeSamples, Polyhedron, RegularityEstimate, YNotInSet,
-                   check_nonexpansive, check_variational_inequality, distance,
-                   dykstra_project, regularity_interior, regularity_sampling,
-                   set_from_json_dict, set_to_json_dict, spread_projection_bound)
+                   InteriorBallNotContained, Intersection, NoInformativeSamples, Polyhedron,
+                   RegularityEstimate, distance, dykstra_project, regularity_interior,
+                   regularity_sampling, set_from_json_dict)
 from .weights import (AsymmetricGraph, ComplianceReport, GammaTooSmall, MatrixSequence,
                       NotThreeRegular, RowStochasticMatrix, equal_neighbor_weights,
                       laplacian_weights, lazy_metropolis_weights, regular_quarter_weights,

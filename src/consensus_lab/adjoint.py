@@ -146,26 +146,19 @@ def backward_product_adjoint(seq: MatrixSequence, t: int,
 
 def assemble_adjoint(seq: MatrixSequence, horizon: int,
                      spread_tol: float = DEFAULT_SPREAD_TOL,
-                     max_window: int = DEFAULT_MAX_WINDOW,
-                     per_step: bool = False) -> AbsoluteProbabilitySequence:
+                     max_window: int = DEFAULT_MAX_WINDOW) -> AbsoluteProbabilitySequence:
     """Adjoint sequence over ``t = 0..horizon`` from backward products.
 
-    By default one backward product anchors ``pi(horizon)`` and the rest of
-    the sequence follows from the exact recursion ``pi(t) = A(t)' pi(t+1)``,
+    One backward product anchors ``pi(horizon)`` and the rest of the
+    sequence follows from the exact recursion ``pi(t) = A(t)' pi(t+1)``,
     which the true limit vectors satisfy identically; stochastic-transpose
     contraction keeps every ``pi(t)`` within ``m * spread_tol`` (L1) of the
-    per-step product limit.  ``per_step=True`` instead runs an independent
-    backward product at every ``t``.
+    per-step product limit.
     """
-    m = seq.m
-    vectors = np.empty((horizon + 1, m))
-    if per_step:
-        for t in range(horizon + 1):
-            vectors[t] = backward_product_adjoint(seq, t, spread_tol, max_window)
-    else:
-        vectors[horizon] = backward_product_adjoint(seq, horizon, spread_tol, max_window)
-        for t in range(horizon - 1, -1, -1):
-            vectors[t] = seq.matrix_at(t).T @ vectors[t + 1]
+    vectors = np.empty((horizon + 1, seq.m))
+    vectors[horizon] = backward_product_adjoint(seq, horizon, spread_tol, max_window)
+    for t in range(horizon - 1, -1, -1):
+        vectors[t] = seq.matrix_at(t).T @ vectors[t + 1]
     return AbsoluteProbabilitySequence(vectors=vectors,
                                        residuals=adjoint_residuals(vectors, seq),
                                        method="backward-product")

@@ -1,8 +1,9 @@
 """Machine-checkable bound records shared by every certificate producer.
 
 A record captures one inequality ``lhs <= rhs * slack`` (identity checks use
-``slack = 1`` with the tolerance on the right-hand side).  Reports export as
-a JSON array and a CSV mirror with identical columns.
+``slack = 1`` with the tolerance on the right-hand side).  Every record a run
+makes comes from :func:`bound_records`.  Reports export as a JSON array and a
+CSV mirror with identical columns.
 """
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ import csv
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 VALUE_SLACK = 1.0 + 1e-9
-NORM_SLACK = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -34,16 +36,25 @@ class CertificateRecord:
                 "verdict": self.verdict}
 
 
-def bounded(check: str, t: int, k: int | None, lhs: float, rhs: float,
-            slack: float = VALUE_SLACK, floor: float = 0.0) -> CertificateRecord:
-    """Record for ``lhs <= rhs * slack + floor``.
+def bound_records(check: str, lhs, rhs, t0: int = 0, k: int | None = None,
+                  slack: float = VALUE_SLACK, floor: float = 0.0,
+                  passed=None) -> list[CertificateRecord]:
+    """Records for ``lhs[s] <= rhs[s] * slack + floor`` at ``t = t0 + s``.
 
-    ``floor`` is an absolute rounding allowance for quantities that sit at
-    the float64 noise level (e.g. squared deviations after the iterates hit
-    exact numerical consensus); it is zero unless the caller supplies one.
+    The test runs once over the whole series; ``rhs`` may be a scalar
+    tolerance.  ``floor`` is an absolute rounding allowance for quantities
+    that sit at the float64 noise level (e.g. squared deviations after the
+    iterates hit exact numerical consensus); it is zero unless the caller
+    supplies one.  A check whose verdict is not this one inequality passes
+    its own ``passed`` array instead.
     """
-    return CertificateRecord(check=check, t=t, k=k, lhs=float(lhs), rhs=float(rhs),
-                             slack=float(slack), passed=bool(lhs <= rhs * slack + floor))
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lhs.shape)
+    if passed is None:
+        passed = lhs <= rhs * slack + floor
+    return [CertificateRecord(check, t, k, lo, hi, slack, ok)
+            for t, lo, hi, ok in zip(range(t0, t0 + lhs.size), lhs.tolist(), rhs.tolist(),
+                                     np.asarray(passed).tolist())]
 
 
 def summarize(records) -> dict:

@@ -18,19 +18,22 @@ import numpy as np
 from . import seeding
 from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
                       uniform_adjoint)
-from .certificates import VALUE_SLACK, CertificateRecord, bounded, summarize
+from .certificates import CertificateRecord, bound_records, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (contraction_drop, decrement_bound, decrement_series,
-                       doubly_stochastic_rate_factor, rate_quotient, squared_spread,
-                       vector_contraction_certificate, weighted_variance)
-from .sets import (Ball, ConvexSet, Intersection, distance,
+                       doubly_stochastic_rate_factor, noise_floor, rate_quotient,
+                       squared_spread, vector_contraction_certificate, weighted_variance)
+from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, distance,
                    regularity_interior, regularity_sampling, set_from_json_dict)
 from .weights import ComplianceReport, MatrixSequence, verify_compliance
 
-FEASIBILITY_TOL = 1e-10
 CONSERVATION_TOL = 1e-10
 IDENTITY_TOL = 1e-10
 VACUOUS_EPS = 1e-12
+
+_INITIAL_KINDS = ("uniform-box", "explicit")
+_ADJOINT_METHODS = ("auto", "uniform", "backward-product", "stationary")
+_REGULARITY_METHODS = ("sampling", "interior", "fixed")
 
 
 class DimensionMismatch(ValueError):
@@ -84,6 +87,15 @@ class RunConfig:
             if k != "half" and not (is_step and 0 <= k <= self.horizon):
                 raise ConfigError(f"rate_ks entry {k!r} must be 'half' or an integer "
                                   f"in [0, {self.horizon}]")
+        if self.regularity is not None and not isinstance(self.regularity, dict):
+            raise ConfigError("regularity must be an object")
+        regularity = {"method": "sampling"} if self.regularity is None else self.regularity
+        for what, value, allowed in (
+                ("initial kind", self.initial.get("kind", "uniform-box"), _INITIAL_KINDS),
+                ("adjoint method", self.adjoint.get("method", "auto"), _ADJOINT_METHODS),
+                ("regularity method", regularity.get("method"), _REGULARITY_METHODS)):
+            if value not in allowed:
+                raise ConfigError(f"unknown {what} {value!r}")
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunConfig":
@@ -164,8 +176,7 @@ def initial_states(config: RunConfig, sets: tuple[ConvexSet, ...] | None) -> np.
     1e-10 per agent.
     """
     spec = config.initial
-    kind = spec.get("kind", "uniform-box")
-    if kind == "explicit":
+    if spec.get("kind") == "explicit":
         x0 = np.array(spec["states"], dtype=float)
         if x0.shape != (config.m, config.n):
             raise ConfigError(f"explicit states must have shape ({config.m}, {config.n})")
@@ -176,15 +187,13 @@ def initial_states(config: RunConfig, sets: tuple[ConvexSet, ...] | None) -> np.
                 if s.violation(x0[i]) > FEASIBILITY_TOL:
                     raise ConfigError(f"initial state of agent {i} violates its set")
         return x0
-    if kind == "uniform-box":
-        low = float(spec.get("low", -1.0))
-        high = float(spec.get("high", 1.0))
-        rng = seeding.substream(config.seed, "init")
-        x0 = rng.uniform(low, high, size=(config.m, config.n))
-        if sets is not None:
-            x0 = np.stack([s.project(x0[i]) for i, s in enumerate(sets)])
-        return x0
-    raise ConfigError(f"unknown initial kind {kind!r}")
+    low = float(spec.get("low", -1.0))
+    high = float(spec.get("high", 1.0))
+    rng = seeding.substream(config.seed, "init")
+    x0 = rng.uniform(low, high, size=(config.m, config.n))
+    if sets is not None:
+        x0 = np.stack([s.project(x0[i]) for i, s in enumerate(sets)])
+    return x0
 
 
 def step_unconstrained(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -209,20 +218,6 @@ def v_function(states_t: np.ndarray, pi_t: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("pi_t must be stochastic")
     diff = np.atleast_2d(np.asarray(states_t, dtype=float)) - np.asarray(y, dtype=float)
     return float(pi_t @ (diff * diff).sum(axis=-1))
-
-
-def mean_square_identity_residual(v: np.ndarray, phi: np.ndarray, s: float) -> float:
-    """Defect of ``(phi'v - s)^2 = sum phi_j (v_j - s)^2 - (1/2) sum phi_j phi_l (v_j - v_l)^2``.
-
-    The double sum equals the phi-weighted variance of ``v``, so the
-    residual is evaluated without forming the m^2 terms.
-    """
-    v = np.asarray(v, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    mean = float(phi @ v)
-    lhs = (mean - s) ** 2
-    rhs = float(phi @ (v - s) ** 2) - float(phi @ (v - mean) ** 2)
-    return lhs - rhs
 
 
 def track_uv(states_t: np.ndarray, pi_t: np.ndarray,
@@ -325,53 +320,6 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
                       dist_sq=dist_sq, y_point=y)
 
 
-def v_noise_floor(traj: Trajectory) -> float:
-    """Absolute allowance for V-based checks in constrained runs.
-
-    V values are built from states representable to ``eps * scale`` and
-    projections resolved to the Dykstra displacement tolerance, so a
-    weighted sum of squared distances carries an irreducible error of about
-    ``m * (dykstra_tol + eps * scale)^2``.
-    """
-    from .sets import DYKSTRA_TOL
-    m = traj.states.shape[1]
-    scale = 1.0 + 2.0 * float(np.abs(traj.states).max())
-    return m * (DYKSTRA_TOL + np.finfo(float).eps * scale) ** 2
-
-
-def constrained_decrease_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
-                                     beta: float, p_star: int) -> list[CertificateRecord]:
-    """Per-step decrease of ``V(t, y)`` by at least the spread-based decrement bound."""
-    drop = contraction_drop(adjoint.delta, beta, p_star)
-    floor = v_noise_floor(traj)
-    return [bounded("constrained-decrease", t, None, float(traj.lyap[t + 1]),
-                    float(traj.lyap[t] - drop * traj.spread_sq[t]), floor=floor)
-            for t in range(traj.horizon)]
-
-
-def tracked_contraction_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
-                                    beta: float, p_star: int,
-                                    r: float) -> list[CertificateRecord]:
-    """Geometric decay of ``V(t, v(t))`` at quotient ``1 - delta beta^2 / (4 p* (r+1)^2)``."""
-    q = rate_quotient(adjoint.delta, beta, p_star, r)
-    floor = v_noise_floor(traj)
-    return [bounded("tracked-contraction", t, None, float(traj.v_values[t + 1]),
-                    q * float(traj.v_values[t]), floor=floor)
-            for t in range(traj.horizon)]
-
-
-def distance_envelope_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
-                                  beta: float, p_star: int,
-                                  r: float) -> list[CertificateRecord]:
-    """Envelope ``sum_j dist^2(x_j(t), X) <= (1/delta) q^t V(0, v(0))``."""
-    q = rate_quotient(adjoint.delta, beta, p_star, r)
-    base = float(traj.v_values[0]) / adjoint.delta
-    floor = v_noise_floor(traj)
-    return [bounded("distance-envelope", t, None, float(traj.dist_sq[t].sum()),
-                    (q ** t) * base, floor=floor)
-            for t in range(traj.horizon + 1)]
-
-
 def _rate_k_values(config: RunConfig) -> list[int]:
     ks = []
     for k in config.rate_ks:
@@ -379,63 +327,62 @@ def _rate_k_values(config: RunConfig) -> list[int]:
     return sorted(set(ks))
 
 
+def _interleave(first: list, second: list) -> list:
+    return [r for pair in zip(first, second) for r in pair]
+
+
 def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                           adjoint: AbsoluteProbabilitySequence,
                           traj: Trajectory,
                           r_used: float | None) -> list[CertificateRecord]:
-    """Every enabled per-step check, in a deterministic order.
+    """Every enabled check over the whole run, in a deterministic order.
 
+    Each check is one array expression over the run, turned into records by
+    :func:`bound_records`; per step, step-identity(t) precedes
+    decrement-bound(t) and averaging-identity(t) precedes projection-step(t).
     Identity-style checks store the absolute residual as ``lhs`` and the
     tolerance as ``rhs`` with slack 1.
     """
-    records: list[CertificateRecord] = []
     h = traj.horizon
-    pi = adjoint.vectors
     beta, p_star = compliance.beta, compliance.p_star
+    drop = contraction_drop(adjoint.delta, beta, p_star)
+    lyap, decrement = traj.lyap, traj.decrement
 
     if config.mode == "unconstrained":
         x0_norms = np.linalg.norm(traj.states[0], axis=0)  # per coordinate
-        for t in range(h + 1):
-            drift = np.abs(traj.conservation[t] - traj.conservation[0])
-            scaled = float((drift / (1.0 + x0_norms)).max())
-            records.append(CertificateRecord("conservation", t, None, scaled,
-                                             CONSERVATION_TOL, 1.0,
-                                             scaled <= CONSERVATION_TOL))
-        lower, bound_ok = decrement_bound(traj.decrement, traj.spread_sq[:h],
-                                          contraction_drop(adjoint.delta, beta, p_star))
-        for t in range(h):
-            resid = float(abs(traj.lyap[t + 1] - (traj.lyap[t] - traj.decrement[t])))
-            scale = max(1.0, float((traj.states[t] ** 2).sum()))
-            records.append(CertificateRecord("step-identity", t, None, resid,
-                                             IDENTITY_TOL * scale, 1.0,
-                                             resid <= IDENTITY_TOL * scale))
-            records.append(CertificateRecord("decrement-bound", t, None, float(lower[t]),
-                                             float(traj.decrement[t]), VALUE_SLACK,
-                                             bool(bound_ok[t])))
+        drift = np.abs(traj.conservation - traj.conservation[0])
+        records = bound_records("conservation", (drift / (1.0 + x0_norms)).max(axis=1),
+                                CONSERVATION_TOL, slack=1.0)
+        resid = np.abs(lyap[1:] - (lyap[:-1] - decrement))
+        scale = np.maximum(1.0, (traj.states[:-1] ** 2).reshape(h, -1).sum(axis=1))
+        lower, bound_ok = decrement_bound(decrement, traj.spread_sq[:h], drop)
+        records += _interleave(
+            bound_records("step-identity", resid, IDENTITY_TOL * scale, slack=1.0),
+            bound_records("decrement-bound", lower, decrement, passed=bound_ok))
         for k in _rate_k_values(config):
             records.extend(vector_contraction_certificate(traj.states, adjoint, beta,
                                                           p_star, k))
         return records
 
-    y = traj.y_point
-    v_floor = v_noise_floor(traj)
-    for t in range(1, h + 1):
-        feas = float(traj.feasibility[t])
-        records.append(CertificateRecord("feasibility", t, None, feas,
-                                         FEASIBILITY_TOL, 1.0, feas <= FEASIBILITY_TOL))
-    for t in range(h):
-        w_val = float(pi[t + 1] @ ((traj.w[t + 1] - y) ** 2).sum(axis=-1))
-        resid = abs(w_val - (float(traj.lyap[t]) - float(traj.decrement[t])))
-        scale = max(1.0, float(traj.lyap[t]))
-        records.append(CertificateRecord("averaging-identity", t, None, resid,
-                                         IDENTITY_TOL * scale, 1.0,
-                                         resid <= IDENTITY_TOL * scale))
-        records.append(bounded("projection-step", t, None, float(traj.lyap[t + 1]),
-                               w_val, floor=v_floor))
-    records.extend(constrained_decrease_certificate(traj, adjoint, beta, p_star))
+    pi, y = adjoint.vectors, traj.y_point
+    floor = noise_floor(traj.states, DYKSTRA_TOL, reach=2.0)
+    w_vals = np.array([v_function(traj.w[t + 1], pi[t + 1], y) for t in range(h)])
+    resid = np.abs(w_vals - (lyap[:-1] - decrement))
+    records = bound_records("feasibility", traj.feasibility[1:], FEASIBILITY_TOL, t0=1,
+                            slack=1.0)
+    records += _interleave(
+        bound_records("averaging-identity", resid,
+                      IDENTITY_TOL * np.maximum(1.0, lyap[:-1]), slack=1.0),
+        bound_records("projection-step", lyap[1:], w_vals, floor=floor))
+    records += bound_records("constrained-decrease", lyap[1:],
+                             lyap[:-1] - drop * traj.spread_sq[:-1], floor=floor)
     if r_used is not None:
-        records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
-        records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
+        q = rate_quotient(adjoint.delta, beta, p_star, r_used)
+        v = traj.v_values
+        records += bound_records("tracked-contraction", v[1:], q * v[:-1], floor=floor)
+        envelope = np.array([q ** t for t in range(h + 1)]) * (float(v[0]) / adjoint.delta)
+        records += bound_records("distance-envelope", traj.dist_sq.sum(axis=1), envelope,
+                                 floor=floor)
     return records
 
 
@@ -465,9 +412,7 @@ def _build_adjoint(config: RunConfig, mseq: MatrixSequence,
         return uniform_adjoint(mseq, config.horizon)
     if method == "backward-product":
         return assemble_adjoint(mseq, config.horizon, spread_tol, max_window)
-    if method == "stationary":
-        return stationary_adjoint(mseq, config.horizon)
-    raise ConfigError(f"unknown adjoint method {method!r}")
+    return stationary_adjoint(mseq, config.horizon)
 
 
 def _resolve_regularity(config: RunConfig, sets, traj: Trajectory,
@@ -476,20 +421,16 @@ def _resolve_regularity(config: RunConfig, sets, traj: Trajectory,
     spec = config.regularity
     if spec is None:
         spec = {"method": "sampling", "samples": 2000}
-    method = spec.get("method")
-    ball = Ball(np.zeros(config.n), max(rho, 1e-9) * (1.0 + 1e-12) + 1e-12)
-    if method == "interior":
-        est = regularity_interior(sets, float(spec["theta"]),
-                                  np.array(spec["x_bar"], dtype=float), ball)
-    elif method == "sampling":
-        est = regularity_sampling(sets, ball, int(spec.get("samples", 2000)),
-                                  config.seed)
-    elif method == "fixed":
-        est = None
+    if spec["method"] == "fixed":
         r = float(spec["r"])
         return r, {"method": "fixed", "r_hat": r, "samples": 0, "skipped": 0}
+    ball = Ball(np.zeros(config.n), max(rho, 1e-9) * (1.0 + 1e-12) + 1e-12)
+    if spec["method"] == "interior":
+        est = regularity_interior(sets, float(spec["theta"]),
+                                  np.array(spec["x_bar"], dtype=float), ball)
     else:
-        raise ConfigError(f"unknown regularity method {method!r}")
+        est = regularity_sampling(sets, ball, int(spec.get("samples", 2000)),
+                                  config.seed)
     return est.r_hat, est.to_json_dict()
 
 
@@ -619,16 +560,10 @@ _BASE_COLUMNS = ["t", "agent", "coord", "x", "w", "spread_sq", "lyap", "decremen
 
 
 def _per_t_verdicts(records) -> tuple[list[str], dict]:
-    checks = []
-    for r in records:
-        name = r.check if r.k is None else f"{r.check}-k{r.k}"
-        if name not in checks:
-            checks.append(name)
     verdicts: dict = {}
     for r in records:
-        name = r.check if r.k is None else f"{r.check}-k{r.k}"
-        verdicts[(name, r.t)] = r.verdict
-    return checks, verdicts
+        verdicts[(r.check if r.k is None else f"{r.check}-k{r.k}", r.t)] = r.verdict
+    return list(dict.fromkeys(name for name, _ in verdicts)), verdicts
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:
@@ -679,6 +614,8 @@ def read_trajectory_states(path, m: int, n: int,
         for row in rd:
             try:
                 t, agent, coord = int(row[0]), int(row[1]), int(row[2])
+                if t < 0 or agent < 0 or coord < 0:
+                    raise IndexError("negative index")  # numpy would wrap it around
                 states[t, agent, coord] = float(row[3])
                 if row[4]:
                     w[t, agent, coord] = float(row[4])

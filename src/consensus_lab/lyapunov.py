@@ -9,16 +9,16 @@ With an adjoint sequence in the second slot the per-step loss ``D(t)`` is
 evaluated in ``O(nnz(A) n)`` by :func:`decrement_series` and is bounded below
 by ``delta * beta^2 / (4 p*)`` times the squared spread (:func:`decrement_bound`),
 which yields the per-step contraction quotient ``q = 1 - delta*beta^2/(4 p*)``
-certified here (:func:`contraction_drop`), together with its operator-norm
-consequence for the matrix products and the doubly-stochastic baseline factor
-``1 - beta/(2 m^2)``.  Each formula has one implementation in this module.
+certified here (:func:`contraction_drop`), together with the doubly-stochastic
+baseline factor ``1 - beta/(2 m^2)``.  Each formula has one implementation in
+this module.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .adjoint import AbsoluteProbabilitySequence
-from .certificates import NORM_SLACK, VALUE_SLACK, CertificateRecord, bounded
+from .certificates import VALUE_SLACK, CertificateRecord, bound_records
 from .weights import MatrixSequence
 
 
@@ -75,33 +75,22 @@ def _row_shifted_decrements(support: tuple[np.ndarray, ...], x: np.ndarray,
     return np.einsum("si,si->s", per_row, nu)
 
 
-def pairwise_decrement_sum(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
-    """``(1/2) sum_i nu_i sum_{j,l} A_ij A_il ||x_j - x_l||^2`` for row-stochastic ``A``.
+def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """``D(t) = (1/2) sum_i nu_i sum_{j,l} A_ij A_il ||x_j - x_l||^2`` at every step.
 
-    ``x`` has shape ``(m,)`` or ``(m, n)``.  The inner double sum is the
+    ``A = A(t)``, ``x = x(t)`` and ``nu = pi(t+1)``; ``states`` has shape
+    ``(horizon+1, m, n)`` and ``pi`` ``(horizon+1, m)``, and the result has
+    one entry per step ``t < horizon``.  The inner double sum is the
     ``A_i``-weighted variance of the states, evaluated over the support of
     row ``i`` in the row-shifted form ``sum_j A_ij ||d_ij - mu_i||^2`` with
     ``d_ij = x_j - x_i`` and ``mu_i = sum_j A_ij d_ij``.  Every term is
     nonnegative, and shifting by ``x_i`` keeps the differences exact near
     consensus.  The plain centered form ``x_j - (Ax)_i`` is not accurate
     there: the rounding of ``(Ax)_i`` is then as large as the spread.  The
-    cost is ``O(nnz(A) n)``; a row without a nonzero entry raises
-    ``ValueError``.
-    """
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    block = x.reshape(1, x.shape[0], -1)
-    support = _row_support(np.asarray(a, dtype=float))
-    return float(_row_shifted_decrements(support, block, nu[None])[0])
-
-
-def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """``D(t)`` of :func:`pairwise_decrement_sum` with ``A(t)``, ``x(t)``, ``pi(t+1)``.
-
-    ``states`` has shape ``(horizon+1, m, n)`` and ``pi`` ``(horizon+1, m)``;
-    the result has one entry per step ``t < horizon``.  Steps whose matrix
-    is the same array (static and periodic sequences) are evaluated
-    together, in blocks of at most ``_BLOCK_ELEMENTS`` gathered entries.
+    cost is ``O(nnz(A) n)`` per step; a row without a nonzero entry raises
+    ``ValueError``.  Steps whose matrix is the same array (static and
+    periodic sequences) are evaluated together, in blocks of at most
+    ``_BLOCK_ELEMENTS`` gathered entries.
     """
     h = states.shape[0] - 1
     groups: dict[int, tuple[np.ndarray, list[int]]] = {}
@@ -141,16 +130,6 @@ def squared_spread(x: np.ndarray) -> float:
     return float(buf.max())
 
 
-def averaging_identity_residual(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
-    """Signed defect of the exact decrease identity; zero in exact arithmetic."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    states = np.stack([a @ x, x]).reshape(2, x.shape[0], -1)
-    (lhs, rhs), _ = weighted_variance(states, np.stack([nu, a.T @ nu]))
-    return float(lhs - (rhs - pairwise_decrement_sum(a, x, nu)))
-
-
 def decrement_bound(decrement: np.ndarray, spread_sq: np.ndarray,
                     drop: float) -> tuple[np.ndarray, np.ndarray]:
     """Check ``D(t) >= drop * spread_sq(t)`` at every step; returns ``(lower, passed)``.
@@ -188,17 +167,22 @@ def rate_quotient(delta: float, beta: float, p_star: int, r: float = 0.0) -> flo
     return 1.0 - contraction_drop(delta, beta, p_star, r)
 
 
-def noise_floor(states: np.ndarray) -> float:
+def noise_floor(states: np.ndarray, projection_tol: float = 0.0,
+                reach: float = 1.0) -> float:
     """Absolute float64 allowance for squared-deviation sums over a run.
 
-    States are representable only to ``eps * (1 + |x|)``, so any weighted
-    sum of squared deviations computed from them carries an irreducible
-    error of about ``m * (eps * (1 + max|x|))^2``; envelopes decaying below
-    that level cannot be witnessed in double precision.
+    Deviations of size up to ``reach * max|x|`` are representable only to
+    ``eps * (1 + reach * max|x|)``, plus ``projection_tol`` when they pass
+    through a projection, so a weighted sum of squared deviations carries an
+    irreducible error of about ``m * (projection_tol + eps * scale)^2`` with
+    that scale; envelopes decaying below that level cannot be witnessed in
+    double precision.  Unconstrained checks use the defaults.  V-based
+    constrained checks pass the Dykstra tolerance and ``reach = 2``: both a
+    state and the point it is measured from have norm up to ``max|x|``.
     """
     m = states.shape[1]
-    scale = 1.0 + float(np.abs(states).max())
-    return m * (np.finfo(float).eps * scale) ** 2
+    scale = 1.0 + reach * float(np.abs(states).max())
+    return m * (projection_tol + np.finfo(float).eps * scale) ** 2
 
 
 def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabilitySequence,
@@ -216,10 +200,9 @@ def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabil
     q = rate_quotient(adjoint.delta, beta, p_star)
     c = pi[0] @ states[0]
     vals = np.einsum("tm,tm->t", pi, ((states - c) ** 2).sum(axis=2))
-    floor = noise_floor(states)
-    return [bounded("vector-rate-contraction", t, k, vals[t], q ** (t - k) * vals[k],
-                    floor=floor)
-            for t in range(k, states.shape[0])]
+    rhs = [q ** (t - k) * vals[k] for t in range(k, states.shape[0])]
+    return bound_records("vector-rate-contraction", vals[k:], rhs, t0=k, k=k,
+                         floor=noise_floor(states))
 
 
 def doubly_stochastic_rate_factor(beta: float, m: int, steps: int) -> float:
@@ -231,34 +214,3 @@ def doubly_stochastic_rate_factor(beta: float, m: int, steps: int) -> float:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     return (1.0 - beta / (2.0 * m * m)) ** steps
-
-
-def operator_norm_sq(mat: np.ndarray) -> float:
-    """Squared induced 2-norm (largest singular value squared)."""
-    return float(np.linalg.norm(mat, 2) ** 2)
-
-
-def product_convergence_records(seq: MatrixSequence, adjoint: AbsoluteProbabilitySequence,
-                                beta: float, p_star: int, k: int,
-                                t_max: int) -> list[CertificateRecord]:
-    """Operator-norm envelope for the backward products ``A(t:k)``.
-
-    For each ``t`` in ``k..t_max`` checks
-
-        || A(t:k) - 1 pi(k)' ||^2  <=  (1/delta) q^(t-k) || I - 1 pi(k)' ||^2
-
-    with the products accumulated incrementally.
-    """
-    m = seq.m
-    pi_k = adjoint.vector_at(k)
-    q = rate_quotient(adjoint.delta, beta, p_star)
-    rank_one = np.outer(np.ones(m), pi_k)
-    base = operator_norm_sq(np.eye(m) - rank_one) / adjoint.delta
-    records = []
-    prod = None
-    for t in range(k, t_max + 1):
-        prod = seq.matrix_at(k) if prod is None else seq.matrix_at(t) @ prod
-        lhs = operator_norm_sq(prod - rank_one)
-        records.append(bounded("product-convergence", t, k, lhs,
-                               q ** (t - k) * base, slack=NORM_SLACK))
-    return records

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import VALUE_SLACK, CertificateRecord, bounded
 from .seeding import substream
 
 FEASIBILITY_TOL = 1e-10
@@ -25,19 +24,11 @@ class DykstraNotConverged(RuntimeError):
     """Iterate displacement stayed above tolerance; intersection may be empty."""
 
 
-class YNotInSet(ValueError):
-    pass
-
-
 class NoInformativeSamples(RuntimeError):
     """Every sample fell inside the intersection, so no ratio is defined."""
 
 
 class InteriorBallNotContained(ValueError):
-    pass
-
-
-class InfeasiblePoint(ValueError):
     pass
 
 
@@ -50,9 +41,6 @@ class ConvexSet:
     def violation(self, x: np.ndarray) -> float:
         """Distance-scaled infeasibility measure; zero inside the set."""
         raise NotImplementedError
-
-    def contains(self, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        return self.violation(x) <= tol
 
 
 def _vec(x) -> np.ndarray:
@@ -246,28 +234,6 @@ def distance(s: ConvexSet, x) -> float:
     return float(np.linalg.norm(x - s.project(x)))
 
 
-def check_nonexpansive(s: ConvexSet, x, y) -> CertificateRecord:
-    """Verify ``||P_S(x) - y|| <= ||x - y||`` for a member point ``y``."""
-    x, y = _vec(x), _vec(y)
-    if s.violation(y) > FEASIBILITY_TOL:
-        raise YNotInSet(f"y violates the set by {s.violation(y):.3e}")
-    lhs = float(np.linalg.norm(s.project(x) - y))
-    rhs = float(np.linalg.norm(x - y))
-    return bounded("projection-nonexpansive", 0, None, lhs, rhs, slack=1.0 + 1e-10)
-
-
-def check_variational_inequality(s: ConvexSet, x, y) -> CertificateRecord:
-    """Verify ``(P_S(x) - x).(y - P_S(x)) >= 0`` for a member point ``y``."""
-    x, y = _vec(x), _vec(y)
-    if s.violation(y) > FEASIBILITY_TOL:
-        raise YNotInSet(f"y violates the set by {s.violation(y):.3e}")
-    p = s.project(x)
-    inner = float((p - x) @ (y - p))
-    return CertificateRecord(check="projection-variational", t=0, k=None,
-                             lhs=-inner, rhs=1e-10, slack=1.0,
-                             passed=bool(inner >= -1e-10))
-
-
 @dataclass(frozen=True)
 class RegularityEstimate:
     """Regularity constant estimate; ``r_hat >= 1`` always.
@@ -362,59 +328,11 @@ def regularity_interior(sets, theta: float, x_bar, region: Ball) -> RegularityEs
                               x_bar=tuple(map(float, x_bar)))
 
 
-def spread_projection_bound(points, sets, phi, r: float,
-                            intersection: ConvexSet | None = None) -> CertificateRecord:
-    """Spread lower bound for feasible tuples under a regularity constant.
-
-    For points ``x_i in X_i`` the maximal pairwise distance is at least
-    ``1/(r+1)`` times the largest distance from any point to the projection
-    of their ``phi``-weighted mean onto the intersection.
-    """
-    points = [_vec(p) for p in points]
-    sets = tuple(sets)
-    phi = _vec(phi)
-    for idx, (p, s) in enumerate(zip(points, sets)):
-        if s.violation(p) > FEASIBILITY_TOL:
-            raise InfeasiblePoint(f"point {idx} violates its set by {s.violation(p):.3e}")
-    target = intersection if intersection is not None else Intersection(sets)
-    mean = sum(w * p for w, p in zip(phi, points))
-    anchor = target.project(mean)
-    lhs = max(float(np.linalg.norm(p - anchor)) for p in points) / (r + 1.0)
-    rhs = max(float(np.linalg.norm(p - q)) for p in points for q in points)
-    return bounded("regular-spread-bound", 0, None, lhs, rhs, slack=VALUE_SLACK)
-
-
-def set_to_json_dict(s: ConvexSet) -> dict:
-    def bound(v: float):
-        return None if np.isinf(v) else float(v)
-
-    if isinstance(s, Halfspace):
-        return {"type": "halfspace", "a": list(map(float, s.a)), "b": s.b}
-    if isinstance(s, Hyperplane):
-        return {"type": "hyperplane", "a": list(map(float, s.a)), "b": s.b}
-    if isinstance(s, Box):
-        return {"type": "box", "lower": [bound(v) for v in s.lower],
-                "upper": [bound(v) for v in s.upper]}
-    if isinstance(s, Ball):
-        return {"type": "ball", "center": list(map(float, s.center)), "radius": s.radius}
-    if isinstance(s, Polyhedron):
-        return {"type": "polyhedron",
-                "halfspaces": [set_to_json_dict(h) for h in s.halfspaces]}
-    if isinstance(s, Intersection):
-        return {"type": "intersection",
-                "members": [set_to_json_dict(m) for m in s.members]}
-    raise TypeError(f"unknown set type {type(s)!r}")
-
-
 def set_from_json_dict(d: dict) -> ConvexSet:
     """Parse the set-specification JSON; box bounds accept null or "inf"/"-inf"."""
 
     def bound(v, sign: float) -> float:
-        if v is None:
-            return sign * np.inf
-        if isinstance(v, str):
-            return float(v)
-        return float(v)
+        return sign * np.inf if v is None else float(v)
 
     kind = d["type"]
     if kind == "halfspace":

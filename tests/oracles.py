@@ -1,0 +1,319 @@
+"""Reference implementations that only the tests use.
+
+Scalar record builders, the operator-norm envelope for backward products,
+single-step decrement and identity residuals, and projection checks serve as
+oracles for the package's array code.  ``evaluate_certificates_per_step`` is
+the step-by-step certificate loop that ``engine.evaluate_certificates``
+replaces with whole-series arrays; the two must agree record for record, bit
+for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from consensus_lab.adjoint import AbsoluteProbabilitySequence
+from consensus_lab.certificates import VALUE_SLACK, CertificateRecord
+from consensus_lab.engine import (CONSERVATION_TOL, IDENTITY_TOL, RunConfig, Trajectory,
+                                  _rate_k_values)
+from consensus_lab.lyapunov import (_row_shifted_decrements, _row_support, contraction_drop,
+                                    decrement_bound, rate_quotient, weighted_variance)
+from consensus_lab.sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, Box, ConvexSet,
+                                Halfspace, Hyperplane, Intersection, Polyhedron, _vec)
+from consensus_lab.weights import ComplianceReport, MatrixSequence
+
+NORM_SLACK = 1.0 + 1e-6
+
+
+def bounded(check: str, t: int, k: int | None, lhs: float, rhs: float,
+            slack: float = VALUE_SLACK, floor: float = 0.0) -> CertificateRecord:
+    """Record for ``lhs <= rhs * slack + floor``.
+
+    ``floor`` is an absolute rounding allowance for quantities that sit at
+    the float64 noise level (e.g. squared deviations after the iterates hit
+    exact numerical consensus); it is zero unless the caller supplies one.
+    """
+    return CertificateRecord(check=check, t=t, k=k, lhs=float(lhs), rhs=float(rhs),
+                             slack=float(slack), passed=bool(lhs <= rhs * slack + floor))
+
+
+class YNotInSet(ValueError):
+    pass
+
+
+class InfeasiblePoint(ValueError):
+    pass
+
+
+def pairwise_decrement_sum(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
+    """``(1/2) sum_i nu_i sum_{j,l} A_ij A_il ||x_j - x_l||^2`` for row-stochastic ``A``.
+
+    ``x`` has shape ``(m,)`` or ``(m, n)``.  One step of the row-shifted
+    kernel behind ``lyapunov.decrement_series``, which documents the form.
+    """
+    x = np.asarray(x, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    block = x.reshape(1, x.shape[0], -1)
+    support = _row_support(np.asarray(a, dtype=float))
+    return float(_row_shifted_decrements(support, block, nu[None])[0])
+
+
+def averaging_identity_residual(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
+    """Signed defect of the exact decrease identity; zero in exact arithmetic."""
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    states = np.stack([a @ x, x]).reshape(2, x.shape[0], -1)
+    (lhs, rhs), _ = weighted_variance(states, np.stack([nu, a.T @ nu]))
+    return float(lhs - (rhs - pairwise_decrement_sum(a, x, nu)))
+
+
+def operator_norm_sq(mat: np.ndarray) -> float:
+    """Squared induced 2-norm (largest singular value squared)."""
+    return float(np.linalg.norm(mat, 2) ** 2)
+
+
+def product_convergence_records(seq: MatrixSequence, adjoint: AbsoluteProbabilitySequence,
+                                beta: float, p_star: int, k: int,
+                                t_max: int) -> list[CertificateRecord]:
+    """Operator-norm envelope for the backward products ``A(t:k)``.
+
+    For each ``t`` in ``k..t_max`` checks
+
+        || A(t:k) - 1 pi(k)' ||^2  <=  (1/delta) q^(t-k) || I - 1 pi(k)' ||^2
+
+    with the products accumulated incrementally.
+    """
+    m = seq.m
+    pi_k = adjoint.vector_at(k)
+    q = rate_quotient(adjoint.delta, beta, p_star)
+    rank_one = np.outer(np.ones(m), pi_k)
+    base = operator_norm_sq(np.eye(m) - rank_one) / adjoint.delta
+    records = []
+    prod = None
+    for t in range(k, t_max + 1):
+        prod = seq.matrix_at(k) if prod is None else seq.matrix_at(t) @ prod
+        lhs = operator_norm_sq(prod - rank_one)
+        records.append(bounded("product-convergence", t, k, lhs,
+                               q ** (t - k) * base, slack=NORM_SLACK))
+    return records
+
+
+def mean_square_identity_residual(v: np.ndarray, phi: np.ndarray, s: float) -> float:
+    """Defect of ``(phi'v - s)^2 = sum phi_j (v_j - s)^2 - (1/2) sum phi_j phi_l (v_j - v_l)^2``.
+
+    The double sum equals the phi-weighted variance of ``v``, so the
+    residual is evaluated without forming the m^2 terms.
+    """
+    v = np.asarray(v, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    mean = float(phi @ v)
+    lhs = (mean - s) ** 2
+    rhs = float(phi @ (v - s) ** 2) - float(phi @ (v - mean) ** 2)
+    return lhs - rhs
+
+
+def check_nonexpansive(s: ConvexSet, x, y) -> CertificateRecord:
+    """Verify ``||P_S(x) - y|| <= ||x - y||`` for a member point ``y``."""
+    x, y = _vec(x), _vec(y)
+    if s.violation(y) > FEASIBILITY_TOL:
+        raise YNotInSet(f"y violates the set by {s.violation(y):.3e}")
+    lhs = float(np.linalg.norm(s.project(x) - y))
+    rhs = float(np.linalg.norm(x - y))
+    return bounded("projection-nonexpansive", 0, None, lhs, rhs, slack=1.0 + 1e-10)
+
+
+def check_variational_inequality(s: ConvexSet, x, y) -> CertificateRecord:
+    """Verify ``(P_S(x) - x).(y - P_S(x)) >= 0`` for a member point ``y``."""
+    x, y = _vec(x), _vec(y)
+    if s.violation(y) > FEASIBILITY_TOL:
+        raise YNotInSet(f"y violates the set by {s.violation(y):.3e}")
+    p = s.project(x)
+    inner = float((p - x) @ (y - p))
+    return CertificateRecord(check="projection-variational", t=0, k=None,
+                             lhs=-inner, rhs=1e-10, slack=1.0,
+                             passed=bool(inner >= -1e-10))
+
+
+def spread_projection_bound(points, sets, phi, r: float,
+                            intersection: ConvexSet | None = None) -> CertificateRecord:
+    """Spread lower bound for feasible tuples under a regularity constant.
+
+    For points ``x_i in X_i`` the maximal pairwise distance is at least
+    ``1/(r+1)`` times the largest distance from any point to the projection
+    of their ``phi``-weighted mean onto the intersection.
+    """
+    points = [_vec(p) for p in points]
+    sets = tuple(sets)
+    phi = _vec(phi)
+    for idx, (p, s) in enumerate(zip(points, sets)):
+        if s.violation(p) > FEASIBILITY_TOL:
+            raise InfeasiblePoint(f"point {idx} violates its set by {s.violation(p):.3e}")
+    target = intersection if intersection is not None else Intersection(sets)
+    mean = sum(w * p for w, p in zip(phi, points))
+    anchor = target.project(mean)
+    lhs = max(float(np.linalg.norm(p - anchor)) for p in points) / (r + 1.0)
+    rhs = max(float(np.linalg.norm(p - q)) for p in points for q in points)
+    return bounded("regular-spread-bound", 0, None, lhs, rhs, slack=VALUE_SLACK)
+
+
+def set_to_json_dict(s: ConvexSet) -> dict:
+    def bound(v: float):
+        return None if np.isinf(v) else float(v)
+
+    if isinstance(s, Halfspace):
+        return {"type": "halfspace", "a": list(map(float, s.a)), "b": s.b}
+    if isinstance(s, Hyperplane):
+        return {"type": "hyperplane", "a": list(map(float, s.a)), "b": s.b}
+    if isinstance(s, Box):
+        return {"type": "box", "lower": [bound(v) for v in s.lower],
+                "upper": [bound(v) for v in s.upper]}
+    if isinstance(s, Ball):
+        return {"type": "ball", "center": list(map(float, s.center)), "radius": s.radius}
+    if isinstance(s, Polyhedron):
+        return {"type": "polyhedron",
+                "halfspaces": [set_to_json_dict(h) for h in s.halfspaces]}
+    if isinstance(s, Intersection):
+        return {"type": "intersection",
+                "members": [set_to_json_dict(m) for m in s.members]}
+    raise TypeError(f"unknown set type {type(s)!r}")
+
+
+def noise_floor(states: np.ndarray) -> float:
+    """Absolute float64 allowance for squared-deviation sums over a run.
+
+    States are representable only to ``eps * (1 + |x|)``, so any weighted
+    sum of squared deviations computed from them carries an irreducible
+    error of about ``m * (eps * (1 + max|x|))^2``; envelopes decaying below
+    that level cannot be witnessed in double precision.
+    """
+    m = states.shape[1]
+    scale = 1.0 + float(np.abs(states).max())
+    return m * (np.finfo(float).eps * scale) ** 2
+
+
+def vector_contraction_certificate_per_step(states: np.ndarray,
+                                            adjoint: AbsoluteProbabilitySequence,
+                                            beta: float, p_star: int,
+                                            k: int) -> list[CertificateRecord]:
+    """Check the weighted variance about the conserved center against its envelope from ``k``.
+
+    ``states`` has shape ``(horizon+1, m, n)``.  The center is the conserved
+    value ``c = pi(0)'x(0)``; for each ``t >= k`` the check is
+
+        sum_i pi_i(t) ||x_i(t) - c||^2  <=  q^(t-k) * sum_j pi_j(k) ||x_j(k) - c||^2.
+    """
+    states = np.asarray(states, dtype=float)
+    pi = adjoint.vectors
+    q = rate_quotient(adjoint.delta, beta, p_star)
+    c = pi[0] @ states[0]
+    vals = np.einsum("tm,tm->t", pi, ((states - c) ** 2).sum(axis=2))
+    floor = noise_floor(states)
+    return [bounded("vector-rate-contraction", t, k, vals[t], q ** (t - k) * vals[k],
+                    floor=floor)
+            for t in range(k, states.shape[0])]
+
+
+def v_noise_floor(traj: Trajectory) -> float:
+    """Absolute allowance for V-based checks in constrained runs.
+
+    V values are built from states representable to ``eps * scale`` and
+    projections resolved to the Dykstra displacement tolerance, so a
+    weighted sum of squared distances carries an irreducible error of about
+    ``m * (dykstra_tol + eps * scale)^2``.
+    """
+    m = traj.states.shape[1]
+    scale = 1.0 + 2.0 * float(np.abs(traj.states).max())
+    return m * (DYKSTRA_TOL + np.finfo(float).eps * scale) ** 2
+
+
+def constrained_decrease_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
+                                     beta: float, p_star: int) -> list[CertificateRecord]:
+    """Per-step decrease of ``V(t, y)`` by at least the spread-based decrement bound."""
+    drop = contraction_drop(adjoint.delta, beta, p_star)
+    floor = v_noise_floor(traj)
+    return [bounded("constrained-decrease", t, None, float(traj.lyap[t + 1]),
+                    float(traj.lyap[t] - drop * traj.spread_sq[t]), floor=floor)
+            for t in range(traj.horizon)]
+
+
+def tracked_contraction_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
+                                    beta: float, p_star: int,
+                                    r: float) -> list[CertificateRecord]:
+    """Geometric decay of ``V(t, v(t))`` at quotient ``1 - delta beta^2 / (4 p* (r+1)^2)``."""
+    q = rate_quotient(adjoint.delta, beta, p_star, r)
+    floor = v_noise_floor(traj)
+    return [bounded("tracked-contraction", t, None, float(traj.v_values[t + 1]),
+                    q * float(traj.v_values[t]), floor=floor)
+            for t in range(traj.horizon)]
+
+
+def distance_envelope_certificate(traj: Trajectory, adjoint: AbsoluteProbabilitySequence,
+                                  beta: float, p_star: int,
+                                  r: float) -> list[CertificateRecord]:
+    """Envelope ``sum_j dist^2(x_j(t), X) <= (1/delta) q^t V(0, v(0))``."""
+    q = rate_quotient(adjoint.delta, beta, p_star, r)
+    base = float(traj.v_values[0]) / adjoint.delta
+    floor = v_noise_floor(traj)
+    return [bounded("distance-envelope", t, None, float(traj.dist_sq[t].sum()),
+                    (q ** t) * base, floor=floor)
+            for t in range(traj.horizon + 1)]
+
+
+def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceReport,
+                          adjoint: AbsoluteProbabilitySequence,
+                          traj: Trajectory,
+                          r_used: float | None) -> list[CertificateRecord]:
+    """Every enabled per-step check, one step at a time, in a deterministic order.
+
+    Identity-style checks store the absolute residual as ``lhs`` and the
+    tolerance as ``rhs`` with slack 1.
+    """
+    records: list[CertificateRecord] = []
+    h = traj.horizon
+    pi = adjoint.vectors
+    beta, p_star = compliance.beta, compliance.p_star
+
+    if config.mode == "unconstrained":
+        x0_norms = np.linalg.norm(traj.states[0], axis=0)  # per coordinate
+        for t in range(h + 1):
+            drift = np.abs(traj.conservation[t] - traj.conservation[0])
+            scaled = float((drift / (1.0 + x0_norms)).max())
+            records.append(CertificateRecord("conservation", t, None, scaled,
+                                             CONSERVATION_TOL, 1.0,
+                                             scaled <= CONSERVATION_TOL))
+        lower, bound_ok = decrement_bound(traj.decrement, traj.spread_sq[:h],
+                                          contraction_drop(adjoint.delta, beta, p_star))
+        for t in range(h):
+            resid = float(abs(traj.lyap[t + 1] - (traj.lyap[t] - traj.decrement[t])))
+            scale = max(1.0, float((traj.states[t] ** 2).sum()))
+            records.append(CertificateRecord("step-identity", t, None, resid,
+                                             IDENTITY_TOL * scale, 1.0,
+                                             resid <= IDENTITY_TOL * scale))
+            records.append(CertificateRecord("decrement-bound", t, None, float(lower[t]),
+                                             float(traj.decrement[t]), VALUE_SLACK,
+                                             bool(bound_ok[t])))
+        for k in _rate_k_values(config):
+            records.extend(vector_contraction_certificate_per_step(traj.states, adjoint, beta,
+                                                                   p_star, k))
+        return records
+
+    y = traj.y_point
+    v_floor = v_noise_floor(traj)
+    for t in range(1, h + 1):
+        feas = float(traj.feasibility[t])
+        records.append(CertificateRecord("feasibility", t, None, feas,
+                                         FEASIBILITY_TOL, 1.0, feas <= FEASIBILITY_TOL))
+    for t in range(h):
+        w_val = float(pi[t + 1] @ ((traj.w[t + 1] - y) ** 2).sum(axis=-1))
+        resid = abs(w_val - (float(traj.lyap[t]) - float(traj.decrement[t])))
+        scale = max(1.0, float(traj.lyap[t]))
+        records.append(CertificateRecord("averaging-identity", t, None, resid,
+                                         IDENTITY_TOL * scale, 1.0,
+                                         resid <= IDENTITY_TOL * scale))
+        records.append(bounded("projection-step", t, None, float(traj.lyap[t + 1]),
+                               w_val, floor=v_floor))
+    records.extend(constrained_decrease_certificate(traj, adjoint, beta, p_star))
+    if r_used is not None:
+        records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
+        records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
+    return records

@@ -18,16 +18,15 @@ import numpy as np
 import pytest
 
 from consensus_lab import (Ball, GraphSequence, Halfspace, MatrixSequence,
-                           assemble_adjoint, averaging_identity_residual,
-                           backward_product_adjoint, bfs_spanning_tree, cli,
-                           operator_norm_sq, pairwise_decrement_sum,
-                           permutation_counterexample, product_convergence_records,
-                           regular_tree_graph, regularity_interior,
-                           regularity_sampling, uniform_adjoint, verify_compliance,
-                           window_averaged_product)
+                           assemble_adjoint, backward_product_adjoint, bfs_spanning_tree,
+                           cli, permutation_counterexample, regular_tree_graph,
+                           regularity_interior, regularity_sampling, uniform_adjoint,
+                           verify_compliance, window_averaged_product)
 from consensus_lab import engine
 
 from conftest import _constrained_config, _unconstrained_config
+from oracles import (averaging_identity_residual, operator_norm_sq, pairwise_decrement_sum,
+                     product_convergence_records)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -270,7 +269,7 @@ def test_07_projection_properties():
         checked[name] += 1
         x = rng.normal(size=n) * 3
         y = feasible_point(rng, s, n)
-        from consensus_lab import check_nonexpansive, check_variational_inequality
+        from oracles import check_nonexpansive, check_variational_inequality
         assert check_nonexpansive(s, x, y).passed
         assert check_variational_inequality(s, x, y).passed
 

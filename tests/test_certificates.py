@@ -1,0 +1,146 @@
+"""Whole-series certificate records against the step-by-step reference loop.
+
+``engine.evaluate_certificates`` evaluates each check once over the run and
+builds every record through ``certificates.bound_records``.  The records must
+equal those of ``oracles.evaluate_certificates_per_step`` field for field,
+with every float compared by its exact bits.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from consensus_lab import engine
+from consensus_lab.certificates import bound_records
+from consensus_lab.lyapunov import noise_floor
+from consensus_lab.sets import DYKSTRA_TOL
+
+from conftest import _constrained_config, _unconstrained_config
+from oracles import evaluate_certificates_per_step, v_noise_floor
+from oracles import noise_floor as noise_floor_per_run
+
+
+def record_key(r):
+    return (r.check, r.t, r.k, r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.passed)
+
+
+def compare(result, traj, r_used) -> list:
+    args = (result.config, result.compliance, result.adjoint, traj, r_used)
+    got = engine.evaluate_certificates(*args)
+    want = evaluate_certificates_per_step(*args)
+    assert len(got) == len(want) > 0
+    assert [record_key(r) for r in got] == [record_key(r) for r in want]
+    for r in got:
+        assert (type(r.t), type(r.lhs), type(r.rhs), type(r.slack), type(r.passed)) == \
+            (int, float, float, float, bool)
+    return got
+
+
+def assert_same_records(config, r_used="report"):
+    result = engine.run(config)
+    if r_used == "report":
+        r_used = result.report.get("r_used")
+    compare(result, result.trajectory, r_used)
+    return result
+
+
+def polyhedron_config(horizon: int = 120) -> engine.RunConfig:
+    """Four agents, one holding a triangle given as a polyhedron; sampled regularity."""
+    triangle = {"type": "polyhedron", "halfspaces": [
+        {"type": "halfspace", "a": [1.0, 0.0], "b": 1.5},
+        {"type": "halfspace", "a": [0.0, 1.0], "b": 1.5},
+        {"type": "halfspace", "a": [-1.0, -1.0], "b": 1.5},
+    ]}
+    return engine.RunConfig.from_json_dict({
+        "m": 4, "n": 2, "horizon": horizon, "seed": 17, "mode": "constrained",
+        "graph": {"kind": "random-rooted", "extra_edge_prob": 0.3},
+        "weights": {"scheme": "equal-neighbor"},
+        "initial": {"kind": "uniform-box", "low": -3.0, "high": 3.0},
+        "constraints": [
+            triangle,
+            {"type": "box", "lower": [-1.0, -2.0], "upper": [2.0, 1.0]},
+            {"type": "ball", "center": [0.2, 0.0], "radius": 1.2},
+            {"type": "halfspace", "a": [0.6, -0.8], "b": 0.9},
+        ],
+        "regularity": {"method": "sampling", "samples": 200},
+    })
+
+
+class TestWholeSeriesRecords:
+    @pytest.mark.parametrize("seed", [0, 1, 2], ids=["d2", "d3", "d4"])
+    def test_quarter(self, seed):
+        assert_same_records(_unconstrained_config(seed, "quarter", m=0, horizon=200))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equal_neighbor_random_rooted(self, n):
+        for seed in (3, 4):
+            assert_same_records(_unconstrained_config(seed, "equal-neighbor", m=9,
+                                                      horizon=150, n=n))
+
+    def test_several_rate_ks(self):
+        config = dataclasses.replace(
+            _unconstrained_config(5, "equal-neighbor", m=7, horizon=120, n=2),
+            rate_ks=(0, 7, "half", 119, 120))
+        result = assert_same_records(config)
+        ks = {r.k for r in result.records if r.check == "vector-rate-contraction"}
+        assert ks == {0, 7, 60, 119, 120}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_constrained(self, seed):
+        assert_same_records(_constrained_config(seed, horizon=200))
+
+    def test_constrained_without_regularity_constant(self):
+        assert_same_records(_constrained_config(5, horizon=80), r_used=None)
+
+    def test_polyhedron_set(self):
+        result = assert_same_records(polyhedron_config())
+        assert result.report["r_used"] is not None
+
+    @pytest.mark.parametrize("config", [
+        _unconstrained_config(6, "equal-neighbor", m=8, horizon=100, n=2),
+        _constrained_config(6, horizon=100),
+    ], ids=["unconstrained", "constrained"])
+    def test_failing_steps(self, config):
+        """Perturbed series fail some checks; the verdicts must still agree."""
+        result = engine.run(config)
+        traj = result.trajectory
+        rng = np.random.default_rng(6)
+
+        def bump(series, low=0.99, high=1.01):
+            return series * rng.uniform(low, high, size=series.shape)
+
+        def reverse(series):
+            return None if series is None else series[::-1].copy()
+
+        perturbed = dataclasses.replace(
+            traj, lyap=bump(traj.lyap), decrement=bump(traj.decrement, -0.5, 1.5),
+            conservation=None if traj.conservation is None else bump(traj.conservation),
+            v_values=reverse(traj.v_values), dist_sq=reverse(traj.dist_sq),
+            feasibility=None if traj.feasibility is None else traj.feasibility + 1e-10)
+        records = compare(result, perturbed, result.report.get("r_used"))
+        verdicts = {r.passed for r in records}
+        assert verdicts == {True, False}
+
+
+class TestNoiseFloor:
+    def test_one_formula_gives_both_floors(self):
+        for config in (_unconstrained_config(1, "quarter", m=0, horizon=60),
+                       _constrained_config(2, horizon=60)):
+            result = engine.run(config)
+            states = result.trajectory.states
+            assert noise_floor(states).hex() == noise_floor_per_run(states).hex()
+            if config.mode == "constrained":
+                assert noise_floor(states, DYKSTRA_TOL, reach=2.0).hex() == \
+                    v_noise_floor(result.trajectory).hex()
+
+
+class TestBoundRecords:
+    def test_slack_floor_and_steps(self):
+        recs = bound_records("c", [1.0, 2.0, 3.0], 2.0, t0=4, k=1, slack=1.0, floor=0.5)
+        assert [(r.check, r.t, r.k, r.lhs, r.rhs, r.slack, r.passed) for r in recs] == [
+            ("c", 4, 1, 1.0, 2.0, 1.0, True), ("c", 5, 1, 2.0, 2.0, 1.0, True),
+            ("c", 6, 1, 3.0, 2.0, 1.0, False)]
+
+    def test_given_verdicts_replace_the_inequality(self):
+        recs = bound_records("c", [5.0, 0.0], [1.0, 1.0], passed=[True, False])
+        assert [r.passed for r in recs] == [True, False]

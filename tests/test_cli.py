@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from consensus_lab import cli
+from consensus_lab import cli, engine
 
 
 def write_json(path: Path, obj) -> Path:
@@ -258,6 +258,24 @@ class TestVerify:
         assert cli.main(["verify", "--report", str(bad),
                          "--trajectory", str(out / "trajectory.csv")]) == 2
 
+    @pytest.mark.parametrize("relabel", ["t", "agent"])
+    def test_negative_index_rows_exit_config(self, tmp_path, relabel):
+        """Relabelled rows keep the row count; numpy would wrap a negative index."""
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path, horizon=20)),
+                         "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "trajectory.csv").open()))
+        for row in rows[1:]:
+            if relabel == "t" and row[0] == "20":
+                row[0] = "-1"
+            elif relabel == "agent" and row[0] == "5" and row[1] == "0":
+                row[1] = "-8"
+        bad = tmp_path / "negative.csv"
+        with bad.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(bad)]) == 2
+
     def test_constrained_round_trip(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),
@@ -265,3 +283,30 @@ class TestVerify:
         assert cli.main(["verify", "--report", str(out / "report.json"),
                          "--trajectory", str(out / "trajectory.csv"),
                          "--certificates", str(out / "certificates.json")]) == 0
+
+
+class TestValidateBeforeWork:
+    @pytest.mark.parametrize("key,value", [
+        ("initial", {"kind": "bogus"}),
+        ("regularity", {"method": "bogus"}),
+        ("adjoint", {"method": "bogus"}),
+        ("regularity", "interior"),
+    ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object"])
+    def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["config"][key] = value
+        bad_report = write_json(tmp_path / "bad_report.json", report)
+        bad_scenario = write_json(tmp_path / "bad_scenario.json", report["config"])
+
+        def refuse(*args, **kwargs):
+            pytest.fail("compliance ran before the config was validated")
+
+        monkeypatch.setattr(engine, "verify_compliance", refuse)
+        assert cli.main(["simulate", "--scenario", str(bad_scenario),
+                         "--out", str(tmp_path / "bad_out")]) == 2
+        assert not (tmp_path / "bad_out").exists()
+        assert cli.main(["verify", "--report", str(bad_report),
+                         "--trajectory", str(out / "trajectory.csv")]) == 2

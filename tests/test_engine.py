@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from consensus_lab import (Ball, Box, DimensionMismatch, Halfspace, NotCompliant,
-                           mean_square_identity_residual, regular_tree_graph,
-                           step_constrained, step_unconstrained, track_uv, v_function)
+                           regular_tree_graph, step_constrained, step_unconstrained, track_uv,
+                           v_function)
 from consensus_lab import engine
+from oracles import mean_square_identity_residual
 
 
 class TestSteps:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, VacuousBound,
-                           averaging_identity_residual, doubly_stochastic_rate_factor,
-                           operator_norm_sq, pairwise_decrement_sum,
-                           product_convergence_records, rate_quotient, regular_tree_graph,
+                           doubly_stochastic_rate_factor, rate_quotient, regular_tree_graph,
                            regular_quarter_weights, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
 from consensus_lab.lyapunov import (contraction_drop, decrement_bound, decrement_series,
                                     squared_spread)
+from oracles import (averaging_identity_residual, operator_norm_sq, pairwise_decrement_sum,
+                     product_convergence_records)
 
 
 def triple_sum_oracle(a, x, nu):

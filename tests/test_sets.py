@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from consensus_lab import (Ball, Box, Halfspace, Hyperplane, InfeasiblePoint,
-                           InteriorBallNotContained, Intersection, NoInformativeSamples,
-                           Polyhedron, RegularityEstimate, YNotInSet,
-                           check_nonexpansive, check_variational_inequality, distance,
-                           regularity_interior, regularity_sampling,
-                           set_from_json_dict, set_to_json_dict, spread_projection_bound)
+from consensus_lab import (Ball, Box, Halfspace, Hyperplane, InteriorBallNotContained,
+                           Intersection, NoInformativeSamples, Polyhedron, RegularityEstimate,
+                           distance, regularity_interior, regularity_sampling,
+                           set_from_json_dict)
+from oracles import (InfeasiblePoint, YNotInSet, check_nonexpansive,
+                     check_variational_inequality, set_to_json_dict, spread_projection_bound)
 
 
 def random_set(rng, n):
