@@ -77,9 +77,6 @@ class AbsoluteProbabilitySequence:
         """Minimum entry over the stored horizon; at most 1/m."""
         return float(self.vectors.min())
 
-    def vector_at(self, t: int) -> np.ndarray:
-        return self.vectors[t]
-
 
 def adjoint_residuals(vectors: np.ndarray, seq: MatrixSequence) -> np.ndarray:
     """L1 defect of the adjoint relation at each step."""
@@ -93,7 +90,7 @@ def adjoint_residuals(vectors: np.ndarray, seq: MatrixSequence) -> np.ndarray:
 def uniform_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbabilitySequence:
     """The uniform sequence ``pi(t) = 1/m``; valid only for doubly stochastic chains."""
     m = seq.m
-    for t in range(horizon):
+    for t in seq.distinct_steps(horizon):
         a = seq.matrix_at(t)
         err = np.abs(a.sum(axis=0) - 1.0).max()
         if err > STOCHASTIC_TOL:
@@ -172,7 +169,7 @@ def stationary_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbability
     chain without a unique positive stationary vector is rejected there.
     """
     a = seq.matrix_at(0)
-    for t in range(1, horizon + 1):
+    for t in seq.distinct_steps(horizon + 1)[1:]:
         if not np.array_equal(seq.matrix_at(t), a):
             raise ValueError("stationary method needs a constant matrix sequence")
     vals, vecs = np.linalg.eig(a.T)

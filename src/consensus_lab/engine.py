@@ -10,6 +10,7 @@ envelopes that depend on a set-regularity constant.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -33,7 +34,8 @@ VACUOUS_EPS = 1e-12
 
 _INITIAL_KINDS = ("uniform-box", "explicit")
 _ADJOINT_METHODS = ("auto", "uniform", "backward-product", "stationary")
-_REGULARITY_METHODS = ("sampling", "interior", "fixed")
+# Each regularity method, with the keys it cannot do without.
+_REGULARITY_METHODS = {"sampling": (), "interior": ("theta", "x_bar"), "fixed": ("r",)}
 
 
 class DimensionMismatch(ValueError):
@@ -50,6 +52,26 @@ class NotCompliant(ValueError):
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# (section, key, test, what the value must be) for the optional values a run
+# reads from a config section; each is checked when the key is present.
+_VALUE_CHECKS = (("initial", "low", _is_number, "a finite number"),
+                 ("initial", "high", _is_number, "a finite number"),
+                 ("adjoint", "spread_tol", _is_number, "a finite number"),
+                 ("adjoint", "max_window", _is_integer, "an integer"),
+                 ("regularity", "theta", _is_number, "a finite number"),
+                 ("regularity", "r", _is_number, "a finite number"),
+                 ("regularity", "samples", _is_integer, "an integer"))
 
 
 @dataclass(frozen=True)
@@ -72,6 +94,12 @@ class RunConfig:
     y_point: tuple | None = None
 
     def __post_init__(self):
+        for name in ("m", "n", "horizon", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        if not isinstance(self.certificates_enabled, bool):
+            raise ConfigError("certificates_enabled must be true or false, "
+                              f"not {self.certificates_enabled!r}")
         if self.mode not in ("unconstrained", "constrained"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.horizon < 1:
@@ -83,8 +111,7 @@ class RunConfig:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "rate_ks", tuple(self.rate_ks))
         for k in self.rate_ks:
-            is_step = isinstance(k, numbers.Integral) and not isinstance(k, bool)
-            if k != "half" and not (is_step and 0 <= k <= self.horizon):
+            if k != "half" and not (_is_integer(k) and 0 <= k <= self.horizon):
                 raise ConfigError(f"rate_ks entry {k!r} must be 'half' or an integer "
                                   f"in [0, {self.horizon}]")
         if self.regularity is not None and not isinstance(self.regularity, dict):
@@ -93,9 +120,22 @@ class RunConfig:
         for what, value, allowed in (
                 ("initial kind", self.initial.get("kind", "uniform-box"), _INITIAL_KINDS),
                 ("adjoint method", self.adjoint.get("method", "auto"), _ADJOINT_METHODS),
-                ("regularity method", regularity.get("method"), _REGULARITY_METHODS)):
+                ("regularity method", regularity.get("method"), tuple(_REGULARITY_METHODS))):
             if value not in allowed:
                 raise ConfigError(f"unknown {what} {value!r}")
+        for key in _REGULARITY_METHODS[regularity["method"]]:
+            if regularity.get(key) is None:
+                raise ConfigError(f"regularity method {regularity['method']!r} needs {key!r}")
+        sections = {"initial": self.initial, "adjoint": self.adjoint, "regularity": regularity}
+        for section, key, test, what in _VALUE_CHECKS:
+            if key in sections[section] and not test(sections[section][key]):
+                raise ConfigError(f"{section}.{key} must be {what}, "
+                                  f"not {sections[section][key]!r}")
+        x_bar = regularity.get("x_bar")
+        if x_bar is not None and not (isinstance(x_bar, (list, tuple)) and len(x_bar) == self.n
+                                      and all(map(_is_number, x_bar))):
+            raise ConfigError(f"regularity.x_bar must be a list of {self.n} finite numbers, "
+                              f"not {x_bar!r}")
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunConfig":
@@ -107,12 +147,12 @@ class RunConfig:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         try:
             return RunConfig(
-                m=int(d["m"]), n=int(d["n"]), horizon=int(d["horizon"]),
-                seed=int(d["seed"]), mode=d["mode"], graph=dict(d["graph"]),
+                m=d["m"], n=d["n"], horizon=d["horizon"],
+                seed=d["seed"], mode=d["mode"], graph=dict(d["graph"]),
                 weights=dict(d["weights"]), initial=dict(d["initial"]),
                 constraints=tuple(d.get("constraints") or ()),
                 adjoint=dict(d.get("adjoint") or {}),
-                certificates_enabled=bool(d.get("certificates_enabled", True)),
+                certificates_enabled=d.get("certificates_enabled", True),
                 rate_ks=tuple(d.get("rate_ks", (0, "half"))),
                 regularity=d.get("regularity"),
                 y_point=tuple(d["y_point"]) if d.get("y_point") else None,

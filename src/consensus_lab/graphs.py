@@ -8,7 +8,6 @@ builders account for that on the matrix diagonal.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -101,9 +100,6 @@ class DiGraph:
     def to_json_dict(self) -> dict:
         """Serialization with 1-based node ids and lexicographically sorted edges."""
         return {"m": self.m, "edges": (np.argwhere(self.adjacency.T) + 1).tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
     def from_json_dict(d: dict) -> "DiGraph":
@@ -246,24 +242,22 @@ def random_rooted_graph(m: int, extra_edge_prob: float = 0.0, seed=0) -> DiGraph
 class GraphSequence:
     """Time-indexed rooted graphs: ``graph_at(t)`` is defined for every ``t >= 0``.
 
-    Finite data extends by cycling (static/periodic kinds) or by per-step
-    seeded regeneration (random-rooted kind), so adjoint windows may look
-    arbitrarily far past any simulation horizon.
+    A static or periodic sequence cycles its ``graphs``.  A random-rooted
+    sequence has no ``graphs``; it regenerates a seeded graph per step, so
+    adjoint windows may look arbitrarily far past any simulation horizon.
     """
 
-    kind: str
     m: int
     graphs: tuple = ()
     seed: int = 0
     extra_edge_prob: float = 0.0
-    horizon: int | None = field(default=None, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def static(graph: DiGraph) -> "GraphSequence":
         if not roots(graph):
             raise NotRooted("static graph is not rooted")
-        return GraphSequence(kind="static", m=graph.m, graphs=(graph,))
+        return GraphSequence(m=graph.m, graphs=(graph,))
 
     @staticmethod
     def periodic(graphs) -> "GraphSequence":
@@ -275,24 +269,21 @@ class GraphSequence:
                 raise NotRooted(f"graph at position {idx} is not rooted")
             if g.m != graphs[0].m:
                 raise ValueError("all graphs in a sequence must share m")
-        return GraphSequence(kind="periodic", m=graphs[0].m, graphs=graphs)
+        return GraphSequence(m=graphs[0].m, graphs=graphs)
 
     @staticmethod
     def random_rooted(m: int, extra_edge_prob: float, seed: int) -> "GraphSequence":
         _check_edge_prob(extra_edge_prob)
-        return GraphSequence(kind="random-rooted", m=m, seed=int(seed),
-                             extra_edge_prob=float(extra_edge_prob))
+        return GraphSequence(m=m, seed=int(seed), extra_edge_prob=float(extra_edge_prob))
 
     def graph_at(self, t: int) -> DiGraph:
         if t < 0:
             raise ValueError("t must be >= 0")
-        if self.kind in ("static", "periodic"):
+        if self.graphs:
             return self.graphs[t % len(self.graphs)]
-        if self.kind == "random-rooted":
-            g = self._cache.get(t)
-            if g is None:
-                g = random_rooted_graph(self.m, self.extra_edge_prob,
-                                        substream(self.seed, "graph", t))
-                self._cache[t] = g
-            return g
-        raise ValueError(f"unknown graph sequence kind {self.kind!r}")
+        g = self._cache.get(t)
+        if g is None:
+            g = random_rooted_graph(self.m, self.extra_edge_prob,
+                                    substream(self.seed, "graph", t))
+            self._cache[t] = g
+        return g

@@ -88,19 +88,17 @@ def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) ->
     consensus.  The plain centered form ``x_j - (Ax)_i`` is not accurate
     there: the rounding of ``(Ax)_i`` is then as large as the spread.  The
     cost is ``O(nnz(A) n)`` per step; a row without a nonzero entry raises
-    ``ValueError``.  Steps whose matrix is the same array (static and
-    periodic sequences) are evaluated together, in blocks of at most
+    ``ValueError``.  The work is done once per distinct step ``r``
+    (:meth:`MatrixSequence.distinct_steps`): the steps ``r, r + period, ...``
+    that repeat its matrix are evaluated together, in blocks of at most
     ``_BLOCK_ELEMENTS`` gathered entries.
     """
     h = states.shape[0] - 1
-    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for t in range(h):
-        a = seq.matrix_at(t)
-        groups.setdefault(id(a), (a, []))[1].append(t)
+    period = len(seq.distinct_steps(h))
     out = np.empty(h)
-    for a, steps in groups.values():
-        support = _row_support(a)
-        steps = np.array(steps)
+    for r in range(period):
+        support = _row_support(seq.matrix_at(r))
+        steps = np.arange(r, h, period)
         size = max(1, _BLOCK_ELEMENTS // (support[0].size * states.shape[2]))
         for s in range(0, steps.size, size):
             ts = steps[s:s + size]

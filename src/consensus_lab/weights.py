@@ -7,6 +7,7 @@ bound ``beta`` together with the spanning trees that witness it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +55,6 @@ class RowStochasticMatrix:
     @property
     def m(self) -> int:
         return self.entries.shape[0]
-
-    def is_doubly_stochastic(self, tol: float = COLUMN_SUM_TOL) -> bool:
-        return bool(np.abs(self.entries.sum(axis=0) - 1.0).max() <= tol)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "rows": [list(map(float, row)) for row in self.entries]}
@@ -141,27 +139,26 @@ def _support_graph(a: np.ndarray) -> DiGraph:
 class MatrixSequence:
     """Time-indexed row-stochastic matrices; ``matrix_at(t)`` defined for every ``t >= 0``.
 
-    Scheme-based sequences derive each matrix from the paired graph
-    sequence.  Custom sequences cycle an explicit list of matrices; their
-    graphs are the positive off-diagonal support.
+    ``matrices`` is a cycle: an explicit custom list, or one matrix per graph
+    of a static or periodic graph sequence, built once by the scheme.  On a
+    random-rooted graph sequence ``matrices`` is empty and the scheme builds
+    each step's matrix from that step's graph.  Without a graph sequence the
+    graphs are the positive off-diagonal support of the matrices.
     """
 
     scheme: str
     graph_seq: GraphSequence | None = None
     params: dict = field(default_factory=dict)
     matrices: tuple = ()
-    _prebuilt: tuple = field(default=(), repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def from_scheme(graph_seq: GraphSequence, scheme: str, **params) -> "MatrixSequence":
         if scheme not in _BUILDERS:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        prebuilt: tuple = ()
-        if graph_seq.kind in ("static", "periodic"):
-            prebuilt = tuple(_BUILDERS[scheme](g, params) for g in graph_seq.graphs)
+        matrices = tuple(_BUILDERS[scheme](g, params) for g in graph_seq.graphs)
         return MatrixSequence(scheme=scheme, graph_seq=graph_seq, params=dict(params),
-                              _prebuilt=prebuilt)
+                              matrices=matrices)
 
     @staticmethod
     def custom(matrices, graph_seq: GraphSequence | None = None) -> "MatrixSequence":
@@ -184,13 +181,24 @@ class MatrixSequence:
             return self.graph_seq.graph_at(t)
         return _support_graph(self.matrix_at(t))
 
+    def distinct_steps(self, horizon: int) -> range:
+        """The steps ``t < horizon`` whose (matrix, graph) pair no earlier step repeats.
+
+        Step ``t`` uses the pair of step ``t % len(result)``.  Cyclic matrices
+        and graphs repeat after ``lcm(len(matrices), len(graphs))`` steps; on a
+        random-rooted graph sequence every step is distinct.
+        """
+        gseq = self.graph_seq
+        if gseq is not None and not gseq.graphs:
+            return range(horizon)
+        period = math.lcm(len(self.matrices), len(gseq.graphs) if gseq is not None else 1)
+        return range(min(period, horizon))
+
     def matrix_at(self, t: int) -> np.ndarray:
         if t < 0:
             raise ValueError("t must be >= 0")
-        if self.scheme == "custom":
+        if self.matrices:
             return self.matrices[t % len(self.matrices)].entries
-        if self._prebuilt:
-            return self._prebuilt[t % len(self._prebuilt)].entries
         a = self._cache.get(t)
         if a is None:
             a = _BUILDERS[self.scheme](self.graph_seq.graph_at(t), self.params).entries
@@ -207,6 +215,10 @@ class ComplianceReport:
     only guaranteed on a rooted spanning tree per step, and ``"neither"``
     on the first violation (recorded in ``violation``).  ``beta`` is the
     minimum over diagonal entries and tree-edge weights across the horizon.
+    ``trees`` holds one BFS tree per distinct step
+    (:meth:`MatrixSequence.distinct_steps`), so on a compliant sequence the
+    tree of step ``t`` is ``trees[t % len(trees)]``; after a violation it
+    holds the trees of the distinct steps before the failing one.
     """
 
     level: str
@@ -225,45 +237,36 @@ class ComplianceReport:
 def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     """Check row-stochasticity, positive diagonals, rootedness, and edge compliance.
 
-    Scans ``t = 0 .. horizon-1``.  Strong-level compliance additionally
-    needs strong connectivity and positive weight on every graph edge;
-    rooted-level compliance needs positive weight on the deterministic BFS
-    tree from the smallest-index root.
+    Covers ``t = 0 .. horizon-1`` by checking each distinct step once, so the
+    first failing distinct step is the first failing step.  Strong-level
+    compliance additionally needs strong connectivity and positive weight on
+    every graph edge; rooted-level compliance needs positive weight on the
+    deterministic BFS tree from the smallest-index root.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     strong_ok = True
-    rooted_ok = True
     violation: str | None = None
     beta = np.inf
     doubly = True
     trees: list[SpanningTree] = []
-
-    def note(msg: str):
-        nonlocal violation
-        if violation is None:
-            violation = msg
-
-    for t in range(horizon):
+    for t in seq.distinct_steps(horizon):
         a = seq.matrix_at(t)
         g = seq.graph_at(t)
         # Written so that a NaN or infinite entry, whose row sum is not
         # finite, fails the row-sum test as well.
         if (a < 0).any() or not np.abs(a.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
-            note(f"t={t}: matrix is not row-stochastic")
-            strong_ok = rooted_ok = False
+            violation = f"t={t}: matrix is not row-stochastic"
             break
         diag = np.diag(a)
         if diag.min() <= 0.0:
-            note(f"t={t}: diagonal entry {int(diag.argmin())} is not positive")
-            strong_ok = rooted_ok = False
+            violation = f"t={t}: diagonal entry {int(diag.argmin())} is not positive"
             break
         doubly = doubly and bool(np.abs(a.sum(axis=0) - 1.0).max() <= COLUMN_SUM_TOL)
 
         root_set = roots(g)
         if not root_set:
-            note(f"t={t}: graph is not rooted")
-            strong_ok = rooted_ok = False
+            violation = f"t={t}: graph is not rooted"
             break
         tree = bfs_spanning_tree(g, min(root_set))
         parents = np.array(tree.parents)
@@ -271,9 +274,7 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
         tree_entries = a[children, parents[children]]
         if tree_entries.size and tree_entries.min() <= 0.0:
             i = children[tree_entries.argmin()]
-            note(f"t={t}: zero weight on tree edge ({parents[i]},{i})")
-            rooted_ok = False
-            strong_ok = False
+            violation = f"t={t}: zero weight on tree edge ({parents[i]},{i})"
             break
         trees.append(tree)
         beta = min(beta, float(diag.min()))
@@ -282,7 +283,7 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
 
         strong_ok = strong_ok and len(root_set) == g.m and bool((a[g.adjacency] > 0.0).all())
 
-    if not rooted_ok:
+    if violation is not None:
         return ComplianceReport(level="neither", beta=0.0, doubly_stochastic=doubly,
                                 trees=tuple(trees), p_star=0, horizon=horizon,
                                 violation=violation)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from consensus_lab import engine
+from consensus_lab import DiGraph, GraphSequence, MatrixSequence, engine
 
 
 def _unconstrained_config(seed: int, scheme: str, m: int, horizon: int = 500,
@@ -61,3 +61,23 @@ def unconstrained_config():
 @pytest.fixture
 def constrained_config():
     return _constrained_config
+
+
+@pytest.fixture
+def period_six_sequence():
+    """Builder of three custom matrices cycled over two periodic graphs on 3 nodes.
+
+    The period is ``lcm(3, 2) = 6``.  Graph 0 is the path ``0 -> 1 -> 2`` and
+    graph 1 the path ``0 -> 2 -> 1``.  With ``fail_at_3`` matrix 0 carries
+    only graph 0's edges, so it has no weight on graph 1's tree edges; matrix 0
+    first meets graph 1 at ``t = 3``.
+    """
+    def build(fail_at_3: bool = False) -> MatrixSequence:
+        graphs = GraphSequence.periodic([DiGraph(3, {(0, 1), (1, 2)}),
+                                         DiGraph(3, {(0, 2), (2, 1)})])
+        first = ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]] if fail_at_3
+                 else [[0.6, 0.2, 0.2], [0.3, 0.4, 0.3], [0.1, 0.2, 0.7]])
+        mats = [first, np.full((3, 3), 1 / 3),
+                [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]]]
+        return MatrixSequence.custom([np.array(a) for a in mats], graphs)
+    return build

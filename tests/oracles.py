@@ -5,7 +5,8 @@ single-step decrement and identity residuals, and projection checks serve as
 oracles for the package's array code.  ``evaluate_certificates_per_step`` is
 the step-by-step certificate loop that ``engine.evaluate_certificates``
 replaces with whole-series arrays; the two must agree record for record, bit
-for bit.
+for bit.  ``verify_compliance_per_step`` checks every step where
+``weights.verify_compliance`` checks each distinct step once.
 """
 from __future__ import annotations
 
@@ -17,9 +18,11 @@ from consensus_lab.engine import (CONSERVATION_TOL, IDENTITY_TOL, RunConfig, Tra
                                   _rate_k_values)
 from consensus_lab.lyapunov import (_row_shifted_decrements, _row_support, contraction_drop,
                                     decrement_bound, rate_quotient, weighted_variance)
+from consensus_lab.graphs import SpanningTree, bfs_spanning_tree, roots
 from consensus_lab.sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, Box, ConvexSet,
                                 Halfspace, Hyperplane, Intersection, Polyhedron, _vec)
-from consensus_lab.weights import ComplianceReport, MatrixSequence
+from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
+                                   MatrixSequence)
 
 NORM_SLACK = 1.0 + 1e-6
 
@@ -84,7 +87,7 @@ def product_convergence_records(seq: MatrixSequence, adjoint: AbsoluteProbabilit
     with the products accumulated incrementally.
     """
     m = seq.m
-    pi_k = adjoint.vector_at(k)
+    pi_k = adjoint.vectors[k]
     q = rate_quotient(adjoint.delta, beta, p_star)
     rank_one = np.outer(np.ones(m), pi_k)
     base = operator_norm_sq(np.eye(m) - rank_one) / adjoint.delta
@@ -317,3 +320,69 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
         records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
         records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
     return records
+
+
+def verify_compliance_per_step(seq: MatrixSequence, horizon: int) -> ComplianceReport:
+    """``weights.verify_compliance`` evaluated at every step ``t = 0 .. horizon-1``.
+
+    Keeps one tree per step, so ``trees[t]`` is the tree of step ``t``.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    strong_ok = True
+    rooted_ok = True
+    violation: str | None = None
+    beta = np.inf
+    doubly = True
+    trees: list[SpanningTree] = []
+
+    def note(msg: str):
+        nonlocal violation
+        if violation is None:
+            violation = msg
+
+    for t in range(horizon):
+        a = seq.matrix_at(t)
+        g = seq.graph_at(t)
+        if (a < 0).any() or not np.abs(a.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
+            note(f"t={t}: matrix is not row-stochastic")
+            strong_ok = rooted_ok = False
+            break
+        diag = np.diag(a)
+        if diag.min() <= 0.0:
+            note(f"t={t}: diagonal entry {int(diag.argmin())} is not positive")
+            strong_ok = rooted_ok = False
+            break
+        doubly = doubly and bool(np.abs(a.sum(axis=0) - 1.0).max() <= COLUMN_SUM_TOL)
+
+        root_set = roots(g)
+        if not root_set:
+            note(f"t={t}: graph is not rooted")
+            strong_ok = rooted_ok = False
+            break
+        tree = bfs_spanning_tree(g, min(root_set))
+        parents = np.array(tree.parents)
+        children = np.flatnonzero(parents >= 0)
+        tree_entries = a[children, parents[children]]
+        if tree_entries.size and tree_entries.min() <= 0.0:
+            i = children[tree_entries.argmin()]
+            note(f"t={t}: zero weight on tree edge ({parents[i]},{i})")
+            rooted_ok = False
+            strong_ok = False
+            break
+        trees.append(tree)
+        beta = min(beta, float(diag.min()))
+        if tree_entries.size:
+            beta = min(beta, float(tree_entries.min()))
+
+        strong_ok = strong_ok and len(root_set) == g.m and bool((a[g.adjacency] > 0.0).all())
+
+    if not rooted_ok:
+        return ComplianceReport(level="neither", beta=0.0, doubly_stochastic=doubly,
+                                trees=tuple(trees), p_star=0, horizon=horizon,
+                                violation=violation)
+    level = "strong" if strong_ok else "rooted"
+    p_star = max(tree.depth for tree in trees) if trees else 0
+    return ComplianceReport(level=level, beta=float(beta), doubly_stochastic=doubly,
+                            trees=tuple(trees), p_star=max(p_star, 1), horizon=horizon,
+                            violation=None)

@@ -291,7 +291,25 @@ class TestValidateBeforeWork:
         ("regularity", {"method": "bogus"}),
         ("adjoint", {"method": "bogus"}),
         ("regularity", "interior"),
-    ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object"])
+        ("m", 8.9), ("horizon", 20.7), ("seed", 7.5), ("n", True),
+        ("certificates_enabled", "false"),
+        ("regularity", {"method": "interior", "x_bar": [0.0, 0.0]}),
+        ("regularity", {"method": "interior", "theta": "0.5", "x_bar": [0.0, 0.0]}),
+        ("regularity", {"method": "interior", "theta": 0.5}),
+        ("regularity", {"method": "interior", "theta": 0.5, "x_bar": [0.0, "0"]}),
+        ("regularity", {"method": "interior", "theta": 0.5, "x_bar": [0.0]}),
+        ("regularity", {"method": "fixed"}),
+        ("regularity", {"method": "fixed", "r": "two"}),
+        ("regularity", {"method": "sampling", "samples": 2.5}),
+        ("adjoint", {"method": "backward-product", "spread_tol": "tiny"}),
+        ("adjoint", {"method": "backward-product", "max_window": 1024.5}),
+        ("initial", {"kind": "uniform-box", "low": "low", "high": 3}),
+        ("initial", {"kind": "uniform-box", "low": -3, "high": None}),
+    ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object",
+            "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
+            "string-certificates_enabled", "no-theta", "string-theta", "no-x_bar",
+            "string-x_bar", "short-x_bar", "no-r", "string-r", "fractional-samples",
+            "string-spread_tol", "fractional-max_window", "string-low", "null-high"])
     def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),

@@ -17,6 +17,11 @@ def complete_graph(m):
     return DiGraph(m, frozenset((j, i) for j in range(m) for i in range(m) if i != j))
 
 
+def graph_json(g):
+    """The graph JSON text whose digests are pinned below."""
+    return json.dumps(g.to_json_dict(), sort_keys=True)
+
+
 def dfs_reachable(g, start):
     seen = {start}
     stack = [start]
@@ -46,7 +51,7 @@ class TestDiGraph:
         g = DiGraph(3, frozenset({(2, 0), (0, 1)}))
         d = g.to_json_dict()
         assert d == {"m": 3, "edges": [[1, 2], [3, 1]]}
-        assert DiGraph.from_json_dict(json.loads(g.to_json())) == g
+        assert DiGraph.from_json_dict(json.loads(graph_json(g))) == g
 
 
 class TestRoots:
@@ -204,7 +209,7 @@ class TestDiGraphContract:
     def test_edges_round_trip_through_json(self):
         for m, p in ((17, 0.0), (96, 0.1)):
             g = random_rooted_graph(m, p, seed=m)
-            d = json.loads(g.to_json())
+            d = json.loads(graph_json(g))
             assert d["edges"] == sorted(d["edges"])
             back = DiGraph.from_json_dict(d)
             assert back.edges == g.edges
@@ -235,7 +240,7 @@ class TestDiGraphContract:
         assert g.edges == {(0, 1)}
 
 
-# sha256 of the concatenated to_json() of random_rooted_graph(m, p, seed) for
+# sha256 of the concatenated graph_json() of random_rooted_graph(m, p, seed) for
 # seeds 0..9, recorded before the array-backed rewrite: any change in the
 # order or number of random draws changes them.
 RANDOM_GRAPH_DIGESTS = {
@@ -265,13 +270,13 @@ class TestRandomGraphDrawSequence:
     def test_random_rooted_graph_digest(self, m, p):
         h = hashlib.sha256()
         for seed in range(10):
-            h.update(random_rooted_graph(m, p, seed).to_json().encode())
+            h.update(graph_json(random_rooted_graph(m, p, seed)).encode())
         assert h.hexdigest() == RANDOM_GRAPH_DIGESTS[(m, p)]
 
     def test_sequence_digest(self):
         seq = GraphSequence.random_rooted(96, 0.1, 5)
         for t, digest in SEQUENCE_DIGESTS.items():
-            assert hashlib.sha256(seq.graph_at(t).to_json().encode()).hexdigest() == digest
+            assert hashlib.sha256(graph_json(seq.graph_at(t)).encode()).hexdigest() == digest
 
 
 def _two_source_graph(m, rng):

@@ -176,6 +176,16 @@ class TestDecrementKernel:
             want = float(exact_decrement(seq.matrix_at(t), states[t], pi[t + 1]))
             assert series[t] == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("h", [4, 40])
+    def test_series_bit_equal_to_single_steps_over_period_six(self, period_six_sequence, h):
+        rng = np.random.default_rng(6)
+        seq = period_six_sequence(fail_at_3=True)
+        states = rng.uniform(-2, 2, (h + 1, 3, 2))
+        pi = rng.random((h + 1, 3))
+        series = decrement_series(seq, states, pi)
+        for t in range(h):
+            assert series[t] == pairwise_decrement_sum(seq.matrix_at(t), states[t], pi[t + 1])
+
 
 def step_decrement(a, x, pi_next, delta, beta, p_star):
     """``(D, spread_sq, lower bound, verdict)`` of one step, from the engine's functions."""

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from consensus_lab import (AsymmetricGraph, DiGraph, GammaTooSmall, GraphSequenc
                            equal_neighbor_weights, laplacian_weights,
                            lazy_metropolis_weights, random_rooted_graph,
                            regular_quarter_weights, regular_tree_graph, roots,
-                           verify_compliance)
+                           verify_compliance, weights)
+from oracles import verify_compliance_per_step
 
 
 def two_cycle():
@@ -15,6 +18,11 @@ def two_cycle():
 
 def triangle():
     return DiGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}))
+
+
+def is_doubly_stochastic(mat: RowStochasticMatrix) -> bool:
+    """Column sums within 1e-12 of one, the test ``verify_compliance`` applies."""
+    return bool(np.abs(mat.entries.sum(axis=0) - 1.0).max() <= 1e-12)
 
 
 class TestRowStochasticMatrix:
@@ -82,7 +90,7 @@ class TestQuarterWeights:
 
     def test_doubly_stochastic(self):
         mat = regular_quarter_weights(regular_tree_graph(4))
-        assert mat.is_doubly_stochastic()
+        assert is_doubly_stochastic(mat)
 
     def test_d2_is_quarter_ones(self):
         np.testing.assert_array_equal(regular_quarter_weights(regular_tree_graph(2)).entries,
@@ -100,7 +108,7 @@ class TestLazyMetropolis:
             g = random_rooted_graph(int(rng.integers(2, 10)), 0.5, rng)
             sym = DiGraph(g.m, frozenset(set(g.edges) | {(i, j) for j, i in g.edges}))
             mat = lazy_metropolis_weights(sym)
-            assert mat.is_doubly_stochastic()
+            assert is_doubly_stochastic(mat)
             assert np.diag(mat.entries).min() >= 0.5
 
 
@@ -182,6 +190,9 @@ class TestComplianceNonFinite:
     def test_non_finite_entry_is_neither(self, bad):
         class Seq:
             # bypasses RowStochasticMatrix, which rejects the entry on construction
+            def distinct_steps(self, horizon):
+                return range(horizon)
+
             def matrix_at(self, t):
                 return np.array([[0.5, bad], [0.5, 0.5]])
 
@@ -191,3 +202,82 @@ class TestComplianceNonFinite:
         report = verify_compliance(Seq(), 5)
         assert report.level == "neither"
         assert "row-stochastic" in report.violation
+
+
+def assert_matches_per_step(seq, horizon):
+    """``verify_compliance`` agrees with the per-step oracle; returns its report."""
+    got = verify_compliance(seq, horizon)
+    want = verify_compliance_per_step(seq, horizon)
+    assert (got.level, got.beta.hex(), got.p_star, got.doubly_stochastic, got.violation) == \
+        (want.level, want.beta.hex(), want.p_star, want.doubly_stochastic, want.violation)
+    for t, tree in enumerate(want.trees):
+        assert got.trees[t % len(got.trees)] == tree
+    return got
+
+
+@pytest.fixture
+def tree_searches(monkeypatch):
+    """Counts of the ``roots`` and ``bfs_spanning_tree`` calls ``verify_compliance`` makes."""
+    calls = Counter()
+    for name in ("roots", "bfs_spanning_tree"):
+        def counted(*args, _name=name, _original=getattr(weights, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(weights, name, counted)
+    return calls
+
+
+class TestCompliancePerDistinctStep:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_static_cubic(self, d):
+        seq = MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(d)),
+                                         "quarter")
+        assert seq.distinct_steps(40) == range(1)
+        assert len(assert_matches_per_step(seq, 40).trees) == 1
+
+    def test_periodic_three_graphs(self):
+        rng = np.random.default_rng(17)
+        gseq = GraphSequence.periodic([random_rooted_graph(7, 0.2, rng) for _ in range(3)])
+        seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
+        assert seq.distinct_steps(2) == range(2)
+        assert seq.distinct_steps(25) == range(3)
+        assert len(assert_matches_per_step(seq, 25).trees) == 3
+
+    def test_random_rooted(self):
+        seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(8, 0.3, seed=4),
+                                         "equal-neighbor")
+        assert seq.distinct_steps(10) == range(10)
+        assert len(assert_matches_per_step(seq, 10).trees) == 10
+
+    @pytest.mark.parametrize("fail_at_3", [False, True])
+    def test_custom_matrices_on_periodic_graphs(self, period_six_sequence, fail_at_3):
+        seq = period_six_sequence(fail_at_3)
+        assert seq.distinct_steps(4) == range(4)
+        assert seq.distinct_steps(20) == range(6)
+        report = assert_matches_per_step(seq, 20)
+        if fail_at_3:
+            assert report.violation == "t=3: zero weight on tree edge (2,1)"
+            assert len(report.trees) == 3
+        else:
+            assert report.level == "rooted"
+            assert len(report.trees) == 6
+
+    def test_non_rooted_graph_at_period_position_2(self):
+        mats = [np.full((3, 3), 1 / 3), np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
+                                                  [0.5, 0.0, 0.5]]), np.eye(3)]
+        seq = MatrixSequence.custom(mats)
+        assert seq.distinct_steps(9) == range(3)
+        report = assert_matches_per_step(seq, 9)
+        assert report.violation == "t=2: graph is not rooted"
+
+    def test_one_tree_search_per_distinct_step(self, tree_searches):
+        seq = MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(11)),
+                                         "quarter")
+        assert verify_compliance(seq, 300).level == "strong"
+        assert tree_searches == {"roots": 1, "bfs_spanning_tree": 1}
+
+    def test_random_rooted_searches_every_step(self, tree_searches):
+        seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(8, 0.3, seed=4),
+                                         "equal-neighbor")
+        assert verify_compliance(seq, 10).ok
+        assert tree_searches == {"roots": 10, "bfs_spanning_tree": 10}
