@@ -23,6 +23,7 @@ STOCHASTIC_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 DEFAULT_SPREAD_TOL = 1e-10
 DEFAULT_MAX_WINDOW = 2 ** 14
+FIRST_WINDOW = 8  # backward products start this long and double
 
 
 class NotDoublyStochastic(ValueError):
@@ -115,18 +116,20 @@ def backward_product_adjoint(seq: MatrixSequence, t: int,
                              max_window: int = DEFAULT_MAX_WINDOW) -> np.ndarray:
     """Limit row of the backward products starting at ``t``.
 
-    Accumulates ``P = A(t+T-1)...A(t)`` with ``T`` doubled from 8 until the
-    largest column spread of ``P`` falls below ``spread_tol``; the returned
-    vector is the arithmetic mean of the rows of ``P``.  Because products of
-    stochastic matrices only shrink column ranges, every entry of the true
-    limit lies inside the final column envelope, so the result is within
-    ``spread_tol`` of it entrywise.
+    Accumulates ``P = A(t+T-1)...A(t)`` with ``T`` doubled from
+    ``FIRST_WINDOW`` until the largest column spread of ``P`` falls below
+    ``spread_tol``; the returned vector is the arithmetic mean of the rows of
+    ``P``.  Because products of stochastic matrices only shrink column
+    ranges, every entry of the true limit lies inside the final column
+    envelope, so the result is within ``spread_tol`` of it entrywise.
     """
     if spread_tol <= 0:
         raise ValueError("spread_tol must be positive")
+    if max_window < FIRST_WINDOW:
+        raise ValueError(f"max_window must be at least {FIRST_WINDOW}, not {max_window}")
     p = None
     length = 0
-    window = 8
+    window = FIRST_WINDOW
     while window <= max_window:
         start = t + length
         for step in range(start, t + window):

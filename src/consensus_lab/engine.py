@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
-                      uniform_adjoint)
+from .adjoint import (FIRST_WINDOW, AbsoluteProbabilitySequence, assemble_adjoint,
+                      stationary_adjoint, uniform_adjoint)
 from .certificates import CertificateRecord, bound_records, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (contraction_drop, decrement_bound, decrement_series,
@@ -131,6 +131,9 @@ class RunConfig:
             if key in sections[section] and not test(sections[section][key]):
                 raise ConfigError(f"{section}.{key} must be {what}, "
                                   f"not {sections[section][key]!r}")
+        if self.adjoint.get("max_window", FIRST_WINDOW) < FIRST_WINDOW:
+            raise ConfigError(f"adjoint.max_window must be at least {FIRST_WINDOW}, "
+                              f"not {self.adjoint['max_window']!r}")
         x_bar = regularity.get("x_bar")
         if x_bar is not None and not (isinstance(x_bar, (list, tuple)) and len(x_bar) == self.n
                                       and all(map(_is_number, x_bar))):
@@ -145,13 +148,20 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        adjoint = {} if d.get("adjoint") is None else d["adjoint"]
+        for key, value in (("graph", d.get("graph", {})), ("weights", d.get("weights", {})),
+                           ("initial", d.get("initial", {})), ("adjoint", adjoint)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object, not {value!r}")
+        constraints = [] if d.get("constraints") is None else d["constraints"]
+        if not (isinstance(constraints, list) and all(isinstance(c, dict) for c in constraints)):
+            raise ConfigError(f"constraints must be a list of objects, not {constraints!r}")
         try:
             return RunConfig(
                 m=d["m"], n=d["n"], horizon=d["horizon"],
                 seed=d["seed"], mode=d["mode"], graph=dict(d["graph"]),
                 weights=dict(d["weights"]), initial=dict(d["initial"]),
-                constraints=tuple(d.get("constraints") or ()),
-                adjoint=dict(d.get("adjoint") or {}),
+                constraints=tuple(constraints), adjoint=dict(adjoint),
                 certificates_enabled=d.get("certificates_enabled", True),
                 rate_ks=tuple(d.get("rate_ks", (0, "half"))),
                 regularity=d.get("regularity"),
@@ -260,10 +270,17 @@ def v_function(states_t: np.ndarray, pi_t: np.ndarray, y: np.ndarray) -> float:
     return float(pi_t @ (diff * diff).sum(axis=-1))
 
 
-def track_uv(states_t: np.ndarray, pi_t: np.ndarray,
+def track_uv(states: np.ndarray, pi: np.ndarray,
              intersection: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean ``u`` of the agents and its projection ``v`` onto the intersection."""
-    u = np.asarray(pi_t, dtype=float) @ np.asarray(states_t, dtype=float)
+    """Weighted means ``u`` of the agents and their projections ``v`` onto the intersection.
+
+    ``states`` has shape ``(..., m, n)`` and ``pi`` shape ``(..., m)``, so a
+    whole series is one call.  The stacked ``matmul`` rounds each step's
+    ``pi[t] @ states[t]`` exactly as the 1-D product does; ``vecdot`` and
+    ``einsum`` sum in another order.
+    """
+    pi = np.asarray(pi, dtype=float)
+    u = np.matmul(pi[..., None, :], np.asarray(states, dtype=float))[..., 0, :]
     return u, intersection.project(u)
 
 
@@ -327,7 +344,9 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
 
     Per step, the decrement costs ``O(nnz(A) n)``, the spread ``O(m^2 n)``
     and the comparison value ``O(m n)``; see :func:`decrement_series`,
-    :func:`squared_spread` and :func:`weighted_variance`.
+    :func:`squared_spread` and :func:`weighted_variance`.  In constrained
+    mode the feasibilities, the tracked projections and the distances to the
+    intersection are each a batched projection over the whole run.
     """
     h = states.shape[0] - 1
     pi = adjoint.vectors
@@ -343,17 +362,13 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
 
     y = _fixed_test_point(config, states, pi, intersection)
     lyap = np.array([v_function(states[t], pi[t], y) for t in range(h + 1)])
-    feasibility = np.array([max(s.violation(states[t, i]) for i, s in enumerate(sets))
-                            for t in range(h + 1)])
-    u_points = np.empty((h + 1, config.n))
-    v_points = np.empty((h + 1, config.n))
-    v_values = np.empty(h + 1)
-    dist_sq = np.empty((h + 1, config.m))
-    for t in range(h + 1):
-        u_points[t], v_points[t] = track_uv(states[t], pi[t], intersection)
-        v_values[t] = v_function(states[t], pi[t], v_points[t])
-        for i in range(config.m):
-            dist_sq[t, i] = distance(intersection, states[t, i]) ** 2
+    feasibility = np.max([s.violation(states[:, i]) for i, s in enumerate(sets)], axis=0)
+    u_points, v_points = track_uv(states, pi, intersection)
+    v_values = np.array([v_function(states[t], pi[t], v_points[t]) for t in range(h + 1)])
+    # Squared with Python's float power, which is libm's pow: numpy squares
+    # by multiplying, and the two round differently in about 1 value in 1000.
+    dist_sq = np.array([d ** 2 for d in distance(intersection, states).ravel().tolist()])
+    dist_sq = dist_sq.reshape(h + 1, config.m)
     return Trajectory(states=states, w=w, spread_sq=spread_sq, lyap=lyap,
                       decrement=decrement, conservation=None, feasibility=feasibility,
                       u_points=u_points, v_points=v_points, v_values=v_values,

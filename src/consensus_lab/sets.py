@@ -6,9 +6,17 @@ scheme, which converges to the exact nearest point of the intersection.
 Regularity constants (``dist(x, X) <= r * max_i dist(x, X_i)`` over a
 region) are estimated either by sampling (a certified lower bound) or from
 an interior ball via ``r = max_{y in Y} ||y - x_bar|| / theta``.
+
+Every projection, violation and distance takes points of shape ``(..., n)``:
+a 1-D point is a batch of one.  Each point of a batch gets the bits it would
+get alone, because the inner products are ``np.vecdot`` and the norms
+``np.sqrt(np.vecdot(d, d))``, which round exactly as the 1-D ``a @ x`` and
+``np.linalg.norm(d)`` do (``(x * a).sum(-1)`` and ``einsum`` sum in another
+order).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +41,37 @@ class InteriorBallNotContained(ValueError):
 
 
 class ConvexSet:
-    """Marker base class; concrete sets implement ``project`` and ``violation``."""
+    """Marker base class; concrete sets implement ``project`` and ``violation``.
+
+    Both take points of shape ``(..., n)``; ``project`` returns a new array
+    of the same shape and ``violation`` one value per point.
+    """
 
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def violation(self, x: np.ndarray) -> float:
+    def violation(self, x: np.ndarray):
         """Distance-scaled infeasibility measure; zero inside the set."""
         raise NotImplementedError
 
 
 def _vec(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def _norm(d: np.ndarray):
+    """Euclidean norm over the last axis, bit-equal to ``np.linalg.norm`` of each row."""
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _positive_part(v):
+    """``max(0.0, v)`` per point: ``v`` where it is positive, else exactly ``0.0``."""
+    return np.where(v > 0.0, v, 0.0)[()]
+
+
+def _worst(sets, x):
+    """Largest member violation per point."""
+    return functools.reduce(np.maximum, [s.violation(x) for s in sets])
 
 
 @dataclass(frozen=True)
@@ -56,22 +83,24 @@ class Halfspace(ConvexSet):
 
     def __post_init__(self):
         a = _vec(self.a)
-        if np.linalg.norm(a) == 0.0:
+        norm = float(np.linalg.norm(a))
+        if norm == 0.0:
             raise ValueError("halfspace normal must be nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "_a_norm", norm)
+        object.__setattr__(self, "_a_norm_sq", float(a @ a))
 
     def project(self, x):
         x = _vec(x)
-        gap = float(self.a @ x) - self.b
-        if gap <= 0.0:
-            return x.copy()
-        return x - (gap / float(self.a @ self.a)) * self.a
+        gap = np.vecdot(x, self.a) - self.b
+        return np.where((gap <= 0.0)[..., None], x,
+                        x - (gap / self._a_norm_sq)[..., None] * self.a)
 
     def violation(self, x):
-        gap = float(self.a @ _vec(x)) - self.b
-        return max(0.0, gap / float(np.linalg.norm(self.a)))
+        gap = np.vecdot(_vec(x), self.a) - self.b
+        return _positive_part(gap / self._a_norm)
 
 
 @dataclass(frozen=True)
@@ -83,19 +112,22 @@ class Hyperplane(ConvexSet):
 
     def __post_init__(self):
         a = _vec(self.a)
-        if np.linalg.norm(a) == 0.0:
+        norm = float(np.linalg.norm(a))
+        if norm == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "_a_norm", norm)
+        object.__setattr__(self, "_a_norm_sq", float(a @ a))
 
     def project(self, x):
         x = _vec(x)
-        gap = float(self.a @ x) - self.b
-        return x - (gap / float(self.a @ self.a)) * self.a
+        gap = np.vecdot(x, self.a) - self.b
+        return x - (gap / self._a_norm_sq)[..., None] * self.a
 
     def violation(self, x):
-        return abs(float(self.a @ _vec(x)) - self.b) / float(np.linalg.norm(self.a))
+        return np.abs(np.vecdot(_vec(x), self.a) - self.b) / self._a_norm
 
 
 @dataclass(frozen=True)
@@ -121,7 +153,7 @@ class Box(ConvexSet):
 
     def violation(self, x):
         x = _vec(x)
-        return float(np.linalg.norm(x - np.clip(x, self.lower, self.upper)))
+        return _norm(x - np.clip(x, self.lower, self.upper))
 
 
 @dataclass(frozen=True)
@@ -142,13 +174,15 @@ class Ball(ConvexSet):
     def project(self, x):
         x = _vec(x)
         d = x - self.center
-        r = float(np.linalg.norm(d))
-        if r <= self.radius:
-            return x.copy()
-        return self.center + (self.radius / r) * d
+        r = _norm(d)
+        # radius / max(r, radius) is radius / r wherever that branch is taken,
+        # and never divides by zero where it is not.
+        scale = self.radius / np.maximum(r, self.radius)
+        return np.where((r <= self.radius)[..., None], x,
+                        self.center + scale[..., None] * d)
 
     def violation(self, x):
-        return max(0.0, float(np.linalg.norm(_vec(x) - self.center)) - self.radius)
+        return _positive_part(_norm(_vec(x) - self.center) - self.radius)
 
 
 @dataclass(frozen=True)
@@ -166,7 +200,7 @@ class Polyhedron(ConvexSet):
         return dykstra_project(self.halfspaces, x)
 
     def violation(self, x):
-        return max(h.violation(x) for h in self.halfspaces)
+        return _worst(self.halfspaces, x)
 
 
 @dataclass(frozen=True)
@@ -186,7 +220,7 @@ class Intersection(ConvexSet):
         return dykstra_project(self.members, x)
 
     def violation(self, x):
-        return max(s.violation(x) for s in self.members)
+        return _worst(self.members, x)
 
 
 def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
@@ -200,38 +234,56 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
     feasible for every member within 1e-10; a sweep that changes neither
     the iterate nor any increment is a fixed point of the whole recursion
     and ends the search immediately.
+
+    ``x`` has shape ``(..., n)``.  Each point runs its own recursion with its
+    own increments, and a point leaves the batch the sweep it stops, so every
+    point gets the bits and the sweep count it would get alone.  If any
+    point fails to converge, ``DykstraNotConverged`` names the lowest-index
+    failing point, after every other point has run to its end.
     """
     sets = tuple(sets)
     x = _vec(x)
-    increments = [np.zeros_like(x) for _ in sets]
-    current = x.copy()
-    worst = np.inf
+    points = x.reshape(-1, x.shape[-1])
+    result = points.copy()
+    # Member violation at each point's last settled sweep; a point converged
+    # exactly when its final value is within FEASIBILITY_TOL.
+    worst = np.full(points.shape[0], np.inf)
+    active = np.arange(points.shape[0])
+    current = points
+    increments = np.zeros((len(sets),) + points.shape)
     for _ in range(max_sweeps):
-        previous = current.copy()
-        inc_change = 0.0
+        if not active.size:
+            break
+        previous, previous_increments = current, increments.copy()
         for idx, s in enumerate(sets):
             target = current + increments[idx]
-            projected = s.project(target)
-            new_inc = target - projected
-            inc_change = max(inc_change, float(np.abs(new_inc - increments[idx]).max()))
-            increments[idx] = new_inc
-            current = projected
-        displacement = float(np.abs(current - previous).max())
-        if displacement <= tol:
-            worst = max(s.violation(current) for s in sets)
-            if worst <= FEASIBILITY_TOL:
-                return current
-            if inc_change == 0.0:
-                break  # nothing can change anymore; the intersection is unreachable
-    raise DykstraNotConverged(
-        f"stopped with member violation {worst:.3e}; intersection may be "
-        "empty or ill-conditioned")
+            current = s.project(target)
+            increments[idx] = target - current
+        settled = np.abs(current - previous).max(axis=-1) <= tol
+        if not settled.any():
+            continue
+        here, settled_at = active[settled], current[settled]
+        worst[here] = _worst(sets, settled_at)
+        feasible = worst[here] <= FEASIBILITY_TOL
+        result[here[feasible]] = settled_at[feasible]
+        # A settled sweep that moved no increment can change nothing anymore:
+        # the intersection is unreachable from that point.
+        inc_change = np.abs(increments[:, settled] - previous_increments[:, settled])
+        stops = settled.copy()
+        stops[settled] = feasible | (inc_change.max(axis=(0, 2)) == 0.0)
+        active, current, increments = active[~stops], current[~stops], increments[:, ~stops]
+    failed = np.flatnonzero(~(worst <= FEASIBILITY_TOL))
+    if failed.size:
+        raise DykstraNotConverged(
+            f"point {failed[0]} stopped with member violation {worst[failed[0]]:.3e}; "
+            "intersection may be empty or ill-conditioned")
+    return result.reshape(x.shape)
 
 
-def distance(s: ConvexSet, x) -> float:
-    """``||x - P_S(x)||``."""
+def distance(s: ConvexSet, x):
+    """``||x - P_S(x)||`` per point of ``x``, shape ``(..., n)``."""
     x = _vec(x)
-    return float(np.linalg.norm(x - s.project(x)))
+    return _norm(x - s.project(x))
 
 
 @dataclass(frozen=True)
@@ -270,11 +322,16 @@ def _uniform_ball_point(rng: np.random.Generator, center: np.ndarray, radius: fl
     return center + radius * rng.random() ** (1.0 / n) * direction
 
 
+_SAMPLE_BLOCK = 2 ** 14  # points per batched projection; bounds the memory of a call
+
+
 def regularity_sampling(sets, region: Ball, samples: int, seed: int) -> RegularityEstimate:
     """Largest observed ratio ``dist(x, X) / max_i dist(x, X_i)`` over samples from ``region``.
 
     Samples inside the intersection (max distance below 1e-9) carry no
     information and are skipped; if every sample is skipped the call fails.
+    Samples are drawn one by one, so the stream does not depend on the block
+    size, and projected a block at a time.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -283,16 +340,16 @@ def regularity_sampling(sets, region: Ball, samples: int, seed: int) -> Regulari
     rng = substream(seed, "regularity")
     r_hat = 1.0
     skipped = 0
-    informative = 0
-    for _ in range(samples):
-        x = _uniform_ball_point(rng, region.center, region.radius)
-        dmax = max(distance(s, x) for s in sets)
-        if dmax <= 1e-9:
-            skipped += 1
-            continue
-        informative += 1
-        r_hat = max(r_hat, distance(intersection, x) / dmax)
-    if informative == 0:
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        points = np.array([_uniform_ball_point(rng, region.center, region.radius)
+                           for _ in range(min(_SAMPLE_BLOCK, samples - start))])
+        dmax = np.max([distance(s, points) for s in sets], axis=0)
+        informative = ~(dmax <= 1e-9)
+        skipped += int(points.shape[0] - informative.sum())
+        if informative.any():
+            ratios = distance(intersection, points[informative]) / dmax[informative]
+            r_hat = max(r_hat, float(ratios.max()))
+    if skipped == samples:
         raise NoInformativeSamples("all samples lie in the intersection")
     return RegularityEstimate(r_hat=float(r_hat), method="sampling",
                               samples=samples, skipped=skipped)
@@ -313,15 +370,15 @@ def regularity_interior(sets, theta: float, x_bar, region: Ball) -> RegularityEs
     x_bar = _vec(x_bar)
     n = x_bar.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(_SPHERE_CHECK_SEED))
-    for _ in range(100 * n):
-        direction = rng.normal(size=n)
-        direction /= np.linalg.norm(direction)
-        point = x_bar + theta * direction
-        for s in sets:
-            v = s.violation(point)
-            if v > FEASIBILITY_TOL:
-                raise InteriorBallNotContained(
-                    f"sphere point violates a set by {v:.3e}")
+    directions = rng.normal(size=(100 * n, n))
+    directions /= _norm(directions)[:, None]
+    points = x_bar + theta * directions
+    # (point, set) in the order a point-by-point check meets them
+    violations = np.array([s.violation(points) for s in sets]).T
+    bad = np.flatnonzero(violations > FEASIBILITY_TOL)
+    if bad.size:
+        raise InteriorBallNotContained(
+            f"sphere point violates a set by {violations.flat[bad[0]]:.3e}")
     r = (float(np.linalg.norm(region.center - x_bar)) + region.radius) / theta
     return RegularityEstimate(r_hat=max(1.0, r), method="interior-formula",
                               samples=100 * n, skipped=0, theta=float(theta),

@@ -6,7 +6,9 @@ oracles for the package's array code.  ``evaluate_certificates_per_step`` is
 the step-by-step certificate loop that ``engine.evaluate_certificates``
 replaces with whole-series arrays; the two must agree record for record, bit
 for bit.  ``verify_compliance_per_step`` checks every step where
-``weights.verify_compliance`` checks each distinct step once.
+``weights.verify_compliance`` checks each distinct step once.  The
+``*_point`` functions are the point-by-point set code that the batched
+projections in ``consensus_lab.sets`` must reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -19,8 +21,11 @@ from consensus_lab.engine import (CONSERVATION_TOL, IDENTITY_TOL, RunConfig, Tra
 from consensus_lab.lyapunov import (_row_shifted_decrements, _row_support, contraction_drop,
                                     decrement_bound, rate_quotient, weighted_variance)
 from consensus_lab.graphs import SpanningTree, bfs_spanning_tree, roots
-from consensus_lab.sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, Box, ConvexSet,
-                                Halfspace, Hyperplane, Intersection, Polyhedron, _vec)
+from consensus_lab.seeding import substream
+from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL,
+                                FEASIBILITY_TOL, Ball, Box, ConvexSet, DykstraNotConverged,
+                                Halfspace, Hyperplane, InteriorBallNotContained, Intersection,
+                                NoInformativeSamples, Polyhedron, RegularityEstimate, _vec)
 from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
                                    MatrixSequence)
 
@@ -386,3 +391,150 @@ def verify_compliance_per_step(seq: MatrixSequence, horizon: int) -> ComplianceR
     return ComplianceReport(level=level, beta=float(beta), doubly_stochastic=doubly,
                             trees=tuple(trees), p_star=max(p_star, 1), horizon=horizon,
                             violation=None)
+
+
+# ---------------------------------------------------------------------------
+# point-by-point set code: one point per call, Python scalars in between
+
+
+def project_point(s: ConvexSet, x) -> np.ndarray:
+    """Projection of the single point ``x`` onto ``s``."""
+    x = _vec(x)
+    if isinstance(s, Halfspace):
+        gap = float(s.a @ x) - s.b
+        if gap <= 0.0:
+            return x.copy()
+        return x - (gap / float(s.a @ s.a)) * s.a
+    if isinstance(s, Hyperplane):
+        gap = float(s.a @ x) - s.b
+        return x - (gap / float(s.a @ s.a)) * s.a
+    if isinstance(s, Box):
+        return np.clip(x, s.lower, s.upper)
+    if isinstance(s, Ball):
+        d = x - s.center
+        r = float(np.linalg.norm(d))
+        if r <= s.radius:
+            return x.copy()
+        return s.center + (s.radius / r) * d
+    if isinstance(s, Polyhedron):
+        return dykstra_point(s.halfspaces, x)
+    if isinstance(s, Intersection):
+        if len(s.members) == 1:
+            return project_point(s.members[0], x)
+        return dykstra_point(s.members, x)
+    raise TypeError(f"unknown set type {type(s)!r}")
+
+
+def violation_point(s: ConvexSet, x) -> float:
+    """Violation of the single point ``x``."""
+    x = _vec(x)
+    if isinstance(s, Halfspace):
+        return max(0.0, (float(s.a @ x) - s.b) / float(np.linalg.norm(s.a)))
+    if isinstance(s, Hyperplane):
+        return abs(float(s.a @ x) - s.b) / float(np.linalg.norm(s.a))
+    if isinstance(s, Box):
+        return float(np.linalg.norm(x - np.clip(x, s.lower, s.upper)))
+    if isinstance(s, Ball):
+        return max(0.0, float(np.linalg.norm(x - s.center)) - s.radius)
+    if isinstance(s, Polyhedron):
+        return max(violation_point(h, x) for h in s.halfspaces)
+    if isinstance(s, Intersection):
+        return max(violation_point(m, x) for m in s.members)
+    raise TypeError(f"unknown set type {type(s)!r}")
+
+
+def dykstra_point(sets, x, tol: float = DYKSTRA_TOL,
+                  max_sweeps: int = DYKSTRA_MAX_SWEEPS) -> np.ndarray:
+    """Dykstra's recursion for the single point ``x``; see ``sets.dykstra_project``."""
+    sets = tuple(sets)
+    x = _vec(x)
+    increments = [np.zeros_like(x) for _ in sets]
+    current = x.copy()
+    worst = np.inf
+    for _ in range(max_sweeps):
+        previous = current.copy()
+        inc_change = 0.0
+        for idx, s in enumerate(sets):
+            target = current + increments[idx]
+            projected = project_point(s, target)
+            new_inc = target - projected
+            inc_change = max(inc_change, float(np.abs(new_inc - increments[idx]).max()))
+            increments[idx] = new_inc
+            current = projected
+        displacement = float(np.abs(current - previous).max())
+        if displacement <= tol:
+            worst = max(violation_point(s, current) for s in sets)
+            if worst <= FEASIBILITY_TOL:
+                return current
+            if inc_change == 0.0:
+                break
+    raise DykstraNotConverged(f"stopped with member violation {worst:.3e}")
+
+
+def distance_point(s: ConvexSet, x) -> float:
+    x = _vec(x)
+    return float(np.linalg.norm(x - project_point(s, x)))
+
+
+def _uniform_ball_point(rng: np.random.Generator, center: np.ndarray,
+                        radius: float) -> np.ndarray:
+    n = center.shape[0]
+    direction = rng.normal(size=n)
+    direction /= np.linalg.norm(direction)
+    return center + radius * rng.random() ** (1.0 / n) * direction
+
+
+def regularity_sampling_points(sets, region: Ball, samples: int,
+                               seed: int) -> RegularityEstimate:
+    """``sets.regularity_sampling`` with one projection call per sample."""
+    sets = tuple(sets)
+    intersection = Intersection(sets)
+    rng = substream(seed, "regularity")
+    r_hat = 1.0
+    skipped = 0
+    informative = 0
+    for _ in range(samples):
+        x = _uniform_ball_point(rng, region.center, region.radius)
+        dmax = max(distance_point(s, x) for s in sets)
+        if dmax <= 1e-9:
+            skipped += 1
+            continue
+        informative += 1
+        r_hat = max(r_hat, distance_point(intersection, x) / dmax)
+    if informative == 0:
+        raise NoInformativeSamples("all samples lie in the intersection")
+    return RegularityEstimate(r_hat=float(r_hat), method="sampling",
+                              samples=samples, skipped=skipped)
+
+
+def regularity_interior_points(sets, theta: float, x_bar, region: Ball) -> RegularityEstimate:
+    """``sets.regularity_interior`` with one violation call per sphere point and set."""
+    x_bar = _vec(x_bar)
+    n = x_bar.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(_SPHERE_CHECK_SEED))
+    for _ in range(100 * n):
+        direction = rng.normal(size=n)
+        direction /= np.linalg.norm(direction)
+        point = x_bar + theta * direction
+        for s in sets:
+            v = violation_point(s, point)
+            if v > FEASIBILITY_TOL:
+                raise InteriorBallNotContained(f"sphere point violates a set by {v:.3e}")
+    r = (float(np.linalg.norm(region.center - x_bar)) + region.radius) / theta
+    return RegularityEstimate(r_hat=max(1.0, r), method="interior-formula",
+                              samples=100 * n, skipped=0, theta=float(theta),
+                              x_bar=tuple(map(float, x_bar)))
+
+
+def constrained_fields_per_point(states: np.ndarray, pi: np.ndarray, sets,
+                                 intersection: ConvexSet) -> dict:
+    """``annotate``'s constrained series, one projection call per point."""
+    h, m = states.shape[0] - 1, states.shape[1]
+    u = np.array([pi[t] @ states[t] for t in range(h + 1)])
+    return {"feasibility": np.array([max(violation_point(s, states[t, i])
+                                         for i, s in enumerate(sets))
+                                     for t in range(h + 1)]),
+            "u_points": u,
+            "v_points": np.array([project_point(intersection, u[t]) for t in range(h + 1)]),
+            "dist_sq": np.array([[distance_point(intersection, states[t, i]) ** 2
+                                  for i in range(m)] for t in range(h + 1)])}

@@ -49,6 +49,14 @@ class TestBackwardProduct:
         with pytest.raises(NotErgodicWithinWindow):
             backward_product_adjoint(seq, 0, max_window=256)
 
+    def test_window_below_first_doubling_rejected(self):
+        seq = MatrixSequence.custom([np.full((3, 3), 1 / 3)])
+        for max_window in (0, 4, 7):
+            with pytest.raises(ValueError, match="max_window"):
+                backward_product_adjoint(seq, 0, max_window=max_window)
+        np.testing.assert_allclose(backward_product_adjoint(seq, 0, max_window=8),
+                                   np.full(3, 1 / 3), atol=1e-15)
+
     def test_constant_doubly_stochastic_uniform(self):
         a = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
         phi = backward_product_adjoint(MatrixSequence.custom([a]), 0)

@@ -305,11 +305,16 @@ class TestValidateBeforeWork:
         ("adjoint", {"method": "backward-product", "max_window": 1024.5}),
         ("initial", {"kind": "uniform-box", "low": "low", "high": 3}),
         ("initial", {"kind": "uniform-box", "low": -3, "high": None}),
+        ("adjoint", {"method": "backward-product", "max_window": 4}),
+        ("initial", 5), ("graph", ["static"]), ("weights", "laplacian"), ("adjoint", 0),
+        ("constraints", "abc"), ("constraints", [None, 1, "ball"]),
     ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object",
             "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
             "string-certificates_enabled", "no-theta", "string-theta", "no-x_bar",
             "string-x_bar", "short-x_bar", "no-r", "string-r", "fractional-samples",
-            "string-spread_tol", "fractional-max_window", "string-low", "null-high"])
+            "string-spread_tol", "fractional-max_window", "string-low", "null-high",
+            "small-max_window", "number-initial", "list-graph", "string-weights",
+            "number-adjoint", "string-constraints", "non-object-constraint"])
     def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),

@@ -7,7 +7,7 @@ from consensus_lab import (Ball, Box, DimensionMismatch, Halfspace, NotCompliant
                            regular_tree_graph, step_constrained, step_unconstrained, track_uv,
                            v_function)
 from consensus_lab import engine
-from oracles import mean_square_identity_residual
+from oracles import constrained_fields_per_point, mean_square_identity_residual
 
 
 class TestSteps:
@@ -115,6 +115,19 @@ class TestTrackUV:
         ball = Ball(np.zeros(2), 5.0)
         u, v = track_uv(states, np.array([0.5, 0.5]), ball)
         np.testing.assert_array_equal(u, v)
+
+
+class TestBatchedConstrainedSeries:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_annotate_matches_point_by_point(self, constrained_config, seed):
+        config = constrained_config(seed, horizon=80)
+        mseq, _, adjoint, sets, intersection = engine._prepare(config)
+        states, w = engine.simulate(config, mseq, sets)
+        traj = engine.annotate(config, mseq, adjoint, states, w, sets, intersection)
+        reference = constrained_fields_per_point(states, adjoint.vectors, sets, intersection)
+        for name, expected in reference.items():
+            got = getattr(traj, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
 
 
 class TestRunConfigValidation:

@@ -1,15 +1,18 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from consensus_lab import (Ball, Box, Halfspace, Hyperplane, InteriorBallNotContained,
-                           Intersection, NoInformativeSamples, Polyhedron, RegularityEstimate,
-                           distance, regularity_interior, regularity_sampling,
-                           set_from_json_dict)
+from consensus_lab import (Ball, Box, DykstraNotConverged, Halfspace, Hyperplane,
+                           InteriorBallNotContained, Intersection, NoInformativeSamples,
+                           Polyhedron, RegularityEstimate, distance, dykstra_project,
+                           regularity_interior, regularity_sampling, set_from_json_dict)
+from consensus_lab import sets as sets_module
 from oracles import (InfeasiblePoint, YNotInSet, check_nonexpansive,
-                     check_variational_inequality, set_to_json_dict, spread_projection_bound)
+                     check_variational_inequality, dykstra_point, regularity_interior_points,
+                     regularity_sampling_points, set_to_json_dict, spread_projection_bound)
 
 
 def random_set(rng, n):
@@ -126,6 +129,31 @@ class TestDykstra:
             assert np.abs(poly.project(x) - base.project(x)).max() <= 1e-8
 
 
+class TestBatchedDykstraFailure:
+    def disjoint(self):
+        return (Halfspace(np.array([1.0]), -1.0), Halfspace(np.array([-1.0]), -1.0))
+
+    def test_empty_intersection_raises_in_a_batch(self):
+        # Points inside one member or the other, and one between them.
+        points = np.array([[-2.0], [0.0], [3.0], [-1.0]])
+        for x in points:
+            with pytest.raises(DykstraNotConverged):
+                dykstra_point(self.disjoint(), x, max_sweeps=200)
+        with pytest.raises(DykstraNotConverged):
+            dykstra_project(self.disjoint(), points, max_sweeps=200)
+
+    def test_names_lowest_index_failing_point(self):
+        # A thin wedge opening to +x: the inside point converges on the first
+        # sweep, the points behind the apex need far more than three sweeps.
+        wedge = (Halfspace(np.array([0.0, 1.0]), 0.0),
+                 Halfspace(np.array([-0.05, -1.0]), 0.0))
+        points = np.array([[1.0, -0.01], [-30.0, -5.0], [-40.0, 5.0]])
+        np.testing.assert_array_equal(dykstra_project(wedge, points[:1], max_sweeps=3),
+                                      points[:1])
+        with pytest.raises(DykstraNotConverged, match="^point 1 "):
+            dykstra_project(wedge, points, max_sweeps=3)
+
+
 class TestProjectionProperties:
     def test_nonexpansive_hand_case(self):
         s = Halfspace(np.array([1.0]), 0.0)
@@ -188,6 +216,61 @@ class TestRegularitySampling:
         x = np.array([1.0, 1.0])
         ratio = distance(Intersection(tuple(sets)), x) / max(distance(s, x) for s in sets)
         assert ratio == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+class TestBatchedRegularity:
+    """The batched estimates equal the point-by-point reference field for field."""
+
+    def families(self):
+        rng = np.random.default_rng(21)
+        wedge = []
+        for _ in range(3):
+            a = rng.normal(size=3)
+            a /= np.linalg.norm(a)
+            wedge.append(Halfspace(a, float(rng.uniform(0.05, 0.5))))
+        return [
+            ([Halfspace(np.array([1.0, 0.0]), 0.0), Halfspace(np.array([0.0, 1.0]), 0.0)],
+             Ball(np.zeros(2), 2.0)),
+            (wedge, Ball(np.zeros(3), 3.0)),
+            ([Ball(np.zeros(2), 1.0), Box(np.array([-0.5, -np.inf]), np.array([np.inf, 0.7])),
+              Polyhedron((Halfspace(np.array([1.0, 1.0]), 1.0),
+                          Halfspace(np.array([1.0, -1.0]), 1.0)))],
+             Ball(np.array([0.2, -0.1]), 1.5)),
+            ([Ball(np.zeros(1), 0.5), Hyperplane(np.array([2.0]), 0.25)],
+             Ball(np.zeros(1), 2.0)),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 3, 9])
+    def test_sampling_matches_reference(self, seed):
+        for sets, region in self.families():
+            est = regularity_sampling(sets, region, 300, seed)
+            ref = regularity_sampling_points(sets, region, 300, seed)
+            assert est == ref and est.r_hat.hex() == ref.r_hat.hex()
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch, block):
+        sets, region = self.families()[2]
+        ref = regularity_sampling_points(sets, region, 150, seed=4)
+        monkeypatch.setattr(sets_module, "_SAMPLE_BLOCK", block)
+        assert regularity_sampling(sets, region, 150, seed=4) == ref
+
+    def test_more_samples_than_one_block(self):
+        sets, region = self.families()[0]
+        samples = sets_module._SAMPLE_BLOCK + 5
+        assert (regularity_sampling(sets, region, samples, seed=1)
+                == regularity_sampling_points(sets, region, samples, seed=1))
+
+    def test_interior_matches_reference(self):
+        for sets, region in self.families():
+            n = region.center.shape[0]
+            for theta, x_bar in ((0.05, np.full(n, -0.3)), (0.4, np.zeros(n))):
+                try:
+                    ref = regularity_interior_points(sets, theta, x_bar, region)
+                except InteriorBallNotContained as exc:
+                    with pytest.raises(InteriorBallNotContained, match=f"^{re.escape(str(exc))}$"):
+                        regularity_interior(sets, theta, x_bar, region)
+                else:
+                    assert regularity_interior(sets, theta, x_bar, region) == ref
 
 
 class TestRegularityInterior:
