@@ -10,7 +10,6 @@ relation step by step.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -230,14 +229,18 @@ def permutation_counterexample(m: int, seed: int, horizon: int = 16):
 
 
 def write_adjoint_csv(aps: AbsoluteProbabilitySequence, path) -> None:
-    """CSV export with columns ``t, i, pi, residual_l1`` (residual blank at the last t)."""
+    """CSV export with columns ``t, i, pi, residual_l1`` (residual blank at the last t).
+
+    The bytes are those of ``csv.writer`` (CRLF line ends; no cell needs
+    quoting), but each step's block is formatted in one pass and written
+    with one call.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "i", "pi", "residual_l1"])
+        fh.write("t,i,pi,residual_l1\r\n")
         for t in range(aps.horizon + 1):
             resid = repr(float(aps.residuals[t])) if t < aps.horizon else ""
-            for i in range(aps.m):
-                w.writerow([t, i, repr(float(aps.vectors[t, i])), resid])
+            fh.write("".join(f"{t},{i},{v!r},{resid}\r\n"
+                             for i, v in enumerate(aps.vectors[t].tolist())))
 
 
 def write_adjoint_sidecar(aps: AbsoluteProbabilitySequence, path) -> None:

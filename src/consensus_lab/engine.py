@@ -342,7 +342,8 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
              intersection: ConvexSet | None) -> Trajectory:
     """Derive every per-step series from the raw states.
 
-    Per step, the decrement costs ``O(nnz(A) n)``, the spread ``O(m^2 n)``
+    Per step, the decrement costs ``O(nnz(A) n)``, the spread ``O(m n)``
+    plus ``O(k^2 n)`` over its ``k`` candidate points (``k = m`` at worst),
     and the comparison value ``O(m n)``; see :func:`decrement_series`,
     :func:`squared_spread` and :func:`weighted_variance`.  In constrained
     mode the feasibilities, the tracked projections and the distances to the
@@ -651,36 +652,56 @@ def write_trajectory_csv(result: RunResult, path) -> None:
                              for ac, x, wc, dsq in zip(agent_coord, xs, ws, dsqs)))
 
 
+# Bytes of text that read_trajectory_states parses at a time.
+_CHUNK_BYTES = 1 << 17
+# The first five columns; a repr'd float never needs more than 24 of the 32 bytes.
+_ROW_DTYPE = np.dtype([("t", "i8"), ("agent", "i8"), ("coord", "i8"), ("x", "f8"),
+                       ("w", "S32")])
+
+
 def read_trajectory_states(path, m: int, n: int,
                            horizon: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse states (and w, when present) back from a trajectory CSV.
 
-    Raises ``ConfigError`` when the file does not match the declared shape.
+    The rows are parsed by ``np.loadtxt`` in chunks of about ``_CHUNK_BYTES``,
+    so the memory used beyond the returned arrays stays bounded.  Raises
+    ``ConfigError`` when the file does not match the declared shape: a bad
+    header, a row that does not parse (fewer than five cells, a non-integer
+    index, a non-numeric or quoted value, since the writer never quotes, or a
+    ``w`` cell too long to be the writer's), an index outside the shape, or
+    a row count or a missing or NaN state that shows a truncated or
+    inconsistent file.  Blank lines count as rows.
     """
     states = np.full((horizon + 1, m, n), np.nan)
-    w = np.full((horizon + 1, m, n), np.nan)
-    saw_w = False
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or header[:10] != _BASE_COLUMNS:
+    w = None
+    count = 0
+    with open(path, errors="replace") as fh:  # a bad byte then fails to parse
+        if fh.readline().rstrip("\r\n").split(",")[:10] != _BASE_COLUMNS:
             raise ConfigError("trajectory CSV header does not match")
-        count = 0
-        for row in rd:
+        for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
+            count += len(lines)
+            if not any(map(str.strip, lines)):
+                continue  # only blank lines, which loadtxt skips; the count rejects them
             try:
-                t, agent, coord = int(row[0]), int(row[1]), int(row[2])
-                if t < 0 or agent < 0 or coord < 0:
-                    raise IndexError("negative index")  # numpy would wrap it around
-                states[t, agent, coord] = float(row[3])
-                if row[4]:
-                    w[t, agent, coord] = float(row[4])
-                    saw_w = True
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"bad trajectory row {row!r}") from exc
-            count += 1
-    if count != (horizon + 1) * m * n or np.isnan(states).any():
+                rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",",
+                                  usecols=range(5), comments=None, ndmin=1)
+                # mode="raise" also rejects negative indices, which would wrap.
+                flat = np.ravel_multi_index((rows["t"], rows["agent"], rows["coord"]),
+                                            states.shape)
+                states.reshape(-1)[flat] = rows["x"]
+                has_w = rows["w"] != b""
+                if has_w.any():
+                    if (np.strings.str_len(rows["w"]) == _ROW_DTYPE["w"].itemsize).any():
+                        raise ValueError("a w cell fills 32 bytes and may be cut short")
+                    if w is None:
+                        w = np.full(states.shape, np.nan)
+                    w.reshape(-1)[flat[has_w]] = rows["w"][has_w].astype(float)
+            except ValueError as exc:
+                raise ConfigError(f"bad trajectory row in lines {count - len(lines) + 2}"
+                                  f"..{count + 1}: {exc}") from exc
+    if count != states.size or np.isnan(states).any():
         raise ConfigError("trajectory CSV is truncated or inconsistent")
-    return states, (w if saw_w else None)
+    return states, w
 
 
 def write_plot_data_csv(result: RunResult, path) -> None:

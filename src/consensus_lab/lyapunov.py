@@ -15,6 +15,8 @@ this module.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .adjoint import AbsoluteProbabilitySequence
@@ -47,6 +49,12 @@ def weighted_variance(states: np.ndarray,
     centers = np.einsum("tm,tmn->tn", weights, states)
     return (s1 - centers * centers).sum(axis=1), centers
 
+
+# squared_spread prunes only scans of more than this many m*m*n entries;
+# below it the pruning's ten or so numpy calls cost more than they save.
+_PRUNE_MIN_ENTRIES = 1 << 14
+_EPS = float(np.finfo(float).eps)
+_SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
 
 # Largest (steps, nnz, n) block the decrement kernel gathers at once, so each
 # of its temporaries stays under 512 KB however many steps share a matrix.
@@ -110,18 +118,65 @@ def squared_spread(x: np.ndarray) -> float:
     """``max_{j,l} ||x_j - x_l||^2`` for ``x`` of shape ``(m,)`` or ``(m, n)``.
 
     One coordinate reduces to ``(max - min)^2``.  Otherwise the squared
-    coordinate differences are added in coordinate order into one ``m x m``
-    buffer.  numpy sums fewer than 8 terms in that same order, so for
-    ``n < 8`` the value is bit-identical to the maximum of the full
-    ``m x m x n`` difference array summed over its last axis.
+    coordinate differences of the candidate points below are added in
+    coordinate order into one ``k x k`` buffer.  numpy sums fewer than 8
+    terms in that same order, so for ``n < 8`` the value is bit-identical to
+    the maximum of the full ``m x m x n`` difference array summed over its
+    last axis.
+
+    *Pruning* (the diameter argument of Preparata & Shamos, *Computational
+    Geometry*, ch. 4).  Take any center ``c`` (here the rounded mean), let
+    ``d_i = ||x_i - c||``, ``R = max_i d_i`` attained at ``x_p``, and
+    ``L = max_j ||x_j - x_p||``.  ``L`` is the length of a real pair, so the
+    spread ``D`` is at least ``L``.  For the ends ``a, b`` of a diametral
+    pair the triangle inequality through ``c`` gives
+    ``D <= d_a + d_b <= d_a + R``, so ``d_a >= D - R >= L - R``, and the
+    same for ``b``.  Only points with ``d_i >= L - R - margin`` can be an
+    end of the pair that attains the maximum, so only they enter the buffer.
+    Each pair's value comes from the same operations on the same numbers, so
+    the maximum over the candidates is the maximum over all pairs, bit for
+    bit.  Because the argument holds for every ``c``, the rounding of the
+    mean itself never enters.
+
+    *Margin.*  With ``u = 2^-53``, a rounded difference of two floats is
+    within ``u`` of the exact difference, relative to its own size, and the
+    squares, the sum of ``n`` nonnegative terms and the square root add at
+    most ``(n + 2) u`` more.  So the computed ``d_i``, ``R`` and ``L`` are
+    each within ``g = (n + 4) u`` of the exact distances, relative to their
+    own size, and every computed pairwise value is within ``2 g`` of the
+    exact squared distance.  Let ``(a, b)`` attain the computed maximum.  Its
+    value is at least that of the pair giving ``L``, so its exact length is
+    at least ``L (1 - 3 g)``; through ``c``, the exact distance of ``a`` (and
+    of ``b``) from ``c`` is then at least ``L (1 - 3 g) - R (1 + g)``, and
+    its computed ``d_a`` at least ``L - R - 4 g (L + R)`` to first order in
+    ``g``.  The margin ``8 (n + 4) eps (L + R) = 16 g (L + R)``, with
+    ``eps = 2 u``, is four times that, which also covers the higher-order
+    terms.  The error thus scales with the distances from ``c``, and ``R``
+    includes the distance of the rounded mean from the points, of order
+    ``eps * max|x|``: near consensus far from the origin ``L - R`` falls
+    below zero and every point is a candidate.  Squares below the smallest
+    normal float lose their relative accuracy; the absolute term
+    ``sqrt(tiny)`` covers what they can lose.  A non-finite threshold keeps
+    every point, so ``inf`` and ``nan`` reach the buffer as before.  A
+    scan of at most ``_PRUNE_MIN_ENTRIES`` entries is cheaper than the
+    pruning and takes every point.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1 or x.shape[1] == 1:
         return float((x.max() - x.min()) ** 2)
+    m, n = x.shape
+    if m * m * n > _PRUNE_MIN_ENTRIES:
+        y = x - x.mean(axis=0)
+        d = np.sqrt(np.einsum("mn,mn->m", y, y))
+        p = int(d.argmax())
+        y = x - x[p]
+        r, ell = float(d[p]), math.sqrt(float(np.einsum("mn,mn->m", y, y).max()))
+        margin = 8.0 * (n + 4) * _EPS * (ell + r) + _SQRT_TINY
+        x = x[~(d < ell - r - margin)]
     buf = np.subtract.outer(x[:, 0], x[:, 0])
     buf *= buf
     diff = np.empty_like(buf)
-    for k in range(1, x.shape[1]):
+    for k in range(1, n):
         np.subtract.outer(x[:, k], x[:, k], out=diff)
         diff *= diff
         buf += diff

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from consensus_lab import (GraphSequence, MatrixSequence, NotDoublyStochastic,
                            backward_product_adjoint, permutation_counterexample,
                            regular_tree_graph, stationary_adjoint, uniform_adjoint,
                            window_averaged_product)
+from consensus_lab.adjoint import write_adjoint_csv
 
 
 def quarter_sequence(d=3):
@@ -162,3 +165,31 @@ class TestPermutationCounterexample:
                                           residuals=adjoint_residuals(vectors, seq),
                                           method="user-supplied")
         assert aps.residuals.max() == 0.0
+
+
+def csv_writer_adjoint(aps, path):
+    """Row-by-row ``csv.writer`` export, the byte-level reference for the block writer."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t", "i", "pi", "residual_l1"])
+        for t in range(aps.horizon + 1):
+            resid = repr(float(aps.residuals[t])) if t < aps.horizon else ""
+            for i in range(aps.m):
+                wr.writerow([t, i, repr(float(aps.vectors[t, i])), resid])
+
+
+class TestAdjointCsv:
+    @pytest.mark.parametrize("method", ["uniform", "assembled"])
+    def test_bytes_equal_csv_writer(self, tmp_path, method):
+        if method == "uniform":
+            aps = uniform_adjoint(quarter_sequence(3), 40)
+        else:
+            rng = np.random.default_rng(4)
+            mats = [a / a.sum(axis=1, keepdims=True) for a in rng.random((5, 6, 6))]
+            aps = assemble_adjoint(MatrixSequence.custom(mats), 40)
+        write_adjoint_csv(aps, tmp_path / "block.csv")
+        csv_writer_adjoint(aps, tmp_path / "oracle.csv")
+        got = (tmp_path / "block.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + 41 * aps.m
+

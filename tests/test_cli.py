@@ -276,6 +276,48 @@ class TestVerify:
         assert cli.main(["verify", "--report", str(out / "report.json"),
                          "--trajectory", str(bad)]) == 2
 
+    @pytest.mark.parametrize("case", [
+        "header", "short-row", "fractional-t", "non-numeric-x", "t-beyond-horizon",
+        "agent-beyond-m", "coord-beyond-n", "duplicate-row", "blank-line", "nan-x",
+        "non-ascii-x", "non-ascii-w", "quoted-t", "quoted-x", "quoted-w", "long-w",
+    ])
+    def test_malformed_trajectory_exit_config(self, tmp_path, case):
+        """Each edit of one middle row (or the header) of a good file is rejected.
+
+        The writer never quotes, so a quoted cell, even the empty ``""`` that
+        ``csv.reader`` would accept, is refused; so is a ``w`` cell too long
+        for the parser to keep whole.
+        """
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario",
+                         str(quarter_scenario(tmp_path, n=2, horizon=20)),
+                         "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_bytes().decode().splitlines(keepends=True)
+        mid = len(lines) // 2
+        cells = lines[mid].rstrip("\r\n").split(",")
+        edits = {"fractional-t": (0, "1.5"), "non-numeric-x": (3, "abc"),
+                 "t-beyond-horizon": (0, "21"), "agent-beyond-m": (1, "8"),
+                 "coord-beyond-n": (2, "2"), "nan-x": (3, "nan"),
+                 "non-ascii-x": (3, cells[3] + "\xff"), "non-ascii-w": (4, "\xff"),
+                 "quoted-t": (0, f'"{cells[0]}"'), "quoted-x": (3, f'"{cells[3]}"'),
+                 "quoted-w": (4, '""'), "long-w": (4, "1" * 40 + ".0")}
+        if case == "header":
+            lines[0] = lines[0].replace("agent", "agents", 1)
+        elif case == "short-row":
+            lines[mid] = ",".join(cells[:4]) + "\r\n"
+        elif case == "duplicate-row":
+            lines[mid] = lines[mid - 1]
+        elif case == "blank-line":
+            lines.insert(mid, "\r\n")
+        else:
+            col, value = edits[case]
+            cells[col] = value
+            lines[mid] = ",".join(cells) + "\r\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("".join(lines).encode("latin-1"))
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(bad)]) == 2
+
     def test_constrained_round_trip(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,3 +371,49 @@ class TestTrajectoryCsv:
         res = engine.run(constrained_config(seed=42, horizon=60))
         assert res.trajectory.w is not None and res.trajectory.dist_sq is not None
         self._assert_same_bytes(res, tmp_path)
+
+    @staticmethod
+    def _assert_bits_equal(got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_unconstrained_round_trip_bits(self, tmp_path, unconstrained_config):
+        res = engine.run(unconstrained_config(seed=5, scheme="equal-neighbor", m=7,
+                                              horizon=60, n=3))
+        engine.write_trajectory_csv(res, tmp_path / "t.csv")
+        states, w = engine.read_trajectory_states(tmp_path / "t.csv", 7, 3, 60)
+        self._assert_bits_equal(states, res.trajectory.states)
+        assert w is None
+
+    def test_constrained_round_trip_bits(self, tmp_path, constrained_config):
+        config = constrained_config(seed=42, horizon=60)
+        res = engine.run(config)
+        engine.write_trajectory_csv(res, tmp_path / "t.csv")
+        states, w = engine.read_trajectory_states(tmp_path / "t.csv", config.m, config.n, 60)
+        self._assert_bits_equal(states, res.trajectory.states)
+        assert np.isnan(w[0]).all()     # the writer leaves w blank at t = 0
+        self._assert_bits_equal(w[1:], res.trajectory.w[1:])
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_parse_memory_is_bounded(self, tmp_path, unconstrained_config, with_w):
+        """The file is read in chunks: the peak is the output plus at most 1 MiB."""
+        res = engine.run(unconstrained_config(seed=3, scheme="equal-neighbor", m=64,
+                                              horizon=300, n=2))
+        path = tmp_path / "t.csv"
+        engine.write_trajectory_csv(res, path)
+        if with_w:  # fill w with x from t = 1 on, as a constrained run would
+            lines = path.read_text().splitlines()
+            for j in range(1 + 64 * 2, len(lines)):
+                cells = lines[j].split(",")
+                cells[4] = cells[3]
+                lines[j] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size > 4 << 20
+        tracemalloc.start()
+        try:
+            states, w = engine.read_trajectory_states(path, 64, 2, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (w is not None) == with_w
+        assert peak < states.nbytes + (0 if w is None else w.nbytes) + (1 << 20)
