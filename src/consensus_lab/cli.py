@@ -64,9 +64,7 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out or scenario.get("out_dir", "out"))
-    export = scenario.get("export", {})
-    config_dict = {k: v for k, v in scenario.items() if k not in ("out_dir", "export",
-                                                                  "verbosity")}
+    config_dict = {k: v for k, v in scenario.items() if k != "out_dir"}
     if args.seed is not None:
         config_dict["seed"] = args.seed
     if args.horizon is not None:
@@ -86,16 +84,12 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     _dump_json(result.report, out_dir / "report.json")
-    if export.get("trajectory", True):
-        engine.write_trajectory_csv(result, out_dir / "trajectory.csv")
-    if export.get("certificates", True):
-        write_certificates_json(result.records, out_dir / "certificates.json")
-        write_certificates_csv(result.records, out_dir / "certificates.csv")
-    if export.get("plot_data", True):
-        engine.write_plot_data_csv(result, out_dir / "plot_data.csv")
-    if export.get("adjoint", True):
-        write_adjoint_csv(result.adjoint, out_dir / "adjoint.csv")
-        write_adjoint_sidecar(result.adjoint, out_dir / "adjoint.json")
+    engine.write_trajectory_csv(result, out_dir / "trajectory.csv")
+    write_certificates_json(result.records, out_dir / "certificates.json")
+    write_certificates_csv(result.records, out_dir / "certificates.csv")
+    engine.write_plot_data_csv(result, out_dir / "plot_data.csv")
+    write_adjoint_csv(result.adjoint, out_dir / "adjoint.csv")
+    write_adjoint_sidecar(result.adjoint, out_dir / "adjoint.json")
 
     if config.certificates_enabled and not result.certificates_pass:
         log.error("certificate violations: %s", result.report["certificates"])

@@ -21,7 +21,7 @@ from .adjoint import (FIRST_WINDOW, AbsoluteProbabilitySequence, assemble_adjoin
                       stationary_adjoint, uniform_adjoint)
 from .certificates import CertificateRecord, bound_records, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
-from .lyapunov import (contraction_drop, decrement_bound, decrement_series,
+from .lyapunov import (VacuousBound, contraction_drop, decrement_bound, decrement_series,
                        doubly_stochastic_rate_factor, noise_floor, rate_quotient,
                        squared_spread, vector_contraction_certificate, weighted_variance)
 from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, distance,
@@ -63,15 +63,22 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
 # (section, key, test, what the value must be) for the optional values a run
-# reads from a config section; each is checked when the key is present.
+# reads from a config section; each is checked when the key is present.  A
+# regularity constant is at least 1.
 _VALUE_CHECKS = (("initial", "low", _is_number, "a finite number"),
                  ("initial", "high", _is_number, "a finite number"),
-                 ("adjoint", "spread_tol", _is_number, "a finite number"),
+                 ("adjoint", "spread_tol", _is_positive, "a positive finite number"),
                  ("adjoint", "max_window", _is_integer, "an integer"),
-                 ("regularity", "theta", _is_number, "a finite number"),
-                 ("regularity", "r", _is_number, "a finite number"),
-                 ("regularity", "samples", _is_integer, "an integer"))
+                 ("regularity", "theta", _is_positive, "a positive finite number"),
+                 ("regularity", "r", lambda v: _is_number(v) and v >= 1,
+                  "a finite number >= 1"),
+                 ("regularity", "samples", lambda v: _is_integer(v) and v >= 1,
+                  "a positive integer"))
 
 
 @dataclass(frozen=True)
@@ -241,9 +248,12 @@ def initial_states(config: RunConfig, sets: tuple[ConvexSet, ...] | None) -> np.
     high = float(spec.get("high", 1.0))
     rng = seeding.substream(config.seed, "init")
     x0 = rng.uniform(low, high, size=(config.m, config.n))
-    if sets is not None:
-        x0 = np.stack([s.project(x0[i]) for i, s in enumerate(sets)])
-    return x0
+    return x0 if sets is None else _project_each(x0, sets)
+
+
+def _project_each(points: np.ndarray, sets) -> np.ndarray:
+    """Row ``i`` of ``points`` projected onto agent ``i``'s set."""
+    return np.stack([s.project(points[i]) for i, s in enumerate(sets)])
 
 
 def step_unconstrained(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -257,17 +267,21 @@ def step_unconstrained(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 def step_constrained(x: np.ndarray, a: np.ndarray, sets) -> tuple[np.ndarray, np.ndarray]:
     """Averaging followed by per-agent projection; returns ``(w, x_next)``."""
     w = step_unconstrained(x, a)
-    x_next = np.stack([s.project(w[i]) for i, s in enumerate(sets)])
-    return w, x_next
+    return w, _project_each(w, sets)
 
 
-def v_function(states_t: np.ndarray, pi_t: np.ndarray, y: np.ndarray) -> float:
-    """Weighted squared distance ``sum_i pi_i ||x_i - y||^2``."""
-    pi_t = np.asarray(pi_t, dtype=float)
-    if (pi_t < 0).any() or abs(pi_t.sum() - 1.0) > 1e-12:
-        raise ValueError("pi_t must be stochastic")
-    diff = np.atleast_2d(np.asarray(states_t, dtype=float)) - np.asarray(y, dtype=float)
-    return float(pi_t @ (diff * diff).sum(axis=-1))
+def v_function(states: np.ndarray, pi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weighted squared distances ``sum_i pi_i ||x_i - y||^2`` of each step of a run.
+
+    Shapes: ``states (..., m, n)``, stochastic ``pi (..., m)``, ``y (n,)`` or
+    ``(..., n)``.  The stacked ``matmul`` rounds as each 1-D ``pi[t] @ sq[t]``.
+    """
+    pi = np.asarray(pi, dtype=float)
+    if (pi < 0).any() or (np.abs(pi.sum(axis=-1) - 1.0) > 1e-12).any():
+        raise ValueError("pi must be stochastic")
+    diff = np.asarray(states, dtype=float) - np.asarray(y, dtype=float)[..., None, :]
+    sq = (diff * diff).sum(axis=-1)
+    return np.matmul(pi[..., None, :], sq[..., :, None])[..., 0, 0]
 
 
 def track_uv(states: np.ndarray, pi: np.ndarray,
@@ -309,10 +323,9 @@ class Trajectory:
 def simulate(config: RunConfig, mseq: MatrixSequence,
              sets: tuple[ConvexSet, ...] | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the dynamic; returns ``(states, w)`` with ``w`` only in constrained mode."""
-    x0 = initial_states(config, sets)
     h = config.horizon
     states = np.empty((h + 1, config.m, config.n))
-    states[0] = x0
+    states[0] = initial_states(config, sets)
     if sets is None:
         for t in range(h):
             states[t + 1] = step_unconstrained(states[t], mseq.matrix_at(t))
@@ -362,10 +375,10 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
                           dist_sq=None, y_point=None)
 
     y = _fixed_test_point(config, states, pi, intersection)
-    lyap = np.array([v_function(states[t], pi[t], y) for t in range(h + 1)])
+    lyap = v_function(states, pi, y)
     feasibility = np.max([s.violation(states[:, i]) for i, s in enumerate(sets)], axis=0)
     u_points, v_points = track_uv(states, pi, intersection)
-    v_values = np.array([v_function(states[t], pi[t], v_points[t]) for t in range(h + 1)])
+    v_values = v_function(states, pi, v_points)
     # Squared with Python's float power, which is libm's pow: numpy squares
     # by multiplying, and the two round differently in about 1 value in 1000.
     dist_sq = np.array([d ** 2 for d in distance(intersection, states).ravel().tolist()])
@@ -420,9 +433,8 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                                                           p_star, k))
         return records
 
-    pi, y = adjoint.vectors, traj.y_point
     floor = noise_floor(traj.states, DYKSTRA_TOL, reach=2.0)
-    w_vals = np.array([v_function(traj.w[t + 1], pi[t + 1], y) for t in range(h)])
+    w_vals = v_function(traj.w[1:], adjoint.vectors[1:], traj.y_point)
     resid = np.abs(w_vals - (lyap[:-1] - decrement))
     records = bound_records("feasibility", traj.feasibility[1:], FEASIBILITY_TOL, t0=1,
                             slack=1.0)
@@ -433,13 +445,26 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
     records += bound_records("constrained-decrease", lyap[1:],
                              lyap[:-1] - drop * traj.spread_sq[:-1], floor=floor)
     if r_used is not None:
-        q = rate_quotient(adjoint.delta, beta, p_star, r_used)
-        v = traj.v_values
-        records += bound_records("tracked-contraction", v[1:], q * v[:-1], floor=floor)
-        envelope = np.array([q ** t for t in range(h + 1)]) * (float(v[0]) / adjoint.delta)
-        records += bound_records("distance-envelope", traj.dist_sq.sum(axis=1), envelope,
-                                 floor=floor)
+        records += _regularity_records(compliance, adjoint, traj, r_used)
     return records
+
+
+def _regularity_records(compliance: ComplianceReport, adjoint: AbsoluteProbabilitySequence,
+                        traj: Trajectory, r: float) -> list[CertificateRecord]:
+    """Tracked-contraction and distance-envelope records at the regularity constant ``r``.
+
+    They are the last ``2h + 1`` records of a constrained run.  Raises
+    ``VacuousBound`` when ``r`` makes the quotient :func:`rate_quotient` round to one.
+    """
+    q = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star, r)
+    floor = noise_floor(traj.states, DYKSTRA_TOL, reach=2.0)
+    v = traj.v_values
+    # Python's float power: np.power rounds differently in the last bits.
+    powers = np.array([q ** t for t in range(traj.horizon + 1)])
+    envelope = powers * (float(v[0]) / adjoint.delta)
+    return (bound_records("tracked-contraction", v[1:], q * v[:-1], floor=floor)
+            + bound_records("distance-envelope", traj.dist_sq.sum(axis=1), envelope,
+                            floor=floor))
 
 
 @dataclass
@@ -471,12 +496,9 @@ def _build_adjoint(config: RunConfig, mseq: MatrixSequence,
     return stationary_adjoint(mseq, config.horizon)
 
 
-def _resolve_regularity(config: RunConfig, sets, traj: Trajectory,
-                        rho: float) -> tuple[float | None, dict | None]:
+def _resolve_regularity(config: RunConfig, sets, rho: float) -> tuple[float, dict]:
     """Regularity constant for the observed iterate ball ``B(0, rho)``."""
-    spec = config.regularity
-    if spec is None:
-        spec = {"method": "sampling", "samples": 2000}
+    spec = config.regularity or {"method": "sampling"}
     if spec["method"] == "fixed":
         r = float(spec["r"])
         return r, {"method": "fixed", "r_hat": r, "samples": 0, "skipped": 0}
@@ -496,36 +518,33 @@ def _certify(config: RunConfig, mseq: MatrixSequence, compliance: ComplianceRepo
     traj = annotate(config, mseq, adjoint, states, w, sets, intersection)
     rho = float(np.linalg.norm(states, axis=2).max())
 
-    r_used = None
-    regularity_info = None
-    escalated = False
+    r_used = regularity_info = None
     if config.mode == "constrained":
-        r_used, regularity_info = _resolve_regularity(config, sets, traj, rho)
+        r_used, regularity_info = _resolve_regularity(config, sets, rho)
 
     records: list[CertificateRecord] = []
     if config.certificates_enabled:
         records = evaluate_certificates(config, compliance, adjoint, traj, r_used)
-        if (config.mode == "constrained" and r_used is not None
-                and regularity_info.get("method") != "interior-formula"):
-            # A sampled constant is only a lower bound; search upward for the
-            # smallest constant that certifies, and report the escalation.
-            r_try = r_used
-            for _ in range(64):
-                failing = [r for r in records if not r.passed
-                           and r.check in ("tracked-contraction", "distance-envelope")]
-                if not failing:
-                    break
-                r_try *= 1.5
-                escalated = True
-                records = evaluate_certificates(config, compliance, adjoint, traj, r_try)
-            if escalated:
-                regularity_info = dict(regularity_info)
-                regularity_info.update({"r_used": r_try, "escalated": True,
-                                        "r_initial": r_used})
+        if r_used is not None and regularity_info["method"] != "interior-formula":
+            # Only the interior-ball formula proves its constant.  Try r*1.5,
+            # r*1.5^2, ... until the r-dependent checks pass; if the quotient
+            # turns vacuous first, keep the first constant's failing records.
+            head = records[:-2 * traj.horizon - 1]
+            tail, r_try = records[len(head):], r_used
+            try:
+                while not all(rec.passed for rec in tail):
+                    r_try *= 1.5
+                    tail = _regularity_records(compliance, adjoint, traj, r_try)
+            except VacuousBound:
+                r_try = r_used
+            if r_try != r_used:
+                records = head + tail
+                regularity_info = dict(regularity_info, r_used=r_try, escalated=True,
+                                       r_initial=r_used)
                 r_used = r_try
 
     report = _build_report(config, compliance, adjoint, traj, records, rho,
-                           r_used, regularity_info, escalated)
+                           r_used, regularity_info)
     return RunResult(config=config, compliance=compliance, adjoint=adjoint,
                      trajectory=traj, records=records, report=report)
 
@@ -556,17 +575,14 @@ def run(config: RunConfig) -> RunResult:
 
 def _build_report(config: RunConfig, compliance: ComplianceReport,
                   adjoint: AbsoluteProbabilitySequence, traj: Trajectory,
-                  records, rho: float, r_used, regularity_info,
-                  escalated: bool) -> dict:
+                  records, rho: float, r_used, regularity_info) -> dict:
     h = traj.horizon
     q_step = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star)
-    ratios = []
-    for t in range(h):
-        if traj.lyap[t] > 1e-300:
-            ratios.append(float(traj.lyap[t + 1] / traj.lyap[t]))
+    keep = traj.lyap[:-1] > 1e-300
+    ratios = traj.lyap[1:][keep] / traj.lyap[:-1][keep]
     rate = {"q_step": q_step,
-            "empirical_median_step_ratio": float(np.median(ratios)) if ratios else None,
-            "empirical_max_step_ratio": float(np.max(ratios)) if ratios else None}
+            "empirical_median_step_ratio": float(np.median(ratios)) if ratios.size else None,
+            "empirical_max_step_ratio": float(np.max(ratios)) if ratios.size else None}
     if compliance.doubly_stochastic:
         rate["doubly_stochastic_baseline_step"] = doubly_stochastic_rate_factor(
             compliance.beta, config.m, 1)
@@ -598,7 +614,7 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
     if config.mode == "constrained":
         report["regularity"] = regularity_info
         report["r_used"] = r_used
-        report["regularity_escalated"] = escalated
+        report["regularity_escalated"] = regularity_info.get("escalated", False)
         if r_used is not None:
             q_tracked = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star,
                                       r_used)

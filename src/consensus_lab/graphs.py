@@ -124,10 +124,6 @@ class SpanningTree:
     def m(self) -> int:
         return len(self.parents)
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Tree edges as (parent, child) pairs; there are exactly m-1 of them."""
-        return tuple((p, v) for v, p in enumerate(self.parents) if p >= 0)
-
 
 def _levels(adjacency: np.ndarray, source: int) -> np.ndarray:
     """Hop distance from ``source`` along the edges of ``adjacency``; -1 where unreachable.

@@ -56,13 +56,6 @@ class RowStochasticMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "rows": [list(map(float, row)) for row in self.entries]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "RowStochasticMatrix":
-        return RowStochasticMatrix(np.array(d["rows"], dtype=float))
-
 
 def _absorb_row_residue(a: np.ndarray) -> np.ndarray:
     # The diagonal is positive in every scheme here, so it can take the

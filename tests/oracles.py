@@ -327,6 +327,11 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
     return records
 
 
+def tree_edges(tree: SpanningTree) -> tuple[tuple[int, int], ...]:
+    """Tree edges as (parent, child) pairs; there are exactly m-1 of them."""
+    return tuple((p, v) for v, p in enumerate(tree.parents) if p >= 0)
+
+
 def verify_compliance_per_step(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     """``weights.verify_compliance`` evaluated at every step ``t = 0 .. horizon-1``.
 
@@ -528,13 +533,16 @@ def regularity_interior_points(sets, theta: float, x_bar, region: Ball) -> Regul
 
 def constrained_fields_per_point(states: np.ndarray, pi: np.ndarray, sets,
                                  intersection: ConvexSet) -> dict:
-    """``annotate``'s constrained series, one projection call per point."""
+    """``annotate``'s constrained series, one projection call per point and V per step."""
     h, m = states.shape[0] - 1, states.shape[1]
     u = np.array([pi[t] @ states[t] for t in range(h + 1)])
+    v = np.array([project_point(intersection, u[t]) for t in range(h + 1)])
     return {"feasibility": np.array([max(violation_point(s, states[t, i])
                                          for i, s in enumerate(sets))
                                      for t in range(h + 1)]),
             "u_points": u,
-            "v_points": np.array([project_point(intersection, u[t]) for t in range(h + 1)]),
+            "v_points": v,
+            "v_values": np.array([pi[t] @ ((states[t] - v[t]) ** 2).sum(axis=-1)
+                                  for t in range(h + 1)]),
             "dist_sq": np.array([[distance_point(intersection, states[t, i]) ** 2
                                   for i in range(m)] for t in range(h + 1)])}

@@ -6,6 +6,9 @@ equal those of ``oracles.evaluate_certificates_per_step`` field for field,
 with every float compared by its exact bits.
 """
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from consensus_lab.sets import DYKSTRA_TOL
 from conftest import _constrained_config, _unconstrained_config
 from oracles import evaluate_certificates_per_step, v_noise_floor
 from oracles import noise_floor as noise_floor_per_run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def record_key(r):
@@ -120,6 +125,75 @@ class TestWholeSeriesRecords:
         records = compare(result, perturbed, result.report.get("r_used"))
         verdicts = {r.passed for r in records}
         assert verdicts == {True, False}
+
+
+def wedge_config(samples: int, seed: int, theta: float = 0.05) -> engine.RunConfig:
+    """Two agents whose halfspaces meet in a wedge of angle ``theta``; sampled regularity.
+
+    Averaged projections creep toward the apex, and a few samples
+    underestimate the wedge's regularity constant (about ``1/sin(theta)``), so
+    the sampled constant's tracked contraction fails and the search for ``r``
+    has to climb.
+    """
+    return engine.RunConfig.from_json_dict({
+        "m": 2, "n": 2, "horizon": 200, "seed": seed, "mode": "constrained",
+        "graph": {"kind": "static", "graph": {"m": 2, "edges": [[1, 2], [2, 1]]}},
+        "weights": {"scheme": "equal-neighbor"},
+        "initial": {"kind": "explicit", "states": [[10.0, 0.0], [10.0, 10.0 * math.tan(theta)]]},
+        "constraints": [{"type": "halfspace", "a": [0.0, 1.0], "b": 0.0},
+                        {"type": "halfspace", "a": [math.tan(theta), -1.0], "b": 0.0}],
+        "regularity": {"method": "sampling", "samples": samples},
+    })
+
+
+def per_step_keys(result, traj, r):
+    return [record_key(x) for x in evaluate_certificates_per_step(
+        result.config, result.compliance, result.adjoint, traj, r)]
+
+
+class TestEscalation:
+    def test_passes_after_some_rungs(self, monkeypatch):
+        evaluate = engine.evaluate_certificates
+        calls = []
+        monkeypatch.setattr(engine, "evaluate_certificates",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        result = engine.run(wedge_config(samples=2, seed=2))
+        assert len(calls) == 1
+        assert result.certificates_pass and result.report["regularity_escalated"]
+        info, r = result.report["regularity"], result.report["r_used"]
+        assert info["r_initial"] == info["r_hat"] and info["r_used"] == r
+        rungs = [info["r_initial"]]
+        while rungs[-1] < r:
+            rungs.append(rungs[-1] * 1.5)
+        assert len(rungs) >= 2 and rungs[-1].hex() == r.hex()
+        assert [record_key(x) for x in result.records] == \
+            per_step_keys(result, result.trajectory, r)
+        below = evaluate_certificates_per_step(result.config, result.compliance,
+                                               result.adjoint, result.trajectory, rungs[-2])
+        assert not all(x.passed for x in below)
+
+    def test_never_certifies_without_raising(self):
+        """Feasible states swapped in at t = 401 break V's decrease for every ``r``.
+
+        The search stops before the quotient turns vacuous and keeps the
+        sampled constant's failing records, under sampled and interior
+        regularity alike.
+        """
+        scenario = json.loads((SCENARIOS / "constrained_halfspaces.json").read_text())
+        del scenario["out_dir"]
+        config = engine.RunConfig.from_json_dict(scenario)
+        traj = engine.run(config).trajectory
+        states = traj.states.copy()
+        states[401] = [[0.9, -1.5], [-1.5, 0.9], [2.0, -2.0], [-2.0, 2.0]]
+        sampled = dataclasses.replace(config, regularity={"method": "sampling", "samples": 500})
+        for cfg in (sampled, config):
+            result = engine.replay_certificates(cfg, states, traj.w)
+            assert not result.certificates_pass
+            assert not result.report["regularity_escalated"]
+            assert result.report["r_used"] == result.report["regularity"]["r_hat"]
+            assert "tracked-contraction" in {x.check for x in result.records if not x.passed}
+            assert [record_key(x) for x in result.records] == \
+                per_step_keys(result, result.trajectory, result.report["r_used"])
 
 
 class TestNoiseFloor:

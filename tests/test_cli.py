@@ -105,6 +105,13 @@ class TestSimulate:
         assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("key,value", [("export", {"trajectory": False}), ("verbosity", 2)])
+    def test_unknown_scenario_key_exit_config(self, tmp_path, key, value):
+        scenario = quarter_scenario(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("ks", [[-1], [1000000]])
     def test_bad_rate_ks_exit_config(self, tmp_path, ks):
         scenario = random_rooted_scenario(tmp_path, rate_ks=ks)
@@ -350,13 +357,23 @@ class TestValidateBeforeWork:
         ("adjoint", {"method": "backward-product", "max_window": 4}),
         ("initial", 5), ("graph", ["static"]), ("weights", "laplacian"), ("adjoint", 0),
         ("constraints", "abc"), ("constraints", [None, 1, "ball"]),
+        ("regularity", {"method": "fixed", "r": -1}),
+        ("regularity", {"method": "fixed", "r": -3}),
+        ("regularity", {"method": "fixed", "r": 0.5}),
+        ("regularity", {"method": "interior", "theta": 0.0, "x_bar": [0.0, 0.0]}),
+        ("regularity", {"method": "interior", "theta": -0.5, "x_bar": [0.0, 0.0]}),
+        ("regularity", {"method": "sampling", "samples": 0}),
+        ("adjoint", {"method": "backward-product", "spread_tol": 0.0}),
+        ("adjoint", {"method": "backward-product", "spread_tol": -1e-10}),
     ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object",
             "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
             "string-certificates_enabled", "no-theta", "string-theta", "no-x_bar",
             "string-x_bar", "short-x_bar", "no-r", "string-r", "fractional-samples",
             "string-spread_tol", "fractional-max_window", "string-low", "null-high",
             "small-max_window", "number-initial", "list-graph", "string-weights",
-            "number-adjoint", "string-constraints", "non-object-constraint"])
+            "number-adjoint", "string-constraints", "non-object-constraint", "r-minus-one",
+            "negative-r", "r-below-one", "zero-theta", "negative-theta", "zero-samples",
+            "zero-spread_tol", "negative-spread_tol"])
     def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),

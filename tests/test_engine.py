@@ -73,6 +73,27 @@ class TestVFunction:
             direct = sum(pi[i] * np.linalg.norm(states[i] - y) ** 2 for i in range(m))
             assert v_function(states, pi, y) == pytest.approx(direct, rel=1e-12)
 
+    def test_whole_run_matches_each_step_bitwise(self):
+        """One call over ``(T, m, n)`` gives each step's 1-D ``pi[t] @ sq[t]`` bits."""
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            steps, m, n = (int(k) for k in rng.integers(1, 9, size=3))
+            states = rng.normal(size=(steps, m, n)) * 10.0 ** int(rng.integers(-3, 4))
+            pi = rng.random((steps, m))
+            pi /= pi.sum(axis=1, keepdims=True)
+            ys = rng.normal(size=(steps, n))
+            for y, y_at in ((ys[0], lambda t: ys[0]), (ys, lambda t: ys[t])):
+                want = np.array([pi[t] @ ((states[t] - y_at(t)) ** 2).sum(axis=-1)
+                                 for t in range(steps)])
+                got = v_function(states, pi, y)
+                assert got.shape == (steps,) and got.tobytes() == want.tobytes()
+
+    def test_any_non_stochastic_row_rejected(self):
+        pi = np.full((3, 2), 0.5)
+        pi[2] = [0.5, 0.6]
+        with pytest.raises(ValueError):
+            v_function(np.zeros((3, 2, 1)), pi, np.zeros(1))
+
 
 class TestMeanSquareIdentity:
     def test_constant_vector(self):

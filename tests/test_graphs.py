@@ -7,6 +7,7 @@ import pytest
 
 from consensus_lab import (DiGraph, GraphSequence, NotRooted, bfs_spanning_tree,
                            random_rooted_graph, regular_tree_graph, roots)
+from oracles import tree_edges
 
 
 def path_graph(m):
@@ -103,7 +104,7 @@ class TestBfsSpanningTree:
             g = random_rooted_graph(m, rng.uniform(0, 0.5), rng)
             for r in sorted(roots(g)):
                 tree = bfs_spanning_tree(g, r)
-                edges = tree.edges()
+                edges = tree_edges(tree)
                 assert len(edges) == m - 1
                 assert all(e in g.edges for e in edges)
                 # every node walks up to the root without cycles
