@@ -51,15 +51,20 @@ def _dump_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _load_json(path: Path):
+def _load_json(path: Path, kind: type = dict):
+    """The file's top-level JSON value; ``ValueError`` unless it is a ``kind``."""
     with open(path) as fh:
-        return json.load(fh)
+        value = json.load(fh)
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} holds {type(value).__name__}, not a JSON "
+                         + ("object" if kind is dict else "list"))
+    return value
 
 
 def cmd_simulate(args) -> int:
     try:
         scenario = _load_json(Path(args.scenario))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         log.error("cannot read scenario: %s", exc)
         return EXIT_CONFIG
 
@@ -107,10 +112,11 @@ def cmd_construct_graph(args) -> int:
 
 def cmd_estimate_regularity(args) -> int:
     try:
-        raw = _load_json(Path(args.sets))
-        sets = [set_from_json_dict(d) for d in raw]
+        sets = [set_from_json_dict(d) for d in _load_json(Path(args.sets), list)]
+        if not sets:
+            raise ValueError(f"{args.sets} lists no sets")
         region = Ball(np.array(json.loads(args.center), dtype=float), args.radius)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     out: dict = {}

@@ -116,6 +116,8 @@ class RunConfig:
         if self.mode == "constrained" and len(self.constraints) != self.m:
             raise ConfigError("constrained mode needs one set spec per agent")
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if not isinstance(self.rate_ks, (list, tuple)):
+            raise ConfigError(f"rate_ks must be a list, not {self.rate_ks!r}")
         object.__setattr__(self, "rate_ks", tuple(self.rate_ks))
         for k in self.rate_ks:
             if k != "half" and not (_is_integer(k) and 0 <= k <= self.horizon):
@@ -141,14 +143,20 @@ class RunConfig:
         if self.adjoint.get("max_window", FIRST_WINDOW) < FIRST_WINDOW:
             raise ConfigError(f"adjoint.max_window must be at least {FIRST_WINDOW}, "
                               f"not {self.adjoint['max_window']!r}")
-        x_bar = regularity.get("x_bar")
-        if x_bar is not None and not (isinstance(x_bar, (list, tuple)) and len(x_bar) == self.n
-                                      and all(map(_is_number, x_bar))):
-            raise ConfigError(f"regularity.x_bar must be a list of {self.n} finite numbers, "
-                              f"not {x_bar!r}")
+        for name, point in (("regularity.x_bar", regularity.get("x_bar")),
+                            ("y_point", self.y_point)):
+            if point is not None and not (isinstance(point, (list, tuple))
+                                          and len(point) == self.n
+                                          and all(map(_is_number, point))):
+                raise ConfigError(f"{name} must be a list of {self.n} finite numbers, "
+                                  f"not {point!r}")
+        if self.y_point is not None:
+            object.__setattr__(self, "y_point", tuple(self.y_point))
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be an object, not {d!r}")
         known = {"m", "n", "horizon", "seed", "mode", "graph", "weights", "initial",
                  "constraints", "adjoint", "certificates_enabled", "rate_ks",
                  "regularity", "y_point"}
@@ -170,9 +178,8 @@ class RunConfig:
                 weights=dict(d["weights"]), initial=dict(d["initial"]),
                 constraints=tuple(constraints), adjoint=dict(adjoint),
                 certificates_enabled=d.get("certificates_enabled", True),
-                rate_ks=tuple(d.get("rate_ks", (0, "half"))),
-                regularity=d.get("regularity"),
-                y_point=tuple(d["y_point"]) if d.get("y_point") else None,
+                rate_ks=d.get("rate_ks", (0, "half")),
+                regularity=d.get("regularity"), y_point=d.get("y_point"),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
@@ -627,50 +634,33 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
 # ---------------------------------------------------------------------------
 # trajectory CSV round trip
 
-_BASE_COLUMNS = ["t", "agent", "coord", "x", "w", "spread_sq", "lyap", "decrement",
-                 "V_vt", "dist_sq_X"]
-
-
-def _per_t_verdicts(records) -> tuple[list[str], dict]:
-    verdicts: dict = {}
-    for r in records:
-        verdicts[(r.check if r.k is None else f"{r.check}-k{r.k}", r.t)] = r.verdict
-    return list(dict.fromkeys(name for name, _ in verdicts)), verdicts
+_COLUMNS = ["t", "agent", "coord", "x", "w"]
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:
-    """One row per (t, agent, coord); per-step columns repeat across the block.
+    """The states: one row ``t,agent,coord,x,w`` per (t, agent, coord).
 
-    The bytes are those of ``csv.writer`` (CRLF line ends; no cell needs
-    quoting), but each step's block is formatted in one pass and written
-    with one call.
+    ``w`` is blank at ``t = 0`` and in unconstrained runs.  The bytes are
+    those of ``csv.writer`` (CRLF line ends; no cell needs quoting), but each
+    step's block is formatted in one pass and written with one call.
     """
     traj = result.trajectory
-    checks, verdicts = _per_t_verdicts(result.records)
-    columns = _BASE_COLUMNS + [f"cert_{c}" for c in checks]
-    h = traj.horizon
     m, n = traj.states.shape[1], traj.states.shape[2]
     agent_coord = [f"{agent},{coord}" for agent in range(m) for coord in range(n)]
     blank = [""] * (m * n)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        for t in range(h + 1):
+        fh.write(",".join(_COLUMNS) + "\r\n")
+        for t in range(traj.horizon + 1):
             xs = map(repr, traj.states[t].ravel().tolist())
             ws = (map(repr, traj.w[t].ravel().tolist())
                   if traj.w is not None and t > 0 else blank)
-            dsqs = ([repr(v) for v in traj.dist_sq[t].tolist() for _ in range(n)]
-                    if traj.dist_sq is not None else blank)
-            dec = repr(float(traj.decrement[t])) if t < h else ""
-            vvt = repr(float(traj.v_values[t])) if traj.v_values is not None else ""
-            mid = f"{float(traj.spread_sq[t])!r},{float(traj.lyap[t])!r},{dec},{vvt}"
-            tail = "".join("," + verdicts.get((c, t), "") for c in checks) + "\r\n"
-            fh.write("".join(f"{t},{ac},{x},{wc},{mid},{dsq}{tail}"
-                             for ac, x, wc, dsq in zip(agent_coord, xs, ws, dsqs)))
+            fh.write("".join(f"{t},{ac},{x},{wc}\r\n" for ac, x, wc in zip(agent_coord, xs, ws)))
 
 
-# Bytes of text that read_trajectory_states parses at a time.
-_CHUNK_BYTES = 1 << 17
-# The first five columns; a repr'd float never needs more than 24 of the 32 bytes.
+# Bytes of text that read_trajectory_states parses at a time.  A row of about
+# 33 bytes takes about 300 bytes while it is parsed, so a chunk peaks near 0.6 MB.
+_CHUNK_BYTES = 1 << 16
+# A repr'd float never needs more than 24 of the 32 bytes of ``w``.
 _ROW_DTYPE = np.dtype([("t", "i8"), ("agent", "i8"), ("coord", "i8"), ("x", "f8"),
                        ("w", "S32")])
 
@@ -682,7 +672,7 @@ def read_trajectory_states(path, m: int, n: int,
     The rows are parsed by ``np.loadtxt`` in chunks of about ``_CHUNK_BYTES``,
     so the memory used beyond the returned arrays stays bounded.  Raises
     ``ConfigError`` when the file does not match the declared shape: a bad
-    header, a row that does not parse (fewer than five cells, a non-integer
+    header, a row that does not parse (other than five cells, a non-integer
     index, a non-numeric or quoted value, since the writer never quotes, or a
     ``w`` cell too long to be the writer's), an index outside the shape, or
     a row count or a missing or NaN state that shows a truncated or
@@ -692,15 +682,15 @@ def read_trajectory_states(path, m: int, n: int,
     w = None
     count = 0
     with open(path, errors="replace") as fh:  # a bad byte then fails to parse
-        if fh.readline().rstrip("\r\n").split(",")[:10] != _BASE_COLUMNS:
+        if fh.readline().rstrip("\r\n").split(",") != _COLUMNS:
             raise ConfigError("trajectory CSV header does not match")
         for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
             count += len(lines)
             if not any(map(str.strip, lines)):
                 continue  # only blank lines, which loadtxt skips; the count rejects them
             try:
-                rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",",
-                                  usecols=range(5), comments=None, ndmin=1)
+                rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                                  ndmin=1)
                 # mode="raise" also rejects negative indices, which would wrap.
                 flat = np.ravel_multi_index((rows["t"], rows["agent"], rows["coord"]),
                                             states.shape)

@@ -391,6 +391,8 @@ def set_from_json_dict(d: dict) -> ConvexSet:
     def bound(v, sign: float) -> float:
         return sign * np.inf if v is None else float(v)
 
+    if not isinstance(d, dict):
+        raise ValueError(f"a set spec must be an object, not {d!r}")
     kind = d["type"]
     if kind == "halfspace":
         return Halfspace(np.array(d["a"], dtype=float), float(d["b"]))

@@ -75,6 +75,10 @@ class TestSimulate:
 
     def test_missing_scenario_exit_config(self, tmp_path):
         assert cli.main(["simulate", "--scenario", str(tmp_path / "nope.json")]) == 2
+        not_object = write_json(tmp_path / "list.json", [1, 2])
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(not_object), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_constrained_scenario_final_distance(self, tmp_path):
         out = tmp_path / "out"
@@ -200,6 +204,13 @@ class TestEstimateRegularity:
         assert out["interior"]["r_hat"] == 2.0
         assert out["sampling"]["r_hat"] == 1.0  # single set: ratio identically one
 
+    @pytest.mark.parametrize("content", [{"a": 1}, [1, 2], []],
+                             ids=["object", "list-of-numbers", "empty-list"])
+    def test_malformed_sets_exit_config(self, tmp_path, content):
+        sets = write_json(tmp_path / "sets.json", content)
+        assert cli.main(["estimate-regularity", "--sets", str(sets),
+                         "--center", "[0,0]", "--radius", "1.0", "--samples", "20"]) == 2
+
     def test_no_informative_samples_exit(self, tmp_path):
         sets = write_json(tmp_path / "big.json", [{"type": "ball", "center": [0, 0],
                                                    "radius": 50.0}])
@@ -246,18 +257,19 @@ class TestVerify:
                          "--trajectory", str(bad)]) == 2
 
     @pytest.mark.parametrize("keys,value", [
-        (("graph", "kind"), "bogus"),
-        (("weights", "scheme"), "bogus"),
-        (("adjoint", "method"), "bogus"),
-        (("graph", "regular_tree_d"), 4),   # 16 nodes against m = 8
-        (("m",), "eight"),
+        (("config", "graph", "kind"), "bogus"),
+        (("config", "weights", "scheme"), "bogus"),
+        (("config", "adjoint", "method"), "bogus"),
+        (("config", "graph", "regular_tree_d"), 4),   # 16 nodes against m = 8
+        (("config", "m"), "eight"),
+        (("config",), 5),
     ])
     def test_bad_config_in_report_exit_config(self, tmp_path, keys, value):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path, horizon=20)),
                          "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        section = report["config"]
+        section = report
         for key in keys[:-1]:
             section = section[key]
         section[keys[-1]] = value
@@ -287,6 +299,7 @@ class TestVerify:
         "header", "short-row", "fractional-t", "non-numeric-x", "t-beyond-horizon",
         "agent-beyond-m", "coord-beyond-n", "duplicate-row", "blank-line", "nan-x",
         "non-ascii-x", "non-ascii-w", "quoted-t", "quoted-x", "quoted-w", "long-w",
+        "extra-cell", "old-header",
     ])
     def test_malformed_trajectory_exit_config(self, tmp_path, case):
         """Each edit of one middle row (or the header) of a good file is rejected.
@@ -310,8 +323,12 @@ class TestVerify:
                  "quoted-w": (4, '""'), "long-w": (4, "1" * 40 + ".0")}
         if case == "header":
             lines[0] = lines[0].replace("agent", "agents", 1)
+        elif case == "old-header":
+            lines[0] = "t,agent,coord,x,w,spread_sq,lyap,decrement,V_vt,dist_sq_X\r\n"
         elif case == "short-row":
             lines[mid] = ",".join(cells[:4]) + "\r\n"
+        elif case == "extra-cell":
+            lines[mid] = ",".join(cells + ["0.0"]) + "\r\n"
         elif case == "duplicate-row":
             lines[mid] = lines[mid - 1]
         elif case == "blank-line":
@@ -365,6 +382,7 @@ class TestValidateBeforeWork:
         ("regularity", {"method": "sampling", "samples": 0}),
         ("adjoint", {"method": "backward-product", "spread_tol": 0.0}),
         ("adjoint", {"method": "backward-product", "spread_tol": -1e-10}),
+        ("rate_ks", 5), ("y_point", 5), ("y_point", [1, "a"]), ("y_point", [0.0]),
     ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object",
             "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
             "string-certificates_enabled", "no-theta", "string-theta", "no-x_bar",
@@ -373,7 +391,8 @@ class TestValidateBeforeWork:
             "small-max_window", "number-initial", "list-graph", "string-weights",
             "number-adjoint", "string-constraints", "non-object-constraint", "r-minus-one",
             "negative-r", "r-below-one", "zero-theta", "negative-theta", "zero-samples",
-            "zero-spread_tol", "negative-spread_tol"])
+            "zero-spread_tol", "negative-spread_tol", "number-rate_ks", "number-y_point",
+            "string-y_point", "short-y_point"])
     def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),

@@ -354,24 +354,17 @@ class TestAnnotateAgainstPairwiseOracle:
 def csv_writer_trajectory(result, path):
     """Row-by-row ``csv.writer`` export, the byte-level reference for the streamed writer."""
     traj = result.trajectory
-    checks, verdicts = engine._per_t_verdicts(result.records)
-    h = traj.horizon
     m, n = traj.states.shape[1], traj.states.shape[2]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(engine._BASE_COLUMNS + [f"cert_{c}" for c in checks])
-        for t in range(h + 1):
-            dec = repr(float(traj.decrement[t])) if t < h else ""
-            vvt = repr(float(traj.v_values[t])) if traj.v_values is not None else ""
+        wr.writerow(["t", "agent", "coord", "x", "w"])
+        for t in range(traj.horizon + 1):
             for agent in range(m):
-                dsq = repr(float(traj.dist_sq[t, agent])) if traj.dist_sq is not None else ""
                 for coord in range(n):
                     wcell = (repr(float(traj.w[t, agent, coord]))
                              if traj.w is not None and t > 0 else "")
                     wr.writerow([t, agent, coord, repr(float(traj.states[t, agent, coord])),
-                                 wcell, repr(float(traj.spread_sq[t])),
-                                 repr(float(traj.lyap[t])), dec, vvt, dsq]
-                                + [verdicts.get((c, t), "") for c in checks])
+                                 wcell])
 
 
 class TestTrajectoryCsv:
@@ -419,7 +412,7 @@ class TestTrajectoryCsv:
     def test_parse_memory_is_bounded(self, tmp_path, unconstrained_config, with_w):
         """The file is read in chunks: the peak is the output plus at most 1 MiB."""
         res = engine.run(unconstrained_config(seed=3, scheme="equal-neighbor", m=64,
-                                              horizon=300, n=2))
+                                              horizon=1100, n=2))
         path = tmp_path / "t.csv"
         engine.write_trajectory_csv(res, path)
         if with_w:  # fill w with x from t = 1 on, as a constrained run would
@@ -432,7 +425,7 @@ class TestTrajectoryCsv:
         assert path.stat().st_size > 4 << 20
         tracemalloc.start()
         try:
-            states, w = engine.read_trajectory_states(path, 64, 2, 300)
+            states, w = engine.read_trajectory_states(path, 64, 2, 1100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
