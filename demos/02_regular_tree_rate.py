@@ -14,7 +14,7 @@ nodes); the construction's radius, reached at the binary-tree root, meets it.
 import numpy as np
 
 from consensus_lab import (GraphSequence, MatrixSequence, bfs_spanning_tree,
-                           doubly_stochastic_rate_factor, regular_tree_graph,
+                           doubly_stochastic_rate_factor, rate_quotient, regular_tree_graph,
                            verify_compliance)
 
 print(f"{'d':>2} {'m':>3} {'3-regular':>9} {'p*':>3} {'radius':>6} {'k_min':>5} "
@@ -24,10 +24,12 @@ for d in range(2, 7):
     m = 2 ** d
     regular = all(g.degree(i) == 3 for i in range(m))
     seq = MatrixSequence.from_scheme(GraphSequence.static(g), "quarter")
-    p_star = verify_compliance(seq, 1).p_star
+    comp = verify_compliance(seq, 1)
+    p_star = comp.p_star
     radius = min(bfs_spanning_tree(g, v).depth for v in range(m))
     k_min = next(k for k in range(m) if 1 + 3 * (2 ** k - 1) >= m)
-    q = 1.0 - 1.0 / (64 * m * p_star)
+    # the uniform adjoint of a doubly stochastic sequence has delta = 1/m
+    q = rate_quotient(1 / m, comp.beta, p_star)
     baseline = doubly_stochastic_rate_factor(0.25, m, 1)
     winner = "tree" if q < baseline else "baseline"
     print(f"{d:>2} {m:>3} {str(regular):>9} {p_star:>3} {radius:>6} {k_min:>5} "
@@ -52,7 +54,7 @@ x = rng.uniform(-1, 1, m)
 mean0 = x.mean()
 err0 = float(((x - mean0) ** 2).sum())
 a = seq.matrix_at(0)
-q = 1.0 - 1.0 / (64 * m * comp.p_star)
+q = rate_quotient(1 / m, comp.beta, comp.p_star)
 print(f"\nempirical squared error against the certified envelope q^t * err(0):")
 for t in range(1, 101):
     x = a @ x

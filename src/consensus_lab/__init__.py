@@ -12,12 +12,12 @@ from .adjoint import (AbsoluteProbabilitySequence, AdjointResidualTooLarge,
                       stationary_adjoint, uniform_adjoint, window_averaged_product)
 from .certificates import CertificateRecord, summarize
 from .engine import (ConfigError, DimensionMismatch, NotCompliant, RunConfig, RunResult,
-                     Trajectory, YNotInX, run, step_constrained, step_unconstrained, track_uv,
-                     v_function)
+                     Trajectory, YNotInX, run, step_constrained, step_unconstrained, track_uv)
 from .graphs import (DiGraph, GraphSequence, NotRooted, SpanningTree, bfs_spanning_tree,
                      random_rooted_graph, regular_tree_graph, roots)
 from .lyapunov import (NegativeWeight, VacuousBound, doubly_stochastic_rate_factor,
-                       rate_quotient, vector_contraction_certificate, weighted_variance)
+                       rate_quotient, v_function, vector_contraction_certificate,
+                       weighted_variance)
 from .sets import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
                    InteriorBallNotContained, Intersection, NoInformativeSamples, Polyhedron,
                    RegularityEstimate, distance, dykstra_project, regularity_interior,

@@ -20,8 +20,7 @@ import numpy as np
 from . import engine
 from .adjoint import (AdjointResidualTooLarge, NotErgodicWithinWindow,
                       write_adjoint_csv, write_adjoint_sidecar)
-from .certificates import (read_certificates_json, write_certificates_csv,
-                           write_certificates_json)
+from .certificates import write_certificates_csv, write_certificates_json
 from .graphs import regular_tree_graph
 from .sets import (Ball, DykstraNotConverged, InteriorBallNotContained,
                    NoInformativeSamples, regularity_interior, regularity_sampling,
@@ -169,15 +168,15 @@ def cmd_verify(args) -> int:
         return EXIT_VIOLATION
 
     if args.certificates:
+        # Whole records, verdicts included: a stored verdict that does not
+        # follow from its own fields cannot equal a replayed one.
         try:
-            stored = read_certificates_json(Path(args.certificates))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            stored = _load_json(Path(args.certificates), list)
+        except (OSError, ValueError) as exc:
             log.error("cannot load stored certificates: %s", exc)
             return EXIT_CONFIG
-        recomputed = [(r.check, r.t, r.k, r.verdict) for r in result.records]
-        previous = [(r.check, r.t, r.k, r.verdict) for r in stored]
-        if recomputed != previous:
-            log.error("stored verdicts do not match the replay")
+        if stored != [r.to_json_dict() for r in result.records]:
+            log.error("stored certificates do not match the replay")
             return EXIT_CONFIG
     return EXIT_OK
 

@@ -21,9 +21,10 @@ from .adjoint import (FIRST_WINDOW, AbsoluteProbabilitySequence, assemble_adjoin
                       stationary_adjoint, uniform_adjoint)
 from .certificates import CertificateRecord, bound_records, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
-from .lyapunov import (VacuousBound, contraction_drop, decrement_bound, decrement_series,
+from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, noise_floor, rate_quotient,
-                       squared_spread, vector_contraction_certificate, weighted_variance)
+                       squared_spread, v_function, vector_contraction_certificate,
+                       weighted_means, weighted_variance)
 from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, distance,
                    regularity_interior, regularity_sampling, set_from_json_dict)
 from .weights import ComplianceReport, MatrixSequence, verify_compliance
@@ -31,6 +32,8 @@ from .weights import ComplianceReport, MatrixSequence, verify_compliance
 CONSERVATION_TOL = 1e-10
 IDENTITY_TOL = 1e-10
 VACUOUS_EPS = 1e-12
+# D(t) sums nonnegative terms, so VALUE_SLACK covers its rounding; this covers underflow.
+DECREMENT_FLOOR = float(np.finfo(float).tiny)
 
 _INITIAL_KINDS = ("uniform-box", "explicit")
 _ADJOINT_METHODS = ("auto", "uniform", "backward-product", "stationary")
@@ -277,31 +280,14 @@ def step_constrained(x: np.ndarray, a: np.ndarray, sets) -> tuple[np.ndarray, np
     return w, _project_each(w, sets)
 
 
-def v_function(states: np.ndarray, pi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weighted squared distances ``sum_i pi_i ||x_i - y||^2`` of each step of a run.
-
-    Shapes: ``states (..., m, n)``, stochastic ``pi (..., m)``, ``y (n,)`` or
-    ``(..., n)``.  The stacked ``matmul`` rounds as each 1-D ``pi[t] @ sq[t]``.
-    """
-    pi = np.asarray(pi, dtype=float)
-    if (pi < 0).any() or (np.abs(pi.sum(axis=-1) - 1.0) > 1e-12).any():
-        raise ValueError("pi must be stochastic")
-    diff = np.asarray(states, dtype=float) - np.asarray(y, dtype=float)[..., None, :]
-    sq = (diff * diff).sum(axis=-1)
-    return np.matmul(pi[..., None, :], sq[..., :, None])[..., 0, 0]
-
-
 def track_uv(states: np.ndarray, pi: np.ndarray,
              intersection: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     """Weighted means ``u`` of the agents and their projections ``v`` onto the intersection.
 
     ``states`` has shape ``(..., m, n)`` and ``pi`` shape ``(..., m)``, so a
-    whole series is one call.  The stacked ``matmul`` rounds each step's
-    ``pi[t] @ states[t]`` exactly as the 1-D product does; ``vecdot`` and
-    ``einsum`` sum in another order.
+    whole series is one call; ``u`` is :func:`weighted_means`.
     """
-    pi = np.asarray(pi, dtype=float)
-    u = np.matmul(pi[..., None, :], np.asarray(states, dtype=float))[..., 0, :]
+    u = weighted_means(np.asarray(pi, dtype=float), np.asarray(states, dtype=float))
     return u, intersection.project(u)
 
 
@@ -431,10 +417,10 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                                 CONSERVATION_TOL, slack=1.0)
         resid = np.abs(lyap[1:] - (lyap[:-1] - decrement))
         scale = np.maximum(1.0, (traj.states[:-1] ** 2).reshape(h, -1).sum(axis=1))
-        lower, bound_ok = decrement_bound(decrement, traj.spread_sq[:h], drop)
         records += _interleave(
             bound_records("step-identity", resid, IDENTITY_TOL * scale, slack=1.0),
-            bound_records("decrement-bound", lower, decrement, passed=bound_ok))
+            bound_records("decrement-bound", drop * traj.spread_sq[:h], decrement,
+                          floor=DECREMENT_FLOOR))
         for k in _rate_k_values(config):
             records.extend(vector_contraction_certificate(traj.states, adjoint, beta,
                                                           p_star, k))
@@ -585,7 +571,8 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
                   records, rho: float, r_used, regularity_info) -> dict:
     h = traj.horizon
     q_step = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star)
-    keep = traj.lyap[:-1] > 1e-300
+    # Only steps above the rounding level decay in a way a ratio can measure.
+    keep = traj.lyap[:-1] > noise_floor(traj.states)
     ratios = traj.lyap[1:][keep] / traj.lyap[:-1][keep]
     rate = {"q_step": q_step,
             "empirical_median_step_ratio": float(np.median(ratios)) if ratios.size else None,

@@ -1,13 +1,14 @@
 """Quadratic comparison function and geometric rate-bound certificates.
 
-The weighted variance ``phi(x, nu) = sum_i nu_i x_i^2 - (nu'x)^2`` decreases
+The comparison function ``phi(x, nu) = sum_i nu_i ||x_i - nu'x||^2`` decreases
 exactly along a weighted-averaging step: for any stochastic ``A``,
 
-    phi(Ax, nu) = phi(x, A'nu) - (1/2) sum_i nu_i sum_{j,l} A_ij A_il (x_j - x_l)^2.
+    phi(Ax, nu) = phi(x, A'nu) - (1/2) sum_i nu_i sum_{j,l} A_ij A_il ||x_j - x_l||^2.
 
-With an adjoint sequence in the second slot the per-step loss ``D(t)`` is
-evaluated in ``O(nnz(A) n)`` by :func:`decrement_series` and is bounded below
-by ``delta * beta^2 / (4 p*)`` times the squared spread (:func:`decrement_bound`),
+Every weighted sum of squared distances goes through one kernel,
+:func:`v_function`.  With an adjoint sequence in the second slot the per-step
+loss ``D(t)`` is evaluated in ``O(nnz(A) n)`` by :func:`decrement_series` and
+is bounded below by ``delta * beta^2 / (4 p*)`` times the squared spread,
 which yields the per-step contraction quotient ``q = 1 - delta*beta^2/(4 p*)``
 certified here (:func:`contraction_drop`), together with the doubly-stochastic
 baseline factor ``1 - beta/(2 m^2)``.  Each formula has one implementation in
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .adjoint import AbsoluteProbabilitySequence
-from .certificates import VALUE_SLACK, CertificateRecord, bound_records
+from .certificates import CertificateRecord, bound_records
 from .weights import MatrixSequence
 
 
@@ -32,22 +33,55 @@ class VacuousBound(ValueError):
     """The claimed contraction quotient is not strictly between zero and one."""
 
 
+def weighted_means(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``weights[t] @ states[t]`` of every step; the stacked ``matmul`` rounds each as the
+    1-D ``@`` does, while ``vecdot`` and ``einsum`` sum in another order."""
+    return np.matmul(weights[..., None, :], states)[..., 0, :]
+
+
+def v_function(states: np.ndarray, pi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weighted squared distances ``sum_i pi_i ||x_i - y||^2`` of each step of a run.
+
+    Shapes: ``states (..., m, n)``, stochastic ``pi (..., m)`` (else
+    ``NegativeWeight`` or ``ValueError``), ``y (n,)`` or ``(..., n)``.  Below 8
+    coordinates the squared norms add one coordinate at a time, the order in
+    which ``(d * d).sum(-1)`` adds them, without its slow loop over a short
+    axis; the stacked ``matmul`` rounds as each 1-D ``pi[t] @ sq[t]``.
+    """
+    pi = np.asarray(pi, dtype=float)
+    if (pi < 0).any():
+        raise NegativeWeight("weights must be nonnegative")
+    if (np.abs(pi.sum(axis=-1) - 1.0) > 1e-12).any():
+        raise ValueError("weights must sum to one")
+    x = np.asarray(states, dtype=float)
+    y = np.asarray(y, dtype=float)[..., None, :]
+    if x.shape[-1] < 8:
+        d = x[..., 0] - y[..., 0]
+        sq = np.multiply(d, d, out=d)
+        for k in range(1, x.shape[-1]):
+            d = x[..., k] - y[..., k]
+            sq += np.multiply(d, d, out=d)
+    else:
+        d = x - y
+        sq = (d * d).sum(axis=-1)
+    return np.matmul(pi[..., None, :], sq[..., :, None])[..., 0, 0]
+
+
 def weighted_variance(states: np.ndarray,
                       weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``phi(x(t), nu(t))`` summed over coordinates, and the centers ``nu(t)'x(t)``.
 
-    ``states`` has shape ``(T, m, n)`` and ``weights`` ``(T, m)``; the values
-    have shape ``(T,)`` and the centers ``(T, n)``.  Moment form
-    ``sum_i nu_i ||x_i||^2 - ||nu'x||^2``; a negative weight raises
-    ``NegativeWeight``.
+    ``states (T, m, n)`` and stochastic ``weights (T, m)`` give values ``(T,)``
+    and centers ``(T, n)``.  Shifted two-pass form (Chan, Golub & LeVeque
+    1983): ``phi = v_function(d, nu, nu'd)`` with ``d = x - x_0``, agent 0's
+    state at the same step.  Its terms are nonnegative and its rounding scales
+    with the spread, not with ``|x|``; the one-pass moment form
+    ``sum nu_i x_i^2 - (nu'x)^2`` cancels near consensus and can go negative.
     """
     states = np.asarray(states, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if (weights < 0).any():
-        raise NegativeWeight("weights must be nonnegative")
-    s1 = np.einsum("tm,tmn->tn", weights, states * states)
-    centers = np.einsum("tm,tmn->tn", weights, states)
-    return (s1 - centers * centers).sum(axis=1), centers
+    d = states - states[..., :1, :]
+    return v_function(d, weights, weighted_means(weights, d)), weighted_means(weights, states)
 
 
 # squared_spread prunes only scans of more than this many m*m*n entries;
@@ -183,22 +217,6 @@ def squared_spread(x: np.ndarray) -> float:
     return float(buf.max())
 
 
-def decrement_bound(decrement: np.ndarray, spread_sq: np.ndarray,
-                    drop: float) -> tuple[np.ndarray, np.ndarray]:
-    """Check ``D(t) >= drop * spread_sq(t)`` at every step; returns ``(lower, passed)``.
-
-    ``drop`` is :func:`contraction_drop` of the run.  A step passes when its
-    decrement is nonnegative to within 1e-12 and at least the lower bound
-    ``drop * spread_sq`` to within ``VALUE_SLACK`` and ``1e-10 * max(1, spread_sq)``.
-    """
-    decrement = np.asarray(decrement, dtype=float)
-    spread_sq = np.asarray(spread_sq, dtype=float)
-    lower = drop * spread_sq
-    tol = 1e-10 * np.maximum(1.0, spread_sq)
-    passed = (decrement >= -1e-12) & (lower <= decrement * VALUE_SLACK + tol)
-    return lower, passed
-
-
 def contraction_drop(delta: float, beta: float, p_star: int, r: float = 0.0) -> float:
     """Certified per-step drop ``delta*beta^2/(4 p* (r+1)^2)``; the quotient is ``1 - drop``.
 
@@ -251,8 +269,7 @@ def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabil
     states = np.asarray(states, dtype=float)
     pi = adjoint.vectors
     q = rate_quotient(adjoint.delta, beta, p_star)
-    c = pi[0] @ states[0]
-    vals = np.einsum("tm,tm->t", pi, ((states - c) ** 2).sum(axis=2))
+    vals = v_function(states, pi, pi[0] @ states[0])
     rhs = [q ** (t - k) * vals[k] for t in range(k, states.shape[0])]
     return bound_records("vector-rate-contraction", vals[k:], rhs, t0=k, k=k,
                          floor=noise_floor(states))

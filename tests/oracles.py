@@ -16,10 +16,10 @@ import numpy as np
 
 from consensus_lab.adjoint import AbsoluteProbabilitySequence
 from consensus_lab.certificates import VALUE_SLACK, CertificateRecord
-from consensus_lab.engine import (CONSERVATION_TOL, IDENTITY_TOL, RunConfig, Trajectory,
-                                  _rate_k_values)
+from consensus_lab.engine import (CONSERVATION_TOL, DECREMENT_FLOOR, IDENTITY_TOL, RunConfig,
+                                  Trajectory, _rate_k_values)
 from consensus_lab.lyapunov import (_row_shifted_decrements, _row_support, contraction_drop,
-                                    decrement_bound, rate_quotient, weighted_variance)
+                                    rate_quotient, weighted_variance)
 from consensus_lab.graphs import SpanningTree, bfs_spanning_tree, roots
 from consensus_lab.seeding import substream
 from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL,
@@ -41,7 +41,7 @@ def bounded(check: str, t: int, k: int | None, lhs: float, rhs: float,
     exact numerical consensus); it is zero unless the caller supplies one.
     """
     return CertificateRecord(check=check, t=t, k=k, lhs=float(lhs), rhs=float(rhs),
-                             slack=float(slack), passed=bool(lhs <= rhs * slack + floor))
+                             slack=float(slack), floor=float(floor))
 
 
 class YNotInSet(ValueError):
@@ -137,9 +137,7 @@ def check_variational_inequality(s: ConvexSet, x, y) -> CertificateRecord:
         raise YNotInSet(f"y violates the set by {s.violation(y):.3e}")
     p = s.project(x)
     inner = float((p - x) @ (y - p))
-    return CertificateRecord(check="projection-variational", t=0, k=None,
-                             lhs=-inner, rhs=1e-10, slack=1.0,
-                             passed=bool(inner >= -1e-10))
+    return bounded("projection-variational", 0, None, -inner, 1e-10, slack=1.0)
 
 
 def spread_projection_bound(points, sets, phi, r: float,
@@ -214,7 +212,7 @@ def vector_contraction_certificate_per_step(states: np.ndarray,
     pi = adjoint.vectors
     q = rate_quotient(adjoint.delta, beta, p_star)
     c = pi[0] @ states[0]
-    vals = np.einsum("tm,tm->t", pi, ((states - c) ** 2).sum(axis=2))
+    vals = [float(pi[t] @ ((states[t] - c) ** 2).sum(axis=-1)) for t in range(states.shape[0])]
     floor = noise_floor(states)
     return [bounded("vector-rate-contraction", t, k, vals[t], q ** (t - k) * vals[k],
                     floor=floor)
@@ -286,20 +284,16 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
         for t in range(h + 1):
             drift = np.abs(traj.conservation[t] - traj.conservation[0])
             scaled = float((drift / (1.0 + x0_norms)).max())
-            records.append(CertificateRecord("conservation", t, None, scaled,
-                                             CONSERVATION_TOL, 1.0,
-                                             scaled <= CONSERVATION_TOL))
-        lower, bound_ok = decrement_bound(traj.decrement, traj.spread_sq[:h],
-                                          contraction_drop(adjoint.delta, beta, p_star))
+            records.append(bounded("conservation", t, None, scaled, CONSERVATION_TOL,
+                                   slack=1.0))
+        drop = contraction_drop(adjoint.delta, beta, p_star)
         for t in range(h):
             resid = float(abs(traj.lyap[t + 1] - (traj.lyap[t] - traj.decrement[t])))
             scale = max(1.0, float((traj.states[t] ** 2).sum()))
-            records.append(CertificateRecord("step-identity", t, None, resid,
-                                             IDENTITY_TOL * scale, 1.0,
-                                             resid <= IDENTITY_TOL * scale))
-            records.append(CertificateRecord("decrement-bound", t, None, float(lower[t]),
-                                             float(traj.decrement[t]), VALUE_SLACK,
-                                             bool(bound_ok[t])))
+            records.append(bounded("step-identity", t, None, resid, IDENTITY_TOL * scale,
+                                   slack=1.0))
+            records.append(bounded("decrement-bound", t, None, drop * float(traj.spread_sq[t]),
+                                   float(traj.decrement[t]), floor=DECREMENT_FLOOR))
         for k in _rate_k_values(config):
             records.extend(vector_contraction_certificate_per_step(traj.states, adjoint, beta,
                                                                    p_star, k))
@@ -309,15 +303,13 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
     v_floor = v_noise_floor(traj)
     for t in range(1, h + 1):
         feas = float(traj.feasibility[t])
-        records.append(CertificateRecord("feasibility", t, None, feas,
-                                         FEASIBILITY_TOL, 1.0, feas <= FEASIBILITY_TOL))
+        records.append(bounded("feasibility", t, None, feas, FEASIBILITY_TOL, slack=1.0))
     for t in range(h):
         w_val = float(pi[t + 1] @ ((traj.w[t + 1] - y) ** 2).sum(axis=-1))
         resid = abs(w_val - (float(traj.lyap[t]) - float(traj.decrement[t])))
         scale = max(1.0, float(traj.lyap[t]))
-        records.append(CertificateRecord("averaging-identity", t, None, resid,
-                                         IDENTITY_TOL * scale, 1.0,
-                                         resid <= IDENTITY_TOL * scale))
+        records.append(bounded("averaging-identity", t, None, resid, IDENTITY_TOL * scale,
+                               slack=1.0))
         records.append(bounded("projection-step", t, None, float(traj.lyap[t + 1]),
                                w_val, floor=v_floor))
     records.extend(constrained_decrease_certificate(traj, adjoint, beta, p_star))

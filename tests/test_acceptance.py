@@ -57,6 +57,7 @@ def test_01_exact_decrease_identity():
         a /= a.sum(axis=1, keepdims=True)
         x = rng.uniform(-6, 6, m)
         nu = rng.random(m)
+        nu /= nu.sum()
         scale = max(1.0, float(x @ x))
         resid = abs(averaging_identity_residual(a, x, nu)) / scale
         oracle_gap = abs(pairwise_decrement_sum(a, x, nu) -

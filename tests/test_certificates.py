@@ -26,7 +26,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def record_key(r):
-    return (r.check, r.t, r.k, r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.passed)
+    return (r.check, r.t, r.k, r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.floor.hex(), r.passed)
 
 
 def compare(result, traj, r_used) -> list:
@@ -36,8 +36,8 @@ def compare(result, traj, r_used) -> list:
     assert len(got) == len(want) > 0
     assert [record_key(r) for r in got] == [record_key(r) for r in want]
     for r in got:
-        assert (type(r.t), type(r.lhs), type(r.rhs), type(r.slack), type(r.passed)) == \
-            (int, float, float, float, bool)
+        assert (type(r.t), type(r.lhs), type(r.rhs), type(r.slack), type(r.floor),
+                type(r.passed)) == (int, float, float, float, float, bool)
     return got
 
 
@@ -211,10 +211,7 @@ class TestNoiseFloor:
 class TestBoundRecords:
     def test_slack_floor_and_steps(self):
         recs = bound_records("c", [1.0, 2.0, 3.0], 2.0, t0=4, k=1, slack=1.0, floor=0.5)
-        assert [(r.check, r.t, r.k, r.lhs, r.rhs, r.slack, r.passed) for r in recs] == [
-            ("c", 4, 1, 1.0, 2.0, 1.0, True), ("c", 5, 1, 2.0, 2.0, 1.0, True),
-            ("c", 6, 1, 3.0, 2.0, 1.0, False)]
-
-    def test_given_verdicts_replace_the_inequality(self):
-        recs = bound_records("c", [5.0, 0.0], [1.0, 1.0], passed=[True, False])
-        assert [r.passed for r in recs] == [True, False]
+        assert [(r.check, r.t, r.k, r.lhs, r.rhs, r.slack, r.floor, r.passed)
+                for r in recs] == [
+            ("c", 4, 1, 1.0, 2.0, 1.0, 0.5, True), ("c", 5, 1, 2.0, 2.0, 1.0, 0.5, True),
+            ("c", 6, 1, 3.0, 2.0, 1.0, 0.5, False)]

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from consensus_lab import cli, engine
@@ -341,6 +342,35 @@ class TestVerify:
         bad.write_bytes("".join(lines).encode("latin-1"))
         assert cli.main(["verify", "--report", str(out / "report.json"),
                          "--trajectory", str(bad)]) == 2
+
+    @pytest.mark.parametrize("case", ["object", "number-list", "no-floor", "verdict-not-witnessed",
+                                      "moved-lhs"])
+    def test_bad_certificates_exit_config(self, tmp_path, case):
+        """Stored records must equal the replayed ones, field for field.
+
+        ``verdict-not-witnessed`` raises one record's ``lhs`` past
+        ``rhs * slack + floor`` and leaves its ``pass``; ``moved-lhs`` changes
+        an ``lhs`` by one ulp with the verdict still following from it.
+        """
+        out = self._simulate(tmp_path)
+        records = json.loads((out / "certificates.json").read_text())
+        r = records[5]
+        if case == "object":
+            records = {"a": 1}
+        elif case == "number-list":
+            records = [1]
+        elif case == "no-floor":
+            for rec in records:
+                del rec["floor"]
+        elif case == "verdict-not-witnessed":
+            assert r["verdict"] == "pass"
+            r["lhs"] = 2.0 * (r["rhs"] * r["slack"] + r["floor"]) + 1.0
+        else:
+            r["lhs"] = float(np.nextafter(r["lhs"], 0.0))
+        bad = write_json(tmp_path / "bad_certificates.json", records)
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(out / "trajectory.csv"),
+                         "--certificates", str(bad)]) == 2
 
     def test_constrained_round_trip(self, tmp_path):
         out = tmp_path / "out"

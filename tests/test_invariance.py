@@ -1,16 +1,19 @@
-"""Metamorphic invariances of unconstrained runs: scaling and coordinate splitting.
+"""Metamorphic invariances: scaling, coordinate splitting and translation.
 
-Each example runs the full pipeline from explicit initial states, so the
-series under test come from ``engine.annotate`` and the verdicts from
-``engine.evaluate_certificates``.
+The scaling and splitting examples run the full pipeline from explicit
+initial states, so the series under test come from ``engine.annotate`` and
+the verdicts from ``engine.evaluate_certificates``.  The translation example
+probes the comparison value ``lyapunov.weighted_variance`` directly.
 """
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from consensus_lab import engine  # noqa: E402
+from consensus_lab import engine, weighted_variance  # noqa: E402
 
 HORIZON = 60
 EXAMPLES = settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -78,3 +81,35 @@ def test_vector_run_is_sum_of_coordinate_runs(graph, n, seed, state_seed):
         got = getattr(whole, name)
         want = sum(getattr(p, name) for p in parts)
         assert (np.abs(got - want) <= 1e-12 * scale[:got.size]).all(), name
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(m=st.integers(2, 12), n=st.integers(1, 3), seed=seeds,
+       center=st.floats(-1e3, 1e3), log_spread=st.floats(-12.0, 0.0),
+       log_shift=st.floats(-2.0, 8.0))
+def test_translation_moves_phi_by_rounding_only(m, n, seed, center, log_spread, log_shift):
+    """``phi(x + s, nu)`` stays within a rounding bound of ``phi(x, nu)``.
+
+    In exact arithmetic ``sqrt(phi)`` is a seminorm that ignores translation.
+    Rounding ``x + s`` moves each entry by at most ``u S``, with ``u = eps/2``
+    and ``S = max|x| + max|s|``, so ``sqrt(phi)`` by at most ``2 sqrt(n) u S``.
+    The shifted two-pass kernel then adds, for each side, the rounding of
+    ``d = x - x_0`` and of ``d - nu'd`` (entries up to ``2S``), the error of
+    the center ``nu'd`` (``gamma_m 2S`` per entry) and the relative
+    ``gamma_(n+m+1)`` of the sums: under ``sqrt(n) u S (3m + n + 6)`` each, to
+    first order.  ``E = 4 (m + n + 2) sqrt(n) eps S`` bounds the total with
+    room for the higher-order terms.  The one-pass moment form
+    ``sum nu x^2 - (nu'x)^2`` errs by about ``eps S^2`` in ``phi`` instead,
+    which near consensus far from the origin is the whole value.
+    """
+    rng = np.random.default_rng(seed)
+    x = center + 10.0 ** log_spread * rng.uniform(-1.0, 1.0, (1, m, n))
+    s = 10.0 ** log_shift * rng.uniform(-1.0, 1.0, n)
+    nu = rng.uniform(0.05, 1.0, (1, m))
+    nu /= nu.sum()
+    (base,), _ = weighted_variance(x, nu)
+    (moved,), _ = weighted_variance(x + s, nu)
+    assert base >= 0.0 and moved >= 0.0
+    bound = 4 * (m + n + 2) * math.sqrt(n) * np.finfo(float).eps * (
+        np.abs(x).max() + np.abs(s).max())
+    assert abs(math.sqrt(moved) - math.sqrt(base)) <= bound

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, VacuousBound,
-                           doubly_stochastic_rate_factor, rate_quotient, regular_tree_graph,
+                           doubly_stochastic_rate_factor, engine, rate_quotient,
+                           regular_tree_graph,
                            regular_quarter_weights, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
-from consensus_lab.lyapunov import (contraction_drop, decrement_bound, decrement_series,
-                                    squared_spread)
+from consensus_lab.certificates import bound_records
+from consensus_lab.engine import DECREMENT_FLOOR
+from consensus_lab.lyapunov import contraction_drop, decrement_series, squared_spread
 from oracles import (averaging_identity_residual, operator_norm_sq, pairwise_decrement_sum,
                      product_convergence_records)
 
@@ -44,7 +46,7 @@ class TestWeightedVariance:
 
     def test_consensus_state_zero(self):
         value, _ = phi(np.full(5, 3.7), np.full(5, 0.2))
-        assert abs(value) <= 1e-12
+        assert value == 0.0
 
     def test_hand_case(self):
         value, center = phi(np.array([3.0, 0.0, 0.0]), np.full(3, 1 / 3))
@@ -55,17 +57,17 @@ class TestWeightedVariance:
         with pytest.raises(NegativeWeight):
             phi(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
 
-    def test_moment_and_centered_forms_agree(self):
+    def test_agrees_with_centered_form(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             m = int(rng.integers(2, 13))
             x = rng.uniform(-8, 8, m)
             nu = rng.random(m)
             nu /= nu.sum()
-            moment, _ = phi(x, nu)
+            value, _ = phi(x, nu)
             centered = float(nu @ (x - nu @ x) ** 2)
-            assert abs(moment - centered) <= 1e-10 * max(1.0, x @ x)
-            assert moment >= -1e-12
+            assert abs(value - centered) <= 1e-10 * max(1.0, x @ x)
+            assert value >= 0.0
 
 
 class TestExactDecrease:
@@ -90,6 +92,7 @@ class TestExactDecrease:
             a = random_stochastic_matrix(rng, m)
             x = rng.uniform(-5, 5, m)
             nu = rng.random(m)
+            nu /= nu.sum()
             scale = max(1.0, float(x @ x))
             assert abs(averaging_identity_residual(a, x, nu)) <= 1e-10 * scale
             assert abs(pairwise_decrement_sum(a, x, nu) -
@@ -187,13 +190,18 @@ class TestDecrementKernel:
             assert series[t] == pairwise_decrement_sum(seq.matrix_at(t), states[t], pi[t + 1])
 
 
+def decrement_records(decrement, spread_sq, drop):
+    """The engine's decrement-bound records: ``drop * spread_sq <= D * slack + floor``."""
+    return bound_records("decrement-bound", drop * np.asarray(spread_sq), decrement,
+                         floor=DECREMENT_FLOOR)
+
+
 def step_decrement(a, x, pi_next, delta, beta, p_star):
     """``(D, spread_sq, lower bound, verdict)`` of one step, from the engine's functions."""
     value = pairwise_decrement_sum(a, x, pi_next)
     spread_sq = squared_spread(x)
-    lower, passed = decrement_bound(np.array([value]), np.array([spread_sq]),
-                                    contraction_drop(delta, beta, p_star))
-    return value, spread_sq, lower[0], bool(passed[0])
+    rec, = decrement_records([value], [spread_sq], contraction_drop(delta, beta, p_star))
+    return value, spread_sq, rec.lhs, rec.passed
 
 
 class TestStepDecrement:
@@ -219,10 +227,9 @@ class TestStepDecrement:
 
     def test_bound_verdicts(self):
         # (decrement, spread_sq) at drop 0.25: met exactly, missed, negative
-        lower, passed = decrement_bound(np.array([0.25, 0.2, -1e-11]),
-                                        np.array([1.0, 1.0, 0.0]), 0.25)
-        assert lower.tolist() == [0.25, 0.25, 0.0]
-        assert passed.tolist() == [True, False, False]
+        recs = decrement_records([0.25, 0.2, -1e-11], [1.0, 1.0, 0.0], 0.25)
+        assert [r.lhs for r in recs] == [0.25, 0.25, 0.0]
+        assert [r.passed for r in recs] == [True, False, False]
 
     def test_random_certified_cases(self):
         rng = np.random.default_rng(55)
@@ -281,6 +288,18 @@ class TestRateQuotient:
             contraction_drop(delta, 1.0, 1, r)
         with pytest.raises(VacuousBound):
             rate_quotient(delta, 1.0, 1, r)
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_cubic_tree_drop_is_one_over_64_m_p_star(self, d):
+        # beta = 1/4 and delta = 1/m, so delta*beta^2/(4 p*) = 1/(64 m p*) exactly;
+        # 1 - q_step does not give those bits back for every p*
+        m = 2 ** d
+        result = engine.run(engine.RunConfig.from_json_dict({
+            "m": m, "n": 1, "horizon": 2, "seed": 0, "mode": "unconstrained",
+            "graph": {"kind": "static", "regular_tree_d": d},
+            "weights": {"scheme": "quarter"}, "initial": {}}))
+        beta, p_star = result.compliance.beta, result.compliance.p_star
+        assert contraction_drop(result.adjoint.delta, beta, p_star) * 64 * m * p_star == 1.0
 
     def test_drop_is_the_coefficient(self):
         # r = 0 keeps the unconstrained bits; callers get the drop, not 1 - q
