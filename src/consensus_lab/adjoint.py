@@ -232,15 +232,21 @@ def write_adjoint_csv(aps: AbsoluteProbabilitySequence, path) -> None:
     """CSV export with columns ``t, i, pi, residual_l1`` (residual blank at the last t).
 
     The bytes are those of ``csv.writer`` (CRLF line ends; no cell needs
-    quoting), but each step's block is formatted in one pass and written
-    with one call.
+    quoting), but each step's block is one ``join`` written with one call.
+    The ``,i,pi,`` cells of a step are formatted once and reused while the
+    vector repeats bit for bit (``tobytes``, so ``-0.0`` and ``0.0`` stay
+    apart), as uniform and stationary sequences do on every step.
     """
+    key = None
     with open(path, "w", newline="") as fh:
         fh.write("t,i,pi,residual_l1\r\n")
         for t in range(aps.horizon + 1):
+            vector = aps.vectors[t]
+            if vector.tobytes() != key:
+                key = vector.tobytes()
+                cells = [f",{i},{v!r}," for i, v in enumerate(vector.tolist())]
             resid = repr(float(aps.residuals[t])) if t < aps.horizon else ""
-            fh.write("".join(f"{t},{i},{v!r},{resid}\r\n"
-                             for i, v in enumerate(aps.vectors[t].tolist())))
+            fh.write(f"{t}" + f"{resid}\r\n{t}".join(cells) + f"{resid}\r\n")
 
 
 def write_adjoint_sidecar(aps: AbsoluteProbabilitySequence, path) -> None:

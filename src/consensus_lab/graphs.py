@@ -8,7 +8,7 @@ builders account for that on the matrix diagonal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,11 +67,6 @@ class DiGraph:
     def m(self) -> int:
         return self.adjacency.shape[0]
 
-    @cached_property
-    def edges(self) -> frozenset:
-        receivers, senders = np.nonzero(self.adjacency)
-        return frozenset(zip(senders.tolist(), receivers.tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiGraph):
             return NotImplemented
@@ -81,7 +76,8 @@ class DiGraph:
         return hash(self.adjacency.tobytes())
 
     def __repr__(self) -> str:
-        return f"DiGraph(m={self.m}, edges={sorted(self.edges)})"
+        pairs = [tuple(pair) for pair in np.argwhere(self.adjacency.T).tolist()]
+        return f"DiGraph(m={self.m}, edges={pairs})"
 
     @cached_property
     def is_symmetric(self) -> bool:
@@ -125,23 +121,86 @@ class SpanningTree:
         return len(self.parents)
 
 
-def _levels(adjacency: np.ndarray, source: int) -> np.ndarray:
-    """Hop distance from ``source`` along the edges of ``adjacency``; -1 where unreachable.
+def _levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from ``sources[k]`` along the edges of graph ``k``; -1 where unreachable.
 
-    Pass ``g.adjacency`` for forward distances and ``g.adjacency.T`` for
-    distances against the edge direction.
+    ``adjacency`` is an ``(s, m, m)`` float32 stack of 0/1 in-adjacencies;
+    pass its ``transpose(0, 2, 1)`` for distances against the edge direction.
+    Each level is one batched ``matmul`` of the adjacencies by the frontiers,
+    tested ``> 0``.  That is exact: the products count in-neighbors, whole
+    numbers below ``m``, which float32 holds exactly up to ``2**24``.
     """
-    level = np.full(adjacency.shape[0], -1)
-    level[source] = 0
-    frontier = [source]
+    s, m = adjacency.shape[:2]
+    graphs = np.arange(s)
+    level = np.full((s, m), -1)
+    level[graphs, sources] = 0
+    frontier = np.zeros((s, m, 1), dtype=np.float32)
+    frontier[graphs, sources] = 1.0
     k = 0
-    while len(frontier):
-        k += 1
-        reached = adjacency[:, frontier].any(axis=1)
+    while True:
+        reached = np.matmul(adjacency, frontier)[..., 0] > 0.0
         reached &= level < 0
+        if not reached.any():
+            return level
+        k += 1
         level[reached] = k
-        frontier = reached.nonzero()[0]
-    return level
+        frontier = reached[..., None].astype(np.float32)
+
+
+def _root_search(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate walk of :func:`roots` on every graph of a float32 stack at once.
+
+    Returns each graph's final candidate ``c``, the levels from ``c`` and the
+    levels towards ``c``.  Graphs whose walk has ended drop out of the next
+    round, so each graph takes exactly the rounds it would take alone.
+    """
+    s, m = adjacency.shape[:2]
+    c = np.zeros(s, dtype=np.intp)
+    ahead = np.empty((s, m), dtype=int)
+    behind = np.empty((s, m), dtype=int)
+    todo = np.arange(s)
+    sub = adjacency
+    while todo.size:
+        ahead[todo] = _levels(sub, c[todo])
+        behind[todo] = _levels(sub.transpose(0, 2, 1), c[todo])
+        above = np.where(ahead[todo] >= 0, -1, behind[todo])
+        more = above.max(axis=1) >= 0
+        c[todo[more]] = above[more].argmax(axis=1)
+        todo = todo[more]
+        sub = adjacency[todo]
+    return c, ahead, behind
+
+
+def _bfs_parents(adjacency: np.ndarray, level: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Each node's smallest-index in-neighbor one level up, ``-1`` at the sources.
+
+    ``adjacency`` is an ``(s, m, m)`` boolean stack and ``level`` its ``(s, m)``
+    levels from ``sources``.
+    """
+    candidates = adjacency & (level[:, None, :] == level[:, :, None] - 1)
+    parents = candidates.argmax(axis=2)
+    parents[np.arange(len(sources)), sources] = -1
+    return parents
+
+
+def _rooted_trees(adjacency: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Roots and smallest-root BFS trees of every graph in an ``(s, m, m)`` boolean stack.
+
+    Returns ``(counts, tree roots, parents, depths)``: the number of roots of
+    each graph, its smallest root, and the parents and depth of the BFS tree
+    from that root, as :func:`roots` and :func:`bfs_spanning_tree` give them.
+    A graph with no root has count 0, and its other entries mean nothing.
+    """
+    f = adjacency.astype(np.float32)
+    c, ahead, behind = _root_search(f)
+    is_root = (behind >= 0) & (ahead >= 0).all(axis=1)[:, None]
+    counts = is_root.sum(axis=1)
+    first = is_root.argmax(axis=1)
+    # The walk already has the levels from c; only a smaller root needs its own.
+    redo = np.flatnonzero((counts > 0) & (first != c))
+    if redo.size:
+        ahead[redo] = _levels(f[redo], first[redo])
+    return counts, first, _bfs_parents(adjacency, ahead, first), ahead.max(axis=1)
 
 
 def roots(g: DiGraph) -> frozenset[int]:
@@ -153,17 +212,10 @@ def roots(g: DiGraph) -> frozenset[int]:
     a source; the graph is rooted exactly when ``c`` reaches every node,
     and the roots are the nodes that reach ``c``.
     """
-    c = 0
-    while True:
-        ahead = _levels(g.adjacency, c) >= 0
-        behind = _levels(g.adjacency.T, c)
-        above = np.where(ahead, -1, behind)
-        if above.max() < 0:
-            break
-        c = int(above.argmax())
-    if not ahead.all():
+    _, ahead, behind = _root_search(g.adjacency[None].astype(np.float32))
+    if not (ahead >= 0).all():
         return frozenset()
-    return frozenset(np.flatnonzero(behind >= 0).tolist())
+    return frozenset(np.flatnonzero(behind[0] >= 0).tolist())
 
 
 def bfs_spanning_tree(g: DiGraph, root: int) -> SpanningTree:
@@ -173,13 +225,12 @@ def bfs_spanning_tree(g: DiGraph, root: int) -> SpanningTree:
     in-neighbor at level ``k``, so identical graphs always yield identical
     trees.  The tree depth equals the eccentricity of ``root``.
     """
-    level = _levels(g.adjacency, root)
-    unreachable = np.flatnonzero(level < 0)
+    sources = np.array([root])
+    level = _levels(g.adjacency[None].astype(np.float32), sources)
+    unreachable = np.flatnonzero(level[0] < 0)
     if unreachable.size:
         raise NotRooted(f"node {unreachable[0]} is unreachable from {root}")
-    candidates = g.adjacency & (level == level[:, None] - 1)
-    parents = candidates.argmax(axis=1)
-    parents[root] = -1
+    parents = _bfs_parents(g.adjacency[None], level, sources)[0]
     return SpanningTree(root=root, parents=tuple(parents.tolist()), depth=int(level.max()))
 
 
@@ -239,15 +290,15 @@ class GraphSequence:
     """Time-indexed rooted graphs: ``graph_at(t)`` is defined for every ``t >= 0``.
 
     A static or periodic sequence cycles its ``graphs``.  A random-rooted
-    sequence has no ``graphs``; it regenerates a seeded graph per step, so
-    adjoint windows may look arbitrarily far past any simulation horizon.
+    sequence has no ``graphs``; each call draws the step's graph from that
+    step's own seeded substream, so adjoint windows may look arbitrarily far
+    past any simulation horizon, and no graph is kept.
     """
 
     m: int
     graphs: tuple = ()
     seed: int = 0
     extra_edge_prob: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def static(graph: DiGraph) -> "GraphSequence":
@@ -277,9 +328,5 @@ class GraphSequence:
             raise ValueError("t must be >= 0")
         if self.graphs:
             return self.graphs[t % len(self.graphs)]
-        g = self._cache.get(t)
-        if g is None:
-            g = random_rooted_graph(self.m, self.extra_edge_prob,
-                                    substream(self.seed, "graph", t))
-            self._cache[t] = g
-        return g
+        return random_rooted_graph(self.m, self.extra_edge_prob,
+                                   substream(self.seed, "graph", t))

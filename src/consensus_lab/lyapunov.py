@@ -95,17 +95,6 @@ _SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _row_support(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row-major nonzeros of ``a`` as ``(rows, cols, weights, row starts)``."""
-    m = a.shape[0]
-    flat = np.flatnonzero(a)
-    rows, cols = np.divmod(flat, m)
-    counts = np.bincount(rows, minlength=m)
-    if not counts.all():
-        raise ValueError("every row of A needs a nonzero entry")
-    return rows, cols, a.ravel()[flat], np.cumsum(counts) - counts
-
-
 def _row_shifted_decrements(support: tuple[np.ndarray, ...], x: np.ndarray,
                             nu: np.ndarray) -> np.ndarray:
     """Decrement of each state block ``x[s]`` (shape ``(m, n)``) weighted by ``nu[s]``."""
@@ -131,7 +120,8 @@ def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) ->
     there: the rounding of ``(Ax)_i`` is then as large as the spread.  The
     cost is ``O(nnz(A) n)`` per step; a row without a nonzero entry raises
     ``ValueError``.  The work is done once per distinct step ``r``
-    (:meth:`MatrixSequence.distinct_steps`): the steps ``r, r + period, ...``
+    (:meth:`MatrixSequence.distinct_steps`) on its row support
+    (:meth:`MatrixSequence.row_support`): the steps ``r, r + period, ...``
     that repeat its matrix are evaluated together, in blocks of at most
     ``_BLOCK_ELEMENTS`` gathered entries.
     """
@@ -139,7 +129,7 @@ def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) ->
     period = len(seq.distinct_steps(h))
     out = np.empty(h)
     for r in range(period):
-        support = _row_support(seq.matrix_at(r))
+        support = seq.row_support(r)
         steps = np.arange(r, h, period)
         size = max(1, _BLOCK_ELEMENTS // (support[0].size * states.shape[2]))
         for s in range(0, steps.size, size):

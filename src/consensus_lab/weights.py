@@ -12,10 +12,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import DiGraph, GraphSequence, SpanningTree, bfs_spanning_tree, roots
+# roots and bfs_spanning_tree are not called here: compliance searches a whole
+# block through _rooted_trees.  They stay bound because perfbench/spans.py
+# patches them on this module.
+from .graphs import (DiGraph, GraphSequence, SpanningTree, _rooted_trees,  # noqa: F401
+                     bfs_spanning_tree, roots)
 
 ROW_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
+
+# Largest (steps, m, m) stack of matrix entries that a random-rooted sequence
+# builds, and that compliance checks, at once: 7 steps at m = 96, and one step
+# from m = 256 on.
+_BLOCK_ENTRIES = 1 << 16
 
 SCHEMES = ("equal-neighbor", "lazy-metropolis", "laplacian", "quarter", "custom")
 
@@ -42,13 +51,7 @@ class RowStochasticMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        if not np.isfinite(a).all():
-            raise ValueError("entries must be finite")
-        if (a < 0).any():
-            raise ValueError("entries must be nonnegative")
-        err = np.abs(a.sum(axis=1) - 1.0).max()
-        if err > ROW_SUM_TOL:
-            raise ValueError(f"row sums off by {err:.3e} > {ROW_SUM_TOL}")
+        _check_row_stochastic(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -57,20 +60,41 @@ class RowStochasticMatrix:
         return self.entries.shape[0]
 
 
+def _check_row_stochastic(a: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every matrix of the ``(..., m, m)`` stack is row-stochastic."""
+    if not np.isfinite(a).all():
+        raise ValueError("entries must be finite")
+    if (a < 0).any():
+        raise ValueError("entries must be nonnegative")
+    err = np.abs(a.sum(axis=-1) - 1.0).max()
+    if err > ROW_SUM_TOL:
+        raise ValueError(f"row sums off by {err:.3e} > {ROW_SUM_TOL}")
+
+
 def _absorb_row_residue(a: np.ndarray) -> np.ndarray:
     # The diagonal is positive in every scheme here, so it can take the
     # rounding residue without changing the sparsity pattern.
-    resid = 1.0 - a.sum(axis=1)
-    a[np.diag_indices_from(a)] += resid
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] += 1.0 - a.sum(axis=-1)
     return a
+
+
+def _equal_neighbor_entries(adjacency: np.ndarray) -> np.ndarray:
+    """Equal-neighbor weights of an ``(..., m, m)`` stack of in-adjacencies.
+
+    Each row is divided by its own sum, so a stack gives every matrix the
+    bits it gets alone.
+    """
+    a = adjacency.astype(float)
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] = 1.0
+    a /= a.sum(axis=-1, keepdims=True)
+    return _absorb_row_residue(a)
 
 
 def equal_neighbor_weights(g: DiGraph) -> RowStochasticMatrix:
     """Each agent averages uniformly over its in-neighbors and itself."""
-    a = g.in_adjacency()
-    np.fill_diagonal(a, 1.0)
-    a /= a.sum(axis=1, keepdims=True)
-    return RowStochasticMatrix(_absorb_row_residue(a))
+    return RowStochasticMatrix(_equal_neighbor_entries(g.adjacency))
 
 
 def laplacian_weights(g: DiGraph, gamma: float) -> RowStochasticMatrix:
@@ -122,10 +146,60 @@ _BUILDERS = {
 }
 
 
-def _support_graph(a: np.ndarray) -> DiGraph:
+def _support_adjacency(a: np.ndarray) -> np.ndarray:
+    """Positive off-diagonal entries of an ``(..., m, m)`` stack, as in-adjacencies."""
     support = a > 0.0
-    np.fill_diagonal(support, False)
-    return DiGraph.from_adjacency(support)
+    diag = np.arange(a.shape[-1])
+    support[..., diag, diag] = False
+    return support
+
+
+def _scheme_entries(scheme: str, adjacency: np.ndarray, params: dict) -> np.ndarray:
+    """Row-stochastic ``(s, m, m)`` matrices the scheme builds on a stack of graphs."""
+    if scheme == "equal-neighbor":
+        a = _equal_neighbor_entries(adjacency)
+        _check_row_stochastic(a)
+        return a
+    return np.stack([_BUILDERS[scheme](DiGraph.from_adjacency(x), params).entries
+                     for x in adjacency])
+
+
+def _row_supports(a: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Row-major nonzeros of each matrix of an ``(s, m, m)`` stack.
+
+    One ``(rows, cols, weights, row starts)`` tuple per matrix, the CSR-style
+    form the decrement kernel gathers from.  Raises ``ValueError`` if a row
+    has no nonzero entry.
+    """
+    s, m = a.shape[:2]
+    flat = np.flatnonzero(a != 0.0)
+    step_rows, cols = np.divmod(flat, m)
+    counts = np.bincount(step_rows, minlength=s * m).reshape(s, m)
+    if not counts.all():
+        raise ValueError("every row of A needs a nonzero entry")
+    weights = a.reshape(-1)[flat]
+    starts = np.cumsum(counts, axis=1) - counts
+    ends = np.cumsum(counts.sum(axis=1)).tolist()
+    out = []
+    lo = 0
+    for k, hi in enumerate(ends):
+        out.append((step_rows[lo:hi] - k * m, cols[lo:hi], weights[lo:hi], starts[k]))
+        lo = hi
+    return out
+
+
+def _row_support(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row-major nonzeros of the matrix ``a`` as ``(rows, cols, weights, row starts)``."""
+    return _row_supports(a[None])[0]
+
+
+def _dense(support: tuple[np.ndarray, ...], m: int) -> np.ndarray:
+    """The ``m x m`` matrix of a row support; scattering into zeros rebuilds it exactly."""
+    rows, cols, weights, _ = support
+    a = np.zeros((m, m))
+    a[rows, cols] = weights
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -135,8 +209,12 @@ class MatrixSequence:
     ``matrices`` is a cycle: an explicit custom list, or one matrix per graph
     of a static or periodic graph sequence, built once by the scheme.  On a
     random-rooted graph sequence ``matrices`` is empty and the scheme builds
-    each step's matrix from that step's graph.  Without a graph sequence the
-    graphs are the positive off-diagonal support of the matrices.
+    the steps from their graphs, a block of consecutive steps at a time (at
+    most ``_BLOCK_ENTRIES`` matrix entries).  Only each step's row support
+    is kept, about ``nnz`` entries rather than ``m**2``;
+    :meth:`matrix_at` scatters it back into the dense matrix.  Without a
+    graph sequence the graphs are the positive off-diagonal support of the
+    matrices.
     """
 
     scheme: str
@@ -169,10 +247,15 @@ class MatrixSequence:
             return self.graph_seq.m
         return self.matrices[0].m
 
+    @property
+    def block_steps(self) -> int:
+        """Steps per block: as many ``m x m`` matrices as fit in ``_BLOCK_ENTRIES``, at least one."""
+        return max(1, _BLOCK_ENTRIES // (self.m * self.m))
+
     def graph_at(self, t: int) -> DiGraph:
         if self.graph_seq is not None:
             return self.graph_seq.graph_at(t)
-        return _support_graph(self.matrix_at(t))
+        return DiGraph.from_adjacency(_support_adjacency(self.matrix_at(t)))
 
     def distinct_steps(self, horizon: int) -> range:
         """The steps ``t < horizon`` whose (matrix, graph) pair no earlier step repeats.
@@ -192,11 +275,41 @@ class MatrixSequence:
             raise ValueError("t must be >= 0")
         if self.matrices:
             return self.matrices[t % len(self.matrices)].entries
-        a = self._cache.get(t)
-        if a is None:
-            a = _BUILDERS[self.scheme](self.graph_seq.graph_at(t), self.params).entries
-            self._cache[t] = a
-        return a
+        return _dense(self.row_support(t), self.m)
+
+    def row_support(self, t: int) -> tuple[np.ndarray, ...]:
+        """Row-major nonzeros of ``matrix_at(t)`` as ``(rows, cols, weights, row starts)``.
+
+        A random-rooted step not yet built is built with the rest of its
+        block, the steps ``t - t % block_steps`` onwards.
+        """
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        if self.matrices:
+            return _row_support(self.matrix_at(t))
+        support = self._cache.get(t)
+        if support is None:
+            start = t - t % self.block_steps
+            self.stack([u for u in range(start, start + self.block_steps)
+                        if u not in self._cache])
+            support = self._cache[t]
+        return support
+
+    def stack(self, steps) -> tuple[np.ndarray, np.ndarray]:
+        """Matrices and graph in-adjacencies of ``steps``, as two ``(len(steps), m, m)`` stacks.
+
+        On a random-rooted sequence this draws each step's graph and builds
+        its matrix, all steps at once, and keeps each step's row support.
+        """
+        if self.graph_seq is None:
+            a = np.stack([self.matrix_at(t) for t in steps])
+            return a, _support_adjacency(a)
+        adjacency = np.stack([self.graph_seq.graph_at(t).adjacency for t in steps])
+        if self.matrices:
+            return np.stack([self.matrix_at(t) for t in steps]), adjacency
+        a = _scheme_entries(self.scheme, adjacency, self.params)
+        self._cache.update(zip(steps, _row_supports(a)))
+        return a, adjacency
 
 
 @dataclass(frozen=True)
@@ -234,7 +347,11 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     first failing distinct step is the first failing step.  Strong-level
     compliance additionally needs strong connectivity and positive weight on
     every graph edge; rooted-level compliance needs positive weight on the
-    deterministic BFS tree from the smallest-index root.
+    deterministic BFS tree from the smallest-index root.  The steps are
+    checked a block at a time (:attr:`MatrixSequence.block_steps`): every
+    check is one reduction over the block's stack, and the roots and trees
+    of all its graphs are one batched search.  Every check is exact, so the
+    report is the one a step-by-step loop gives.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -243,38 +360,49 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     beta = np.inf
     doubly = True
     trees: list[SpanningTree] = []
-    for t in seq.distinct_steps(horizon):
-        a = seq.matrix_at(t)
-        g = seq.graph_at(t)
+    steps = seq.distinct_steps(horizon)
+    nodes = np.arange(seq.m)
+    for start in range(0, len(steps), seq.block_steps):
+        ts = steps[start:start + seq.block_steps]
+        a, adjacency = seq.stack(ts)
         # Written so that a NaN or infinite entry, whose row sum is not
         # finite, fails the row-sum test as well.
-        if (a < 0).any() or not np.abs(a.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
-            violation = f"t={t}: matrix is not row-stochastic"
-            break
-        diag = np.diag(a)
-        if diag.min() <= 0.0:
-            violation = f"t={t}: diagonal entry {int(diag.argmin())} is not positive"
-            break
-        doubly = doubly and bool(np.abs(a.sum(axis=0) - 1.0).max() <= COLUMN_SUM_TOL)
+        stochastic = ~(a < 0).any(axis=(1, 2)) & (
+            np.abs(a.sum(axis=2) - 1.0).max(axis=1) <= ROW_SUM_TOL)
+        diag = a[:, nodes, nodes]
+        positive_diag = ~(diag.min(axis=1) <= 0.0)
+        columns = np.abs(a.sum(axis=1) - 1.0).max(axis=1) <= COLUMN_SUM_TOL
+        counts, tree_roots, parents, depths = _rooted_trees(adjacency)
+        # Weight of each node's tree edge from its parent; +inf at the root.
+        tree_entries = np.where(parents >= 0,
+                                a[np.arange(len(ts))[:, None], nodes, parents], np.inf)
+        positive_tree = ~(tree_entries.min(axis=1) <= 0.0)
+        strong = (counts == seq.m) & ~(adjacency & ~(a > 0.0)).any(axis=(1, 2))
 
-        root_set = roots(g)
-        if not root_set:
-            violation = f"t={t}: graph is not rooted"
+        # The steps before the block's first failing one count; that one
+        # names the violation by the first check it fails.
+        passed = stochastic & positive_diag & (counts > 0) & positive_tree
+        n_pass = len(ts) if passed.all() else int(passed.argmin())
+        doubly = doubly and bool(columns[:n_pass].all())
+        if n_pass:
+            beta = min(beta, float(diag[:n_pass].min()), float(tree_entries[:n_pass].min()))
+            strong_ok = strong_ok and bool(strong[:n_pass].all())
+            trees.extend(SpanningTree(root=int(tree_roots[k]), parents=tuple(parents[k].tolist()),
+                                      depth=int(depths[k])) for k in range(n_pass))
+        if n_pass < len(ts):
+            k, t = n_pass, ts[n_pass]
+            if not stochastic[k]:
+                violation = f"t={t}: matrix is not row-stochastic"
+            elif not positive_diag[k]:
+                violation = f"t={t}: diagonal entry {int(diag[k].argmin())} is not positive"
+            else:
+                doubly = doubly and bool(columns[k])
+                if not counts[k]:
+                    violation = f"t={t}: graph is not rooted"
+                else:
+                    i = int(tree_entries[k].argmin())
+                    violation = f"t={t}: zero weight on tree edge ({parents[k, i]},{i})"
             break
-        tree = bfs_spanning_tree(g, min(root_set))
-        parents = np.array(tree.parents)
-        children = np.flatnonzero(parents >= 0)
-        tree_entries = a[children, parents[children]]
-        if tree_entries.size and tree_entries.min() <= 0.0:
-            i = children[tree_entries.argmin()]
-            violation = f"t={t}: zero weight on tree edge ({parents[i]},{i})"
-            break
-        trees.append(tree)
-        beta = min(beta, float(diag.min()))
-        if tree_entries.size:
-            beta = min(beta, float(tree_entries.min()))
-
-        strong_ok = strong_ok and len(root_set) == g.m and bool((a[g.adjacency] > 0.0).all())
 
     if violation is not None:
         return ComplianceReport(level="neither", beta=0.0, doubly_stochastic=doubly,

@@ -5,8 +5,9 @@ single-step decrement and identity residuals, and projection checks serve as
 oracles for the package's array code.  ``evaluate_certificates_per_step`` is
 the step-by-step certificate loop that ``engine.evaluate_certificates``
 replaces with whole-series arrays; the two must agree record for record, bit
-for bit.  ``verify_compliance_per_step`` checks every step where
-``weights.verify_compliance`` checks each distinct step once.  The
+for bit.  ``verify_compliance_per_step`` checks every step, one at a time,
+where ``weights.verify_compliance`` checks each distinct step once, a block
+of steps at a time.  ``edges`` gives a graph's edge pairs as a set.  The
 ``*_point`` functions are the point-by-point set code that the batched
 projections in ``consensus_lab.sets`` must reproduce bit for bit.
 """
@@ -18,16 +19,16 @@ from consensus_lab.adjoint import AbsoluteProbabilitySequence
 from consensus_lab.certificates import VALUE_SLACK, CertificateRecord
 from consensus_lab.engine import (CONSERVATION_TOL, DECREMENT_FLOOR, IDENTITY_TOL, RunConfig,
                                   Trajectory, _rate_k_values)
-from consensus_lab.lyapunov import (_row_shifted_decrements, _row_support, contraction_drop,
-                                    rate_quotient, weighted_variance)
-from consensus_lab.graphs import SpanningTree, bfs_spanning_tree, roots
+from consensus_lab.lyapunov import (_row_shifted_decrements, contraction_drop, rate_quotient,
+                                    weighted_variance)
+from consensus_lab.graphs import DiGraph, SpanningTree, bfs_spanning_tree, roots
 from consensus_lab.seeding import substream
 from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL,
                                 FEASIBILITY_TOL, Ball, Box, ConvexSet, DykstraNotConverged,
                                 Halfspace, Hyperplane, InteriorBallNotContained, Intersection,
                                 NoInformativeSamples, Polyhedron, RegularityEstimate, _vec)
 from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
-                                   MatrixSequence)
+                                   MatrixSequence, _row_support)
 
 NORM_SLACK = 1.0 + 1e-6
 
@@ -317,6 +318,12 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
         records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
         records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
     return records
+
+
+def edges(g: DiGraph) -> frozenset[tuple[int, int]]:
+    """The graph's edges as a frozenset of ``(sender, receiver)`` pairs."""
+    receivers, senders = np.nonzero(g.adjacency)
+    return frozenset(zip(senders.tolist(), receivers.tolist()))
 
 
 def tree_edges(tree: SpanningTree) -> tuple[tuple[int, int], ...]:

@@ -8,7 +8,7 @@ from consensus_lab import (GraphSequence, MatrixSequence, NotDoublyStochastic,
                            backward_product_adjoint, permutation_counterexample,
                            regular_tree_graph, stationary_adjoint, uniform_adjoint,
                            window_averaged_product)
-from consensus_lab.adjoint import write_adjoint_csv
+from consensus_lab.adjoint import AbsoluteProbabilitySequence, write_adjoint_csv
 
 
 def quarter_sequence(d=3):
@@ -192,4 +192,18 @@ class TestAdjointCsv:
         got = (tmp_path / "block.csv").read_bytes()
         assert got == (tmp_path / "oracle.csv").read_bytes()
         assert got.count(b"\r\n") == 1 + 41 * aps.m
+
+    def test_repeating_vectors_keep_signed_zeros(self, tmp_path):
+        # Repeats, changes, repeats; the last two steps differ from the first
+        # only in the sign of a zero, which array_equal would not see.
+        u, v, signed = [0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.5, 0.5, -0.0]
+        vectors = np.array([u, u, v, v, v, u, signed, signed])
+        aps = AbsoluteProbabilitySequence(vectors=vectors, residuals=np.zeros(7),
+                                          method="user-supplied")
+        write_adjoint_csv(aps, tmp_path / "block.csv")
+        csv_writer_adjoint(aps, tmp_path / "oracle.csv")
+        got = (tmp_path / "block.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.count(b",-0.0,") == 2
+        assert got.count(b",0.0,") == 3
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from consensus_lab import (DiGraph, GraphSequence, NotRooted, bfs_spanning_tree,
+from consensus_lab import (DiGraph, GraphSequence, NotRooted, bfs_spanning_tree, graphs,
                            random_rooted_graph, regular_tree_graph, roots)
-from oracles import tree_edges
+from oracles import edges, tree_edges
 
 
 def path_graph(m):
@@ -24,11 +24,12 @@ def graph_json(g):
 
 
 def dfs_reachable(g, start):
+    pairs = edges(g)
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in (i for j, i in g.edges if j == u):
+        for v in (i for j, i in pairs if j == u):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -102,11 +103,12 @@ class TestBfsSpanningTree:
         for _ in range(300):
             m = int(rng.integers(2, 9))
             g = random_rooted_graph(m, rng.uniform(0, 0.5), rng)
+            pairs = edges(g)
             for r in sorted(roots(g)):
                 tree = bfs_spanning_tree(g, r)
-                edges = tree_edges(tree)
-                assert len(edges) == m - 1
-                assert all(e in g.edges for e in edges)
+                branches = tree_edges(tree)
+                assert len(branches) == m - 1
+                assert all(e in pairs for e in branches)
                 # every node walks up to the root without cycles
                 for v in range(m):
                     seen = set()
@@ -120,7 +122,7 @@ class TestBfsSpanningTree:
                 while frontier:
                     nxt = []
                     for u in frontier:
-                        for w in (i for j, i in g.edges if j == u):
+                        for w in (i for j, i in pairs if j == u):
                             if w not in dist:
                                 dist[w] = dist[u] + 1
                                 nxt.append(w)
@@ -132,12 +134,12 @@ class TestRegularTreeGraph:
     def test_d2_is_k4(self):
         g = regular_tree_graph(2)
         assert g.m == 4
-        assert g.edges == complete_graph(4).edges
+        assert edges(g) == edges(complete_graph(4))
 
     def test_d3_shape(self):
         g = regular_tree_graph(3)
         assert g.m == 8
-        assert len(g.edges) == 24  # 12 undirected edges
+        assert len(edges(g)) == 24  # 12 undirected edges
         assert all(g.degree(i) == 3 for i in range(8))
         assert bfs_spanning_tree(g, 0).depth == 2
 
@@ -163,18 +165,18 @@ class TestRegularTreeGraph:
 class TestRandomRootedGraph:
     def test_m2_no_extra(self):
         g = random_rooted_graph(2, 0.0, seed=5)
-        assert len(g.edges) == 1
+        assert len(edges(g)) == 1
         assert roots(g)
 
     def test_tree_edge_count(self):
         for seed in range(10):
             g = random_rooted_graph(10, 0.0, seed=seed)
-            assert len(g.edges) == 9
+            assert len(edges(g)) == 9
             assert roots(g)
 
     def test_full_probability_gives_complete_digraph(self):
         g = random_rooted_graph(10, 1.0, seed=0)
-        assert len(g.edges) == 90
+        assert len(edges(g)) == 90
 
     @pytest.mark.parametrize("p", [2.0, -0.5, 1.0000001, float("nan"), float("inf")])
     def test_rejects_probability_outside_unit_interval(self, p):
@@ -193,12 +195,12 @@ class TestRandomRootedGraph:
 class TestDiGraphContract:
     def test_edge_and_array_constructors_agree(self):
         g = random_rooted_graph(20, 0.2, seed=3)
-        from_edges = DiGraph(g.m, g.edges)
+        from_edges = DiGraph(g.m, edges(g))
         from_array = DiGraph.from_adjacency(g.adjacency.astype(int).tolist())
         assert from_edges == from_array == g
         assert hash(from_edges) == hash(from_array) == hash(g)
         assert len({g, from_edges, from_array}) == 1
-        other = DiGraph(g.m, g.edges - {min(g.edges)})
+        other = DiGraph(g.m, edges(g) - {min(edges(g))})
         assert other != g
 
     def test_adjacency_orientation(self):
@@ -213,7 +215,7 @@ class TestDiGraphContract:
             d = json.loads(graph_json(g))
             assert d["edges"] == sorted(d["edges"])
             back = DiGraph.from_json_dict(d)
-            assert back.edges == g.edges
+            assert edges(back) == edges(g)
             assert back == g
 
     @pytest.mark.parametrize("build", [
@@ -238,7 +240,7 @@ class TestDiGraphContract:
         with pytest.raises(AttributeError):
             g.adjacency = source
         source[2, 0] = True  # the graph holds its own copy
-        assert g.edges == {(0, 1)}
+        assert edges(g) == {(0, 1)}
 
 
 # sha256 of the concatenated graph_json() of random_rooted_graph(m, p, seed) for
@@ -299,7 +301,7 @@ def _two_source_graph(m, rng):
 def _nx_graph(nx, g):
     G = nx.DiGraph()
     G.add_nodes_from(range(g.m))
-    G.add_edges_from(g.edges)
+    G.add_edges_from(edges(g))
     return G
 
 
@@ -351,6 +353,45 @@ class TestRootsAndBfsAtScale:
         depths = [bfs_spanning_tree(g, min(roots(g))).depth
                   for name, g in _scale_cases() if not name.startswith("two-sources")]
         assert max(depths) >= 8
+
+
+def _late_source_graph(m):
+    """Rooted at {40, 41}; the root search ends at 41, so the tree root 40 needs its own BFS."""
+    order = [40] + list(range(42, m)) + list(range(40))
+    pairs = {(40, 41), (41, 40)} | set(zip(order, order[1:]))
+    return DiGraph(m, pairs)
+
+
+class TestStackedRootsAndBfs:
+    def test_one_block_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(47)
+        m = 96
+        cases = [random_rooted_graph(m, p, rng) for p in (0.0, 2.0 / m, 0.1)]
+        cases += [_two_source_graph(m, rng), path_graph(m), _late_source_graph(m),
+                  DiGraph(m, ())]
+        stack = np.stack([g.adjacency for g in cases])
+        c, _, _ = graphs._root_search(stack.astype(np.float32))
+        assert c[5] == 41
+        counts, first, parents, depths = graphs._rooted_trees(stack)
+        for k, g in enumerate(cases):
+            G = _nx_graph(nx, g)
+            expected, _ = _nx_roots(nx, G)
+            assert roots(g) == expected
+            assert counts[k] == len(expected)
+            if not expected:
+                continue
+            r = min(expected)
+            layers = list(nx.bfs_layers(G, r))
+            level = {v: k for k, layer in enumerate(layers) for v in layer}
+            assert first[k] == r
+            assert depths[k] == len(layers) - 1
+            want = [-1 if v == r else min(u for u in G.predecessors(v)
+                                          if level[u] == level[v] - 1) for v in range(m)]
+            assert parents[k].tolist() == want
+            assert bfs_spanning_tree(g, r).parents == tuple(want)
+        assert counts[[0, 3, 4, 5, 6]].tolist() == [1, 0, 1, 2, 0]
+        assert min(depths[4], depths[5]) >= 8
 
 
 class TestGraphSequence:

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -5,11 +7,11 @@ import pytest
 
 from consensus_lab import (AsymmetricGraph, DiGraph, GammaTooSmall, GraphSequence,
                            MatrixSequence, NotThreeRegular, RowStochasticMatrix,
-                           equal_neighbor_weights, laplacian_weights,
+                           bfs_spanning_tree, equal_neighbor_weights, laplacian_weights,
                            lazy_metropolis_weights, random_rooted_graph,
                            regular_quarter_weights, regular_tree_graph, roots,
                            verify_compliance, weights)
-from oracles import tree_edges, verify_compliance_per_step
+from oracles import edges, tree_edges, verify_compliance_per_step
 
 
 def two_cycle():
@@ -71,7 +73,7 @@ class TestLaplacian:
     def test_triangle_gamma4(self):
         a = laplacian_weights(triangle(), 4.0).entries
         assert np.allclose(np.diag(a), 0.5)
-        for j, i in triangle().edges:
+        for j, i in edges(triangle()):
             assert a[i, j] == 0.25
 
     def test_gamma_guard(self):
@@ -106,7 +108,7 @@ class TestLazyMetropolis:
         rng = np.random.default_rng(0)
         for _ in range(20):
             g = random_rooted_graph(int(rng.integers(2, 10)), 0.5, rng)
-            sym = DiGraph(g.m, frozenset(set(g.edges) | {(i, j) for j, i in g.edges}))
+            sym = DiGraph(g.m, frozenset(set(edges(g)) | {(i, j) for j, i in edges(g)}))
             mat = lazy_metropolis_weights(sym)
             assert is_doubly_stochastic(mat)
             assert np.diag(mat.entries).min() >= 0.5
@@ -122,9 +124,10 @@ class TestBuilderInvariants:
             assert (a >= 0).all()
             assert np.abs(a.sum(axis=1) - 1).max() <= 1e-12
             # positive entries exactly on edges plus diagonal
+            pairs = edges(g)
             for i in range(m):
                 support = {j for j in range(m) if a[i, j] > 0}
-                assert support == {j for j, r in g.edges if r == i} | {i}
+                assert support == {j for j, r in pairs if r == i} | {i}
 
 
 class TestVerifyCompliance:
@@ -155,7 +158,7 @@ class TestVerifyCompliance:
             seq = MatrixSequence.from_scheme(GraphSequence.static(g), "equal-neighbor")
             rep = verify_compliance(seq, 1)
             assert rep.level == "strong"
-            max_indeg = max(sum(r == i for _, r in g.edges) for i in range(m))
+            max_indeg = max(sum(r == i for _, r in edges(g)) for i in range(m))
             assert rep.beta == pytest.approx(1.0 / (1.0 + max_indeg), rel=1e-12)
             # exact agreement with a direct scan of diagonal and tree entries
             a = seq.matrix_at(0)
@@ -188,18 +191,12 @@ class TestVerifyCompliance:
 class TestComplianceNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_neither(self, bad):
-        class Seq:
-            # bypasses RowStochasticMatrix, which rejects the entry on construction
-            def distinct_steps(self, horizon):
-                return range(horizon)
-
-            def matrix_at(self, t):
-                return np.array([[0.5, bad], [0.5, 0.5]])
-
-            def graph_at(self, t):
-                return two_cycle()
-
-        report = verify_compliance(Seq(), 5)
+        # bypasses RowStochasticMatrix's check, which rejects the entry on construction
+        mat = object.__new__(RowStochasticMatrix)
+        object.__setattr__(mat, "entries", np.array([[0.5, bad], [0.5, 0.5]]))
+        seq = MatrixSequence(scheme="custom", graph_seq=GraphSequence.static(two_cycle()),
+                             matrices=(mat,))
+        report = verify_compliance(seq, 5)
         assert report.level == "neither"
         assert "row-stochastic" in report.violation
 
@@ -217,14 +214,21 @@ def assert_matches_per_step(seq, horizon):
 
 @pytest.fixture
 def tree_searches(monkeypatch):
-    """Counts of the ``roots`` and ``bfs_spanning_tree`` calls ``verify_compliance`` makes."""
-    calls = Counter()
-    for name in ("roots", "bfs_spanning_tree"):
-        def counted(*args, _name=name, _original=getattr(weights, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(weights, name, counted)
-    return calls
+    """Steps whose roots and BFS tree ``verify_compliance`` searches, and their calls.
+
+    The searches run a block of steps per call, so the step count, not the
+    call count, shows one search per distinct step.
+    """
+    searched = Counter()
+    original = weights._rooted_trees
+
+    def counted(adjacency):
+        searched["steps"] += adjacency.shape[0]
+        searched["calls"] += 1
+        return original(adjacency)
+
+    monkeypatch.setattr(weights, "_rooted_trees", counted)
+    return searched
 
 
 class TestCompliancePerDistinctStep:
@@ -274,10 +278,124 @@ class TestCompliancePerDistinctStep:
         seq = MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(11)),
                                          "quarter")
         assert verify_compliance(seq, 300).level == "strong"
-        assert tree_searches == {"roots": 1, "bfs_spanning_tree": 1}
+        assert tree_searches == {"steps": 1, "calls": 1}
 
     def test_random_rooted_searches_every_step(self, tree_searches):
         seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(8, 0.3, seed=4),
                                          "equal-neighbor")
         assert verify_compliance(seq, 10).ok
-        assert tree_searches == {"roots": 10, "bfs_spanning_tree": 10}
+        assert tree_searches["steps"] == 10
+        assert tree_searches["calls"] == -(-10 // seq.block_steps)
+
+
+def _periodic_graphs(period, m=96, seed=23):
+    rng = np.random.default_rng(seed)
+    return GraphSequence.periodic([random_rooted_graph(m, 0.05, rng) for _ in range(period)])
+
+
+def _with_zero_tree_edge(a, g):
+    """``a`` with the weight of one BFS tree edge of ``g`` moved onto the diagonal."""
+    a = np.array(a)
+    parents = bfs_spanning_tree(g, min(roots(g))).parents
+    child = next(v for v, p in enumerate(parents) if p >= 0)
+    parent = parents[child]
+    a[child, child] += a[child, parent]
+    a[child, parent] = 0.0
+    return a
+
+
+class TestComplianceBlockEdges:
+    """Blocks of ``block_steps`` steps against the one-step-at-a-time oracle."""
+
+    @pytest.mark.parametrize("kind", ["tree edge", "diagonal", "not rooted"])
+    def test_violation_in_a_later_block(self, kind):
+        size = MatrixSequence.custom([np.eye(96)]).block_steps
+        period, bad = 2 * size + 3, size + 2
+        assert 1 <= size < bad < 2 * size
+        gseq = _periodic_graphs(period)
+        mats = [equal_neighbor_weights(g).entries for g in gseq.graphs]
+        if kind == "tree edge":
+            mats[bad] = _with_zero_tree_edge(mats[bad], gseq.graphs[bad])
+            seq = MatrixSequence.custom(mats, gseq)
+        elif kind == "diagonal":
+            mats[bad] = np.array(mats[bad])
+            mats[bad][5, 5], mats[bad][5, 6] = 0.0, mats[bad][5, 6] + mats[bad][5, 5]
+            seq = MatrixSequence.custom(mats, gseq)
+        else:
+            mats[bad] = np.eye(96)   # its support graph has no edge, so no root
+            seq = MatrixSequence.custom(mats)
+        report = assert_matches_per_step(seq, 3 * period)
+        expected = {"tree edge": "zero weight on tree edge", "diagonal": "diagonal entry 5",
+                    "not rooted": "graph is not rooted"}[kind]
+        assert report.violation.startswith(f"t={bad}: {expected}")
+        assert len(report.trees) == bad
+
+    def test_horizon_ends_mid_block(self):
+        size = MatrixSequence.custom([np.eye(96)]).block_steps
+        horizon = 2 * size + 3
+        gseq = _periodic_graphs(3 * size)
+        seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
+        assert seq.distinct_steps(horizon) == range(horizon)
+        report = assert_matches_per_step(seq, horizon)
+        assert report.ok and len(report.trees) == horizon
+
+    def test_random_rooted_horizon_ends_mid_block(self):
+        seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(96, 0.1, seed=8),
+                                         "equal-neighbor")
+        size = seq.block_steps
+        horizon = 2 * size + 3
+        assert len(assert_matches_per_step(seq, horizon).trees) == horizon
+        # The steps past the horizon, in its block and the next, build on demand.
+        for t in range(3 * size + 1):
+            want = equal_neighbor_weights(seq.graph_at(t)).entries
+            assert np.array_equal(seq.matrix_at(t), want)
+            assert seq.matrix_at(t).tobytes() == want.tobytes()
+
+
+class TestStackedBuilds:
+    def test_equal_neighbor_stack_bit_identical_to_per_graph(self):
+        rng = np.random.default_rng(61)
+        graphs = [random_rooted_graph(96, p, rng) for p in (0.0, 0.02, 0.1, 0.5) * 10]
+        stacked = weights._equal_neighbor_entries(np.stack([g.adjacency for g in graphs]))
+        for a, g in zip(stacked, graphs):
+            assert a.tobytes() == equal_neighbor_weights(g).entries.tobytes()
+
+    def test_row_supports_split_per_matrix(self):
+        seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(40, 0.2, seed=1),
+                                         "equal-neighbor")
+        a = np.stack([seq.matrix_at(t) for t in range(5)])
+        for got, mat in zip(weights._row_supports(a), a):
+            rows, cols = np.nonzero(mat)
+            want = (rows, cols, mat[rows, cols],
+                    np.searchsorted(rows, np.arange(40)))
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+
+    def test_row_support_rejects_an_empty_row(self):
+        a = np.eye(3)
+        a[1, 1] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            weights._row_support(a)
+
+
+def test_random_rooted_cache_holds_row_supports_only():
+    """300 cached random-rooted steps hold ``O(nnz)`` bytes each, far below ``8 m^2``."""
+    m, horizon = 96, 300
+    seq, warm = (MatrixSequence.from_scheme(GraphSequence.random_rooted(m, 0.1, seed=seed),
+                                            "equal-neighbor") for seed in (3, 4))
+    warm.row_support(0)   # numpy's one-time allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        supports = [seq.row_support(t) for t in range(horizon)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nnz = sum(s[0].size for s in supports) / horizon
+    per_step = held / horizon
+    # rows, cols and weights take 8 bytes per nonzero each, and the row
+    # starts 8 per row; the rest is Python object overhead.
+    assert per_step <= 24 * nnz + 8 * m + 2048
+    assert per_step < 0.5 * 8 * m * m
+    assert all(t in seq._cache for t in range(horizon))
