@@ -233,19 +233,21 @@ def write_adjoint_csv(aps: AbsoluteProbabilitySequence, path) -> None:
 
     The bytes are those of ``csv.writer`` (CRLF line ends; no cell needs
     quoting), but each step's block is one ``join`` written with one call.
-    The ``,i,pi,`` cells of a step are formatted once and reused while the
-    vector repeats bit for bit (``tobytes``, so ``-0.0`` and ``0.0`` stay
-    apart), as uniform and stationary sequences do on every step.
+    The ``,i,pi,`` cells of a step come from one ``%`` pass over a template
+    and are reused while the vector repeats bit for bit (``tobytes``, so
+    ``-0.0`` and ``0.0`` stay apart), as uniform and stationary sequences do
+    on every step.
     """
+    template = "\n".join(f",{i},%r," for i in range(aps.m))
+    residuals = list(map(repr, aps.residuals[:aps.horizon].tolist())) + [""]
     key = None
     with open(path, "w", newline="") as fh:
         fh.write("t,i,pi,residual_l1\r\n")
         for t in range(aps.horizon + 1):
-            vector = aps.vectors[t]
+            vector, resid = aps.vectors[t], residuals[t]
             if vector.tobytes() != key:
                 key = vector.tobytes()
-                cells = [f",{i},{v!r}," for i, v in enumerate(vector.tolist())]
-            resid = repr(float(aps.residuals[t])) if t < aps.horizon else ""
+                cells = (template % tuple(vector.tolist())).split("\n")
             fh.write(f"{t}" + f"{resid}\r\n{t}".join(cells) + f"{resid}\r\n")
 
 

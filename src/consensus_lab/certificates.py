@@ -10,6 +10,7 @@ line, and a CSV mirror with identical columns.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -72,16 +73,45 @@ def summarize(records) -> dict:
 
 
 def write_certificates_json(records, path) -> None:
-    """A JSON array with one compact record object per line."""
+    """A JSON array with one compact record object per line.
+
+    The bytes are those of ``_ENCODER`` on each record's ``to_json_dict``
+    (records hold Python floats and ints, as :func:`bound_records` makes
+    them), but each record is one ``%`` pass: a float is its ``repr``, except
+    that ``nan``, ``inf`` and ``-inf`` become ``NaN``, ``Infinity`` and
+    ``-Infinity``, and each distinct check is encoded once.
+    """
+    checks: dict[str, str] = {}
     with open(path, "w") as fh:
-        fh.write("[\n" + ",\n".join(_ENCODER.encode(r.to_json_dict()) for r in records)
-                 + "\n]\n")
+        fh.write("[\n")
+        sep = ""
+        for r in records:
+            if r.check not in checks:
+                checks[r.check] = _ENCODER.encode(r.check)
+            values = '%r,"rhs":%r,"slack":%r,"floor":%r' % (r.lhs, r.rhs, r.slack, r.floor)
+            if "n" in values:  # no finite repr holds an "n"
+                values = values.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write('%s{"check":%s,"t":%d,"k":%s,"lhs":%s,"verdict":"%s"}'
+                     % (sep, checks[r.check], r.t, "null" if r.k is None else r.k, values,
+                        r.verdict))
+            sep = ",\n"
+        fh.write("\n]\n")
 
 
 def write_certificates_csv(records, path) -> None:
+    """The CSV mirror of :func:`write_certificates_json`, each float cell its ``repr``.
+
+    The bytes are those of ``csv.writer``, but each row is one ``%`` pass and
+    each distinct check is quoted (where ``csv.writer`` would) once.
+    """
+    checks: dict[str, str] = {}
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "t", "k", "lhs", "rhs", "slack", "floor", "verdict"])
+        fh.write("check,t,k,lhs,rhs,slack,floor,verdict\r\n")
         for r in records:
-            w.writerow([r.check, r.t, "" if r.k is None else r.k, repr(r.lhs), repr(r.rhs),
-                        repr(r.slack), repr(r.floor), r.verdict])
+            if r.check not in checks:
+                cell = io.StringIO()
+                csv.writer(cell).writerow([r.check, ""])
+                checks[r.check] = cell.getvalue()[:-3]  # without ",\r\n"
+            fh.write("%s,%d,%s,%r,%r,%r,%r,%s\r\n"
+                     % (checks[r.check], r.t, "" if r.k is None else r.k, r.lhs, r.rhs,
+                        r.slack, r.floor, r.verdict))

@@ -629,19 +629,24 @@ def write_trajectory_csv(result: RunResult, path) -> None:
 
     ``w`` is blank at ``t = 0`` and in unconstrained runs.  The bytes are
     those of ``csv.writer`` (CRLF line ends; no cell needs quoting), but each
-    step's block is formatted in one pass and written with one call.
+    step's block is one ``%`` pass over a row template (``%r`` is the
+    ``repr`` of each value, ``T`` the step index), written with one call.
     """
     traj = result.trajectory
     m, n = traj.states.shape[1], traj.states.shape[2]
-    agent_coord = [f"{agent},{coord}" for agent in range(m) for coord in range(n)]
-    blank = [""] * (m * n)
+    rows = [f"T,{agent},{coord},%r," for agent in range(m) for coord in range(n)]
+    blank_w = "\r\n".join(rows) + "\r\n"
+    with_w = "%r\r\n".join(rows) + "%r\r\n"
+    pair = np.empty((m, n, 2))  # a step's x and w side by side
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_COLUMNS) + "\r\n")
         for t in range(traj.horizon + 1):
-            xs = map(repr, traj.states[t].ravel().tolist())
-            ws = (map(repr, traj.w[t].ravel().tolist())
-                  if traj.w is not None and t > 0 else blank)
-            fh.write("".join(f"{t},{ac},{x},{wc}\r\n" for ac, x, wc in zip(agent_coord, xs, ws)))
+            if traj.w is None or t == 0:
+                template, values = blank_w, traj.states[t]
+            else:
+                pair[..., 0], pair[..., 1] = traj.states[t], traj.w[t]
+                template, values = with_w, pair
+            fh.write(template.replace("T", str(t)) % tuple(values.ravel().tolist()))
 
 
 # Bytes of text that read_trajectory_states parses at a time.  A row of about

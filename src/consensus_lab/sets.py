@@ -153,7 +153,11 @@ class Box(ConvexSet):
 
     def violation(self, x):
         x = _vec(x)
-        return _norm(x - np.clip(x, self.lower, self.upper))
+        d = x - np.clip(x, self.lower, self.upper)
+        # Offsets below about 1e-162 square to zero; their largest magnitude
+        # keeps such a point's violation positive, so zero means inside.
+        r = _norm(d)
+        return np.where(r > 0.0, r, np.abs(d).max(axis=-1))[()]
 
 
 @dataclass(frozen=True)
@@ -240,17 +244,26 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
     point gets the bits and the sweep count it would get alone.  If any
     point fails to converge, ``DykstraNotConverged`` names the lowest-index
     failing point, after every other point has run to its end.
+
+    A finite point whose every member violation is exactly ``0.0`` leaves
+    before the first sweep with that sweep's result.  Each member returns its
+    target ``point + 0.0`` up to the sign of a zero, which the next member's
+    target (plus a zero increment) clears again, so the sweep ends on the last
+    member's projection of ``point + 0.0`` and stops there.
     """
     sets = tuple(sets)
     x = _vec(x)
     points = x.reshape(-1, x.shape[-1])
     result = points.copy()
+    inside = (_worst(sets, points) == 0.0) & np.isfinite(points).all(axis=-1)
+    if inside.any():
+        result[inside] = sets[-1].project(points[inside] + 0.0)
     # Member violation at each point's last settled sweep; a point converged
     # exactly when its final value is within FEASIBILITY_TOL.
-    worst = np.full(points.shape[0], np.inf)
-    active = np.arange(points.shape[0])
-    current = points
-    increments = np.zeros((len(sets),) + points.shape)
+    worst = np.where(inside, 0.0, np.inf)
+    active = np.flatnonzero(~inside)
+    current = points[active]
+    increments = np.zeros((len(sets),) + current.shape)
     for _ in range(max_sweeps):
         if not active.size:
             break

@@ -32,6 +32,18 @@ from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport
 
 NORM_SLACK = 1.0 + 1e-6
 
+# Floats whose repr is easy to get wrong: a signed zero, the smallest
+# subnormal, both sides of repr's switches to exponent notation (below 1e-4
+# and from 1e16 on), and the non-finite values.
+ADVERSARIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-5, 1e-4, 9.999999999999999e15, 1e16,
+                      float("nan"), float("inf"), float("-inf"))
+
+
+def adversarial_array(rng: np.random.Generator, shape) -> np.ndarray:
+    """An array of ``shape`` drawn from ``ADVERSARIAL_FLOATS`` and their negations."""
+    values = np.array(ADVERSARIAL_FLOATS)
+    return rng.choice(np.concatenate([values, -values]), size=shape)
+
 
 def bounded(check: str, t: int, k: int | None, lhs: float, rhs: float,
             slack: float = VALUE_SLACK, floor: float = 0.0) -> CertificateRecord:
@@ -437,7 +449,9 @@ def violation_point(s: ConvexSet, x) -> float:
     if isinstance(s, Hyperplane):
         return abs(float(s.a @ x) - s.b) / float(np.linalg.norm(s.a))
     if isinstance(s, Box):
-        return float(np.linalg.norm(x - np.clip(x, s.lower, s.upper)))
+        d = x - np.clip(x, s.lower, s.upper)
+        # an offset whose squares all underflow still counts as outside
+        return float(np.linalg.norm(d)) or float(np.abs(d).max())
     if isinstance(s, Ball):
         return max(0.0, float(np.linalg.norm(x - s.center)) - s.radius)
     if isinstance(s, Polyhedron):

@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from consensus_lab import (GraphSequence, MatrixSequence, NotDoublyStochastic,
                            regular_tree_graph, stationary_adjoint, uniform_adjoint,
                            window_averaged_product)
 from consensus_lab.adjoint import AbsoluteProbabilitySequence, write_adjoint_csv
+from oracles import adversarial_array
 
 
 def quarter_sequence(d=3):
@@ -192,6 +194,23 @@ class TestAdjointCsv:
         got = (tmp_path / "block.csv").read_bytes()
         assert got == (tmp_path / "oracle.csv").read_bytes()
         assert got.count(b"\r\n") == 1 + 41 * aps.m
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_adversarial_values_bytes(self, tmp_path, m):
+        # The writer formats whatever it holds, so a stand-in with the same
+        # fields carries values no validated sequence could; steps 2 and 3
+        # repeat step 1, and step 5 step 4, to take the reuse path.
+        rng = np.random.default_rng(m)
+        vectors = adversarial_array(rng, (9, m))
+        vectors[2] = vectors[3] = vectors[1]
+        vectors[5] = vectors[4]
+        aps = SimpleNamespace(vectors=vectors, residuals=adversarial_array(rng, 8), m=m,
+                              horizon=8)
+        write_adjoint_csv(aps, tmp_path / "block.csv")
+        csv_writer_adjoint(aps, tmp_path / "oracle.csv")
+        got = (tmp_path / "block.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + 9 * m
 
     def test_repeating_vectors_keep_signed_zeros(self, tmp_path):
         # Repeats, changes, repeats; the last two steps differ from the first

@@ -5,6 +5,7 @@ builds every record through ``certificates.bound_records``.  The records must
 equal those of ``oracles.evaluate_certificates_per_step`` field for field,
 with every float compared by its exact bits.
 """
+import csv
 import dataclasses
 import json
 import math
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 
 from consensus_lab import engine
-from consensus_lab.certificates import bound_records
+from consensus_lab.certificates import (CertificateRecord, bound_records,
+                                        write_certificates_csv, write_certificates_json)
 from consensus_lab.lyapunov import noise_floor
 from consensus_lab.sets import DYKSTRA_TOL
 
 from conftest import _constrained_config, _unconstrained_config
-from oracles import evaluate_certificates_per_step, v_noise_floor
+from oracles import adversarial_array, evaluate_certificates_per_step, v_noise_floor
 from oracles import noise_floor as noise_floor_per_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -215,3 +217,47 @@ class TestBoundRecords:
                 for r in recs] == [
             ("c", 4, 1, 1.0, 2.0, 1.0, 0.5, True), ("c", 5, 1, 2.0, 2.0, 1.0, 0.5, True),
             ("c", 6, 1, 3.0, 2.0, 1.0, 0.5, False)]
+
+
+def json_encoder_certificates(records, path):
+    """The compact encoder, one record per line: the reference for ``certificates.json``."""
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write("[\n" + ",\n".join(encoder.encode(r.to_json_dict()) for r in records)
+                 + "\n]\n")
+
+
+def csv_writer_certificates(records, path):
+    """Row-by-row ``csv.writer`` export: the reference for ``certificates.csv``."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["check", "t", "k", "lhs", "rhs", "slack", "floor", "verdict"])
+        for r in records:
+            wr.writerow([r.check, r.t, "" if r.k is None else r.k, repr(r.lhs), repr(r.rhs),
+                         repr(r.slack), repr(r.floor), r.verdict])
+
+
+def assert_writers_match_oracles(records, tmp_path):
+    for write, oracle, name in ((write_certificates_json, json_encoder_certificates, "json"),
+                                (write_certificates_csv, csv_writer_certificates, "csv")):
+        write(records, tmp_path / f"got.{name}")
+        oracle(records, tmp_path / f"want.{name}")
+        assert (tmp_path / f"got.{name}").read_bytes() == (tmp_path / f"want.{name}").read_bytes()
+
+
+class TestWriters:
+    def test_adversarial_values_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = adversarial_array(rng, (60, 4)).tolist()
+        checks = ["conservation", "vector-rate-contraction", 'odd, "quoted"\r\nname', "é"]
+        records = [CertificateRecord(checks[i % 4], i, None if i % 3 else i // 3, *v)
+                   for i, v in enumerate(values)]
+        assert_writers_match_oracles(records, tmp_path)
+        stored = json.loads((tmp_path / "got.json").read_text())
+        assert len(stored) == 60 and stored[0]["check"] == "conservation"
+
+    def test_no_records(self, tmp_path):
+        assert_writers_match_oracles([], tmp_path)
+
+    def test_run_records(self, tmp_path):
+        assert_writers_match_oracles(engine.run(polyhedron_config()).records, tmp_path)

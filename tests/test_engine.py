@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from consensus_lab import (Ball, Box, DimensionMismatch, Halfspace, NotCompliant
                            regular_tree_graph, step_constrained, step_unconstrained, track_uv,
                            v_function)
 from consensus_lab import engine
-from oracles import constrained_fields_per_point, mean_square_identity_residual
+from oracles import (adversarial_array, constrained_fields_per_point,
+                     mean_square_identity_residual)
 
 
 class TestSteps:
@@ -367,8 +369,39 @@ def csv_writer_trajectory(result, path):
                                  wcell])
 
 
+def csv_writer_plot_data(result, path):
+    """Row-by-row ``csv.writer`` export, the byte-level reference for ``plot_data.csv``."""
+    traj = result.trajectory
+    h = traj.horizon
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t", "spread_sq", "lyap", "decrement", "V_vt", "max_dist_sq"])
+        for t in range(h + 1):
+            wr.writerow([t, repr(float(traj.spread_sq[t])), repr(float(traj.lyap[t])),
+                         repr(float(traj.decrement[t])) if t < h else "",
+                         "" if traj.v_values is None else repr(float(traj.v_values[t])),
+                         "" if traj.dist_sq is None else repr(float(np.max(traj.dist_sq[t])))])
+
+
+def adversarial_result(seed, m, n, horizon, constrained):
+    """A run result whose every stored float comes from ``ADVERSARIAL_FLOATS``."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: adversarial_array(rng, shape)  # noqa: E731
+    traj = engine.Trajectory(
+        states=draw(horizon + 1, m, n), w=draw(horizon + 1, m, n) if constrained else None,
+        spread_sq=draw(horizon + 1), lyap=draw(horizon + 1), decrement=draw(horizon),
+        conservation=None, feasibility=None, u_points=None, v_points=None,
+        v_values=draw(horizon + 1) if constrained else None,
+        dist_sq=draw(horizon + 1, m) if constrained else None, y_point=None)
+    return SimpleNamespace(trajectory=traj)
+
+
 class TestTrajectoryCsv:
     def _assert_same_bytes(self, result, tmp_path):
+        """The trajectory and ``plot_data.csv`` both equal their oracles' bytes."""
+        engine.write_plot_data_csv(result, tmp_path / "plot.csv")
+        csv_writer_plot_data(result, tmp_path / "plot_oracle.csv")
+        assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "plot_oracle.csv").read_bytes()
         engine.write_trajectory_csv(result, tmp_path / "streamed.csv")
         csv_writer_trajectory(result, tmp_path / "oracle.csv")
         got = (tmp_path / "streamed.csv").read_bytes()
@@ -385,6 +418,30 @@ class TestTrajectoryCsv:
         res = engine.run(constrained_config(seed=42, horizon=60))
         assert res.trajectory.w is not None and res.trajectory.dist_sq is not None
         self._assert_same_bytes(res, tmp_path)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (12, 1)])
+    def test_adversarial_values_bytes(self, tmp_path, constrained, m, n):
+        res = adversarial_result(m * 10 + n, m, n, 7, constrained)
+        got = self._assert_same_bytes(res, tmp_path)
+        assert got.count(b"\r\n") == 1 + 8 * m * n
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_write_memory_is_bounded(self, tmp_path, constrained):
+        """The writer holds a few steps' text at a time, not the file."""
+        rng = np.random.default_rng(8)
+        states = rng.normal(size=(301, 256, 2))
+        w = states + rng.normal(size=states.shape) if constrained else None
+        res = SimpleNamespace(trajectory=SimpleNamespace(states=states, w=w, horizon=300))
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            engine.write_trajectory_csv(res, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4 << 20
+        assert peak < 256 << 10
 
     @staticmethod
     def _assert_bits_equal(got, want):

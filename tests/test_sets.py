@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from consensus_lab import (Ball, Box, DykstraNotConverged, Halfspace, Hyperplane,
+from consensus_lab import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
                            InteriorBallNotContained, Intersection, NoInformativeSamples,
                            Polyhedron, RegularityEstimate, distance, dykstra_project,
                            regularity_interior, regularity_sampling, set_from_json_dict)
@@ -152,6 +152,89 @@ class TestBatchedDykstraFailure:
                                       points[:1])
         with pytest.raises(DykstraNotConverged, match="^point 1 "):
             dykstra_project(wedge, points, max_sweeps=3)
+
+
+class Counting(ConvexSet):
+    """A member that counts the points it is asked to project."""
+
+    def __init__(self, inner):
+        self.inner, self.projected = inner, 0
+
+    def project(self, x):
+        self.projected += np.asarray(x).reshape(-1, np.shape(x)[-1]).shape[0]
+        return self.inner.project(x)
+
+    def violation(self, x):
+        return self.inner.violation(x)
+
+
+class TestDykstraSkipsFeasiblePoints:
+    """Points with no member violation leave before the first sweep, with the
+    bits of the full recursion (``dykstra_point``, which never skips)."""
+
+    TINY = 5e-324
+
+    def members(self):
+        """Each set kind with points inside it, on its boundary, at ``-0.0``
+        and off it by gaps that underflow."""
+        t = self.TINY
+        box_neg_zero = Box(np.array([-0.0, -1.0]), np.array([1.0, 1.0]))
+        return {
+            "halfspace": (Halfspace(np.array([1.0, 100.0]), 0.0),
+                          [[-1.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [t, 0.0], [100.0, -1.0]]),
+            "hyperplane": (Hyperplane(np.array([1.0, 100.0]), 0.0),
+                           [[0.0, 0.0], [-0.0, 0.0], [t, 0.0], [-t, -0.0], [100.0, -1.0]]),
+            "box": (Box(np.array([-1.0, 1e-170]), np.array([1.0, 1.0])),
+                    [[0.5, 0.5], [-1.0, 1.0], [-0.0, 1e-170], [0.0, 0.0], [0.0, -t]]),
+            "box-neg-zero": (box_neg_zero, [[0.0, 0.5], [-0.0, -0.0], [t, 0.0]]),
+            "ball": (Ball(np.array([0.0, 0.0]), 5.0),
+                     [[3.0, 4.0], [-0.0, 0.0], [0.0, -5.0], [t, -t]]),
+            "polyhedron": (Polyhedron((Halfspace(np.array([1.0, 0.0]), 1.0),
+                                       Halfspace(np.array([0.0, 1.0]), 1.0),
+                                       Halfspace(np.array([1.0, 100.0]), 0.0))),
+                           [[1.0, -0.0], [-0.0, -0.0], [t, 0.0], [-3.0, 0.01], [1.0, -1.0]]),
+        }
+
+    @pytest.mark.parametrize("kind", ["halfspace", "hyperplane", "box", "box-neg-zero",
+                                      "ball", "polyhedron"])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_bits_equal_the_recursion(self, kind, last):
+        s, points = self.members()[kind]
+        # A wide ball as the other member; [150, -150] lies outside it and
+        # [2, 3] outside most sets under test, so the batch mixes both paths.
+        sets = [Ball(np.array([0.0, 0.0]), 200.0)]
+        sets.insert(len(sets) if last else 0, s)
+        points = np.array(points + [[150.0, -150.0], [2.0, 3.0]])
+        want = np.array([dykstra_point(sets, p) for p in points])
+        got = dykstra_project(sets, points)
+        assert got.tobytes() == want.tobytes()
+        for p, w in zip(points, want):
+            assert dykstra_project(sets, p).tobytes() == w.tobytes()
+
+    def test_feasible_points_run_no_sweep(self):
+        first = Counting(Halfspace(np.array([1.0, 0.0]), 1.0))
+        last = Counting(Ball(np.array([0.0, 0.0]), 5.0))
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [-0.0, 3.0], [2.0, 0.0]])
+        got = dykstra_project((first, last), points)
+        want = np.array([dykstra_point((first.inner, last.inner), p) for p in points])
+        assert got.tobytes() == want.tobytes()
+        # Three points leave with the last member's projection alone; the
+        # outside point takes two sweeps through both members.
+        assert (first.projected, last.projected) == (2, 3 + 2)
+
+    def test_underflowing_box_offset_is_a_violation(self):
+        box = Box(np.array([1e-170, -1.0]), np.array([1.0, 1.0]))
+        assert box.violation(np.array([0.0, 0.0])) == 1e-170
+        assert box.violation(np.array([[0.0, 0.0], [0.5, 0.0]])).tolist() == [1e-170, 0.0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_points_still_run_the_recursion(self):
+        sets = (Halfspace(np.array([1.0, 0.0]), 1.0), Halfspace(np.array([0.0, 1.0]), 1.0))
+        point = np.array([-np.inf, 0.0])
+        with pytest.raises(DykstraNotConverged):
+            dykstra_point(sets, point, max_sweeps=3)
+        with pytest.raises(DykstraNotConverged):
+            dykstra_project(sets, point, max_sweeps=3)
 
 
 class TestProjectionProperties:
