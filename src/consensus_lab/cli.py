@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .adjoint import (AdjointResidualTooLarge, NotErgodicWithinWindow,
                       write_adjoint_csv, write_adjoint_sidecar)
 from .certificates import write_certificates_csv, write_certificates_json
 from .graphs import regular_tree_graph
-from .sets import (Ball, DykstraNotConverged, InteriorBallNotContained,
+from .sets import (Ball, DykstraNotConverged, InteriorBallNotContained, Intersection,
                    NoInformativeSamples, regularity_interior, regularity_sampling,
                    set_from_json_dict)
 
@@ -109,33 +110,46 @@ def cmd_construct_graph(args) -> int:
     return EXIT_OK
 
 
+def _point_arg(text: str, flag: str, n: int) -> np.ndarray:
+    """The JSON list ``text`` as ``n`` finite coordinates, else ``ValueError``."""
+    try:
+        point = np.array(json.loads(text), dtype=float)
+    except TypeError as exc:  # a JSON object; bad JSON is a ValueError already
+        raise ValueError(f"{flag} must be a list of {n} numbers, not {text!r}") from exc
+    if point.shape != (n,) or not np.isfinite(point).all():
+        raise ValueError(f"{flag} must be a list of {n} finite numbers, not {text!r}")
+    return point
+
+
 def cmd_estimate_regularity(args) -> int:
     try:
         sets = [set_from_json_dict(d) for d in _load_json(Path(args.sets), list)]
         if not sets:
             raise ValueError(f"{args.sets} lists no sets")
-        region = Ball(np.array(json.loads(args.center), dtype=float), args.radius)
-    except (OSError, ValueError, KeyError) as exc:
+        n = Intersection(sets).dim  # the sets must share one
+        region = Ball(_point_arg(args.center, "--center", n), args.radius)
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, not {args.samples}")
+        x_bar = None
+        if args.theta is not None:
+            if args.interior_center is None:
+                raise ValueError("--interior-center is required with --theta")
+            if not 0.0 < args.theta < math.inf:
+                raise ValueError(f"--theta must be positive and finite, not {args.theta}")
+            x_bar = _point_arg(args.interior_center, "--interior-center", n)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     out: dict = {}
     try:
-        est = regularity_sampling(sets, region, args.samples, args.seed)
-        out["sampling"] = est.to_json_dict()
-    except NoInformativeSamples as exc:
+        out["sampling"] = regularity_sampling(sets, region, args.samples,
+                                              args.seed).to_json_dict()
+        if x_bar is not None:
+            out["interior"] = regularity_interior(sets, args.theta, x_bar,
+                                                  region).to_json_dict()
+    except _NUMERICAL_ERRORS + (InteriorBallNotContained,) as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    if args.theta is not None:
-        if args.interior_center is None:
-            log.error("--interior-center is required with --theta")
-            return EXIT_CONFIG
-        try:
-            x_bar = np.array(json.loads(args.interior_center), dtype=float)
-            est = regularity_interior(sets, args.theta, x_bar, region)
-            out["interior"] = est.to_json_dict()
-        except InteriorBallNotContained as exc:
-            log.error("numerical failure: %s", exc)
-            return EXIT_NUMERICAL
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -25,8 +25,8 @@ from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, noise_floor, rate_quotient,
                        squared_spread, v_function, vector_contraction_certificate,
                        weighted_means, weighted_variance)
-from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, distance,
-                   regularity_interior, regularity_sampling, set_from_json_dict)
+from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, SetBank,
+                   distance, regularity_interior, regularity_sampling, set_from_json_dict)
 from .weights import ComplianceReport, MatrixSequence, verify_compliance
 
 CONSERVATION_TOL = 1e-10
@@ -119,6 +119,14 @@ class RunConfig:
         if self.mode == "constrained" and len(self.constraints) != self.m:
             raise ConfigError("constrained mode needs one set spec per agent")
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.mode == "constrained":
+            for i, spec in enumerate(self.constraints):
+                try:
+                    dim = set_from_json_dict(spec).dim
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ConfigError(f"constraints[{i}] is not a valid set: {exc}") from exc
+                if dim != self.n:
+                    raise ConfigError(f"constraints[{i}] has {dim} coordinates, not n={self.n}")
         if not isinstance(self.rate_ks, (list, tuple)):
             raise ConfigError(f"rate_ks must be a list, not {self.rate_ks!r}")
         object.__setattr__(self, "rate_ks", tuple(self.rate_ks))
@@ -236,11 +244,11 @@ def parse_constraints(config: RunConfig) -> tuple[ConvexSet, ...]:
     return tuple(set_from_json_dict(d) for d in config.constraints)
 
 
-def initial_states(config: RunConfig, sets: tuple[ConvexSet, ...] | None) -> np.ndarray:
+def initial_states(config: RunConfig, bank: SetBank | None) -> np.ndarray:
     """Initial (m, n) state block; random draws are projected onto each agent's set.
 
-    Explicit states in constrained mode must already be feasible within
-    1e-10 per agent.
+    ``bank`` holds the agents' sets, ``None`` in unconstrained mode.  Explicit
+    states in constrained mode must already be feasible within 1e-10 per agent.
     """
     spec = config.initial
     if spec.get("kind") == "explicit":
@@ -249,8 +257,8 @@ def initial_states(config: RunConfig, sets: tuple[ConvexSet, ...] | None) -> np.
             raise ConfigError(f"explicit states must have shape ({config.m}, {config.n})")
         if not np.isfinite(x0).all():
             raise ConfigError("explicit states must be finite")
-        if sets is not None:
-            for i, s in enumerate(sets):
+        if bank is not None:
+            for i, s in enumerate(bank.sets):
                 if s.violation(x0[i]) > FEASIBILITY_TOL:
                     raise ConfigError(f"initial state of agent {i} violates its set")
         return x0
@@ -258,12 +266,7 @@ def initial_states(config: RunConfig, sets: tuple[ConvexSet, ...] | None) -> np.
     high = float(spec.get("high", 1.0))
     rng = seeding.substream(config.seed, "init")
     x0 = rng.uniform(low, high, size=(config.m, config.n))
-    return x0 if sets is None else _project_each(x0, sets)
-
-
-def _project_each(points: np.ndarray, sets) -> np.ndarray:
-    """Row ``i`` of ``points`` projected onto agent ``i``'s set."""
-    return np.stack([s.project(points[i]) for i, s in enumerate(sets)])
+    return x0 if bank is None else bank.project(x0)
 
 
 def step_unconstrained(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -275,9 +278,13 @@ def step_unconstrained(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def step_constrained(x: np.ndarray, a: np.ndarray, sets) -> tuple[np.ndarray, np.ndarray]:
-    """Averaging followed by per-agent projection; returns ``(w, x_next)``."""
+    """Averaging followed by per-agent projection; returns ``(w, x_next)``.
+
+    ``sets`` holds one set per agent, or is a :class:`SetBank` built from them.
+    """
     w = step_unconstrained(x, a)
-    return w, _project_each(w, sets)
+    bank = sets if isinstance(sets, SetBank) else SetBank(sets)
+    return w, bank.project(w)
 
 
 def track_uv(states: np.ndarray, pi: np.ndarray,
@@ -318,14 +325,15 @@ def simulate(config: RunConfig, mseq: MatrixSequence,
     """Run the dynamic; returns ``(states, w)`` with ``w`` only in constrained mode."""
     h = config.horizon
     states = np.empty((h + 1, config.m, config.n))
-    states[0] = initial_states(config, sets)
-    if sets is None:
+    bank = None if sets is None else SetBank(sets)
+    states[0] = initial_states(config, bank)
+    if bank is None:
         for t in range(h):
             states[t + 1] = step_unconstrained(states[t], mseq.matrix_at(t))
         return states, None
     w = np.zeros((h + 1, config.m, config.n))
     for t in range(h):
-        w[t + 1], states[t + 1] = step_constrained(states[t], mseq.matrix_at(t), sets)
+        w[t + 1], states[t + 1] = step_constrained(states[t], mseq.matrix_at(t), bank)
     return states, w
 
 

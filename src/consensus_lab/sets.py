@@ -13,10 +13,20 @@ get alone, because the inner products are ``np.vecdot`` and the norms
 ``np.sqrt(np.vecdot(d, d))``, which round exactly as the 1-D ``a @ x`` and
 ``np.linalg.norm(d)`` do (``(x * a).sum(-1)`` and ``einsum`` sum in another
 order).
+
+A :class:`SetBank` projects row ``i`` of a block onto agent ``i``'s set, as a
+constrained run does every step.  It stacks the halfspace, hyperplane, box
+and ball agents into one array per kind (normals and offsets, bounds,
+centres and radii) and runs each kind's closed form once over its rows.  The
+closed forms are the sets' own and work elementwise per point, so every
+agent keeps the bits of its own ``project``.  The facets of the polyhedron
+agents are stacked too, for Dykstra's exit before the first sweep, so only
+the agents really outside their polyhedron run the recursion.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +36,7 @@ from .seeding import substream
 FEASIBILITY_TOL = 1e-10
 DYKSTRA_TOL = 1e-12
 DYKSTRA_MAX_SWEEPS = 10 ** 5
+_SAMPLE_BLOCK = 2 ** 14  # points per batched call; bounds the memory of a call
 
 
 class DykstraNotConverged(RuntimeError):
@@ -44,7 +55,8 @@ class ConvexSet:
     """Marker base class; concrete sets implement ``project`` and ``violation``.
 
     Both take points of shape ``(..., n)``; ``project`` returns a new array
-    of the same shape and ``violation`` one value per point.
+    of the same shape and ``violation`` one value per point.  ``dim`` is the
+    set's number of coordinates ``n``.
     """
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -71,7 +83,62 @@ def _positive_part(v):
 
 def _worst(sets, x):
     """Largest member violation per point."""
-    return functools.reduce(np.maximum, [s.violation(x) for s in sets])
+    return functools.reduce(np.maximum, (s.violation(x) for s in sets))
+
+
+def _coordinates(v, what: str) -> np.ndarray:
+    """``v`` as a read-only vector of at least one coordinate, else ``ValueError``."""
+    v = _vec(v)
+    if v.ndim != 1 or not v.size:
+        raise ValueError(f"{what} must be a vector of at least one coordinate, not {v!r}")
+    v.setflags(write=False)
+    return v
+
+
+def _check_same_dim(members, what: str) -> None:
+    dims = {s.dim for s in members}
+    if len(dims) != 1:
+        raise ValueError(f"{what} members differ in dimension: {sorted(dims)}")
+
+
+def _set_plane(s, kind: str) -> None:
+    """Check and store the normal ``a`` and offset ``b`` of a halfspace or hyperplane."""
+    a = _coordinates(s.a, f"{kind} normal")
+    norm = float(np.linalg.norm(a))
+    if not 0.0 < norm < math.inf:  # also false for a NaN
+        raise ValueError(f"{kind} normal must be finite and nonzero")
+    b = float(s.b)
+    if not math.isfinite(b):
+        raise ValueError(f"{kind} offset must be finite")
+    object.__setattr__(s, "a", a)
+    object.__setattr__(s, "b", b)
+    object.__setattr__(s, "_a_norm", norm)
+    object.__setattr__(s, "_a_norm_sq", float(a @ a))
+
+
+# The closed forms.  The set data may be stacked, one row per point (a
+# SetBank's), or belong to one set; the arithmetic per point is the same.
+
+def _halfspace_project(x, a, b, a_norm_sq):
+    gap = np.vecdot(x, a) - b
+    return np.where((gap <= 0.0)[..., None], x, x - (gap / a_norm_sq)[..., None] * a)
+
+
+def _halfspace_violation(x, a, b, a_norm):
+    return _positive_part((np.vecdot(x, a) - b) / a_norm)
+
+
+def _hyperplane_project(x, a, b, a_norm_sq):
+    return x - ((np.vecdot(x, a) - b) / a_norm_sq)[..., None] * a
+
+
+def _ball_project(x, center, radius):
+    d = x - center
+    r = _norm(d)
+    # radius / max(r, radius) is radius / r wherever that branch is taken,
+    # and never divides by zero where it is not.
+    scale = radius / np.maximum(r, radius)
+    return np.where((r <= radius)[..., None], x, center + scale[..., None] * d)
 
 
 @dataclass(frozen=True)
@@ -82,25 +149,17 @@ class Halfspace(ConvexSet):
     b: float
 
     def __post_init__(self):
-        a = _vec(self.a)
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "_a_norm", norm)
-        object.__setattr__(self, "_a_norm_sq", float(a @ a))
+        _set_plane(self, "halfspace")
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
 
     def project(self, x):
-        x = _vec(x)
-        gap = np.vecdot(x, self.a) - self.b
-        return np.where((gap <= 0.0)[..., None], x,
-                        x - (gap / self._a_norm_sq)[..., None] * self.a)
+        return _halfspace_project(_vec(x), self.a, self.b, self._a_norm_sq)
 
     def violation(self, x):
-        gap = np.vecdot(_vec(x), self.a) - self.b
-        return _positive_part(gap / self._a_norm)
+        return _halfspace_violation(_vec(x), self.a, self.b, self._a_norm)
 
 
 @dataclass(frozen=True)
@@ -111,20 +170,14 @@ class Hyperplane(ConvexSet):
     b: float
 
     def __post_init__(self):
-        a = _vec(self.a)
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "_a_norm", norm)
-        object.__setattr__(self, "_a_norm_sq", float(a @ a))
+        _set_plane(self, "hyperplane")
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
 
     def project(self, x):
-        x = _vec(x)
-        gap = np.vecdot(x, self.a) - self.b
-        return x - (gap / self._a_norm_sq)[..., None] * self.a
+        return _hyperplane_project(_vec(x), self.a, self.b, self._a_norm_sq)
 
     def violation(self, x):
         return np.abs(np.vecdot(_vec(x), self.a) - self.b) / self._a_norm
@@ -138,15 +191,18 @@ class Box(ConvexSet):
     upper: np.ndarray
 
     def __post_init__(self):
-        lo, hi = _vec(self.lower), _vec(self.upper)
+        lo = _coordinates(self.lower, "box lower bound")
+        hi = _coordinates(self.upper, "box upper bound")
         if lo.shape != hi.shape:
             raise ValueError("bound shapes differ")
         if np.isnan(lo).any() or np.isnan(hi).any() or (lo > hi).any():
             raise ValueError("need lower <= upper coordinatewise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+
+    @property
+    def dim(self) -> int:
+        return self.lower.shape[0]
 
     def project(self, x):
         return np.clip(_vec(x), self.lower, self.upper)
@@ -168,22 +224,19 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        c = _vec(self.center)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        c.setflags(write=False)
+        c = _coordinates(self.center, "ball center")
+        radius = float(self.radius)
+        if not (np.isfinite(c).all() and 0.0 < radius < math.inf):
+            raise ValueError("ball needs a finite center and a finite positive radius")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
+
+    @property
+    def dim(self) -> int:
+        return self.center.shape[0]
 
     def project(self, x):
-        x = _vec(x)
-        d = x - self.center
-        r = _norm(d)
-        # radius / max(r, radius) is radius / r wherever that branch is taken,
-        # and never divides by zero where it is not.
-        scale = self.radius / np.maximum(r, self.radius)
-        return np.where((r <= self.radius)[..., None], x,
-                        self.center + scale[..., None] * d)
+        return _ball_project(_vec(x), self.center, self.radius)
 
     def violation(self, x):
         return _positive_part(_norm(_vec(x) - self.center) - self.radius)
@@ -199,6 +252,13 @@ class Polyhedron(ConvexSet):
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
         if not self.halfspaces:
             raise ValueError("polyhedron needs at least one halfspace")
+        if not all(isinstance(h, Halfspace) for h in self.halfspaces):
+            raise ValueError("polyhedron facets must be halfspaces")
+        _check_same_dim(self.halfspaces, "polyhedron")
+
+    @property
+    def dim(self) -> int:
+        return self.halfspaces[0].dim
 
     def project(self, x):
         return dykstra_project(self.halfspaces, x)
@@ -217,6 +277,11 @@ class Intersection(ConvexSet):
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("intersection needs at least one member")
+        _check_same_dim(self.members, "intersection")
+
+    @property
+    def dim(self) -> int:
+        return self.members[0].dim
 
     def project(self, x):
         if len(self.members) == 1:
@@ -241,9 +306,11 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
 
     ``x`` has shape ``(..., n)``.  Each point runs its own recursion with its
     own increments, and a point leaves the batch the sweep it stops, so every
-    point gets the bits and the sweep count it would get alone.  If any
-    point fails to converge, ``DykstraNotConverged`` names the lowest-index
-    failing point, after every other point has run to its end.
+    point gets the bits and the sweep count it would get alone.  The points
+    that need sweeps run them in blocks of at most ``_SAMPLE_BLOCK``, which
+    bounds the memory the increments take.  If any point fails to converge,
+    ``DykstraNotConverged`` names the lowest-index failing point, after every
+    other point has run to its end.
 
     A finite point whose every member violation is exactly ``0.0`` leaves
     before the first sweep with that sweep's result.  Each member returns its
@@ -254,43 +321,144 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
     sets = tuple(sets)
     x = _vec(x)
     points = x.reshape(-1, x.shape[-1])
-    result = points.copy()
     inside = (_worst(sets, points) == 0.0) & np.isfinite(points).all(axis=-1)
+    if inside.all():
+        return sets[-1].project(points + 0.0).reshape(x.shape)
+    result = points.copy()
     if inside.any():
         result[inside] = sets[-1].project(points[inside] + 0.0)
     # Member violation at each point's last settled sweep; a point converged
     # exactly when its final value is within FEASIBILITY_TOL.
     worst = np.where(inside, 0.0, np.inf)
-    active = np.flatnonzero(~inside)
-    current = points[active]
-    increments = np.zeros((len(sets),) + current.shape)
-    for _ in range(max_sweeps):
-        if not active.size:
-            break
-        previous, previous_increments = current, increments.copy()
-        for idx, s in enumerate(sets):
-            target = current + increments[idx]
-            current = s.project(target)
-            increments[idx] = target - current
-        settled = np.abs(current - previous).max(axis=-1) <= tol
-        if not settled.any():
-            continue
-        here, settled_at = active[settled], current[settled]
-        worst[here] = _worst(sets, settled_at)
-        feasible = worst[here] <= FEASIBILITY_TOL
-        result[here[feasible]] = settled_at[feasible]
-        # A settled sweep that moved no increment can change nothing anymore:
-        # the intersection is unreachable from that point.
-        inc_change = np.abs(increments[:, settled] - previous_increments[:, settled])
-        stops = settled.copy()
-        stops[settled] = feasible | (inc_change.max(axis=(0, 2)) == 0.0)
-        active, current, increments = active[~stops], current[~stops], increments[:, ~stops]
+    outside = np.flatnonzero(~inside)
+    for start in range(0, outside.size, _SAMPLE_BLOCK):
+        rows = outside[start:start + _SAMPLE_BLOCK]
+        result[rows], worst[rows] = _dykstra_sweeps(sets, points[rows], tol, max_sweeps)
     failed = np.flatnonzero(~(worst <= FEASIBILITY_TOL))
     if failed.size:
         raise DykstraNotConverged(
             f"point {failed[0]} stopped with member violation {worst[failed[0]]:.3e}; "
             "intersection may be empty or ill-conditioned")
     return result.reshape(x.shape)
+
+
+def _dykstra_sweeps(sets, points, tol, max_sweeps):
+    """Dykstra's sweeps for each row of ``points``, shape ``(k, n)``.
+
+    Returns the rows' results and their member violations at their last
+    settled sweep (``inf`` for a row that never settled).
+    """
+    result = points.copy()
+    worst = np.full(points.shape[0], np.inf)
+    active = np.arange(points.shape[0])
+    current = points
+    # Two increment buffers: each sweep writes its increments into the spare
+    # one, so the last sweep's stay there for comparison without a copy.
+    increments = np.zeros((len(sets),) + points.shape)
+    spare = np.empty_like(increments)
+    for _ in range(max_sweeps):
+        if not active.size:
+            break
+        previous = current
+        for idx, s in enumerate(sets):
+            target = current + increments[idx]
+            current = s.project(target)
+            np.subtract(target, current, out=spare[idx])
+        increments, spare = spare, increments
+        settled = np.abs(current - previous).max(axis=-1) <= tol
+        if not settled.any():
+            continue
+        here, settled_at = active[settled], current[settled]
+        worst[here] = _worst(sets, settled_at)
+        stops = worst[here] <= FEASIBILITY_TOL
+        result[here[stops]] = settled_at[stops]
+        # A settled sweep that moved no increment can change nothing anymore:
+        # the intersection is unreachable from that point.  An increment
+        # that stays infinite moves, as inf - inf is NaN.
+        stuck = np.flatnonzero(settled)[~stops]
+        if stuck.size:
+            stops[~stops] = (increments[:, stuck] - spare[:, stuck] == 0.0).all(axis=(0, 2))
+        ends = settled.copy()
+        ends[settled] = stops
+        if ends.any():
+            active, current, increments = active[~ends], current[~ends], increments[:, ~ends]
+            spare = spare[:, :active.size]  # its leading rows serve the points left
+    return result, worst
+
+
+class SetBank:
+    """Agent ``i``'s set for row ``i`` of a block, one closed form per set kind.
+
+    Built once per run from the agents' sets (see the module docstring).  The
+    rows are gathered once, in an order that makes each kind's rows one
+    slice, and scattered back once.  A polyhedron agent whose point is finite
+    and violates none of its facets (every violation exactly ``0.0``) gets
+    the last facet's projection of ``point + 0.0``, which is what
+    :func:`dykstra_project` gives it before its first sweep, so the
+    polyhedra ride in the halfspace slice with their last facets.  An agent
+    outside its polyhedron, and one whose set is of any other kind, projects
+    through its own set.
+    """
+
+    def __init__(self, sets):
+        self.sets = tuple(sets)
+        rows = {kind: [i for i, s in enumerate(self.sets) if type(s) is kind]
+                for kind in (Halfspace, Polyhedron, Hyperplane, Box, Ball)}
+        rows[Polyhedron] = [i for i in rows[Polyhedron]
+                            if all(type(h) is Halfspace for h in self.sets[i].halfspaces)]
+        facets = [self.sets[i].halfspaces for i in rows[Polyhedron]]
+        stacked = [i for kind_rows in rows.values() for i in kind_rows]
+        self._others = [i for i in range(len(self.sets)) if i not in set(stacked)]
+        self._order = np.array(stacked + self._others, dtype=np.intp)
+        self._inverse = np.argsort(self._order)
+        # (slice of the gathered rows, closed form, its stacked set data)
+        self._slices = []
+        start = 0
+        for closed_form, fields, members in (
+                (_halfspace_project, ("a", "b", "_a_norm_sq"),
+                 [self.sets[i] for i in rows[Halfspace]] + [f[-1] for f in facets]),
+                (_hyperplane_project, ("a", "b", "_a_norm_sq"),
+                 [self.sets[i] for i in rows[Hyperplane]]),
+                (np.clip, ("lower", "upper"), [self.sets[i] for i in rows[Box]]),
+                (_ball_project, ("center", "radius"), [self.sets[i] for i in rows[Ball]])):
+            if members:
+                self._slices.append((slice(start, start + len(members)), closed_form,
+                                     _stack(members, fields)))
+                start += len(members)
+        self._rest = slice(start, None)
+        self._polyhedra = np.array(rows[Polyhedron], dtype=np.intp)
+        if facets:
+            first = len(rows[Halfspace])
+            self._polyhedron_slice = slice(first, first + len(facets))
+            counts = np.array([len(f) for f in facets])
+            self._owner = np.repeat(np.arange(len(facets)), counts)
+            self._starts = np.cumsum(counts) - counts
+            self._facets = _stack([h for f in facets for h in f], ("a", "b", "_a_norm"))
+
+    def project(self, points) -> np.ndarray:
+        """Row ``i`` of ``points``, shape ``(len(sets), n)``, projected onto set ``i``."""
+        points = _vec(points)
+        gathered = points[self._order]
+        one_by_one = self._others
+        if self._polyhedra.size:
+            p = gathered[self._polyhedron_slice]
+            worst = np.maximum.reduceat(_halfspace_violation(p[self._owner], *self._facets),
+                                        self._starts)
+            inside = (worst == 0.0) & np.isfinite(p).all(axis=-1)
+            if not inside.all():
+                one_by_one = self._polyhedra[~inside].tolist() + one_by_one
+            p += 0.0  # the polyhedra's rows now hold point + 0.0
+        out = np.concatenate([closed_form(gathered[rows], *data)
+                              for rows, closed_form, data in self._slices]
+                             + [gathered[self._rest]])[self._inverse]
+        for i in one_by_one:
+            out[i] = self.sets[i].project(points[i])
+        return out
+
+
+def _stack(sets, fields) -> tuple:
+    """Each field of ``sets`` as one array, a row (or an entry) per set."""
+    return tuple(np.array([getattr(s, f) for s in sets]) for f in fields)
 
 
 def distance(s: ConvexSet, x):
@@ -328,34 +496,32 @@ class RegularityEstimate:
         return d
 
 
-def _uniform_ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
-    n = center.shape[0]
-    direction = rng.normal(size=n)
-    direction /= np.linalg.norm(direction)
-    return center + radius * rng.random() ** (1.0 / n) * direction
-
-
-_SAMPLE_BLOCK = 2 ** 14  # points per batched projection; bounds the memory of a call
-
-
 def regularity_sampling(sets, region: Ball, samples: int, seed: int) -> RegularityEstimate:
     """Largest observed ratio ``dist(x, X) / max_i dist(x, X_i)`` over samples from ``region``.
 
     Samples inside the intersection (max distance below 1e-9) carry no
     information and are skipped; if every sample is skipped the call fails.
-    Samples are drawn one by one, so the stream does not depend on the block
-    size, and projected a block at a time.
+    Each sample draws its direction ``rng.normal(size=n)`` and then its
+    radial factor ``rng.random() ** (1 / n)``, in Python's float power, one
+    sample after another, so the stream does not depend on the block size.
+    Each block of draws is then normalized, scaled and projected at once.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     sets = tuple(sets)
     intersection = Intersection(sets)
     rng = substream(seed, "regularity")
+    n = region.center.shape[0]
     r_hat = 1.0
     skipped = 0
     for start in range(0, samples, _SAMPLE_BLOCK):
-        points = np.array([_uniform_ball_point(rng, region.center, region.radius)
-                           for _ in range(min(_SAMPLE_BLOCK, samples - start))])
+        count = min(_SAMPLE_BLOCK, samples - start)
+        directions, radial = np.empty((count, n)), np.empty(count)
+        for i in range(count):
+            directions[i] = rng.normal(size=n)
+            radial[i] = rng.random() ** (1.0 / n)
+        directions /= _norm(directions)[:, None]
+        points = region.center + (region.radius * radial)[:, None] * directions
         dmax = np.max([distance(s, points) for s in sets], axis=0)
         informative = ~(dmax <= 1e-9)
         skipped += int(points.shape[0] - informative.sum())

@@ -35,17 +35,18 @@ def random_rooted_scenario(tmp_path: Path, **overrides) -> Path:
     return write_json(tmp_path / "random_rooted.json", scenario)
 
 
+HALFSPACE = {"type": "halfspace", "a": [1.0, 0.0], "b": 1.0}
+BOX = {"type": "box", "lower": [-2.0, -2.0], "upper": [2.0, 2.0]}
+BALL = {"type": "ball", "center": [0.0, 0.0], "radius": 2.5}
+
+
 def constrained_scenario(tmp_path: Path) -> Path:
     scenario = {
         "m": 3, "n": 2, "horizon": 300, "seed": 21, "mode": "constrained",
         "graph": {"kind": "random-rooted", "extra_edge_prob": 0.5},
         "weights": {"scheme": "equal-neighbor"},
         "initial": {"kind": "uniform-box", "low": -3, "high": 3},
-        "constraints": [
-            {"type": "halfspace", "a": [1.0, 0.0], "b": 1.0},
-            {"type": "box", "lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
-            {"type": "ball", "center": [0.0, 0.0], "radius": 2.5},
-        ],
+        "constraints": [HALFSPACE, BOX, BALL],
         "regularity": {"method": "interior", "theta": 0.5, "x_bar": [0.0, 0.0]},
     }
     return write_json(tmp_path / "constrained.json", scenario)
@@ -211,6 +212,37 @@ class TestEstimateRegularity:
         sets = write_json(tmp_path / "sets.json", content)
         assert cli.main(["estimate-regularity", "--sets", str(sets),
                          "--center", "[0,0]", "--radius", "1.0", "--samples", "20"]) == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--samples", "0"],
+        ["--theta", "0", "--interior-center", "[0,0]"],
+        ["--theta", "nan", "--interior-center", "[0,0]"],
+        ["--theta", "1.0"],
+        ["--theta", "1.0", "--interior-center", "[0,"],
+        ["--theta", "1.0", "--interior-center", '{"x": 0}'],
+        ["--theta", "1.0", "--interior-center", "[0,0,0]"],
+        ["--theta", "1.0", "--interior-center", "[NaN,0]"],
+        ["--center", "[0]"],
+        ["--center", "[0,0"],
+        ["--radius", "nan"],
+        ["--radius", "inf"],
+        ["--radius", "0"],
+    ], ids=["zero-samples", "zero-theta", "nan-theta", "theta-without-center",
+            "unparsable-interior-center", "object-interior-center", "long-interior-center",
+            "nan-interior-center", "short-center", "unparsable-center", "nan-radius",
+            "infinite-radius", "zero-radius"])
+    def test_malformed_arguments_exit_config(self, tmp_path, capsys, extra):
+        code = cli.main(["estimate-regularity", "--sets", str(self.sets_file(tmp_path)),
+                         "--center", "[0,0]", "--radius", "2.0", "--samples", "50"] + extra)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sets_of_different_dimensions_exit_config(self, tmp_path):
+        sets = write_json(tmp_path / "mixed.json",
+                          [{"type": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+                           {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}])
+        assert cli.main(["estimate-regularity", "--sets", str(sets), "--center", "[0,0]",
+                         "--radius", "1.0", "--samples", "20"]) == 2
 
     def test_no_informative_samples_exit(self, tmp_path):
         sets = write_json(tmp_path / "big.json", [{"type": "ball", "center": [0, 0],
@@ -413,6 +445,19 @@ class TestValidateBeforeWork:
         ("adjoint", {"method": "backward-product", "spread_tol": 0.0}),
         ("adjoint", {"method": "backward-product", "spread_tol": -1e-10}),
         ("rate_ks", 5), ("y_point", 5), ("y_point", [1, "a"]), ("y_point", [0.0]),
+        ("constraints", [HALFSPACE, {"type": "box", "lower": [-0.5], "upper": [0.5]}, BALL]),
+        ("constraints", [HALFSPACE, BOX, {"type": "ball", "center": [0.0, 0.0, 0.0],
+                                          "radius": 2.5}]),
+        ("constraints", [{"type": "halfspace", "a": [float("nan"), 0.0], "b": 1.0}, BOX, BALL]),
+        ("constraints", [{"type": "halfspace", "a": [1.0, 0.0], "b": float("nan")}, BOX, BALL]),
+        ("constraints", [{"type": "hyperplane", "a": [1.0, float("nan")], "b": 0.0}, BOX, BALL]),
+        ("constraints", [{"type": "hyperplane", "a": [1.0, 0.0], "b": float("nan")}, BOX, BALL]),
+        ("constraints", [HALFSPACE, BOX, {"type": "ball", "center": [float("nan"), 0.0],
+                                          "radius": 2.5}]),
+        ("constraints", [HALFSPACE, BOX, {"type": "ball", "center": [0.0, 0.0],
+                                          "radius": float("nan")}]),
+        ("constraints", [{"type": "polyhedron", "halfspaces": [HALFSPACE, BALL]}, BOX, BALL]),
+        ("constraints", [HALFSPACE, BOX, {"type": "ball"}]),
     ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object",
             "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
             "string-certificates_enabled", "no-theta", "string-theta", "no-x_bar",
@@ -422,7 +467,10 @@ class TestValidateBeforeWork:
             "number-adjoint", "string-constraints", "non-object-constraint", "r-minus-one",
             "negative-r", "r-below-one", "zero-theta", "negative-theta", "zero-samples",
             "zero-spread_tol", "negative-spread_tol", "number-rate_ks", "number-y_point",
-            "string-y_point", "short-y_point"])
+            "string-y_point", "short-y_point", "one-coordinate-box", "three-coordinate-ball",
+            "nan-halfspace-normal", "nan-halfspace-offset", "nan-hyperplane-normal",
+            "nan-hyperplane-offset", "nan-ball-center", "nan-ball-radius",
+            "ball-polyhedron-facet", "ball-without-keys"])
     def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,8 +151,51 @@ class TestBatchedDykstraFailure:
         points = np.array([[1.0, -0.01], [-30.0, -5.0], [-40.0, 5.0]])
         np.testing.assert_array_equal(dykstra_project(wedge, points[:1], max_sweeps=3),
                                       points[:1])
-        with pytest.raises(DykstraNotConverged, match="^point 1 "):
+        with pytest.raises(DykstraNotConverged) as alone:
+            dykstra_point(wedge, points[1], max_sweeps=3)
+        # the member violation the point stopped with, as the oracle gives it
+        with pytest.raises(DykstraNotConverged, match=f"^point 1 {re.escape(str(alone.value))};"):
             dykstra_project(wedge, points, max_sweeps=3)
+
+    def test_thin_wedge_converges_with_the_bits_of_the_oracle(self):
+        wedge = (Halfspace(np.array([0.0, 1.0]), 0.0),
+                 Halfspace(np.array([-0.05, -1.0]), 0.0))
+        points = np.array([[1.0, -0.01], [-30.0, -5.0], [-40.0, 5.0], [3.0, 0.2]])
+        want = np.array([dykstra_point(wedge, p) for p in points])
+        assert dykstra_project(wedge, points).tobytes() == want.tobytes()
+
+    def test_blocks_bound_the_memory_of_a_large_batch(self, monkeypatch):
+        """64 members and 2^15 points outside them.  The two increment buffers
+        of all the points take 64 MiB, those of a block of 2^11 points 4 MiB."""
+        monkeypatch.setattr(sets_module, "_SAMPLE_BLOCK", 2 ** 11)
+        e = np.eye(2)
+        members = [Halfspace(e[k % 2], 1.0 + (k // 2) / 64) for k in range(64)]
+        points = np.random.default_rng(0).uniform(2.0, 4.0, size=(2 ** 15, 2))
+        tracemalloc.start()
+        try:
+            projected = dykstra_project(members, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        for i in (0, 2 ** 11, 2 ** 15 - 1):
+            assert projected[i].tobytes() == dykstra_point(members, points[i]).tobytes()
+        np.testing.assert_allclose(projected, 1.0, rtol=0, atol=1e-12)
+
+    def test_every_block_runs_before_the_lowest_failing_point_is_named(self, monkeypatch):
+        monkeypatch.setattr(sets_module, "_SAMPLE_BLOCK", 2)
+        points = np.array([[-2.0], [-3.0], [-4.0], [0.0], [3.0]])
+        blocks = []
+        sweeps = sets_module._dykstra_sweeps
+
+        def counting(sets, rows, *args):
+            blocks.append(rows.shape[0])
+            return sweeps(sets, rows, *args)
+
+        monkeypatch.setattr(sets_module, "_dykstra_sweeps", counting)
+        with pytest.raises(DykstraNotConverged, match="^point 0 "):
+            dykstra_project(self.disjoint(), points, max_sweeps=50)
+        assert blocks == [2, 2, 1]
 
 
 class Counting(ConvexSet):
@@ -187,6 +231,8 @@ class TestDykstraSkipsFeasiblePoints:
             "box": (Box(np.array([-1.0, 1e-170]), np.array([1.0, 1.0])),
                     [[0.5, 0.5], [-1.0, 1.0], [-0.0, 1e-170], [0.0, 0.0], [0.0, -t]]),
             "box-neg-zero": (box_neg_zero, [[0.0, 0.5], [-0.0, -0.0], [t, 0.0]]),
+            "box-open": (Box(np.array([-np.inf, -1.0]), np.array([0.5, np.inf])),
+                         [[3.0, -4.0], [-5.0, 0.3], [0.2, 0.1], [-0.0, -1.0], [0.5, -t]]),
             "ball": (Ball(np.array([0.0, 0.0]), 5.0),
                      [[3.0, 4.0], [-0.0, 0.0], [0.0, -5.0], [t, -t]]),
             "polyhedron": (Polyhedron((Halfspace(np.array([1.0, 0.0]), 1.0),
@@ -196,7 +242,7 @@ class TestDykstraSkipsFeasiblePoints:
         }
 
     @pytest.mark.parametrize("kind", ["halfspace", "hyperplane", "box", "box-neg-zero",
-                                      "ball", "polyhedron"])
+                                      "box-open", "ball", "polyhedron"])
     @pytest.mark.parametrize("last", [False, True])
     def test_bits_equal_the_recursion(self, kind, last):
         s, points = self.members()[kind]
@@ -468,3 +514,37 @@ class TestJsonRoundTrip:
     def test_inf_strings_accepted(self):
         s = set_from_json_dict({"type": "box", "lower": ["-inf", 0], "upper": [None, "inf"]})
         assert s.lower[0] == -np.inf and s.upper[0] == np.inf
+
+
+class TestSetValidation:
+    """Bad set data is a ValueError when the set is built, never a projection failure."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Halfspace(np.array([np.nan, 1.0]), 0.0),
+        lambda: Halfspace(np.array([1.0, 0.0]), np.nan),
+        lambda: Halfspace(np.array([np.inf, 0.0]), 0.0),
+        lambda: Halfspace(np.array([[1.0, 0.0]]), 0.0),
+        lambda: Hyperplane(np.array([1.0, np.nan]), 0.0),
+        lambda: Hyperplane(np.array([1.0, 0.0]), np.inf),
+        lambda: Box(np.array(0.0), np.array(1.0)),
+        lambda: Box(np.array([]), np.array([])),
+        lambda: Ball(np.array([np.nan, 0.0]), 1.0),
+        lambda: Ball(np.zeros(2), np.nan),
+        lambda: Ball(np.zeros(2), np.inf),
+        lambda: Polyhedron((Halfspace(np.array([1.0, 0.0]), 0.0), Ball(np.zeros(2), 1.0))),
+        lambda: Polyhedron((Halfspace(np.array([1.0, 0.0]), 0.0),
+                            Halfspace(np.array([1.0]), 0.0))),
+        lambda: Intersection((Ball(np.zeros(2), 1.0), Box(np.zeros(3), np.ones(3)))),
+    ], ids=["nan-normal", "nan-offset", "infinite-normal", "matrix-normal",
+            "nan-hyperplane-normal", "infinite-hyperplane-offset", "scalar-box", "empty-box",
+            "nan-center", "nan-radius", "infinite-radius", "ball-facet",
+            "mixed-dimension-facets", "mixed-dimension-members"])
+    def test_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_dimensions(self):
+        assert Halfspace(np.array([1.0, 0.0, 0.0]), 0.0).dim == 3
+        assert Box(np.array([-np.inf]), np.array([np.inf])).dim == 1
+        assert Polyhedron((Halfspace(np.array([1.0, 0.0]), 0.0),)).dim == 2
+        assert Intersection((Ball(np.zeros(4), 1.0), Hyperplane(np.ones(4), 0.0))).dim == 4
