@@ -82,16 +82,16 @@ def adjoint_residuals(vectors: np.ndarray, seq: MatrixSequence) -> np.ndarray:
     """L1 defect of the adjoint relation at each step."""
     horizon = vectors.shape[0] - 1
     out = np.empty(horizon)
-    for t in range(horizon):
-        out[t] = np.abs(vectors[t] - seq.matrix_at(t).T @ vectors[t + 1]).sum()
+    for t, a in enumerate(seq.dense_steps(range(horizon))):
+        out[t] = np.abs(vectors[t] - a.T @ vectors[t + 1]).sum()
     return out
 
 
 def uniform_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbabilitySequence:
     """The uniform sequence ``pi(t) = 1/m``; valid only for doubly stochastic chains."""
     m = seq.m
-    for t in seq.distinct_steps(horizon):
-        a = seq.matrix_at(t)
+    steps = seq.distinct_steps(horizon)
+    for t, a in zip(steps, seq.dense_steps(steps)):
         err = np.abs(a.sum(axis=0) - 1.0).max()
         if err > STOCHASTIC_TOL:
             raise NotDoublyStochastic(f"t={t}: column sums off by {err:.3e}")
@@ -103,9 +103,9 @@ def uniform_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbabilitySeq
 
 def window_averaged_product(seq: MatrixSequence, t: int, window: int) -> tuple[np.ndarray, float]:
     """Row mean of ``A(t+window-1)...A(t)`` and the largest column spread of the product."""
-    p = seq.matrix_at(t)
-    for step in range(1, window):
-        p = seq.matrix_at(t + step) @ p
+    p = None
+    for a in seq.dense_steps(range(t, t + window)):
+        p = a.copy() if p is None else a @ p
     spread = float((p.max(axis=0) - p.min(axis=0)).max())
     return p.mean(axis=0), spread
 
@@ -130,10 +130,8 @@ def backward_product_adjoint(seq: MatrixSequence, t: int,
     length = 0
     window = FIRST_WINDOW
     while window <= max_window:
-        start = t + length
-        for step in range(start, t + window):
-            a = seq.matrix_at(step)
-            p = a if p is None else a @ p
+        for a in seq.dense_steps(range(t + length, t + window)):
+            p = a.copy() if p is None else a @ p
         length = window
         spread = float((p.max(axis=0) - p.min(axis=0)).max())
         if spread <= spread_tol:
@@ -152,14 +150,18 @@ def assemble_adjoint(seq: MatrixSequence, horizon: int,
     sequence follows from the exact recursion ``pi(t) = A(t)' pi(t+1)``,
     which the true limit vectors satisfy identically; stochastic-transpose
     contraction keeps every ``pi(t)`` within ``m * spread_tol`` (L1) of the
-    per-step product limit.
+    per-step product limit.  Each residual comes from the product just
+    formed, with the bits :func:`adjoint_residuals` gives.
     """
     vectors = np.empty((horizon + 1, seq.m))
+    residuals = np.empty(horizon)
     vectors[horizon] = backward_product_adjoint(seq, horizon, spread_tol, max_window)
-    for t in range(horizon - 1, -1, -1):
-        vectors[t] = seq.matrix_at(t).T @ vectors[t + 1]
-    return AbsoluteProbabilitySequence(vectors=vectors,
-                                       residuals=adjoint_residuals(vectors, seq),
+    steps = range(horizon - 1, -1, -1)
+    for t, a in zip(steps, seq.dense_steps(steps)):
+        pi = a.T @ vectors[t + 1]
+        vectors[t] = pi
+        residuals[t] = np.abs(vectors[t] - pi).sum()
+    return AbsoluteProbabilitySequence(vectors=vectors, residuals=residuals,
                                        method="backward-product")
 
 

@@ -328,12 +328,12 @@ def simulate(config: RunConfig, mseq: MatrixSequence,
     bank = None if sets is None else SetBank(sets)
     states[0] = initial_states(config, bank)
     if bank is None:
-        for t in range(h):
-            states[t + 1] = step_unconstrained(states[t], mseq.matrix_at(t))
+        for t, a in enumerate(mseq.dense_steps(range(h))):
+            states[t + 1] = step_unconstrained(states[t], a)
         return states, None
     w = np.zeros((h + 1, config.m, config.n))
-    for t in range(h):
-        w[t + 1], states[t + 1] = step_constrained(states[t], mseq.matrix_at(t), bank)
+    for t, a in enumerate(mseq.dense_steps(range(h))):
+        w[t + 1], states[t + 1] = step_constrained(states[t], a, bank)
     return states, w
 
 

@@ -49,16 +49,15 @@ class DiGraph:
                              "so some node is out of range")
         if not adjacency.size:
             raise ValueError("graph needs at least one node")
-        g = cls.__new__(cls)
-        g._store(adjacency)
-        return g
+        return cls.__new__(cls)._store(adjacency)
 
-    def _store(self, adjacency: np.ndarray) -> None:
+    def _store(self, adjacency: np.ndarray) -> "DiGraph":
         loops = np.flatnonzero(adjacency.diagonal())
         if loops.size:
             raise ValueError(f"self-loop ({loops[0]},{loops[0]}) must stay implicit")
         adjacency.setflags(write=False)
         object.__setattr__(self, "adjacency", adjacency)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DiGraph is immutable; cannot set {name!r}")
@@ -175,8 +174,9 @@ def _bfs_parents(adjacency: np.ndarray, level: np.ndarray, sources: np.ndarray) 
     """Each node's smallest-index in-neighbor one level up, ``-1`` at the sources.
 
     ``adjacency`` is an ``(s, m, m)`` boolean stack and ``level`` its ``(s, m)``
-    levels from ``sources``.
+    levels from ``sources``, compared in the narrowest integer type that holds them.
     """
+    level = level.astype(np.min_scalar_type(-level.shape[1]))
     candidates = adjacency & (level[:, None, :] == level[:, :, None] - 1)
     parents = candidates.argmax(axis=2)
     parents[np.arange(len(sources)), sources] = -1
@@ -274,15 +274,18 @@ def random_rooted_graph(m: int, extra_edge_prob: float = 0.0, seed=0) -> DiGraph
     _check_edge_prob(extra_edge_prob)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     root = int(rng.integers(m))
-    others = np.delete(np.arange(m), root)
-    order = np.concatenate(([root], others[rng.permutation(m - 1)]))
+    order = np.full(m, root)
+    order[1:] = rng.permutation(m - 1)
+    order[1:] += order[1:] >= root    # the nodes other than the root, in random order
     picks = rng.integers(0, np.arange(1, m))
-    adjacency = np.zeros((m, m), dtype=bool)
-    adjacency[order[1:], order[picks]] = True
     if extra_edge_prob > 0.0:
-        adjacency |= (rng.random((m, m)) < extra_edge_prob).T
+        # The draws come as the out-adjacency; its transpose is a fresh array.
+        adjacency = np.ascontiguousarray((rng.random((m, m)) < extra_edge_prob).T)
         np.fill_diagonal(adjacency, False)
-    return DiGraph.from_adjacency(adjacency)
+    else:
+        adjacency = np.zeros((m, m), dtype=bool)
+    adjacency[order[1:], order[picks]] = True
+    return DiGraph.__new__(DiGraph)._store(adjacency)
 
 
 @dataclass(frozen=True)

@@ -90,20 +90,21 @@ _PRUNE_MIN_ENTRIES = 1 << 14
 _EPS = float(np.finfo(float).eps)
 _SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
 
-# Largest (steps, nnz, n) block the decrement kernel gathers at once, so each
-# of its temporaries stays under 512 KB however many steps share a matrix.
-_BLOCK_ELEMENTS = 1 << 16
-
 
 def _row_shifted_decrements(support: tuple[np.ndarray, ...], x: np.ndarray,
                             nu: np.ndarray) -> np.ndarray:
-    """Decrement of each state block ``x[s]`` (shape ``(m, n)``) weighted by ``nu[s]``."""
+    """Decrement of each state block ``x[s]`` (shape ``(m, n)``) weighted by ``nu[s]``.
+
+    ``support`` (:func:`weights._row_supports`) is one matrix's, shared by
+    every block, or that of one matrix per block with columns ``k*m + j``.
+    """
     rows, cols, weights, starts = support
+    x = x.reshape(-1, starts.size, x.shape[-1])
     d = x[:, cols] - x[:, rows]                                   # d_ij = x_j - x_i
     mu = np.add.reduceat(d * weights[:, None], starts, axis=1)    # mu_i = sum_j A_ij d_ij
     d -= mu[:, rows]
     per_row = np.add.reduceat(np.einsum("sen,sen->se", d, d) * weights, starts, axis=1)
-    return np.einsum("si,si->s", per_row, nu)
+    return np.einsum("si,si->s", per_row.reshape(nu.shape), nu)
 
 
 def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -118,23 +119,16 @@ def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) ->
     nonnegative, and shifting by ``x_i`` keeps the differences exact near
     consensus.  The plain centered form ``x_j - (Ax)_i`` is not accurate
     there: the rounding of ``(Ax)_i`` is then as large as the spread.  The
-    cost is ``O(nnz(A) n)`` per step; a row without a nonzero entry raises
-    ``ValueError``.  The work is done once per distinct step ``r``
-    (:meth:`MatrixSequence.distinct_steps`) on its row support
-    (:meth:`MatrixSequence.row_support`): the steps ``r, r + period, ...``
-    that repeat its matrix are evaluated together, in blocks of at most
-    ``_BLOCK_ELEMENTS`` gathered entries.
+    cost is ``O(nnz(A) n)`` per step, one kernel call per group of steps of
+    :meth:`MatrixSequence.supports`: a block of random-rooted steps, or the
+    steps that repeat one distinct matrix of a cyclic sequence, at most
+    ``2^16`` gathered entries at a time.  Each step's value has the bits it
+    gets alone.
     """
     h = states.shape[0] - 1
-    period = len(seq.distinct_steps(h))
     out = np.empty(h)
-    for r in range(period):
-        support = seq.row_support(r)
-        steps = np.arange(r, h, period)
-        size = max(1, _BLOCK_ELEMENTS // (support[0].size * states.shape[2]))
-        for s in range(0, steps.size, size):
-            ts = steps[s:s + size]
-            out[ts] = _row_shifted_decrements(support, states[ts], pi[ts + 1])
+    for steps, support in seq.supports(h, states.shape[2]):
+        out[steps] = _row_shifted_decrements(support, states[steps], pi[steps + 1])
     return out
 
 

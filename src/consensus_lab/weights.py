@@ -7,6 +7,7 @@ bound ``beta`` together with the spanning trees that witness it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,8 +23,9 @@ ROW_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
 
 # Largest (steps, m, m) stack of matrix entries that a random-rooted sequence
-# builds, and that compliance checks, at once: 7 steps at m = 96, and one step
-# from m = 256 on.
+# builds, or densifies, at once: 7 steps at m = 96, and one step from m = 256
+# on.  Each such block is kept as one row support.  A cyclic sequence's
+# decrement gathers at most this many state entries at once.
 _BLOCK_ENTRIES = 1 << 16
 
 SCHEMES = ("equal-neighbor", "lazy-metropolis", "laplacian", "quarter", "custom")
@@ -51,7 +53,9 @@ class RowStochasticMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        _check_row_stochastic(a)
+        if not _row_stochastic(_row_supports(a[None]), a.shape[0]).all():
+            raise ValueError(f"entries must be finite and nonnegative, and each row must "
+                             f"sum to 1 within {ROW_SUM_TOL}")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -60,41 +64,46 @@ class RowStochasticMatrix:
         return self.entries.shape[0]
 
 
-def _check_row_stochastic(a: np.ndarray) -> None:
-    """Raise ``ValueError`` unless every matrix of the ``(..., m, m)`` stack is row-stochastic."""
-    if not np.isfinite(a).all():
-        raise ValueError("entries must be finite")
-    if (a < 0).any():
-        raise ValueError("entries must be nonnegative")
-    err = np.abs(a.sum(axis=-1) - 1.0).max()
-    if err > ROW_SUM_TOL:
-        raise ValueError(f"row sums off by {err:.3e} > {ROW_SUM_TOL}")
+def _absorb_row_residue(support: tuple, m: int) -> tuple:
+    """The row support with each diagonal weight raised by ``1 -`` its dense row's sum.
 
-
-def _absorb_row_residue(a: np.ndarray) -> np.ndarray:
-    # The diagonal is positive in every scheme here, so it can take the
-    # rounding residue without changing the sparsity pattern.
-    diag = np.arange(a.shape[-1])
-    a[..., diag, diag] += 1.0 - a.sum(axis=-1)
-    return a
-
-
-def _equal_neighbor_entries(adjacency: np.ndarray) -> np.ndarray:
-    """Equal-neighbor weights of an ``(..., m, m)`` stack of in-adjacencies.
-
-    Each row is divided by its own sum, so a stack gives every matrix the
-    bits it gets alone.
+    The diagonal is positive in every scheme here, so it can take the
+    rounding residue without changing the sparsity pattern.  numpy's
+    pairwise row sum groups its terms by where the zeros sit, so the rows
+    are summed densely, a chunk at a time in one buffer kept zero off the
+    support.
     """
-    a = adjacency.astype(float)
-    diag = np.arange(a.shape[-1])
-    a[..., diag, diag] = 1.0
-    a /= a.sum(axis=-1, keepdims=True)
-    return _absorb_row_residue(a)
+    rows, cols, weights, starts = support
+    flat = rows * m + cols
+    size = min(max(1, _BLOCK_ENTRIES // m), starts.size)
+    buf, sums = np.zeros(size * m), np.empty(starts.size)
+    for lo in range(0, starts.size, size):
+        part = slice(starts[lo], starts[lo + size] if lo + size < starts.size else flat.size)
+        buf[flat[part] - lo * m] = weights[part]
+        sums[lo:lo + size] = buf.reshape(size, m)[:starts.size - lo].sum(axis=1)
+        buf[flat[part] - lo * m] = 0.0
+    diag = np.arange(starts.size)
+    weights[np.searchsorted(flat, diag * m + diag % m)] += 1.0 - sums
+    return support
+
+
+def _equal_neighbor_support(adjacency: np.ndarray) -> tuple:
+    """Row support of the equal-neighbor weights of an ``(s, m, m)`` stack of in-adjacencies.
+
+    ``1/(deg_i + 1)`` on the adjacency-plus-diagonal pattern of row ``i``, and
+    the rounding residue on its diagonal.
+    """
+    m = adjacency.shape[-1]
+    flat = np.flatnonzero(adjacency | np.eye(m, dtype=bool))
+    rows = flat // m
+    counts = np.bincount(rows)
+    return _absorb_row_residue(
+        (rows, flat - rows * m, (1.0 / counts)[rows], np.cumsum(counts) - counts), m)
 
 
 def equal_neighbor_weights(g: DiGraph) -> RowStochasticMatrix:
     """Each agent averages uniformly over its in-neighbors and itself."""
-    return RowStochasticMatrix(_equal_neighbor_entries(g.adjacency))
+    return RowStochasticMatrix(_dense(_equal_neighbor_support(g.adjacency[None]), g.m)[0])
 
 
 def laplacian_weights(g: DiGraph, gamma: float) -> RowStochasticMatrix:
@@ -109,7 +118,7 @@ def laplacian_weights(g: DiGraph, gamma: float) -> RowStochasticMatrix:
         raise AsymmetricGraph("laplacian weights need a symmetric edge set")
     a = g.in_adjacency() / gamma
     a[np.diag_indices_from(a)] = 1.0 - g.adjacency.sum(axis=1) / gamma
-    return RowStochasticMatrix(_absorb_row_residue(a))
+    return RowStochasticMatrix(_dense(_absorb_row_residue(_row_supports(a[None]), g.m), g.m)[0])
 
 
 def regular_quarter_weights(g: DiGraph) -> RowStochasticMatrix:
@@ -154,52 +163,57 @@ def _support_adjacency(a: np.ndarray) -> np.ndarray:
     return support
 
 
-def _scheme_entries(scheme: str, adjacency: np.ndarray, params: dict) -> np.ndarray:
-    """Row-stochastic ``(s, m, m)`` matrices the scheme builds on a stack of graphs."""
-    if scheme == "equal-neighbor":
-        a = _equal_neighbor_entries(adjacency)
-        _check_row_stochastic(a)
-        return a
-    return np.stack([_BUILDERS[scheme](DiGraph.from_adjacency(x), params).entries
-                     for x in adjacency])
+def _row_supports(a: np.ndarray, flat: np.ndarray | None = None) -> tuple:
+    """Row support of an ``(s, m, m)`` stack, its row-major nonzeros, in CSR form.
 
-
-def _row_supports(a: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Row-major nonzeros of each matrix of an ``(s, m, m)`` stack.
-
-    One ``(rows, cols, weights, row starts)`` tuple per matrix, the CSR-style
-    form the decrement kernel gathers from.  Raises ``ValueError`` if a row
-    has no nonzero entry.
+    ``(rows, cols, weights, starts)``: entry ``(i, j)`` of matrix ``k`` has
+    row ``k*m + i`` and column ``j``, and row ``r`` begins at ``starts[r]``.
+    ``flat`` gives the nonzeros' flat indices when the caller knows them.
+    Raises ``ValueError`` if a row has no nonzero entry.
     """
     s, m = a.shape[:2]
-    flat = np.flatnonzero(a != 0.0)
-    step_rows, cols = np.divmod(flat, m)
-    counts = np.bincount(step_rows, minlength=s * m).reshape(s, m)
+    flat = np.flatnonzero(a) if flat is None else flat
+    rows = flat // m
+    counts = np.bincount(rows, minlength=s * m)
     if not counts.all():
         raise ValueError("every row of A needs a nonzero entry")
-    weights = a.reshape(-1)[flat]
-    starts = np.cumsum(counts, axis=1) - counts
-    ends = np.cumsum(counts.sum(axis=1)).tolist()
-    out = []
-    lo = 0
-    for k, hi in enumerate(ends):
-        out.append((step_rows[lo:hi] - k * m, cols[lo:hi], weights[lo:hi], starts[k]))
-        lo = hi
-    return out
+    return rows, flat - rows * m, a.reshape(-1)[flat], np.cumsum(counts) - counts
 
 
-def _row_support(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row-major nonzeros of the matrix ``a`` as ``(rows, cols, weights, row starts)``."""
-    return _row_supports(a[None])[0]
+def _prefix(support: tuple, count: int, m: int) -> tuple:
+    """The row support of a block's first ``count`` matrices."""
+    rows, cols, weights, starts = support
+    end = starts[count * m] if count * m < starts.size else rows.size
+    return rows[:end], cols[:end], weights[:end], starts[:count * m]
 
 
-def _dense(support: tuple[np.ndarray, ...], m: int) -> np.ndarray:
-    """The ``m x m`` matrix of a row support; scattering into zeros rebuilds it exactly."""
-    rows, cols, weights, _ = support
-    a = np.zeros((m, m))
-    a[rows, cols] = weights
+def _dense(support: tuple, m: int) -> np.ndarray:
+    """The read-only ``(s, m, m)`` stack of a block's row support: one scatter into zeros."""
+    rows, cols, weights, starts = support
+    a = np.zeros((starts.size // m, m, m))
+    a.reshape(-1, m)[rows, cols] = weights
     a.setflags(write=False)
     return a
+
+
+def _row_stochastic(support: tuple, m: int) -> np.ndarray:
+    """Per matrix: finite nonnegative weights, rows summing to 1 within ``ROW_SUM_TOL``.
+
+    A NaN or infinite weight fails, as its row sum is not finite.
+    """
+    _, _, weights, starts = support
+    sums_ok = np.abs(np.add.reduceat(weights, starts) - 1.0) <= ROW_SUM_TOL
+    return sums_ok.reshape(-1, m).all(axis=1) & np.logical_and.reduceat(weights >= 0.0,
+                                                                         starts[::m])
+
+
+def _row_entries(support: tuple, targets: np.ndarray) -> np.ndarray:
+    """Weight of row ``i`` of matrix ``k`` in column ``targets[k, i]``; 0 off the support."""
+    rows, cols, weights, starts = support
+    keys = rows * targets.shape[-1] + cols   # row-major, so sorted
+    query = np.arange(starts.size) * targets.shape[-1] + targets.ravel()
+    pos = np.searchsorted(keys, query).clip(max=keys.size - 1)
+    return np.where(keys[pos] == query, weights[pos], 0.0).reshape(targets.shape)
 
 
 @dataclass(frozen=True)
@@ -209,12 +223,12 @@ class MatrixSequence:
     ``matrices`` is a cycle: an explicit custom list, or one matrix per graph
     of a static or periodic graph sequence, built once by the scheme.  On a
     random-rooted graph sequence ``matrices`` is empty and the scheme builds
-    the steps from their graphs, a block of consecutive steps at a time (at
-    most ``_BLOCK_ENTRIES`` matrix entries).  Only each step's row support
-    is kept, about ``nnz`` entries rather than ``m**2``;
-    :meth:`matrix_at` scatters it back into the dense matrix.  Without a
-    graph sequence the graphs are the positive off-diagonal support of the
-    matrices.
+    the steps from their graphs, ``block_steps`` consecutive steps at a
+    time, each block kept as one row support (:func:`_row_supports`).  A
+    block built on demand, such as the adjoint's steps past the horizon, is
+    checked row-stochastic when it is built; compliance checks the blocks
+    it builds.  Without a graph sequence the graphs are the positive
+    off-diagonal support of the matrices.
     """
 
     scheme: str
@@ -275,41 +289,92 @@ class MatrixSequence:
             raise ValueError("t must be >= 0")
         if self.matrices:
             return self.matrices[t % len(self.matrices)].entries
-        return _dense(self.row_support(t), self.m)
+        a = next(self.dense_steps(range(t, t + 1))).copy()   # not the whole block's buffer
+        a.setflags(write=False)
+        return a
 
-    def row_support(self, t: int) -> tuple[np.ndarray, ...]:
-        """Row-major nonzeros of ``matrix_at(t)`` as ``(rows, cols, weights, row starts)``.
+    def dense_steps(self, steps: range):
+        """``matrix_at(t)`` for each ``t`` of a range, read-only.
 
-        A random-rooted step not yet built is built with the rest of its
-        block, the steps ``t - t % block_steps`` onwards.
+        A random-rooted sequence scatters a block of steps at a time into one
+        buffer, which it zeroes again entry by entry, so a matrix is
+        overwritten once the next block is read: copy it to keep it.
         """
-        if t < 0:
-            raise ValueError("t must be >= 0")
         if self.matrices:
-            return _row_support(self.matrix_at(t))
-        support = self._cache.get(t)
-        if support is None:
-            start = t - t % self.block_steps
-            self.stack([u for u in range(start, start + self.block_steps)
-                        if u not in self._cache])
-            support = self._cache[t]
+            for t in steps:
+                yield self.matrices[t % len(self.matrices)].entries
+            return
+        size, m = self.block_steps, self.m
+        buf = np.zeros(size * m * m)
+        view = buf.reshape(size, m, m)[:]
+        view.setflags(write=False)
+        flat = []
+        for b, group in itertools.groupby(steps, lambda t: t // size):
+            ts = list(group)
+            count = max(ts) - b * size + 1
+            rows, cols, weights, _ = _prefix(self._block(b, count), count, m)
+            buf[flat] = 0.0
+            flat = rows * m + cols
+            buf[flat] = weights
+            yield from (view[t - b * size] for t in ts)
+
+    def supports(self, horizon: int, n: int = 1):
+        """``(steps, support)`` over ``t < horizon``: steps and their matrices' row support.
+
+        One group per random-rooted block, its support's columns shifted to
+        ``k*m + j``.  On a cyclic sequence, the steps ``r, r + period, ...``
+        that share distinct step ``r``'s support, in groups whose nonzeros
+        gather at most ``_BLOCK_ENTRIES`` entries of ``n``-coordinate states.
+        """
+        m = self.m
+        if not self.matrices:
+            for start in range(0, horizon, self.block_steps):
+                count = min(self.block_steps, horizon - start)
+                rows, cols, weights, starts = _prefix(
+                    self._block(start // self.block_steps, count), count, m)
+                yield np.arange(start, start + count), (rows, rows // m * m + cols, weights,
+                                                        starts)
+            return
+        period = len(self.distinct_steps(horizon))
+        for r in range(period):
+            support = _row_supports(self.matrix_at(r)[None])
+            steps = np.arange(r, horizon, period)
+            size = max(1, _BLOCK_ENTRIES // (support[0].size * n))
+            for s in range(0, steps.size, size):
+                yield steps[s:s + size], support
+
+    def _block(self, b: int, count: int) -> tuple:
+        """Row support of random-rooted block ``b``, completed and checked if under ``count``."""
+        support = self._cache.get(b)
+        have = 0 if support is None else support[3].size // self.m
+        if have < count:
+            start = b * self.block_steps + have
+            new = self.stack(range(start, (b + 1) * self.block_steps))[0]
+            ok = _row_stochastic(new, self.m)
+            if not ok.all():
+                raise ValueError(f"t={start + int(ok.argmin())}: matrix is not row-stochastic")
+            if support is not None:
+                new = tuple(map(np.concatenate, zip(support, (
+                    new[0] + support[3].size, new[1], new[2], new[3] + support[0].size))))
+            self._cache[b] = support = new
         return support
 
-    def stack(self, steps) -> tuple[np.ndarray, np.ndarray]:
-        """Matrices and graph in-adjacencies of ``steps``, as two ``(len(steps), m, m)`` stacks.
+    def stack(self, steps: range) -> tuple[tuple, np.ndarray]:
+        """Unchecked row support and ``(len(steps), m, m)`` graph in-adjacencies of a step range.
 
-        On a random-rooted sequence this draws each step's graph and builds
-        its matrix, all steps at once, and keeps each step's row support.
+        A random-rooted sequence draws and builds the steps, and caches a block's first steps.
         """
-        if self.graph_seq is None:
-            a = np.stack([self.matrix_at(t) for t in steps])
-            return a, _support_adjacency(a)
-        adjacency = np.stack([self.graph_seq.graph_at(t).adjacency for t in steps])
+        adjacency = np.stack([self.graph_at(t).adjacency for t in steps])
         if self.matrices:
-            return np.stack([self.matrix_at(t) for t in steps]), adjacency
-        a = _scheme_entries(self.scheme, adjacency, self.params)
-        self._cache.update(zip(steps, _row_supports(a)))
-        return a, adjacency
+            return _row_supports(np.stack([self.matrix_at(t) for t in steps])), adjacency
+        if self.scheme == "equal-neighbor":
+            support = _equal_neighbor_support(adjacency)
+        else:
+            support = _row_supports(np.stack([_BUILDERS[self.scheme](
+                DiGraph.from_adjacency(x), self.params).entries for x in adjacency]))
+        if steps[0] % self.block_steps == 0:
+            self._cache[steps[0] // self.block_steps] = support
+        return support, adjacency
 
 
 @dataclass(frozen=True)
@@ -348,10 +413,11 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     compliance additionally needs strong connectivity and positive weight on
     every graph edge; rooted-level compliance needs positive weight on the
     deterministic BFS tree from the smallest-index root.  The steps are
-    checked a block at a time (:attr:`MatrixSequence.block_steps`): every
-    check is one reduction over the block's stack, and the roots and trees
-    of all its graphs are one batched search.  Every check is exact, so the
-    report is the one a step-by-step loop gives.
+    checked a block at a time (:attr:`MatrixSequence.block_steps`), each
+    check once on the block's row support (row sums by ``reduceat``, column
+    sums by ``bincount``), and the roots and trees of all its graphs are one
+    batched search.  Every check is exact, so the report is the one a
+    step-by-step loop gives.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -361,23 +427,25 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     doubly = True
     trees: list[SpanningTree] = []
     steps = seq.distinct_steps(horizon)
-    nodes = np.arange(seq.m)
+    m = seq.m
     for start in range(0, len(steps), seq.block_steps):
         ts = steps[start:start + seq.block_steps]
-        a, adjacency = seq.stack(ts)
-        # Written so that a NaN or infinite entry, whose row sum is not
-        # finite, fails the row-sum test as well.
-        stochastic = ~(a < 0).any(axis=(1, 2)) & (
-            np.abs(a.sum(axis=2) - 1.0).max(axis=1) <= ROW_SUM_TOL)
-        diag = a[:, nodes, nodes]
+        support, adjacency = seq.stack(ts)
+        rows, cols, weights, starts = support
+        nodes = np.broadcast_to(np.arange(m), (len(ts), m))
+        stochastic = _row_stochastic(support, m)
+        diag = _row_entries(support, nodes)
         positive_diag = ~(diag.min(axis=1) <= 0.0)
-        columns = np.abs(a.sum(axis=1) - 1.0).max(axis=1) <= COLUMN_SUM_TOL
+        column_sums = np.bincount(rows // m * m + cols, weights, minlength=nodes.size)
+        columns = (np.abs(column_sums - 1.0) <= COLUMN_SUM_TOL).reshape(-1, m).all(axis=1)
         counts, tree_roots, parents, depths = _rooted_trees(adjacency)
         # Weight of each node's tree edge from its parent; +inf at the root.
-        tree_entries = np.where(parents >= 0,
-                                a[np.arange(len(ts))[:, None], nodes, parents], np.inf)
+        tree_entries = np.where(parents >= 0, _row_entries(support, parents.clip(min=0)), np.inf)
         positive_tree = ~(tree_entries.min(axis=1) <= 0.0)
-        strong = (counts == seq.m) & ~(adjacency & ~(a > 0.0)).any(axis=(1, 2))
+        # Strong steps weigh every graph edge: as many positive edge entries as edges.
+        weighted = adjacency.reshape(-1)[rows * m + cols] & (weights > 0.0)
+        strong = (counts == m) & (np.add.reduceat(weighted, starts[::m], dtype=np.intp)
+                                  == [np.count_nonzero(x) for x in adjacency])
 
         # The steps before the block's first failing one count; that one
         # names the violation by the first check it fails.

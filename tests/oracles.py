@@ -7,9 +7,11 @@ the step-by-step certificate loop that ``engine.evaluate_certificates``
 replaces with whole-series arrays; the two must agree record for record, bit
 for bit.  ``verify_compliance_per_step`` checks every step, one at a time,
 where ``weights.verify_compliance`` checks each distinct step once, a block
-of steps at a time.  ``edges`` gives a graph's edge pairs as a set.  The
-``*_point`` functions are the point-by-point set code that the batched
-projections in ``consensus_lab.sets`` must reproduce bit for bit.
+of steps at a time.  ``equal_neighbor_dense`` is the dense equal-neighbor
+build that the row-support build must reproduce bit for bit.  ``edges``
+gives a graph's edge pairs as a set.  The ``*_point`` functions are the
+point-by-point set code that the batched projections in
+``consensus_lab.sets`` must reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_
                                 Halfspace, Hyperplane, InteriorBallNotContained, Intersection,
                                 NoInformativeSamples, Polyhedron, RegularityEstimate, _vec)
 from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
-                                   MatrixSequence, _row_support)
+                                   MatrixSequence, _row_supports)
 
 NORM_SLACK = 1.0 + 1e-6
 
@@ -74,7 +76,7 @@ def pairwise_decrement_sum(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> floa
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
     block = x.reshape(1, x.shape[0], -1)
-    support = _row_support(np.asarray(a, dtype=float))
+    support = _row_supports(np.asarray(a, dtype=float)[None])
     return float(_row_shifted_decrements(support, block, nu[None])[0])
 
 
@@ -330,6 +332,20 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
         records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
         records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
     return records
+
+
+def equal_neighbor_dense(adjacency: np.ndarray) -> np.ndarray:
+    """Equal-neighbor weights of an ``(..., m, m)`` stack, built on the dense matrices.
+
+    Each row of the adjacency plus the diagonal is divided by its own sum,
+    and the diagonal takes the rounding residue of the row's sum.
+    """
+    a = adjacency.astype(float)
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] = 1.0
+    a /= a.sum(axis=-1, keepdims=True)
+    a[..., diag, diag] += 1.0 - a.sum(axis=-1)
+    return a
 
 
 def edges(g: DiGraph) -> frozenset[tuple[int, int]]:

@@ -7,9 +7,11 @@ import pytest
 from consensus_lab import (GraphSequence, MatrixSequence, NotDoublyStochastic,
                            NotErgodicWithinWindow, assemble_adjoint,
                            backward_product_adjoint, permutation_counterexample,
-                           regular_tree_graph, stationary_adjoint, uniform_adjoint,
+                           random_rooted_graph, regular_tree_graph, stationary_adjoint,
+                           uniform_adjoint,
                            window_averaged_product)
-from consensus_lab.adjoint import AbsoluteProbabilitySequence, write_adjoint_csv
+from consensus_lab.adjoint import (AbsoluteProbabilitySequence, adjoint_residuals,
+                                   write_adjoint_csv)
 from oracles import adversarial_array
 
 
@@ -122,6 +124,17 @@ class TestAssembleAdjoint:
         fast = assemble_adjoint(seq, 10)
         slow = np.stack([backward_product_adjoint(seq, t) for t in range(11)])
         assert np.abs(fast.vectors - slow).max() <= 2e-10
+
+    @pytest.mark.parametrize("kind", ["random-rooted", "periodic"])
+    def test_fused_residuals_bit_equal_to_second_pass(self, kind):
+        if kind == "random-rooted":
+            gseq = GraphSequence.random_rooted(96, 0.1, seed=11)
+        else:
+            rng = np.random.default_rng(11)
+            gseq = GraphSequence.periodic([random_rooted_graph(12, 0.2, rng) for _ in range(3)])
+        seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
+        aps = assemble_adjoint(seq, 40)
+        assert aps.residuals.tobytes() == adjoint_residuals(aps.vectors, seq).tobytes()
 
     def test_delta_at_most_uniform(self):
         seq = quarter_sequence(2)

@@ -1,9 +1,10 @@
-"""Metamorphic invariances: scaling, coordinate splitting and translation.
+"""Metamorphic invariances: scaling, coordinate splitting, agent relabelling and translation.
 
-The scaling and splitting examples run the full pipeline from explicit
-initial states, so the series under test come from ``engine.annotate`` and
-the verdicts from ``engine.evaluate_certificates``.  The translation example
-probes the comparison value ``lyapunov.weighted_variance`` directly.
+The scaling, splitting and relabelling examples run the full pipeline from
+explicit initial states, so the series under test come from
+``engine.annotate`` and the verdicts from ``engine.evaluate_certificates``.
+The translation example probes the comparison value
+``lyapunov.weighted_variance`` directly.
 """
 import math
 
@@ -13,7 +14,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from consensus_lab import engine, weighted_variance  # noqa: E402
+from consensus_lab import (DiGraph, bfs_spanning_tree, engine,  # noqa: E402
+                           random_rooted_graph, regular_tree_graph, roots,
+                           weighted_variance)
 
 HORIZON = 60
 EXAMPLES = settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -81,6 +84,68 @@ def test_vector_run_is_sum_of_coordinate_runs(graph, n, seed, state_seed):
         got = getattr(whole, name)
         want = sum(getattr(p, name) for p in parts)
         assert (np.abs(got - want) <= 1e-12 * scale[:got.size]).all(), name
+
+
+def cyclic_run(graphs: list[DiGraph], scheme: str, seed: int,
+               x0: np.ndarray) -> engine.RunResult:
+    spec = ({"kind": "static", "graph": graphs[0].to_json_dict()} if len(graphs) == 1 else
+            {"kind": "periodic", "graphs": [g.to_json_dict() for g in graphs]})
+    return engine.run(engine.RunConfig.from_json_dict({
+        "m": x0.shape[0], "n": x0.shape[1], "horizon": HORIZON, "seed": seed,
+        "mode": "unconstrained", "graph": spec, "weights": {"scheme": scheme},
+        "initial": {"kind": "explicit", "states": x0.tolist()},
+    }))
+
+
+# (graphs per period, size, extra edge probability): a static or periodic
+# sequence of symmetrized random rooted graphs on m agents with equal-neighbor
+# weights, or the static cubic tree on 2^d agents with quarter weights.
+cyclic_graphs = st.one_of(
+    st.tuples(st.sampled_from([1, 3]), st.integers(3, 12), st.sampled_from([0.0, 0.3])),
+    st.tuples(st.just("regular-tree"), st.integers(2, 4), st.just(0.0)),
+)
+
+
+@EXAMPLES
+@given(graph=cyclic_graphs, n=st.integers(1, 2), seed=seeds, state_seed=seeds)
+def test_relabelling_agents_moves_nothing_but_rounding(graph, n, seed, state_seed):
+    """Agent ``i`` renamed ``perm[i]``: the same run, up to rounding, and the same verdicts.
+
+    The series are sums over agents taken in another order, and the
+    equal-neighbor diagonal takes a residue summed in another order, so they
+    agree to a relative 1e-12 (of the series' first value, the scale of
+    their rounding).  ``p*`` is the depth of the BFS tree from the smallest
+    root, which relabelling may move to another root of another depth.
+    """
+    kind, size, prob = graph
+    rng = np.random.default_rng(seed)
+    if kind == "regular-tree":
+        graphs, scheme = [regular_tree_graph(size)], "quarter"
+    else:
+        # Symmetrized, so strongly connected: a fixed tree would starve its
+        # leaves of adjoint weight, and delta would round the quotient to 1.
+        trees = [random_rooted_graph(size, prob, rng).adjacency for _ in range(kind)]
+        graphs = [DiGraph.from_adjacency(a | a.T) for a in trees]
+        scheme = "equal-neighbor"
+    m = graphs[0].m
+    perm = rng.permutation(m)
+    inv = np.argsort(perm)
+    moved = [DiGraph.from_adjacency(g.adjacency[np.ix_(inv, inv)]) for g in graphs]
+    x0 = np.random.default_rng(state_seed).uniform(-5.0, 5.0, (m, n))
+    base = cyclic_run(graphs, scheme, seed, x0)
+    other = cyclic_run(moved, scheme, seed, x0[inv])
+    np.testing.assert_allclose(other.trajectory.states[:, perm], base.trajectory.states,
+                               rtol=0, atol=1e-12 * np.abs(x0).max())
+    for name in ("lyap", "decrement", "spread_sq"):
+        want = getattr(base.trajectory, name)
+        np.testing.assert_allclose(getattr(other.trajectory, name), want, rtol=1e-12,
+                                   atol=1e-12 * want[0], err_msg=name)
+    assert other.adjoint.delta == pytest.approx(base.adjoint.delta, rel=1e-12, abs=0)
+    assert other.compliance.beta == pytest.approx(base.compliance.beta, rel=1e-12, abs=0)
+    depth = max(bfs_spanning_tree(g, min(roots(g))).depth for g in moved)
+    assert other.compliance.p_star == max(depth, 1)
+    if other.compliance.p_star == base.compliance.p_star:
+        assert verdicts(other) == verdicts(base)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, VacuousBound,
-                           doubly_stochastic_rate_factor, engine, rate_quotient,
-                           regular_tree_graph,
+                           doubly_stochastic_rate_factor, engine, random_rooted_graph,
+                           rate_quotient, regular_tree_graph,
                            regular_quarter_weights, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
@@ -202,6 +202,34 @@ def step_decrement(a, x, pi_next, delta, beta, p_star):
     spread_sq = squared_spread(x)
     rec, = decrement_records([value], [spread_sq], contraction_drop(delta, beta, p_star))
     return value, spread_sq, rec.lhs, rec.passed
+
+
+def _decrement_cases():
+    rng = np.random.default_rng(31)
+    rooted = MatrixSequence.from_scheme(GraphSequence.random_rooted(96, 0.1, seed=5),
+                                        "equal-neighbor")
+    size = rooted.block_steps
+    periodic = MatrixSequence.from_scheme(
+        GraphSequence.periodic([random_rooted_graph(9, 0.3, rng) for _ in range(4)]),
+        "equal-neighbor")
+    static = MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(8)),
+                                        "quarter")
+    return [("random-rooted", rooted, 2 * size + 3, 1), ("random-rooted", rooted, size, 2),
+            ("periodic", periodic, 23, 2), ("static", static, 45, 2)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_batched_decrement_bit_equal_to_per_step_kernel(case):
+    """One kernel call per block (or per repeated matrix) gives each step's own bits."""
+    _, seq, h, n = _decrement_cases()[case]
+    rng = np.random.default_rng(case)
+    states = rng.uniform(-2, 2, (h + 1, seq.m, n))
+    pi = rng.random((h + 1, seq.m))
+    pi /= pi.sum(axis=1, keepdims=True)
+    series = decrement_series(seq, states, pi)
+    want = np.array([pairwise_decrement_sum(seq.matrix_at(t), states[t], pi[t + 1])
+                     for t in range(h)])
+    assert series.tobytes() == want.tobytes()
 
 
 class TestStepDecrement:

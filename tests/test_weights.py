@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 from collections import Counter
 
@@ -11,7 +12,8 @@ from consensus_lab import (AsymmetricGraph, DiGraph, GammaTooSmall, GraphSequenc
                            lazy_metropolis_weights, random_rooted_graph,
                            regular_quarter_weights, regular_tree_graph, roots,
                            verify_compliance, weights)
-from oracles import edges, tree_edges, verify_compliance_per_step
+from consensus_lab import cli, engine
+from oracles import edges, equal_neighbor_dense, tree_edges, verify_compliance_per_step
 
 
 def two_cycle():
@@ -75,6 +77,17 @@ class TestLaplacian:
         assert np.allclose(np.diag(a), 0.5)
         for j, i in edges(triangle()):
             assert a[i, j] == 0.25
+
+    @pytest.mark.parametrize("m", [6, 96, 300])
+    def test_residue_bit_identical_to_dense_row_sums(self, m):
+        """The diagonal takes ``1 -`` numpy's sum of each dense row, bit for bit."""
+        adjacency = random_rooted_graph(m, 0.2, np.random.default_rng(m)).adjacency
+        g = DiGraph.from_adjacency(adjacency | adjacency.T)
+        want = g.adjacency / (m + 7.5)
+        nodes = np.arange(m)
+        want[nodes, nodes] = 1.0 - g.adjacency.sum(axis=1) / (m + 7.5)
+        want[nodes, nodes] += 1.0 - want.sum(axis=1)
+        assert laplacian_weights(g, m + 7.5).entries.tobytes() == want.tobytes()
 
     def test_gamma_guard(self):
         with pytest.raises(GammaTooSmall):
@@ -356,18 +369,50 @@ class TestStackedBuilds:
     def test_equal_neighbor_stack_bit_identical_to_per_graph(self):
         rng = np.random.default_rng(61)
         graphs = [random_rooted_graph(96, p, rng) for p in (0.0, 0.02, 0.1, 0.5) * 10]
-        stacked = weights._equal_neighbor_entries(np.stack([g.adjacency for g in graphs]))
+        stacked = weights._dense(
+            weights._equal_neighbor_support(np.stack([g.adjacency for g in graphs])), 96)
         for a, g in zip(stacked, graphs):
             assert a.tobytes() == equal_neighbor_weights(g).entries.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 5, 8, 9, 96, 130, 300])
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.1, 0.5, 1.0])
+    def test_support_build_bit_identical_to_dense(self, m, p):
+        """Row supports and block-densified steps hold the dense build's bits.
+
+        From ``m = 257`` on the dense row sums take more than one chunk.
+        """
+        seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(m, p, seed=m),
+                                         "equal-neighbor")
+        horizon = 2 * seq.block_steps + 1 if m > 8 else 5
+        graphs = [seq.graph_at(t) for t in range(horizon)]
+        want = equal_neighbor_dense(np.stack([g.adjacency for g in graphs]))
+        if p == 0.0:   # a tree: its root and every leaf hear no one, or only themselves
+            assert not graphs[0].adjacency.any(axis=1).all()
+        for (steps, support), t0 in zip(seq.supports(horizon),
+                                        range(0, horizon, seq.block_steps)):
+            block = want[steps]
+            rows, cols = np.nonzero(block.reshape(-1, m))
+            assert support[0].tobytes() == rows.tobytes()
+            assert support[1].tobytes() == (rows // m * m + cols).tobytes()
+            assert support[2].tobytes() == block.reshape(-1, m)[rows, cols].tobytes()
+            assert steps[0] == t0
+        for t, (a, g) in enumerate(zip(seq.dense_steps(range(horizon)), graphs)):
+            assert a.tobytes() == want[t].tobytes()
+            assert a.tobytes() == equal_neighbor_weights(g).entries.tobytes()
+            assert seq.matrix_at(t).tobytes() == want[t].tobytes()
 
     def test_row_supports_split_per_matrix(self):
         seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(40, 0.2, seed=1),
                                          "equal-neighbor")
         a = np.stack([seq.matrix_at(t) for t in range(5)])
-        for got, mat in zip(weights._row_supports(a), a):
+        support = weights._row_supports(a)
+        for k, mat in enumerate(a):
             rows, cols = np.nonzero(mat)
             want = (rows, cols, mat[rows, cols],
                     np.searchsorted(rows, np.arange(40)))
+            rows, cols, values, starts = weights._prefix(support, k + 1, 40)
+            start = starts[k * 40]
+            got = (rows[start:] - k * 40, cols[start:], values[start:], starts[k * 40:] - start)
             for x, y in zip(got, want):
                 assert np.array_equal(x, y)
 
@@ -375,7 +420,7 @@ class TestStackedBuilds:
         a = np.eye(3)
         a[1, 1] = 0.0
         with pytest.raises(ValueError, match="nonzero"):
-            weights._row_support(a)
+            weights._row_supports(a[None])
 
 
 def test_random_rooted_cache_holds_row_supports_only():
@@ -383,19 +428,75 @@ def test_random_rooted_cache_holds_row_supports_only():
     m, horizon = 96, 300
     seq, warm = (MatrixSequence.from_scheme(GraphSequence.random_rooted(m, 0.1, seed=seed),
                                             "equal-neighbor") for seed in (3, 4))
-    warm.row_support(0)   # numpy's one-time allocations stay out of the count
+    next(warm.supports(1))   # numpy's one-time allocations stay out of the count
     gc.collect()
     tracemalloc.start()
     try:
-        supports = [seq.row_support(t) for t in range(horizon)]
+        for _ in seq.supports(horizon):
+            pass
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    nnz = sum(s[0].size for s in supports) / horizon
-    per_step = held / horizon
+    cached = sum(s[3].size for s in seq._cache.values()) // m
+    assert cached >= horizon
+    nnz = sum(s[0].size for s in seq._cache.values()) / cached
+    per_step = held / cached
     # rows, cols and weights take 8 bytes per nonzero each, and the row
     # starts 8 per row; the rest is Python object overhead.
     assert per_step <= 24 * nnz + 8 * m + 2048
     assert per_step < 0.5 * 8 * m * m
-    assert all(t in seq._cache for t in range(horizon))
+
+
+def _rooted_scenario(horizon: int) -> dict:
+    return {"m": 12, "n": 1, "horizon": horizon, "seed": 5, "mode": "unconstrained",
+            "graph": {"kind": "random-rooted", "extra_edge_prob": 0.2},
+            "weights": {"scheme": "equal-neighbor"}, "adjoint": {"method": "backward-product"},
+            "initial": {"kind": "uniform-box", "low": -1.0, "high": 1.0}}
+
+
+def test_steps_past_the_horizon_are_checked(monkeypatch, tmp_path):
+    """A step the adjoint builds past the horizon is checked, and a bad one stops the run."""
+    horizon = 20
+    build = MatrixSequence.stack
+
+    def corrupt(self, steps):
+        support, adjacency = build(self, steps)
+        if horizon + 3 in steps:
+            rows, cols, weights, starts = support
+            weights = weights.copy()
+            weights[starts[(horizon + 3 - steps[0]) * self.m]] += 0.5
+            support = (rows, cols, weights, starts)
+        return support, adjacency
+
+    monkeypatch.setattr(MatrixSequence, "stack", corrupt)
+    scenario = _rooted_scenario(horizon)
+    config = engine.RunConfig.from_json_dict(scenario)
+    assert verify_compliance(engine.build_matrix_sequence(
+        config, engine.build_graph_sequence(config)), horizon).ok
+    with pytest.raises(ValueError, match=f"t={horizon + 3}: matrix is not row-stochastic"):
+        engine.run(config)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_every_built_step_is_checked_once(monkeypatch):
+    """Compliance checks the steps it builds, a build on demand the rest: each step once."""
+    built, checked = Counter(), Counter()
+    build, row_stochastic = MatrixSequence.stack, weights._row_stochastic
+
+    def counted_build(self, steps):
+        built.update(steps)
+        return build(self, steps)
+
+    def counted_check(support, m):
+        checked["rows"] += support[3].size
+        return row_stochastic(support, m)
+
+    monkeypatch.setattr(MatrixSequence, "stack", counted_build)
+    monkeypatch.setattr(weights, "_row_stochastic", counted_check)
+    horizon = 20
+    engine.run(engine.RunConfig.from_json_dict(_rooted_scenario(horizon)))
+    assert max(built.values()) == 1 and len(built) > horizon + 8
+    assert checked["rows"] == 12 * len(built)
