@@ -10,7 +10,7 @@ from .adjoint import (AbsoluteProbabilitySequence, AdjointResidualTooLarge,
                       NotDoublyStochastic, NotErgodicWithinWindow, assemble_adjoint,
                       backward_product_adjoint, permutation_counterexample,
                       stationary_adjoint, uniform_adjoint, window_averaged_product)
-from .certificates import CertificateRecord, summarize
+from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
 from .engine import (ConfigError, DimensionMismatch, NotCompliant, RunConfig, RunResult,
                      Trajectory, YNotInX, run, step_constrained, step_unconstrained, track_uv)
 from .graphs import (DiGraph, GraphSequence, NotRooted, SpanningTree, bfs_spanning_tree,

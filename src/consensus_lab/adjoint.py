@@ -54,6 +54,11 @@ class AbsoluteProbabilitySequence:
         r = np.array(self.residuals, dtype=float)
         if v.ndim != 2:
             raise ValueError("vectors must be a (horizon+1, m) array")
+        # NaN compares false with everything, so the checks below would pass it.
+        if not np.isfinite(v).all():
+            raise ValueError("each pi(t) must be finite")
+        if not np.isfinite(r).all():
+            raise AdjointResidualTooLarge("an adjoint residual is not finite")
         if (v < 0).any() or np.abs(v.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL:
             raise ValueError("each pi(t) must be stochastic within 1e-12")
         if r.size and r.max() > RESIDUAL_TOL:

@@ -1,11 +1,17 @@
-"""Machine-checkable bound records shared by every certificate producer.
+"""Machine-checkable certificates: one array block per check.
 
 A record captures one inequality ``lhs <= rhs * slack + floor`` (identity
 checks use ``slack = 1`` with the tolerance on the right-hand side), and its
 verdict is that inequality evaluated on its own fields, so anyone holding the
-record can re-derive it.  Every record a run makes comes from
-:func:`bound_records`.  Reports export as a JSON array, one compact record per
-line, and a CSV mirror with identical columns.
+record can re-derive it.  A run holds its records as :class:`CheckBlock`\\ s,
+one per check and series: the ``lhs`` and ``rhs`` arrays over consecutive
+steps from ``t0``, with one ``check``, ``k``, ``slack`` and ``floor``.  The
+blocks sit in a :class:`Certificates` container in record order, where a
+group of blocks of one length interleaves its records step by step.
+Verdicts, summaries, the exports and the stored-file compare all work on the
+blocks; :class:`CertificateRecord` is a one-record view built on demand.
+Reports export as a JSON array, one compact record per line, and a CSV
+mirror with identical columns.
 """
 from __future__ import annotations
 
@@ -13,11 +19,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 VALUE_SLACK = 1.0 + 1e-9
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_RECORD_KEYS = ("check", "t", "k", "lhs", "rhs", "slack", "floor", "verdict")
 
 
 @dataclass(frozen=True)
@@ -44,74 +53,193 @@ class CertificateRecord:
                 "verdict": self.verdict}
 
 
-def bound_records(check: str, lhs, rhs, t0: int = 0, k: int | None = None,
-                  slack: float = VALUE_SLACK, floor: float = 0.0) -> list[CertificateRecord]:
-    """Records for ``lhs[s] <= rhs[s] * slack + floor`` at ``t = t0 + s``.
+@dataclass(frozen=True, eq=False)
+class CheckBlock:
+    """Records ``lhs[s] <= rhs[s] * slack + floor`` at ``t = t0 + s``.
 
     ``rhs`` may be a scalar tolerance.  ``floor`` is an absolute rounding
     allowance for quantities that sit at the float64 noise level (e.g.
     squared deviations after the iterates hit exact numerical consensus); it
     is zero unless the caller supplies one.
     """
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lhs.shape)
-    slack, floor = float(slack), float(floor)
-    return [CertificateRecord(check, t, k, lo, hi, slack, floor)
-            for t, lo, hi in zip(range(t0, t0 + lhs.size), lhs.tolist(), rhs.tolist())]
+
+    check: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    t0: int = 0
+    k: int | None = None
+    slack: float = VALUE_SLACK
+    floor: float = 0.0
+
+    def __post_init__(self):
+        lhs = np.asarray(self.lhs, dtype=float).reshape(-1)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", np.broadcast_to(np.asarray(self.rhs, dtype=float),
+                                                        lhs.shape))
+        object.__setattr__(self, "slack", float(self.slack))
+        object.__setattr__(self, "floor", float(self.floor))
+
+    def __len__(self) -> int:
+        return self.lhs.size
+
+    @cached_property
+    def passed(self) -> np.ndarray:
+        """Each record's verdict: the scalar form's IEEE operations, so NaN fails."""
+        with np.errstate(invalid="ignore", over="ignore"):  # as Python's floats are silent
+            return self.lhs <= self.rhs * self.slack + self.floor
+
+    @cached_property
+    def reprs(self) -> tuple[list[str], list[str]]:
+        """The ``repr`` of each ``lhs`` and ``rhs`` value, made once for both exports."""
+        return list(map(repr, self.lhs.tolist())), list(map(repr, self.rhs.tolist()))
+
+    def records(self) -> list[CertificateRecord]:
+        return [CertificateRecord(self.check, t, self.k, lo, hi, self.slack, self.floor)
+                for t, lo, hi in zip(range(self.t0, self.t0 + len(self)), self.lhs.tolist(),
+                                     self.rhs.tolist())]
 
 
-def summarize(records) -> dict:
+class Certificates:
+    """A run's check blocks in record order.
+
+    Each argument is a :class:`CheckBlock` or a tuple of blocks of one length
+    whose records interleave step by step: ``(a, b)`` gives ``a(t0)``,
+    ``b(t0)``, ``a(t0 + 1)``, ...  ``len`` is the record count, and iterating
+    yields :class:`CertificateRecord` views in record order.
+    """
+
+    def __init__(self, *groups):
+        self.groups = tuple(g if isinstance(g, tuple) else (g,) for g in groups)
+        for g in self.groups:
+            if len({len(b) for b in g}) > 1:
+                raise ValueError("interleaved blocks must have one length")
+
+    def __add__(self, other: "Certificates") -> "Certificates":
+        return Certificates(*self.groups, *other.groups)
+
+    @property
+    def blocks(self) -> list[CheckBlock]:
+        return [b for g in self.groups for b in g]
+
+    def __len__(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    def __iter__(self):
+        for g in self.groups:
+            yield from chain.from_iterable(zip(*(b.records() for b in g)))
+
+    @property
+    def passed(self) -> bool:
+        return all(b.passed.all() for b in self.blocks)
+
+    def _column(self, values) -> list:
+        """``values(block)``, one array per block, laid out in record order."""
+        parts = [np.stack([values(b) for b in g], axis=1).ravel() for g in self.groups]
+        return np.concatenate(parts).tolist() if parts else []
+
+    def matches(self, stored) -> bool:
+        """Whether ``stored``, a parsed ``certificates.json``, holds these records.
+
+        Field for field and in record order, by Python's ``==`` as on each
+        record's ``to_json_dict``, one column at a time.
+        """
+        if not isinstance(stored, list) or len(stored) != len(self):
+            return False
+        keys = set(_RECORD_KEYS)
+        if not all(isinstance(d, dict) and d.keys() == keys for d in stored):
+            return False
+        columns = {
+            "t": lambda b: np.arange(b.t0, b.t0 + len(b)),
+            "lhs": lambda b: b.lhs,
+            "rhs": lambda b: b.rhs,
+            "verdict": lambda b: np.where(b.passed, "pass", "fail"),
+        }
+        for key in ("check", "k", "slack", "floor"):
+            columns[key] = lambda b, key=key: np.full(len(b), getattr(b, key), dtype=object)
+        return all([d[key] for d in stored] == self._column(columns[key])
+                   for key in _RECORD_KEYS)
+
+
+def summarize(certs: Certificates) -> dict:
+    """Record and pass counts in total and per check, checks in record order."""
     by_check: dict[str, dict] = {}
-    for r in records:
-        entry = by_check.setdefault(r.check, {"total": 0, "passed": 0})
-        entry["total"] += 1
-        entry["passed"] += int(r.passed)
+    for b in filter(len, certs.blocks):
+        entry = by_check.setdefault(b.check, {"total": 0, "passed": 0})
+        entry["total"] += len(b)
+        entry["passed"] += int(np.count_nonzero(b.passed))
     total = sum(e["total"] for e in by_check.values())
     passed = sum(e["passed"] for e in by_check.values())
     return {"total": total, "passed": passed, "failed": total - passed,
             "by_check": by_check}
 
 
-def write_certificates_json(records, path) -> None:
+def _json_float(text: str) -> str:
+    """A float's ``repr`` as the JSON encoder writes it."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _write_groups(certs: Certificates, path, newline: str | None, head: str, sep: str,
+                  tail: str, row, cells) -> None:
+    """Each group as one ``%`` pass over its records' template.
+
+    ``row(block)`` is a block's record template with its constants filled in
+    (``%`` escaped) and ``%d``, ``%s``, ``%s``, ``%s`` left for ``t``,
+    ``lhs``, ``rhs`` and the verdict; ``cells(block)`` gives the ``lhs`` and
+    ``rhs`` strings.
+    """
+    with open(path, "w", newline=newline) as fh:
+        fh.write(head)
+        first = True
+        for g in certs.groups:
+            n = len(g[0])
+            if n == 0:
+                continue
+            columns = []
+            for b in g:
+                lhs, rhs = cells(b)
+                verdicts = np.where(b.passed, "pass", "fail").tolist()
+                columns += [range(b.t0, b.t0 + n), lhs, rhs, verdicts]
+            template = sep.join([sep.join(map(row, g))] * n)
+            fh.write(("" if first else sep)
+                     + template % tuple(chain.from_iterable(zip(*columns))))
+            first = False
+        fh.write(tail)
+
+
+def write_certificates_json(certs: Certificates, path) -> None:
     """A JSON array with one compact record object per line.
 
-    The bytes are those of ``_ENCODER`` on each record's ``to_json_dict``
-    (records hold Python floats and ints, as :func:`bound_records` makes
-    them), but each record is one ``%`` pass: a float is its ``repr``, except
-    that ``nan``, ``inf`` and ``-inf`` become ``NaN``, ``Infinity`` and
-    ``-Infinity``, and each distinct check is encoded once.
+    The bytes are those of ``_ENCODER`` on each record's ``to_json_dict``: a
+    float is its ``repr``, except that ``nan``, ``inf`` and ``-inf`` become
+    ``NaN``, ``Infinity`` and ``-Infinity``.  Each block's check, ``k``,
+    ``slack`` and ``floor`` are encoded once, and its values' shared
+    ``reprs`` are rewritten only where a block holds a non-finite value.
     """
-    checks: dict[str, str] = {}
-    with open(path, "w") as fh:
-        fh.write("[\n")
-        sep = ""
-        for r in records:
-            if r.check not in checks:
-                checks[r.check] = _ENCODER.encode(r.check)
-            values = '%r,"rhs":%r,"slack":%r,"floor":%r' % (r.lhs, r.rhs, r.slack, r.floor)
-            if "n" in values:  # no finite repr holds an "n"
-                values = values.replace("nan", "NaN").replace("inf", "Infinity")
-            fh.write('%s{"check":%s,"t":%d,"k":%s,"lhs":%s,"verdict":"%s"}'
-                     % (sep, checks[r.check], r.t, "null" if r.k is None else r.k, values,
-                        r.verdict))
-            sep = ",\n"
-        fh.write("\n]\n")
+    def row(b: CheckBlock) -> str:
+        const = (_ENCODER.encode(b.check), "null" if b.k is None else str(b.k),
+                 _json_float(repr(b.slack)), _json_float(repr(b.floor)))
+        return ('{"check":%s,"t":%%d,"k":%s,"lhs":%%s,"rhs":%%s,"slack":%s,"floor":%s,'
+                '"verdict":"%%s"}' % tuple(c.replace("%", "%%") for c in const))
+
+    def cells(b: CheckBlock):
+        return [list(map(_json_float, strs)) if not np.isfinite(values).all() else strs
+                for values, strs in zip((b.lhs, b.rhs), b.reprs)]
+
+    _write_groups(certs, path, None, "[\n", ",\n", "\n]\n", row, cells)
 
 
-def write_certificates_csv(records, path) -> None:
+def write_certificates_csv(certs: Certificates, path) -> None:
     """The CSV mirror of :func:`write_certificates_json`, each float cell its ``repr``.
 
-    The bytes are those of ``csv.writer``, but each row is one ``%`` pass and
-    each distinct check is quoted (where ``csv.writer`` would) once.
+    The bytes are those of ``csv.writer``; each block's check is quoted
+    (where ``csv.writer`` would) once.
     """
-    checks: dict[str, str] = {}
-    with open(path, "w", newline="") as fh:
-        fh.write("check,t,k,lhs,rhs,slack,floor,verdict\r\n")
-        for r in records:
-            if r.check not in checks:
-                cell = io.StringIO()
-                csv.writer(cell).writerow([r.check, ""])
-                checks[r.check] = cell.getvalue()[:-3]  # without ",\r\n"
-            fh.write("%s,%d,%s,%r,%r,%r,%r,%s\r\n"
-                     % (checks[r.check], r.t, "" if r.k is None else r.k, r.lhs, r.rhs,
-                        r.slack, r.floor, r.verdict))
+    def row(b: CheckBlock) -> str:
+        cell = io.StringIO()
+        csv.writer(cell).writerow([b.check, ""])
+        const = (cell.getvalue()[:-3], "" if b.k is None else str(b.k), repr(b.slack),
+                 repr(b.floor))
+        return "%s,%%d,%s,%%s,%%s,%s,%s,%%s\r\n" % tuple(c.replace("%", "%%") for c in const)
+
+    _write_groups(certs, path, "", "check,t,k,lhs,rhs,slack,floor,verdict\r\n", "", "", row,
+                  lambda b: b.reprs)

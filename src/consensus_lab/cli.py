@@ -90,8 +90,8 @@ def cmd_simulate(args) -> int:
 
     _dump_json(result.report, out_dir / "report.json")
     engine.write_trajectory_csv(result, out_dir / "trajectory.csv")
-    write_certificates_json(result.records, out_dir / "certificates.json")
-    write_certificates_csv(result.records, out_dir / "certificates.csv")
+    write_certificates_json(result.certificates, out_dir / "certificates.json")
+    write_certificates_csv(result.certificates, out_dir / "certificates.csv")
     engine.write_plot_data_csv(result, out_dir / "plot_data.csv")
     write_adjoint_csv(result.adjoint, out_dir / "adjoint.csv")
     write_adjoint_sidecar(result.adjoint, out_dir / "adjoint.json")
@@ -182,14 +182,14 @@ def cmd_verify(args) -> int:
         return EXIT_VIOLATION
 
     if args.certificates:
-        # Whole records, verdicts included: a stored verdict that does not
-        # follow from its own fields cannot equal a replayed one.
+        # Whole records in record order, verdicts included: a stored verdict
+        # that does not follow from its own fields cannot equal a replayed one.
         try:
             stored = _load_json(Path(args.certificates), list)
         except (OSError, ValueError) as exc:
             log.error("cannot load stored certificates: %s", exc)
             return EXIT_CONFIG
-        if stored != [r.to_json_dict() for r in result.records]:
+        if not result.certificates.matches(stored):
             log.error("stored certificates do not match the replay")
             return EXIT_CONFIG
     return EXIT_OK

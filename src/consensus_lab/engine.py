@@ -19,7 +19,7 @@ import numpy as np
 from . import seeding
 from .adjoint import (FIRST_WINDOW, AbsoluteProbabilitySequence, assemble_adjoint,
                       stationary_adjoint, uniform_adjoint)
-from .certificates import CertificateRecord, bound_records, summarize
+from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, noise_floor, rate_quotient,
@@ -359,13 +359,14 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
     Per step, the decrement costs ``O(nnz(A) n)``, the spread ``O(m n)``
     plus ``O(k^2 n)`` over its ``k`` candidate points (``k = m`` at worst),
     and the comparison value ``O(m n)``; see :func:`decrement_series`,
-    :func:`squared_spread` and :func:`weighted_variance`.  In constrained
-    mode the feasibilities, the tracked projections and the distances to the
-    intersection are each a batched projection over the whole run.
+    :func:`squared_spread` and :func:`weighted_variance`.  The spread is one
+    batched call over the run.  In constrained mode the feasibilities, the
+    tracked projections and the distances to the intersection are each a
+    batched projection over the whole run.
     """
     h = states.shape[0] - 1
     pi = adjoint.vectors
-    spread_sq = np.array([squared_spread(states[t]) for t in range(h + 1)])
+    spread_sq = squared_spread(states)
     decrement = decrement_series(mseq, states, pi)
 
     if sets is None:
@@ -397,18 +398,14 @@ def _rate_k_values(config: RunConfig) -> list[int]:
     return sorted(set(ks))
 
 
-def _interleave(first: list, second: list) -> list:
-    return [r for pair in zip(first, second) for r in pair]
-
-
 def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                           adjoint: AbsoluteProbabilitySequence,
                           traj: Trajectory,
-                          r_used: float | None) -> list[CertificateRecord]:
+                          r_used: float | None) -> Certificates:
     """Every enabled check over the whole run, in a deterministic order.
 
-    Each check is one array expression over the run, turned into records by
-    :func:`bound_records`; per step, step-identity(t) precedes
+    Each check is one array expression over the run, held as one
+    :class:`CheckBlock`; per step, step-identity(t) precedes
     decrement-bound(t) and averaging-identity(t) precedes projection-step(t).
     Identity-style checks store the absolute residual as ``lhs`` and the
     tolerance as ``rhs`` with slack 1.
@@ -421,40 +418,37 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
     if config.mode == "unconstrained":
         x0_norms = np.linalg.norm(traj.states[0], axis=0)  # per coordinate
         drift = np.abs(traj.conservation - traj.conservation[0])
-        records = bound_records("conservation", (drift / (1.0 + x0_norms)).max(axis=1),
-                                CONSERVATION_TOL, slack=1.0)
         resid = np.abs(lyap[1:] - (lyap[:-1] - decrement))
         scale = np.maximum(1.0, (traj.states[:-1] ** 2).reshape(h, -1).sum(axis=1))
-        records += _interleave(
-            bound_records("step-identity", resid, IDENTITY_TOL * scale, slack=1.0),
-            bound_records("decrement-bound", drop * traj.spread_sq[:h], decrement,
-                          floor=DECREMENT_FLOOR))
-        for k in _rate_k_values(config):
-            records.extend(vector_contraction_certificate(traj.states, adjoint, beta,
-                                                          p_star, k))
-        return records
+        return Certificates(
+            CheckBlock("conservation", (drift / (1.0 + x0_norms)).max(axis=1),
+                       CONSERVATION_TOL, slack=1.0),
+            (CheckBlock("step-identity", resid, IDENTITY_TOL * scale, slack=1.0),
+             CheckBlock("decrement-bound", drop * traj.spread_sq[:h], decrement,
+                        floor=DECREMENT_FLOOR)),
+            *[vector_contraction_certificate(traj.states, adjoint, beta, p_star, k)
+              for k in _rate_k_values(config)])
 
     floor = noise_floor(traj.states, DYKSTRA_TOL, reach=2.0)
     w_vals = v_function(traj.w[1:], adjoint.vectors[1:], traj.y_point)
     resid = np.abs(w_vals - (lyap[:-1] - decrement))
-    records = bound_records("feasibility", traj.feasibility[1:], FEASIBILITY_TOL, t0=1,
-                            slack=1.0)
-    records += _interleave(
-        bound_records("averaging-identity", resid,
-                      IDENTITY_TOL * np.maximum(1.0, lyap[:-1]), slack=1.0),
-        bound_records("projection-step", lyap[1:], w_vals, floor=floor))
-    records += bound_records("constrained-decrease", lyap[1:],
-                             lyap[:-1] - drop * traj.spread_sq[:-1], floor=floor)
+    certs = Certificates(
+        CheckBlock("feasibility", traj.feasibility[1:], FEASIBILITY_TOL, t0=1, slack=1.0),
+        (CheckBlock("averaging-identity", resid, IDENTITY_TOL * np.maximum(1.0, lyap[:-1]),
+                    slack=1.0),
+         CheckBlock("projection-step", lyap[1:], w_vals, floor=floor)),
+        CheckBlock("constrained-decrease", lyap[1:], lyap[:-1] - drop * traj.spread_sq[:-1],
+                   floor=floor))
     if r_used is not None:
-        records += _regularity_records(compliance, adjoint, traj, r_used)
-    return records
+        certs += _regularity_blocks(compliance, adjoint, traj, r_used)
+    return certs
 
 
-def _regularity_records(compliance: ComplianceReport, adjoint: AbsoluteProbabilitySequence,
-                        traj: Trajectory, r: float) -> list[CertificateRecord]:
-    """Tracked-contraction and distance-envelope records at the regularity constant ``r``.
+def _regularity_blocks(compliance: ComplianceReport, adjoint: AbsoluteProbabilitySequence,
+                       traj: Trajectory, r: float) -> Certificates:
+    """Tracked-contraction and distance-envelope blocks at the regularity constant ``r``.
 
-    They are the last ``2h + 1`` records of a constrained run.  Raises
+    They are the last two blocks of a constrained run.  Raises
     ``VacuousBound`` when ``r`` makes the quotient :func:`rate_quotient` round to one.
     """
     q = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star, r)
@@ -463,9 +457,9 @@ def _regularity_records(compliance: ComplianceReport, adjoint: AbsoluteProbabili
     # Python's float power: np.power rounds differently in the last bits.
     powers = np.array([q ** t for t in range(traj.horizon + 1)])
     envelope = powers * (float(v[0]) / adjoint.delta)
-    return (bound_records("tracked-contraction", v[1:], q * v[:-1], floor=floor)
-            + bound_records("distance-envelope", traj.dist_sq.sum(axis=1), envelope,
-                            floor=floor))
+    return Certificates(
+        CheckBlock("tracked-contraction", v[1:], q * v[:-1], floor=floor),
+        CheckBlock("distance-envelope", traj.dist_sq.sum(axis=1), envelope, floor=floor))
 
 
 @dataclass
@@ -474,12 +468,17 @@ class RunResult:
     compliance: ComplianceReport
     adjoint: AbsoluteProbabilitySequence
     trajectory: Trajectory
-    records: list[CertificateRecord]
+    certificates: Certificates
     report: dict
 
     @property
     def certificates_pass(self) -> bool:
-        return all(r.passed for r in self.records)
+        return self.certificates.passed
+
+    @property
+    def records(self) -> list[CertificateRecord]:
+        """Every record, built on demand from the blocks."""
+        return list(self.certificates)
 
 
 def _build_adjoint(config: RunConfig, mseq: MatrixSequence,
@@ -523,31 +522,31 @@ def _certify(config: RunConfig, mseq: MatrixSequence, compliance: ComplianceRepo
     if config.mode == "constrained":
         r_used, regularity_info = _resolve_regularity(config, sets, rho)
 
-    records: list[CertificateRecord] = []
+    certs = Certificates()
     if config.certificates_enabled:
-        records = evaluate_certificates(config, compliance, adjoint, traj, r_used)
+        certs = evaluate_certificates(config, compliance, adjoint, traj, r_used)
         if r_used is not None and regularity_info["method"] != "interior-formula":
             # Only the interior-ball formula proves its constant.  Try r*1.5,
             # r*1.5^2, ... until the r-dependent checks pass; if the quotient
-            # turns vacuous first, keep the first constant's failing records.
-            head = records[:-2 * traj.horizon - 1]
-            tail, r_try = records[len(head):], r_used
+            # turns vacuous first, keep the first constant's failing blocks.
+            head = Certificates(*certs.groups[:-2])
+            tail, r_try = Certificates(*certs.groups[-2:]), r_used
             try:
-                while not all(rec.passed for rec in tail):
+                while not tail.passed:
                     r_try *= 1.5
-                    tail = _regularity_records(compliance, adjoint, traj, r_try)
+                    tail = _regularity_blocks(compliance, adjoint, traj, r_try)
             except VacuousBound:
                 r_try = r_used
             if r_try != r_used:
-                records = head + tail
+                certs = head + tail
                 regularity_info = dict(regularity_info, r_used=r_try, escalated=True,
                                        r_initial=r_used)
                 r_used = r_try
 
-    report = _build_report(config, compliance, adjoint, traj, records, rho,
+    report = _build_report(config, compliance, adjoint, traj, certs, rho,
                            r_used, regularity_info)
     return RunResult(config=config, compliance=compliance, adjoint=adjoint,
-                     trajectory=traj, records=records, report=report)
+                     trajectory=traj, certificates=certs, report=report)
 
 
 def _prepare(config: RunConfig):
@@ -576,7 +575,7 @@ def run(config: RunConfig) -> RunResult:
 
 def _build_report(config: RunConfig, compliance: ComplianceReport,
                   adjoint: AbsoluteProbabilitySequence, traj: Trajectory,
-                  records, rho: float, r_used, regularity_info) -> dict:
+                  certs: Certificates, rho: float, r_used, regularity_info) -> dict:
     h = traj.horizon
     q_step = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star)
     # Only steps above the rounding level decay in a way a ratio can measure.
@@ -611,7 +610,7 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
                                           if config.graph.get("kind") == "random-rooted"
                                           else "cycle")},
         "rate": rate,
-        "certificates": summarize(records),
+        "certificates": summarize(certs),
     }
     if config.mode == "constrained":
         report["regularity"] = regularity_info
@@ -632,6 +631,17 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
 _COLUMNS = ["t", "agent", "coord", "x", "w"]
 
 
+def _distinct_reprs(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each value, made once per distinct bit pattern.
+
+    The ``int64`` view keeps ``-0.0`` apart from ``0.0`` (and each NaN
+    payload apart, which all print as ``nan``).
+    """
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, patterns.view(float).tolist())), dtype=object)
+    return table[inverse].reshape(values.shape)
+
+
 def write_trajectory_csv(result: RunResult, path) -> None:
     """The states: one row ``t,agent,coord,x,w`` per (t, agent, coord).
 
@@ -639,20 +649,29 @@ def write_trajectory_csv(result: RunResult, path) -> None:
     those of ``csv.writer`` (CRLF line ends; no cell needs quoting), but each
     step's block is one ``%`` pass over a row template (``%r`` is the
     ``repr`` of each value, ``T`` the step index), written with one call.
+    When the last step's states hold at most half as many distinct values as
+    cells, as a run at consensus does, each distinct value is formatted once
+    and the cells take the strings through ``%s`` instead; that path holds
+    one reference per cell of the run.  (A projected state often equals its
+    ``w`` bit for bit, so ``w`` would say little.)
     """
     traj = result.trajectory
     m, n = traj.states.shape[1], traj.states.shape[2]
-    rows = [f"T,{agent},{coord},%r," for agent in range(m) for coord in range(n)]
+    x, w = traj.states, None if traj.w is None else traj.w[1:]
+    spec = "%r"
+    if 2 * np.unique(x[-1].view(np.int64)).size <= m * n:
+        x, w, spec = _distinct_reprs(x), None if w is None else _distinct_reprs(w), "%s"
+    rows = [f"T,{agent},{coord},{spec}," for agent in range(m) for coord in range(n)]
     blank_w = "\r\n".join(rows) + "\r\n"
-    with_w = "%r\r\n".join(rows) + "%r\r\n"
-    pair = np.empty((m, n, 2))  # a step's x and w side by side
+    with_w = f"{spec}\r\n".join(rows) + f"{spec}\r\n"
+    pair = np.empty((m, n, 2), dtype=x.dtype)  # a step's x and w side by side
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_COLUMNS) + "\r\n")
         for t in range(traj.horizon + 1):
-            if traj.w is None or t == 0:
-                template, values = blank_w, traj.states[t]
+            if w is None or t == 0:
+                template, values = blank_w, x[t]
             else:
-                pair[..., 0], pair[..., 1] = traj.states[t], traj.w[t]
+                pair[..., 0], pair[..., 1] = x[t], w[t - 1]
                 template, values = with_w, pair
             fh.write(template.replace("T", str(t)) % tuple(values.ravel().tolist()))
 

@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .adjoint import AbsoluteProbabilitySequence
-from .certificates import CertificateRecord, bound_records
-from .weights import MatrixSequence
+from .certificates import CheckBlock
+from .weights import _BLOCK_ENTRIES, MatrixSequence
 
 
 class NegativeWeight(ValueError):
@@ -132,15 +132,21 @@ def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) ->
     return out
 
 
-def squared_spread(x: np.ndarray) -> float:
-    """``max_{j,l} ||x_j - x_l||^2`` for ``x`` of shape ``(m,)`` or ``(m, n)``.
+def squared_spread(x: np.ndarray):
+    """``max_{j,l} ||x_j - x_l||^2`` of each state of a run.
 
-    One coordinate reduces to ``(max - min)^2``.  Otherwise the squared
-    coordinate differences of the candidate points below are added in
-    coordinate order into one ``k x k`` buffer.  numpy sums fewer than 8
-    terms in that same order, so for ``n < 8`` the value is bit-identical to
-    the maximum of the full ``m x m x n`` difference array summed over its
-    last axis.
+    ``x`` of shape ``(m,)`` or ``(m, n)`` is one state and gives a float;
+    ``(T, m, n)`` gives the ``T`` values of a run.  One coordinate reduces
+    to ``(max - min)^2``, squared with Python's float power, which is libm's
+    ``pow`` as numpy's scalar power is: numpy squares an array by
+    multiplying, and the two round differently.  Otherwise the squared
+    coordinate differences of each step's candidate points below are added
+    in coordinate order into one ``k x k`` buffer per step.  numpy sums fewer
+    than 8 terms in that same order, so for ``n < 8`` each value is
+    bit-identical to the maximum of the full ``m x m x n`` difference array
+    summed over its last axis.  The steps go a chunk of at most
+    ``_BLOCK_ENTRIES`` state entries at a time, and each chunk's buffers
+    hold at most that many pairs, or one step's.
 
     *Pruning* (the diameter argument of Preparata & Shamos, *Computational
     Geometry*, ch. 4).  Take any center ``c`` (here the rounded mean), let
@@ -154,7 +160,9 @@ def squared_spread(x: np.ndarray) -> float:
     Each pair's value comes from the same operations on the same numbers, so
     the maximum over the candidates is the maximum over all pairs, bit for
     bit.  Because the argument holds for every ``c``, the rounding of the
-    mean itself never enters.
+    mean itself never enters.  A step with fewer candidates than the most
+    of its chunk is padded with copies of ``x_p``: each added pair is a real
+    pair, whose value cannot exceed the maximum.
 
     *Margin.*  With ``u = 2^-53``, a rounded difference of two floats is
     within ``u`` of the exact difference, relative to its own size, and the
@@ -176,29 +184,56 @@ def squared_spread(x: np.ndarray) -> float:
     normal float lose their relative accuracy; the absolute term
     ``sqrt(tiny)`` covers what they can lose.  A non-finite threshold keeps
     every point, so ``inf`` and ``nan`` reach the buffer as before.  A
-    scan of at most ``_PRUNE_MIN_ENTRIES`` entries is cheaper than the
-    pruning and takes every point.
+    scan of at most ``_PRUNE_MIN_ENTRIES`` entries per step is cheaper than
+    the pruning and takes every point.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 or x.shape[1] == 1:
-        return float((x.max() - x.min()) ** 2)
-    m, n = x.shape
-    if m * m * n > _PRUNE_MIN_ENTRIES:
-        y = x - x.mean(axis=0)
-        d = np.sqrt(np.einsum("mn,mn->m", y, y))
-        p = int(d.argmax())
-        y = x - x[p]
-        r, ell = float(d[p]), math.sqrt(float(np.einsum("mn,mn->m", y, y).max()))
-        margin = 8.0 * (n + 4) * _EPS * (ell + r) + _SQRT_TINY
-        x = x[~(d < ell - r - margin)]
-    buf = np.subtract.outer(x[:, 0], x[:, 0])
-    buf *= buf
-    diff = np.empty_like(buf)
-    for k in range(1, n):
-        np.subtract.outer(x[:, k], x[:, k], out=diff)
-        diff *= diff
-        buf += diff
-    return float(buf.max())
+    if x.ndim < 3:
+        return float(squared_spread(x.reshape(1, x.shape[0], -1))[0])
+    steps, m, n = x.shape
+    if n == 1:
+        return np.array([gap ** 2 for gap in (x.max(axis=1) - x.min(axis=1))[:, 0].tolist()])
+    out = np.empty(steps)
+    size = max(1, _BLOCK_ENTRIES // (m * n))
+    for lo in range(0, steps, size):
+        chunk = x[lo:lo + size]
+        if m * m * n > _PRUNE_MIN_ENTRIES:
+            chunk = _spread_candidates(chunk)
+        _pairwise_max(chunk, out[lo:lo + size])
+    return out
+
+
+def _spread_candidates(x: np.ndarray) -> np.ndarray:
+    """Each step's candidate points (see :func:`squared_spread`), padded with ``x_p``."""
+    steps, m, n = x.shape
+    y = x - x.mean(axis=1, keepdims=True)
+    d = np.sqrt(np.einsum("tmn,tmn->tm", y, y))
+    p = d.argmax(axis=1)
+    y = x - np.take_along_axis(x, p[:, None, None], axis=1)
+    r, ell = d.max(axis=1), np.sqrt(np.einsum("tmn,tmn->tm", y, y).max(axis=1))
+    margin = 8.0 * (n + 4) * _EPS * (ell + r) + _SQRT_TINY
+    keep = ~(d < (ell - r - margin)[:, None])
+    counts = keep.sum(axis=1)
+    k = int(counts.max())
+    first = np.argsort(~keep, axis=1, kind="stable")[:, :k]  # the candidates, in order
+    idx = np.where(np.arange(k) < counts[:, None], first, p[:, None])
+    return np.take_along_axis(x, idx[..., None], axis=1)
+
+
+def _pairwise_max(x: np.ndarray, out: np.ndarray) -> None:
+    """``out[t] = max_{j,l} sum_c (x[t, j, c] - x[t, l, c])^2``, in coordinate order."""
+    steps, k, n = x.shape
+    size = max(1, _BLOCK_ENTRIES // (k * k))
+    for lo in range(0, steps, size):
+        c = x[lo:lo + size]
+        buf = c[:, :, None, 0] - c[:, None, :, 0]
+        buf *= buf
+        diff = np.empty_like(buf)
+        for j in range(1, n):
+            np.subtract(c[:, :, None, j], c[:, None, :, j], out=diff)
+            diff *= diff
+            buf += diff
+        out[lo:lo + size] = buf.max(axis=(1, 2))
 
 
 def contraction_drop(delta: float, beta: float, p_star: int, r: float = 0.0) -> float:
@@ -242,7 +277,7 @@ def noise_floor(states: np.ndarray, projection_tol: float = 0.0,
 
 def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabilitySequence,
                                    beta: float, p_star: int,
-                                   k: int) -> list[CertificateRecord]:
+                                   k: int) -> CheckBlock:
     """Check the weighted variance about the conserved center against its envelope from ``k``.
 
     ``states`` has shape ``(horizon+1, m, n)``.  The center is the conserved
@@ -255,8 +290,8 @@ def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabil
     q = rate_quotient(adjoint.delta, beta, p_star)
     vals = v_function(states, pi, pi[0] @ states[0])
     rhs = [q ** (t - k) * vals[k] for t in range(k, states.shape[0])]
-    return bound_records("vector-rate-contraction", vals[k:], rhs, t0=k, k=k,
-                         floor=noise_floor(states))
+    return CheckBlock("vector-rate-contraction", vals[k:], rhs, t0=k, k=k,
+                      floor=noise_floor(states))
 
 
 def doubly_stochastic_rate_factor(beta: float, m: int, steps: int) -> float:

@@ -1,11 +1,11 @@
 """Reference implementations that only the tests use.
 
 Scalar record builders, the operator-norm envelope for backward products,
-single-step decrement and identity residuals, and projection checks serve as
-oracles for the package's array code.  ``evaluate_certificates_per_step`` is
-the step-by-step certificate loop that ``engine.evaluate_certificates``
-replaces with whole-series arrays; the two must agree record for record, bit
-for bit.  ``verify_compliance_per_step`` checks every step, one at a time,
+single-step decrement and identity residuals, the one-state squared spread
+and projection checks serve as oracles for the package's array code.
+``evaluate_certificates_per_step`` is the step-by-step certificate loop
+that ``engine.evaluate_certificates`` replaces with whole-series arrays; the
+two must agree record for record, bit for bit.  ``verify_compliance_per_step`` checks every step, one at a time,
 where ``weights.verify_compliance`` checks each distinct step once, a block
 of steps at a time.  ``equal_neighbor_dense`` is the dense equal-neighbor
 build that the row-support build must reproduce bit for bit.  ``edges``
@@ -15,13 +15,16 @@ point-by-point set code that the batched projections in
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from consensus_lab.adjoint import AbsoluteProbabilitySequence
 from consensus_lab.certificates import VALUE_SLACK, CertificateRecord
 from consensus_lab.engine import (CONSERVATION_TOL, DECREMENT_FLOOR, IDENTITY_TOL, RunConfig,
                                   Trajectory, _rate_k_values)
-from consensus_lab.lyapunov import (_row_shifted_decrements, contraction_drop, rate_quotient,
+from consensus_lab.lyapunov import (_EPS, _PRUNE_MIN_ENTRIES, _SQRT_TINY,
+                                    _row_shifted_decrements, contraction_drop, rate_quotient,
                                     weighted_variance)
 from consensus_lab.graphs import DiGraph, SpanningTree, bfs_spanning_tree, roots
 from consensus_lab.seeding import substream
@@ -197,6 +200,34 @@ def set_to_json_dict(s: ConvexSet) -> dict:
         return {"type": "intersection",
                 "members": [set_to_json_dict(m) for m in s.members]}
     raise TypeError(f"unknown set type {type(s)!r}")
+
+
+def squared_spread_per_state(x: np.ndarray) -> float:
+    """``max_{j,l} ||x_j - x_l||^2`` of one state ``(m,)`` or ``(m, n)``, pruned alone.
+
+    The one-state form that ``lyapunov.squared_spread`` batches over a run;
+    its docstring gives the pruning and its margin.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1 or x.shape[1] == 1:
+        return float((x.max() - x.min()) ** 2)
+    m, n = x.shape
+    if m * m * n > _PRUNE_MIN_ENTRIES:
+        y = x - x.mean(axis=0)
+        d = np.sqrt(np.einsum("mn,mn->m", y, y))
+        p = int(d.argmax())
+        y = x - x[p]
+        r, ell = float(d[p]), math.sqrt(float(np.einsum("mn,mn->m", y, y).max()))
+        margin = 8.0 * (n + 4) * _EPS * (ell + r) + _SQRT_TINY
+        x = x[~(d < ell - r - margin)]
+    buf = np.subtract.outer(x[:, 0], x[:, 0])
+    buf *= buf
+    diff = np.empty_like(buf)
+    for k in range(1, n):
+        np.subtract.outer(x[:, k], x[:, k], out=diff)
+        diff *= diff
+        buf += diff
+    return float(buf.max())
 
 
 def noise_floor(states: np.ndarray) -> float:

@@ -182,6 +182,23 @@ class TestPermutationCounterexample:
         assert aps.residuals.max() == 0.0
 
 
+class TestRejectsNonFinite:
+    """NaN compares false with everything, so only an explicit check rejects it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vectors(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AbsoluteProbabilitySequence(vectors=[[bad, bad], [0.5, 0.5]], residuals=[0.0],
+                                        method="user-supplied")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_residuals(self, bad):
+        from consensus_lab import AdjointResidualTooLarge
+        with pytest.raises(AdjointResidualTooLarge, match="finite"):
+            AbsoluteProbabilitySequence(vectors=[[0.5, 0.5], [0.5, 0.5]], residuals=[bad],
+                                        method="user-supplied")
+
+
 def csv_writer_adjoint(aps, path):
     """Row-by-row ``csv.writer`` export, the byte-level reference for the block writer."""
     with open(path, "w", newline="") as fh:

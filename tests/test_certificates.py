@@ -1,9 +1,11 @@
-"""Whole-series certificate records against the step-by-step reference loop.
+"""Whole-series certificate blocks against the step-by-step reference loop.
 
 ``engine.evaluate_certificates`` evaluates each check once over the run and
-builds every record through ``certificates.bound_records``.  The records must
-equal those of ``oracles.evaluate_certificates_per_step`` field for field,
-with every float compared by its exact bits.
+holds it as one ``certificates.CheckBlock``.  The records the blocks give, in
+record order, must equal those of ``oracles.evaluate_certificates_per_step``
+field for field, with every float compared by its exact bits.  Block
+verdicts, summaries, exports and the stored-file compare must equal what the
+records give one at a time.
 """
 import csv
 import dataclasses
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 
 from consensus_lab import engine
-from consensus_lab.certificates import (CertificateRecord, bound_records,
-                                        write_certificates_csv, write_certificates_json)
+from consensus_lab.certificates import (CertificateRecord, Certificates, CheckBlock,
+                                        summarize, write_certificates_csv,
+                                        write_certificates_json)
 from consensus_lab.lyapunov import noise_floor
 from consensus_lab.sets import DYKSTRA_TOL
 
@@ -212,9 +215,10 @@ class TestNoiseFloor:
 
 class TestBoundRecords:
     def test_slack_floor_and_steps(self):
-        recs = bound_records("c", [1.0, 2.0, 3.0], 2.0, t0=4, k=1, slack=1.0, floor=0.5)
+        block = CheckBlock("c", [1.0, 2.0, 3.0], 2.0, t0=4, k=1, slack=1.0, floor=0.5)
+        assert block.passed.tolist() == [True, True, False]
         assert [(r.check, r.t, r.k, r.lhs, r.rhs, r.slack, r.floor, r.passed)
-                for r in recs] == [
+                for r in block.records()] == [
             ("c", 4, 1, 1.0, 2.0, 1.0, 0.5, True), ("c", 5, 1, 2.0, 2.0, 1.0, 0.5, True),
             ("c", 6, 1, 3.0, 2.0, 1.0, 0.5, False)]
 
@@ -237,27 +241,42 @@ def csv_writer_certificates(records, path):
                          repr(r.slack), repr(r.floor), r.verdict])
 
 
-def assert_writers_match_oracles(records, tmp_path):
+def assert_writers_match_oracles(certs, tmp_path):
     for write, oracle, name in ((write_certificates_json, json_encoder_certificates, "json"),
                                 (write_certificates_csv, csv_writer_certificates, "csv")):
-        write(records, tmp_path / f"got.{name}")
-        oracle(records, tmp_path / f"want.{name}")
+        write(certs, tmp_path / f"got.{name}")
+        oracle(list(certs), tmp_path / f"want.{name}")
         assert (tmp_path / f"got.{name}").read_bytes() == (tmp_path / f"want.{name}").read_bytes()
+
+
+def adversarial_certificates(rng: np.random.Generator, groups: int) -> Certificates:
+    """Blocks of adversarial values, names and constants; every third group a pair."""
+    checks = ["conservation", "vector-rate-contraction", 'odd, "quoted"\r\nname', "é",
+              "100% %d %s %r"]
+
+    def block(i: int, n: int) -> CheckBlock:
+        lhs, rhs = adversarial_array(rng, (2, n))
+        slack, floor = adversarial_array(rng, 2).tolist()
+        return CheckBlock(checks[i % len(checks)], lhs, rhs, t0=i,
+                          k=None if i % 3 else i // 3, slack=slack, floor=floor)
+
+    out = []
+    for i in range(groups):
+        n = int(rng.integers(0, 4))
+        out.append((block(i, n), block(i + 1, n)) if i % 3 == 2 else block(i, n))
+    return Certificates(*out)
 
 
 class TestWriters:
     def test_adversarial_values_bytes(self, tmp_path):
-        rng = np.random.default_rng(5)
-        values = adversarial_array(rng, (60, 4)).tolist()
-        checks = ["conservation", "vector-rate-contraction", 'odd, "quoted"\r\nname', "é"]
-        records = [CertificateRecord(checks[i % 4], i, None if i % 3 else i // 3, *v)
-                   for i, v in enumerate(values)]
-        assert_writers_match_oracles(records, tmp_path)
+        certs = adversarial_certificates(np.random.default_rng(5), 30)
+        assert_writers_match_oracles(certs, tmp_path)
         stored = json.loads((tmp_path / "got.json").read_text())
-        assert len(stored) == 60 and stored[0]["check"] == "conservation"
+        assert len(stored) == len(certs) > 30 and stored[0]["check"] == "conservation"
+        assert {r["check"] for r in stored} >= {"100% %d %s %r", 'odd, "quoted"\r\nname'}
 
     def test_no_records(self, tmp_path):
-        assert_writers_match_oracles([], tmp_path)
+        assert_writers_match_oracles(Certificates(), tmp_path)
 
     def test_run_records(self, tmp_path):
-        assert_writers_match_oracles(engine.run(polyhedron_config()).records, tmp_path)
+        assert_writers_match_oracles(engine.run(polyhedron_config()).certificates, tmp_path)

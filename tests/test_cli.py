@@ -266,6 +266,16 @@ class TestVerify:
                          "--trajectory", str(out / "trajectory.csv"),
                          "--certificates", str(out / "certificates.json")]) == 0
 
+    def test_reformatted_certificates_match(self, tmp_path):
+        """The compare is on values: indentation and key order do not matter."""
+        out = self._simulate(tmp_path)
+        records = json.loads((out / "certificates.json").read_text())
+        moved = write_json(tmp_path / "reformatted.json",
+                           [dict(reversed(list(r.items()))) for r in records])
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(out / "trajectory.csv"),
+                         "--certificates", str(moved)]) == 0
+
     def test_perturbed_state_fails(self, tmp_path):
         out = self._simulate(tmp_path)
         rows = list(csv.reader((out / "trajectory.csv").open()))
@@ -376,13 +386,16 @@ class TestVerify:
                          "--trajectory", str(bad)]) == 2
 
     @pytest.mark.parametrize("case", ["object", "number-list", "no-floor", "verdict-not-witnessed",
-                                      "moved-lhs"])
+                                      "moved-lhs", "swapped-pair", "extra-key", "wrong-t",
+                                      "wrong-k", "renamed-check", "moved-floor", "dropped-last"])
     def test_bad_certificates_exit_config(self, tmp_path, case):
-        """Stored records must equal the replayed ones, field for field.
+        """Stored records must equal the replayed ones, field for field and in order.
 
         ``verdict-not-witnessed`` raises one record's ``lhs`` past
         ``rhs * slack + floor`` and leaves its ``pass``; ``moved-lhs`` changes
-        an ``lhs`` by one ulp with the verdict still following from it.
+        an ``lhs`` by one ulp with the verdict still following from it;
+        ``swapped-pair`` swaps step-identity(0) with decrement-bound(0), which
+        follows it.
         """
         out = self._simulate(tmp_path)
         records = json.loads((out / "certificates.json").read_text())
@@ -397,6 +410,22 @@ class TestVerify:
         elif case == "verdict-not-witnessed":
             assert r["verdict"] == "pass"
             r["lhs"] = 2.0 * (r["rhs"] * r["slack"] + r["floor"]) + 1.0
+        elif case == "swapped-pair":
+            i = next(i for i, rec in enumerate(records) if rec["check"] == "step-identity")
+            assert records[i + 1]["check"] == "decrement-bound" and records[i + 1]["t"] == 0
+            records[i], records[i + 1] = records[i + 1], records[i]
+        elif case == "extra-key":
+            r["note"] = None
+        elif case == "wrong-t":
+            r["t"] += 1
+        elif case == "wrong-k":
+            r["k"] = 0
+        elif case == "renamed-check":
+            r["check"] += "x"
+        elif case == "moved-floor":
+            r["floor"] = float(np.nextafter(r["floor"], 1.0))
+        elif case == "dropped-last":
+            records.pop()
         else:
             r["lhs"] = float(np.nextafter(r["lhs"], 0.0))
         bad = write_json(tmp_path / "bad_certificates.json", records)

@@ -427,6 +427,27 @@ class TestTrajectoryCsv:
         assert got.count(b"\r\n") == 1 + 8 * m * n
 
     @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("last", [0.0, -0.0, np.nan, None])
+    def test_repeated_values_format_once(self, tmp_path, monkeypatch, constrained, last):
+        """A last step at consensus takes the path that formats each value once.
+
+        Every other value is adversarial, signed zeros included, and the
+        bytes must not change; a last step of distinct values keeps ``%r``.
+        """
+        res = adversarial_result(17, 5, 2, 30, constrained)
+        states = res.trajectory.states
+        if last is None:
+            states[-1] = np.arange(10.0).reshape(5, 2)
+        else:
+            states[-1] = last
+        calls = []
+        distinct = engine._distinct_reprs
+        monkeypatch.setattr(engine, "_distinct_reprs",
+                            lambda values: calls.append(values.shape) or distinct(values))
+        self._assert_same_bytes(res, tmp_path)
+        assert len(calls) == (0 if last is None else 1 + constrained)
+
+    @pytest.mark.parametrize("constrained", [False, True])
     def test_write_memory_is_bounded(self, tmp_path, constrained):
         """The writer holds a few steps' text at a time, not the file."""
         rng = np.random.default_rng(8)

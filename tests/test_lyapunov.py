@@ -9,7 +9,7 @@ from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, Vacuou
                            regular_quarter_weights, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
-from consensus_lab.certificates import bound_records
+from consensus_lab.certificates import CheckBlock
 from consensus_lab.engine import DECREMENT_FLOOR
 from consensus_lab.lyapunov import contraction_drop, decrement_series, squared_spread
 from oracles import (averaging_identity_residual, operator_norm_sq, pairwise_decrement_sum,
@@ -192,8 +192,8 @@ class TestDecrementKernel:
 
 def decrement_records(decrement, spread_sq, drop):
     """The engine's decrement-bound records: ``drop * spread_sq <= D * slack + floor``."""
-    return bound_records("decrement-bound", drop * np.asarray(spread_sq), decrement,
-                         floor=DECREMENT_FLOOR)
+    return CheckBlock("decrement-bound", drop * np.asarray(spread_sq), decrement,
+                      floor=DECREMENT_FLOOR).records()
 
 
 def step_decrement(a, x, pi_next, delta, beta, p_star):
@@ -352,8 +352,9 @@ class TestContraction:
 
     def test_t_equals_k_is_tight(self):
         _, aps, states = self._run()
-        records = vector_contraction_certificate(states[:, :, None], aps, beta=0.25,
-                                                 p_star=2, k=0)
+        block = vector_contraction_certificate(states[:, :, None], aps, beta=0.25,
+                                               p_star=2, k=0)
+        records = block.records()
         first = records[0]
         assert first.t == 0 and first.lhs == first.rhs
         assert all(r.passed for r in records)
@@ -361,15 +362,15 @@ class TestContraction:
     def test_all_pass_both_ks(self):
         _, aps, states = self._run()
         for k in (0, 60):
-            records = vector_contraction_certificate(states[:, :, None], aps, 0.25, 2, k)
-            assert all(r.passed for r in records)
+            block = vector_contraction_certificate(states[:, :, None], aps, 0.25, 2, k)
+            assert block.t0 == block.k == k and block.passed.all()
 
     def test_equal_initial_states_stay_zero(self):
         seq = MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(2)),
                                          "quarter")
         aps = uniform_adjoint(seq, 10)
         states = np.full((11, 4, 3), 2.5)
-        records = vector_contraction_certificate(states, aps, 0.25, 1, 0)
+        records = vector_contraction_certificate(states, aps, 0.25, 1, 0).records()
         assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in records)
         assert all(r.passed for r in records)
 

@@ -5,15 +5,21 @@ a rounding margin.  These cases put many points at or near that threshold
 (regular polygons, where every point is as far from the mean as the farthest
 one, and ``L = 2R`` in exact arithmetic), repeat and align points, and shift
 tiny clouds far from the origin, where the rounding of the mean exceeds the
-spread itself.
+spread itself.  A whole run in one call must give each step the value of the
+one-state oracle, ``oracles.squared_spread_per_state``.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from consensus_lab import lyapunov  # noqa: E402
 from consensus_lab.lyapunov import squared_spread  # noqa: E402
+
+from oracles import squared_spread_per_state  # noqa: E402
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -82,3 +88,52 @@ def test_non_finite_state_keeps_every_point(value):
     x[3, 1] = value
     with np.errstate(invalid="ignore"):
         assert np.isnan(brute_force(x)) and np.isnan(squared_spread(x))
+
+
+# A step of a run: how its points sit, before scaling and shifting.
+step_kinds = st.sampled_from(["cloud", "consensus", "polygon", "outliers", "special"])
+SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 5e-324)
+
+
+def run_step(rng: np.random.Generator, kind: str, m: int, n: int) -> np.ndarray:
+    if kind == "consensus":
+        return np.zeros((m, n)) + 1e-17 * rng.integers(-1, 2, size=(m, n))
+    if kind == "polygon" and n >= 2:
+        angles = 2 * np.pi * np.arange(m) / m
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1) @ plane(rng, n)
+    pts = rng.standard_normal((m, n))
+    if kind == "outliers":
+        pts[rng.integers(0, m, size=2)] *= 1e3
+    elif kind == "special":
+        pts[rng.integers(0, m), rng.integers(0, n)] = rng.choice(SPECIALS)
+    return pts
+
+
+@EXAMPLES
+@given(kinds=st.lists(step_kinds, min_size=1, max_size=12), m=st.integers(1, 40),
+       n=st.integers(1, 4), block=st.sampled_from([1, 7, 64, 1 << 16]),
+       prune=st.sampled_from([0, 50, 1 << 14]), scale=scales, offset=offsets, seed=seeds)
+def test_batched_equals_per_state_oracle(kinds, m, n, block, prune, scale, offset, seed):
+    """One call over a run gives each step's one-state value, bit for bit.
+
+    Small chunk and pruning thresholds split the run at every step and prune
+    even a few points, so steps with different candidate counts share a
+    padded buffer.
+    """
+    rng = np.random.default_rng(seed)
+    states = offset * rng.uniform(-1, 1, n) + scale * np.stack(
+        [run_step(rng, kind, m, n) for kind in kinds])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = [squared_spread_per_state(x).hex() for x in states]
+        with mock.patch.object(lyapunov, "_BLOCK_ENTRIES", block), \
+                mock.patch.object(lyapunov, "_PRUNE_MIN_ENTRIES", prune):
+            got = squared_spread(states)
+    assert got.shape == (len(kinds),)
+    assert [v.hex() for v in got.tolist()] == want
+
+
+def test_one_coordinate_squares_with_float_power():
+    """numpy's array ``** 2`` multiplies and would give 0.13134695247455289 here."""
+    x = np.array([[0.0], [0.3624182010806754]])
+    assert squared_spread(x) == squared_spread_per_state(x) == 0.13134695247455286
+    assert squared_spread(x[None]).tolist() == [0.13134695247455286]
