@@ -19,12 +19,11 @@ from .lyapunov import (NegativeWeight, VacuousBound, doubly_stochastic_rate_fact
                        rate_quotient, v_function, vector_contraction_certificate,
                        weighted_variance)
 from .sets import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
-                   InteriorBallNotContained, Intersection, NoInformativeSamples, Polyhedron,
+                   InteriorBallNotContained, Intersection, NoInformativeSamples,
                    RegularityEstimate, distance, dykstra_project, regularity_interior,
                    regularity_sampling, set_from_json_dict)
 from .weights import (AsymmetricGraph, ComplianceReport, GammaTooSmall, MatrixSequence,
-                      NotThreeRegular, RowStochasticMatrix, equal_neighbor_weights,
-                      laplacian_weights, lazy_metropolis_weights, regular_quarter_weights,
-                      verify_compliance)
+                      NotThreeRegular, equal_neighbor_weights, laplacian_weights,
+                      lazy_metropolis_weights, regular_quarter_weights, verify_compliance)
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ envelopes that depend on a set-regularity constant.
 """
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -232,10 +231,9 @@ def build_matrix_sequence(config: RunConfig, graph_seq: GraphSequence) -> Matrix
     if scheme == "custom":
         mats = [np.array(mm["rows"], dtype=float) for mm in spec["matrices"]]
         return MatrixSequence.custom(mats, graph_seq)
-    if scheme == "laplacian":
-        return MatrixSequence.from_scheme(graph_seq, "laplacian", gamma=float(spec["gamma"]))
+    params = {"gamma": float(spec["gamma"])} if scheme == "laplacian" else {}
     try:
-        return MatrixSequence.from_scheme(graph_seq, scheme)
+        return MatrixSequence.from_scheme(graph_seq, scheme, **params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -730,17 +728,26 @@ def read_trajectory_states(path, m: int, n: int,
 
 
 def write_plot_data_csv(result: RunResult, path) -> None:
-    """Per-step summary series for plotting."""
+    """Per-step summary series for plotting: one row per ``t``.
+
+    ``decrement`` is blank at ``t = horizon``, and ``V_vt`` and
+    ``max_dist_sq`` in unconstrained runs.  The bytes are those of
+    ``csv.writer`` (CRLF line ends; no cell needs quoting), but the rows are
+    one ``%`` pass over a template, written with one call.
+    """
     traj = result.trajectory
     h = traj.horizon
+    series = [traj.spread_sq, traj.lyap, np.append(traj.decrement, 0.0), traj.v_values,
+              None if traj.dist_sq is None else traj.dist_sq.max(axis=1)]
+    cells = ["%r" if column is not None else "" for column in series]
+    last = cells[:2] + [""] + cells[3:]
+    template = ("".join(f"{t},{','.join(cells)}\r\n" for t in range(h))
+                + f"{h},{','.join(last)}\r\n")
+    present = [column for column in series if column is not None]
+    values = np.column_stack(present).ravel().tolist()
+    del values[2 - len(present)]   # the padded decrement of the last step
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "spread_sq", "lyap", "decrement", "V_vt", "max_dist_sq"])
-        for t in range(h + 1):
-            wr.writerow([t, repr(float(traj.spread_sq[t])), repr(float(traj.lyap[t])),
-                         repr(float(traj.decrement[t])) if t < h else "",
-                         repr(float(traj.v_values[t])) if traj.v_values is not None else "",
-                         repr(float(traj.dist_sq[t].max())) if traj.dist_sq is not None else ""])
+        fh.write("t,spread_sq,lyap,decrement,V_vt,max_dist_sq\r\n" + template % tuple(values))
 
 
 def replay_certificates(config: RunConfig, states: np.ndarray,

@@ -20,6 +20,11 @@ class NotRooted(ValueError):
     """The requested root does not reach every node of the graph."""
 
 
+def _symmetric(adjacency: np.ndarray) -> bool:
+    """Whether every graph of an ``(..., m, m)`` in-adjacency stack has each edge both ways."""
+    return bool(np.array_equal(adjacency, adjacency.swapaxes(-1, -2)))
+
+
 class DiGraph:
     """Immutable directed graph on ``m`` nodes with edge set ``{(sender, receiver)}``.
 
@@ -80,17 +85,13 @@ class DiGraph:
 
     @cached_property
     def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.adjacency, self.adjacency.T))
+        return _symmetric(self.adjacency)
 
     def degree(self, i: int) -> int:
         """Undirected degree; only meaningful for symmetric edge sets."""
         if not self.is_symmetric:
             raise ValueError("degree is defined for symmetric graphs only")
         return int(np.count_nonzero(self.adjacency[i]))
-
-    def in_adjacency(self) -> np.ndarray:
-        """Matrix ``M`` with ``M[i, j] = 1`` iff ``j`` sends to ``i``; zero diagonal."""
-        return self.adjacency.astype(float)
 
     def to_json_dict(self) -> dict:
         """Serialization with 1-based node ids and lexicographically sorted edges."""

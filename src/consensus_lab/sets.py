@@ -1,7 +1,7 @@
 """Closed convex sets with Euclidean projection and set-regularity machinery.
 
 Halfspaces, hyperplanes, boxes, and balls project in closed form;
-polyhedra and general intersections project through Dykstra's alternating
+intersections, polyhedra among them, project through Dykstra's alternating
 scheme, which converges to the exact nearest point of the intersection.
 Regularity constants (``dist(x, X) <= r * max_i dist(x, X_i)`` over a
 region) are estimated either by sampling (a certified lower bound) or from
@@ -19,9 +19,10 @@ constrained run does every step.  It stacks the halfspace, hyperplane, box
 and ball agents into one array per kind (normals and offsets, bounds,
 centres and radii) and runs each kind's closed form once over its rows.  The
 closed forms are the sets' own and work elementwise per point, so every
-agent keeps the bits of its own ``project``.  The facets of the polyhedron
-agents are stacked too, for Dykstra's exit before the first sweep, so only
-the agents really outside their polyhedron run the recursion.
+agent keeps the bits of its own ``project``.  The facets of the agents whose
+set is an intersection of two or more halfspaces are stacked too, for
+Dykstra's exit before the first sweep, so only the agents really outside
+their polyhedron run the recursion.
 """
 from __future__ import annotations
 
@@ -93,12 +94,6 @@ def _coordinates(v, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a vector of at least one coordinate, not {v!r}")
     v.setflags(write=False)
     return v
-
-
-def _check_same_dim(members, what: str) -> None:
-    dims = {s.dim for s in members}
-    if len(dims) != 1:
-        raise ValueError(f"{what} members differ in dimension: {sorted(dims)}")
 
 
 def _set_plane(s, kind: str) -> None:
@@ -243,33 +238,11 @@ class Ball(ConvexSet):
 
 
 @dataclass(frozen=True)
-class Polyhedron(ConvexSet):
-    """Finite intersection of halfspaces, projected by Dykstra's scheme."""
-
-    halfspaces: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        if not self.halfspaces:
-            raise ValueError("polyhedron needs at least one halfspace")
-        if not all(isinstance(h, Halfspace) for h in self.halfspaces):
-            raise ValueError("polyhedron facets must be halfspaces")
-        _check_same_dim(self.halfspaces, "polyhedron")
-
-    @property
-    def dim(self) -> int:
-        return self.halfspaces[0].dim
-
-    def project(self, x):
-        return dykstra_project(self.halfspaces, x)
-
-    def violation(self, x):
-        return _worst(self.halfspaces, x)
-
-
-@dataclass(frozen=True)
 class Intersection(ConvexSet):
-    """Intersection of arbitrary member sets, projected by Dykstra's scheme."""
+    """Intersection of arbitrary member sets, projected by Dykstra's scheme.
+
+    A polyhedron is the intersection of its facets' halfspaces.
+    """
 
     members: tuple
 
@@ -277,7 +250,9 @@ class Intersection(ConvexSet):
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("intersection needs at least one member")
-        _check_same_dim(self.members, "intersection")
+        dims = {s.dim for s in self.members}
+        if len(dims) != 1:
+            raise ValueError(f"intersection members differ in dimension: {sorted(dims)}")
 
     @property
     def dim(self) -> int:
@@ -391,9 +366,10 @@ class SetBank:
 
     Built once per run from the agents' sets (see the module docstring).  The
     rows are gathered once, in an order that makes each kind's rows one
-    slice, and scattered back once.  A polyhedron agent whose point is finite
-    and violates none of its facets (every violation exactly ``0.0``) gets
-    the last facet's projection of ``point + 0.0``, which is what
+    slice, and scattered back once.  A polyhedron agent, one whose set is an
+    intersection of two or more halfspaces, whose point is finite and
+    violates none of its facets (every violation exactly ``0.0``) gets the
+    last facet's projection of ``point + 0.0``, which is what
     :func:`dykstra_project` gives it before its first sweep, so the
     polyhedra ride in the halfspace slice with their last facets.  An agent
     outside its polyhedron, and one whose set is of any other kind, projects
@@ -403,10 +379,11 @@ class SetBank:
     def __init__(self, sets):
         self.sets = tuple(sets)
         rows = {kind: [i for i, s in enumerate(self.sets) if type(s) is kind]
-                for kind in (Halfspace, Polyhedron, Hyperplane, Box, Ball)}
-        rows[Polyhedron] = [i for i in rows[Polyhedron]
-                            if all(type(h) is Halfspace for h in self.sets[i].halfspaces)]
-        facets = [self.sets[i].halfspaces for i in rows[Polyhedron]]
+                for kind in (Halfspace, Intersection, Hyperplane, Box, Ball)}
+        rows[Intersection] = [i for i in rows[Intersection]
+                              if len(self.sets[i].members) > 1
+                              and all(type(h) is Halfspace for h in self.sets[i].members)]
+        facets = [self.sets[i].members for i in rows[Intersection]]
         stacked = [i for kind_rows in rows.values() for i in kind_rows]
         self._others = [i for i in range(len(self.sets)) if i not in set(stacked)]
         self._order = np.array(stacked + self._others, dtype=np.intp)
@@ -426,7 +403,7 @@ class SetBank:
                                      _stack(members, fields)))
                 start += len(members)
         self._rest = slice(start, None)
-        self._polyhedra = np.array(rows[Polyhedron], dtype=np.intp)
+        self._polyhedra = np.array(rows[Intersection], dtype=np.intp)
         if facets:
             first = len(rows[Halfspace])
             self._polyhedron_slice = slice(first, first + len(facets))
@@ -584,7 +561,10 @@ def set_from_json_dict(d: dict) -> ConvexSet:
     if kind == "ball":
         return Ball(np.array(d["center"], dtype=float), float(d["radius"]))
     if kind == "polyhedron":
-        return Polyhedron(tuple(set_from_json_dict(h) for h in d["halfspaces"]))
+        facets = tuple(set_from_json_dict(h) for h in d["halfspaces"])
+        if not all(isinstance(h, Halfspace) for h in facets):
+            raise ValueError("polyhedron facets must be halfspaces")
+        return Intersection(facets)
     if kind == "intersection":
         return Intersection(tuple(set_from_json_dict(mm) for mm in d["members"]))
     raise ValueError(f"unknown set type {kind!r}")

@@ -1,9 +1,10 @@
 """Row-stochastic weight matrices paired with graph sequences.
 
-Builders produce matrices whose positive entries sit exactly on the graph
-edges plus the diagonal.  :func:`verify_compliance` certifies which level of
-structural conditions a sequence meets and extracts the uniform positivity
-bound ``beta`` together with the spanning trees that witness it.
+Each scheme's builder lays its weights on a whole stack of graphs at once,
+exactly on each graph's edges plus the diagonal.  :func:`verify_compliance`
+certifies which level of structural conditions a sequence meets and
+extracts the uniform positivity bound ``beta`` together with the spanning
+trees that witness it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 # block through _rooted_trees.  They stay bound because perfbench/spans.py
 # patches them on this module.
 from .graphs import (DiGraph, GraphSequence, SpanningTree, _rooted_trees,  # noqa: F401
-                     bfs_spanning_tree, roots)
+                     _symmetric, bfs_spanning_tree, roots)
 
 ROW_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
@@ -43,38 +44,33 @@ class NotThreeRegular(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RowStochasticMatrix:
-    """Dense finite nonnegative matrix whose rows each sum to 1 within 1e-12."""
+def _scheme_support(adjacency: np.ndarray, edge, diagonal) -> tuple:
+    """Row support of one scheme's weights on an ``(s, m, m)`` stack of in-adjacencies.
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not _row_stochastic(_row_supports(a[None]), a.shape[0]).all():
-            raise ValueError(f"entries must be finite and nonnegative, and each row must "
-                             f"sum to 1 within {ROW_SUM_TOL}")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-
-def _absorb_row_residue(support: tuple, m: int) -> tuple:
-    """The row support with each diagonal weight raised by ``1 -`` its dense row's sum.
-
-    The diagonal is positive in every scheme here, so it can take the
-    rounding residue without changing the sparsity pattern.  numpy's
-    pairwise row sum groups its terms by where the zeros sit, so the rows
-    are summed densely, a chunk at a time in one buffer kept zero off the
-    support.
+    ``deg[k*m + i]`` is node ``i``'s in-degree in graph ``k``.  The nonzeros
+    are each matrix's adjacency-plus-diagonal pattern; the edge from ``j``
+    to ``i`` in graph ``k`` sits at row ``k*m + i`` and column ``j``, and
+    ``edge(deg, rows, cols)`` gives the weights of all of them.  The
+    diagonal then takes ``diagonal(deg)``, one value per row, and ``1 -``
+    its row's sum, the rounding residue, which leaves the pattern as it is.  numpy's pairwise row sum groups its terms by where the
+    zeros sit, so the rows are summed densely, a chunk at a time in one
+    buffer kept zero off the support.
     """
-    rows, cols, weights, starts = support
-    flat = rows * m + cols
+    m = adjacency.shape[-1]
+    flat = np.flatnonzero(adjacency | np.eye(m, dtype=bool))
+    rows = flat // m
+    cols = flat - rows * m
+    counts = np.bincount(rows)
+    deg = counts - 1
+    weights = np.empty(flat.size)
+    # The diagonal entries take the edge rule too, which may divide by an
+    # isolated node's zero degree, and are then overwritten.
+    with np.errstate(divide="ignore"):
+        weights[:] = edge(deg, rows, cols)
+    node = np.arange(counts.size)
+    diag = np.searchsorted(flat, node * m + node % m)
+    weights[diag] = diagonal(deg)
+    starts = np.cumsum(counts) - counts
     size = min(max(1, _BLOCK_ENTRIES // m), starts.size)
     buf, sums = np.zeros(size * m), np.empty(starts.size)
     for lo in range(0, starts.size, size):
@@ -82,77 +78,65 @@ def _absorb_row_residue(support: tuple, m: int) -> tuple:
         buf[flat[part] - lo * m] = weights[part]
         sums[lo:lo + size] = buf.reshape(size, m)[:starts.size - lo].sum(axis=1)
         buf[flat[part] - lo * m] = 0.0
-    diag = np.arange(starts.size)
-    weights[np.searchsorted(flat, diag * m + diag % m)] += 1.0 - sums
-    return support
+    weights[diag] += 1.0 - sums
+    return rows, cols, weights, starts
 
 
-def _equal_neighbor_support(adjacency: np.ndarray) -> tuple:
-    """Row support of the equal-neighbor weights of an ``(s, m, m)`` stack of in-adjacencies.
+# Each scheme's builder takes an (s, m, m) stack of graph in-adjacencies and
+# gives the row support (see _row_supports) of its s matrices.
 
-    ``1/(deg_i + 1)`` on the adjacency-plus-diagonal pattern of row ``i``, and
-    the rounding residue on its diagonal.
-    """
-    m = adjacency.shape[-1]
-    flat = np.flatnonzero(adjacency | np.eye(m, dtype=bool))
-    rows = flat // m
-    counts = np.bincount(rows)
-    return _absorb_row_residue(
-        (rows, flat - rows * m, (1.0 / counts)[rows], np.cumsum(counts) - counts), m)
-
-
-def equal_neighbor_weights(g: DiGraph) -> RowStochasticMatrix:
+def equal_neighbor_weights(adjacency: np.ndarray) -> tuple:
     """Each agent averages uniformly over its in-neighbors and itself."""
-    return RowStochasticMatrix(_dense(_equal_neighbor_support(g.adjacency[None]), g.m)[0])
+    return _scheme_support(adjacency, lambda deg, rows, _: (1.0 / (deg + 1))[rows],
+                           lambda deg: 1.0 / (deg + 1))
 
 
-def laplacian_weights(g: DiGraph, gamma: float) -> RowStochasticMatrix:
-    """``I - L/gamma`` for the graph Laplacian ``L``; needs ``gamma > m``.
+def laplacian_weights(adjacency: np.ndarray, gamma: float) -> tuple:
+    """``I - L/gamma`` for the graph Laplacian ``L``; needs a finite ``gamma > m``.
 
     Requires a symmetric edge set since the Laplacian scheme models
     bidirectional exchange; the result is then doubly stochastic.
     """
-    if gamma <= g.m:
-        raise GammaTooSmall(f"gamma={gamma} must exceed m={g.m}")
-    if not g.is_symmetric:
+    m = adjacency.shape[-1]
+    if not m < gamma < math.inf:  # also false for a NaN
+        raise GammaTooSmall(f"gamma={gamma} must exceed m={m} and be finite")
+    if not _symmetric(adjacency):
         raise AsymmetricGraph("laplacian weights need a symmetric edge set")
-    a = g.in_adjacency() / gamma
-    a[np.diag_indices_from(a)] = 1.0 - g.adjacency.sum(axis=1) / gamma
-    return RowStochasticMatrix(_dense(_absorb_row_residue(_row_supports(a[None]), g.m), g.m)[0])
+    return _scheme_support(adjacency, lambda *_: 1.0 / gamma, lambda deg: 1.0 - deg / gamma)
 
 
-def regular_quarter_weights(g: DiGraph) -> RowStochasticMatrix:
+def regular_quarter_weights(adjacency: np.ndarray) -> tuple:
     """Weight 1/4 on the diagonal and every edge of a 3-regular symmetric graph."""
-    if not g.is_symmetric:
+    if not _symmetric(adjacency):
         raise NotThreeRegular("quarter weights need a symmetric edge set")
-    if (g.adjacency.sum(axis=1) != 3).any():
+    if (adjacency.sum(axis=-1) != 3).any():
         raise NotThreeRegular("every node must have degree exactly 3")
-    a = 0.25 * (g.in_adjacency() + np.eye(g.m))
-    return RowStochasticMatrix(a)
+    return _scheme_support(adjacency, lambda *_: 0.25, lambda deg: 0.25)
 
 
-def lazy_metropolis_weights(g: DiGraph) -> RowStochasticMatrix:
+def lazy_metropolis_weights(adjacency: np.ndarray) -> tuple:
     """Lazy Metropolis weights: ``1/(2 max(deg_i, deg_j))`` on edges, rest on the diagonal.
 
     The 1/2 laziness keeps the diagonal at least 1/2; symmetry of the
     off-diagonal entries makes the matrix doubly stochastic.
     """
-    if not g.is_symmetric:
+    if not _symmetric(adjacency):
         raise AsymmetricGraph("lazy metropolis weights need a symmetric edge set")
-    deg = g.adjacency.sum(axis=1)
-    receivers, senders = np.nonzero(g.adjacency)
-    a = np.zeros((g.m, g.m))
-    a[receivers, senders] = 1.0 / (2.0 * np.maximum(deg[receivers], deg[senders]))
-    a[np.diag_indices_from(a)] = 1.0 - a.sum(axis=1)
-    return RowStochasticMatrix(a)
+    m = adjacency.shape[-1]
+
+    def edge(deg, rows, cols):  # the sender of row k*m + i, column j, is node k*m + j
+        return 1.0 / (2.0 * np.maximum(deg[rows], deg[rows // m * m + cols]))
+
+    return _scheme_support(adjacency, edge, lambda deg: 0.0)
 
 
-_BUILDERS = {
-    "equal-neighbor": lambda g, p: equal_neighbor_weights(g),
-    "lazy-metropolis": lambda g, p: lazy_metropolis_weights(g),
-    "laplacian": lambda g, p: laplacian_weights(g, p["gamma"]),
-    "quarter": lambda g, p: regular_quarter_weights(g),
-}
+def _builder(scheme: str):
+    """``scheme``'s builder, looked up on this module at each call, so a patched one is used."""
+    builders = {"equal-neighbor": equal_neighbor_weights, "laplacian": laplacian_weights,
+                "lazy-metropolis": lazy_metropolis_weights, "quarter": regular_quarter_weights}
+    if scheme not in builders:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return builders[scheme]
 
 
 def _support_adjacency(a: np.ndarray) -> np.ndarray:
@@ -163,16 +147,15 @@ def _support_adjacency(a: np.ndarray) -> np.ndarray:
     return support
 
 
-def _row_supports(a: np.ndarray, flat: np.ndarray | None = None) -> tuple:
+def _row_supports(a: np.ndarray) -> tuple:
     """Row support of an ``(s, m, m)`` stack, its row-major nonzeros, in CSR form.
 
     ``(rows, cols, weights, starts)``: entry ``(i, j)`` of matrix ``k`` has
     row ``k*m + i`` and column ``j``, and row ``r`` begins at ``starts[r]``.
-    ``flat`` gives the nonzeros' flat indices when the caller knows them.
     Raises ``ValueError`` if a row has no nonzero entry.
     """
     s, m = a.shape[:2]
-    flat = np.flatnonzero(a) if flat is None else flat
+    flat = np.flatnonzero(a)
     rows = flat // m
     counts = np.bincount(rows, minlength=s * m)
     if not counts.all():
@@ -220,9 +203,10 @@ def _row_entries(support: tuple, targets: np.ndarray) -> np.ndarray:
 class MatrixSequence:
     """Time-indexed row-stochastic matrices; ``matrix_at(t)`` defined for every ``t >= 0``.
 
-    ``matrices`` is a cycle: an explicit custom list, or one matrix per graph
-    of a static or periodic graph sequence, built once by the scheme.  On a
-    random-rooted graph sequence ``matrices`` is empty and the scheme builds
+    ``matrices`` is a cycle, one read-only ``(p, m, m)`` array: an explicit
+    custom list, or one matrix per graph of a static or periodic graph
+    sequence, built at once by the scheme.  On a random-rooted graph
+    sequence ``matrices`` is ``None`` and the scheme builds
     the steps from their graphs, ``block_steps`` consecutive steps at a
     time, each block kept as one row support (:func:`_row_supports`).  A
     block built on demand, such as the adjoint's steps past the horizon, is
@@ -234,32 +218,42 @@ class MatrixSequence:
     scheme: str
     graph_seq: GraphSequence | None = None
     params: dict = field(default_factory=dict)
-    matrices: tuple = ()
+    matrices: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def from_scheme(graph_seq: GraphSequence, scheme: str, **params) -> "MatrixSequence":
-        if scheme not in _BUILDERS:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        matrices = tuple(_BUILDERS[scheme](g, params) for g in graph_seq.graphs)
+        build = _builder(scheme)  # rejects an unknown scheme
+        matrices = None
+        if graph_seq.graphs:
+            matrices = _dense(build(np.stack([g.adjacency for g in graph_seq.graphs]), **params),
+                              graph_seq.m)
         return MatrixSequence(scheme=scheme, graph_seq=graph_seq, params=dict(params),
                               matrices=matrices)
 
     @staticmethod
     def custom(matrices, graph_seq: GraphSequence | None = None) -> "MatrixSequence":
-        mats = tuple(m if isinstance(m, RowStochasticMatrix) else RowStochasticMatrix(m)
-                     for m in matrices)
+        """The cycle of ``matrices``, each finite, nonnegative and row-stochastic."""
+        mats = [np.array(a, dtype=float) for a in matrices]
         if not mats:
             raise ValueError("custom sequence needs at least one matrix")
-        if any(m.m != mats[0].m for m in mats):
-            raise ValueError("all matrices must share m")
-        return MatrixSequence(scheme="custom", graph_seq=graph_seq, matrices=mats)
+        m = len(mats[0]) if mats[0].ndim else 0
+        if any(a.shape != (m, m) for a in mats):
+            raise ValueError("custom matrices must be square and all of one size")
+        if graph_seq is not None and graph_seq.m != m:
+            raise ValueError(f"custom matrices are {m}x{m}, but the graph has m={graph_seq.m}")
+        stack = np.stack(mats)
+        if not _row_stochastic(_row_supports(stack), m).all():
+            raise ValueError(f"entries must be finite and nonnegative, and each row must "
+                             f"sum to 1 within {ROW_SUM_TOL}")
+        stack.setflags(write=False)
+        return MatrixSequence(scheme="custom", graph_seq=graph_seq, matrices=stack)
 
     @property
     def m(self) -> int:
         if self.graph_seq is not None:
             return self.graph_seq.m
-        return self.matrices[0].m
+        return self.matrices.shape[-1]
 
     @property
     def block_steps(self) -> int:
@@ -287,8 +281,8 @@ class MatrixSequence:
     def matrix_at(self, t: int) -> np.ndarray:
         if t < 0:
             raise ValueError("t must be >= 0")
-        if self.matrices:
-            return self.matrices[t % len(self.matrices)].entries
+        if self.matrices is not None:
+            return self.matrices[t % len(self.matrices)]
         a = next(self.dense_steps(range(t, t + 1))).copy()   # not the whole block's buffer
         a.setflags(write=False)
         return a
@@ -300,9 +294,9 @@ class MatrixSequence:
         buffer, which it zeroes again entry by entry, so a matrix is
         overwritten once the next block is read: copy it to keep it.
         """
-        if self.matrices:
+        if self.matrices is not None:
             for t in steps:
-                yield self.matrices[t % len(self.matrices)].entries
+                yield self.matrices[t % len(self.matrices)]
             return
         size, m = self.block_steps, self.m
         buf = np.zeros(size * m * m)
@@ -327,7 +321,7 @@ class MatrixSequence:
         gather at most ``_BLOCK_ENTRIES`` entries of ``n``-coordinate states.
         """
         m = self.m
-        if not self.matrices:
+        if self.matrices is None:
             for start in range(0, horizon, self.block_steps):
                 count = min(self.block_steps, horizon - start)
                 rows, cols, weights, starts = _prefix(
@@ -365,13 +359,9 @@ class MatrixSequence:
         A random-rooted sequence draws and builds the steps, and caches a block's first steps.
         """
         adjacency = np.stack([self.graph_at(t).adjacency for t in steps])
-        if self.matrices:
+        if self.matrices is not None:
             return _row_supports(np.stack([self.matrix_at(t) for t in steps])), adjacency
-        if self.scheme == "equal-neighbor":
-            support = _equal_neighbor_support(adjacency)
-        else:
-            support = _row_supports(np.stack([_BUILDERS[self.scheme](
-                DiGraph.from_adjacency(x), self.params).entries for x in adjacency]))
+        support = _builder(self.scheme)(adjacency, **self.params)
         if steps[0] % self.block_steps == 0:
             self._cache[steps[0] // self.block_steps] = support
         return support, adjacency

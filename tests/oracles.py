@@ -31,7 +31,7 @@ from consensus_lab.seeding import substream
 from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL,
                                 FEASIBILITY_TOL, Ball, Box, ConvexSet, DykstraNotConverged,
                                 Halfspace, Hyperplane, InteriorBallNotContained, Intersection,
-                                NoInformativeSamples, Polyhedron, RegularityEstimate, _vec)
+                                NoInformativeSamples, RegularityEstimate, _vec)
 from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
                                    MatrixSequence, _row_supports)
 
@@ -193,9 +193,6 @@ def set_to_json_dict(s: ConvexSet) -> dict:
                 "upper": [bound(v) for v in s.upper]}
     if isinstance(s, Ball):
         return {"type": "ball", "center": list(map(float, s.center)), "radius": s.radius}
-    if isinstance(s, Polyhedron):
-        return {"type": "polyhedron",
-                "halfspaces": [set_to_json_dict(h) for h in s.halfspaces]}
     if isinstance(s, Intersection):
         return {"type": "intersection",
                 "members": [set_to_json_dict(m) for m in s.members]}
@@ -379,6 +376,39 @@ def equal_neighbor_dense(adjacency: np.ndarray) -> np.ndarray:
     return a
 
 
+def laplacian_dense(adjacency: np.ndarray, gamma: float) -> np.ndarray:
+    """``I - L/gamma`` of an ``(..., m, m)`` stack of in-adjacencies, built densely.
+
+    ``1/gamma`` on the edges and ``1 - deg_i/gamma`` on the diagonal, which
+    then takes the rounding residue of its row's sum.
+    """
+    a = adjacency / gamma
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] = 1.0 - adjacency.sum(axis=-1) / gamma
+    a[..., diag, diag] += 1.0 - a.sum(axis=-1)
+    return a
+
+
+def quarter_dense(adjacency: np.ndarray) -> np.ndarray:
+    """1/4 on the diagonal and on every edge of an ``(..., m, m)`` stack, built densely."""
+    return 0.25 * (adjacency + np.eye(adjacency.shape[-1]))
+
+
+def lazy_metropolis_dense(adjacency: np.ndarray) -> np.ndarray:
+    """Lazy Metropolis weights of an ``(..., m, m)`` stack, built densely.
+
+    ``1/(2 max(deg_i, deg_j))`` on the edge from ``j`` to ``i``, and ``1 -``
+    the sum of the row's edge weights on the diagonal.
+    """
+    deg = adjacency.sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        edge = 1.0 / (2.0 * np.maximum(deg[..., :, None], deg[..., None, :]))
+    a = np.where(adjacency, edge, 0.0)
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] = 1.0 - a.sum(axis=-1)
+    return a
+
+
 def edges(g: DiGraph) -> frozenset[tuple[int, int]]:
     """The graph's edges as a frozenset of ``(sender, receiver)`` pairs."""
     receivers, senders = np.nonzero(g.adjacency)
@@ -479,8 +509,6 @@ def project_point(s: ConvexSet, x) -> np.ndarray:
         if r <= s.radius:
             return x.copy()
         return s.center + (s.radius / r) * d
-    if isinstance(s, Polyhedron):
-        return dykstra_point(s.halfspaces, x)
     if isinstance(s, Intersection):
         if len(s.members) == 1:
             return project_point(s.members[0], x)
@@ -501,8 +529,6 @@ def violation_point(s: ConvexSet, x) -> float:
         return float(np.linalg.norm(d)) or float(np.abs(d).max())
     if isinstance(s, Ball):
         return max(0.0, float(np.linalg.norm(x - s.center)) - s.radius)
-    if isinstance(s, Polyhedron):
-        return max(violation_point(h, x) for h in s.halfspaces)
     if isinstance(s, Intersection):
         return max(violation_point(m, x) for m in s.members)
     raise TypeError(f"unknown set type {type(s)!r}")

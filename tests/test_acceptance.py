@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from consensus_lab import (Ball, GraphSequence, Halfspace, MatrixSequence,
+from consensus_lab import (Ball, GraphSequence, Halfspace, Intersection, MatrixSequence,
                            assemble_adjoint, backward_product_adjoint, bfs_spanning_tree,
                            cli, permutation_counterexample, regular_tree_graph,
                            regularity_interior, regularity_sampling, uniform_adjoint,
@@ -265,6 +265,8 @@ def test_07_projection_properties():
         n = int(rng.integers(1, 5))
         s = random_set(rng, n)
         name = type(s).__name__.lower()
+        if isinstance(s, Intersection) and all(isinstance(h, Halfspace) for h in s.members):
+            name = "polyhedron"
         if checked[name] >= 1000:
             continue
         checked[name] += 1
@@ -274,7 +276,7 @@ def test_07_projection_properties():
         assert check_nonexpansive(s, x, y).passed
         assert check_variational_inequality(s, x, y).passed
 
-    from consensus_lab import Box, Polyhedron
+    from consensus_lab import Box
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 4))
@@ -284,7 +286,7 @@ def test_07_projection_properties():
         halves = [Halfspace(e, float(hi[i])) for i, e in enumerate(np.eye(n))]
         halves += [Halfspace(-e, float(-lo[i])) for i, e in enumerate(np.eye(n))]
         halves += halves[: 1 + int(rng.integers(0, len(halves)))]  # redundancy
-        poly = Polyhedron(tuple(halves))
+        poly = Intersection(tuple(halves))
         x = rng.normal(size=n) * 4
         worst = max(worst, float(np.abs(poly.project(x) - box.project(x)).max()))
     ok = worst <= 1e-8

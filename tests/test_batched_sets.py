@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from consensus_lab import (Ball, Box, Halfspace, Hyperplane, Intersection,  # noqa: E402
-                           Polyhedron, distance)
+                           distance)
 from oracles import distance_point, project_point, violation_point  # noqa: E402
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -28,7 +28,8 @@ def unit(rng, n):
 
 
 def polyhedron(rng, n, anchor):
-    """Facets kept away from parallel and off the anchor, so Dykstra converges quickly."""
+    """An intersection of halfspaces whose facets are kept away from parallel and off the
+    anchor, so Dykstra converges quickly."""
     normals = []
     want = 1 if n == 1 else int(rng.integers(2, 5))
     for _ in range(200):
@@ -37,8 +38,8 @@ def polyhedron(rng, n, anchor):
         a = unit(rng, n)
         if all(abs(a @ b) <= 0.85 for b in normals):
             normals.append(a)
-    return Polyhedron(tuple(Halfspace(a, float(a @ anchor + rng.uniform(0.3, 2)))
-                            for a in normals))
+    return Intersection(tuple(Halfspace(a, float(a @ anchor + rng.uniform(0.3, 2)))
+                              for a in normals))
 
 
 def make_set(kind, n, rng, grid):

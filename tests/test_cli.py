@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from consensus_lab import cli, engine
+from test_certificates import polyhedron_config
 
 
 def write_json(path: Path, obj) -> Path:
@@ -53,6 +55,28 @@ def constrained_scenario(tmp_path: Path) -> Path:
 
 
 class TestSimulate:
+    def test_polyhedron_and_intersection_spellings_run_alike(self, tmp_path):
+        """One set of halfspaces spelled both ways gives byte-identical artifacts."""
+        config = polyhedron_config().to_json_dict()
+        triangle = config["constraints"][0]
+        assert triangle["type"] == "polyhedron" and len(triangle["halfspaces"]) == 3
+        spelled = dict(config, constraints=[{"type": "intersection",
+                                             "members": triangle["halfspaces"]}]
+                       + config["constraints"][1:])
+        for name, scenario in (("polyhedron", config), ("intersection", spelled)):
+            path = write_json(tmp_path / f"{name}.json", scenario)
+            assert cli.main(["simulate", "--scenario", str(path),
+                             "--out", str(tmp_path / name)]) == 0
+        for name in ("trajectory.csv", "certificates.json", "certificates.csv",
+                     "plot_data.csv", "adjoint.csv", "adjoint.json"):
+            got = (tmp_path / "intersection" / name).read_bytes()
+            assert got == (tmp_path / "polyhedron" / name).read_bytes()
+        reports = [json.loads((tmp_path / name / "report.json").read_text())
+                   for name in ("polyhedron", "intersection")]
+        assert [r.pop("config")["constraints"][0]["type"] for r in reports] == \
+            ["polyhedron", "intersection"]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
     def test_quarter_scenario_exit_zero_and_report(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path)),
@@ -518,3 +542,26 @@ class TestValidateBeforeWork:
         assert not (tmp_path / "bad_out").exists()
         assert cli.main(["verify", "--report", str(bad_report),
                          "--trajectory", str(out / "trajectory.csv")]) == 2
+
+    @pytest.mark.parametrize("graph,weights,message", [
+        ({"kind": "static", "regular_tree_d": 3},
+         {"scheme": "custom", "matrices": [{"rows": np.full((3, 3), 1 / 3).tolist()}]},
+         "custom matrices are 3x3, but the graph has m=8"),
+        ({"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.inf},
+         "gamma=inf must exceed m=8"),
+        ({"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.nan},
+         "gamma=nan must exceed m=8"),
+    ], ids=["custom-matrix-size", "infinite-gamma", "nan-gamma"])
+    def test_bad_weights_exit_before_compliance(self, tmp_path, monkeypatch, caplog, graph,
+                                                weights, message):
+        scenario = {"m": 8, "n": 1, "horizon": 20, "seed": 3, "mode": "unconstrained",
+                    "graph": graph, "weights": weights,
+                    "initial": {"kind": "uniform-box", "low": -1.0, "high": 1.0}}
+
+        def refuse(*args, **kwargs):
+            pytest.fail("compliance ran before the weights were validated")
+
+        monkeypatch.setattr(engine, "verify_compliance", refuse)
+        path = write_json(tmp_path / "scenario.json", scenario)
+        assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in caplog.text

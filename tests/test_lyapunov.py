@@ -5,8 +5,7 @@ import pytest
 
 from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, VacuousBound,
                            doubly_stochastic_rate_factor, engine, random_rooted_graph,
-                           rate_quotient, regular_tree_graph,
-                           regular_quarter_weights, uniform_adjoint,
+                           rate_quotient, regular_tree_graph, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
 from consensus_lab.certificates import CheckBlock
@@ -243,7 +242,7 @@ class TestStepDecrement:
 
     def test_regular_tree_indicator(self):
         g = regular_tree_graph(3)
-        a = regular_quarter_weights(g).entries
+        a = MatrixSequence.from_scheme(GraphSequence.static(g), "quarter").matrix_at(0)
         x = np.zeros(8)
         x[3] = 1.0
         value, spread_sq, lower, passed = step_decrement(a, x, np.full(8, 0.125),

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from consensus_lab import (Ball, Box, Halfspace, Hyperplane, Intersection,  # noqa: E402
-                           Polyhedron)
+                           set_from_json_dict)
 from consensus_lab import sets as sets_module  # noqa: E402
 from consensus_lab.sets import SetBank  # noqa: E402
 from oracles import ADVERSARIAL_FLOATS, dykstra_point, project_point  # noqa: E402
@@ -47,8 +47,8 @@ def underflowing_outside(s, n, rng):
         if np.isfinite(s.upper).any():
             point[np.flatnonzero(np.isfinite(s.upper))[0]] += TINY
         return point
-    if isinstance(s, Polyhedron):
-        return underflowing_outside(s.halfspaces[0], n, rng)
+    if isinstance(s, Intersection) and all(type(h) is Halfspace for h in s.members):
+        return underflowing_outside(s.members[0], n, rng)
     return project_point(s, rng.normal(size=n) * 5)
 
 
@@ -61,7 +61,7 @@ def agent_point(s, n, rng, grid):
         return project_point(s, rng.normal(size=n) * 3)
     if choice == 2:
         return underflowing_outside(s, n, rng)
-    values = FINITE_SMALL if isinstance(s, (Polyhedron, Intersection)) else ADVERSARIAL_FLOATS
+    values = FINITE_SMALL if isinstance(s, Intersection) else ADVERSARIAL_FLOATS
     return rng.choice(values, size=n)
 
 
@@ -91,11 +91,11 @@ def test_bank_on_every_adversarial_row():
     closed = [Halfspace(np.array([1.0, -2.0]), 0.0), Hyperplane(np.array([0.0, 3.0]), 0.0),
               Box(np.array([-0.0, -np.inf]), np.array([1.0, 0.0])),
               Ball(np.array([0.0, -0.0]), 1.0)]
-    dykstra = [Polyhedron((Halfspace(np.array([1.0, 0.0]), 1.0),
-                           Halfspace(np.array([1.0, 100.0]), 0.0))),
-               Intersection((Polyhedron((Halfspace(np.array([0.0, 1.0]), 0.0),)),
+    dykstra = [Intersection((Halfspace(np.array([1.0, 0.0]), 1.0),
+                             Halfspace(np.array([1.0, 100.0]), 0.0))),
+               Intersection((Intersection((Halfspace(np.array([0.0, 1.0]), 0.0),)),
                              Ball(np.zeros(2), 2.0),
-                             Polyhedron((Halfspace(np.array([-1.0, 0.0]), 1.0),))))]
+                             Intersection((Halfspace(np.array([-1.0, 0.0]), 1.0),))))]
     for sets, values in ((closed, ADVERSARIAL_FLOATS), (dykstra, FINITE_SMALL)):
         pairs = np.array([(u, v) for u in values for v in values])
         agents = [s for s in sets for _ in pairs]
@@ -104,10 +104,18 @@ def test_bank_on_every_adversarial_row():
         assert same_bytes(SetBank(agents).project(points), want)
 
 
+def halfspace(a, b):
+    return {"type": "halfspace", "a": a, "b": b}
+
+
 def test_only_agents_outside_their_polyhedron_run_dykstra(monkeypatch):
-    poly = Polyhedron((Halfspace(np.array([1.0, 0.0]), 1.0),
-                       Halfspace(np.array([0.0, 1.0]), 0.0)))
+    """Agents 0, 2 and 3 hold a polyhedron, 5 and 6 an intersection of halfspaces."""
+    poly = set_from_json_dict({"type": "polyhedron", "halfspaces": [
+        halfspace([1.0, 0.0], 1.0), halfspace([0.0, 1.0], 0.0)]})
     inter = Intersection((poly, Ball(np.zeros(2), 3.0)))
+    wedge = set_from_json_dict({"type": "intersection", "members": [
+        halfspace([1.0, 0.0], 2.0), halfspace([0.0, 1.0], 2.0), halfspace([-1.0, -1.0], 1.0)]})
+    alone = Intersection((Halfspace(np.array([1.0, 1.0]), 0.0),))
     calls = []
 
     def counting(sets, x, *args, **kwargs):
@@ -115,10 +123,13 @@ def test_only_agents_outside_their_polyhedron_run_dykstra(monkeypatch):
         return dykstra_point(sets, x)
 
     monkeypatch.setattr(sets_module, "dykstra_project", counting)
-    bank = SetBank([poly, Halfspace(np.array([1.0, 1.0]), 0.0), poly, poly, inter])
-    points = np.array([[0.5, -0.0], [2.0, 2.0], [0.5, TINY], [-0.0, -0.0], [9.0, 9.0]])
+    bank = SetBank([poly, Halfspace(np.array([1.0, 1.0]), 0.0), poly, poly, inter, wedge,
+                    wedge, alone])
+    points = np.array([[0.5, -0.0], [2.0, 2.0], [0.5, TINY], [-0.0, -0.0], [9.0, 9.0],
+                       [0.0, -0.0], [3.0, 3.0], [1.0, 1.0]])
     want = [project_point(s, p) for s, p in zip(bank.sets, points)]
     assert same_bytes(bank.project(points), np.array(want))
-    # agent 2 lies outside by an underflowing gap; agent 4's intersection
-    # is not stacked and projects itself
-    assert calls == [[0.5, TINY], [9.0, 9.0]]
+    # agent 2 lies outside by an underflowing gap and agent 6 outside its
+    # wedge; agent 4's intersection is not stacked and projects itself, and
+    # agent 7's single halfspace projects in closed form
+    assert calls == [[0.5, TINY], [3.0, 3.0], [9.0, 9.0]]

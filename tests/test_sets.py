@@ -8,7 +8,7 @@ import pytest
 
 from consensus_lab import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
                            InteriorBallNotContained, Intersection, NoInformativeSamples,
-                           Polyhedron, RegularityEstimate, distance, dykstra_project,
+                           RegularityEstimate, distance, dykstra_project,
                            regularity_interior, regularity_sampling, set_from_json_dict)
 from consensus_lab import sets as sets_module
 from oracles import (InfeasiblePoint, YNotInSet, check_nonexpansive,
@@ -51,7 +51,7 @@ def random_set(rng, n):
             normals.append(a)
         halves = [Halfspace(a, float(a @ anchor + rng.uniform(0.3, 2)))
                   for a in normals]
-        return Polyhedron(tuple(halves))
+        return Intersection(tuple(halves))
     anchor = rng.normal(size=n)
     members = [Ball(anchor + rng.normal(size=n) * 0.2, float(rng.uniform(1.0, 3)))
                for _ in range(int(rng.integers(2, 4)))]
@@ -116,15 +116,15 @@ class TestDykstra:
             halves += [Halfspace(-e, float(-lo[i]))
                        for i, e in enumerate(np.eye(n))]
             halves += halves[:1]  # redundant duplicate
-            poly = Polyhedron(tuple(halves))
+            poly = Intersection(tuple(halves))
             x = rng.normal(size=n) * 4
             assert np.abs(poly.project(x) - box.project(x)).max() <= 1e-8
 
     def test_matches_redundant_halfspace_encoding(self):
         rng = np.random.default_rng(4)
         base = Halfspace(np.array([1.0, 2.0]), 1.0)
-        poly = Polyhedron((base, Halfspace(base.a * 2, base.b * 2),
-                           Halfspace(base.a * 0.5, base.b * 0.5)))
+        poly = Intersection((base, Halfspace(base.a * 2, base.b * 2),
+                             Halfspace(base.a * 0.5, base.b * 0.5)))
         for _ in range(50):
             x = rng.normal(size=2) * 5
             assert np.abs(poly.project(x) - base.project(x)).max() <= 1e-8
@@ -235,9 +235,9 @@ class TestDykstraSkipsFeasiblePoints:
                          [[3.0, -4.0], [-5.0, 0.3], [0.2, 0.1], [-0.0, -1.0], [0.5, -t]]),
             "ball": (Ball(np.array([0.0, 0.0]), 5.0),
                      [[3.0, 4.0], [-0.0, 0.0], [0.0, -5.0], [t, -t]]),
-            "polyhedron": (Polyhedron((Halfspace(np.array([1.0, 0.0]), 1.0),
-                                       Halfspace(np.array([0.0, 1.0]), 1.0),
-                                       Halfspace(np.array([1.0, 100.0]), 0.0))),
+            "polyhedron": (Intersection((Halfspace(np.array([1.0, 0.0]), 1.0),
+                                         Halfspace(np.array([0.0, 1.0]), 1.0),
+                                         Halfspace(np.array([1.0, 100.0]), 0.0))),
                            [[1.0, -0.0], [-0.0, -0.0], [t, 0.0], [-3.0, 0.01], [1.0, -1.0]]),
         }
 
@@ -362,8 +362,8 @@ class TestBatchedRegularity:
              Ball(np.zeros(2), 2.0)),
             (wedge, Ball(np.zeros(3), 3.0)),
             ([Ball(np.zeros(2), 1.0), Box(np.array([-0.5, -np.inf]), np.array([np.inf, 0.7])),
-              Polyhedron((Halfspace(np.array([1.0, 1.0]), 1.0),
-                          Halfspace(np.array([1.0, -1.0]), 1.0)))],
+              Intersection((Halfspace(np.array([1.0, 1.0]), 1.0),
+                            Halfspace(np.array([1.0, -1.0]), 1.0)))],
              Ball(np.array([0.2, -0.1]), 1.5)),
             ([Ball(np.zeros(1), 0.5), Hyperplane(np.array([2.0]), 0.25)],
              Ball(np.zeros(1), 2.0)),
@@ -504,7 +504,7 @@ class TestJsonRoundTrip:
                 Hyperplane(np.array([0.0, 1.0]), 2.0),
                 Box(np.array([-np.inf, 0.0]), np.array([1.0, np.inf])),
                 Ball(np.array([0.5, 0.5]), 2.0),
-                Polyhedron((Halfspace(np.array([1.0, 0.0]), 0.0),)),
+                Intersection((Halfspace(np.array([1.0, 0.0]), 0.0),)),
                 Intersection((Ball(np.zeros(2), 1.0), Box(np.zeros(2), np.ones(2))))]
         for s in sets:
             d = json.loads(json.dumps(set_to_json_dict(s)))
@@ -531,9 +531,12 @@ class TestSetValidation:
         lambda: Ball(np.array([np.nan, 0.0]), 1.0),
         lambda: Ball(np.zeros(2), np.nan),
         lambda: Ball(np.zeros(2), np.inf),
-        lambda: Polyhedron((Halfspace(np.array([1.0, 0.0]), 0.0), Ball(np.zeros(2), 1.0))),
-        lambda: Polyhedron((Halfspace(np.array([1.0, 0.0]), 0.0),
-                            Halfspace(np.array([1.0]), 0.0))),
+        lambda: set_from_json_dict({"type": "polyhedron", "halfspaces": [
+            {"type": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+            {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}]}),
+        lambda: set_from_json_dict({"type": "polyhedron", "halfspaces": [
+            {"type": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+            {"type": "halfspace", "a": [1.0], "b": 0.0}]}),
         lambda: Intersection((Ball(np.zeros(2), 1.0), Box(np.zeros(3), np.ones(3)))),
     ], ids=["nan-normal", "nan-offset", "infinite-normal", "matrix-normal",
             "nan-hyperplane-normal", "infinite-hyperplane-offset", "scalar-box", "empty-box",
@@ -546,5 +549,6 @@ class TestSetValidation:
     def test_dimensions(self):
         assert Halfspace(np.array([1.0, 0.0, 0.0]), 0.0).dim == 3
         assert Box(np.array([-np.inf]), np.array([np.inf])).dim == 1
-        assert Polyhedron((Halfspace(np.array([1.0, 0.0]), 0.0),)).dim == 2
+        assert set_from_json_dict({"type": "polyhedron", "halfspaces": [
+            {"type": "halfspace", "a": [1.0, 0.0], "b": 0.0}]}).dim == 2
         assert Intersection((Ball(np.zeros(4), 1.0), Hyperplane(np.ones(4), 0.0))).dim == 4

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from consensus_lab import (AsymmetricGraph, DiGraph, GammaTooSmall, GraphSequence,
-                           MatrixSequence, NotThreeRegular, RowStochasticMatrix,
-                           bfs_spanning_tree, equal_neighbor_weights, laplacian_weights,
-                           lazy_metropolis_weights, random_rooted_graph,
-                           regular_quarter_weights, regular_tree_graph, roots,
-                           verify_compliance, weights)
+                           MatrixSequence, NotThreeRegular, bfs_spanning_tree,
+                           equal_neighbor_weights, laplacian_weights, lazy_metropolis_weights,
+                           random_rooted_graph, regular_quarter_weights, regular_tree_graph,
+                           roots, verify_compliance, weights)
 from consensus_lab import cli, engine
-from oracles import edges, equal_neighbor_dense, tree_edges, verify_compliance_per_step
+from oracles import (edges, equal_neighbor_dense, laplacian_dense, lazy_metropolis_dense,
+                     quarter_dense, tree_edges, verify_compliance_per_step)
 
 
 def two_cycle():
@@ -24,56 +24,67 @@ def triangle():
     return DiGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}))
 
 
-def is_doubly_stochastic(mat: RowStochasticMatrix) -> bool:
+def built(builder, g, *args) -> np.ndarray:
+    """The dense matrix a stacked builder gives for the one graph ``g``."""
+    return weights._dense(builder(g.adjacency[None], *args), g.m)[0]
+
+
+def is_doubly_stochastic(a: np.ndarray) -> bool:
     """Column sums within 1e-12 of one, the test ``verify_compliance`` applies."""
-    return bool(np.abs(mat.entries.sum(axis=0) - 1.0).max() <= 1e-12)
+    return bool(np.abs(a.sum(axis=0) - 1.0).max() <= 1e-12)
 
 
 class TestRowStochasticMatrix:
+    """``MatrixSequence.custom`` takes finite nonnegative row-stochastic matrices only."""
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            RowStochasticMatrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
+            MatrixSequence.custom([np.array([[1.5, -0.5], [0.5, 0.5]])])
 
     def test_rejects_bad_row_sum(self):
         with pytest.raises(ValueError):
-            RowStochasticMatrix(np.array([[0.6, 0.6], [0.5, 0.5]]))
+            MatrixSequence.custom([np.array([[0.6, 0.6], [0.5, 0.5]])])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            RowStochasticMatrix(np.array([[0.5, bad], [0.5, 0.5]]))
+            MatrixSequence.custom([np.eye(2), np.array([[0.5, bad], [0.5, 0.5]])])
 
     def test_entries_read_only(self):
-        mat = RowStochasticMatrix(np.eye(2))
+        seq = MatrixSequence.custom([np.eye(2)])
         with pytest.raises(ValueError):
-            mat.entries[0, 0] = 0.5
+            seq.matrix_at(0)[0, 0] = 0.5
+
+    def test_rejects_another_size_than_the_graph(self):
+        with pytest.raises(ValueError, match="3x3, but the graph has m=8"):
+            MatrixSequence.custom([np.eye(3)], GraphSequence.static(regular_tree_graph(3)))
 
 
 class TestEqualNeighbor:
     def test_single_node(self):
-        assert equal_neighbor_weights(DiGraph(1, frozenset())).entries == np.array([[1.0]])
+        assert built(equal_neighbor_weights, DiGraph(1, frozenset())) == np.array([[1.0]])
 
     def test_two_cycle(self):
-        np.testing.assert_allclose(equal_neighbor_weights(two_cycle()).entries,
+        np.testing.assert_allclose(built(equal_neighbor_weights, two_cycle()),
                                    np.full((2, 2), 0.5))
 
     def test_path(self):
         g = DiGraph(3, frozenset({(0, 1), (1, 2)}))
         expected = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-        np.testing.assert_array_equal(equal_neighbor_weights(g).entries, expected)
+        np.testing.assert_array_equal(built(equal_neighbor_weights, g), expected)
 
 
 class TestLaplacian:
     def test_two_cycle_gamma3(self):
-        np.testing.assert_allclose(laplacian_weights(two_cycle(), 3.0).entries,
+        np.testing.assert_allclose(built(laplacian_weights, two_cycle(), 3.0),
                                    np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]]))
 
     def test_empty_graph_identity(self):
-        np.testing.assert_array_equal(laplacian_weights(DiGraph(3, frozenset()), 5.0).entries,
+        np.testing.assert_array_equal(built(laplacian_weights, DiGraph(3, frozenset()), 5.0),
                                       np.eye(3))
 
     def test_triangle_gamma4(self):
-        a = laplacian_weights(triangle(), 4.0).entries
+        a = built(laplacian_weights, triangle(), 4.0)
         assert np.allclose(np.diag(a), 0.5)
         for j, i in edges(triangle()):
             assert a[i, j] == 0.25
@@ -87,33 +98,37 @@ class TestLaplacian:
         nodes = np.arange(m)
         want[nodes, nodes] = 1.0 - g.adjacency.sum(axis=1) / (m + 7.5)
         want[nodes, nodes] += 1.0 - want.sum(axis=1)
-        assert laplacian_weights(g, m + 7.5).entries.tobytes() == want.tobytes()
+        assert built(laplacian_weights, g, m + 7.5).tobytes() == want.tobytes()
 
     def test_gamma_guard(self):
         with pytest.raises(GammaTooSmall):
-            laplacian_weights(two_cycle(), 2.0)
+            laplacian_weights(two_cycle().adjacency[None], 2.0)
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(GammaTooSmall, match="gamma"):
+            laplacian_weights(two_cycle().adjacency[None], gamma)
 
     def test_asymmetric_guard(self):
         with pytest.raises(AsymmetricGraph):
-            laplacian_weights(DiGraph(2, frozenset({(0, 1)})), 5.0)
+            laplacian_weights(DiGraph(2, frozenset({(0, 1)})).adjacency[None], 5.0)
 
 
 class TestQuarterWeights:
     def test_rows_have_four_quarters(self):
-        a = regular_quarter_weights(regular_tree_graph(3)).entries
+        a = built(regular_quarter_weights, regular_tree_graph(3))
         assert all(sorted(row[row > 0]) == [0.25] * 4 for row in a)
 
     def test_doubly_stochastic(self):
-        mat = regular_quarter_weights(regular_tree_graph(4))
-        assert is_doubly_stochastic(mat)
+        assert is_doubly_stochastic(built(regular_quarter_weights, regular_tree_graph(4)))
 
     def test_d2_is_quarter_ones(self):
-        np.testing.assert_array_equal(regular_quarter_weights(regular_tree_graph(2)).entries,
+        np.testing.assert_array_equal(built(regular_quarter_weights, regular_tree_graph(2)),
                                       np.full((4, 4), 0.25))
 
     def test_guard(self):
         with pytest.raises(NotThreeRegular):
-            regular_quarter_weights(two_cycle())
+            regular_quarter_weights(two_cycle().adjacency[None])
 
 
 class TestLazyMetropolis:
@@ -122,9 +137,9 @@ class TestLazyMetropolis:
         for _ in range(20):
             g = random_rooted_graph(int(rng.integers(2, 10)), 0.5, rng)
             sym = DiGraph(g.m, frozenset(set(edges(g)) | {(i, j) for j, i in edges(g)}))
-            mat = lazy_metropolis_weights(sym)
-            assert is_doubly_stochastic(mat)
-            assert np.diag(mat.entries).min() >= 0.5
+            a = built(lazy_metropolis_weights, sym)
+            assert is_doubly_stochastic(a)
+            assert np.diag(a).min() >= 0.5
 
 
 class TestBuilderInvariants:
@@ -133,7 +148,7 @@ class TestBuilderInvariants:
         for _ in range(1000):
             m = int(rng.integers(2, 51))
             g = random_rooted_graph(m, rng.uniform(0, 0.2), rng)
-            a = equal_neighbor_weights(g).entries
+            a = built(equal_neighbor_weights, g)
             assert (a >= 0).all()
             assert np.abs(a.sum(axis=1) - 1).max() <= 1e-12
             # positive entries exactly on edges plus diagonal
@@ -204,11 +219,9 @@ class TestVerifyCompliance:
 class TestComplianceNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_neither(self, bad):
-        # bypasses RowStochasticMatrix's check, which rejects the entry on construction
-        mat = object.__new__(RowStochasticMatrix)
-        object.__setattr__(mat, "entries", np.array([[0.5, bad], [0.5, 0.5]]))
+        # built directly: MatrixSequence.custom rejects the entry on construction
         seq = MatrixSequence(scheme="custom", graph_seq=GraphSequence.static(two_cycle()),
-                             matrices=(mat,))
+                             matrices=np.array([[[0.5, bad], [0.5, 0.5]]]))
         report = verify_compliance(seq, 5)
         assert report.level == "neither"
         assert "row-stochastic" in report.violation
@@ -326,7 +339,7 @@ class TestComplianceBlockEdges:
         period, bad = 2 * size + 3, size + 2
         assert 1 <= size < bad < 2 * size
         gseq = _periodic_graphs(period)
-        mats = [equal_neighbor_weights(g).entries for g in gseq.graphs]
+        mats = list(MatrixSequence.from_scheme(gseq, "equal-neighbor").matrices)
         if kind == "tree edge":
             mats[bad] = _with_zero_tree_edge(mats[bad], gseq.graphs[bad])
             seq = MatrixSequence.custom(mats, gseq)
@@ -360,19 +373,64 @@ class TestComplianceBlockEdges:
         assert len(assert_matches_per_step(seq, horizon).trees) == horizon
         # The steps past the horizon, in its block and the next, build on demand.
         for t in range(3 * size + 1):
-            want = equal_neighbor_weights(seq.graph_at(t)).entries
+            want = built(equal_neighbor_weights, seq.graph_at(t))
             assert np.array_equal(seq.matrix_at(t), want)
             assert seq.matrix_at(t).tobytes() == want.tobytes()
 
 
+def mixed_symmetric_stack(m: int, rng) -> np.ndarray:
+    """Symmetric in-adjacencies on ``m`` nodes from several graph families."""
+    nodes = np.arange(m)
+    empty = np.zeros((m, m), dtype=bool)
+    path = empty.copy()
+    path[nodes[1:], nodes[:-1]] = path[nodes[:-1], nodes[1:]] = True
+    cycle = path.copy()
+    cycle[0, m - 1] = cycle[m - 1, 0] = m > 2
+    star = empty.copy()
+    star[0, 1:] = star[1:, 0] = True
+    drawn = [random_rooted_graph(m, p, rng).adjacency for p in (0.05, 0.3)]
+    return np.stack([empty, ~np.eye(m, dtype=bool), path, cycle, star]
+                    + [a | a.T for a in drawn])
+
+
+def assert_builds(support, want):
+    """A builder's row support holds exactly the dense oracle's nonzeros, bit for bit."""
+    m = want.shape[-1]
+    rows, cols = np.nonzero(want.reshape(-1, m))
+    assert support[0].tobytes() == rows.tobytes()
+    assert support[1].tobytes() == cols.tobytes()
+    assert support[2].tobytes() == want.reshape(-1, m)[rows, cols].tobytes()
+    assert weights._dense(support, m).tobytes() == want.tobytes()
+
+
 class TestStackedBuilds:
+    @pytest.mark.parametrize("m", [2, 3, 8, 17, 96])
+    def test_each_scheme_bit_identical_to_its_dense_oracle(self, m):
+        rng = np.random.default_rng(m)
+        symmetric = mixed_symmetric_stack(m, rng)
+        rooted = np.stack([random_rooted_graph(m, p, rng).adjacency for p in (0.0, 0.1, 0.6)])
+        for builder, args, adjacency, oracle in [
+                (equal_neighbor_weights, (), np.concatenate([symmetric, rooted]),
+                 equal_neighbor_dense),
+                (laplacian_weights, (m + 0.5,), symmetric, laplacian_dense),
+                (laplacian_weights, (3.7 * m,), symmetric, laplacian_dense),
+                (lazy_metropolis_weights, (), symmetric, lazy_metropolis_dense)]:
+            assert_builds(builder(adjacency, *args), oracle(adjacency, *args))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_quarter_bit_identical_to_its_dense_oracle(self, d):
+        adjacency = regular_tree_graph(d).adjacency
+        perm = np.random.default_rng(d).permutation(adjacency.shape[0])
+        stack = np.stack([adjacency, adjacency[perm][:, perm]])
+        assert_builds(regular_quarter_weights(stack), quarter_dense(stack))
+
     def test_equal_neighbor_stack_bit_identical_to_per_graph(self):
         rng = np.random.default_rng(61)
         graphs = [random_rooted_graph(96, p, rng) for p in (0.0, 0.02, 0.1, 0.5) * 10]
-        stacked = weights._dense(
-            weights._equal_neighbor_support(np.stack([g.adjacency for g in graphs])), 96)
+        stacked = weights._dense(equal_neighbor_weights(np.stack([g.adjacency for g in graphs])),
+                                 96)
         for a, g in zip(stacked, graphs):
-            assert a.tobytes() == equal_neighbor_weights(g).entries.tobytes()
+            assert a.tobytes() == equal_neighbor_dense(g.adjacency).tobytes()
 
     @pytest.mark.parametrize("m", [2, 5, 8, 9, 96, 130, 300])
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.1, 0.5, 1.0])
@@ -398,7 +456,7 @@ class TestStackedBuilds:
             assert steps[0] == t0
         for t, (a, g) in enumerate(zip(seq.dense_steps(range(horizon)), graphs)):
             assert a.tobytes() == want[t].tobytes()
-            assert a.tobytes() == equal_neighbor_weights(g).entries.tobytes()
+            assert a.tobytes() == built(equal_neighbor_weights, g).tobytes()
             assert seq.matrix_at(t).tobytes() == want[t].tobytes()
 
     def test_row_supports_split_per_matrix(self):
@@ -500,3 +558,42 @@ def test_every_built_step_is_checked_once(monkeypatch):
     engine.run(engine.RunConfig.from_json_dict(_rooted_scenario(horizon)))
     assert max(built.values()) == 1 and len(built) > horizon + 8
     assert checked["rows"] == 12 * len(built)
+
+
+@pytest.mark.parametrize("scheme,params,oracle", [
+    ("laplacian", {"gamma": 97.5}, laplacian_dense),
+    ("lazy-metropolis", {}, lazy_metropolis_dense)])
+def test_random_rooted_complete_graphs(scheme, params, oracle):
+    """Complete digraphs are symmetric, the one random-rooted input these schemes take."""
+    config = engine.RunConfig.from_json_dict(
+        {**_rooted_scenario(20), "m": 96, "weights": {"scheme": scheme, **params},
+         "graph": {"kind": "random-rooted", "extra_edge_prob": 1}})
+    result = engine.run(config)
+    assert result.compliance.level == "strong" and result.compliance.doubly_stochastic
+    assert result.certificates_pass
+    seq = engine.build_matrix_sequence(config, engine.build_graph_sequence(config))
+    want = oracle(~np.eye(96, dtype=bool), *params.values())
+    assert seq.block_steps < 20
+    for t in range(20):
+        assert seq.matrix_at(t).tobytes() == want.tobytes()
+
+
+def test_scheme_builders_are_looked_up_at_call_time(monkeypatch):
+    """A builder patched onto ``weights`` builds every cyclic and random-rooted step."""
+    steps = Counter()
+    for name in ("equal_neighbor_weights", "laplacian_weights", "lazy_metropolis_weights",
+                 "regular_quarter_weights"):
+        def counted(adjacency, *args, _name=name, _build=getattr(weights, name), **kwargs):
+            steps[_name] += adjacency.shape[0]
+            return _build(adjacency, *args, **kwargs)
+
+        monkeypatch.setattr(weights, name, counted)
+    MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(3)), "quarter")
+    MatrixSequence.from_scheme(GraphSequence.static(triangle()), "laplacian", gamma=4.0)
+    path = DiGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1)}))
+    MatrixSequence.from_scheme(GraphSequence.periodic([triangle(), path]), "lazy-metropolis")
+    seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(12, 0.3, seed=1),
+                                     "equal-neighbor")
+    assert verify_compliance(seq, 10).ok
+    assert steps == {"regular_quarter_weights": 1, "laplacian_weights": 1,
+                     "lazy_metropolis_weights": 2, "equal_neighbor_weights": 10}
