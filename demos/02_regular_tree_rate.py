@@ -22,7 +22,8 @@ print(f"{'d':>2} {'m':>3} {'3-regular':>9} {'p*':>3} {'radius':>6} {'k_min':>5} 
 for d in range(2, 7):
     g = regular_tree_graph(d)
     m = 2 ** d
-    regular = all(g.degree(i) == 3 for i in range(m))
+    a = g.adjacency
+    regular = bool(np.array_equal(a, a.T) and (a.sum(axis=1) == 3).all())
     seq = MatrixSequence.from_scheme(GraphSequence.static(g), "quarter")
     comp = verify_compliance(seq, 1)
     p_star = comp.p_star

@@ -11,8 +11,7 @@ from .adjoint import (AbsoluteProbabilitySequence, AdjointResidualTooLarge,
                       backward_product_adjoint, permutation_counterexample,
                       stationary_adjoint, uniform_adjoint, window_averaged_product)
 from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
-from .engine import (ConfigError, DimensionMismatch, NotCompliant, RunConfig, RunResult,
-                     Trajectory, YNotInX, run, step_constrained, step_unconstrained, track_uv)
+from .engine import ConfigError, NotCompliant, RunConfig, RunResult, Trajectory, YNotInX, run
 from .graphs import (DiGraph, GraphSequence, NotRooted, SpanningTree, bfs_spanning_tree,
                      random_rooted_graph, regular_tree_graph, roots)
 from .lyapunov import (NegativeWeight, VacuousBound, doubly_stochastic_rate_factor,

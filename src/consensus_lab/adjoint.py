@@ -106,12 +106,18 @@ def uniform_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbabilitySeq
                                        method="uniform")
 
 
+def _extend_product(seq: MatrixSequence, p: np.ndarray | None,
+                    steps: range) -> tuple[np.ndarray, float]:
+    """``A(s)...A(r) p`` over ``steps = range(r, s + 1)`` (``p = None`` starts afresh),
+    and the largest column spread of that product."""
+    for a in seq.dense_steps(steps):
+        p = a.copy() if p is None else a @ p
+    return p, float((p.max(axis=0) - p.min(axis=0)).max())
+
+
 def window_averaged_product(seq: MatrixSequence, t: int, window: int) -> tuple[np.ndarray, float]:
     """Row mean of ``A(t+window-1)...A(t)`` and the largest column spread of the product."""
-    p = None
-    for a in seq.dense_steps(range(t, t + window)):
-        p = a.copy() if p is None else a @ p
-    spread = float((p.max(axis=0) - p.min(axis=0)).max())
+    p, spread = _extend_product(seq, None, range(t, t + window))
     return p.mean(axis=0), spread
 
 
@@ -135,10 +141,8 @@ def backward_product_adjoint(seq: MatrixSequence, t: int,
     length = 0
     window = FIRST_WINDOW
     while window <= max_window:
-        for a in seq.dense_steps(range(t + length, t + window)):
-            p = a.copy() if p is None else a @ p
+        p, spread = _extend_product(seq, p, range(t + length, t + window))
         length = window
-        spread = float((p.max(axis=0) - p.min(axis=0)).max())
         if spread <= spread_tol:
             return p.mean(axis=0)
         window *= 2
@@ -155,18 +159,15 @@ def assemble_adjoint(seq: MatrixSequence, horizon: int,
     sequence follows from the exact recursion ``pi(t) = A(t)' pi(t+1)``,
     which the true limit vectors satisfy identically; stochastic-transpose
     contraction keeps every ``pi(t)`` within ``m * spread_tol`` (L1) of the
-    per-step product limit.  Each residual comes from the product just
-    formed, with the bits :func:`adjoint_residuals` gives.
+    per-step product limit.  Since each ``pi(t)`` is ``A(t)' pi(t+1)`` as
+    :func:`adjoint_residuals` forms it, every residual is exactly zero.
     """
     vectors = np.empty((horizon + 1, seq.m))
-    residuals = np.empty(horizon)
     vectors[horizon] = backward_product_adjoint(seq, horizon, spread_tol, max_window)
     steps = range(horizon - 1, -1, -1)
     for t, a in zip(steps, seq.dense_steps(steps)):
-        pi = a.T @ vectors[t + 1]
-        vectors[t] = pi
-        residuals[t] = np.abs(vectors[t] - pi).sum()
-    return AbsoluteProbabilitySequence(vectors=vectors, residuals=residuals,
+        vectors[t] = a.T @ vectors[t + 1]
+    return AbsoluteProbabilitySequence(vectors=vectors, residuals=np.zeros(horizon),
                                        method="backward-product")
 
 

@@ -26,7 +26,17 @@ import numpy as np
 
 VALUE_SLACK = 1.0 + 1e-9
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-_RECORD_KEYS = ("check", "t", "k", "lhs", "rhs", "slack", "floor", "verdict")
+# Each record field in record order, as one array per block (see Certificates._column).
+_FIELDS = {
+    "check": lambda b: np.full(len(b), b.check, dtype=object),
+    "t": lambda b: np.arange(b.t0, b.t0 + len(b)),
+    "k": lambda b: np.full(len(b), b.k, dtype=object),
+    "lhs": lambda b: b.lhs,
+    "rhs": lambda b: b.rhs,
+    "slack": lambda b: np.full(len(b), b.slack, dtype=object),
+    "floor": lambda b: np.full(len(b), b.floor, dtype=object),
+    "verdict": lambda b: np.where(b.passed, "pass", "fail"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,9 +58,7 @@ class CertificateRecord:
         return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
-        return {"check": self.check, "t": self.t, "k": self.k, "lhs": self.lhs,
-                "rhs": self.rhs, "slack": self.slack, "floor": self.floor,
-                "verdict": self.verdict}
+        return {key: getattr(self, key) for key in _FIELDS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +101,6 @@ class CheckBlock:
         """The ``repr`` of each ``lhs`` and ``rhs`` value, made once for both exports."""
         return list(map(repr, self.lhs.tolist())), list(map(repr, self.rhs.tolist()))
 
-    def records(self) -> list[CertificateRecord]:
-        return [CertificateRecord(self.check, t, self.k, lo, hi, self.slack, self.floor)
-                for t, lo, hi in zip(range(self.t0, self.t0 + len(self)), self.lhs.tolist(),
-                                     self.rhs.tolist())]
-
 
 class Certificates:
     """A run's check blocks in record order.
@@ -125,8 +128,9 @@ class Certificates:
         return sum(len(b) for b in self.blocks)
 
     def __iter__(self):
-        for g in self.groups:
-            yield from chain.from_iterable(zip(*(b.records() for b in g)))
+        # A record derives its verdict, the last field, from the others.
+        columns = [self._column(_FIELDS[key]) for key in list(_FIELDS)[:-1]]
+        return (CertificateRecord(*fields) for fields in zip(*columns))
 
     @property
     def passed(self) -> bool:
@@ -145,19 +149,10 @@ class Certificates:
         """
         if not isinstance(stored, list) or len(stored) != len(self):
             return False
-        keys = set(_RECORD_KEYS)
-        if not all(isinstance(d, dict) and d.keys() == keys for d in stored):
+        if not all(isinstance(d, dict) and d.keys() == _FIELDS.keys() for d in stored):
             return False
-        columns = {
-            "t": lambda b: np.arange(b.t0, b.t0 + len(b)),
-            "lhs": lambda b: b.lhs,
-            "rhs": lambda b: b.rhs,
-            "verdict": lambda b: np.where(b.passed, "pass", "fail"),
-        }
-        for key in ("check", "k", "slack", "floor"):
-            columns[key] = lambda b, key=key: np.full(len(b), getattr(b, key), dtype=object)
-        return all([d[key] for d in stored] == self._column(columns[key])
-                   for key in _RECORD_KEYS)
+        return all([d[key] for d in stored] == self._column(values)
+                   for key, values in _FIELDS.items())
 
 
 def summarize(certs: Certificates) -> dict:

@@ -23,9 +23,8 @@ from .adjoint import (AdjointResidualTooLarge, NotErgodicWithinWindow,
                       write_adjoint_csv, write_adjoint_sidecar)
 from .certificates import write_certificates_csv, write_certificates_json
 from .graphs import regular_tree_graph
-from .sets import (Ball, DykstraNotConverged, InteriorBallNotContained, Intersection,
-                   NoInformativeSamples, regularity_interior, regularity_sampling,
-                   set_from_json_dict)
+from .sets import (Ball, DykstraNotConverged, Intersection, NoInformativeSamples,
+                   regularity_interior, regularity_sampling, set_from_json_dict)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,8 +78,8 @@ def cmd_simulate(args) -> int:
 
     try:
         config = engine.RunConfig.from_json_dict(config_dict)
-        out_dir.mkdir(parents=True, exist_ok=True)
         result = engine.run(config)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except _NUMERICAL_ERRORS as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
@@ -147,9 +146,12 @@ def cmd_estimate_regularity(args) -> int:
         if x_bar is not None:
             out["interior"] = regularity_interior(sets, args.theta, x_bar,
                                                   region).to_json_dict()
-    except _NUMERICAL_ERRORS + (InteriorBallNotContained,) as exc:
+    except _NUMERICAL_ERRORS as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # e.g. an interior ball that leaves a set
+        log.error("configuration error: %s", exc)
+        return EXIT_CONFIG
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .adjoint import (FIRST_WINDOW, AbsoluteProbabilitySequence, assemble_adjoint,
-                      stationary_adjoint, uniform_adjoint)
+from .adjoint import (DEFAULT_MAX_WINDOW, DEFAULT_SPREAD_TOL, FIRST_WINDOW,
+                      AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
+                      uniform_adjoint)
 from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
-                       doubly_stochastic_rate_factor, noise_floor, rate_quotient,
-                       squared_spread, v_function, vector_contraction_certificate,
-                       weighted_means, weighted_variance)
+                       doubly_stochastic_rate_factor, geometric_envelope, noise_floor,
+                       rate_quotient, squared_spread, v_function,
+                       vector_contraction_certificate, weighted_means, weighted_variance)
 from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, SetBank,
                    distance, regularity_interior, regularity_sampling, set_from_json_dict)
 from .weights import ComplianceReport, MatrixSequence, verify_compliance
@@ -38,10 +39,6 @@ _INITIAL_KINDS = ("uniform-box", "explicit")
 _ADJOINT_METHODS = ("auto", "uniform", "backward-product", "stationary")
 # Each regularity method, with the keys it cannot do without.
 _REGULARITY_METHODS = {"sampling": (), "interior": ("theta", "x_bar"), "fixed": ("r",)}
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class YNotInX(ValueError):
@@ -238,10 +235,6 @@ def build_matrix_sequence(config: RunConfig, graph_seq: GraphSequence) -> Matrix
         raise ConfigError(str(exc)) from exc
 
 
-def parse_constraints(config: RunConfig) -> tuple[ConvexSet, ...]:
-    return tuple(set_from_json_dict(d) for d in config.constraints)
-
-
 def initial_states(config: RunConfig, bank: SetBank | None) -> np.ndarray:
     """Initial (m, n) state block; random draws are projected onto each agent's set.
 
@@ -267,35 +260,6 @@ def initial_states(config: RunConfig, bank: SetBank | None) -> np.ndarray:
     return x0 if bank is None else bank.project(x0)
 
 
-def step_unconstrained(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """One averaging step ``x(t+1) = A x(t)`` applied coordinatewise."""
-    x = np.asarray(x, dtype=float)
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"matrix is {a.shape}, states are {x.shape}")
-    return a @ x
-
-
-def step_constrained(x: np.ndarray, a: np.ndarray, sets) -> tuple[np.ndarray, np.ndarray]:
-    """Averaging followed by per-agent projection; returns ``(w, x_next)``.
-
-    ``sets`` holds one set per agent, or is a :class:`SetBank` built from them.
-    """
-    w = step_unconstrained(x, a)
-    bank = sets if isinstance(sets, SetBank) else SetBank(sets)
-    return w, bank.project(w)
-
-
-def track_uv(states: np.ndarray, pi: np.ndarray,
-             intersection: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted means ``u`` of the agents and their projections ``v`` onto the intersection.
-
-    ``states`` has shape ``(..., m, n)`` and ``pi`` shape ``(..., m)``, so a
-    whole series is one call; ``u`` is :func:`weighted_means`.
-    """
-    u = weighted_means(np.asarray(pi, dtype=float), np.asarray(states, dtype=float))
-    return u, intersection.project(u)
-
-
 @dataclass
 class Trajectory:
     """All per-step data of a run; constrained-only fields are ``None`` otherwise."""
@@ -307,8 +271,6 @@ class Trajectory:
     decrement: np.ndarray                 # (horizon,)
     conservation: np.ndarray | None       # (horizon+1, n)
     feasibility: np.ndarray | None        # (horizon+1,) max per-agent violation
-    u_points: np.ndarray | None           # (horizon+1, n)
-    v_points: np.ndarray | None           # (horizon+1, n)
     v_values: np.ndarray | None           # (horizon+1,)
     dist_sq: np.ndarray | None            # (horizon+1, m)
     y_point: np.ndarray | None            # fixed test point in X
@@ -320,18 +282,22 @@ class Trajectory:
 
 def simulate(config: RunConfig, mseq: MatrixSequence,
              sets: tuple[ConvexSet, ...] | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the dynamic; returns ``(states, w)`` with ``w`` only in constrained mode."""
+    """Run the dynamic; returns ``(states, w)`` with ``w`` only in constrained mode.
+
+    Each step averages, ``w(t+1) = A(t) x(t)``; in constrained mode each agent
+    then projects its row of ``w(t+1)`` onto its own set.
+    """
     h = config.horizon
     states = np.empty((h + 1, config.m, config.n))
     bank = None if sets is None else SetBank(sets)
     states[0] = initial_states(config, bank)
-    if bank is None:
-        for t, a in enumerate(mseq.dense_steps(range(h))):
-            states[t + 1] = step_unconstrained(states[t], a)
-        return states, None
-    w = np.zeros((h + 1, config.m, config.n))
+    w = None if bank is None else np.zeros((h + 1, config.m, config.n))
     for t, a in enumerate(mseq.dense_steps(range(h))):
-        w[t + 1], states[t + 1] = step_constrained(states[t], a, bank)
+        if bank is None:
+            states[t + 1] = a @ states[t]
+        else:
+            w[t + 1] = a @ states[t]
+            states[t + 1] = bank.project(w[t + 1])
     return states, w
 
 
@@ -371,22 +337,20 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
         lyap, conservation = weighted_variance(states, pi)
         return Trajectory(states=states, w=w, spread_sq=spread_sq, lyap=lyap,
                           decrement=decrement, conservation=conservation, feasibility=None,
-                          u_points=None, v_points=None, v_values=None,
-                          dist_sq=None, y_point=None)
+                          v_values=None, dist_sq=None, y_point=None)
 
     y = _fixed_test_point(config, states, pi, intersection)
     lyap = v_function(states, pi, y)
     feasibility = np.max([s.violation(states[:, i]) for i, s in enumerate(sets)], axis=0)
-    u_points, v_points = track_uv(states, pi, intersection)
-    v_values = v_function(states, pi, v_points)
+    # V about the projection onto X of each step's weighted mean pi(t)'x(t)
+    v_values = v_function(states, pi, intersection.project(weighted_means(pi, states)))
     # Squared with Python's float power, which is libm's pow: numpy squares
     # by multiplying, and the two round differently in about 1 value in 1000.
     dist_sq = np.array([d ** 2 for d in distance(intersection, states).ravel().tolist()])
     dist_sq = dist_sq.reshape(h + 1, config.m)
     return Trajectory(states=states, w=w, spread_sq=spread_sq, lyap=lyap,
                       decrement=decrement, conservation=None, feasibility=feasibility,
-                      u_points=u_points, v_points=v_points, v_values=v_values,
-                      dist_sq=dist_sq, y_point=y)
+                      v_values=v_values, dist_sq=dist_sq, y_point=y)
 
 
 def _rate_k_values(config: RunConfig) -> list[int]:
@@ -438,23 +402,21 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
         CheckBlock("constrained-decrease", lyap[1:], lyap[:-1] - drop * traj.spread_sq[:-1],
                    floor=floor))
     if r_used is not None:
-        certs += _regularity_blocks(compliance, adjoint, traj, r_used)
+        certs += _regularity_blocks(compliance, adjoint, traj, r_used, floor)
     return certs
 
 
 def _regularity_blocks(compliance: ComplianceReport, adjoint: AbsoluteProbabilitySequence,
-                       traj: Trajectory, r: float) -> Certificates:
+                       traj: Trajectory, r: float, floor: float) -> Certificates:
     """Tracked-contraction and distance-envelope blocks at the regularity constant ``r``.
 
-    They are the last two blocks of a constrained run.  Raises
-    ``VacuousBound`` when ``r`` makes the quotient :func:`rate_quotient` round to one.
+    They are the last two blocks of a constrained run, both with the run's
+    noise ``floor``.  Raises ``VacuousBound`` when ``r`` makes the quotient
+    :func:`rate_quotient` round to one.
     """
     q = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star, r)
-    floor = noise_floor(traj.states, DYKSTRA_TOL, reach=2.0)
     v = traj.v_values
-    # Python's float power: np.power rounds differently in the last bits.
-    powers = np.array([q ** t for t in range(traj.horizon + 1)])
-    envelope = powers * (float(v[0]) / adjoint.delta)
+    envelope = geometric_envelope(q, traj.horizon + 1, float(v[0]) / adjoint.delta)
     return Certificates(
         CheckBlock("tracked-contraction", v[1:], q * v[:-1], floor=floor),
         CheckBlock("distance-envelope", traj.dist_sq.sum(axis=1), envelope, floor=floor))
@@ -483,8 +445,8 @@ def _build_adjoint(config: RunConfig, mseq: MatrixSequence,
                    compliance: ComplianceReport) -> AbsoluteProbabilitySequence:
     spec = config.adjoint
     method = spec.get("method", "auto")
-    spread_tol = float(spec.get("spread_tol", 1e-10))
-    max_window = int(spec.get("max_window", 2 ** 14))
+    spread_tol = float(spec.get("spread_tol", DEFAULT_SPREAD_TOL))
+    max_window = int(spec.get("max_window", DEFAULT_MAX_WINDOW))
     if method == "auto":
         method = "uniform" if compliance.doubly_stochastic else "backward-product"
     if method == "uniform":
@@ -529,10 +491,11 @@ def _certify(config: RunConfig, mseq: MatrixSequence, compliance: ComplianceRepo
             # turns vacuous first, keep the first constant's failing blocks.
             head = Certificates(*certs.groups[:-2])
             tail, r_try = Certificates(*certs.groups[-2:]), r_used
+            floor = tail.blocks[0].floor  # the run's, which no rung changes
             try:
                 while not tail.passed:
                     r_try *= 1.5
-                    tail = _regularity_blocks(compliance, adjoint, traj, r_try)
+                    tail = _regularity_blocks(compliance, adjoint, traj, r_try, floor)
             except VacuousBound:
                 r_try = r_used
             if r_try != r_used:
@@ -559,7 +522,9 @@ def _prepare(config: RunConfig):
     if not compliance.ok:
         raise NotCompliant(compliance.violation or "compliance level is neither")
     adjoint = _build_adjoint(config, mseq, compliance)
-    sets = parse_constraints(config) if config.mode == "constrained" else None
+    sets = None
+    if config.mode == "constrained":
+        sets = tuple(set_from_json_dict(d) for d in config.constraints)
     intersection = Intersection(sets) if sets else None
     return mseq, compliance, adjoint, sets, intersection
 

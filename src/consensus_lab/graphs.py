@@ -9,7 +9,6 @@ builders account for that on the matrix diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -83,16 +82,6 @@ class DiGraph:
         pairs = [tuple(pair) for pair in np.argwhere(self.adjacency.T).tolist()]
         return f"DiGraph(m={self.m}, edges={pairs})"
 
-    @cached_property
-    def is_symmetric(self) -> bool:
-        return _symmetric(self.adjacency)
-
-    def degree(self, i: int) -> int:
-        """Undirected degree; only meaningful for symmetric edge sets."""
-        if not self.is_symmetric:
-            raise ValueError("degree is defined for symmetric graphs only")
-        return int(np.count_nonzero(self.adjacency[i]))
-
     def to_json_dict(self) -> dict:
         """Serialization with 1-based node ids and lexicographically sorted edges."""
         return {"m": self.m, "edges": (np.argwhere(self.adjacency.T) + 1).tolist()}
@@ -115,10 +104,6 @@ class SpanningTree:
             raise ValueError("root must have parent -1")
         if self.parents.count(-1) != 1:
             raise ValueError("exactly one root expected")
-
-    @property
-    def m(self) -> int:
-        return len(self.parents)
 
 
 def _levels(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:

@@ -257,6 +257,15 @@ def rate_quotient(delta: float, beta: float, p_star: int, r: float = 0.0) -> flo
     return 1.0 - contraction_drop(delta, beta, p_star, r)
 
 
+def geometric_envelope(q: float, steps: int, base: float) -> np.ndarray:
+    """``q ** s * base`` for ``s = 0 .. steps - 1``.
+
+    ``q ** s`` is Python's float power: ``np.power`` rounds differently in
+    the last bits, and the envelopes are written to the certificates.
+    """
+    return np.array([q ** s * base for s in range(steps)])
+
+
 def noise_floor(states: np.ndarray, projection_tol: float = 0.0,
                 reach: float = 1.0) -> float:
     """Absolute float64 allowance for squared-deviation sums over a run.
@@ -289,8 +298,8 @@ def vector_contraction_certificate(states: np.ndarray, adjoint: AbsoluteProbabil
     pi = adjoint.vectors
     q = rate_quotient(adjoint.delta, beta, p_star)
     vals = v_function(states, pi, pi[0] @ states[0])
-    rhs = [q ** (t - k) * vals[k] for t in range(k, states.shape[0])]
-    return CheckBlock("vector-rate-contraction", vals[k:], rhs, t0=k, k=k,
+    return CheckBlock("vector-rate-contraction", vals[k:],
+                      geometric_envelope(q, states.shape[0] - k, vals[k]), t0=k, k=k,
                       floor=noise_floor(states))
 
 

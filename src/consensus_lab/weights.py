@@ -3,8 +3,8 @@
 Each scheme's builder lays its weights on a whole stack of graphs at once,
 exactly on each graph's edges plus the diagonal.  :func:`verify_compliance`
 certifies which level of structural conditions a sequence meets and
-extracts the uniform positivity bound ``beta`` together with the spanning
-trees that witness it.
+extracts the uniform positivity bound ``beta`` together with the depth
+``p_star`` of the spanning trees that witness it.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import numpy as np
 # roots and bfs_spanning_tree are not called here: compliance searches a whole
 # block through _rooted_trees.  They stay bound because perfbench/spans.py
 # patches them on this module.
-from .graphs import (DiGraph, GraphSequence, SpanningTree, _rooted_trees,  # noqa: F401
-                     _symmetric, bfs_spanning_tree, roots)
+from .graphs import (DiGraph, GraphSequence, _rooted_trees, _symmetric,  # noqa: F401
+                     bfs_spanning_tree, roots)
 
 ROW_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
@@ -375,17 +375,13 @@ class ComplianceReport:
     its edges carry positive weight, ``"rooted"`` when positive weight is
     only guaranteed on a rooted spanning tree per step, and ``"neither"``
     on the first violation (recorded in ``violation``).  ``beta`` is the
-    minimum over diagonal entries and tree-edge weights across the horizon.
-    ``trees`` holds one BFS tree per distinct step
-    (:meth:`MatrixSequence.distinct_steps`), so on a compliant sequence the
-    tree of step ``t`` is ``trees[t % len(trees)]``; after a violation it
-    holds the trees of the distinct steps before the failing one.
+    minimum over diagonal entries and tree-edge weights across the horizon,
+    and ``p_star`` the largest depth of those trees, at least 1.
     """
 
     level: str
     beta: float
     doubly_stochastic: bool
-    trees: tuple
     p_star: int
     horizon: int
     violation: str | None = None
@@ -415,7 +411,7 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     violation: str | None = None
     beta = np.inf
     doubly = True
-    trees: list[SpanningTree] = []
+    p_star = 1
     steps = seq.distinct_steps(horizon)
     m = seq.m
     for start in range(0, len(steps), seq.block_steps):
@@ -428,7 +424,7 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
         positive_diag = ~(diag.min(axis=1) <= 0.0)
         column_sums = np.bincount(rows // m * m + cols, weights, minlength=nodes.size)
         columns = (np.abs(column_sums - 1.0) <= COLUMN_SUM_TOL).reshape(-1, m).all(axis=1)
-        counts, tree_roots, parents, depths = _rooted_trees(adjacency)
+        counts, _, parents, depths = _rooted_trees(adjacency)
         # Weight of each node's tree edge from its parent; +inf at the root.
         tree_entries = np.where(parents >= 0, _row_entries(support, parents.clip(min=0)), np.inf)
         positive_tree = ~(tree_entries.min(axis=1) <= 0.0)
@@ -445,8 +441,7 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
         if n_pass:
             beta = min(beta, float(diag[:n_pass].min()), float(tree_entries[:n_pass].min()))
             strong_ok = strong_ok and bool(strong[:n_pass].all())
-            trees.extend(SpanningTree(root=int(tree_roots[k]), parents=tuple(parents[k].tolist()),
-                                      depth=int(depths[k])) for k in range(n_pass))
+            p_star = max(p_star, int(depths[:n_pass].max()))
         if n_pass < len(ts):
             k, t = n_pass, ts[n_pass]
             if not stochastic[k]:
@@ -464,10 +459,6 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
 
     if violation is not None:
         return ComplianceReport(level="neither", beta=0.0, doubly_stochastic=doubly,
-                                trees=tuple(trees), p_star=0, horizon=horizon,
-                                violation=violation)
-    level = "strong" if strong_ok else "rooted"
-    p_star = max(tree.depth for tree in trees) if trees else 0
-    return ComplianceReport(level=level, beta=float(beta), doubly_stochastic=doubly,
-                            trees=tuple(trees), p_star=max(p_star, 1), horizon=horizon,
-                            violation=None)
+                                p_star=0, horizon=horizon, violation=violation)
+    return ComplianceReport(level="strong" if strong_ok else "rooted", beta=float(beta),
+                            doubly_stochastic=doubly, p_star=p_star, horizon=horizon)

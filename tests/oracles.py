@@ -5,9 +5,12 @@ single-step decrement and identity residuals, the one-state squared spread
 and projection checks serve as oracles for the package's array code.
 ``evaluate_certificates_per_step`` is the step-by-step certificate loop
 that ``engine.evaluate_certificates`` replaces with whole-series arrays; the
-two must agree record for record, bit for bit.  ``verify_compliance_per_step`` checks every step, one at a time,
-where ``weights.verify_compliance`` checks each distinct step once, a block
-of steps at a time.  ``equal_neighbor_dense`` is the dense equal-neighbor
+two must agree record for record, bit for bit, and ``certificate_records``
+is the record loop that iterating ``Certificates`` replaces with columns.
+``verify_compliance_per_step`` checks every step, one at a time, where
+``weights.verify_compliance`` checks each distinct step once, a block of
+steps at a time; ``rooted_trees_per_graph`` is the per-graph root and tree
+search behind it.  ``equal_neighbor_dense`` is the dense equal-neighbor
 build that the row-support build must reproduce bit for bit.  ``edges``
 gives a graph's edge pairs as a set.  The ``*_point`` functions are the
 point-by-point set code that the batched projections in
@@ -48,6 +51,17 @@ def adversarial_array(rng: np.random.Generator, shape) -> np.ndarray:
     """An array of ``shape`` drawn from ``ADVERSARIAL_FLOATS`` and their negations."""
     values = np.array(ADVERSARIAL_FLOATS)
     return rng.choice(np.concatenate([values, -values]), size=shape)
+
+
+def certificate_records(certs) -> list[CertificateRecord]:
+    """``Certificates`` iteration as a record loop: each group's blocks interleaved step by step."""
+    records = []
+    for group in certs.groups:
+        for s in range(len(group[0])):
+            records.extend(CertificateRecord(b.check, b.t0 + s, b.k, float(b.lhs[s]),
+                                             float(b.rhs[s]), b.slack, b.floor)
+                           for b in group)
+    return records
 
 
 def bounded(check: str, t: int, k: int | None, lhs: float, rhs: float,
@@ -420,11 +434,25 @@ def tree_edges(tree: SpanningTree) -> tuple[tuple[int, int], ...]:
     return tuple((p, v) for v, p in enumerate(tree.parents) if p >= 0)
 
 
-def verify_compliance_per_step(seq: MatrixSequence, horizon: int) -> ComplianceReport:
-    """``weights.verify_compliance`` evaluated at every step ``t = 0 .. horizon-1``.
+def rooted_trees_per_graph(graphs) -> tuple[np.ndarray, ...]:
+    """``graphs._rooted_trees`` one graph at a time, through ``roots`` and ``bfs_spanning_tree``.
 
-    Keeps one tree per step, so ``trees[t]`` is the tree of step ``t``.
+    Returns ``(counts, tree roots, parents, depths)``; a graph without a root
+    has count 0 and -1 everywhere else.
     """
+    out = []
+    for g in graphs:
+        root_set = roots(g)
+        if not root_set:
+            out.append((0, -1, (-1,) * g.m, -1))
+            continue
+        tree = bfs_spanning_tree(g, min(root_set))
+        out.append((len(root_set), tree.root, tree.parents, tree.depth))
+    return tuple(np.array(column) for column in zip(*out))
+
+
+def verify_compliance_per_step(seq: MatrixSequence, horizon: int) -> ComplianceReport:
+    """``weights.verify_compliance`` evaluated at every step ``t = 0 .. horizon-1``."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     strong_ok = True
@@ -477,13 +505,11 @@ def verify_compliance_per_step(seq: MatrixSequence, horizon: int) -> ComplianceR
 
     if not rooted_ok:
         return ComplianceReport(level="neither", beta=0.0, doubly_stochastic=doubly,
-                                trees=tuple(trees), p_star=0, horizon=horizon,
-                                violation=violation)
+                                p_star=0, horizon=horizon, violation=violation)
     level = "strong" if strong_ok else "rooted"
     p_star = max(tree.depth for tree in trees) if trees else 0
     return ComplianceReport(level=level, beta=float(beta), doubly_stochastic=doubly,
-                            trees=tuple(trees), p_star=max(p_star, 1), horizon=horizon,
-                            violation=None)
+                            p_star=max(p_star, 1), horizon=horizon, violation=None)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +652,6 @@ def constrained_fields_per_point(states: np.ndarray, pi: np.ndarray, sets,
     return {"feasibility": np.array([max(violation_point(s, states[t, i])
                                          for i, s in enumerate(sets))
                                      for t in range(h + 1)]),
-            "u_points": u,
-            "v_points": v,
             "v_values": np.array([pi[t] @ ((states[t] - v[t]) ** 2).sum(axis=-1)
                                   for t in range(h + 1)]),
             "dist_sq": np.array([[distance_point(intersection, states[t, i]) ** 2

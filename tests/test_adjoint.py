@@ -125,16 +125,20 @@ class TestAssembleAdjoint:
         slow = np.stack([backward_product_adjoint(seq, t) for t in range(11)])
         assert np.abs(fast.vectors - slow).max() <= 2e-10
 
-    @pytest.mark.parametrize("kind", ["random-rooted", "periodic"])
+    @pytest.mark.parametrize("kind", ["random-rooted", "periodic", "static"])
     def test_fused_residuals_bit_equal_to_second_pass(self, kind):
+        """The stored zeros are what recomputing each ``A(t)' pi(t+1)`` gives."""
         if kind == "random-rooted":
             gseq = GraphSequence.random_rooted(96, 0.1, seed=11)
-        else:
+        elif kind == "periodic":
             rng = np.random.default_rng(11)
             gseq = GraphSequence.periodic([random_rooted_graph(12, 0.2, rng) for _ in range(3)])
+        else:
+            gseq = GraphSequence.static(random_rooted_graph(12, 0.2, seed=11))
         seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
         aps = assemble_adjoint(seq, 40)
         assert aps.residuals.tobytes() == adjoint_residuals(aps.vectors, seq).tobytes()
+        assert aps.residuals.tobytes() == np.zeros(40).tobytes()
 
     def test_delta_at_most_uniform(self):
         seq = quarter_sequence(2)

@@ -8,6 +8,7 @@ stored file column by column.  Each must give what the scalar records give:
 all, and annotating a run computes its spread in one call.
 """
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from consensus_lab import cli, engine  # noqa: E402
 from consensus_lab.certificates import (CertificateRecord, Certificates,  # noqa: E402
                                         CheckBlock, summarize)
+from oracles import certificate_records  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -47,6 +49,35 @@ def certificates(draw) -> Certificates:
     return Certificates(*groups)
 
 
+def record_bits(r: CertificateRecord) -> tuple:
+    """A record's fields with each float as its exact bytes, and the field types."""
+    floats = (r.lhs, r.rhs, r.slack, r.floor)
+    return (r.check, r.t, r.k, *(struct.pack("<d", v) for v in floats),
+            type(r.t), *map(type, floats))
+
+
+@EXAMPLES
+@given(certs=certificates())
+def test_iteration_equals_record_loop(certs):
+    """NaN, infinities, -0.0, empty blocks and interleaved groups, bit for bit."""
+    assert list(map(record_bits, certs)) == list(map(record_bits, certificate_records(certs)))
+
+
+def test_iteration_edge_values_and_layout():
+    special = [np.nan, np.inf, -np.inf, -0.0]
+    certs = Certificates(
+        CheckBlock("a", [], []),
+        (CheckBlock("b", special, special[::-1], t0=2, k=1, slack=-0.0, floor=np.nan),
+         CheckBlock("c", special[::-1], special, t0=2, slack=np.inf, floor=-np.inf)),
+        CheckBlock("d", [-0.0], np.inf, k=0),
+        (CheckBlock("e", [], []), CheckBlock("f", [], [])))
+    records = list(certs)
+    assert list(map(record_bits, records)) == \
+        list(map(record_bits, certificate_records(certs)))
+    assert [(r.check, r.t) for r in records] == \
+        [(c, t) for t in range(2, 6) for c in "bc"] + [("d", 0)]
+
+
 def summarize_records(records) -> dict:
     """The summary counted one record at a time."""
     by_check: dict[str, dict] = {}
@@ -65,7 +96,7 @@ def test_block_verdicts_and_summary_equal_scalar_records(certs):
     records = list(certs)
     assert len(records) == len(certs)
     for block in certs.blocks:
-        assert block.passed.tolist() == [r.passed for r in block.records()]
+        assert block.passed.tolist() == [r.passed for r in Certificates(block)]
     assert certs.passed == all(r.passed for r in records)
     assert summarize(certs) == summarize_records(records)
     # The stored-file compare is Python's == on the records' dicts.

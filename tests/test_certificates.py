@@ -218,7 +218,7 @@ class TestBoundRecords:
         block = CheckBlock("c", [1.0, 2.0, 3.0], 2.0, t0=4, k=1, slack=1.0, floor=0.5)
         assert block.passed.tolist() == [True, True, False]
         assert [(r.check, r.t, r.k, r.lhs, r.rhs, r.slack, r.floor, r.passed)
-                for r in block.records()] == [
+                for r in Certificates(block)] == [
             ("c", 4, 1, 1.0, 2.0, 1.0, 0.5, True), ("c", 5, 1, 2.0, 2.0, 1.0, 0.5, True),
             ("c", 6, 1, 3.0, 2.0, 1.0, 0.5, False)]
 

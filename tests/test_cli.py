@@ -9,6 +9,8 @@ import pytest
 from consensus_lab import cli, engine
 from test_certificates import polyhedron_config
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
 
 def write_json(path: Path, obj) -> Path:
     path.write_text(json.dumps(obj, indent=2))
@@ -267,6 +269,21 @@ class TestEstimateRegularity:
                            {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}])
         assert cli.main(["estimate-regularity", "--sets", str(sets), "--center", "[0,0]",
                          "--radius", "1.0", "--samples", "20"]) == 2
+
+    def test_interior_ball_outside_the_sets_exit_config(self, tmp_path, capsys):
+        """A bad input, as ``simulate`` with the same ball says, not a numerical failure."""
+        sets = SCENARIOS / "orthogonal_halfspaces_sets.json"
+        code = cli.main(["estimate-regularity", "--sets", str(sets), "--center", "[0,0]",
+                         "--radius", "2.0", "--samples", "50", "--theta", "5",
+                         "--interior-center", "[-1,-1]"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        scenario = json.loads((SCENARIOS / "constrained_halfspaces.json").read_text())
+        scenario["regularity"]["theta"] = 50.0
+        path = write_json(tmp_path / "scenario.json", scenario)
+        assert cli.main(["simulate", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_no_informative_samples_exit(self, tmp_path):
         sets = write_json(tmp_path / "big.json", [{"type": "ball", "center": [0, 0],
@@ -543,25 +560,35 @@ class TestValidateBeforeWork:
         assert cli.main(["verify", "--report", str(bad_report),
                          "--trajectory", str(out / "trajectory.csv")]) == 2
 
-    @pytest.mark.parametrize("graph,weights,message", [
-        ({"kind": "static", "regular_tree_d": 3},
+    @pytest.mark.parametrize("m,graph,weights,message,in_compliance", [
+        (8, {"kind": "static", "regular_tree_d": 3},
          {"scheme": "custom", "matrices": [{"rows": np.full((3, 3), 1 / 3).tolist()}]},
-         "custom matrices are 3x3, but the graph has m=8"),
-        ({"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.inf},
-         "gamma=inf must exceed m=8"),
-        ({"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.nan},
-         "gamma=nan must exceed m=8"),
-    ], ids=["custom-matrix-size", "infinite-gamma", "nan-gamma"])
-    def test_bad_weights_exit_before_compliance(self, tmp_path, monkeypatch, caplog, graph,
-                                                weights, message):
-        scenario = {"m": 8, "n": 1, "horizon": 20, "seed": 3, "mode": "unconstrained",
+         "custom matrices are 3x3, but the graph has m=8", False),
+        (8, {"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.inf},
+         "gamma=inf must exceed m=8", False),
+        (8, {"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.nan},
+         "gamma=nan must exceed m=8", False),
+        # A random-rooted sequence builds its weights only when compliance
+        # checks them, so these two fail there, after the run has started.
+        (12, {"kind": "random-rooted", "extra_edge_prob": 1.0},
+         {"scheme": "laplacian", "gamma": 5}, "gamma=5.0 must exceed m=12", True),
+        (12, {"kind": "random-rooted", "extra_edge_prob": 0.5},
+         {"scheme": "laplacian", "gamma": 50}, "laplacian weights need a symmetric edge set",
+         True),
+    ], ids=["custom-matrix-size", "infinite-gamma", "nan-gamma", "random-rooted-small-gamma",
+            "random-rooted-asymmetric-draw"])
+    def test_bad_weights_exit_2_without_output(self, tmp_path, monkeypatch, caplog, m, graph,
+                                               weights, message, in_compliance):
+        scenario = {"m": m, "n": 1, "horizon": 20, "seed": 3, "mode": "unconstrained",
                     "graph": graph, "weights": weights,
                     "initial": {"kind": "uniform-box", "low": -1.0, "high": 1.0}}
 
         def refuse(*args, **kwargs):
             pytest.fail("compliance ran before the weights were validated")
 
-        monkeypatch.setattr(engine, "verify_compliance", refuse)
+        if not in_compliance:
+            monkeypatch.setattr(engine, "verify_compliance", refuse)
         path = write_json(tmp_path / "scenario.json", scenario)
         assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert message in caplog.text
+        assert not (tmp_path / "out").exists()

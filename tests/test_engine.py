@@ -5,53 +5,76 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from consensus_lab import (Ball, Box, DimensionMismatch, Halfspace, NotCompliant,
-                           regular_tree_graph, step_constrained, step_unconstrained, track_uv,
-                           v_function)
+from consensus_lab import (Ball, Box, MatrixSequence, NotCompliant, regular_tree_graph,
+                           set_from_json_dict, v_function)
 from consensus_lab import engine
+from consensus_lab.lyapunov import weighted_means
 from oracles import (adversarial_array, constrained_fields_per_point,
                      mean_square_identity_residual)
+
+
+def one_step(x, a, specs=None):
+    """``(w(1), x(1))`` of ``engine.simulate`` over one step from the explicit states ``x``.
+
+    ``specs`` are the agents' set specs; without them the step is
+    unconstrained and ``w`` is ``None``.
+    """
+    x = np.asarray(x, dtype=float)
+    config = engine.RunConfig(
+        m=x.shape[0], n=x.shape[1], horizon=1, seed=0,
+        mode="unconstrained" if specs is None else "constrained", graph={}, weights={},
+        initial={"kind": "explicit", "states": x.tolist()}, constraints=specs or ())
+    sets = None if specs is None else tuple(map(set_from_json_dict, specs))
+    states, w = engine.simulate(config, MatrixSequence.custom([a]), sets)
+    return None if w is None else w[1], states[1]
 
 
 class TestSteps:
     def test_identity_keeps_states(self):
         x = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(step_unconstrained(x, np.eye(3)), x)
+        np.testing.assert_array_equal(one_step(x, np.eye(3))[1], x)
 
     def test_complete_averaging_one_step(self):
         x = np.array([[0.0], [4.0], [8.0]])
-        out = step_unconstrained(x, np.full((3, 3), 1 / 3))
+        _, out = one_step(x, np.full((3, 3), 1 / 3))
         np.testing.assert_allclose(out, np.full((3, 1), 4.0))
 
     def test_hand_case(self):
         a = np.array([[0.5, 0.5], [0.25, 0.75]])
-        out = step_unconstrained(np.array([[0.0], [4.0]]), a)
+        _, out = one_step(np.array([[0.0], [4.0]]), a)
         np.testing.assert_array_equal(out, [[2.0], [3.0]])
 
     def test_dimension_guard(self):
-        with pytest.raises(DimensionMismatch):
-            step_unconstrained(np.zeros((3, 1)), np.eye(2))
+        # RunConfig fixes m, so a matrix of another size is refused before any step.
+        config = engine.RunConfig.from_json_dict({
+            "m": 3, "n": 1, "horizon": 5, "seed": 0, "mode": "unconstrained",
+            "graph": {"kind": "static", "graph": {"m": 3, "edges": [[1, 2], [2, 3], [3, 1]]}},
+            "weights": {"scheme": "custom", "matrices": [{"rows": np.eye(2).tolist()}]},
+            "initial": {"kind": "uniform-box"}})
+        with pytest.raises(ValueError, match="custom matrices are 2x2, but the graph has m=3"):
+            engine.run(config)
 
     def test_constrained_free_sets_reduce_to_unconstrained(self):
-        free = Box(np.array([-np.inf]), np.array([np.inf]))
+        free = {"type": "box", "lower": [None], "upper": [None]}
         x = np.array([[1.0], [-2.0]])
         a = np.array([[0.5, 0.5], [0.25, 0.75]])
-        w, x_next = step_constrained(x, a, [free, free])
-        np.testing.assert_array_equal(w, step_unconstrained(x, a))
+        w, x_next = one_step(x, a, [free, free])
+        np.testing.assert_array_equal(w, one_step(x, a)[1])
         np.testing.assert_array_equal(x_next, w)
 
     def test_constrained_hand_case(self):
-        sets = [Halfspace(np.array([-1.0]), 0.0),  # x >= 0
-                Halfspace(np.array([1.0]), 0.0)]   # x <= 0
+        specs = [{"type": "halfspace", "a": [-1.0], "b": 0.0},  # x >= 0
+                 {"type": "halfspace", "a": [1.0], "b": 0.0}]   # x <= 0
         a = np.full((2, 2), 0.5)
-        w, x_next = step_constrained(np.array([[-2.0], [2.0]]), a, sets)
+        w, x_next = one_step(np.array([[2.0], [-2.0]]), a, specs)
         np.testing.assert_array_equal(w, np.zeros((2, 1)))
         np.testing.assert_array_equal(x_next, np.zeros((2, 1)))
 
     def test_common_feasible_point_is_fixed(self):
-        sets = [Ball(np.zeros(2), 1.0), Box(-np.ones(2), np.ones(2))]
+        specs = [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                 {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}]
         x = np.tile(np.array([0.3, -0.2]), (2, 1))
-        _, x_next = step_constrained(x, np.full((2, 2), 0.5), sets)
+        _, x_next = one_step(x, np.full((2, 2), 0.5), specs)
         np.testing.assert_allclose(x_next, x, atol=1e-15)
 
 
@@ -120,24 +143,29 @@ class TestMeanSquareIdentity:
 
 
 class TestTrackUV:
+    """``annotate`` tracks ``u``, each step's weighted mean, and ``v``, its projection onto X."""
+
     def test_common_point(self):
         x = np.tile(np.array([0.2, 0.1]), (3, 1))
         box = Box(-np.ones(2), np.ones(2))
-        u, v = track_uv(x, np.full(3, 1 / 3), box)
+        u = weighted_means(np.full(3, 1 / 3), x)
+        v = box.project(u)
         np.testing.assert_allclose(u, [0.2, 0.1], atol=1e-15)
         np.testing.assert_allclose(v, u, atol=1e-15)
 
     def test_hand_case(self):
         states = np.array([[-2.0], [4.0]])
         box = Box(np.array([0.0]), np.array([1.0]))
-        u, v = track_uv(states, np.array([0.5, 0.5]), box)
+        u = weighted_means(np.array([0.5, 0.5]), states)
+        v = box.project(u)
         assert u == pytest.approx(1.0)
         assert v == pytest.approx(1.0)
 
     def test_interior_mean_fixed(self):
         states = np.array([[0.1, 0.0], [0.3, 0.0]])
         ball = Ball(np.zeros(2), 5.0)
-        u, v = track_uv(states, np.array([0.5, 0.5]), ball)
+        u = weighted_means(np.array([0.5, 0.5]), states)
+        v = ball.project(u)
         np.testing.assert_array_equal(u, v)
 
 
@@ -390,7 +418,7 @@ def adversarial_result(seed, m, n, horizon, constrained):
     traj = engine.Trajectory(
         states=draw(horizon + 1, m, n), w=draw(horizon + 1, m, n) if constrained else None,
         spread_sq=draw(horizon + 1), lyap=draw(horizon + 1), decrement=draw(horizon),
-        conservation=None, feasibility=None, u_points=None, v_points=None,
+        conservation=None, feasibility=None,
         v_values=draw(horizon + 1) if constrained else None,
         dist_sq=draw(horizon + 1, m) if constrained else None, y_point=None)
     return SimpleNamespace(trajectory=traj)

@@ -8,9 +8,10 @@ from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, Vacuou
                            rate_quotient, regular_tree_graph, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
-from consensus_lab.certificates import CheckBlock
+from consensus_lab.certificates import Certificates, CheckBlock
 from consensus_lab.engine import DECREMENT_FLOOR
-from consensus_lab.lyapunov import contraction_drop, decrement_series, squared_spread
+from consensus_lab.lyapunov import (contraction_drop, decrement_series, geometric_envelope,
+                                    squared_spread)
 from oracles import (averaging_identity_residual, operator_norm_sq, pairwise_decrement_sum,
                      product_convergence_records)
 
@@ -191,8 +192,8 @@ class TestDecrementKernel:
 
 def decrement_records(decrement, spread_sq, drop):
     """The engine's decrement-bound records: ``drop * spread_sq <= D * slack + floor``."""
-    return CheckBlock("decrement-bound", drop * np.asarray(spread_sq), decrement,
-                      floor=DECREMENT_FLOOR).records()
+    return list(Certificates(CheckBlock("decrement-bound", drop * np.asarray(spread_sq),
+                                        decrement, floor=DECREMENT_FLOOR)))
 
 
 def step_decrement(a, x, pi_next, delta, beta, p_star):
@@ -353,7 +354,7 @@ class TestContraction:
         _, aps, states = self._run()
         block = vector_contraction_certificate(states[:, :, None], aps, beta=0.25,
                                                p_star=2, k=0)
-        records = block.records()
+        records = list(Certificates(block))
         first = records[0]
         assert first.t == 0 and first.lhs == first.rhs
         assert all(r.passed for r in records)
@@ -369,9 +370,28 @@ class TestContraction:
                                          "quarter")
         aps = uniform_adjoint(seq, 10)
         states = np.full((11, 4, 3), 2.5)
-        records = vector_contraction_certificate(states, aps, 0.25, 1, 0).records()
+        records = list(Certificates(vector_contraction_certificate(states, aps, 0.25, 1, 0)))
         assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in records)
         assert all(r.passed for r in records)
+
+
+class TestGeometricEnvelope:
+    def test_equals_python_power_comprehension(self):
+        """Bit for bit, with ``1 - q`` log-uniform in ``[1e-8, 0.1]`` and bases of all sizes."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            q = 1.0 - 10.0 ** rng.uniform(-8.0, -1.0)
+            steps = int(rng.integers(0, 600))
+            base = float(10.0 ** rng.uniform(-300, 300))
+            want = np.array([q ** s * base for s in range(steps)])
+            got = geometric_envelope(q, steps, base)
+            assert got.shape == (steps,) and got.tobytes() == want.tobytes()
+
+    def test_numpy_scalar_base(self):
+        base = np.float64(0.3)
+        got = geometric_envelope(1.0 - 2.4e-7, 500, base)
+        assert got.tobytes() == np.array([(1.0 - 2.4e-7) ** s * base
+                                          for s in range(500)]).tobytes()
 
 
 class TestBaselineFactor:

@@ -12,8 +12,10 @@ from consensus_lab import (AsymmetricGraph, DiGraph, GammaTooSmall, GraphSequenc
                            random_rooted_graph, regular_quarter_weights, regular_tree_graph,
                            roots, verify_compliance, weights)
 from consensus_lab import cli, engine
+from consensus_lab.graphs import _rooted_trees
 from oracles import (edges, equal_neighbor_dense, laplacian_dense, lazy_metropolis_dense,
-                     quarter_dense, tree_edges, verify_compliance_per_step)
+                     quarter_dense, rooted_trees_per_graph, tree_edges,
+                     verify_compliance_per_step)
 
 
 def two_cycle():
@@ -190,7 +192,7 @@ class TestVerifyCompliance:
             assert rep.beta == pytest.approx(1.0 / (1.0 + max_indeg), rel=1e-12)
             # exact agreement with a direct scan of diagonal and tree entries
             a = seq.matrix_at(0)
-            tree = rep.trees[0]
+            tree = bfs_spanning_tree(g, min(roots(g)))
             scanned = list(np.diag(a)) + [a[i, j] for j, i in tree_edges(tree)]
             assert rep.beta == min(scanned)
 
@@ -200,13 +202,15 @@ class TestVerifyCompliance:
                                          "equal-neighbor")
         rep = verify_compliance(seq, 10)
         assert rep.ok
-        assert len(rep.trees) == 10
-        betas = []
-        for t, tree in enumerate(rep.trees):
-            a = seq.matrix_at(t)
+        betas, depths = [], []
+        for t in range(10):
+            a, g = seq.matrix_at(t), seq.graph_at(t)
+            tree = bfs_spanning_tree(g, min(roots(g)))
             betas.extend(a[i, j] for j, i in tree_edges(tree))
             betas.extend(np.diag(a))
+            depths.append(tree.depth)
         assert rep.beta == pytest.approx(min(betas), abs=0)
+        assert rep.p_star == max(depths)
 
     def test_rooted_level_without_strong_connectivity(self):
         g = DiGraph(3, frozenset({(0, 1), (1, 2)}))  # rooted, not strongly connected
@@ -228,13 +232,22 @@ class TestComplianceNonFinite:
 
 
 def assert_matches_per_step(seq, horizon):
-    """``verify_compliance`` agrees with the per-step oracle; returns its report."""
+    """``verify_compliance`` agrees with the per-step oracle; returns its report.
+
+    The batched root and tree search agrees, graph for graph, with ``roots``
+    and ``bfs_spanning_tree`` on the graphs of the distinct steps.
+    """
     got = verify_compliance(seq, horizon)
     want = verify_compliance_per_step(seq, horizon)
     assert (got.level, got.beta.hex(), got.p_star, got.doubly_stochastic, got.violation) == \
         (want.level, want.beta.hex(), want.p_star, want.doubly_stochastic, want.violation)
-    for t, tree in enumerate(want.trees):
-        assert got.trees[t % len(got.trees)] == tree
+    graphs = [seq.graph_at(t) for t in seq.distinct_steps(horizon)]
+    counts, tree_roots, parents, depths = _rooted_trees(np.stack([g.adjacency for g in graphs]))
+    want_counts, *want_trees = rooted_trees_per_graph(graphs)
+    assert counts.tolist() == want_counts.tolist()
+    rooted = counts > 0
+    for got_field, want_field in zip((tree_roots, parents, depths), want_trees):
+        assert got_field[rooted].tolist() == want_field[rooted].tolist()
     return got
 
 
@@ -263,7 +276,7 @@ class TestCompliancePerDistinctStep:
         seq = MatrixSequence.from_scheme(GraphSequence.static(regular_tree_graph(d)),
                                          "quarter")
         assert seq.distinct_steps(40) == range(1)
-        assert len(assert_matches_per_step(seq, 40).trees) == 1
+        assert assert_matches_per_step(seq, 40).ok
 
     def test_periodic_three_graphs(self):
         rng = np.random.default_rng(17)
@@ -271,13 +284,13 @@ class TestCompliancePerDistinctStep:
         seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
         assert seq.distinct_steps(2) == range(2)
         assert seq.distinct_steps(25) == range(3)
-        assert len(assert_matches_per_step(seq, 25).trees) == 3
+        assert assert_matches_per_step(seq, 25).ok
 
     def test_random_rooted(self):
         seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(8, 0.3, seed=4),
                                          "equal-neighbor")
         assert seq.distinct_steps(10) == range(10)
-        assert len(assert_matches_per_step(seq, 10).trees) == 10
+        assert assert_matches_per_step(seq, 10).ok
 
     @pytest.mark.parametrize("fail_at_3", [False, True])
     def test_custom_matrices_on_periodic_graphs(self, period_six_sequence, fail_at_3):
@@ -287,10 +300,8 @@ class TestCompliancePerDistinctStep:
         report = assert_matches_per_step(seq, 20)
         if fail_at_3:
             assert report.violation == "t=3: zero weight on tree edge (2,1)"
-            assert len(report.trees) == 3
         else:
             assert report.level == "rooted"
-            assert len(report.trees) == 6
 
     def test_non_rooted_graph_at_period_position_2(self):
         mats = [np.full((3, 3), 1 / 3), np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
@@ -354,7 +365,6 @@ class TestComplianceBlockEdges:
         expected = {"tree edge": "zero weight on tree edge", "diagonal": "diagonal entry 5",
                     "not rooted": "graph is not rooted"}[kind]
         assert report.violation.startswith(f"t={bad}: {expected}")
-        assert len(report.trees) == bad
 
     def test_horizon_ends_mid_block(self):
         size = MatrixSequence.custom([np.eye(96)]).block_steps
@@ -362,15 +372,15 @@ class TestComplianceBlockEdges:
         gseq = _periodic_graphs(3 * size)
         seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
         assert seq.distinct_steps(horizon) == range(horizon)
-        report = assert_matches_per_step(seq, horizon)
-        assert report.ok and len(report.trees) == horizon
+        assert assert_matches_per_step(seq, horizon).ok
 
     def test_random_rooted_horizon_ends_mid_block(self):
         seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(96, 0.1, seed=8),
                                          "equal-neighbor")
         size = seq.block_steps
         horizon = 2 * size + 3
-        assert len(assert_matches_per_step(seq, horizon).trees) == horizon
+        assert seq.distinct_steps(horizon) == range(horizon)
+        assert assert_matches_per_step(seq, horizon).ok
         # The steps past the horizon, in its block and the next, build on demand.
         for t in range(3 * size + 1):
             want = built(equal_neighbor_weights, seq.graph_at(t))
