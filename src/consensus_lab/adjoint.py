@@ -100,10 +100,17 @@ def uniform_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbabilitySeq
         err = np.abs(a.sum(axis=0) - 1.0).max()
         if err > STOCHASTIC_TOL:
             raise NotDoublyStochastic(f"t={t}: column sums off by {err:.3e}")
-    vectors = np.full((horizon + 1, m), 1.0 / m)
-    return AbsoluteProbabilitySequence(vectors=vectors,
-                                       residuals=adjoint_residuals(vectors, seq),
-                                       method="uniform")
+    return _constant_adjoint(seq, horizon, np.full(m, 1.0 / m), "uniform")
+
+
+def _constant_adjoint(seq: MatrixSequence, horizon: int, v: np.ndarray,
+                      method: str) -> AbsoluteProbabilitySequence:
+    """``pi(t) = v`` at every step.  Step ``t`` repeats the matrix of distinct step
+    ``t % period`` and the same two vectors, so its residual repeats that step's bits."""
+    vectors = np.tile(v, (horizon + 1, 1))
+    period = len(seq.distinct_steps(horizon))
+    residuals = np.resize(adjoint_residuals(vectors[:period + 1], seq), horizon)
+    return AbsoluteProbabilitySequence(vectors=vectors, residuals=residuals, method=method)
 
 
 def _extend_product(seq: MatrixSequence, p: np.ndarray | None,
@@ -190,11 +197,7 @@ def stationary_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbability
     if v.min() < -1e-10:
         raise ValueError("stationary vector has negative entries; chain is not ergodic")
     v = np.clip(v, 0.0, None)
-    v = v / v.sum()
-    vectors = np.tile(v, (horizon + 1, 1))
-    return AbsoluteProbabilitySequence(vectors=vectors,
-                                       residuals=adjoint_residuals(vectors, seq),
-                                       method="stationary")
+    return _constant_adjoint(seq, horizon, v / v.sum(), "stationary")
 
 
 def permutation_counterexample(m: int, seed: int, horizon: int = 16):

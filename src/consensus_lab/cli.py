@@ -4,7 +4,8 @@ Subcommands: ``simulate`` runs a scenario file and writes all artifacts,
 ``construct-graph`` prints the cubic tree graph, ``estimate-regularity``
 reports regularity constants for a set file, and ``verify`` re-checks a
 stored run offline.  Exit codes: 0 success, 2 configuration error,
-3 certificate violation, 4 numerical failure.
+3 certificate violation, 4 numerical failure.  The commands return 0 or 3
+and raise everything else; :func:`main` alone maps an exception to 2 or 4.
 """
 from __future__ import annotations
 
@@ -61,12 +62,7 @@ def _load_json(path: Path, kind: type = dict):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = _load_json(Path(args.scenario))
-    except (OSError, ValueError) as exc:
-        log.error("cannot read scenario: %s", exc)
-        return EXIT_CONFIG
-
+    scenario = _load_json(Path(args.scenario))
     out_dir = Path(args.out or scenario.get("out_dir", "out"))
     config_dict = {k: v for k, v in scenario.items() if k != "out_dir"}
     if args.seed is not None:
@@ -76,17 +72,8 @@ def cmd_simulate(args) -> int:
     if args.no_certificates:
         config_dict["certificates_enabled"] = False
 
-    try:
-        config = engine.RunConfig.from_json_dict(config_dict)
-        result = engine.run(config)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except _NUMERICAL_ERRORS as exc:
-        log.error("numerical failure: %s", exc)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError, KeyError) as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
-
+    result = engine.run(engine.RunConfig.from_json_dict(config_dict))
+    out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(result.report, out_dir / "report.json")
     engine.write_trajectory_csv(result, out_dir / "trajectory.csv")
     write_certificates_json(result.certificates, out_dir / "certificates.json")
@@ -95,16 +82,13 @@ def cmd_simulate(args) -> int:
     write_adjoint_csv(result.adjoint, out_dir / "adjoint.csv")
     write_adjoint_sidecar(result.adjoint, out_dir / "adjoint.json")
 
-    if config.certificates_enabled and not result.certificates_pass:
+    if not result.certificates_pass:
         log.error("certificate violations: %s", result.report["certificates"])
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def cmd_construct_graph(args) -> int:
-    if args.d < 2:
-        log.error("d must be >= 2")
-        return EXIT_CONFIG
     print(json.dumps(regular_tree_graph(args.d).to_json_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -121,79 +105,44 @@ def _point_arg(text: str, flag: str, n: int) -> np.ndarray:
 
 
 def cmd_estimate_regularity(args) -> int:
-    try:
-        sets = [set_from_json_dict(d) for d in _load_json(Path(args.sets), list)]
-        if not sets:
-            raise ValueError(f"{args.sets} lists no sets")
-        n = Intersection(sets).dim  # the sets must share one
-        region = Ball(_point_arg(args.center, "--center", n), args.radius)
-        if args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, not {args.samples}")
-        x_bar = None
-        if args.theta is not None:
-            if args.interior_center is None:
-                raise ValueError("--interior-center is required with --theta")
-            if not 0.0 < args.theta < math.inf:
-                raise ValueError(f"--theta must be positive and finite, not {args.theta}")
-            x_bar = _point_arg(args.interior_center, "--interior-center", n)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
-    out: dict = {}
-    try:
-        out["sampling"] = regularity_sampling(sets, region, args.samples,
-                                              args.seed).to_json_dict()
-        if x_bar is not None:
-            out["interior"] = regularity_interior(sets, args.theta, x_bar,
-                                                  region).to_json_dict()
-    except _NUMERICAL_ERRORS as exc:
-        log.error("numerical failure: %s", exc)
-        return EXIT_NUMERICAL
-    except ValueError as exc:  # e.g. an interior ball that leaves a set
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
+    sets = [set_from_json_dict(d) for d in _load_json(Path(args.sets), list)]
+    if not sets:
+        raise ValueError(f"{args.sets} lists no sets")
+    n = Intersection(sets).dim  # the sets must share one
+    region = Ball(_point_arg(args.center, "--center", n), args.radius)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, not {args.samples}")
+    x_bar = None
+    if args.theta is not None:
+        if args.interior_center is None:
+            raise ValueError("--interior-center is required with --theta")
+        if not 0.0 < args.theta < math.inf:
+            raise ValueError(f"--theta must be positive and finite, not {args.theta}")
+        x_bar = _point_arg(args.interior_center, "--interior-center", n)
+    out = {"sampling": regularity_sampling(sets, region, args.samples,
+                                           args.seed).to_json_dict()}
+    if x_bar is not None:  # an interior ball that leaves a set is a ValueError
+        out["interior"] = regularity_interior(sets, args.theta, x_bar, region).to_json_dict()
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = _load_json(Path(args.report))
-        config = engine.RunConfig.from_json_dict(report["config"])
-    except (OSError, KeyError, ValueError) as exc:
-        log.error("cannot load report: %s", exc)
-        return EXIT_CONFIG
-    try:
-        states, w = engine.read_trajectory_states(Path(args.trajectory), config.m,
-                                                  config.n, config.horizon)
-    except (OSError, engine.ConfigError) as exc:
-        log.error("trajectory inconsistent: %s", exc)
-        return EXIT_CONFIG
-    try:
-        result = engine.replay_certificates(config, states, w)
-    except _NUMERICAL_ERRORS as exc:
-        log.error("numerical failure: %s", exc)
-        return EXIT_NUMERICAL
-    except (ValueError, KeyError) as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
-
+    config = engine.RunConfig.from_json_dict(_load_json(Path(args.report))["config"])
+    states, w = engine.read_trajectory_states(Path(args.trajectory), config.m,
+                                              config.n, config.horizon)
+    result = engine.replay_certificates(config, states, w)
     if not result.certificates_pass:
         log.error("certificate violations found on replay: %s",
                   result.report["certificates"])
         return EXIT_VIOLATION
 
-    if args.certificates:
-        # Whole records in record order, verdicts included: a stored verdict
-        # that does not follow from its own fields cannot equal a replayed one.
-        try:
-            stored = _load_json(Path(args.certificates), list)
-        except (OSError, ValueError) as exc:
-            log.error("cannot load stored certificates: %s", exc)
-            return EXIT_CONFIG
-        if not result.certificates.matches(stored):
-            log.error("stored certificates do not match the replay")
-            return EXIT_CONFIG
+    # Whole records in record order, verdicts included: a stored verdict
+    # that does not follow from its own fields cannot equal a replayed one.
+    if args.certificates and not result.certificates.matches(
+            _load_json(Path(args.certificates), list)):
+        log.error("stored certificates do not match the replay")
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -234,7 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _NUMERICAL_ERRORS as exc:
+        log.error("numerical failure: %s", exc)
+        return EXIT_NUMERICAL
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        log.error("configuration error: %s", exc)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -279,6 +280,11 @@ class Trajectory:
     def horizon(self) -> int:
         return self.states.shape[0] - 1
 
+    @cached_property
+    def conservation_drift(self) -> np.ndarray:
+        """``|pi(t)'x(t) - pi(0)'x(0)|`` per coordinate, ``(horizon+1, n)``."""
+        return np.abs(self.conservation - self.conservation[0])
+
 
 def simulate(config: RunConfig, mseq: MatrixSequence,
              sets: tuple[ConvexSet, ...] | None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -379,11 +385,10 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
 
     if config.mode == "unconstrained":
         x0_norms = np.linalg.norm(traj.states[0], axis=0)  # per coordinate
-        drift = np.abs(traj.conservation - traj.conservation[0])
         resid = np.abs(lyap[1:] - (lyap[:-1] - decrement))
         scale = np.maximum(1.0, (traj.states[:-1] ** 2).reshape(h, -1).sum(axis=1))
         return Certificates(
-            CheckBlock("conservation", (drift / (1.0 + x0_norms)).max(axis=1),
+            CheckBlock("conservation", (traj.conservation_drift / (1.0 + x0_norms)).max(axis=1),
                        CONSERVATION_TOL, slack=1.0),
             (CheckBlock("step-identity", resid, IDENTITY_TOL * scale, slack=1.0),
              CheckBlock("decrement-bound", drop * traj.spread_sq[:h], decrement,
@@ -554,8 +559,7 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
                  "rho_observed": rho}
     if config.mode == "unconstrained":
         consensus["final_estimate"] = [float(v) for v in traj.conservation[0]]
-        consensus["conservation_max_drift"] = float(
-            np.abs(traj.conservation - traj.conservation[0]).max())
+        consensus["conservation_max_drift"] = float(traj.conservation_drift.max())
     else:
         consensus["final_estimate"] = [float(v) for v in traj.states[h].mean(axis=0)]
         consensus["final_max_dist_sq"] = float(traj.dist_sq[h].max())

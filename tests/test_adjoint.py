@@ -145,6 +145,31 @@ class TestAssembleAdjoint:
         assert assemble_adjoint(seq, 5).delta <= 0.25 + 1e-15
 
 
+class TestConstantAdjointResiduals:
+    """Uniform and stationary sequences form one residual per distinct step and
+    repeat it; each repeat must carry the bits a pass over every step gives."""
+
+    @pytest.mark.parametrize("kind,horizon,period", [
+        ("period-3", 10, 3), ("random-rooted", 25, 25), ("stationary", 8, 1)])
+    def test_bit_equal_to_every_step(self, kind, horizon, period):
+        rng = np.random.default_rng(5)
+        if kind == "period-3":  # convex combinations of permutations: doubly stochastic
+            eye = np.eye(6)
+            seq = MatrixSequence.custom([sum(c * eye[rng.permutation(6)] for c in w)
+                                         for w in rng.dirichlet(np.ones(4), size=3)])
+        elif kind == "random-rooted":  # complete draws, symmetric laplacian weights
+            seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(9, 1.0, seed=3),
+                                             "laplacian", gamma=20.0)
+        else:
+            a = rng.random((4, 4)) + 0.3
+            seq = MatrixSequence.custom([a / a.sum(axis=1, keepdims=True)])
+        assert len(seq.distinct_steps(horizon)) == period
+        build = stationary_adjoint if kind == "stationary" else uniform_adjoint
+        aps = build(seq, horizon)
+        assert aps.residuals.tobytes() == adjoint_residuals(aps.vectors, seq).tobytes()
+        assert aps.residuals.any()  # rounding residuals, so the bits say something
+
+
 class TestConservation:
     def test_weighted_mean_constant_along_runs(self):
         rng = np.random.default_rng(21)

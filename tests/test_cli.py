@@ -560,6 +560,44 @@ class TestValidateBeforeWork:
         assert cli.main(["verify", "--report", str(bad_report),
                          "--trajectory", str(out / "trajectory.csv")]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"graph": {"kind": "static", "regular_tree_d": [3]}},
+        {"weights": {"scheme": "laplacian", "gamma": [20]}},
+        {"graph": {"kind": "random-rooted", "extra_edge_prob": [0.1]},
+         "weights": {"scheme": "equal-neighbor"}},
+        {"graph": {"kind": "periodic", "graphs": 5}},
+        {"graph": {"kind": "static", "graph": {"m": 8, "edges": 5}}},
+        {"weights": {"scheme": "custom", "matrices": 5}},
+    ], ids=["list-regular_tree_d", "list-gamma", "list-extra_edge_prob",
+            "number-periodic-graphs", "number-static-edges", "number-custom-matrices"])
+    def test_wrong_type_value_exit_2_without_output(self, tmp_path, capsys, overrides):
+        """A value of the wrong JSON type is bad input, not a crash."""
+        path = quarter_scenario(tmp_path, horizon=20, **overrides)
+        assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_type_value_in_report_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(SCENARIOS / "regular_tree_d3.json"),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["config"]["graph"]["regular_tree_d"] = [3]
+        bad = write_json(tmp_path / "bad_report.json", report)
+        assert cli.main(["verify", "--report", str(bad),
+                         "--trajectory", str(out / "trajectory.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", cli._NUMERICAL_ERRORS, ids=lambda e: e.__name__)
+    def test_numerical_errors_exit_4_without_output(self, tmp_path, monkeypatch, error):
+        def fail(config):
+            raise error("stalled")
+
+        monkeypatch.setattr(engine, "run", fail)
+        assert cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path)),
+                         "--out", str(tmp_path / "out")]) == 4
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("m,graph,weights,message,in_compliance", [
         (8, {"kind": "static", "regular_tree_d": 3},
          {"scheme": "custom", "matrices": [{"rows": np.full((3, 3), 1 / 3).tolist()}]},
