@@ -28,7 +28,8 @@ from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
                        vector_contraction_certificate, weighted_means, weighted_variance)
 from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, SetBank,
                    distance, regularity_interior, regularity_sampling, set_from_json_dict)
-from .weights import ComplianceReport, MatrixSequence, verify_compliance
+from .weights import (SCHEMES, ComplianceReport, GammaTooSmall, MatrixSequence, check_gamma,
+                      verify_compliance)
 
 CONSERVATION_TOL = 1e-10
 IDENTITY_TOL = 1e-10
@@ -67,10 +68,24 @@ def _is_positive(value) -> bool:
     return _is_number(value) and value > 0
 
 
+def _is_objects(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
+
+
 # (section, key, test, what the value must be) for the optional values a run
 # reads from a config section; each is checked when the key is present.  A
-# regularity constant is at least 1.
-_VALUE_CHECKS = (("initial", "low", _is_number, "a finite number"),
+# regularity constant is at least 1.  A laplacian gamma may be infinite or
+# NaN here; ``check_gamma`` then names it.
+_VALUE_CHECKS = (("graph", "regular_tree_d", _is_integer, "an integer"),
+                 ("graph", "extra_edge_prob", _is_number, "a finite number"),
+                 ("graph", "graph", lambda v: isinstance(v, dict), "an object"),
+                 ("graph", "graphs", _is_objects, "a list of objects"),
+                 ("weights", "scheme", lambda v: isinstance(v, str) and v in SCHEMES,
+                  f"one of {SCHEMES}"),
+                 ("weights", "gamma",
+                  lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+                 ("weights", "matrices", _is_objects, "a list of objects"),
+                 ("initial", "low", _is_number, "a finite number"),
                  ("initial", "high", _is_number, "a finite number"),
                  ("adjoint", "spread_tol", _is_positive, "a positive finite number"),
                  ("adjoint", "max_window", _is_integer, "an integer"),
@@ -143,11 +158,19 @@ class RunConfig:
         for key in _REGULARITY_METHODS[regularity["method"]]:
             if regularity.get(key) is None:
                 raise ConfigError(f"regularity method {regularity['method']!r} needs {key!r}")
-        sections = {"initial": self.initial, "adjoint": self.adjoint, "regularity": regularity}
+        sections = {"graph": self.graph, "weights": self.weights, "initial": self.initial,
+                    "adjoint": self.adjoint, "regularity": regularity}
         for section, key, test, what in _VALUE_CHECKS:
             if key in sections[section] and not test(sections[section][key]):
                 raise ConfigError(f"{section}.{key} must be {what}, "
                                   f"not {sections[section][key]!r}")
+        if self.weights.get("scheme") == "laplacian":
+            if "gamma" not in self.weights:
+                raise ConfigError("weights scheme 'laplacian' needs 'gamma'")
+            try:
+                check_gamma(float(self.weights["gamma"]), self.m)
+            except GammaTooSmall as exc:
+                raise ConfigError(f"weights.{exc}") from exc
         if self.adjoint.get("max_window", FIRST_WINDOW) < FIRST_WINDOW:
             raise ConfigError(f"adjoint.max_window must be at least {FIRST_WINDOW}, "
                               f"not {self.adjoint['max_window']!r}")

@@ -2,7 +2,13 @@
 
 Halfspaces, hyperplanes, boxes, and balls project in closed form;
 intersections, polyhedra among them, project through Dykstra's alternating
-scheme, which converges to the exact nearest point of the intersection.
+scheme, which converges to the exact nearest point of the intersection.  An
+intersection's members are flattened when it is built: a member that is
+itself an intersection (a polyhedron, say) gives up its own members, so one
+Dykstra recursion runs over primitive sets and never nests another.  Boyle &
+Dykstra (1986) show the scheme converges to the projection onto the
+intersection for any finite family of closed convex sets, so the flat family
+has the nested one's limit.
 Regularity constants (``dist(x, X) <= r * max_i dist(x, X_i)`` over a
 region) are estimated either by sampling (a certified lower bound) or from
 an interior ball via ``r = max_{y in Y} ||y - x_bar|| / theta``.
@@ -80,6 +86,21 @@ def _norm(d: np.ndarray):
 def _positive_part(v):
     """``max(0.0, v)`` per point: ``v`` where it is positive, else exactly ``0.0``."""
     return np.where(v > 0.0, v, 0.0)[()]
+
+
+def _per_point(ufunc, a):
+    """``ufunc.reduce(a, axis=-1)`` for ``np.maximum`` over absolute values or
+    ``np.logical_and`` over flags, one coordinate at a time.
+
+    numpy reduces a short last axis with a loop per point: for 2 000 points
+    of 2 coordinates it takes about 80 us where this takes about 3 us.
+    Neither reduction depends on order for these inputs, so the bits are
+    numpy's.
+    """
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
 
 
 def _worst(sets, x):
@@ -208,7 +229,7 @@ class Box(ConvexSet):
         # Offsets below about 1e-162 square to zero; their largest magnitude
         # keeps such a point's violation positive, so zero means inside.
         r = _norm(d)
-        return np.where(r > 0.0, r, np.abs(d).max(axis=-1))[()]
+        return np.where(r > 0.0, r, _per_point(np.maximum, np.abs(d)))[()]
 
 
 @dataclass(frozen=True)
@@ -241,13 +262,16 @@ class Ball(ConvexSet):
 class Intersection(ConvexSet):
     """Intersection of arbitrary member sets, projected by Dykstra's scheme.
 
-    A polyhedron is the intersection of its facets' halfspaces.
+    A polyhedron is the intersection of its facets' halfspaces.  A member
+    that is itself an intersection is replaced by its members, which are
+    already flat, so ``members`` holds no intersection.
     """
 
     members: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "members", tuple(
+            m for s in self.members for m in (s.members if isinstance(s, Intersection) else (s,))))
         if not self.members:
             raise ValueError("intersection needs at least one member")
         dims = {s.dim for s in self.members}
@@ -273,8 +297,10 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
 
     Unlike plain cyclic projections, carrying per-set increments makes the
     iterates converge to the true nearest point.  The iterate can plateau
-    for many sweeps while the increments rebalance, so a sweep only counts
-    as converged when its displacement is at most ``tol`` AND the point is
+    for many sweeps, or end a sweep where it began, while the increments
+    rebalance (Birgin & Raydan 2005, "Robust stopping criteria for Dykstra's
+    algorithm"), so a point only converges at a sweep that moved neither
+    the iterate nor any increment by more than ``tol`` and left the point
     feasible for every member within 1e-10; a sweep that changes neither
     the iterate nor any increment is a fixed point of the whole recursion
     and ends the search immediately.
@@ -296,20 +322,20 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
     sets = tuple(sets)
     x = _vec(x)
     points = x.reshape(-1, x.shape[-1])
-    inside = (_worst(sets, points) == 0.0) & np.isfinite(points).all(axis=-1)
+    inside = (_worst(sets, points) == 0.0) & _per_point(np.logical_and, np.isfinite(points))
     if inside.all():
         return sets[-1].project(points + 0.0).reshape(x.shape)
     result = points.copy()
     if inside.any():
         result[inside] = sets[-1].project(points[inside] + 0.0)
-    # Member violation at each point's last settled sweep; a point converged
-    # exactly when its final value is within FEASIBILITY_TOL.
     worst = np.where(inside, 0.0, np.inf)
+    converged = inside.copy()
     outside = np.flatnonzero(~inside)
     for start in range(0, outside.size, _SAMPLE_BLOCK):
         rows = outside[start:start + _SAMPLE_BLOCK]
-        result[rows], worst[rows] = _dykstra_sweeps(sets, points[rows], tol, max_sweeps)
-    failed = np.flatnonzero(~(worst <= FEASIBILITY_TOL))
+        result[rows], worst[rows], converged[rows] = _dykstra_sweeps(sets, points[rows], tol,
+                                                                     max_sweeps)
+    failed = np.flatnonzero(~converged)
     if failed.size:
         raise DykstraNotConverged(
             f"point {failed[0]} stopped with member violation {worst[failed[0]]:.3e}; "
@@ -320,11 +346,13 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
 def _dykstra_sweeps(sets, points, tol, max_sweeps):
     """Dykstra's sweeps for each row of ``points``, shape ``(k, n)``.
 
-    Returns the rows' results and their member violations at their last
-    settled sweep (``inf`` for a row that never settled).
+    Returns the rows' results, their member violations at their last sweep
+    that left the iterate within ``tol`` of where it began (``inf`` for a row
+    with no such sweep), and whether each row converged.
     """
     result = points.copy()
     worst = np.full(points.shape[0], np.inf)
+    converged = np.zeros(points.shape[0], dtype=bool)
     active = np.arange(points.shape[0])
     current = points
     # Two increment buffers: each sweep writes its increments into the spare
@@ -340,25 +368,31 @@ def _dykstra_sweeps(sets, points, tol, max_sweeps):
             current = s.project(target)
             np.subtract(target, current, out=spare[idx])
         increments, spare = spare, increments
-        settled = np.abs(current - previous).max(axis=-1) <= tol
-        if not settled.any():
+        settled = np.flatnonzero(_per_point(np.maximum, np.abs(current - previous)) <= tol)
+        if not settled.size:
             continue
+        # How far each increment moved, which is how far each member's step
+        # moved the iterate; an increment that stays infinite moves, as
+        # inf - inf is NaN.  The iterate can end a sweep where it began while
+        # the increments still rebalance, so a point converges only once they
+        # have settled too.  One member at a time, so no temporary outgrows
+        # a member's increments.
+        moved = _per_point(np.maximum, functools.reduce(np.maximum, (
+            np.abs(new[settled] - old[settled]) for new, old in zip(increments, spare))))
         here, settled_at = active[settled], current[settled]
         worst[here] = _worst(sets, settled_at)
-        stops = worst[here] <= FEASIBILITY_TOL
+        stops = (worst[here] <= FEASIBILITY_TOL) & (moved <= tol)
         result[here[stops]] = settled_at[stops]
+        converged[here[stops]] = True
         # A settled sweep that moved no increment can change nothing anymore:
-        # the intersection is unreachable from that point.  An increment
-        # that stays infinite moves, as inf - inf is NaN.
-        stuck = np.flatnonzero(settled)[~stops]
-        if stuck.size:
-            stops[~stops] = (increments[:, stuck] - spare[:, stuck] == 0.0).all(axis=(0, 2))
-        ends = settled.copy()
-        ends[settled] = stops
+        # the intersection is unreachable from that point.
+        stops |= moved == 0.0
+        ends = np.zeros(active.size, dtype=bool)
+        ends[settled[stops]] = True
         if ends.any():
             active, current, increments = active[~ends], current[~ends], increments[:, ~ends]
             spare = spare[:, :active.size]  # its leading rows serve the points left
-    return result, worst
+    return result, worst, converged
 
 
 class SetBank:

@@ -91,15 +91,19 @@ def equal_neighbor_weights(adjacency: np.ndarray) -> tuple:
                            lambda deg: 1.0 / (deg + 1))
 
 
+def check_gamma(gamma: float, m: int) -> None:
+    """``GammaTooSmall`` unless ``m < gamma < inf``, as the laplacian scheme needs."""
+    if not m < gamma < math.inf:  # also false for a NaN
+        raise GammaTooSmall(f"gamma={gamma} must exceed m={m} and be finite")
+
+
 def laplacian_weights(adjacency: np.ndarray, gamma: float) -> tuple:
     """``I - L/gamma`` for the graph Laplacian ``L``; needs a finite ``gamma > m``.
 
     Requires a symmetric edge set since the Laplacian scheme models
     bidirectional exchange; the result is then doubly stochastic.
     """
-    m = adjacency.shape[-1]
-    if not m < gamma < math.inf:  # also false for a NaN
-        raise GammaTooSmall(f"gamma={gamma} must exceed m={m} and be finite")
+    check_gamma(gamma, adjacency.shape[-1])
     if not _symmetric(adjacency):
         raise AsymmetricGraph("laplacian weights need a symmetric edge set")
     return _scheme_support(adjacency, lambda *_: 1.0 / gamma, lambda deg: 1.0 - deg / gamma)

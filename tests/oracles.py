@@ -14,7 +14,8 @@ search behind it.  ``equal_neighbor_dense`` is the dense equal-neighbor
 build that the row-support build must reproduce bit for bit.  ``edges``
 gives a graph's edge pairs as a set.  The ``*_point`` functions are the
 point-by-point set code that the batched projections in
-``consensus_lab.sets`` must reproduce bit for bit.
+``consensus_lab.sets`` must reproduce bit for bit; given a tuple of sets,
+they take it as a nested intersection, the reference for the flattened one.
 """
 from __future__ import annotations
 
@@ -517,7 +518,12 @@ def verify_compliance_per_step(seq: MatrixSequence, horizon: int) -> ComplianceR
 
 
 def project_point(s: ConvexSet, x) -> np.ndarray:
-    """Projection of the single point ``x`` onto ``s``."""
+    """Projection of the single point ``x`` onto ``s``.
+
+    A tuple of sets is an intersection that is never flattened: a member
+    that is itself a tuple projects by its own Dykstra recursion, run to
+    convergence inside every sweep of the outer one.
+    """
     x = _vec(x)
     if isinstance(s, Halfspace):
         gap = float(s.a @ x) - s.b
@@ -535,10 +541,11 @@ def project_point(s: ConvexSet, x) -> np.ndarray:
         if r <= s.radius:
             return x.copy()
         return s.center + (s.radius / r) * d
-    if isinstance(s, Intersection):
-        if len(s.members) == 1:
-            return project_point(s.members[0], x)
-        return dykstra_point(s.members, x)
+    if isinstance(s, (Intersection, tuple)):
+        members = s if isinstance(s, tuple) else s.members
+        if len(members) == 1:
+            return project_point(members[0], x)
+        return dykstra_point(members, x)
     raise TypeError(f"unknown set type {type(s)!r}")
 
 
@@ -555,8 +562,8 @@ def violation_point(s: ConvexSet, x) -> float:
         return float(np.linalg.norm(d)) or float(np.abs(d).max())
     if isinstance(s, Ball):
         return max(0.0, float(np.linalg.norm(x - s.center)) - s.radius)
-    if isinstance(s, Intersection):
-        return max(violation_point(m, x) for m in s.members)
+    if isinstance(s, (Intersection, tuple)):
+        return max(violation_point(m, x) for m in (s if isinstance(s, tuple) else s.members))
     raise TypeError(f"unknown set type {type(s)!r}")
 
 
@@ -581,7 +588,7 @@ def dykstra_point(sets, x, tol: float = DYKSTRA_TOL,
         displacement = float(np.abs(current - previous).max())
         if displacement <= tol:
             worst = max(violation_point(s, current) for s in sets)
-            if worst <= FEASIBILITY_TOL:
+            if worst <= FEASIBILITY_TOL and inc_change <= tol:
                 return current
             if inc_change == 0.0:
                 break

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from consensus_lab import (Ball, Box, Halfspace, Hyperplane, Intersection,  # noqa: E402
                            distance)
-from oracles import distance_point, project_point, violation_point  # noqa: E402
+from consensus_lab.sets import _per_point  # noqa: E402
+from oracles import ADVERSARIAL_FLOATS, distance_point, project_point, violation_point  # noqa: E402
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -119,3 +120,22 @@ def test_batched_equals_point_by_point(kind, n, k, grid, seed):
     assert same_bytes(s.project(points[0]), projected[0])
     assert same_bytes(s.violation(points[0]), violations[0])
     assert same_bytes(distance(s, points[0]), distances[0])
+
+
+# The callers reduce absolute values and flags, so the values are the
+# absolute values of every adversarial float: NaN, inf, zero (from -0.0 too)
+# and subnormals among them.
+MAGNITUDES = np.abs(np.array(ADVERSARIAL_FLOATS))
+
+
+@EXAMPLES
+@given(n=st.integers(1, 16), batch=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_per_point_reductions_equal_numpy_bit_for_bit(n, batch, seed):
+    """1-D, 2-D and 3-D batches of 1 to 16 coordinates."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice(MAGNITUDES, size=(*batch, n))
+    assert _per_point(np.maximum, a).tobytes() == np.maximum.reduce(a, axis=-1).tobytes()
+    for flags in (np.isfinite(a), a > 0.0, a == 0.0):
+        assert (_per_point(np.logical_and, flags).tobytes()
+                == np.logical_and.reduce(flags, axis=-1).tobytes())

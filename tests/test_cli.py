@@ -528,6 +528,17 @@ class TestValidateBeforeWork:
                                           "radius": float("nan")}]),
         ("constraints", [{"type": "polyhedron", "halfspaces": [HALFSPACE, BALL]}, BOX, BALL]),
         ("constraints", [HALFSPACE, BOX, {"type": "ball"}]),
+        ("graph", {"kind": "static", "regular_tree_d": 2.5}),
+        ("graph", {"kind": "random-rooted", "extra_edge_prob": "0.5"}),
+        ("graph", {"kind": "periodic", "graphs": [5]}),
+        ("graph", {"kind": "static", "graph": [3]}),
+        ("weights", {"scheme": ["equal-neighbor"]}),
+        ("weights", {"scheme": "bogus"}),
+        ("weights", {"scheme": "laplacian", "gamma": "20"}),
+        ("weights", {"scheme": "laplacian", "gamma": True}),
+        ("weights", {"scheme": "laplacian"}),
+        ("weights", {"scheme": "laplacian", "gamma": 3}),
+        ("weights", {"scheme": "laplacian", "gamma": 2.5}),
     ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object",
             "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
             "string-certificates_enabled", "no-theta", "string-theta", "no-x_bar",
@@ -540,7 +551,10 @@ class TestValidateBeforeWork:
             "string-y_point", "short-y_point", "one-coordinate-box", "three-coordinate-ball",
             "nan-halfspace-normal", "nan-halfspace-offset", "nan-hyperplane-normal",
             "nan-hyperplane-offset", "nan-ball-center", "nan-ball-radius",
-            "ball-polyhedron-facet", "ball-without-keys"])
+            "ball-polyhedron-facet", "ball-without-keys", "fractional-regular_tree_d",
+            "string-extra_edge_prob", "number-in-graphs", "list-graph-graph", "list-scheme",
+            "unknown-scheme", "string-gamma", "bool-gamma", "no-gamma", "gamma-equal-m",
+            "gamma-below-m"])
     def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),
@@ -560,20 +574,34 @@ class TestValidateBeforeWork:
         assert cli.main(["verify", "--report", str(bad_report),
                          "--trajectory", str(out / "trajectory.csv")]) == 2
 
-    @pytest.mark.parametrize("overrides", [
-        {"graph": {"kind": "static", "regular_tree_d": [3]}},
-        {"weights": {"scheme": "laplacian", "gamma": [20]}},
-        {"graph": {"kind": "random-rooted", "extra_edge_prob": [0.1]},
-         "weights": {"scheme": "equal-neighbor"}},
-        {"graph": {"kind": "periodic", "graphs": 5}},
-        {"graph": {"kind": "static", "graph": {"m": 8, "edges": 5}}},
-        {"weights": {"scheme": "custom", "matrices": 5}},
+    @pytest.mark.parametrize("overrides,message", [
+        ({"graph": {"kind": "static", "regular_tree_d": [3]}},
+         "graph.regular_tree_d must be an integer, not [3]"),
+        ({"weights": {"scheme": "laplacian", "gamma": [20]}},
+         "weights.gamma must be a number, not [20]"),
+        ({"graph": {"kind": "random-rooted", "extra_edge_prob": [0.1]},
+          "weights": {"scheme": "equal-neighbor"}},
+         "graph.extra_edge_prob must be a finite number, not [0.1]"),
+        ({"graph": {"kind": "periodic", "graphs": 5}}, "graph.graphs must be a list of objects"),
+        # the edges of a graph's own JSON are read when the graph is built
+        ({"graph": {"kind": "static", "graph": {"m": 8, "edges": 5}}}, "configuration error: "),
+        ({"weights": {"scheme": "custom", "matrices": 5}},
+         "weights.matrices must be a list of objects"),
+        ({"weights": {"scheme": 5}}, "weights.scheme must be one of"),
     ], ids=["list-regular_tree_d", "list-gamma", "list-extra_edge_prob",
-            "number-periodic-graphs", "number-static-edges", "number-custom-matrices"])
-    def test_wrong_type_value_exit_2_without_output(self, tmp_path, capsys, overrides):
-        """A value of the wrong JSON type is bad input, not a crash."""
+            "number-periodic-graphs", "number-static-edges", "number-custom-matrices",
+            "number-scheme"])
+    def test_wrong_type_value_exit_2_without_output(self, tmp_path, monkeypatch, caplog, capsys,
+                                                    overrides, message):
+        """A value of the wrong JSON type is bad input, not a crash, and is named
+        before compliance starts."""
+        def refuse(*args, **kwargs):
+            pytest.fail("compliance ran before the config was validated")
+
+        monkeypatch.setattr(engine, "verify_compliance", refuse)
         path = quarter_scenario(tmp_path, horizon=20, **overrides)
         assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in caplog.text
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -606,10 +634,11 @@ class TestValidateBeforeWork:
          "gamma=inf must exceed m=8", False),
         (8, {"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.nan},
          "gamma=nan must exceed m=8", False),
-        # A random-rooted sequence builds its weights only when compliance
-        # checks them, so these two fail there, after the run has started.
         (12, {"kind": "random-rooted", "extra_edge_prob": 1.0},
-         {"scheme": "laplacian", "gamma": 5}, "gamma=5.0 must exceed m=12", True),
+         {"scheme": "laplacian", "gamma": 5}, "gamma=5.0 must exceed m=12", False),
+        # A random-rooted sequence builds its weights only when compliance
+        # checks them, so an asymmetric draw fails there, after the run has
+        # started.
         (12, {"kind": "random-rooted", "extra_edge_prob": 0.5},
          {"scheme": "laplacian", "gamma": 50}, "laplacian weights need a symmetric edge set",
          True),

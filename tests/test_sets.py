@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -8,12 +9,15 @@ import pytest
 
 from consensus_lab import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
                            InteriorBallNotContained, Intersection, NoInformativeSamples,
-                           RegularityEstimate, distance, dykstra_project,
+                           RegularityEstimate, cli, distance, dykstra_project,
                            regularity_interior, regularity_sampling, set_from_json_dict)
 from consensus_lab import sets as sets_module
+from consensus_lab.sets import DYKSTRA_TOL, FEASIBILITY_TOL
 from oracles import (InfeasiblePoint, YNotInSet, check_nonexpansive,
-                     check_variational_inequality, dykstra_point, regularity_interior_points,
-                     regularity_sampling_points, set_to_json_dict, spread_projection_bound)
+                     check_variational_inequality, dykstra_point, project_point,
+                     regularity_interior_points, regularity_sampling_points, set_to_json_dict,
+                     spread_projection_bound, violation_point)
+from test_batched_sets import polyhedron
 
 
 def random_set(rng, n):
@@ -196,6 +200,158 @@ class TestBatchedDykstraFailure:
         with pytest.raises(DykstraNotConverged, match="^point 0 "):
             dykstra_project(self.disjoint(), points, max_sweeps=50)
         assert blocks == [2, 2, 1]
+
+
+def same_members(got, want) -> bool:
+    return len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
+class TestFlatIntersection:
+    """A nested intersection is flattened into one Dykstra over primitive sets."""
+
+    def sets(self):
+        poly = Intersection((Halfspace(np.array([1.0, 0.0]), 1.0),
+                             Halfspace(np.array([0.0, 1.0]), 1.0),
+                             Halfspace(np.array([1.0, 1.0]), 1.5)))
+        return poly, Ball(np.array([0.2, -0.1]), 2.0), Box(np.array([-1.5, -1.5]),
+                                                           np.array([np.inf, np.inf]))
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_nested_polyhedron_comes_out_flat(self, position):
+        poly, ball, box = self.sets()
+        others = [ball, box]
+        flat = Intersection(tuple(others[:position] + [poly] + others[position:]))
+        assert same_members(flat.members,
+                            others[:position] + list(poly.members) + others[position:])
+
+    def test_intersection_of_intersections_comes_out_flat(self):
+        poly, ball, box = self.sets()
+        inner = Intersection((ball, poly))
+        flat = Intersection((Intersection((box, inner)), Intersection((poly,)), ball))
+        assert same_members(flat.members, [box, ball, *poly.members, *poly.members, ball])
+        assert not any(isinstance(m, Intersection) for m in flat.members)
+
+    def test_one_member_nesting_projects_through_the_member(self):
+        poly, ball, _ = self.sets()
+        assert same_members(Intersection((Intersection((ball,)),)).members, [ball])
+        x = np.array([[3.0, 4.0], [0.1, 0.2]])
+        assert (Intersection((Intersection((ball,)),)).project(x).tobytes()
+                == ball.project(x).tobytes())
+        assert same_members(Intersection((poly,)).members, poly.members)
+
+    def nested_cases(self):
+        """Nested intersections, as a tuple the oracles leave nested, and points
+        around them; every seed of the range is used."""
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 4))
+            anchor = rng.normal(size=n)
+            poly = polyhedron(rng, n, anchor)
+            others = [Ball(anchor + rng.normal(size=n) * 0.2, float(rng.uniform(1.0, 3.0))),
+                      Box(anchor - rng.uniform(0.5, 2.0, n), np.full(n, np.inf))]
+            position = int(rng.integers(3))
+            nested = tuple(others[:position] + [poly.members] + others[position:])
+            flat = Intersection(tuple(others[:position] + [poly] + others[position:]))
+            points = anchor + rng.normal(size=(8, n)) * rng.choice([0.3, 3.0, 10.0], size=(8, 1))
+            yield nested, flat, points
+
+    def test_violation_is_the_nested_max_bit_for_bit(self):
+        for nested, flat, points in self.nested_cases():
+            want = np.array([violation_point(nested, p) for p in points])
+            assert flat.violation(points).tobytes() == want.tobytes()
+
+    def test_projection_matches_the_nested_recursion(self):
+        """Each recursion stops once no member step moved its iterate by more
+        than DYKSTRA_TOL: an approximate optimality point of the strongly
+        convex nearest-point problem, whose distance to the projection is of
+        order sqrt(DYKSTRA_TOL)."""
+        bound = math.sqrt(DYKSTRA_TOL)
+        for nested, flat, points in self.nested_cases():
+            got = flat.project(points)
+            want = np.array([project_point(nested, p) for p in points])
+            assert np.abs(got - want).max() <= bound
+            assert flat.violation(got).max() <= FEASIBILITY_TOL
+
+    def test_projection_satisfies_the_variational_inequality(self):
+        """An optimality check that runs no Dykstra reference: ``p`` is the
+        projection of ``x`` exactly when ``(x - p).(y - p) <= 0`` for every
+        feasible ``y``.  A recursion that stops at a feasible point while its
+        increments still move fails it by a share of the two distances."""
+        rng = np.random.default_rng(0)
+        for _, flat, points in self.nested_cases():
+            got = flat.project(points)
+            feasible = flat.project(got.mean(axis=0) + rng.normal(size=(200, flat.dim)) * 3.0)
+            assert flat.violation(feasible).max() <= FEASIBILITY_TOL
+            toward, away = points - got, feasible[None] - got[:, None]
+            inner = np.einsum("kn,kmn->km", toward, away)
+            # A relative slack, and an absolute one for a ``y`` at ``p`` itself.
+            scale = np.linalg.norm(toward, axis=-1)[:, None] * (np.linalg.norm(away, axis=-1) + 1.0)
+            assert (inner <= 1e-9 * scale).all()
+
+    def test_a_sweep_that_ends_where_it_began_is_not_convergence(self):
+        """Constrained-mix sets (benchmark seed 33, scenario 1) with the
+        polyhedron nested.  The second sweep from ``x`` ends within 1e-13 of
+        where it began, feasible, while the box, ball and polyhedron
+        increments still move by more than 0.1; stopping there gave
+        ``stopped_at``, 1 % too far in squared distance."""
+        h = lambda a, b: Halfspace(np.array(a), b)  # noqa: E731
+        members = [h([-0.859955193623083, 0.510369537649619], 0.7514987284075006),
+                   Box(np.array([-1.8764464125248612, -1.883470291514041]),
+                       np.array([1.5410513377249, 1.6182372489172967])),
+                   Ball(np.array([-0.4030823948473014, -0.5761567791675558]), 2.039096964066487),
+                   Intersection((h([-0.7470721969240302, -0.6647429071326021], 1.169652958810938),
+                                 h([0.34750720891303505, -0.937677311100931], 1.1876622331687785),
+                                 h([0.9974617583181589, 0.07120421822368939], 0.6839642843543826))),
+                   h([0.21828808051869086, 0.9758843752737645], 0.4395933988960683),
+                   Box(np.array([-1.8224154266535835, -2.37510151253813]),
+                       np.array([1.6798982449318691, 1.3818751392632644]))]
+        x = np.array([1.424207745600302, -3.543717836378371])
+        stopped_at = np.array([0.7561178922, -0.9863796534])
+        nested = dykstra_project(members, x)
+        flat = Intersection(tuple(members))
+        assert np.abs(nested - flat.project(x)).max() <= math.sqrt(DYKSTRA_TOL)
+        # The variational inequality holds at the projection against feasible
+        # points all around it, and fails at the early stop.
+        rng = np.random.default_rng(0)
+        for y in flat.project(nested + rng.normal(size=(50, 2)) * 0.5):
+            assert check_variational_inequality(flat, x, y).passed
+        assert (stopped_at - x) @ (nested - stopped_at) < -0.05
+
+    def empty(self):
+        """A nested polyhedron of two disjoint halfspaces beside a ball."""
+        return Intersection((Intersection((Halfspace(np.array([1.0, 0.0]), -1.0),
+                                           Halfspace(np.array([-1.0, 0.0]), -1.0))),
+                             Ball(np.zeros(2), 3.0)))
+
+    def test_empty_nested_polyhedron_raises(self, monkeypatch):
+        # 200 sweeps instead of 10^5: the increments grow every sweep, so no
+        # number of sweeps converges.
+        monkeypatch.setattr(sets_module, "dykstra_project",
+                            functools.partial(dykstra_project, max_sweeps=200))
+        points = np.array([[0.5, 0.5], [-2.0, 0.0], [2.0, 1.0]])
+        with pytest.raises(DykstraNotConverged, match="^point 0 "):
+            self.empty().project(points)
+        with pytest.raises(DykstraNotConverged):
+            dykstra_point(self.empty().members, points[0], max_sweeps=200)
+
+    def test_simulate_on_an_empty_nested_polyhedron_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sets_module, "dykstra_project",
+                            functools.partial(dykstra_project, max_sweeps=200))
+        empty = {"type": "intersection", "members": [
+            {"type": "polyhedron", "halfspaces": [{"type": "halfspace", "a": [1.0, 0.0], "b": -1.0},
+                                                  {"type": "halfspace", "a": [-1.0, 0.0],
+                                                   "b": -1.0}]},
+            {"type": "ball", "center": [0.0, 0.0], "radius": 3.0}]}
+        scenario = {"m": 3, "n": 2, "horizon": 20, "seed": 1, "mode": "constrained",
+                    "graph": {"kind": "random-rooted", "extra_edge_prob": 0.5},
+                    "weights": {"scheme": "equal-neighbor"},
+                    "initial": {"kind": "uniform-box", "low": -3, "high": 3},
+                    "constraints": [empty, {"type": "ball", "center": [0.0, 0.0], "radius": 2.0},
+                                    {"type": "box", "lower": [-2.0, -2.0], "upper": [2.0, 2.0]}]}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(scenario))
+        assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert not (tmp_path / "out").exists()
 
 
 class Counting(ConvexSet):
