@@ -72,6 +72,10 @@ def _is_objects(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, dict) for v in value)
 
 
+def _is_edge(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_integer, value))
+
+
 # (section, key, test, what the value must be) for the optional values a run
 # reads from a config section; each is checked when the key is present.  A
 # regularity constant is at least 1.  A laplacian gamma may be infinite or
@@ -164,6 +168,17 @@ class RunConfig:
             if key in sections[section] and not test(sections[section][key]):
                 raise ConfigError(f"{section}.{key} must be {what}, "
                                   f"not {sections[section][key]!r}")
+        # A graph's own JSON: its edges, [j, i] pairs of 1-based node ids.
+        own = [("graph.graph", self.graph["graph"])] if "graph" in self.graph else []
+        own += [(f"graph.graphs[{k}]", g) for k, g in enumerate(self.graph.get("graphs", ()))]
+        for name, spec in own:
+            edges = spec.get("edges", [])
+            if not isinstance(edges, (list, tuple)):
+                bad = repr(edges)
+            else:
+                bad = next((f"a list holding {e!r}" for e in edges if not _is_edge(e)), None)
+            if bad is not None:
+                raise ConfigError(f"{name}.edges must be a list of two-integer lists, not {bad}")
         if self.weights.get("scheme") == "laplacian":
             if "gamma" not in self.weights:
                 raise ConfigError("weights scheme 'laplacian' needs 'gamma'")

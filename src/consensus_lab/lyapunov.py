@@ -22,7 +22,7 @@ import numpy as np
 
 from .adjoint import AbsoluteProbabilitySequence
 from .certificates import CheckBlock
-from .weights import _BLOCK_ENTRIES, MatrixSequence
+from .weights import _BLOCK_ENTRIES, MatrixSequence, _lengths
 
 
 class NegativeWeight(ValueError):
@@ -95,14 +95,17 @@ def _row_shifted_decrements(support: tuple[np.ndarray, ...], x: np.ndarray,
                             nu: np.ndarray) -> np.ndarray:
     """Decrement of each state block ``x[s]`` (shape ``(m, n)``) weighted by ``nu[s]``.
 
-    ``support`` (:func:`weights._row_supports`) is one matrix's, shared by
-    every block, or that of one matrix per block with columns ``k*m + j``.
+    ``support`` (:func:`weights._row_supports`, ``(cols, weights, starts)``)
+    is one matrix's, shared by every block, or that of one matrix per block
+    with columns ``k*m + j``.  No row index is formed: a row's own value is
+    repeated once per nonzero of the row.
     """
-    rows, cols, weights, starts = support
+    cols, weights, starts = support
+    lengths = _lengths(starts, cols.size)
     x = x.reshape(-1, starts.size, x.shape[-1])
-    d = x[:, cols] - x[:, rows]                                   # d_ij = x_j - x_i
+    d = x[:, cols] - np.repeat(x, lengths, axis=1)                # d_ij = x_j - x_i
     mu = np.add.reduceat(d * weights[:, None], starts, axis=1)    # mu_i = sum_j A_ij d_ij
-    d -= mu[:, rows]
+    d -= np.repeat(mu, lengths, axis=1)
     per_row = np.add.reduceat(np.einsum("sen,sen->se", d, d) * weights, starts, axis=1)
     return np.einsum("si,si->s", per_row.reshape(nu.shape), nu)
 

@@ -24,9 +24,10 @@ ROW_SUM_TOL = 1e-12
 COLUMN_SUM_TOL = 1e-12
 
 # Largest (steps, m, m) stack of matrix entries that a random-rooted sequence
-# builds, or densifies, at once: 7 steps at m = 96, and one step from m = 256
-# on.  Each such block is kept as one row support.  A cyclic sequence's
-# decrement gathers at most this many state entries at once.
+# builds, or densifies, at once: 7 steps at m = 96, and one step from m = 182
+# on.  Each such block is kept as one row support, about 9 bytes per nonzero
+# and 8 per row (see _row_supports).  A cyclic sequence's decrement gathers at
+# most this many state entries at once.
 _BLOCK_ENTRIES = 1 << 16
 
 SCHEMES = ("equal-neighbor", "lazy-metropolis", "laplacian", "quarter", "custom")
@@ -44,17 +45,25 @@ class NotThreeRegular(ValueError):
     pass
 
 
+def _column_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every column index below ``m``."""
+    return np.min_scalar_type(max(m - 1, 0))
+
+
 def _scheme_support(adjacency: np.ndarray, edge, diagonal) -> tuple:
-    """Row support of one scheme's weights on an ``(s, m, m)`` stack of in-adjacencies.
+    """Row support (:func:`_row_supports`) of one scheme's weights on an ``(s, m, m)``
+    stack of in-adjacencies.
 
     ``deg[k*m + i]`` is node ``i``'s in-degree in graph ``k``.  The nonzeros
     are each matrix's adjacency-plus-diagonal pattern; the edge from ``j``
     to ``i`` in graph ``k`` sits at row ``k*m + i`` and column ``j``, and
-    ``edge(deg, rows, cols)`` gives the weights of all of them.  The
+    ``edge(deg, rows, cols)`` gives the weights of all of them, from int64
+    row and column indices that the build drops once it is done.  The
     diagonal then takes ``diagonal(deg)``, one value per row, and ``1 -``
-    its row's sum, the rounding residue, which leaves the pattern as it is.  numpy's pairwise row sum groups its terms by where the
-    zeros sit, so the rows are summed densely, a chunk at a time in one
-    buffer kept zero off the support.
+    its row's sum, the rounding residue, which leaves the pattern as it is.
+    numpy's pairwise row sum groups its terms by where the zeros sit, so
+    the rows are summed densely, a chunk at a time in one buffer kept zero
+    off the support.
     """
     m = adjacency.shape[-1]
     flat = np.flatnonzero(adjacency | np.eye(m, dtype=bool))
@@ -79,7 +88,7 @@ def _scheme_support(adjacency: np.ndarray, edge, diagonal) -> tuple:
         sums[lo:lo + size] = buf.reshape(size, m)[:starts.size - lo].sum(axis=1)
         buf[flat[part] - lo * m] = 0.0
     weights[diag] += 1.0 - sums
-    return rows, cols, weights, starts
+    return cols.astype(_column_dtype(m)), weights, starts
 
 
 # Each scheme's builder takes an (s, m, m) stack of graph in-adjacencies and
@@ -154,9 +163,14 @@ def _support_adjacency(a: np.ndarray) -> np.ndarray:
 def _row_supports(a: np.ndarray) -> tuple:
     """Row support of an ``(s, m, m)`` stack, its row-major nonzeros, in CSR form.
 
-    ``(rows, cols, weights, starts)``: entry ``(i, j)`` of matrix ``k`` has
-    row ``k*m + i`` and column ``j``, and row ``r`` begins at ``starts[r]``.
-    Raises ``ValueError`` if a row has no nonzero entry.
+    ``(cols, weights, starts)``: entry ``(i, j)`` of matrix ``k`` lies in
+    row ``k*m + i``, which begins at ``starts[k*m + i]`` (int64) and ends
+    where the next row begins, or at the end.  ``cols`` holds ``j`` in the
+    narrowest unsigned type that holds ``m - 1`` (one byte up to
+    ``m = 256``) and ``weights`` the float64 entry, so a nonzero takes 9
+    bytes and a row 8 more.  A row index, where one is needed, is derived
+    from ``starts`` (:func:`_positions`).  Raises ``ValueError`` if a row
+    has no nonzero entry.
     """
     s, m = a.shape[:2]
     flat = np.flatnonzero(a)
@@ -164,21 +178,41 @@ def _row_supports(a: np.ndarray) -> tuple:
     counts = np.bincount(rows, minlength=s * m)
     if not counts.all():
         raise ValueError("every row of A needs a nonzero entry")
-    return rows, flat - rows * m, a.reshape(-1)[flat], np.cumsum(counts) - counts
+    return ((flat - rows * m).astype(_column_dtype(m)), a.reshape(-1)[flat],
+            np.cumsum(counts) - counts)
 
 
 def _prefix(support: tuple, count: int, m: int) -> tuple:
     """The row support of a block's first ``count`` matrices."""
-    rows, cols, weights, starts = support
-    end = starts[count * m] if count * m < starts.size else rows.size
-    return rows[:end], cols[:end], weights[:end], starts[:count * m]
+    cols, weights, starts = support
+    end = starts[count * m] if count * m < starts.size else cols.size
+    return cols[:end], weights[:end], starts[:count * m]
+
+
+def _lengths(starts: np.ndarray, end: int) -> np.ndarray:
+    """Length of each segment that begins at ``starts``, the last one ending at ``end``."""
+    out = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=out[:-1])
+    out[-1] = end - starts[-1]
+    return out
+
+
+def _positions(support: tuple, m: int) -> np.ndarray:
+    """Row-major position ``(k*m + i)*m + j`` of each nonzero in its ``(s, m, m)`` stack, int64."""
+    cols, _, starts = support
+    return np.repeat(np.arange(0, starts.size * m, m), _lengths(starts, cols.size)) + cols
+
+
+def _block_columns(support: tuple, m: int) -> np.ndarray:
+    """Column ``k*m + j`` of each nonzero ``(i, j)`` of matrix ``k`` in its block, int64."""
+    cols, _, starts = support
+    return np.repeat(np.arange(0, starts.size, m), _lengths(starts[::m], cols.size)) + cols
 
 
 def _dense(support: tuple, m: int) -> np.ndarray:
     """The read-only ``(s, m, m)`` stack of a block's row support: one scatter into zeros."""
-    rows, cols, weights, starts = support
-    a = np.zeros((starts.size // m, m, m))
-    a.reshape(-1, m)[rows, cols] = weights
+    a = np.zeros((support[2].size // m, m, m))
+    a.reshape(-1)[_positions(support, m)] = support[1]
     a.setflags(write=False)
     return a
 
@@ -188,19 +222,21 @@ def _row_stochastic(support: tuple, m: int) -> np.ndarray:
 
     A NaN or infinite weight fails, as its row sum is not finite.
     """
-    _, _, weights, starts = support
+    _, weights, starts = support
     sums_ok = np.abs(np.add.reduceat(weights, starts) - 1.0) <= ROW_SUM_TOL
     return sums_ok.reshape(-1, m).all(axis=1) & np.logical_and.reduceat(weights >= 0.0,
                                                                          starts[::m])
 
 
-def _row_entries(support: tuple, targets: np.ndarray) -> np.ndarray:
-    """Weight of row ``i`` of matrix ``k`` in column ``targets[k, i]``; 0 off the support."""
-    rows, cols, weights, starts = support
-    keys = rows * targets.shape[-1] + cols   # row-major, so sorted
-    query = np.arange(starts.size) * targets.shape[-1] + targets.ravel()
-    pos = np.searchsorted(keys, query).clip(max=keys.size - 1)
-    return np.where(keys[pos] == query, weights[pos], 0.0).reshape(targets.shape)
+def _row_entries(positions: np.ndarray, weights: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """Weight of row ``i`` of matrix ``k`` in column ``targets[k, i]``; 0 off the support.
+
+    ``positions`` (:func:`_positions`) is row-major, so sorted.
+    """
+    query = np.arange(targets.size) * targets.shape[-1] + targets.ravel()
+    pos = np.searchsorted(positions, query).clip(max=positions.size - 1)
+    return np.where(positions[pos] == query, weights[pos], 0.0).reshape(targets.shape)
 
 
 @dataclass(frozen=True)
@@ -212,7 +248,8 @@ class MatrixSequence:
     sequence, built at once by the scheme.  On a random-rooted graph
     sequence ``matrices`` is ``None`` and the scheme builds
     the steps from their graphs, ``block_steps`` consecutive steps at a
-    time, each block kept as one row support (:func:`_row_supports`).  A
+    time, each block kept as one row support (:func:`_row_supports`), about
+    9 bytes per nonzero and 8 per row where a dense step takes ``8 m^2``.  A
     block built on demand, such as the adjoint's steps past the horizon, is
     checked row-stochastic when it is built; compliance checks the blocks
     it builds.  Without a graph sequence the graphs are the positive
@@ -310,28 +347,28 @@ class MatrixSequence:
         for b, group in itertools.groupby(steps, lambda t: t // size):
             ts = list(group)
             count = max(ts) - b * size + 1
-            rows, cols, weights, _ = _prefix(self._block(b, count), count, m)
+            support = _prefix(self._block(b, count), count, m)
             buf[flat] = 0.0
-            flat = rows * m + cols
-            buf[flat] = weights
+            flat = _positions(support, m)
+            buf[flat] = support[1]
             yield from (view[t - b * size] for t in ts)
 
     def supports(self, horizon: int, n: int = 1):
         """``(steps, support)`` over ``t < horizon``: steps and their matrices' row support.
 
         One group per random-rooted block, its support's columns shifted to
-        ``k*m + j``.  On a cyclic sequence, the steps ``r, r + period, ...``
-        that share distinct step ``r``'s support, in groups whose nonzeros
-        gather at most ``_BLOCK_ENTRIES`` entries of ``n``-coordinate states.
+        ``k*m + j`` (:func:`_block_columns`).  On a cyclic sequence, the
+        steps ``r, r + period, ...`` that share distinct step ``r``'s
+        support, in groups whose nonzeros gather at most ``_BLOCK_ENTRIES``
+        entries of ``n``-coordinate states.
         """
         m = self.m
         if self.matrices is None:
             for start in range(0, horizon, self.block_steps):
                 count = min(self.block_steps, horizon - start)
-                rows, cols, weights, starts = _prefix(
-                    self._block(start // self.block_steps, count), count, m)
-                yield np.arange(start, start + count), (rows, rows // m * m + cols, weights,
-                                                        starts)
+                support = _prefix(self._block(start // self.block_steps, count), count, m)
+                yield np.arange(start, start + count), (_block_columns(support, m),
+                                                        *support[1:])
             return
         period = len(self.distinct_steps(horizon))
         for r in range(period):
@@ -344,16 +381,16 @@ class MatrixSequence:
     def _block(self, b: int, count: int) -> tuple:
         """Row support of random-rooted block ``b``, completed and checked if under ``count``."""
         support = self._cache.get(b)
-        have = 0 if support is None else support[3].size // self.m
+        have = 0 if support is None else support[2].size // self.m
         if have < count:
             start = b * self.block_steps + have
             new = self.stack(range(start, (b + 1) * self.block_steps))[0]
             ok = _row_stochastic(new, self.m)
             if not ok.all():
                 raise ValueError(f"t={start + int(ok.argmin())}: matrix is not row-stochastic")
-            if support is not None:
-                new = tuple(map(np.concatenate, zip(support, (
-                    new[0] + support[3].size, new[1], new[2], new[3] + support[0].size))))
+            if support is not None:   # columns need no offset; row starts do
+                new = tuple(map(np.concatenate, zip(support, (*new[:2],
+                                                              new[2] + support[0].size))))
             self._cache[b] = support = new
         return support
 
@@ -421,19 +458,21 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
     for start in range(0, len(steps), seq.block_steps):
         ts = steps[start:start + seq.block_steps]
         support, adjacency = seq.stack(ts)
-        rows, cols, weights, starts = support
+        _, weights, starts = support
+        positions = _positions(support, m)
         nodes = np.broadcast_to(np.arange(m), (len(ts), m))
         stochastic = _row_stochastic(support, m)
-        diag = _row_entries(support, nodes)
+        diag = _row_entries(positions, weights, nodes)
         positive_diag = ~(diag.min(axis=1) <= 0.0)
-        column_sums = np.bincount(rows // m * m + cols, weights, minlength=nodes.size)
+        column_sums = np.bincount(_block_columns(support, m), weights, minlength=nodes.size)
         columns = (np.abs(column_sums - 1.0) <= COLUMN_SUM_TOL).reshape(-1, m).all(axis=1)
         counts, _, parents, depths = _rooted_trees(adjacency)
         # Weight of each node's tree edge from its parent; +inf at the root.
-        tree_entries = np.where(parents >= 0, _row_entries(support, parents.clip(min=0)), np.inf)
+        tree_entries = np.where(parents >= 0,
+                                _row_entries(positions, weights, parents.clip(min=0)), np.inf)
         positive_tree = ~(tree_entries.min(axis=1) <= 0.0)
         # Strong steps weigh every graph edge: as many positive edge entries as edges.
-        weighted = adjacency.reshape(-1)[rows * m + cols] & (weights > 0.0)
+        weighted = adjacency.reshape(-1)[positions] & (weights > 0.0)
         strong = (counts == m) & (np.add.reduceat(weighted, starts[::m], dtype=np.intp)
                                   == [np.count_nonzero(x) for x in adjacency])
 

@@ -583,14 +583,17 @@ class TestValidateBeforeWork:
           "weights": {"scheme": "equal-neighbor"}},
          "graph.extra_edge_prob must be a finite number, not [0.1]"),
         ({"graph": {"kind": "periodic", "graphs": 5}}, "graph.graphs must be a list of objects"),
-        # the edges of a graph's own JSON are read when the graph is built
-        ({"graph": {"kind": "static", "graph": {"m": 8, "edges": 5}}}, "configuration error: "),
+        ({"graph": {"kind": "static", "graph": {"m": 8, "edges": 5}}},
+         "graph.graph.edges must be a list of two-integer lists, not 5"),
+        ({"graph": {"kind": "periodic", "graphs": [{"m": 8, "edges": [[1, 2], [2, 1]]},
+                                                   {"m": 8, "edges": [[1, 2], [2, 1, 3]]}]}},
+         "graph.graphs[1].edges must be a list of two-integer lists, not a list holding [2, 1, 3]"),
         ({"weights": {"scheme": "custom", "matrices": 5}},
          "weights.matrices must be a list of objects"),
         ({"weights": {"scheme": 5}}, "weights.scheme must be one of"),
     ], ids=["list-regular_tree_d", "list-gamma", "list-extra_edge_prob",
-            "number-periodic-graphs", "number-static-edges", "number-custom-matrices",
-            "number-scheme"])
+            "number-periodic-graphs", "number-static-edges", "triple-periodic-edges",
+            "number-custom-matrices", "number-scheme"])
     def test_wrong_type_value_exit_2_without_output(self, tmp_path, monkeypatch, caplog, capsys,
                                                     overrides, message):
         """A value of the wrong JSON type is bad input, not a crash, and is named

@@ -13,8 +13,9 @@ from consensus_lab import (AsymmetricGraph, DiGraph, GammaTooSmall, GraphSequenc
                            roots, verify_compliance, weights)
 from consensus_lab import cli, engine
 from consensus_lab.graphs import _rooted_trees
+from consensus_lab.lyapunov import decrement_series
 from oracles import (edges, equal_neighbor_dense, laplacian_dense, lazy_metropolis_dense,
-                     quarter_dense, rooted_trees_per_graph, tree_edges,
+                     pairwise_decrement_sum, quarter_dense, rooted_trees_per_graph, tree_edges,
                      verify_compliance_per_step)
 
 
@@ -403,13 +404,19 @@ def mixed_symmetric_stack(m: int, rng) -> np.ndarray:
                     + [a | a.T for a in drawn])
 
 
+def column_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned type that holds ``m - 1``, for the sizes tested here."""
+    return np.dtype(np.uint8 if m <= 256 else np.uint16)
+
+
 def assert_builds(support, want):
     """A builder's row support holds exactly the dense oracle's nonzeros, bit for bit."""
     m = want.shape[-1]
     rows, cols = np.nonzero(want.reshape(-1, m))
-    assert support[0].tobytes() == rows.tobytes()
-    assert support[1].tobytes() == cols.tobytes()
-    assert support[2].tobytes() == want.reshape(-1, m)[rows, cols].tobytes()
+    assert support[0].dtype == column_dtype(m)
+    assert support[0].tobytes() == cols.astype(column_dtype(m)).tobytes()
+    assert support[1].tobytes() == want.reshape(-1, m)[rows, cols].tobytes()
+    assert support[2].tobytes() == np.searchsorted(rows, np.arange(want.size // m)).tobytes()
     assert weights._dense(support, m).tobytes() == want.tobytes()
 
 
@@ -442,12 +449,13 @@ class TestStackedBuilds:
         for a, g in zip(stacked, graphs):
             assert a.tobytes() == equal_neighbor_dense(g.adjacency).tobytes()
 
-    @pytest.mark.parametrize("m", [2, 5, 8, 9, 96, 130, 300])
+    @pytest.mark.parametrize("m", [2, 5, 8, 9, 96, 130, 256, 257, 300])
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.1, 0.5, 1.0])
     def test_support_build_bit_identical_to_dense(self, m, p):
         """Row supports and block-densified steps hold the dense build's bits.
 
-        From ``m = 257`` on the dense row sums take more than one chunk.
+        From ``m = 257`` on the dense row sums take more than one chunk, and
+        the column index, at most ``m - 1``, outgrows one byte.
         """
         seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(m, p, seed=m),
                                          "equal-neighbor")
@@ -460,9 +468,10 @@ class TestStackedBuilds:
                                         range(0, horizon, seq.block_steps)):
             block = want[steps]
             rows, cols = np.nonzero(block.reshape(-1, m))
-            assert support[0].tobytes() == rows.tobytes()
-            assert support[1].tobytes() == (rows // m * m + cols).tobytes()
-            assert support[2].tobytes() == block.reshape(-1, m)[rows, cols].tobytes()
+            assert support[0].tobytes() == (rows // m * m + cols).tobytes()
+            assert support[1].tobytes() == block.reshape(-1, m)[rows, cols].tobytes()
+            starts = np.searchsorted(rows, np.arange(block.size // m))
+            assert support[2].tobytes() == starts.tobytes()
             assert steps[0] == t0
         for t, (a, g) in enumerate(zip(seq.dense_steps(range(horizon)), graphs)):
             assert a.tobytes() == want[t].tobytes()
@@ -474,13 +483,13 @@ class TestStackedBuilds:
                                          "equal-neighbor")
         a = np.stack([seq.matrix_at(t) for t in range(5)])
         support = weights._row_supports(a)
+        assert support[0].dtype == np.uint8
         for k, mat in enumerate(a):
             rows, cols = np.nonzero(mat)
-            want = (rows, cols, mat[rows, cols],
-                    np.searchsorted(rows, np.arange(40)))
-            rows, cols, values, starts = weights._prefix(support, k + 1, 40)
+            want = (cols, mat[rows, cols], np.searchsorted(rows, np.arange(40)))
+            cols, values, starts = weights._prefix(support, k + 1, 40)
             start = starts[k * 40]
-            got = (rows[start:] - k * 40, cols[start:], values[start:], starts[k * 40:] - start)
+            got = (cols[start:], values[start:], starts[k * 40:] - start)
             for x, y in zip(got, want):
                 assert np.array_equal(x, y)
 
@@ -506,14 +515,46 @@ def test_random_rooted_cache_holds_row_supports_only():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    cached = sum(s[3].size for s in seq._cache.values()) // m
+    cached = sum(s[2].size for s in seq._cache.values()) // m
     assert cached >= horizon
+    assert all(s[0].dtype == np.uint8 for s in seq._cache.values())
     nnz = sum(s[0].size for s in seq._cache.values()) / cached
     per_step = held / cached
-    # rows, cols and weights take 8 bytes per nonzero each, and the row
-    # starts 8 per row; the rest is Python object overhead.
-    assert per_step <= 24 * nnz + 8 * m + 2048
+    # A one-byte column and an 8-byte weight per nonzero, and the row starts
+    # 8 bytes per row; the rest is Python object overhead.
+    assert per_step <= 10 * nnz + 8 * m + 2048
     assert per_step < 0.5 * 8 * m * m
+
+
+@pytest.mark.parametrize("m", [96, 130])
+@pytest.mark.parametrize("read_first", [False, True], ids=["compliance-first", "read-first"])
+def test_partial_block_completed_by_a_later_read(m, read_first):
+    """A block that compliance builds only in part is completed by a read past its horizon.
+
+    Compliance over a horizon that ends two steps into block 1 caches those
+    two steps, also over a whole block that a read built first.  Reading
+    further completes the block, shifting the new steps' row starts, and
+    every dense step and decrement keeps the dense oracle's bits.
+    """
+    seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(m, 0.1, seed=m),
+                                     "equal-neighbor")
+    size = seq.block_steps
+    horizon, longer = size + 2, 3 * size
+    assert size > 2
+    if read_first:
+        seq.matrix_at(horizon)   # block 1's third step
+        assert seq._cache[1][2].size == size * m
+    assert verify_compliance(seq, horizon).ok
+    assert seq._cache[1][2].size == 2 * m
+    want = equal_neighbor_dense(np.stack([seq.graph_at(t).adjacency for t in range(longer)]))
+    rng = np.random.default_rng(m)
+    states = rng.uniform(-1.0, 1.0, (longer + 1, m, 1))
+    pi = rng.dirichlet(np.ones(m), longer + 1)
+    series = decrement_series(seq, states, pi)
+    assert seq._cache[1][2].size == size * m and seq._cache[1][0].dtype == np.uint8
+    for t, a in enumerate(seq.dense_steps(range(longer))):
+        assert a.tobytes() == want[t].tobytes()
+        assert series[t] == pairwise_decrement_sum(want[t], states[t], pi[t + 1])
 
 
 def _rooted_scenario(horizon: int) -> dict:
@@ -531,10 +572,10 @@ def test_steps_past_the_horizon_are_checked(monkeypatch, tmp_path):
     def corrupt(self, steps):
         support, adjacency = build(self, steps)
         if horizon + 3 in steps:
-            rows, cols, weights, starts = support
+            cols, weights, starts = support
             weights = weights.copy()
             weights[starts[(horizon + 3 - steps[0]) * self.m]] += 0.5
-            support = (rows, cols, weights, starts)
+            support = (cols, weights, starts)
         return support, adjacency
 
     monkeypatch.setattr(MatrixSequence, "stack", corrupt)
@@ -559,7 +600,7 @@ def test_every_built_step_is_checked_once(monkeypatch):
         return build(self, steps)
 
     def counted_check(support, m):
-        checked["rows"] += support[3].size
+        checked["rows"] += support[2].size
         return row_stochastic(support, m)
 
     monkeypatch.setattr(MatrixSequence, "stack", counted_build)
