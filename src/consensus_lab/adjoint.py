@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import substream
-from .weights import MatrixSequence
+from .weights import COLUMN_SUM_TOL, MatrixSequence, _column_errors
 
 STOCHASTIC_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
@@ -93,13 +93,13 @@ def adjoint_residuals(vectors: np.ndarray, seq: MatrixSequence) -> np.ndarray:
 
 
 def uniform_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbabilitySequence:
-    """The uniform sequence ``pi(t) = 1/m``; valid only for doubly stochastic chains."""
+    """The uniform sequence ``pi(t) = 1/m``; needs columns summing to 1, as compliance checks."""
     m = seq.m
-    steps = seq.distinct_steps(horizon)
-    for t, a in zip(steps, seq.dense_steps(steps)):
-        err = np.abs(a.sum(axis=0) - 1.0).max()
-        if err > STOCHASTIC_TOL:
-            raise NotDoublyStochastic(f"t={t}: column sums off by {err:.3e}")
+    for steps, support in seq.supports(len(seq.distinct_steps(horizon))):
+        errors = _column_errors(support, m)
+        k = int(np.argmin(errors <= COLUMN_SUM_TOL))   # the first failing matrix, if any
+        if not errors[k] <= COLUMN_SUM_TOL:
+            raise NotDoublyStochastic(f"t={steps[k]}: column sums off by {errors[k]:.3e}")
     return _constant_adjoint(seq, horizon, np.full(m, 1.0 / m), "uniform")
 
 
@@ -186,9 +186,8 @@ def stationary_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbability
     chain without a unique positive stationary vector is rejected there.
     """
     a = seq.matrix_at(0)
-    for t in seq.distinct_steps(horizon + 1)[1:]:
-        if not np.array_equal(seq.matrix_at(t), a):
-            raise ValueError("stationary method needs a constant matrix sequence")
+    if not all(np.array_equal(b, a) for b in seq.dense_steps(seq.distinct_steps(horizon + 1))):
+        raise ValueError("stationary method needs a constant matrix sequence")
     vals, vecs = np.linalg.eig(a.T)
     idx = int(np.argmin(np.abs(vals - 1.0)))
     v = np.real(vecs[:, idx])

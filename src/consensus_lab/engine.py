@@ -265,8 +265,7 @@ def build_matrix_sequence(config: RunConfig, graph_seq: GraphSequence) -> Matrix
     spec = config.weights
     scheme = spec.get("scheme")
     if scheme == "custom":
-        mats = [np.array(mm["rows"], dtype=float) for mm in spec["matrices"]]
-        return MatrixSequence.custom(mats, graph_seq)
+        return MatrixSequence.custom([mm["rows"] for mm in spec["matrices"]], graph_seq)
     params = {"gamma": float(spec["gamma"])} if scheme == "laplacian" else {}
     try:
         return MatrixSequence.from_scheme(graph_seq, scheme, **params)

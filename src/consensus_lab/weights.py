@@ -152,14 +152,6 @@ def _builder(scheme: str):
     return builders[scheme]
 
 
-def _support_adjacency(a: np.ndarray) -> np.ndarray:
-    """Positive off-diagonal entries of an ``(..., m, m)`` stack, as in-adjacencies."""
-    support = a > 0.0
-    diag = np.arange(a.shape[-1])
-    support[..., diag, diag] = False
-    return support
-
-
 def _row_supports(a: np.ndarray) -> tuple:
     """Row support of an ``(s, m, m)`` stack, its row-major nonzeros, in CSR form.
 
@@ -182,11 +174,11 @@ def _row_supports(a: np.ndarray) -> tuple:
             np.cumsum(counts) - counts)
 
 
-def _prefix(support: tuple, count: int, m: int) -> tuple:
-    """The row support of a block's first ``count`` matrices."""
+def _matrices(support: tuple, lo: int, hi: int, m: int) -> tuple:
+    """The row support of a block's matrices ``lo`` to ``hi - 1``: views, row starts from 0."""
     cols, weights, starts = support
-    end = starts[count * m] if count * m < starts.size else cols.size
-    return cols[:end], weights[:end], starts[:count * m]
+    first, end = starts[lo * m], (starts[hi * m] if hi * m < starts.size else cols.size)
+    return cols[first:end], weights[first:end], starts[lo * m:hi * m] - first
 
 
 def _lengths(starts: np.ndarray, end: int) -> np.ndarray:
@@ -209,14 +201,6 @@ def _block_columns(support: tuple, m: int) -> np.ndarray:
     return np.repeat(np.arange(0, starts.size, m), _lengths(starts[::m], cols.size)) + cols
 
 
-def _dense(support: tuple, m: int) -> np.ndarray:
-    """The read-only ``(s, m, m)`` stack of a block's row support: one scatter into zeros."""
-    a = np.zeros((support[2].size // m, m, m))
-    a.reshape(-1)[_positions(support, m)] = support[1]
-    a.setflags(write=False)
-    return a
-
-
 def _row_stochastic(support: tuple, m: int) -> np.ndarray:
     """Per matrix: finite nonnegative weights, rows summing to 1 within ``ROW_SUM_TOL``.
 
@@ -226,6 +210,13 @@ def _row_stochastic(support: tuple, m: int) -> np.ndarray:
     sums_ok = np.abs(np.add.reduceat(weights, starts) - 1.0) <= ROW_SUM_TOL
     return sums_ok.reshape(-1, m).all(axis=1) & np.logical_and.reduceat(weights >= 0.0,
                                                                          starts[::m])
+
+
+def _column_errors(support: tuple, m: int) -> np.ndarray:
+    """Per matrix of a support with columns ``k*m + j``, the largest column sum's error."""
+    columns, weights, starts = support
+    sums = np.bincount(columns, weights, minlength=starts.size)
+    return np.abs(sums - 1.0).reshape(-1, m).max(axis=1)
 
 
 def _row_entries(positions: np.ndarray, weights: np.ndarray,
@@ -243,34 +234,31 @@ def _row_entries(positions: np.ndarray, weights: np.ndarray,
 class MatrixSequence:
     """Time-indexed row-stochastic matrices; ``matrix_at(t)`` defined for every ``t >= 0``.
 
-    ``matrices`` is a cycle, one read-only ``(p, m, m)`` array: an explicit
-    custom list, or one matrix per graph of a static or periodic graph
-    sequence, built at once by the scheme.  On a random-rooted graph
-    sequence ``matrices`` is ``None`` and the scheme builds
-    the steps from their graphs, ``block_steps`` consecutive steps at a
-    time, each block kept as one row support (:func:`_row_supports`), about
-    9 bytes per nonzero and 8 per row where a dense step takes ``8 m^2``.  A
-    block built on demand, such as the adjoint's steps past the horizon, is
-    checked row-stochastic when it is built; compliance checks the blocks
-    it builds.  Without a graph sequence the graphs are the positive
-    off-diagonal support of the matrices.
+    ``_cache`` holds the matrices, a row support (:func:`_row_supports`) per
+    block: about 9 bytes per nonzero and 8 per row, where a dense matrix
+    takes ``8 m^2``.  Block 0 of a cycle of ``period`` matrices, a custom
+    list or one per graph of a static or periodic graph sequence, is all of
+    them, made once, at construction.  On a random-rooted graph sequence
+    ``period`` is 0 and the scheme builds the steps from their graphs,
+    ``block_steps`` at a time; a block built on demand, such as the
+    adjoint's steps past the horizon, is checked row-stochastic then, and
+    compliance checks the blocks it builds.  Without a graph sequence the
+    graphs are the positive off-diagonal support of the matrices.
     """
 
     scheme: str
+    m: int
+    period: int
     graph_seq: GraphSequence | None = None
     params: dict = field(default_factory=dict)
-    matrices: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def from_scheme(graph_seq: GraphSequence, scheme: str, **params) -> "MatrixSequence":
         build = _builder(scheme)  # rejects an unknown scheme
-        matrices = None
-        if graph_seq.graphs:
-            matrices = _dense(build(np.stack([g.adjacency for g in graph_seq.graphs]), **params),
-                              graph_seq.m)
-        return MatrixSequence(scheme=scheme, graph_seq=graph_seq, params=dict(params),
-                              matrices=matrices)
+        graphs = graph_seq.graphs
+        cache = {0: build(np.stack([g.adjacency for g in graphs]), **params)} if graphs else {}
+        return MatrixSequence(scheme, graph_seq.m, len(graphs), graph_seq, dict(params), cache)
 
     @staticmethod
     def custom(matrices, graph_seq: GraphSequence | None = None) -> "MatrixSequence":
@@ -283,18 +271,11 @@ class MatrixSequence:
             raise ValueError("custom matrices must be square and all of one size")
         if graph_seq is not None and graph_seq.m != m:
             raise ValueError(f"custom matrices are {m}x{m}, but the graph has m={graph_seq.m}")
-        stack = np.stack(mats)
-        if not _row_stochastic(_row_supports(stack), m).all():
+        support = _row_supports(np.stack(mats))
+        if not _row_stochastic(support, m).all():
             raise ValueError(f"entries must be finite and nonnegative, and each row must "
                              f"sum to 1 within {ROW_SUM_TOL}")
-        stack.setflags(write=False)
-        return MatrixSequence(scheme="custom", graph_seq=graph_seq, matrices=stack)
-
-    @property
-    def m(self) -> int:
-        if self.graph_seq is not None:
-            return self.graph_seq.m
-        return self.matrices.shape[-1]
+        return MatrixSequence("custom", m, len(mats), graph_seq, _cache={0: support})
 
     @property
     def block_steps(self) -> int:
@@ -304,26 +285,27 @@ class MatrixSequence:
     def graph_at(self, t: int) -> DiGraph:
         if self.graph_seq is not None:
             return self.graph_seq.graph_at(t)
-        return DiGraph.from_adjacency(_support_adjacency(self.matrix_at(t)))
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        m, k = self.m, t % self.period
+        support = _matrices(self._cache[0], k, k + 1, m)
+        positive = _positions(support, m)[support[1] > 0.0]
+        adjacency = np.isin(np.arange(m * m), positive[positive % (m + 1) != 0])
+        return DiGraph.from_adjacency(adjacency.reshape(m, m))
 
     def distinct_steps(self, horizon: int) -> range:
         """The steps ``t < horizon`` whose (matrix, graph) pair no earlier step repeats.
 
         Step ``t`` uses the pair of step ``t % len(result)``.  Cyclic matrices
-        and graphs repeat after ``lcm(len(matrices), len(graphs))`` steps; on a
+        and graphs repeat after ``lcm(period, len(graphs))`` steps; on a
         random-rooted graph sequence every step is distinct.
         """
-        gseq = self.graph_seq
-        if gseq is not None and not gseq.graphs:
-            return range(horizon)
-        period = math.lcm(len(self.matrices), len(gseq.graphs) if gseq is not None else 1)
-        return range(min(period, horizon))
+        graphs = 1 if self.graph_seq is None else len(self.graph_seq.graphs)
+        return range(min(math.lcm(self.period, graphs), horizon) if graphs else horizon)
 
     def matrix_at(self, t: int) -> np.ndarray:
         if t < 0:
             raise ValueError("t must be >= 0")
-        if self.matrices is not None:
-            return self.matrices[t % len(self.matrices)]
         a = next(self.dense_steps(range(t, t + 1))).copy()   # not the whole block's buffer
         a.setflags(write=False)
         return a
@@ -331,58 +313,52 @@ class MatrixSequence:
     def dense_steps(self, steps: range):
         """``matrix_at(t)`` for each ``t`` of a range, read-only.
 
-        A random-rooted sequence scatters a block of steps at a time into one
-        buffer, which it zeroes again entry by entry, so a matrix is
-        overwritten once the next block is read: copy it to keep it.
+        A block, a whole cycle or ``block_steps`` random-rooted steps, is scattered at
+        once into one buffer, zeroed again entry by entry for the next block, so
+        a matrix is overwritten once the next block is read: copy it to keep it.
         """
-        if self.matrices is not None:
-            for t in steps:
-                yield self.matrices[t % len(self.matrices)]
-            return
-        size, m = self.block_steps, self.m
+        size, m = self.period or self.block_steps, self.m
         buf = np.zeros(size * m * m)
         view = buf.reshape(size, m, m)[:]
         view.setflags(write=False)
         flat = []
-        for b, group in itertools.groupby(steps, lambda t: t // size):
-            ts = list(group)
-            count = max(ts) - b * size + 1
-            support = _prefix(self._block(b, count), count, m)
+        for b, ts in itertools.groupby(steps, lambda t: 0 if self.period else t // size):
+            ks = [t % size for t in ts]
+            lo = min(ks)
+            support = self._block(b, lo, max(ks) + 1)
             buf[flat] = 0.0
-            flat = _positions(support, m)
+            flat = _positions(support, m) + lo * m * m
             buf[flat] = support[1]
-            yield from (view[t - b * size] for t in ts)
+            yield from (view[k] for k in ks)
 
     def supports(self, horizon: int, n: int = 1):
         """``(steps, support)`` over ``t < horizon``: steps and their matrices' row support.
 
         One group per random-rooted block, its support's columns shifted to
         ``k*m + j`` (:func:`_block_columns`).  On a cyclic sequence, the
-        steps ``r, r + period, ...`` that share distinct step ``r``'s
-        support, in groups whose nonzeros gather at most ``_BLOCK_ENTRIES``
-        entries of ``n``-coordinate states.
+        steps ``r, r + period, ...`` that share matrix ``r``, in groups whose
+        nonzeros gather at most ``_BLOCK_ENTRIES`` entries of
+        ``n``-coordinate states.
         """
         m = self.m
-        if self.matrices is None:
+        if not self.period:
             for start in range(0, horizon, self.block_steps):
                 count = min(self.block_steps, horizon - start)
-                support = _prefix(self._block(start // self.block_steps, count), count, m)
-                yield np.arange(start, start + count), (_block_columns(support, m),
-                                                        *support[1:])
+                support = self._block(start // self.block_steps, 0, count)
+                yield np.arange(start, start + count), (_block_columns(support, m), *support[1:])
             return
-        period = len(self.distinct_steps(horizon))
-        for r in range(period):
-            support = _row_supports(self.matrix_at(r)[None])
-            steps = np.arange(r, horizon, period)
+        for r in range(min(self.period, horizon)):
+            support = _matrices(self._cache[0], r, r + 1, m)
+            steps = np.arange(r, horizon, self.period)
             size = max(1, _BLOCK_ENTRIES // (support[0].size * n))
             for s in range(0, steps.size, size):
                 yield steps[s:s + size], support
 
-    def _block(self, b: int, count: int) -> tuple:
-        """Row support of random-rooted block ``b``, completed and checked if under ``count``."""
+    def _block(self, b: int, lo: int, hi: int) -> tuple:
+        """Matrices ``lo..hi-1`` of block ``b``; a random-rooted one is completed and checked."""
         support = self._cache.get(b)
         have = 0 if support is None else support[2].size // self.m
-        if have < count:
+        if have < hi:
             start = b * self.block_steps + have
             new = self.stack(range(start, (b + 1) * self.block_steps))[0]
             ok = _row_stochastic(new, self.m)
@@ -392,19 +368,27 @@ class MatrixSequence:
                 new = tuple(map(np.concatenate, zip(support, (*new[:2],
                                                               new[2] + support[0].size))))
             self._cache[b] = support = new
-        return support
+        return _matrices(support, lo, hi, self.m)
 
     def stack(self, steps: range) -> tuple[tuple, np.ndarray]:
         """Unchecked row support and ``(len(steps), m, m)`` graph in-adjacencies of a step range.
 
-        A random-rooted sequence draws and builds the steps, and caches a block's first steps.
+        A cycle slices its support, repeated if the steps wrap.  A random-rooted sequence
+        draws and builds the steps, caching them if they begin a block cached shorter.
         """
         adjacency = np.stack([self.graph_at(t).adjacency for t in steps])
-        if self.matrices is not None:
-            return _row_supports(np.stack([self.matrix_at(t) for t in steps])), adjacency
+        if self.period:
+            cols, weights, starts = self._cache[0]
+            lo = steps[0] % self.period
+            reps = -(-(lo + len(steps)) // self.period)
+            if reps > 1:
+                starts = (starts + cols.size * np.arange(reps)[:, None]).ravel()
+                cols, weights = np.tile(cols, reps), np.tile(weights, reps)
+            return _matrices((cols, weights, starts), lo, lo + len(steps), self.m), adjacency
         support = _builder(self.scheme)(adjacency, **self.params)
-        if steps[0] % self.block_steps == 0:
-            self._cache[steps[0] // self.block_steps] = support
+        b, first = divmod(steps[0], self.block_steps)
+        if not first and support[2].size >= self._cache.get(b, support)[2].size:
+            self._cache[b] = support
         return support, adjacency
 
 
@@ -464,8 +448,8 @@ def verify_compliance(seq: MatrixSequence, horizon: int) -> ComplianceReport:
         stochastic = _row_stochastic(support, m)
         diag = _row_entries(positions, weights, nodes)
         positive_diag = ~(diag.min(axis=1) <= 0.0)
-        column_sums = np.bincount(_block_columns(support, m), weights, minlength=nodes.size)
-        columns = (np.abs(column_sums - 1.0) <= COLUMN_SUM_TOL).reshape(-1, m).all(axis=1)
+        columns = (_column_errors((_block_columns(support, m), weights, starts), m)
+                   <= COLUMN_SUM_TOL)
         counts, _, parents, depths = _rooted_trees(adjacency)
         # Weight of each node's tree edge from its parent; +inf at the root.
         tree_entries = np.where(parents >= 0,

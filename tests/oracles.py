@@ -11,7 +11,8 @@ is the record loop that iterating ``Certificates`` replaces with columns.
 ``weights.verify_compliance`` checks each distinct step once, a block of
 steps at a time; ``rooted_trees_per_graph`` is the per-graph root and tree
 search behind it.  ``equal_neighbor_dense`` is the dense equal-neighbor
-build that the row-support build must reproduce bit for bit.  ``edges``
+build that the row-support build must reproduce bit for bit, and
+``dense_stack`` the dense matrices of a row support.  ``edges``
 gives a graph's edge pairs as a set.  The ``*_point`` functions are the
 point-by-point set code that the batched projections in
 ``consensus_lab.sets`` must reproduce bit for bit; given a tuple of sets,
@@ -37,7 +38,7 @@ from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_
                                 Halfspace, Hyperplane, InteriorBallNotContained, Intersection,
                                 NoInformativeSamples, RegularityEstimate, _vec)
 from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
-                                   MatrixSequence, _row_supports)
+                                   MatrixSequence, _positions, _row_supports)
 
 NORM_SLACK = 1.0 + 1e-6
 
@@ -375,6 +376,14 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
         records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
         records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
     return records
+
+
+def dense_stack(support: tuple, m: int) -> np.ndarray:
+    """The read-only ``(s, m, m)`` stack of a block's row support: one scatter into zeros."""
+    a = np.zeros((support[2].size // m, m, m))
+    a.reshape(-1)[_positions(support, m)] = support[1]
+    a.setflags(write=False)
+    return a
 
 
 def equal_neighbor_dense(adjacency: np.ndarray) -> np.ndarray:

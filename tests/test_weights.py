@@ -1,7 +1,7 @@
 import gc
 import json
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -14,9 +14,9 @@ from consensus_lab import (AsymmetricGraph, DiGraph, GammaTooSmall, GraphSequenc
 from consensus_lab import cli, engine
 from consensus_lab.graphs import _rooted_trees
 from consensus_lab.lyapunov import decrement_series
-from oracles import (edges, equal_neighbor_dense, laplacian_dense, lazy_metropolis_dense,
-                     pairwise_decrement_sum, quarter_dense, rooted_trees_per_graph, tree_edges,
-                     verify_compliance_per_step)
+from oracles import (dense_stack, edges, equal_neighbor_dense, laplacian_dense,
+                     lazy_metropolis_dense, pairwise_decrement_sum, quarter_dense,
+                     rooted_trees_per_graph, tree_edges, verify_compliance_per_step)
 
 
 def two_cycle():
@@ -29,7 +29,7 @@ def triangle():
 
 def built(builder, g, *args) -> np.ndarray:
     """The dense matrix a stacked builder gives for the one graph ``g``."""
-    return weights._dense(builder(g.adjacency[None], *args), g.m)[0]
+    return dense_stack(builder(g.adjacency[None], *args), g.m)[0]
 
 
 def is_doubly_stochastic(a: np.ndarray) -> bool:
@@ -225,8 +225,9 @@ class TestComplianceNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_neither(self, bad):
         # built directly: MatrixSequence.custom rejects the entry on construction
-        seq = MatrixSequence(scheme="custom", graph_seq=GraphSequence.static(two_cycle()),
-                             matrices=np.array([[[0.5, bad], [0.5, 0.5]]]))
+        support = weights._row_supports(np.array([[[0.5, bad], [0.5, 0.5]]]))
+        seq = MatrixSequence(scheme="custom", m=2, period=1,
+                             graph_seq=GraphSequence.static(two_cycle()), _cache={0: support})
         report = verify_compliance(seq, 5)
         assert report.level == "neither"
         assert "row-stochastic" in report.violation
@@ -351,7 +352,8 @@ class TestComplianceBlockEdges:
         period, bad = 2 * size + 3, size + 2
         assert 1 <= size < bad < 2 * size
         gseq = _periodic_graphs(period)
-        mats = list(MatrixSequence.from_scheme(gseq, "equal-neighbor").matrices)
+        built_seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
+        mats = [built_seq.matrix_at(t) for t in range(period)]
         if kind == "tree edge":
             mats[bad] = _with_zero_tree_edge(mats[bad], gseq.graphs[bad])
             seq = MatrixSequence.custom(mats, gseq)
@@ -417,7 +419,7 @@ def assert_builds(support, want):
     assert support[0].tobytes() == cols.astype(column_dtype(m)).tobytes()
     assert support[1].tobytes() == want.reshape(-1, m)[rows, cols].tobytes()
     assert support[2].tobytes() == np.searchsorted(rows, np.arange(want.size // m)).tobytes()
-    assert weights._dense(support, m).tobytes() == want.tobytes()
+    assert dense_stack(support, m).tobytes() == want.tobytes()
 
 
 class TestStackedBuilds:
@@ -444,8 +446,8 @@ class TestStackedBuilds:
     def test_equal_neighbor_stack_bit_identical_to_per_graph(self):
         rng = np.random.default_rng(61)
         graphs = [random_rooted_graph(96, p, rng) for p in (0.0, 0.02, 0.1, 0.5) * 10]
-        stacked = weights._dense(equal_neighbor_weights(np.stack([g.adjacency for g in graphs])),
-                                 96)
+        stacked = dense_stack(equal_neighbor_weights(np.stack([g.adjacency for g in graphs])),
+                              96)
         for a, g in zip(stacked, graphs):
             assert a.tobytes() == equal_neighbor_dense(g.adjacency).tobytes()
 
@@ -487,10 +489,7 @@ class TestStackedBuilds:
         for k, mat in enumerate(a):
             rows, cols = np.nonzero(mat)
             want = (cols, mat[rows, cols], np.searchsorted(rows, np.arange(40)))
-            cols, values, starts = weights._prefix(support, k + 1, 40)
-            start = starts[k * 40]
-            got = (cols[start:], values[start:], starts[k * 40:] - start)
-            for x, y in zip(got, want):
+            for x, y in zip(weights._matrices(support, k, k + 1, 40), want):
                 assert np.array_equal(x, y)
 
     def test_row_support_rejects_an_empty_row(self):
@@ -500,30 +499,58 @@ class TestStackedBuilds:
             weights._row_supports(a[None])
 
 
-def test_random_rooted_cache_holds_row_supports_only():
-    """300 cached random-rooted steps hold ``O(nnz)`` bytes each, far below ``8 m^2``."""
-    m, horizon = 96, 300
-    seq, warm = (MatrixSequence.from_scheme(GraphSequence.random_rooted(m, 0.1, seed=seed),
-                                            "equal-neighbor") for seed in (3, 4))
-    next(warm.supports(1))   # numpy's one-time allocations stay out of the count
+def _held_after_supports(build, horizon):
+    """The sequence ``build()`` gives, and the bytes it holds once ``supports(horizon)`` ran."""
+    warm = build()   # numpy's one-time allocations stay out of the count
+    next(warm.supports(1))
+    del warm
     gc.collect()
     tracemalloc.start()
     try:
-        for _ in seq.supports(horizon):
-            pass
+        seq = build()
+        deque(seq.supports(horizon), maxlen=0)   # keeps no group alive
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    cached = sum(s[2].size for s in seq._cache.values()) // m
-    assert cached >= horizon
-    assert all(s[0].dtype == np.uint8 for s in seq._cache.values())
-    nnz = sum(s[0].size for s in seq._cache.values()) / cached
-    per_step = held / cached
-    # A one-byte column and an 8-byte weight per nonzero, and the row starts
-    # 8 bytes per row; the rest is Python object overhead.
-    assert per_step <= 10 * nnz + 8 * m + 2048
-    assert per_step < 0.5 * 8 * m * m
+    return seq, held
+
+
+def test_random_rooted_cache_holds_row_supports_only():
+    """Cached matrices hold ``O(nnz)`` bytes each, far below ``8 m^2``.
+
+    300 random-rooted steps, the one matrix of a static cubic tree and the
+    cycle of a periodic sequence: none is held as a dense ``(p, m, m)`` array.
+    """
+    horizon = 300
+    rng = np.random.default_rng(5)
+    graphs = {"random-rooted": GraphSequence.random_rooted(96, 0.1, seed=3),
+              "static cubic": GraphSequence.static(regular_tree_graph(8)),
+              "periodic": GraphSequence.periodic([random_rooted_graph(96, 0.1, rng)
+                                                  for _ in range(5)])}
+    for kind, gseq in graphs.items():
+        scheme = "quarter" if kind == "static cubic" else "equal-neighbor"
+        seq, held = _held_after_supports(lambda: MatrixSequence.from_scheme(gseq, scheme),
+                                         horizon)
+        m = seq.m
+        cached = sum(s[2].size for s in seq._cache.values()) // m
+        assert cached >= (horizon if kind == "random-rooted" else seq.period), kind
+        assert all(s[0].dtype == np.uint8 for s in seq._cache.values())
+        nnz = sum(s[0].size for s in seq._cache.values()) / cached
+        per_step = held / cached
+        # A one-byte column and an 8-byte weight per nonzero, and the row starts
+        # 8 bytes per row; the rest is Python object overhead.
+        assert per_step <= 10 * nnz + 8 * m + 2048, kind
+        assert per_step < 0.5 * 8 * m * m, kind
+
+
+def test_custom_negative_zero_entry_reads_as_zero():
+    """The row support keeps nonzeros only, so a custom ``-0.0`` entry reads back as ``0.0``."""
+    seq = MatrixSequence.custom([np.array([[1.0, -0.0], [0.5, 0.5]])])
+    a = seq.matrix_at(0)
+    assert a.tobytes() == np.array([[1.0, 0.0], [0.5, 0.5]]).tobytes()
+    assert not np.signbit(a[0, 1])
+    assert edges(seq.graph_at(0)) == {(0, 1)}
 
 
 @pytest.mark.parametrize("m", [96, 130])
@@ -532,7 +559,7 @@ def test_partial_block_completed_by_a_later_read(m, read_first):
     """A block that compliance builds only in part is completed by a read past its horizon.
 
     Compliance over a horizon that ends two steps into block 1 caches those
-    two steps, also over a whole block that a read built first.  Reading
+    two steps, but keeps a whole block that a read built first.  Reading
     further completes the block, shifting the new steps' row starts, and
     every dense step and decrement keeps the dense oracle's bits.
     """
@@ -545,7 +572,7 @@ def test_partial_block_completed_by_a_later_read(m, read_first):
         seq.matrix_at(horizon)   # block 1's third step
         assert seq._cache[1][2].size == size * m
     assert verify_compliance(seq, horizon).ok
-    assert seq._cache[1][2].size == 2 * m
+    assert seq._cache[1][2].size == (size if read_first else 2) * m
     want = equal_neighbor_dense(np.stack([seq.graph_at(t).adjacency for t in range(longer)]))
     rng = np.random.default_rng(m)
     states = rng.uniform(-1.0, 1.0, (longer + 1, m, 1))
