@@ -98,8 +98,11 @@ class CheckBlock:
 
     @cached_property
     def reprs(self) -> tuple[list[str], list[str]]:
-        """The ``repr`` of each ``lhs`` and ``rhs`` value, made once for both exports."""
-        return list(map(repr, self.lhs.tolist())), list(map(repr, self.rhs.tolist()))
+        """The ``repr`` of each ``lhs`` and ``rhs`` value, made once for both exports.
+
+        Each distinct value is formatted once (:func:`_distinct_reprs`).
+        """
+        return _distinct_reprs(self.lhs).tolist(), _distinct_reprs(self.rhs).tolist()
 
 
 class Certificates:
@@ -168,47 +171,58 @@ def summarize(certs: Certificates) -> dict:
             "by_check": by_check}
 
 
+def _distinct_reprs(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each value, made once per distinct bit pattern.
+
+    The ``int64`` view keeps ``-0.0`` apart from ``0.0`` (and each NaN
+    payload apart, which all print as ``nan``).
+    """
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, patterns.view(float).tolist())), dtype=object)
+    return table[inverse].reshape(values.shape)
+
+
 def _json_float(text: str) -> str:
     """A float's ``repr`` as the JSON encoder writes it."""
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
-def _write_groups(certs: Certificates, path, newline: str | None, head: str, sep: str,
-                  tail: str, row, cells) -> None:
-    """Each group as one ``%`` pass over its records' template.
+def _render_groups(certs: Certificates, head: str, sep: str, tail: str, row, cells):
+    """The text of an export in parts: ``head``, each group as one ``%`` pass
+    over its records' template, ``sep`` between groups, then ``tail``.
 
     ``row(block)`` is a block's record template with its constants filled in
     (``%`` escaped) and ``%d``, ``%s``, ``%s``, ``%s`` left for ``t``,
     ``lhs``, ``rhs`` and the verdict; ``cells(block)`` gives the ``lhs`` and
     ``rhs`` strings.
     """
-    with open(path, "w", newline=newline) as fh:
-        fh.write(head)
-        first = True
-        for g in certs.groups:
-            n = len(g[0])
-            if n == 0:
-                continue
-            columns = []
-            for b in g:
-                lhs, rhs = cells(b)
-                verdicts = np.where(b.passed, "pass", "fail").tolist()
-                columns += [range(b.t0, b.t0 + n), lhs, rhs, verdicts]
-            template = sep.join([sep.join(map(row, g))] * n)
-            fh.write(("" if first else sep)
-                     + template % tuple(chain.from_iterable(zip(*columns))))
-            first = False
-        fh.write(tail)
+    yield head
+    first = True
+    for g in certs.groups:
+        n = len(g[0])
+        if n == 0:
+            continue
+        columns = []
+        for b in g:
+            lhs, rhs = cells(b)
+            verdicts = np.where(b.passed, "pass", "fail").tolist()
+            columns += [range(b.t0, b.t0 + n), lhs, rhs, verdicts]
+        template = sep.join([sep.join(map(row, g))] * n)
+        yield ("" if first else sep) + template % tuple(chain.from_iterable(zip(*columns)))
+        first = False
+    yield tail
 
 
-def write_certificates_json(certs: Certificates, path) -> None:
-    """A JSON array with one compact record object per line.
+def certificates_json_text(certs: Certificates):
+    """The text of ``certificates.json``, in parts that concatenate to it.
 
-    The bytes are those of ``_ENCODER`` on each record's ``to_json_dict``: a
-    float is its ``repr``, except that ``nan``, ``inf`` and ``-inf`` become
-    ``NaN``, ``Infinity`` and ``-Infinity``.  Each block's check, ``k``,
-    ``slack`` and ``floor`` are encoded once, and its values' shared
-    ``reprs`` are rewritten only where a block holds a non-finite value.
+    A JSON array with one compact record object per line.  The bytes are
+    those of ``_ENCODER`` on each record's ``to_json_dict``: a float is its
+    ``repr``, except that ``nan``, ``inf`` and ``-inf`` become ``NaN``,
+    ``Infinity`` and ``-Infinity``, and the text is ASCII.  Each block's
+    check, ``k``, ``slack`` and ``floor`` are encoded once, and its values'
+    shared ``reprs`` are rewritten only where a block holds a non-finite
+    value.
     """
     def row(b: CheckBlock) -> str:
         const = (_ENCODER.encode(b.check), "null" if b.k is None else str(b.k),
@@ -220,7 +234,25 @@ def write_certificates_json(certs: Certificates, path) -> None:
         return [list(map(_json_float, strs)) if not np.isfinite(values).all() else strs
                 for values, strs in zip((b.lhs, b.rhs), b.reprs)]
 
-    _write_groups(certs, path, None, "[\n", ",\n", "\n]\n", row, cells)
+    return _render_groups(certs, "[\n", ",\n", "\n]\n", row, cells)
+
+
+def write_certificates_json(certs: Certificates, path) -> None:
+    """Write :func:`certificates_json_text` to ``path``."""
+    with open(path, "w") as fh:
+        fh.writelines(certificates_json_text(certs))
+
+
+def same_json_bytes(certs: Certificates, path) -> bool:
+    """Whether the file at ``path`` holds exactly :func:`certificates_json_text`.
+
+    The file is read one part of the text at a time, so neither is held
+    whole, and the compare stops at the first part that differs.
+    """
+    with open(path, "rb") as fh:
+        return (all(fh.read(len(part)) == part
+                    for part in map(str.encode, certificates_json_text(certs)))
+                and not fh.read(1))
 
 
 def write_certificates_csv(certs: Certificates, path) -> None:
@@ -236,5 +268,6 @@ def write_certificates_csv(certs: Certificates, path) -> None:
                  repr(b.floor))
         return "%s,%%d,%s,%%s,%%s,%s,%s,%%s\r\n" % tuple(c.replace("%", "%%") for c in const)
 
-    _write_groups(certs, path, "", "check,t,k,lhs,rhs,slack,floor,verdict\r\n", "", "", row,
-                  lambda b: b.reprs)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(_render_groups(certs, "check,t,k,lhs,rhs,slack,floor,verdict\r\n", "",
+                                     "", row, lambda b: b.reprs))

@@ -22,7 +22,7 @@ import numpy as np
 from . import engine
 from .adjoint import (AdjointResidualTooLarge, NotErgodicWithinWindow,
                       write_adjoint_csv, write_adjoint_sidecar)
-from .certificates import write_certificates_csv, write_certificates_json
+from .certificates import same_json_bytes, write_certificates_csv, write_certificates_json
 from .graphs import regular_tree_graph
 from .sets import (Ball, DykstraNotConverged, Intersection, NoInformativeSamples,
                    regularity_interior, regularity_sampling, set_from_json_dict)
@@ -128,6 +128,14 @@ def cmd_estimate_regularity(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Replay the stored run's certificates; exit 3 if any fails.
+
+    With ``--certificates``, the stored file must hold the replayed records
+    field for field and in record order, or the command exits 2.  A file
+    byte-equal to what ``simulate`` writes for the replay matches at once;
+    any other file is parsed and compared column by column
+    (:meth:`Certificates.matches`), so a reformatted file still matches.
+    """
     config = engine.RunConfig.from_json_dict(_load_json(Path(args.report))["config"])
     states, w = engine.read_trajectory_states(Path(args.trajectory), config.m,
                                               config.n, config.horizon)
@@ -139,8 +147,11 @@ def cmd_verify(args) -> int:
 
     # Whole records in record order, verdicts included: a stored verdict
     # that does not follow from its own fields cannot equal a replayed one.
-    if args.certificates and not result.certificates.matches(
-            _load_json(Path(args.certificates), list)):
+    # Every replayed record passed, so none holds a NaN, and a file with the
+    # bytes the writer gives the replay holds equal records.
+    if args.certificates and not (
+            same_json_bytes(result.certificates, args.certificates)
+            or result.certificates.matches(_load_json(Path(args.certificates), list))):
         log.error("stored certificates do not match the replay")
         return EXIT_CONFIG
     return EXIT_OK

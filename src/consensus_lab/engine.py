@@ -20,7 +20,8 @@ from . import seeding
 from .adjoint import (DEFAULT_MAX_WINDOW, DEFAULT_SPREAD_TOL, FIRST_WINDOW,
                       AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
                       uniform_adjoint)
-from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
+from .certificates import (CertificateRecord, Certificates, CheckBlock, _distinct_reprs,
+                           summarize)
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, geometric_envelope, noise_floor,
@@ -633,17 +634,6 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
 # trajectory CSV round trip
 
 _COLUMNS = ["t", "agent", "coord", "x", "w"]
-
-
-def _distinct_reprs(values: np.ndarray) -> np.ndarray:
-    """The ``repr`` of each value, made once per distinct bit pattern.
-
-    The ``int64`` view keeps ``-0.0`` apart from ``0.0`` (and each NaN
-    payload apart, which all print as ``nan``).
-    """
-    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    table = np.array(list(map(repr, patterns.view(float).tolist())), dtype=object)
-    return table[inverse].reshape(values.shape)
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:

@@ -516,6 +516,14 @@ def regularity_sampling(sets, region: Ball, samples: int, seed: int) -> Regulari
     radial factor ``rng.random() ** (1 / n)``, in Python's float power, one
     sample after another, so the stream does not depend on the block size.
     Each block of draws is then normalized, scaled and projected at once.
+
+    One pass over the sets keeps, per sample, its largest member distance
+    (the bits of :func:`distance`) and its projection onto a member at that
+    distance, so a block holds a few arrays of its samples, not one per set.
+    Where that projection violates no member (every violation exactly
+    ``0.0``), it is also the projection onto the intersection: the ratio is
+    exactly 1 and cannot raise ``r_hat`` above its start of 1.0, so only the
+    other informative samples run Dykstra.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -533,11 +541,20 @@ def regularity_sampling(sets, region: Ball, samples: int, seed: int) -> Regulari
             radial[i] = rng.random() ** (1.0 / n)
         directions /= _norm(directions)[:, None]
         points = region.center + (region.radius * radial)[:, None] * directions
-        dmax = np.max([distance(s, points) for s in sets], axis=0)
-        informative = ~(dmax <= 1e-9)
-        skipped += int(points.shape[0] - informative.sum())
-        if informative.any():
-            ratios = distance(intersection, points[informative]) / dmax[informative]
+        dmax, nearest = np.full(count, -np.inf), np.empty_like(points)
+        for s in sets:
+            projected = s.project(points)
+            d = _norm(points - projected)  # distance(s, points), without projecting again
+            farther = d > dmax
+            nearest[farther] = projected[farther]
+            dmax = np.maximum(dmax, d)
+        informative = np.flatnonzero(~(dmax <= 1e-9))
+        skipped += count - informative.size
+        # A projection onto one member that lies in every member is the
+        # projection onto their intersection, so its ratio is exactly 1.
+        rest = informative[intersection.violation(nearest[informative]) != 0.0]
+        if rest.size:
+            ratios = distance(intersection, points[rest]) / dmax[rest]
             r_hat = max(r_hat, float(ratios.max()))
     if skipped == samples:
         raise NoInformativeSamples("all samples lie in the intersection")

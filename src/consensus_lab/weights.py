@@ -313,23 +313,28 @@ class MatrixSequence:
     def dense_steps(self, steps: range):
         """``matrix_at(t)`` for each ``t`` of a range, read-only.
 
-        A block, a whole cycle or ``block_steps`` random-rooted steps, is scattered at
-        once into one buffer, zeroed again entry by entry for the next block, so
-        a matrix is overwritten once the next block is read: copy it to keep it.
+        The steps are read a block at a time, a whole cycle or ``block_steps``
+        random-rooted steps.  A block's matrices from the lowest to the
+        highest that the range reads are scattered at once into one buffer,
+        sized for the widest such read and zeroed again entry by entry for the
+        next block, so a matrix is overwritten once the next block is read:
+        copy it to keep it.  ``matrix_at`` thus scatters one matrix.
         """
         size, m = self.period or self.block_steps, self.m
-        buf = np.zeros(size * m * m)
-        view = buf.reshape(size, m, m)[:]
+        reads = [(b, [t % size for t in ts])
+                 for b, ts in itertools.groupby(steps, lambda t: 0 if self.period else t // size)]
+        width = max((max(ks) + 1 - min(ks) for _, ks in reads), default=0)
+        buf = np.zeros(width * m * m)
+        view = buf.reshape(width, m, m)[:]
         view.setflags(write=False)
         flat = []
-        for b, ts in itertools.groupby(steps, lambda t: 0 if self.period else t // size):
-            ks = [t % size for t in ts]
+        for b, ks in reads:
             lo = min(ks)
             support = self._block(b, lo, max(ks) + 1)
             buf[flat] = 0.0
-            flat = _positions(support, m) + lo * m * m
+            flat = _positions(support, m)
             buf[flat] = support[1]
-            yield from (view[k] for k in ks)
+            yield from (view[k - lo] for k in ks)
 
     def supports(self, horizon: int, n: int = 1):
         """``(steps, support)`` over ``t < horizon``: steps and their matrices' row support.
@@ -374,7 +379,8 @@ class MatrixSequence:
         """Unchecked row support and ``(len(steps), m, m)`` graph in-adjacencies of a step range.
 
         A cycle slices its support, repeated if the steps wrap.  A random-rooted sequence
-        draws and builds the steps, caching them if they begin a block cached shorter.
+        draws the steps' graphs; a block cached with every step slices its support, else
+        the steps are built and cached if they begin a block cached shorter.
         """
         adjacency = np.stack([self.graph_at(t).adjacency for t in steps])
         if self.period:
@@ -385,8 +391,11 @@ class MatrixSequence:
                 starts = (starts + cols.size * np.arange(reps)[:, None]).ravel()
                 cols, weights = np.tile(cols, reps), np.tile(weights, reps)
             return _matrices((cols, weights, starts), lo, lo + len(steps), self.m), adjacency
-        support = _builder(self.scheme)(adjacency, **self.params)
         b, first = divmod(steps[0], self.block_steps)
+        cached = self._cache.get(b)
+        if cached is not None and cached[2].size >= (first + len(steps)) * self.m:
+            return _matrices(cached, first, first + len(steps), self.m), adjacency
+        support = _builder(self.scheme)(adjacency, **self.params)
         if not first and support[2].size >= self._cache.get(b, support)[2].size:
             self._cache[b] = support
         return support, adjacency

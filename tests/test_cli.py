@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consensus_lab import cli, engine
+from consensus_lab import Certificates, cli, engine
 from test_certificates import polyhedron_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -316,6 +316,56 @@ class TestVerify:
         assert cli.main(["verify", "--report", str(out / "report.json"),
                          "--trajectory", str(out / "trajectory.csv"),
                          "--certificates", str(moved)]) == 0
+
+    @pytest.mark.parametrize("scenario", [quarter_scenario, constrained_scenario])
+    def test_written_file_matches_on_its_bytes(self, tmp_path, monkeypatch, scenario):
+        """The file ``simulate`` wrote is neither parsed nor compared field by field."""
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario(tmp_path)),
+                         "--out", str(out)]) == 0
+        load = json.load
+
+        def load_all_but_certificates(fh, *args, **kwargs):
+            if Path(fh.name).name == "certificates.json":
+                raise AssertionError("certificates.json was parsed")
+            return load(fh, *args, **kwargs)
+
+        def no_compare(self, stored):
+            raise AssertionError("Certificates.matches was called")
+
+        monkeypatch.setattr(json, "load", load_all_but_certificates)
+        monkeypatch.setattr(Certificates, "matches", no_compare)
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(out / "trajectory.csv"),
+                         "--certificates", str(out / "certificates.json")]) == 0
+
+    def test_one_ulp_in_the_written_layout_is_parsed_and_refused(self, tmp_path, monkeypatch):
+        """One ``lhs`` one ulp lower, in the writer's own layout: the bytes
+        differ, so the file is parsed and compared, and the compare fails."""
+        out = self._simulate(tmp_path)
+        text = (out / "certificates.json").read_text()
+        records = json.loads(text)
+        encoder = json.JSONEncoder(separators=(",", ":"))
+
+        def layout(records):
+            return "[\n" + ",\n".join(map(encoder.encode, records)) + "\n]\n"
+
+        assert layout(records) == text
+        r = records[5]
+        lower = float(np.nextafter(r["lhs"], 0.0))
+        assert 0.0 < lower < r["lhs"] and r["verdict"] == "pass"   # the verdict still follows
+        r["lhs"] = lower
+        bad = tmp_path / "one_ulp.json"
+        bad.write_text(layout(records))
+        compared = []
+        matches = Certificates.matches
+        monkeypatch.setattr(Certificates, "matches",
+                            lambda self, stored: compared.append(len(stored))
+                            or matches(self, stored))
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(out / "trajectory.csv"),
+                         "--certificates", str(bad)]) == 2
+        assert compared == [len(records)]
 
     def test_perturbed_state_fails(self, tmp_path):
         out = self._simulate(tmp_path)

@@ -545,6 +545,98 @@ class TestBatchedRegularity:
         assert (regularity_sampling(sets, region, samples, seed=1)
                 == regularity_sampling_points(sets, region, samples, seed=1))
 
+    @staticmethod
+    def around_a_point(rng, n):
+        """Two to five sets, each holding ``c`` within 0.05 to 0.5 of its boundary.
+
+        Halfspaces, boxes (some sides open), balls and polyhedra of two to
+        four such halfspaces, so no set holds another and most samples that
+        leave the intersection leave it at an angle.
+        """
+        c = rng.uniform(-1.0, 1.0, n)
+
+        def halfspace():
+            a = rng.normal(size=n)
+            return Halfspace(a, float(a @ c + np.linalg.norm(a) * rng.uniform(0.05, 0.5)))
+
+        def make(kind):
+            if kind == 0:
+                return halfspace()
+            if kind == 1:
+                lo, hi = c - rng.uniform(0.05, 0.5, n), c + rng.uniform(0.05, 0.5, n)
+                open_side = rng.random(n) < 0.25
+                return Box(np.where(open_side, -np.inf, lo), hi)
+            if kind == 2:
+                u = rng.normal(size=n)
+                radius = float(rng.uniform(0.5, 2.0))
+                inside = rng.uniform(0.05, 0.5)
+                return Ball(c + (radius - inside) * u / np.linalg.norm(u), radius)
+            return Intersection(tuple(halfspace() for _ in range(rng.integers(2, 5))))
+
+        sets = [make(k) for k in rng.integers(0, 4, size=rng.integers(2, 6))]
+        return sets, Ball(c + rng.uniform(-0.3, 0.3, n), float(rng.uniform(1.0, 3.0)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_families_match_reference(self, monkeypatch, seed):
+        """Both kinds of informative sample, with blocks of 37 samples and of
+        ``_SAMPLE_BLOCK``: the estimate equals the reference, which runs
+        Dykstra on every sample, field for field and bit for bit."""
+        rng = np.random.default_rng(100 + seed)
+        dykstra_points = []
+        distance = sets_module.distance
+
+        def counted(s, points):
+            dykstra_points.append(len(points))
+            return distance(s, points)
+
+        monkeypatch.setattr(sets_module, "distance", counted)
+        informative = 0
+        for _ in range(4):
+            sets, region = self.around_a_point(rng, int(rng.integers(2, 4)))
+            ref = regularity_sampling_points(sets, region, 150, seed)
+            informative += 150 - ref.skipped
+            for block in (37, sets_module._SAMPLE_BLOCK):
+                monkeypatch.setattr(sets_module, "_SAMPLE_BLOCK", block)
+                est = regularity_sampling(sets, region, 150, seed)
+                assert est == ref and est.r_hat.hex() == ref.r_hat.hex()
+        # Each family ran twice; some informative samples skipped Dykstra, and some did not.
+        assert 0 < sum(dykstra_points) < 2 * informative
+
+    def test_a_set_inside_all_others_gives_exactly_one(self):
+        """A box inside a ball: every informative sample's nearest box point
+        lies in the ball, so it is the projection onto the intersection, and
+        the ratio is exactly 1 where Dykstra's rounding may exceed it."""
+        sets = [Box(np.array([-0.5, -0.25]), np.array([0.5, 0.25])),
+                Ball(np.array([0.1, 0.0]), 1.0)]
+        region = Ball(np.zeros(2), 2.0)
+        est = regularity_sampling(sets, region, 2000, seed=3)
+        ref = regularity_sampling_points(sets, region, 2000, seed=3)
+        assert est.r_hat == 1.0 and ref.r_hat >= 1.0
+        assert (est.samples, est.skipped) == (ref.samples, ref.skipped)
+
+    def test_largest_distances_take_memory_per_sample_not_per_set(self):
+        """64 sets, one full block of samples: a box first and 63 balls around
+        it, so no sample runs Dykstra and the peak is the largest-distance
+        pass.  It holds a few arrays of the samples and a ball projection's
+        temporaries, about 2.6 MiB; one distance array per set held 8 MiB,
+        and 8 MiB more where ``np.max`` stacked them."""
+        rng = np.random.default_rng(2)
+        box = Box(np.array([-0.3, -0.2]), np.array([0.3, 0.2]))
+        u = rng.normal(size=(63, 2))
+        centers = 0.2 * u / np.linalg.norm(u, axis=1)[:, None]
+        sets = [box] + [Ball(c, float(r)) for c, r in zip(centers, rng.uniform(0.6, 1.5, 63))]
+        samples = sets_module._SAMPLE_BLOCK
+        region = Ball(np.zeros(2), 2.0)
+        regularity_sampling(sets, region, 10, seed=0)   # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            est = regularity_sampling(sets, region, samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.r_hat == 1.0 and est.skipped < samples
+        assert peak < 4 * 2 ** 20
+
     def test_interior_matches_reference(self):
         for sets, region in self.families():
             n = region.center.shape[0]

@@ -584,6 +584,49 @@ def test_partial_block_completed_by_a_later_read(m, read_first):
         assert series[t] == pairwise_decrement_sum(want[t], states[t], pi[t + 1])
 
 
+def test_compliance_reuses_a_cached_block(monkeypatch):
+    """A block a read already built whole is not built again; its graphs are still drawn.
+
+    At ``m = 96`` a block holds 7 steps.  ``matrix_at(9)`` builds block 1;
+    compliance over 9 steps then builds block 0 and slices block 1's first
+    two steps: 14 builder steps, where building them again took 16.
+    """
+    gseq = GraphSequence.random_rooted(96, 0.05, seed=4)
+    fresh = verify_compliance(MatrixSequence.from_scheme(gseq, "equal-neighbor"), 9)
+    steps, build = [], weights.equal_neighbor_weights
+
+    def counted(adjacency):
+        steps.append(adjacency.shape[0])
+        return build(adjacency)
+
+    monkeypatch.setattr(weights, "equal_neighbor_weights", counted)
+    seq = MatrixSequence.from_scheme(gseq, "equal-neighbor")
+    assert seq.block_steps == 7
+    seq.matrix_at(9)
+    assert verify_compliance(seq, 9) == fresh
+    assert steps == [7, 7]
+
+
+def test_matrix_at_scatters_one_matrix():
+    """Reading one step of a 200-graph cycle allocates about one ``m x m``
+    matrix and its copy, not the cycle's 14.7 MB; a read that wraps past
+    the cycle's end still gives every matrix."""
+    seq = MatrixSequence.from_scheme(_periodic_graphs(200), "equal-neighbor")
+    m = seq.m
+    seq.matrix_at(0)   # numpy's one-time allocations stay out of the count
+    tracemalloc.start()
+    try:
+        a = seq.matrix_at(150)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * m * m
+    want = dense_stack(seq._cache[0], m)
+    assert a.tobytes() == want[150].tobytes()
+    for t, b in enumerate(seq.dense_steps(range(195, 405))):
+        assert b.tobytes() == want[(195 + t) % 200].tobytes()
+
+
 def _rooted_scenario(horizon: int) -> dict:
     return {"m": 12, "n": 1, "horizon": horizon, "seed": 5, "mode": "unconstrained",
             "graph": {"kind": "random-rooted", "extra_edge_prob": 0.2},
