@@ -41,8 +41,9 @@ class AdjointResidualTooLarge(RuntimeError):
 class AbsoluteProbabilitySequence:
     """Stochastic vectors ``pi(0..horizon)`` with per-step L1 residuals.
 
-    ``residuals[t]`` is ``|| pi(t) - A(t)' pi(t+1) ||_1``; construction
-    rejects any residual above 1e-8.
+    ``residuals[t]`` is ``|| pi(t) - A(t)' pi(t+1) ||_1``; construction rejects
+    any residual above 1e-8.  ``adjoint.csv`` holds the vectors where they
+    change and ``adjoint.json`` the residuals.
     """
 
     vectors: np.ndarray
@@ -239,29 +240,22 @@ def permutation_counterexample(m: int, seed: int, horizon: int = 16):
 
 
 def write_adjoint_csv(aps: AbsoluteProbabilitySequence, path) -> None:
-    """CSV export with columns ``t, i, pi, residual_l1`` (residual blank at the last t).
-
-    The bytes are those of ``csv.writer`` (CRLF line ends; no cell needs
-    quoting), but each step's block is one ``join`` written with one call.
-    The ``,i,pi,`` cells of a step come from one ``%`` pass over a template
-    and are reused while the vector repeats bit for bit (``tobytes``, so
-    ``-0.0`` and ``0.0`` stay apart), as uniform and stationary sequences do
-    on every step.
-    """
-    template = "\n".join(f",{i},%r," for i in range(aps.m))
-    residuals = list(map(repr, aps.residuals[:aps.horizon].tolist())) + [""]
-    key = None
+    """CSV ``t, i, pi``: step 0, then each step whose vector's bytes differ from the
+    previous step's (``tobytes``: ``-0.0`` is not ``0.0``); a reader holds each vector
+    until the next written step.  The bytes are ``csv.writer``'s (CRLF line ends, no
+    quoting), from one ``%`` pass over a template per written step."""
+    template = "\n".join(f",{i},%r" for i in range(aps.m))
     with open(path, "w", newline="") as fh:
-        fh.write("t,i,pi,residual_l1\r\n")
-        for t in range(aps.horizon + 1):
-            vector, resid = aps.vectors[t], residuals[t]
-            if vector.tobytes() != key:
-                key = vector.tobytes()
+        fh.write("t,i,pi\r\n")
+        for t, vector in enumerate(aps.vectors):
+            if t == 0 or vector.tobytes() != aps.vectors[t - 1].tobytes():
                 cells = (template % tuple(vector.tolist())).split("\n")
-            fh.write(f"{t}" + f"{resid}\r\n{t}".join(cells) + f"{resid}\r\n")
+                fh.write(f"{t}" + f"\r\n{t}".join(cells) + "\r\n")
 
 
 def write_adjoint_sidecar(aps: AbsoluteProbabilitySequence, path) -> None:
+    """JSON ``{delta, method, residual_l1}``; ``residual_l1`` lists ``residuals[:h]``, once."""
     with open(path, "w") as fh:
-        json.dump({"method": aps.method, "delta": aps.delta}, fh, indent=2, sort_keys=True)
+        json.dump({"delta": aps.delta, "method": aps.method, "residual_l1":
+                   aps.residuals[:aps.horizon].tolist()}, fh, indent=2, sort_keys=True)
         fh.write("\n")

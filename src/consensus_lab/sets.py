@@ -348,7 +348,8 @@ def _dykstra_sweeps(sets, points, tol, max_sweeps):
 
     Returns the rows' results, their member violations at their last sweep
     that left the iterate within ``tol`` of where it began (``inf`` for a row
-    with no such sweep), and whether each row converged.
+    with no such sweep), and whether each row converged.  A row's result is
+    the iterate of that sweep (its point if none).
     """
     result = points.copy()
     worst = np.full(points.shape[0], np.inf)
@@ -379,10 +380,12 @@ def _dykstra_sweeps(sets, points, tol, max_sweeps):
         # a member's increments.
         moved = _per_point(np.maximum, functools.reduce(np.maximum, (
             np.abs(new[settled] - old[settled]) for new, old in zip(increments, spare))))
-        here, settled_at = active[settled], current[settled]
-        worst[here] = _worst(sets, settled_at)
-        stops = (worst[here] <= FEASIBILITY_TOL) & (moved <= tol)
-        result[here[stops]] = settled_at[stops]
+        here = active[settled]
+        result[here], worst[here] = current[settled], np.nan  # NaN: not evaluated yet
+        stops = moved <= tol  # only these can stop a point, so only they evaluate the members
+        if stops.any():
+            worst[here[stops]] = _worst(sets, result[here[stops]])
+            stops[stops] = worst[here[stops]] <= FEASIBILITY_TOL
         converged[here[stops]] = True
         # A settled sweep that moved no increment can change nothing anymore:
         # the intersection is unreachable from that point.
@@ -392,6 +395,9 @@ def _dykstra_sweeps(sets, points, tol, max_sweeps):
         if ends.any():
             active, current, increments = active[~ends], current[~ends], increments[:, ~ends]
             spare = spare[:, :active.size]  # its leading rows serve the points left
+    late = np.isnan(worst)  # the last settled sweep skipped the members (no violation is NaN)
+    if late.any():
+        worst[late] = _worst(sets, result[late])
     return result, worst, converged
 
 

@@ -17,9 +17,13 @@ gives a graph's edge pairs as a set.  The ``*_point`` functions are the
 point-by-point set code that the batched projections in
 ``consensus_lab.sets`` must reproduce bit for bit; given a tuple of sets,
 they take it as a nested intersection, the reference for the flattened one.
+``read_adjoint`` reads ``adjoint.csv`` and ``adjoint.json`` back, carrying
+each written vector forward; nothing in the package reads those files.
 """
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -53,6 +57,32 @@ def adversarial_array(rng: np.random.Generator, shape) -> np.ndarray:
     """An array of ``shape`` drawn from ``ADVERSARIAL_FLOATS`` and their negations."""
     values = np.array(ADVERSARIAL_FLOATS)
     return rng.choice(np.concatenate([values, -values]), size=shape)
+
+
+def read_adjoint(csv_path, sidecar_path) -> tuple[np.ndarray, np.ndarray]:
+    """``pi(0..h)`` and the ``h`` residuals from ``adjoint.csv`` and its JSON sidecar.
+
+    The CSV holds step 0 and each step whose vector changed; every other step
+    repeats the last written one.  ``h`` is the length of ``residual_l1``.
+    """
+    with open(sidecar_path) as fh:
+        residuals = np.array(json.load(fh)["residual_l1"], dtype=float)
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[0] != ["t", "i", "pi"]:
+        raise ValueError(f"unexpected header {rows[0]}")
+    written: dict[int, list[float]] = {}
+    for t, i, p in rows[1:]:
+        cells = written.setdefault(int(t), [])
+        if int(i) != len(cells):
+            raise ValueError(f"t={t}: agent {i} out of order")
+        cells.append(float(p))
+    vectors = np.empty((residuals.size + 1, len(written[0])))
+    for t in range(vectors.shape[0]):
+        vectors[t] = written.get(t, vectors[t - 1])
+    if set(written) - set(range(vectors.shape[0])):
+        raise ValueError("a written step lies beyond the horizon")
+    return vectors, residuals
 
 
 def certificate_records(certs) -> list[CertificateRecord]:

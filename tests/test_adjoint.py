@@ -1,4 +1,5 @@
 import csv
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,8 @@ from consensus_lab import (GraphSequence, MatrixSequence, NotDoublyStochastic,
                            uniform_adjoint,
                            window_averaged_product)
 from consensus_lab.adjoint import (AbsoluteProbabilitySequence, adjoint_residuals,
-                                   write_adjoint_csv)
-from oracles import adversarial_array
+                                   write_adjoint_csv, write_adjoint_sidecar)
+from oracles import adversarial_array, read_adjoint
 
 
 def quarter_sequence(d=3):
@@ -229,14 +230,23 @@ class TestRejectsNonFinite:
 
 
 def csv_writer_adjoint(aps, path):
-    """Row-by-row ``csv.writer`` export, the byte-level reference for the block writer."""
+    """Row-by-row ``csv.writer`` export, the byte-level reference for the block writer:
+    step 0, then each step whose vector's bytes differ from the previous step's."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["t", "i", "pi", "residual_l1"])
+        wr.writerow(["t", "i", "pi"])
         for t in range(aps.horizon + 1):
-            resid = repr(float(aps.residuals[t])) if t < aps.horizon else ""
-            for i in range(aps.m):
-                wr.writerow([t, i, repr(float(aps.vectors[t, i])), resid])
+            if t == 0 or aps.vectors[t].tobytes() != aps.vectors[t - 1].tobytes():
+                for i in range(aps.m):
+                    wr.writerow([t, i, repr(float(aps.vectors[t, i]))])
+
+
+def write_and_compare(aps, tmp_path) -> bytes:
+    write_adjoint_csv(aps, tmp_path / "block.csv")
+    csv_writer_adjoint(aps, tmp_path / "oracle.csv")
+    got = (tmp_path / "block.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes()
+    return got
 
 
 class TestAdjointCsv:
@@ -244,32 +254,32 @@ class TestAdjointCsv:
     def test_bytes_equal_csv_writer(self, tmp_path, method):
         if method == "uniform":
             aps = uniform_adjoint(quarter_sequence(3), 40)
+            steps = 1
         else:
             rng = np.random.default_rng(4)
             mats = [a / a.sum(axis=1, keepdims=True) for a in rng.random((5, 6, 6))]
             aps = assemble_adjoint(MatrixSequence.custom(mats), 40)
-        write_adjoint_csv(aps, tmp_path / "block.csv")
-        csv_writer_adjoint(aps, tmp_path / "oracle.csv")
-        got = (tmp_path / "block.csv").read_bytes()
-        assert got == (tmp_path / "oracle.csv").read_bytes()
-        assert got.count(b"\r\n") == 1 + 41 * aps.m
+            steps = 41
+        got = write_and_compare(aps, tmp_path)
+        assert got.count(b"\r\n") == 1 + steps * aps.m
 
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_adversarial_values_bytes(self, tmp_path, m):
         # The writer formats whatever it holds, so a stand-in with the same
         # fields carries values no validated sequence could; steps 2 and 3
-        # repeat step 1, and step 5 step 4, to take the reuse path.
+        # repeat step 1, and step 5 step 4, so those three are not written.
         rng = np.random.default_rng(m)
         vectors = adversarial_array(rng, (9, m))
         vectors[2] = vectors[3] = vectors[1]
         vectors[5] = vectors[4]
         aps = SimpleNamespace(vectors=vectors, residuals=adversarial_array(rng, 8), m=m,
                               horizon=8)
-        write_adjoint_csv(aps, tmp_path / "block.csv")
-        csv_writer_adjoint(aps, tmp_path / "oracle.csv")
-        got = (tmp_path / "block.csv").read_bytes()
-        assert got == (tmp_path / "oracle.csv").read_bytes()
-        assert got.count(b"\r\n") == 1 + 9 * m
+        got = write_and_compare(aps, tmp_path)
+        written = [t for t in range(9)
+                   if t == 0 or vectors[t].tobytes() != vectors[t - 1].tobytes()]
+        assert not {2, 3, 5} & set(written)
+        assert got.count(b"\r\n") == 1 + len(written) * m
+        assert [int(line.split(b",")[0]) for line in got.split(b"\r\n")[1:-1:m]] == written
 
     def test_repeating_vectors_keep_signed_zeros(self, tmp_path):
         # Repeats, changes, repeats; the last two steps differ from the first
@@ -278,10 +288,49 @@ class TestAdjointCsv:
         vectors = np.array([u, u, v, v, v, u, signed, signed])
         aps = AbsoluteProbabilitySequence(vectors=vectors, residuals=np.zeros(7),
                                           method="user-supplied")
-        write_adjoint_csv(aps, tmp_path / "block.csv")
-        csv_writer_adjoint(aps, tmp_path / "oracle.csv")
-        got = (tmp_path / "block.csv").read_bytes()
-        assert got == (tmp_path / "oracle.csv").read_bytes()
-        assert got.count(b",-0.0,") == 2
-        assert got.count(b",0.0,") == 3
+        got = write_and_compare(aps, tmp_path)
+        assert got.split(b"\r\n")[1::3] == [b"0,0,0.5", b"2,0,0.25", b"5,0,0.5", b"6,0,0.5", b""]
+        assert got.count(b",-0.0\r\n") == 1
+        assert got.count(b",0.0\r\n") == 2
 
+    def test_uniform_at_scale_writes_one_step(self, tmp_path):
+        aps = uniform_adjoint(quarter_sequence(8), 300)
+        assert aps.m == 256
+        got = write_and_compare(aps, tmp_path)
+        assert got.count(b"\r\n") == 1 + 256
+
+
+class TestAdjointFilesRoundTrip:
+    """``adjoint.csv`` and ``adjoint.json`` give back every ``pi(t)`` and every
+    residual bit for bit, each vector carried forward to the next written step."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "stationary", "backward-product",
+                                      "period-six"])
+    def test_reader_returns_the_sequence(self, tmp_path, kind, period_six_sequence):
+        if kind == "uniform":
+            aps = uniform_adjoint(quarter_sequence(4), 60)
+        elif kind == "stationary":
+            a = np.random.default_rng(5).random((4, 4)) + 0.3
+            aps = stationary_adjoint(MatrixSequence.custom([a / a.sum(axis=1, keepdims=True)]),
+                                     30)
+        elif kind == "backward-product":
+            aps = assemble_adjoint(MatrixSequence.from_scheme(
+                GraphSequence.random_rooted(9, 0.3, seed=2), "equal-neighbor"), 50)
+        else:
+            aps = assemble_adjoint(period_six_sequence(), 25)
+        write_adjoint_csv(aps, tmp_path / "adjoint.csv")
+        write_adjoint_sidecar(aps, tmp_path / "adjoint.json")
+        vectors, residuals = read_adjoint(tmp_path / "adjoint.csv", tmp_path / "adjoint.json")
+        assert vectors.tobytes() == aps.vectors.tobytes()
+        assert residuals.tobytes() == aps.residuals.tobytes()
+        with open(tmp_path / "adjoint.json") as fh:
+            sidecar = json.load(fh)
+        assert sidecar["delta"] == aps.delta and sidecar["method"] == aps.method
+
+    def test_sidecar_bytes_are_json_dump(self, tmp_path):
+        aps = uniform_adjoint(quarter_sequence(3), 12)
+        write_adjoint_sidecar(aps, tmp_path / "adjoint.json")
+        want = json.dumps({"delta": aps.delta, "method": "uniform",
+                           "residual_l1": [float(r) for r in aps.residuals]},
+                          indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "adjoint.json").read_text() == want

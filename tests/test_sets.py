@@ -13,6 +13,7 @@ from consensus_lab import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace,
                            regularity_interior, regularity_sampling, set_from_json_dict)
 from consensus_lab import sets as sets_module
 from consensus_lab.sets import DYKSTRA_TOL, FEASIBILITY_TOL
+import oracles
 from oracles import (InfeasiblePoint, YNotInSet, check_nonexpansive,
                      check_variational_inequality, dykstra_point, project_point,
                      regularity_interior_points, regularity_sampling_points, set_to_json_dict,
@@ -200,6 +201,84 @@ class TestBatchedDykstraFailure:
         with pytest.raises(DykstraNotConverged, match="^point 0 "):
             dykstra_project(self.disjoint(), points, max_sweeps=50)
         assert blocks == [2, 2, 1]
+
+
+class TestMemberViolationsOnlyWhereAPointCanStop:
+    """A settled sweep stops a point only if it settled the increments too, so
+    only those sweeps evaluate the members; a point that ends unconverged after
+    a settled sweep that skipped them is evaluated at that sweep's iterate."""
+
+    def family(self):
+        """24 members, halfspace, box and ball in turn, each containing
+        B(x_bar, 0.4), and 40 points around them; most points settle outside
+        the intersection for some sweeps while the increments still move."""
+        rng = np.random.default_rng(0)
+        x_bar = rng.uniform(-1.0, 1.0, size=2)
+        members = []
+        for i in range(24):
+            if i % 3 == 0:
+                a = rng.normal(size=2)
+                a /= np.linalg.norm(a)
+                members.append(Halfspace(a, float(a @ x_bar) + 0.4 + rng.uniform(0.1, 1.0)))
+            elif i % 3 == 1:
+                members.append(Box(x_bar - 0.4 - rng.uniform(0.1, 1.5, size=2),
+                                   x_bar + 0.4 + rng.uniform(0.1, 1.5, size=2)))
+            else:
+                offset = rng.uniform(-0.8, 0.8, size=2)
+                members.append(Ball(x_bar + offset,
+                                    float(np.linalg.norm(offset)) + 0.4 + rng.uniform(0.1, 1.0)))
+        return members, rng.uniform(-4.0, 4.0, size=(40, 2))
+
+    def test_bits_of_the_oracle_with_fewer_member_evaluations(self, monkeypatch):
+        members, points = self.family()
+        oracle_evaluations = []
+        violation = oracles.violation_point
+        monkeypatch.setattr(oracles, "violation_point",
+                            lambda s, x: oracle_evaluations.append(1) or violation(s, x))
+        want = np.array([dykstra_point(members, p) for p in points])
+        evaluated = []
+
+        def counting(method):
+            def wrapped(self, x):
+                evaluated.append(np.shape(x)[0])
+                return method(self, x)
+            return wrapped
+
+        for kind in (Halfspace, Box, Ball):
+            monkeypatch.setattr(kind, "violation", counting(kind.violation))
+        assert dykstra_project(members, points).tobytes() == want.tobytes()
+        # The check before the first sweep evaluates every point once; the
+        # oracle evaluates the members at every settled sweep.
+        swept = sum(evaluated) - len(members) * len(points)
+        assert 0 < swept < len(oracle_evaluations) / 4
+
+    @pytest.mark.parametrize("cap", [2, 3, 5, 8, 13, 21, 34])
+    def test_unconverged_message_is_the_oracles(self, cap):
+        members, points = self.family()
+        failed = 0
+        for x in points:
+            try:
+                want = dykstra_point(members, x, max_sweeps=cap)
+            except DykstraNotConverged as alone:
+                failed += 1
+                with pytest.raises(DykstraNotConverged, match=f"^point 0 {re.escape(str(alone))};"):
+                    dykstra_project(members, x, max_sweeps=cap)
+            else:
+                assert dykstra_project(members, x, max_sweeps=cap).tobytes() == want.tobytes()
+        assert failed
+
+    def test_empty_intersection_message_unchanged(self):
+        # The increments grow every sweep, so no settled sweep evaluates the
+        # members until the cap ends the search.
+        message = "^" + re.escape("point 0 stopped with member violation 2.000e+00; "
+                                  "intersection may be empty or ill-conditioned") + "$"
+        disjoint = (Halfspace(np.array([1.0]), -1.0), Halfspace(np.array([-1.0]), -1.0))
+        with pytest.raises(DykstraNotConverged, match=message):
+            dykstra_project(disjoint, np.array([[-2.0], [0.0], [3.0], [-1.0]]), max_sweeps=200)
+        nested = TestFlatIntersection().empty().members
+        with pytest.raises(DykstraNotConverged, match=message):
+            dykstra_project(nested, np.array([[0.5, 0.5], [-2.0, 0.0], [2.0, 1.0]]),
+                            max_sweeps=200)
 
 
 def same_members(got, want) -> bool:
