@@ -41,9 +41,10 @@ class AdjointResidualTooLarge(RuntimeError):
 class AbsoluteProbabilitySequence:
     """Stochastic vectors ``pi(0..horizon)`` with per-step L1 residuals.
 
-    ``residuals[t]`` is ``|| pi(t) - A(t)' pi(t+1) ||_1``; construction rejects
-    any residual above 1e-8.  ``adjoint.csv`` holds the vectors where they
-    change and ``adjoint.json`` the residuals.
+    ``residuals[t]`` is ``|| pi(t) - A(t)' pi(t+1) ||_1``, one per step below
+    the horizon; construction rejects any other count and any residual above
+    1e-8.  ``adjoint.csv`` holds the vectors where they change and
+    ``adjoint.json`` the residuals.
     """
 
     vectors: np.ndarray
@@ -55,6 +56,8 @@ class AbsoluteProbabilitySequence:
         r = np.array(self.residuals, dtype=float)
         if v.ndim != 2:
             raise ValueError("vectors must be a (horizon+1, m) array")
+        if r.shape != (len(v) - 1,):
+            raise ValueError(f"{len(v)} vectors need {len(v) - 1} residuals, not {r.size}")
         # NaN compares false with everything, so the checks below would pass it.
         if not np.isfinite(v).all():
             raise ValueError("each pi(t) must be finite")

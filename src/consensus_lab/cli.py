@@ -137,9 +137,9 @@ def cmd_verify(args) -> int:
     (:meth:`Certificates.matches`), so a reformatted file still matches.
     """
     config = engine.RunConfig.from_json_dict(_load_json(Path(args.report))["config"])
-    states, w = engine.read_trajectory_states(Path(args.trajectory), config.m,
-                                              config.n, config.horizon)
-    result = engine.replay_certificates(config, states, w)
+    states = engine.read_trajectory_states(Path(args.trajectory), config.m, config.n,
+                                           config.horizon)
+    result = engine.replay_certificates(config, states)
     if not result.certificates_pass:
         log.error("certificate violations found on replay: %s",
                   result.report["certificates"])

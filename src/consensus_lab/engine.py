@@ -301,10 +301,13 @@ def initial_states(config: RunConfig, bank: SetBank | None) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """All per-step data of a run; constrained-only fields are ``None`` otherwise."""
+    """All per-step data of a run, derived from its states alone.
+
+    The constrained-only fields, ``w`` among them, are ``None`` otherwise.
+    """
 
     states: np.ndarray                    # (horizon+1, m, n)
-    w: np.ndarray | None                  # (horizon+1, m, n); w[0] is unused
+    w: np.ndarray | None                  # (horizon+1, m, n); w[t+1] = A(t)x(t), w[0] = 0
     spread_sq: np.ndarray                 # (horizon+1,)
     lyap: np.ndarray                      # (horizon+1,)
     decrement: np.ndarray                 # (horizon,)
@@ -325,8 +328,8 @@ class Trajectory:
 
 
 def simulate(config: RunConfig, mseq: MatrixSequence,
-             sets: tuple[ConvexSet, ...] | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the dynamic; returns ``(states, w)`` with ``w`` only in constrained mode.
+             sets: tuple[ConvexSet, ...] | None) -> np.ndarray:
+    """Run the dynamic; returns the ``(horizon+1, m, n)`` states.
 
     Each step averages, ``w(t+1) = A(t) x(t)``; in constrained mode each agent
     then projects its row of ``w(t+1)`` onto its own set.
@@ -335,14 +338,9 @@ def simulate(config: RunConfig, mseq: MatrixSequence,
     states = np.empty((h + 1, config.m, config.n))
     bank = None if sets is None else SetBank(sets)
     states[0] = initial_states(config, bank)
-    w = None if bank is None else np.zeros((h + 1, config.m, config.n))
     for t, a in enumerate(mseq.dense_steps(range(h))):
-        if bank is None:
-            states[t + 1] = a @ states[t]
-        else:
-            w[t + 1] = a @ states[t]
-            states[t + 1] = bank.project(w[t + 1])
-    return states, w
+        states[t + 1] = a @ states[t] if bank is None else bank.project(a @ states[t])
+    return states
 
 
 def _fixed_test_point(config: RunConfig, states: np.ndarray, pi: np.ndarray,
@@ -360,7 +358,7 @@ def _fixed_test_point(config: RunConfig, states: np.ndarray, pi: np.ndarray,
 
 def annotate(config: RunConfig, mseq: MatrixSequence,
              adjoint: AbsoluteProbabilitySequence, states: np.ndarray,
-             w: np.ndarray | None, sets: tuple[ConvexSet, ...] | None,
+             sets: tuple[ConvexSet, ...] | None,
              intersection: ConvexSet | None) -> Trajectory:
     """Derive every per-step series from the raw states.
 
@@ -370,7 +368,9 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
     :func:`squared_spread` and :func:`weighted_variance`.  The spread is one
     batched call over the run.  In constrained mode the feasibilities, the
     tracked projections and the distances to the intersection are each a
-    batched projection over the whole run.
+    batched projection over the whole run, and each average
+    ``w(t+1) = A(t) x(t)`` is formed again step by step, the very product
+    that :func:`simulate` projects.
     """
     h = states.shape[0] - 1
     pi = adjoint.vectors
@@ -379,10 +379,13 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
 
     if sets is None:
         lyap, conservation = weighted_variance(states, pi)
-        return Trajectory(states=states, w=w, spread_sq=spread_sq, lyap=lyap,
+        return Trajectory(states=states, w=None, spread_sq=spread_sq, lyap=lyap,
                           decrement=decrement, conservation=conservation, feasibility=None,
                           v_values=None, dist_sq=None, y_point=None)
 
+    w = np.zeros_like(states)
+    for t, a in enumerate(mseq.dense_steps(range(h))):
+        w[t + 1] = a @ states[t]
     y = _fixed_test_point(config, states, pi, intersection)
     lyap = v_function(states, pi, y)
     feasibility = np.max([s.violation(states[:, i]) for i, s in enumerate(sets)], axis=0)
@@ -517,8 +520,8 @@ def _resolve_regularity(config: RunConfig, sets, rho: float) -> tuple[float, dic
 
 def _certify(config: RunConfig, mseq: MatrixSequence, compliance: ComplianceReport,
              adjoint: AbsoluteProbabilitySequence, states: np.ndarray,
-             w: np.ndarray | None, sets, intersection) -> RunResult:
-    traj = annotate(config, mseq, adjoint, states, w, sets, intersection)
+             sets, intersection) -> RunResult:
+    traj = annotate(config, mseq, adjoint, states, sets, intersection)
     rho = float(np.linalg.norm(states, axis=2).max())
 
     r_used = regularity_info = None
@@ -575,8 +578,8 @@ def _prepare(config: RunConfig):
 def run(config: RunConfig) -> RunResult:
     """Execute a configured run end to end and assemble its report."""
     mseq, compliance, adjoint, sets, intersection = _prepare(config)
-    states, w = simulate(config, mseq, sets)
-    return _certify(config, mseq, compliance, adjoint, states, w, sets, intersection)
+    states = simulate(config, mseq, sets)
+    return _certify(config, mseq, compliance, adjoint, states, sets, intersection)
 
 
 def _build_report(config: RunConfig, compliance: ComplianceReport,
@@ -633,66 +636,52 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
 # ---------------------------------------------------------------------------
 # trajectory CSV round trip
 
-_COLUMNS = ["t", "agent", "coord", "x", "w"]
+_COLUMNS = ["t", "agent", "coord", "x"]
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:
-    """The states: one row ``t,agent,coord,x,w`` per (t, agent, coord).
+    """The states: one row ``t,agent,coord,x`` per (t, agent, coord).
 
-    ``w`` is blank at ``t = 0`` and in unconstrained runs.  The bytes are
-    those of ``csv.writer`` (CRLF line ends; no cell needs quoting), but each
-    step's block is one ``%`` pass over a row template (``%r`` is the
-    ``repr`` of each value, ``T`` the step index), written with one call.
-    When the last step's states hold at most half as many distinct values as
-    cells, as a run at consensus does, each distinct value is formatted once
-    and the cells take the strings through ``%s`` instead; that path holds
-    one reference per cell of the run.  (A projected state often equals its
-    ``w`` bit for bit, so ``w`` would say little.)
+    The averages ``w`` are not written: they follow from the states and the
+    config, and :func:`annotate` forms them again.  The bytes are those of
+    ``csv.writer`` (CRLF line ends; no cell needs quoting), but each step's
+    block is one ``%`` pass over a row template (``%r`` is the ``repr`` of
+    each value, ``T`` the step index), written with one call.  When the last
+    step's states hold at most half as many distinct values as cells, as a
+    run at consensus does, each distinct value is formatted once and the
+    cells take the strings through ``%s`` instead; that path holds one
+    reference per cell of the run.
     """
-    traj = result.trajectory
-    m, n = traj.states.shape[1], traj.states.shape[2]
-    x, w = traj.states, None if traj.w is None else traj.w[1:]
+    x = result.trajectory.states
+    m, n = x.shape[1], x.shape[2]
     spec = "%r"
     if 2 * np.unique(x[-1].view(np.int64)).size <= m * n:
-        x, w, spec = _distinct_reprs(x), None if w is None else _distinct_reprs(w), "%s"
-    rows = [f"T,{agent},{coord},{spec}," for agent in range(m) for coord in range(n)]
-    blank_w = "\r\n".join(rows) + "\r\n"
-    with_w = f"{spec}\r\n".join(rows) + f"{spec}\r\n"
-    pair = np.empty((m, n, 2), dtype=x.dtype)  # a step's x and w side by side
+        x, spec = _distinct_reprs(x), "%s"
+    template = "".join(f"T,{agent},{coord},{spec}\r\n" for agent in range(m) for coord in range(n))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_COLUMNS) + "\r\n")
-        for t in range(traj.horizon + 1):
-            if w is None or t == 0:
-                template, values = blank_w, x[t]
-            else:
-                pair[..., 0], pair[..., 1] = x[t], w[t - 1]
-                template, values = with_w, pair
-            fh.write(template.replace("T", str(t)) % tuple(values.ravel().tolist()))
+        for t in range(len(x)):
+            fh.write(template.replace("T", str(t)) % tuple(x[t].ravel().tolist()))
 
 
 # Bytes of text that read_trajectory_states parses at a time.  A row of about
-# 33 bytes takes about 300 bytes while it is parsed, so a chunk peaks near 0.6 MB.
+# 30 bytes takes about 240 bytes while it is parsed, so a chunk peaks near 0.5 MB.
 _CHUNK_BYTES = 1 << 16
-# A repr'd float never needs more than 24 of the 32 bytes of ``w``.
-_ROW_DTYPE = np.dtype([("t", "i8"), ("agent", "i8"), ("coord", "i8"), ("x", "f8"),
-                       ("w", "S32")])
+_ROW_DTYPE = np.dtype([("t", "i8"), ("agent", "i8"), ("coord", "i8"), ("x", "f8")])
 
 
-def read_trajectory_states(path, m: int, n: int,
-                           horizon: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse states (and w, when present) back from a trajectory CSV.
+def read_trajectory_states(path, m: int, n: int, horizon: int) -> np.ndarray:
+    """Parse the ``(horizon+1, m, n)`` states back from a trajectory CSV.
 
     The rows are parsed by ``np.loadtxt`` in chunks of about ``_CHUNK_BYTES``,
-    so the memory used beyond the returned arrays stays bounded.  Raises
+    so the memory used beyond the returned array stays bounded.  Raises
     ``ConfigError`` when the file does not match the declared shape: a bad
-    header, a row that does not parse (other than five cells, a non-integer
-    index, a non-numeric or quoted value, since the writer never quotes, or a
-    ``w`` cell too long to be the writer's), an index outside the shape, or
-    a row count or a missing or NaN state that shows a truncated or
-    inconsistent file.  Blank lines count as rows.
+    header, a row that does not parse (other than four cells, a non-integer
+    index, or a non-numeric or quoted value, since the writer never quotes),
+    an index outside the shape, or a row count or a missing or NaN state
+    that shows a truncated or inconsistent file.  Blank lines count as rows.
     """
     states = np.full((horizon + 1, m, n), np.nan)
-    w = None
     count = 0
     with open(path, errors="replace") as fh:  # a bad byte then fails to parse
         if fh.readline().rstrip("\r\n").split(",") != _COLUMNS:
@@ -708,19 +697,12 @@ def read_trajectory_states(path, m: int, n: int,
                 flat = np.ravel_multi_index((rows["t"], rows["agent"], rows["coord"]),
                                             states.shape)
                 states.reshape(-1)[flat] = rows["x"]
-                has_w = rows["w"] != b""
-                if has_w.any():
-                    if (np.strings.str_len(rows["w"]) == _ROW_DTYPE["w"].itemsize).any():
-                        raise ValueError("a w cell fills 32 bytes and may be cut short")
-                    if w is None:
-                        w = np.full(states.shape, np.nan)
-                    w.reshape(-1)[flat[has_w]] = rows["w"][has_w].astype(float)
             except ValueError as exc:
                 raise ConfigError(f"bad trajectory row in lines {count - len(lines) + 2}"
                                   f"..{count + 1}: {exc}") from exc
     if count != states.size or np.isnan(states).any():
         raise ConfigError("trajectory CSV is truncated or inconsistent")
-    return states, w
+    return states
 
 
 def write_plot_data_csv(result: RunResult, path) -> None:
@@ -746,8 +728,7 @@ def write_plot_data_csv(result: RunResult, path) -> None:
         fh.write("t,spread_sq,lyap,decrement,V_vt,max_dist_sq\r\n" + template % tuple(values))
 
 
-def replay_certificates(config: RunConfig, states: np.ndarray,
-                        w: np.ndarray | None) -> RunResult:
+def replay_certificates(config: RunConfig, states: np.ndarray) -> RunResult:
     """Recompute compliance, adjoint, series, and certificates for stored states.
 
     Used for offline verification: apart from the states themselves, every
@@ -755,4 +736,4 @@ def replay_certificates(config: RunConfig, states: np.ndarray,
     bit-stable against the original run.
     """
     mseq, compliance, adjoint, sets, intersection = _prepare(config)
-    return _certify(config, mseq, compliance, adjoint, states, w, sets, intersection)
+    return _certify(config, mseq, compliance, adjoint, states, sets, intersection)

@@ -135,17 +135,17 @@ def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) ->
     return out
 
 
-def squared_spread(x: np.ndarray):
+def squared_spread(x: np.ndarray) -> np.ndarray:
     """``max_{j,l} ||x_j - x_l||^2`` of each state of a run.
 
-    ``x`` of shape ``(m,)`` or ``(m, n)`` is one state and gives a float;
-    ``(T, m, n)`` gives the ``T`` values of a run.  One coordinate reduces
-    to ``(max - min)^2``, squared with Python's float power, which is libm's
-    ``pow`` as numpy's scalar power is: numpy squares an array by
-    multiplying, and the two round differently.  Otherwise the squared
-    coordinate differences of each step's candidate points below are added
-    in coordinate order into one ``k x k`` buffer per step.  numpy sums fewer
-    than 8 terms in that same order, so for ``n < 8`` each value is
+    ``x`` holds the ``(T, m, n)`` states; the result holds their ``T``
+    values.  One coordinate reduces to ``(max - min)^2``, squared with
+    Python's float power, which is libm's ``pow`` as numpy's scalar power
+    is: numpy squares an array by multiplying, and the two round
+    differently.  Otherwise the squared coordinate differences of each
+    step's candidate points below are added in coordinate order into one
+    ``k x k`` buffer per step.  numpy sums fewer than 8 terms in that same
+    order, so for ``n < 8`` each value is
     bit-identical to the maximum of the full ``m x m x n`` difference array
     summed over its last axis.  The steps go a chunk of at most
     ``_BLOCK_ENTRIES`` state entries at a time, and each chunk's buffers
@@ -191,8 +191,6 @@ def squared_spread(x: np.ndarray):
     the pruning and takes every point.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim < 3:
-        return float(squared_spread(x.reshape(1, x.shape[0], -1))[0])
     steps, m, n = x.shape
     if n == 1:
         return np.array([gap ** 2 for gap in (x.max(axis=1) - x.min(axis=1))[:, 0].tolist()])

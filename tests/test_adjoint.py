@@ -212,6 +212,17 @@ class TestPermutationCounterexample:
         assert aps.residuals.max() == 0.0
 
 
+def test_residual_count_must_be_the_horizon():
+    """Three vectors span two steps, so one residual is refused, as are three."""
+    for residuals in ([0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]):
+        with pytest.raises(ValueError, match="3 vectors need 2 residuals"):
+            AbsoluteProbabilitySequence(vectors=[[0.5, 0.5]] * 3, residuals=residuals,
+                                        method="user-supplied")
+    aps = AbsoluteProbabilitySequence(vectors=[[0.5, 0.5]] * 3, residuals=[0.0, 0.0],
+                                      method="user-supplied")
+    assert aps.horizon == 2 and aps.residuals.shape == (2,)
+
+
 class TestRejectsNonFinite:
     """NaN compares false with everything, so only an explicit check rejects it."""
 

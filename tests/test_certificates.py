@@ -192,7 +192,7 @@ class TestEscalation:
         states[401] = [[0.9, -1.5], [-1.5, 0.9], [2.0, -2.0], [-2.0, 2.0]]
         sampled = dataclasses.replace(config, regularity={"method": "sampling", "samples": 500})
         for cfg in (sampled, config):
-            result = engine.replay_certificates(cfg, states, traj.w)
+            result = engine.replay_certificates(cfg, states)
             assert not result.certificates_pass
             assert not result.report["regularity_escalated"]
             assert result.report["r_used"] == result.report["regularity"]["r_hat"]

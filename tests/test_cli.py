@@ -432,15 +432,14 @@ class TestVerify:
     @pytest.mark.parametrize("case", [
         "header", "short-row", "fractional-t", "non-numeric-x", "t-beyond-horizon",
         "agent-beyond-m", "coord-beyond-n", "duplicate-row", "blank-line", "nan-x",
-        "non-ascii-x", "non-ascii-w", "quoted-t", "quoted-x", "quoted-w", "long-w",
-        "extra-cell", "old-header",
+        "non-ascii-x", "quoted-t", "quoted-x", "extra-cell", "old-header", "w-header",
     ])
     def test_malformed_trajectory_exit_config(self, tmp_path, case):
         """Each edit of one middle row (or the header) of a good file is rejected.
 
-        The writer never quotes, so a quoted cell, even the empty ``""`` that
-        ``csv.reader`` would accept, is refused; so is a ``w`` cell too long
-        for the parser to keep whole.
+        The writer never quotes, so a quoted cell is refused.  ``w-header``
+        is the whole file in the earlier five-column layout, a blank ``w``
+        cell ending each row, which no reader accepts.
         """
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario",
@@ -452,15 +451,17 @@ class TestVerify:
         edits = {"fractional-t": (0, "1.5"), "non-numeric-x": (3, "abc"),
                  "t-beyond-horizon": (0, "21"), "agent-beyond-m": (1, "8"),
                  "coord-beyond-n": (2, "2"), "nan-x": (3, "nan"),
-                 "non-ascii-x": (3, cells[3] + "\xff"), "non-ascii-w": (4, "\xff"),
-                 "quoted-t": (0, f'"{cells[0]}"'), "quoted-x": (3, f'"{cells[3]}"'),
-                 "quoted-w": (4, '""'), "long-w": (4, "1" * 40 + ".0")}
+                 "non-ascii-x": (3, cells[3] + "\xff"),
+                 "quoted-t": (0, f'"{cells[0]}"'), "quoted-x": (3, f'"{cells[3]}"')}
         if case == "header":
             lines[0] = lines[0].replace("agent", "agents", 1)
         elif case == "old-header":
             lines[0] = "t,agent,coord,x,w,spread_sq,lyap,decrement,V_vt,dist_sq_X\r\n"
+        elif case == "w-header":
+            lines = [line.replace("\r\n", ",\r\n") for line in lines]
+            lines[0] = "t,agent,coord,x,w\r\n"
         elif case == "short-row":
-            lines[mid] = ",".join(cells[:4]) + "\r\n"
+            lines[mid] = ",".join(cells[:3]) + "\r\n"
         elif case == "extra-cell":
             lines[mid] = ",".join(cells + ["0.0"]) + "\r\n"
         elif case == "duplicate-row":

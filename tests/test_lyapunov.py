@@ -162,9 +162,7 @@ class TestDecrementKernel:
             x = (rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 8, size=n)
                  + rng.uniform(-1e3, 1e3, n))
             diff = x[:, None, :] - x[None, :, :]
-            assert squared_spread(x) == (diff * diff).sum(axis=-1).max()
-            if n == 1:
-                assert squared_spread(x[:, 0]) == (diff * diff).max()
+            assert squared_spread(x[None])[0] == (diff * diff).sum(axis=-1).max()
 
     def test_series_on_periodic_sequence_against_oracle(self):
         rng = np.random.default_rng(12)
@@ -199,7 +197,7 @@ def decrement_records(decrement, spread_sq, drop):
 def step_decrement(a, x, pi_next, delta, beta, p_star):
     """``(D, spread_sq, lower bound, verdict)`` of one step, from the engine's functions."""
     value = pairwise_decrement_sum(a, x, pi_next)
-    spread_sq = squared_spread(x)
+    spread_sq = squared_spread(x[None, :, None])[0]
     rec, = decrement_records([value], [spread_sq], contraction_drop(delta, beta, p_star))
     return value, spread_sq, rec.lhs, rec.passed
 
@@ -274,7 +272,7 @@ class TestStepDecrement:
 
 def spread_bound(x, nu):
     """``(squared spread, centered weighted variance sum nu_i (x_i - nu'x)^2)``."""
-    return squared_spread(x), float(nu @ (x - nu @ x) ** 2)
+    return squared_spread(x[None, :, None])[0], float(nu @ (x - nu @ x) ** 2)
 
 
 class TestSpreadBound:
