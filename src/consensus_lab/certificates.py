@@ -8,8 +8,8 @@ one per check and series: the ``lhs`` and ``rhs`` arrays over consecutive
 steps from ``t0``, with one ``check``, ``k``, ``slack`` and ``floor``.  The
 blocks sit in a :class:`Certificates` container in record order, where a
 group of blocks of one length interleaves its records step by step.
-Verdicts, summaries, the exports and the stored-file compare all work on the
-blocks; :class:`CertificateRecord` is a one-record view built on demand.
+Verdicts, summaries and the exports work on the blocks; a parsed stored file
+is compared with :class:`CertificateRecord` views built on demand.
 Reports export as a JSON array, one compact record per line, and a CSV
 mirror with identical columns.
 """
@@ -26,17 +26,6 @@ import numpy as np
 
 VALUE_SLACK = 1.0 + 1e-9
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-# Each record field in record order, as one array per block (see Certificates._column).
-_FIELDS = {
-    "check": lambda b: np.full(len(b), b.check, dtype=object),
-    "t": lambda b: np.arange(b.t0, b.t0 + len(b)),
-    "k": lambda b: np.full(len(b), b.k, dtype=object),
-    "lhs": lambda b: b.lhs,
-    "rhs": lambda b: b.rhs,
-    "slack": lambda b: np.full(len(b), b.slack, dtype=object),
-    "floor": lambda b: np.full(len(b), b.floor, dtype=object),
-    "verdict": lambda b: np.where(b.passed, "pass", "fail"),
-}
 
 
 @dataclass(frozen=True)
@@ -58,7 +47,7 @@ class CertificateRecord:
         return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _FIELDS}
+        return {**self.__dict__, "verdict": self.verdict}
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,31 +120,24 @@ class Certificates:
         return sum(len(b) for b in self.blocks)
 
     def __iter__(self):
-        # A record derives its verdict, the last field, from the others.
-        columns = [self._column(_FIELDS[key]) for key in list(_FIELDS)[:-1]]
-        return (CertificateRecord(*fields) for fields in zip(*columns))
+        for g in self.groups:
+            values = [(b, b.lhs.tolist(), b.rhs.tolist()) for b in g]
+            for s in range(len(g[0])):
+                for b, lhs, rhs in values:
+                    yield CertificateRecord(b.check, b.t0 + s, b.k, lhs[s], rhs[s], b.slack,
+                                            b.floor)
 
     @property
     def passed(self) -> bool:
         return all(b.passed.all() for b in self.blocks)
 
-    def _column(self, values) -> list:
-        """``values(block)``, one array per block, laid out in record order."""
-        parts = [np.stack([values(b) for b in g], axis=1).ravel() for g in self.groups]
-        return np.concatenate(parts).tolist() if parts else []
-
     def matches(self, stored) -> bool:
         """Whether ``stored``, a parsed ``certificates.json``, holds these records.
 
-        Field for field and in record order, by Python's ``==`` as on each
-        record's ``to_json_dict``, one column at a time.
+        Field for field and in record order, by Python's ``==`` on each
+        record's ``to_json_dict``.
         """
-        if not isinstance(stored, list) or len(stored) != len(self):
-            return False
-        if not all(isinstance(d, dict) and d.keys() == _FIELDS.keys() for d in stored):
-            return False
-        return all([d[key] for d in stored] == self._column(values)
-                   for key, values in _FIELDS.items())
+        return stored == [r.to_json_dict() for r in self]
 
 
 def summarize(certs: Certificates) -> dict:

@@ -69,8 +69,6 @@ def cmd_simulate(args) -> int:
         config_dict["seed"] = args.seed
     if args.horizon is not None:
         config_dict["horizon"] = args.horizon
-    if args.no_certificates:
-        config_dict["certificates_enabled"] = False
 
     result = engine.run(engine.RunConfig.from_json_dict(config_dict))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -82,7 +80,7 @@ def cmd_simulate(args) -> int:
     write_adjoint_csv(result.adjoint, out_dir / "adjoint.csv")
     write_adjoint_sidecar(result.adjoint, out_dir / "adjoint.json")
 
-    if not result.certificates_pass:
+    if not result.certificates.passed:
         log.error("certificate violations: %s", result.report["certificates"])
         return EXIT_VIOLATION
     return EXIT_OK
@@ -133,14 +131,14 @@ def cmd_verify(args) -> int:
     With ``--certificates``, the stored file must hold the replayed records
     field for field and in record order, or the command exits 2.  A file
     byte-equal to what ``simulate`` writes for the replay matches at once;
-    any other file is parsed and compared column by column
-    (:meth:`Certificates.matches`), so a reformatted file still matches.
+    any other file is parsed and must ``==`` the replayed records' JSON
+    dicts (:meth:`Certificates.matches`), so a reformatted file still matches.
     """
     config = engine.RunConfig.from_json_dict(_load_json(Path(args.report))["config"])
     states = engine.read_trajectory_states(Path(args.trajectory), config.m, config.n,
                                            config.horizon)
     result = engine.replay_certificates(config, states)
-    if not result.certificates_pass:
+    if not result.certificates.passed:
         log.error("certificate violations found on replay: %s",
                   result.report["certificates"])
         return EXIT_VIOLATION
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--horizon", type=int, default=None, help="override the horizon")
-    p.add_argument("--no-certificates", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("construct-graph", help="emit the cubic tree graph as JSON")

@@ -29,8 +29,8 @@ from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
                        vector_contraction_certificate, weighted_means, weighted_variance)
 from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, SetBank,
                    distance, regularity_interior, regularity_sampling, set_from_json_dict)
-from .weights import (SCHEMES, ComplianceReport, GammaTooSmall, MatrixSequence, check_gamma,
-                      verify_compliance)
+from .weights import (SCHEMES, SYMMETRIC_SCHEMES, ComplianceReport, GammaTooSmall,
+                      MatrixSequence, check_gamma, verify_compliance)
 
 CONSERVATION_TOL = 1e-10
 IDENTITY_TOL = 1e-10
@@ -115,7 +115,6 @@ class RunConfig:
     initial: dict
     constraints: tuple = ()
     adjoint: dict = field(default_factory=dict)
-    certificates_enabled: bool = True
     rate_ks: tuple = (0, "half")
     regularity: dict | None = None
     y_point: tuple | None = None
@@ -124,9 +123,6 @@ class RunConfig:
         for name in ("m", "n", "horizon", "seed"):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, not {getattr(self, name)!r}")
-        if not isinstance(self.certificates_enabled, bool):
-            raise ConfigError("certificates_enabled must be true or false, "
-                              f"not {self.certificates_enabled!r}")
         if self.mode not in ("unconstrained", "constrained"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.horizon < 1:
@@ -180,7 +176,13 @@ class RunConfig:
                 bad = next((f"a list holding {e!r}" for e in edges if not _is_edge(e)), None)
             if bad is not None:
                 raise ConfigError(f"{name}.edges must be a list of two-integer lists, not {bad}")
-        if self.weights.get("scheme") == "laplacian":
+        # Only the complete draw, extra_edge_prob 1, is symmetric at every step.
+        scheme, prob = self.weights.get("scheme"), self.graph.get("extra_edge_prob", 0.0)
+        if (self.graph.get("kind") == "random-rooted" and scheme in SYMMETRIC_SCHEMES
+                and prob != 1):
+            raise ConfigError(f"graph.kind 'random-rooted' with weights.scheme {scheme!r} needs "
+                              f"graph.extra_edge_prob 1 (symmetric draws), not {prob!r}")
+        if scheme == "laplacian":
             if "gamma" not in self.weights:
                 raise ConfigError("weights scheme 'laplacian' needs 'gamma'")
             try:
@@ -205,8 +207,7 @@ class RunConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"a config must be an object, not {d!r}")
         known = {"m", "n", "horizon", "seed", "mode", "graph", "weights", "initial",
-                 "constraints", "adjoint", "certificates_enabled", "rate_ks",
-                 "regularity", "y_point"}
+                 "constraints", "adjoint", "rate_ks", "regularity", "y_point"}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
@@ -224,7 +225,6 @@ class RunConfig:
                 seed=d["seed"], mode=d["mode"], graph=dict(d["graph"]),
                 weights=dict(d["weights"]), initial=dict(d["initial"]),
                 constraints=tuple(constraints), adjoint=dict(adjoint),
-                certificates_enabled=d.get("certificates_enabled", True),
                 rate_ks=d.get("rate_ks", (0, "half")),
                 regularity=d.get("regularity"), y_point=d.get("y_point"),
             )
@@ -235,9 +235,8 @@ class RunConfig:
         return {"m": self.m, "n": self.n, "horizon": self.horizon, "seed": self.seed,
                 "mode": self.mode, "graph": self.graph, "weights": self.weights,
                 "initial": self.initial, "constraints": list(self.constraints),
-                "adjoint": self.adjoint,
-                "certificates_enabled": self.certificates_enabled,
-                "rate_ks": list(self.rate_ks), "regularity": self.regularity,
+                "adjoint": self.adjoint, "rate_ks": list(self.rate_ks),
+                "regularity": self.regularity,
                 "y_point": list(self.y_point) if self.y_point else None}
 
 
@@ -401,17 +400,14 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
 
 
 def _rate_k_values(config: RunConfig) -> list[int]:
-    ks = []
-    for k in config.rate_ks:
-        ks.append(config.horizon // 2 if k == "half" else int(k))
-    return sorted(set(ks))
+    return sorted({config.horizon // 2 if k == "half" else int(k) for k in config.rate_ks})
 
 
 def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                           adjoint: AbsoluteProbabilitySequence,
                           traj: Trajectory,
                           r_used: float | None) -> Certificates:
-    """Every enabled check over the whole run, in a deterministic order.
+    """Every check over the whole run, in a deterministic order.
 
     Each check is one array expression over the run, held as one
     :class:`CheckBlock`; per step, step-identity(t) precedes
@@ -478,10 +474,6 @@ class RunResult:
     report: dict
 
     @property
-    def certificates_pass(self) -> bool:
-        return self.certificates.passed
-
-    @property
     def records(self) -> list[CertificateRecord]:
         """Every record, built on demand from the blocks."""
         return list(self.certificates)
@@ -528,27 +520,25 @@ def _certify(config: RunConfig, mseq: MatrixSequence, compliance: ComplianceRepo
     if config.mode == "constrained":
         r_used, regularity_info = _resolve_regularity(config, sets, rho)
 
-    certs = Certificates()
-    if config.certificates_enabled:
-        certs = evaluate_certificates(config, compliance, adjoint, traj, r_used)
-        if r_used is not None and regularity_info["method"] != "interior-formula":
-            # Only the interior-ball formula proves its constant.  Try r*1.5,
-            # r*1.5^2, ... until the r-dependent checks pass; if the quotient
-            # turns vacuous first, keep the first constant's failing blocks.
-            head = Certificates(*certs.groups[:-2])
-            tail, r_try = Certificates(*certs.groups[-2:]), r_used
-            floor = tail.blocks[0].floor  # the run's, which no rung changes
-            try:
-                while not tail.passed:
-                    r_try *= 1.5
-                    tail = _regularity_blocks(compliance, adjoint, traj, r_try, floor)
-            except VacuousBound:
-                r_try = r_used
-            if r_try != r_used:
-                certs = head + tail
-                regularity_info = dict(regularity_info, r_used=r_try, escalated=True,
-                                       r_initial=r_used)
-                r_used = r_try
+    certs = evaluate_certificates(config, compliance, adjoint, traj, r_used)
+    if r_used is not None and regularity_info["method"] != "interior-formula":
+        # Only the interior-ball formula proves its constant.  Try r*1.5,
+        # r*1.5^2, ... until the r-dependent checks pass; if the quotient
+        # turns vacuous first, keep the first constant's failing blocks.
+        head = Certificates(*certs.groups[:-2])
+        tail, r_try = Certificates(*certs.groups[-2:]), r_used
+        floor = tail.blocks[0].floor  # the run's, which no rung changes
+        try:
+            while not tail.passed:
+                r_try *= 1.5
+                tail = _regularity_blocks(compliance, adjoint, traj, r_try, floor)
+        except VacuousBound:
+            r_try = r_used
+        if r_try != r_used:
+            certs = head + tail
+            regularity_info = dict(regularity_info, r_used=r_try, escalated=True,
+                                   r_initial=r_used)
+            r_used = r_try
 
     report = _build_report(config, compliance, adjoint, traj, certs, rho,
                            r_used, regularity_info)

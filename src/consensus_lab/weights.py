@@ -31,6 +31,8 @@ COLUMN_SUM_TOL = 1e-12
 _BLOCK_ENTRIES = 1 << 16
 
 SCHEMES = ("equal-neighbor", "lazy-metropolis", "laplacian", "quarter", "custom")
+# The schemes whose builders refuse an asymmetric edge set.
+SYMMETRIC_SCHEMES = ("lazy-metropolis", "laplacian", "quarter")
 
 
 class GammaTooSmall(ValueError):
@@ -379,8 +381,8 @@ class MatrixSequence:
         """Unchecked row support and ``(len(steps), m, m)`` graph in-adjacencies of a step range.
 
         A cycle slices its support, repeated if the steps wrap.  A random-rooted sequence
-        draws the steps' graphs; a block cached with every step slices its support, else
-        the steps are built and cached if they begin a block cached shorter.
+        draws and builds the steps, and caches them if they begin a block cached shorter
+        or not at all.
         """
         adjacency = np.stack([self.graph_at(t).adjacency for t in steps])
         if self.period:
@@ -392,9 +394,6 @@ class MatrixSequence:
                 cols, weights = np.tile(cols, reps), np.tile(weights, reps)
             return _matrices((cols, weights, starts), lo, lo + len(steps), self.m), adjacency
         b, first = divmod(steps[0], self.block_steps)
-        cached = self._cache.get(b)
-        if cached is not None and cached[2].size >= (first + len(steps)) * self.m:
-            return _matrices(cached, first, first + len(steps), self.m), adjacency
         support = _builder(self.scheme)(adjacency, **self.params)
         if not first and support[2].size >= self._cache.get(b, support)[2].size:
             self._cache[b] = support

@@ -6,7 +6,8 @@ and projection checks serve as oracles for the package's array code.
 ``evaluate_certificates_per_step`` is the step-by-step certificate loop
 that ``engine.evaluate_certificates`` replaces with whole-series arrays; the
 two must agree record for record, bit for bit, and ``certificate_records``
-is the record loop that iterating ``Certificates`` replaces with columns.
+is the record loop, one scalar read at a time, that iterating
+``Certificates`` must reproduce bit for bit.
 ``verify_compliance_per_step`` checks every step, one at a time, where
 ``weights.verify_compliance`` checks each distinct step once, a block of
 steps at a time; ``rooted_trees_per_graph`` is the per-graph root and tree

@@ -1,11 +1,11 @@
 """Certificate blocks against their records, one at a time.
 
 A run holds each check as one ``CheckBlock``.  Its verdicts are one array
-expression, the summary counts them per block, and ``verify`` compares a
-stored file column by column.  Each must give what the scalar records give:
-``lhs <= rhs * slack + floor`` per record, counted one by one, and Python's
-``==`` on whole records in order.  A command run makes no record object at
-all, and annotating a run computes its spread in one call.
+expression and the summary counts them per block; each must give what the
+scalar records give, ``lhs <= rhs * slack + floor`` per record, counted one by
+one.  ``verify`` compares a parsed stored file with Python's ``==`` on the
+records' dicts, whole records in order.  A command run makes no record object
+at all, and annotating a run computes its spread in one call.
 """
 import json
 import struct

@@ -164,7 +164,7 @@ class TestEscalation:
                             lambda *args: calls.append(args) or evaluate(*args))
         result = engine.run(wedge_config(samples=2, seed=2))
         assert len(calls) == 1
-        assert result.certificates_pass and result.report["regularity_escalated"]
+        assert result.certificates.passed and result.report["regularity_escalated"]
         info, r = result.report["regularity"], result.report["r_used"]
         assert info["r_initial"] == info["r_hat"] and info["r_used"] == r
         rungs = [info["r_initial"]]
@@ -193,7 +193,7 @@ class TestEscalation:
         sampled = dataclasses.replace(config, regularity={"method": "sampling", "samples": 500})
         for cfg in (sampled, config):
             result = engine.replay_certificates(cfg, states)
-            assert not result.certificates_pass
+            assert not result.certificates.passed
             assert not result.report["regularity_escalated"]
             assert result.report["r_used"] == result.report["regularity"]["r_hat"]
             assert "tracked-contraction" in {x.check for x in result.records if not x.passed}

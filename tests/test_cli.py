@@ -170,13 +170,15 @@ class TestSimulate:
         assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
-    def test_no_certificates_flag(self, tmp_path):
+    def test_no_certificates_flag(self, tmp_path, capsys):
+        """Every run is certified: no flag turns the checks off."""
         out = tmp_path / "out"
-        code = cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path)),
-                         "--out", str(out), "--no-certificates"])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["certificates"]["total"] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path)),
+                      "--out", str(out), "--no-certificates"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-certificates" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproducibility:
@@ -411,6 +413,30 @@ class TestVerify:
         assert cli.main(["verify", "--report", str(bad),
                          "--trajectory", str(out / "trajectory.csv")]) == 2
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_certificates_enabled_in_report_exit_config(self, tmp_path, enabled):
+        """Every run is certified, so ``certificates_enabled`` is an unknown config
+        key.  A trajectory whose step 50 is overwritten fails its checks, and
+        under the stored config ``verify`` says so; a report that names the key,
+        ``true`` or ``false``, exits 2 before any replay."""
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(SCENARIOS / "regular_tree_d3.json"),
+                         "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "trajectory.csv").open()))
+        for row in rows[1:]:
+            if row[0] == "50":
+                row[3] = "123.0"
+        tampered = tmp_path / "tampered.csv"
+        with tampered.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(tampered)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert "certificates_enabled" not in report["config"]
+        report["config"]["certificates_enabled"] = enabled
+        bad = write_json(tmp_path / "bad_report.json", report)
+        assert cli.main(["verify", "--report", str(bad), "--trajectory", str(tampered)]) == 2
+
     @pytest.mark.parametrize("relabel", ["t", "agent"])
     def test_negative_index_rows_exit_config(self, tmp_path, relabel):
         """Relabelled rows keep the row count; numpy would wrap a negative index."""
@@ -592,7 +618,7 @@ class TestValidateBeforeWork:
         ("weights", {"scheme": "laplacian", "gamma": 2.5}),
     ], ids=["initial-kind", "regularity-method", "adjoint-method", "regularity-not-object",
             "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
-            "string-certificates_enabled", "no-theta", "string-theta", "no-x_bar",
+            "unknown-key", "no-theta", "string-theta", "no-x_bar",
             "string-x_bar", "short-x_bar", "no-r", "string-r", "fractional-samples",
             "string-spread_tol", "fractional-max_window", "string-low", "null-high",
             "small-max_window", "number-initial", "list-graph", "string-weights",
@@ -680,26 +706,30 @@ class TestValidateBeforeWork:
                          "--out", str(tmp_path / "out")]) == 4
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("m,graph,weights,message,in_compliance", [
+    @pytest.mark.parametrize("m,graph,weights,message", [
         (8, {"kind": "static", "regular_tree_d": 3},
          {"scheme": "custom", "matrices": [{"rows": np.full((3, 3), 1 / 3).tolist()}]},
-         "custom matrices are 3x3, but the graph has m=8", False),
+         "custom matrices are 3x3, but the graph has m=8"),
         (8, {"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.inf},
-         "gamma=inf must exceed m=8", False),
+         "gamma=inf must exceed m=8"),
         (8, {"kind": "static", "regular_tree_d": 3}, {"scheme": "laplacian", "gamma": math.nan},
-         "gamma=nan must exceed m=8", False),
+         "gamma=nan must exceed m=8"),
         (12, {"kind": "random-rooted", "extra_edge_prob": 1.0},
-         {"scheme": "laplacian", "gamma": 5}, "gamma=5.0 must exceed m=12", False),
-        # A random-rooted sequence builds its weights only when compliance
-        # checks them, so an asymmetric draw fails there, after the run has
-        # started.
+         {"scheme": "laplacian", "gamma": 5}, "gamma=5.0 must exceed m=12"),
+        # Only a complete draw is sure to be symmetric at every step.
         (12, {"kind": "random-rooted", "extra_edge_prob": 0.5},
-         {"scheme": "laplacian", "gamma": 50}, "laplacian weights need a symmetric edge set",
-         True),
+         {"scheme": "laplacian", "gamma": 50},
+         "graph.kind 'random-rooted' with weights.scheme 'laplacian' needs "
+         "graph.extra_edge_prob 1 (symmetric draws), not 0.5"),
+        (4, {"kind": "random-rooted"}, {"scheme": "lazy-metropolis"},
+         "weights.scheme 'lazy-metropolis' needs graph.extra_edge_prob 1"),
+        (4, {"kind": "random-rooted", "extra_edge_prob": 0.99}, {"scheme": "quarter"},
+         "weights.scheme 'quarter' needs graph.extra_edge_prob 1"),
     ], ids=["custom-matrix-size", "infinite-gamma", "nan-gamma", "random-rooted-small-gamma",
-            "random-rooted-asymmetric-draw"])
+            "random-rooted-asymmetric-draw", "random-rooted-lazy-default-prob",
+            "random-rooted-quarter"])
     def test_bad_weights_exit_2_without_output(self, tmp_path, monkeypatch, caplog, m, graph,
-                                               weights, message, in_compliance):
+                                               weights, message):
         scenario = {"m": m, "n": 1, "horizon": 20, "seed": 3, "mode": "unconstrained",
                     "graph": graph, "weights": weights,
                     "initial": {"kind": "uniform-box", "low": -1.0, "high": 1.0}}
@@ -707,8 +737,7 @@ class TestValidateBeforeWork:
         def refuse(*args, **kwargs):
             pytest.fail("compliance ran before the weights were validated")
 
-        if not in_compliance:
-            monkeypatch.setattr(engine, "verify_compliance", refuse)
+        monkeypatch.setattr(engine, "verify_compliance", refuse)
         path = write_json(tmp_path / "scenario.json", scenario)
         assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert message in caplog.text

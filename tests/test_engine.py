@@ -212,7 +212,7 @@ class TestRunUnconstrained:
             "initial": {"kind": "uniform-box", "low": -1, "high": 1},
         })
         res = engine.run(cfg)
-        assert res.certificates_pass
+        assert res.certificates.passed
         assert res.report["rate"]["q_step"] == 1 - 1 / 1024
         assert res.report["rate"]["doubly_stochastic_baseline_step"] == 1 - 1 / 512
         assert res.report["adjoint"]["method"] == "uniform"
@@ -238,7 +238,7 @@ class TestRunUnconstrained:
             "initial": {"kind": "uniform-box", "low": -3, "high": 3},
         })
         res = engine.run(cfg)
-        assert res.certificates_pass
+        assert res.certificates.passed
         traj = res.trajectory
         # next state is the exact weighted average of the previous one
         gseq = engine.build_graph_sequence(cfg)
@@ -281,7 +281,7 @@ class TestRunConstrained:
 
     def test_constrained_run_certificates(self, constrained_config):
         res = engine.run(constrained_config(seed=100, horizon=300))
-        assert res.certificates_pass
+        assert res.certificates.passed
         assert not res.report["regularity_escalated"]
         traj = res.trajectory
         assert traj.feasibility[1:].max() <= 1e-10
