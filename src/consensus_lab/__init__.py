@@ -18,9 +18,9 @@ from .lyapunov import (NegativeWeight, VacuousBound, doubly_stochastic_rate_fact
                        rate_quotient, v_function, vector_contraction_certificate,
                        weighted_variance)
 from .sets import (Ball, Box, ConvexSet, DykstraNotConverged, Halfspace, Hyperplane,
-                   InteriorBallNotContained, Intersection, NoInformativeSamples,
-                   RegularityEstimate, distance, dykstra_project, regularity_interior,
-                   regularity_sampling, set_from_json_dict)
+                   InteriorBallNotContained, Intersection, RegularityEstimate, distance,
+                   dykstra_project, regularity_interior, regularity_sampling,
+                   set_from_json_dict)
 from .weights import (AsymmetricGraph, ComplianceReport, GammaTooSmall, MatrixSequence,
                       NotThreeRegular, equal_neighbor_weights, laplacian_weights,
                       lazy_metropolis_weights, regular_quarter_weights, verify_compliance)

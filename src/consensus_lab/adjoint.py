@@ -257,8 +257,8 @@ def write_adjoint_csv(aps: AbsoluteProbabilitySequence, path) -> None:
 
 
 def write_adjoint_sidecar(aps: AbsoluteProbabilitySequence, path) -> None:
-    """JSON ``{delta, method, residual_l1}``; ``residual_l1`` lists ``residuals[:h]``, once."""
+    """JSON ``{delta, method, residual_l1}``; ``residual_l1`` lists each residual once."""
     with open(path, "w") as fh:
-        json.dump({"delta": aps.delta, "method": aps.method, "residual_l1":
-                   aps.residuals[:aps.horizon].tolist()}, fh, indent=2, sort_keys=True)
+        json.dump({"delta": aps.delta, "method": aps.method,
+                   "residual_l1": aps.residuals.tolist()}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -109,9 +109,6 @@ class Certificates:
             if len({len(b) for b in g}) > 1:
                 raise ValueError("interleaved blocks must have one length")
 
-    def __add__(self, other: "Certificates") -> "Certificates":
-        return Certificates(*self.groups, *other.groups)
-
     @property
     def blocks(self) -> list[CheckBlock]:
         return [b for g in self.groups for b in g]

@@ -24,8 +24,8 @@ from .adjoint import (AdjointResidualTooLarge, NotErgodicWithinWindow,
                       write_adjoint_csv, write_adjoint_sidecar)
 from .certificates import same_json_bytes, write_certificates_csv, write_certificates_json
 from .graphs import regular_tree_graph
-from .sets import (Ball, DykstraNotConverged, Intersection, NoInformativeSamples,
-                   regularity_interior, regularity_sampling, set_from_json_dict)
+from .sets import (Ball, DykstraNotConverged, Intersection, regularity_interior,
+                   regularity_sampling, set_from_json_dict)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,8 +34,7 @@ EXIT_NUMERICAL = 4
 
 log = logging.getLogger("consensus_lab")
 
-_NUMERICAL_ERRORS = (NotErgodicWithinWindow, DykstraNotConverged, NoInformativeSamples,
-                     AdjointResidualTooLarge)
+_NUMERICAL_ERRORS = (NotErgodicWithinWindow, DykstraNotConverged, AdjointResidualTooLarge)
 
 
 def _configure_logging() -> None:

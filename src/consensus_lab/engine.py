@@ -23,12 +23,13 @@ from .adjoint import (DEFAULT_MAX_WINDOW, DEFAULT_SPREAD_TOL, FIRST_WINDOW,
 from .certificates import (CertificateRecord, Certificates, CheckBlock, _distinct_reprs,
                            summarize)
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
-from .lyapunov import (VacuousBound, contraction_drop, decrement_series,
+from .lyapunov import (contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, geometric_envelope, noise_floor,
                        rate_quotient, squared_spread, v_function,
                        vector_contraction_certificate, weighted_means, weighted_variance)
-from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection, SetBank,
-                   distance, regularity_interior, regularity_sampling, set_from_json_dict)
+from .sets import (DYKSTRA_TOL, FEASIBILITY_TOL, Ball, ConvexSet, Intersection,
+                   RegularityEstimate, SetBank, distance, regularity_interior,
+                   regularity_sampling, set_from_json_dict)
 from .weights import (SCHEMES, SYMMETRIC_SCHEMES, ComplianceReport, GammaTooSmall,
                       MatrixSequence, check_gamma, verify_compliance)
 
@@ -60,9 +61,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return _is_real(value) and math.isfinite(value)
 
 
 def _is_positive(value) -> bool:
@@ -77,6 +81,17 @@ def _is_edge(value) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_integer, value))
 
 
+def _is_row(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_real, value))
+
+
+def _bad_item(value, test) -> str | None:
+    """What keeps ``value`` from being a list whose items pass ``test``, or ``None``."""
+    if not isinstance(value, (list, tuple)):
+        return repr(value)
+    return next((f"a list holding {v!r}" for v in value if not test(v)), None)
+
+
 # (section, key, test, what the value must be) for the optional values a run
 # reads from a config section; each is checked when the key is present.  A
 # regularity constant is at least 1.  A laplacian gamma may be infinite or
@@ -87,8 +102,7 @@ _VALUE_CHECKS = (("graph", "regular_tree_d", _is_integer, "an integer"),
                  ("graph", "graphs", _is_objects, "a list of objects"),
                  ("weights", "scheme", lambda v: isinstance(v, str) and v in SCHEMES,
                   f"one of {SCHEMES}"),
-                 ("weights", "gamma",
-                  lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+                 ("weights", "gamma", _is_real, "a number"),
                  ("weights", "matrices", _is_objects, "a list of objects"),
                  ("initial", "low", _is_number, "a finite number"),
                  ("initial", "high", _is_number, "a finite number"),
@@ -165,17 +179,23 @@ class RunConfig:
             if key in sections[section] and not test(sections[section][key]):
                 raise ConfigError(f"{section}.{key} must be {what}, "
                                   f"not {sections[section][key]!r}")
-        # A graph's own JSON: its edges, [j, i] pairs of 1-based node ids.
+        # A graph's own JSON holds an integer m and [j, i] edges of 1-based node ids; custom
+        # matrix rows and explicit states hold numbers (their readers name non-finite ones).
         own = [("graph.graph", self.graph["graph"])] if "graph" in self.graph else []
         own += [(f"graph.graphs[{k}]", g) for k, g in enumerate(self.graph.get("graphs", ()))]
         for name, spec in own:
-            edges = spec.get("edges", [])
-            if not isinstance(edges, (list, tuple)):
-                bad = repr(edges)
-            else:
-                bad = next((f"a list holding {e!r}" for e in edges if not _is_edge(e)), None)
+            if not _is_integer(spec.get("m")):
+                raise ConfigError(f"{name}.m must be an integer, not {spec.get('m')!r}")
+        lists = [(f"{name}.edges", spec.get("edges", []), _is_edge, "two-integer lists")
+                 for name, spec in own]
+        lists += [(f"weights.matrices[{k}].rows", mm.get("rows"), _is_row, "lists of numbers")
+                  for k, mm in enumerate(self.weights.get("matrices", ()))]
+        if "states" in self.initial:
+            lists.append(("initial.states", self.initial["states"], _is_row, "lists of numbers"))
+        for name, value, test, what in lists:
+            bad = _bad_item(value, test)
             if bad is not None:
-                raise ConfigError(f"{name}.edges must be a list of two-integer lists, not {bad}")
+                raise ConfigError(f"{name} must be a list of {what}, not {bad}")
         # Only the complete draw, extra_edge_prob 1, is symmetric at every step.
         scheme, prob = self.weights.get("scheme"), self.graph.get("extra_edge_prob", 0.0)
         if (self.graph.get("kind") == "random-rooted" and scheme in SYMMETRIC_SCHEMES
@@ -405,15 +425,16 @@ def _rate_k_values(config: RunConfig) -> list[int]:
 
 def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                           adjoint: AbsoluteProbabilitySequence,
-                          traj: Trajectory,
-                          r_used: float | None) -> Certificates:
+                          traj: Trajectory, r: float | None) -> Certificates:
     """Every check over the whole run, in a deterministic order.
 
     Each check is one array expression over the run, held as one
     :class:`CheckBlock`; per step, step-identity(t) precedes
     decrement-bound(t) and averaging-identity(t) precedes projection-step(t).
     Identity-style checks store the absolute residual as ``lhs`` and the
-    tolerance as ``rhs`` with slack 1.
+    tolerance as ``rhs`` with slack 1.  A constrained run's last two blocks
+    take the quotient :func:`rate_quotient` at the regularity constant ``r``
+    (``VacuousBound`` if it rounds to one); an unconstrained run ignores ``r``.
     """
     h = traj.horizon
     beta, p_star = compliance.beta, compliance.p_star
@@ -436,32 +457,18 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
     floor = noise_floor(traj.states, DYKSTRA_TOL, reach=2.0)
     w_vals = v_function(traj.w[1:], adjoint.vectors[1:], traj.y_point)
     resid = np.abs(w_vals - (lyap[:-1] - decrement))
-    certs = Certificates(
+    q = rate_quotient(adjoint.delta, beta, p_star, r)
+    v = traj.v_values
+    return Certificates(
         CheckBlock("feasibility", traj.feasibility[1:], FEASIBILITY_TOL, t0=1, slack=1.0),
         (CheckBlock("averaging-identity", resid, IDENTITY_TOL * np.maximum(1.0, lyap[:-1]),
                     slack=1.0),
          CheckBlock("projection-step", lyap[1:], w_vals, floor=floor)),
         CheckBlock("constrained-decrease", lyap[1:], lyap[:-1] - drop * traj.spread_sq[:-1],
-                   floor=floor))
-    if r_used is not None:
-        certs += _regularity_blocks(compliance, adjoint, traj, r_used, floor)
-    return certs
-
-
-def _regularity_blocks(compliance: ComplianceReport, adjoint: AbsoluteProbabilitySequence,
-                       traj: Trajectory, r: float, floor: float) -> Certificates:
-    """Tracked-contraction and distance-envelope blocks at the regularity constant ``r``.
-
-    They are the last two blocks of a constrained run, both with the run's
-    noise ``floor``.  Raises ``VacuousBound`` when ``r`` makes the quotient
-    :func:`rate_quotient` round to one.
-    """
-    q = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star, r)
-    v = traj.v_values
-    envelope = geometric_envelope(q, traj.horizon + 1, float(v[0]) / adjoint.delta)
-    return Certificates(
+                   floor=floor),
         CheckBlock("tracked-contraction", v[1:], q * v[:-1], floor=floor),
-        CheckBlock("distance-envelope", traj.dist_sq.sum(axis=1), envelope, floor=floor))
+        CheckBlock("distance-envelope", traj.dist_sq.sum(axis=1),
+                   geometric_envelope(q, h + 1, float(v[0]) / adjoint.delta), floor=floor))
 
 
 @dataclass
@@ -494,54 +501,30 @@ def _build_adjoint(config: RunConfig, mseq: MatrixSequence,
     return stationary_adjoint(mseq, config.horizon)
 
 
-def _resolve_regularity(config: RunConfig, sets, rho: float) -> tuple[float, dict]:
+def _resolve_regularity(config: RunConfig, sets, rho: float) -> RegularityEstimate:
     """Regularity constant for the observed iterate ball ``B(0, rho)``."""
     spec = config.regularity or {"method": "sampling"}
     if spec["method"] == "fixed":
-        r = float(spec["r"])
-        return r, {"method": "fixed", "r_hat": r, "samples": 0, "skipped": 0}
+        return RegularityEstimate(r_hat=float(spec["r"]), method="fixed", samples=0)
     ball = Ball(np.zeros(config.n), max(rho, 1e-9) * (1.0 + 1e-12) + 1e-12)
     if spec["method"] == "interior":
-        est = regularity_interior(sets, float(spec["theta"]),
-                                  np.array(spec["x_bar"], dtype=float), ball)
-    else:
-        est = regularity_sampling(sets, ball, int(spec.get("samples", 2000)),
-                                  config.seed)
-    return est.r_hat, est.to_json_dict()
+        return regularity_interior(sets, float(spec["theta"]),
+                                   np.array(spec["x_bar"], dtype=float), ball)
+    return regularity_sampling(sets, ball, int(spec.get("samples", 2000)), config.seed)
 
 
 def _certify(config: RunConfig, mseq: MatrixSequence, compliance: ComplianceReport,
              adjoint: AbsoluteProbabilitySequence, states: np.ndarray,
              sets, intersection) -> RunResult:
+    """Annotate the states and evaluate every check once; a constrained run's
+    checks take the one regularity constant its config states, and no other."""
     traj = annotate(config, mseq, adjoint, states, sets, intersection)
     rho = float(np.linalg.norm(states, axis=2).max())
-
-    r_used = regularity_info = None
-    if config.mode == "constrained":
-        r_used, regularity_info = _resolve_regularity(config, sets, rho)
-
-    certs = evaluate_certificates(config, compliance, adjoint, traj, r_used)
-    if r_used is not None and regularity_info["method"] != "interior-formula":
-        # Only the interior-ball formula proves its constant.  Try r*1.5,
-        # r*1.5^2, ... until the r-dependent checks pass; if the quotient
-        # turns vacuous first, keep the first constant's failing blocks.
-        head = Certificates(*certs.groups[:-2])
-        tail, r_try = Certificates(*certs.groups[-2:]), r_used
-        floor = tail.blocks[0].floor  # the run's, which no rung changes
-        try:
-            while not tail.passed:
-                r_try *= 1.5
-                tail = _regularity_blocks(compliance, adjoint, traj, r_try, floor)
-        except VacuousBound:
-            r_try = r_used
-        if r_try != r_used:
-            certs = head + tail
-            regularity_info = dict(regularity_info, r_used=r_try, escalated=True,
-                                   r_initial=r_used)
-            r_used = r_try
-
-    report = _build_report(config, compliance, adjoint, traj, certs, rho,
-                           r_used, regularity_info)
+    regularity = (_resolve_regularity(config, sets, rho) if config.mode == "constrained"
+                  else None)
+    certs = evaluate_certificates(config, compliance, adjoint, traj,
+                                  None if regularity is None else regularity.r_hat)
+    report = _build_report(config, compliance, adjoint, traj, certs, rho, regularity)
     return RunResult(config=config, compliance=compliance, adjoint=adjoint,
                      trajectory=traj, certificates=certs, report=report)
 
@@ -574,7 +557,8 @@ def run(config: RunConfig) -> RunResult:
 
 def _build_report(config: RunConfig, compliance: ComplianceReport,
                   adjoint: AbsoluteProbabilitySequence, traj: Trajectory,
-                  certs: Certificates, rho: float, r_used, regularity_info) -> dict:
+                  certs: Certificates, rho: float,
+                  regularity: RegularityEstimate | None) -> dict:
     h = traj.horizon
     q_step = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star)
     # Only steps above the rounding level decay in a way a ratio can measure.
@@ -602,8 +586,7 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
                        "p_star": compliance.p_star, "violation": compliance.violation,
                        "p_star_scope": f"max over simulated t < {compliance.horizon}"},
         "adjoint": {"method": adjoint.method, "delta": adjoint.delta,
-                    "max_residual": float(adjoint.residuals.max())
-                    if adjoint.residuals.size else 0.0,
+                    "max_residual": float(adjoint.residuals.max()),
                     "horizon_extension": ("regenerate-per-step"
                                           if config.graph.get("kind") == "random-rooted"
                                           else "cycle")},
@@ -611,14 +594,12 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
         "certificates": summarize(certs),
     }
     if config.mode == "constrained":
-        report["regularity"] = regularity_info
-        report["r_used"] = r_used
-        report["regularity_escalated"] = regularity_info.get("escalated", False)
-        if r_used is not None:
-            q_tracked = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star,
-                                      r_used)
-            report["tracked_contraction_step"] = q_tracked
-            report["tracked_contraction_vacuous"] = q_tracked >= 1.0 - VACUOUS_EPS
+        q_tracked = rate_quotient(adjoint.delta, compliance.beta, compliance.p_star,
+                                  regularity.r_hat)
+        report["regularity"] = regularity.to_json_dict()
+        report["r_used"] = regularity.r_hat
+        report["tracked_contraction_step"] = q_tracked
+        report["tracked_contraction_vacuous"] = q_tracked >= 1.0 - VACUOUS_EPS
     report["consensus"] = consensus
     return report
 

@@ -50,10 +50,6 @@ class DykstraNotConverged(RuntimeError):
     """Iterate displacement stayed above tolerance; intersection may be empty."""
 
 
-class NoInformativeSamples(RuntimeError):
-    """Every sample fell inside the intersection, so no ratio is defined."""
-
-
 class InteriorBallNotContained(ValueError):
     pass
 
@@ -489,7 +485,9 @@ class RegularityEstimate:
     """Regularity constant estimate; ``r_hat >= 1`` always.
 
     Sampling gives a lower bound on any valid constant over the sampled
-    region; the interior-ball formula gives a usable upper-bound constant.
+    region; the interior-ball formula gives a usable upper-bound constant;
+    a fixed constant (``method`` ``"fixed"``, no samples) is taken as given.
+    A run certifies at ``r_hat`` as it stands.
     """
 
     r_hat: float
@@ -504,20 +502,17 @@ class RegularityEstimate:
             raise ValueError("regularity constants are at least 1")
 
     def to_json_dict(self) -> dict:
-        d = {"r_hat": self.r_hat, "method": self.method,
-             "samples": self.samples, "skipped": self.skipped}
-        if self.theta is not None:
-            d["theta"] = self.theta
-        if self.x_bar is not None:
-            d["x_bar"] = list(self.x_bar)
-        return d
+        d = {k: v for k, v in self.__dict__.items() if v is not None}
+        return d if self.x_bar is None else dict(d, x_bar=list(self.x_bar))
 
 
 def regularity_sampling(sets, region: Ball, samples: int, seed: int) -> RegularityEstimate:
     """Largest observed ratio ``dist(x, X) / max_i dist(x, X_i)`` over samples from ``region``.
 
     Samples inside the intersection (max distance below 1e-9) carry no
-    information and are skipped; if every sample is skipped the call fails.
+    information and are skipped.  The ratio is never below 1, so ``r_hat``
+    starts at 1.0, which is also the bound when every sample is skipped
+    (``skipped == samples``), as when every set holds the whole region.
     Each sample draws its direction ``rng.normal(size=n)`` and then its
     radial factor ``rng.random() ** (1 / n)``, in Python's float power, one
     sample after another, so the stream does not depend on the block size.
@@ -562,8 +557,6 @@ def regularity_sampling(sets, region: Ball, samples: int, seed: int) -> Regulari
         if rest.size:
             ratios = distance(intersection, points[rest]) / dmax[rest]
             r_hat = max(r_hat, float(ratios.max()))
-    if skipped == samples:
-        raise NoInformativeSamples("all samples lie in the intersection")
     return RegularityEstimate(r_hat=float(r_hat), method="sampling",
                               samples=samples, skipped=skipped)
 

@@ -41,7 +41,7 @@ from consensus_lab.seeding import substream
 from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_TOL,
                                 FEASIBILITY_TOL, Ball, Box, ConvexSet, DykstraNotConverged,
                                 Halfspace, Hyperplane, InteriorBallNotContained, Intersection,
-                                NoInformativeSamples, RegularityEstimate, _vec)
+                                RegularityEstimate, _vec)
 from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
                                    MatrixSequence, _positions, _row_supports)
 
@@ -357,8 +357,7 @@ def distance_envelope_certificate(traj: Trajectory, adjoint: AbsoluteProbability
 
 def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceReport,
                           adjoint: AbsoluteProbabilitySequence,
-                          traj: Trajectory,
-                          r_used: float | None) -> list[CertificateRecord]:
+                          traj: Trajectory, r: float | None) -> list[CertificateRecord]:
     """Every enabled per-step check, one step at a time, in a deterministic order.
 
     Identity-style checks store the absolute residual as ``lhs`` and the
@@ -403,9 +402,8 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
         records.append(bounded("projection-step", t, None, float(traj.lyap[t + 1]),
                                w_val, floor=v_floor))
     records.extend(constrained_decrease_certificate(traj, adjoint, beta, p_star))
-    if r_used is not None:
-        records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r_used))
-        records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r_used))
+    records.extend(tracked_contraction_certificate(traj, adjoint, beta, p_star, r))
+    records.extend(distance_envelope_certificate(traj, adjoint, beta, p_star, r))
     return records
 
 
@@ -656,17 +654,13 @@ def regularity_sampling_points(sets, region: Ball, samples: int,
     rng = substream(seed, "regularity")
     r_hat = 1.0
     skipped = 0
-    informative = 0
     for _ in range(samples):
         x = _uniform_ball_point(rng, region.center, region.radius)
         dmax = max(distance_point(s, x) for s in sets)
         if dmax <= 1e-9:
             skipped += 1
             continue
-        informative += 1
         r_hat = max(r_hat, distance_point(intersection, x) / dmax)
-    if informative == 0:
-        raise NoInformativeSamples("all samples lie in the intersection")
     return RegularityEstimate(r_hat=float(r_hat), method="sampling",
                               samples=samples, skipped=skipped)
 

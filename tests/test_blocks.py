@@ -148,7 +148,7 @@ def counted(monkeypatch):
 
 def wedge_scenario(path: Path) -> Path:
     """Two halfspaces in a thin wedge: two sampled points underestimate ``r``,
-    so the run escalates it."""
+    so the run fails at it."""
     import test_certificates
     config = test_certificates.wedge_config(samples=2, seed=2).to_json_dict()
     path.write_text(json.dumps(config))
@@ -161,10 +161,9 @@ def test_commands_make_no_record_objects(tmp_path, counted, name):
     scenario = (wedge_scenario(tmp_path / "wedge.json") if name == "wedge"
                 else SCENARIOS / f"{name}.json")
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    code = 3 if name == "wedge" else 0
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == code
     assert cli.main(["verify", "--report", str(out / "report.json"),
                      "--trajectory", str(out / "trajectory.csv"),
-                     "--certificates", str(out / "certificates.json")]) == 0
-    if name == "wedge":
-        assert json.loads((out / "report.json").read_text())["regularity_escalated"]
+                     "--certificates", str(out / "certificates.json")]) == code
     assert counted == {"records": 0, "spread": 2, "annotate": 2}

@@ -34,8 +34,8 @@ def record_key(r):
     return (r.check, r.t, r.k, r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.floor.hex(), r.passed)
 
 
-def compare(result, traj, r_used) -> list:
-    args = (result.config, result.compliance, result.adjoint, traj, r_used)
+def compare(result, traj, r) -> list:
+    args = (result.config, result.compliance, result.adjoint, traj, r)
     got = engine.evaluate_certificates(*args)
     want = evaluate_certificates_per_step(*args)
     assert len(got) == len(want) > 0
@@ -46,11 +46,9 @@ def compare(result, traj, r_used) -> list:
     return got
 
 
-def assert_same_records(config, r_used="report"):
+def assert_same_records(config):
     result = engine.run(config)
-    if r_used == "report":
-        r_used = result.report.get("r_used")
-    compare(result, result.trajectory, r_used)
+    compare(result, result.trajectory, result.report.get("r_used"))
     return result
 
 
@@ -99,12 +97,9 @@ class TestWholeSeriesRecords:
     def test_constrained(self, seed):
         assert_same_records(_constrained_config(seed, horizon=200))
 
-    def test_constrained_without_regularity_constant(self):
-        assert_same_records(_constrained_config(5, horizon=80), r_used=None)
-
     def test_polyhedron_set(self):
         result = assert_same_records(polyhedron_config())
-        assert result.report["r_used"] is not None
+        assert result.report["r_used"] == result.report["regularity"]["r_hat"]
 
     @pytest.mark.parametrize("config", [
         _unconstrained_config(6, "equal-neighbor", m=8, horizon=100, n=2),
@@ -137,8 +132,7 @@ def wedge_config(samples: int, seed: int, theta: float = 0.05) -> engine.RunConf
 
     Averaged projections creep toward the apex, and a few samples
     underestimate the wedge's regularity constant (about ``1/sin(theta)``), so
-    the sampled constant's tracked contraction fails and the search for ``r``
-    has to climb.
+    the sampled constant's tracked contraction fails.
     """
     return engine.RunConfig.from_json_dict({
         "m": 2, "n": 2, "horizon": 200, "seed": seed, "mode": "constrained",
@@ -156,33 +150,32 @@ def per_step_keys(result, traj, r):
         result.config, result.compliance, result.adjoint, traj, r)]
 
 
-class TestEscalation:
-    def test_passes_after_some_rungs(self, monkeypatch):
+class TestStatedConstant:
+    """A constrained run certifies at the regularity constant its config states."""
+
+    def test_fails_at_the_sampled_constant(self, monkeypatch):
+        """Two samples underestimate the wedge's constant: tracked contraction
+        fails at it, once, and no larger constant is tried."""
         evaluate = engine.evaluate_certificates
         calls = []
         monkeypatch.setattr(engine, "evaluate_certificates",
                             lambda *args: calls.append(args) or evaluate(*args))
         result = engine.run(wedge_config(samples=2, seed=2))
         assert len(calls) == 1
-        assert result.certificates.passed and result.report["regularity_escalated"]
         info, r = result.report["regularity"], result.report["r_used"]
-        assert info["r_initial"] == info["r_hat"] and info["r_used"] == r
-        rungs = [info["r_initial"]]
-        while rungs[-1] < r:
-            rungs.append(rungs[-1] * 1.5)
-        assert len(rungs) >= 2 and rungs[-1].hex() == r.hex()
+        assert info == {"r_hat": r, "method": "sampling", "samples": 2, "skipped": 0}
+        assert calls[0][-1] == r and "regularity_escalated" not in result.report
+        assert not result.certificates.passed
+        failed = {x.check for x in result.records if not x.passed}
+        assert "tracked-contraction" in failed
         assert [record_key(x) for x in result.records] == \
             per_step_keys(result, result.trajectory, r)
-        below = evaluate_certificates_per_step(result.config, result.compliance,
-                                               result.adjoint, result.trajectory, rungs[-2])
-        assert not all(x.passed for x in below)
 
     def test_never_certifies_without_raising(self):
         """Feasible states swapped in at t = 401 break V's decrease for every ``r``.
 
-        The search stops before the quotient turns vacuous and keeps the
-        sampled constant's failing records, under sampled and interior
-        regularity alike.
+        The run keeps its stated constant's failing records, under sampled
+        and interior regularity alike.
         """
         scenario = json.loads((SCENARIOS / "constrained_halfspaces.json").read_text())
         del scenario["out_dir"]
@@ -194,7 +187,6 @@ class TestEscalation:
         for cfg in (sampled, config):
             result = engine.replay_certificates(cfg, states)
             assert not result.certificates.passed
-            assert not result.report["regularity_escalated"]
             assert result.report["r_used"] == result.report["regularity"]["r_hat"]
             assert "tracked-contraction" in {x.check for x in result.records if not x.passed}
             assert [record_key(x) for x in result.records] == \

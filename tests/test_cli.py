@@ -124,6 +124,28 @@ class TestSimulate:
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() != \
             (tmp_path / "b" / "trajectory.csv").read_bytes()
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "ball", "center": [0.0], "radius": 5.0},
+        {"type": "halfspace", "a": [1.0], "b": 3.0},
+        {"type": "box", "lower": [-4.0], "upper": [4.0]},
+    ], ids=["ball", "halfspace", "box"])
+    def test_sets_that_never_bind_exit_zero(self, tmp_path, spec):
+        """Every regularity sample lies in both sets, so the sampled bound is 1."""
+        scenario = write_json(tmp_path / "free.json", {
+            "m": 2, "n": 1, "horizon": 50, "seed": 0, "mode": "constrained",
+            "graph": {"kind": "static", "graph": {"m": 2, "edges": [[1, 2], [2, 1]]}},
+            "weights": {"scheme": "equal-neighbor"}, "initial": {"kind": "uniform-box"},
+            "constraints": [spec, spec]})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert cli.main(["verify", "--report", str(out / "report.json"),
+                         "--trajectory", str(out / "trajectory.csv"),
+                         "--certificates", str(out / "certificates.json")]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["regularity"] == {"r_hat": 1.0, "method": "sampling", "samples": 2000,
+                                        "skipped": 2000}
+        assert report["r_used"] == 1.0
+
     def test_random_rooted_scenario_exit_zero(self, tmp_path):
         code = cli.main(["simulate", "--scenario", str(random_rooted_scenario(tmp_path)),
                          "--out", str(tmp_path / "out")])
@@ -287,13 +309,16 @@ class TestEstimateRegularity:
                          "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_no_informative_samples_exit(self, tmp_path):
+    def test_no_informative_samples_exit(self, tmp_path, capsys):
+        """Every sample lies in the set: the sampled lower bound is 1, exit 0."""
         sets = write_json(tmp_path / "big.json", [{"type": "ball", "center": [0, 0],
                                                    "radius": 50.0}])
         code = cli.main(["estimate-regularity", "--sets", str(sets),
                          "--center", "[0,0]", "--radius", "1.0", "--samples", "20",
                          "--seed", "3"])
-        assert code == 4
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["sampling"] == {
+            "r_hat": 1.0, "method": "sampling", "samples": 20, "skipped": 20}
 
 
 class TestVerify:
@@ -668,9 +693,23 @@ class TestValidateBeforeWork:
         ({"weights": {"scheme": "custom", "matrices": 5}},
          "weights.matrices must be a list of objects"),
         ({"weights": {"scheme": 5}}, "weights.scheme must be one of"),
+        ({"graph": {"kind": "static", "graph": {"m": 3.7, "edges": [[1, 2]]}}},
+         "graph.graph.m must be an integer, not 3.7"),
+        ({"graph": {"kind": "static", "graph": {"m": "3", "edges": [[1, 2]]}}},
+         "graph.graph.m must be an integer, not '3'"),
+        ({"graph": {"kind": "periodic", "graphs": [{"m": True, "edges": [[1, 2]]}]}},
+         "graph.graphs[0].m must be an integer, not True"),
+        ({"weights": {"scheme": "custom", "matrices": [{"rows": [[1.0, "0.5"]]}]}},
+         "weights.matrices[0].rows must be a list of lists of numbers, "
+         "not a list holding [1.0, '0.5']"),
+        ({"initial": {"kind": "explicit", "states": [[0.0]] * 7 + [["1"]]}},
+         "initial.states must be a list of lists of numbers, not a list holding ['1']"),
+        ({"initial": {"kind": "explicit", "states": [[True]] + [[0.0]] * 7}},
+         "initial.states must be a list of lists of numbers, not a list holding [True]"),
     ], ids=["list-regular_tree_d", "list-gamma", "list-extra_edge_prob",
             "number-periodic-graphs", "number-static-edges", "triple-periodic-edges",
-            "number-custom-matrices", "number-scheme"])
+            "number-custom-matrices", "number-scheme", "fractional-graph-m", "string-graph-m",
+            "bool-periodic-graph-m", "string-weight", "string-state", "bool-state"])
     def test_wrong_type_value_exit_2_without_output(self, tmp_path, monkeypatch, caplog, capsys,
                                                     overrides, message):
         """A value of the wrong JSON type is bad input, not a crash, and is named
