@@ -9,6 +9,8 @@ envelopes that depend on a set-regularity constant.
 """
 from __future__ import annotations
 
+import binascii
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -20,8 +22,7 @@ from . import seeding
 from .adjoint import (DEFAULT_MAX_WINDOW, DEFAULT_SPREAD_TOL, FIRST_WINDOW,
                       AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
                       uniform_adjoint)
-from .certificates import (CertificateRecord, Certificates, CheckBlock, _distinct_reprs,
-                           summarize)
+from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, geometric_envelope, noise_floor,
@@ -180,7 +181,7 @@ class RunConfig:
                 raise ConfigError(f"{section}.{key} must be {what}, "
                                   f"not {sections[section][key]!r}")
         # A graph's own JSON holds an integer m and [j, i] edges of 1-based node ids; custom
-        # matrix rows and explicit states hold numbers (their readers name non-finite ones).
+        # matrix rows (whose reader names non-finite ones) and explicit states hold numbers.
         own = [("graph.graph", self.graph["graph"])] if "graph" in self.graph else []
         own += [(f"graph.graphs[{k}]", g) for k, g in enumerate(self.graph.get("graphs", ()))]
         for name, spec in own:
@@ -196,6 +197,10 @@ class RunConfig:
             bad = _bad_item(value, test)
             if bad is not None:
                 raise ConfigError(f"{name} must be a list of {what}, not {bad}")
+        states = self.initial.get("states", ())
+        if self.initial.get("kind") == "explicit" and not (len(states) == self.m and all(
+                len(row) == self.n and all(map(math.isfinite, row)) for row in states)):
+            raise ConfigError(f"initial.states must be {self.m} rows of {self.n} finite numbers")
         # Only the complete draw, extra_edge_prob 1, is symmetric at every step.
         scheme, prob = self.weights.get("scheme"), self.graph.get("extra_edge_prob", 0.0)
         if (self.graph.get("kind") == "random-rooted" and scheme in SYMMETRIC_SCHEMES
@@ -302,10 +307,6 @@ def initial_states(config: RunConfig, bank: SetBank | None) -> np.ndarray:
     spec = config.initial
     if spec.get("kind") == "explicit":
         x0 = np.array(spec["states"], dtype=float)
-        if x0.shape != (config.m, config.n):
-            raise ConfigError(f"explicit states must have shape ({config.m}, {config.n})")
-        if not np.isfinite(x0).all():
-            raise ConfigError("explicit states must be finite")
         if bank is not None:
             for i, s in enumerate(bank.sets):
                 if s.violation(x0[i]) > FEASIBILITY_TOL:
@@ -607,72 +608,86 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
 # ---------------------------------------------------------------------------
 # trajectory CSV round trip
 
-_COLUMNS = ["t", "agent", "coord", "x"]
+_HEADER = "t,agent,coord,x_bits"
+# Bytes of rows that the trajectory writer and reader handle at a time.
+_CHUNK_BYTES = 1 << 16
+_NIBBLE = np.full(256, 16, np.uint8)  # 16 marks a byte that is no lowercase hex digit
+_NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+
+
+def _trajectory_blocks(m: int, n: int, horizon: int, eol: str):
+    """Yield ``(t0, t1, block, cells)``: ``block`` holds the rows of steps
+    ``t0..t1-1``, about ``_CHUNK_BYTES``, with each ``x_bits`` cell all zeros,
+    and ``cells`` pairs each run of a step's rows of one width, a slice of its
+    ``m * n`` rows, with the ``(t1 - t0, rows, 16)`` view of their cells.
+    """
+    tails = [f"{agent},{coord},{'0' * 16}{eol}" for agent in range(m) for coord in range(n)]
+    runs = [(width, len(list(g))) for width, g in itertools.groupby(tails, key=len)]
+    widest = sum(map(len, tails)) + m * n * (len(str(horizon)) + 1)
+    buffer = np.empty(max(_CHUNK_BYTES, widest), np.uint8)  # one, so no two blocks coexist
+    for digits in range(1, len(str(horizon)) + 1):   # one row template per width of t
+        template = np.frombuffer(("0" * digits + ",").join(["", *tails]).encode(), np.uint8)
+        k, end = buffer.size // template.size, min(10 ** digits, horizon + 1)
+        for t0 in range((digits > 1) * 10 ** (digits - 1), end, k):
+            t1 = min(t0 + k, end)
+            block = buffer[:(t1 - t0) * template.size].reshape(t1 - t0, -1)
+            block[...] = template
+            t_text = np.frombuffer("".join(map(str, range(t0, t1))).encode(), np.uint8)
+            cells, start, row = [], 0, 0
+            for width, count in runs:
+                width += digits + 1
+                rows = block[:, start:start + count * width].reshape(t1 - t0, count, width)
+                rows[..., :digits] = t_text.reshape(-1, 1, digits)
+                cells.append((slice(row, row + count), rows[..., -16 - len(eol):-len(eol)]))
+                start, row = start + count * width, row + count
+            yield t0, t1, block, cells
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:
-    """The states: one row ``t,agent,coord,x`` per (t, agent, coord).
+    """The states: one row ``t,agent,coord,x_bits`` per (t, agent, coord).
 
-    The averages ``w`` are not written: they follow from the states and the
-    config, and :func:`annotate` forms them again.  The bytes are those of
-    ``csv.writer`` (CRLF line ends; no cell needs quoting), but each step's
-    block is one ``%`` pass over a row template (``%r`` is the ``repr`` of
-    each value, ``T`` the step index), written with one call.  When the last
-    step's states hold at most half as many distinct values as cells, as a
-    run at consensus does, each distinct value is formatted once and the
-    cells take the strings through ``%s`` instead; that path holds one
-    reference per cell of the run.
+    ``x_bits`` is the state's big-endian IEEE-754 binary64 pattern as 16
+    lowercase hex digits, ``struct.pack(">d", x).hex()``.  The averages ``w``
+    are not written: :func:`annotate` forms them again.  The bytes are those
+    of ``csv.writer`` (CRLF line ends), written one block of steps at a time.
     """
     x = result.trajectory.states
-    m, n = x.shape[1], x.shape[2]
-    spec = "%r"
-    if 2 * np.unique(x[-1].view(np.int64)).size <= m * n:
-        x, spec = _distinct_reprs(x), "%s"
-    template = "".join(f"T,{agent},{coord},{spec}\r\n" for agent in range(m) for coord in range(n))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_COLUMNS) + "\r\n")
-        for t in range(len(x)):
-            fh.write(template.replace("T", str(t)) % tuple(x[t].ravel().tolist()))
-
-
-# Bytes of text that read_trajectory_states parses at a time.  A row of about
-# 30 bytes takes about 240 bytes while it is parsed, so a chunk peaks near 0.5 MB.
-_CHUNK_BYTES = 1 << 16
-_ROW_DTYPE = np.dtype([("t", "i8"), ("agent", "i8"), ("coord", "i8"), ("x", "f8")])
+    with open(path, "wb") as fh:
+        fh.write(f"{_HEADER}\r\n".encode())
+        for t0, t1, block, cells in _trajectory_blocks(*x.shape[1:], len(x) - 1, "\r\n"):
+            for rows, cell in cells:
+                hexed = binascii.hexlify(x.reshape(len(x), -1)[t0:t1, rows].astype(">f8"))
+                cell[...] = np.frombuffer(hexed, np.uint8).reshape(cell.shape)
+            fh.write(block)
 
 
 def read_trajectory_states(path, m: int, n: int, horizon: int) -> np.ndarray:
     """Parse the ``(horizon+1, m, n)`` states back from a trajectory CSV.
 
-    The rows are parsed by ``np.loadtxt`` in chunks of about ``_CHUNK_BYTES``,
-    so the memory used beyond the returned array stays bounded.  Raises
-    ``ConfigError`` when the file does not match the declared shape: a bad
-    header, a row that does not parse (other than four cells, a non-integer
-    index, or a non-numeric or quoted value, since the writer never quotes),
-    an index outside the shape, or a row count or a missing or NaN state
-    that shows a truncated or inconsistent file.  Blank lines count as rows.
+    The file must hold the bytes :func:`write_trajectory_csv` writes for that
+    shape, with the header's line end, ``\\r\\n`` or ``\\n``, on every row.
+    It is read one block of steps at a time.  Any other header, row, cell or
+    line end, a NaN state, a short file or bytes after the last row raise
+    ``ConfigError``.
     """
-    states = np.full((horizon + 1, m, n), np.nan)
-    count = 0
-    with open(path, errors="replace") as fh:  # a bad byte then fails to parse
-        if fh.readline().rstrip("\r\n").split(",") != _COLUMNS:
-            raise ConfigError("trajectory CSV header does not match")
-        for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
-            count += len(lines)
-            if not any(map(str.strip, lines)):
-                continue  # only blank lines, which loadtxt skips; the count rejects them
-            try:
-                rows = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                                  ndmin=1)
-                # mode="raise" also rejects negative indices, which would wrap.
-                flat = np.ravel_multi_index((rows["t"], rows["agent"], rows["coord"]),
-                                            states.shape)
-                states.reshape(-1)[flat] = rows["x"]
-            except ValueError as exc:
-                raise ConfigError(f"bad trajectory row in lines {count - len(lines) + 2}"
-                                  f"..{count + 1}: {exc}") from exc
-    if count != states.size or np.isnan(states).any():
-        raise ConfigError("trajectory CSV is truncated or inconsistent")
+    states = np.empty((horizon + 1, m, n))
+    flat = states.reshape(horizon + 1, -1)
+    with open(path, "rb") as fh:
+        header = fh.readline(len(_HEADER) + 2)
+        eol = header[len(_HEADER):]
+        if header[:len(_HEADER)] != _HEADER.encode() or eol not in (b"\r\n", b"\n"):
+            raise ConfigError(f"trajectory CSV header is not {_HEADER}")
+        for t0, t1, block, cells in _trajectory_blocks(m, n, horizon, eol.decode()):
+            want, size = block.copy(), fh.readinto(block)
+            for rows, cell in cells:
+                nibbles = _NIBBLE[cell]
+                octets = nibbles[..., 0::2] << 4 | nibbles[..., 1::2]
+                flat[t0:t1, rows] = octets.view(">f8")[..., 0]
+                cell[nibbles < 16] = ord("0")  # a byte that is no hex digit stays, and differs
+            if size < block.size or not np.array_equal(block, want) or np.isnan(flat[t0:t1]).any():
+                raise ConfigError(f"trajectory CSV steps {t0}..{t1 - 1}: bad rows or a NaN state")
+        if fh.read(1):
+            raise ConfigError("trajectory CSV has bytes after its last row")
     return states
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -397,10 +398,11 @@ class TestVerify:
     def test_perturbed_state_fails(self, tmp_path):
         out = self._simulate(tmp_path)
         rows = list(csv.reader((out / "trajectory.csv").open()))
-        xcol = rows[0].index("x")
+        xcol = rows[0].index("x_bits")
         for row in rows[1:]:
             if row[0] == "40" and row[1] == "0":
-                row[xcol] = repr(float(row[xcol]) + 1e-3)
+                x = struct.unpack(">d", bytes.fromhex(row[xcol]))[0]
+                row[xcol] = struct.pack(">d", x + 1e-3).hex()
                 break
         bad = tmp_path / "perturbed.csv"
         with bad.open("w", newline="") as fh:
@@ -450,7 +452,7 @@ class TestVerify:
         rows = list(csv.reader((out / "trajectory.csv").open()))
         for row in rows[1:]:
             if row[0] == "50":
-                row[3] = "123.0"
+                row[3] = struct.pack(">d", 123.0).hex()
         tampered = tmp_path / "tampered.csv"
         with tampered.open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -484,13 +486,19 @@ class TestVerify:
         "header", "short-row", "fractional-t", "non-numeric-x", "t-beyond-horizon",
         "agent-beyond-m", "coord-beyond-n", "duplicate-row", "blank-line", "nan-x",
         "non-ascii-x", "quoted-t", "quoted-x", "extra-cell", "old-header", "w-header",
+        "uppercase-x", "nan-bits-x", "15-digit-x", "17-digit-x", "swapped-rows",
+        "mixed-line-ends", "trailing-bytes", "decimal-x", "decimal-header", "nan-payload-x",
     ])
     def test_malformed_trajectory_exit_config(self, tmp_path, case):
         """Each edit of one middle row (or the header) of a good file is rejected.
 
         The writer never quotes, so a quoted cell is refused.  ``w-header``
         is the whole file in the earlier five-column layout, a blank ``w``
-        cell ending each row, which no reader accepts.
+        cell ending each row, and ``decimal-header`` the whole file in the
+        earlier four-column layout, each state its decimal ``repr`` under the
+        header ``t,agent,coord,x``; no reader accepts either.  ``nan-bits-x``
+        is the bit pattern of a quiet NaN, ``nan-payload-x`` a negative
+        signalling one.
         """
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario",
@@ -503,7 +511,12 @@ class TestVerify:
                  "t-beyond-horizon": (0, "21"), "agent-beyond-m": (1, "8"),
                  "coord-beyond-n": (2, "2"), "nan-x": (3, "nan"),
                  "non-ascii-x": (3, cells[3] + "\xff"),
-                 "quoted-t": (0, f'"{cells[0]}"'), "quoted-x": (3, f'"{cells[3]}"')}
+                 "quoted-t": (0, f'"{cells[0]}"'), "quoted-x": (3, f'"{cells[3]}"'),
+                 "uppercase-x": (3, cells[3].upper()),
+                 "nan-bits-x": (3, "7ff8000000000000"), "15-digit-x": (3, cells[3][:15]),
+                 "17-digit-x": (3, cells[3] + "0"), "nan-payload-x": (3, "fff0000000000001"),
+                 "decimal-x": (3, repr(struct.unpack(">d", bytes.fromhex(cells[3]))[0]))}
+        assert cells[3].upper() != cells[3]   # the state's bits hold a hex letter
         if case == "header":
             lines[0] = lines[0].replace("agent", "agents", 1)
         elif case == "old-header":
@@ -519,6 +532,16 @@ class TestVerify:
             lines[mid] = lines[mid - 1]
         elif case == "blank-line":
             lines.insert(mid, "\r\n")
+        elif case == "swapped-rows":
+            lines[mid - 1], lines[mid] = lines[mid], lines[mid - 1]
+        elif case == "mixed-line-ends":
+            lines[mid] = lines[mid].replace("\r\n", "\n")
+        elif case == "trailing-bytes":
+            lines.append("0")
+        elif case == "decimal-header":
+            lines = ["t,agent,coord,x\r\n"] + [
+                ",".join(c[:3] + [repr(struct.unpack(">d", bytes.fromhex(c[3]))[0])]) + "\r\n"
+                for c in (line.rstrip("\r\n").split(",") for line in lines[1:])]
         else:
             col, value = edits[case]
             cells[col] = value
@@ -706,10 +729,17 @@ class TestValidateBeforeWork:
          "initial.states must be a list of lists of numbers, not a list holding ['1']"),
         ({"initial": {"kind": "explicit", "states": [[True]] + [[0.0]] * 7}},
          "initial.states must be a list of lists of numbers, not a list holding [True]"),
+        ({"initial": {"kind": "explicit", "states": [[0.0]] * 7}},
+         "initial.states must be 8 rows of 1 finite numbers"),
+        ({"initial": {"kind": "explicit", "states": [[0.0]] * 7 + [[0.0, 0.0]]}},
+         "initial.states must be 8 rows of 1 finite numbers"),
+        ({"initial": {"kind": "explicit", "states": [[0.0]] * 7 + [[math.inf]]}},
+         "initial.states must be 8 rows of 1 finite numbers"),
     ], ids=["list-regular_tree_d", "list-gamma", "list-extra_edge_prob",
             "number-periodic-graphs", "number-static-edges", "triple-periodic-edges",
             "number-custom-matrices", "number-scheme", "fractional-graph-m", "string-graph-m",
-            "bool-periodic-graph-m", "string-weight", "string-state", "bool-state"])
+            "bool-periodic-graph-m", "string-weight", "string-state", "bool-state",
+            "short-states", "long-state-row", "inf-state"])
     def test_wrong_type_value_exit_2_without_output(self, tmp_path, monkeypatch, caplog, capsys,
                                                     overrides, message):
         """A value of the wrong JSON type is bad input, not a crash, and is named

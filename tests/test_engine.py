@@ -1,4 +1,6 @@
 import csv
+import math
+import struct
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ from consensus_lab import (Ball, Box, MatrixSequence, NotCompliant, regular_tree
                            set_from_json_dict, v_function)
 from consensus_lab import engine
 from consensus_lab.lyapunov import weighted_means
-from oracles import (adversarial_array, constrained_fields_per_point,
+from oracles import (ADVERSARIAL_FLOATS, adversarial_array, constrained_fields_per_point,
                      mean_square_identity_residual)
 
 
@@ -386,16 +388,20 @@ class TestAnnotateAgainstPairwiseOracle:
 
 
 def csv_writer_trajectory(result, path):
-    """Row-by-row ``csv.writer`` export, the byte-level reference for the streamed writer."""
-    traj = result.trajectory
-    m, n = traj.states.shape[1], traj.states.shape[2]
+    """Row-by-row ``csv.writer`` export, the byte-level reference for the streamed writer.
+
+    Each ``x_bits`` cell is the state's big-endian binary64 pattern in hex.
+    """
+    states = result.trajectory.states
+    m, n = states.shape[1], states.shape[2]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["t", "agent", "coord", "x"])
-        for t in range(traj.horizon + 1):
+        wr.writerow(["t", "agent", "coord", "x_bits"])
+        for t in range(len(states)):
             for agent in range(m):
                 for coord in range(n):
-                    wr.writerow([t, agent, coord, repr(float(traj.states[t, agent, coord]))])
+                    wr.writerow([t, agent, coord,
+                                 struct.pack(">d", states[t, agent, coord]).hex()])
 
 
 def csv_writer_plot_data(result, path):
@@ -457,11 +463,11 @@ class TestTrajectoryCsv:
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("last", [0.0, -0.0, np.nan, None])
-    def test_repeated_values_format_once(self, tmp_path, monkeypatch, constrained, last):
-        """A last step at consensus takes the path that formats each value once.
+    def test_repeated_values_format_once(self, tmp_path, constrained, last):
+        """``plot_data.csv`` of a run whose last step is at consensus.
 
         Every other value is adversarial, signed zeros included, and the
-        bytes must not change; a last step of distinct values keeps ``%r``.
+        bytes must equal the oracle's; a last step of distinct values too.
         """
         res = adversarial_result(17, 5, 2, 30, constrained)
         states = res.trajectory.states
@@ -469,20 +475,34 @@ class TestTrajectoryCsv:
             states[-1] = np.arange(10.0).reshape(5, 2)
         else:
             states[-1] = last
-        calls = []
-        distinct = engine._distinct_reprs
-        monkeypatch.setattr(engine, "_distinct_reprs",
-                            lambda values: calls.append(values.shape) or distinct(values))
-        self._assert_same_bytes(res, tmp_path)
-        assert len(calls) == (0 if last is None else 1)
+        engine.write_plot_data_csv(res, tmp_path / "plot.csv")
+        csv_writer_plot_data(res, tmp_path / "plot_oracle.csv")
+        assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "plot_oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("m", [10, 100])
+    @pytest.mark.parametrize("horizon", [9, 10, 99, 100])
+    def test_adversarial_round_trip_bits(self, tmp_path, m, horizon):
+        """Every non-NaN adversarial float, the extreme normals among them,
+        survives the file bit for bit; the shapes put the last ``t`` and
+        ``agent`` on each side of a change in their digit count."""
+        finite = [v for v in ADVERSARIAL_FLOATS if not math.isnan(v)]
+        values = np.array(finite + [np.finfo(float).max, np.finfo(float).tiny])
+        values = np.concatenate([values, -values])
+        states = np.random.default_rng(m + horizon).choice(values, size=(horizon + 1, m, 2))
+        res = SimpleNamespace(trajectory=SimpleNamespace(states=states))
+        engine.write_trajectory_csv(res, tmp_path / "t.csv")
+        csv_writer_trajectory(res, tmp_path / "oracle.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        self._assert_bits_equal(engine.read_trajectory_states(tmp_path / "t.csv", m, 2, horizon),
+                                states)
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_write_memory_is_bounded(self, tmp_path, constrained):
         """The writer holds a few steps' text at a time, not the file."""
         rng = np.random.default_rng(8)
-        states = rng.normal(size=(301, 256, 2))
+        states = rng.normal(size=(401, 256, 2))
         w = states + rng.normal(size=states.shape) if constrained else None
-        res = SimpleNamespace(trajectory=SimpleNamespace(states=states, w=w, horizon=300))
+        res = SimpleNamespace(trajectory=SimpleNamespace(states=states, w=w, horizon=400))
         path = tmp_path / "t.csv"
         tracemalloc.start()
         try:
@@ -518,11 +538,11 @@ class TestTrajectoryCsv:
     def test_parse_memory_is_bounded(self, tmp_path, unconstrained_config, lf_ends):
         """The file is read in chunks: the peak is the output plus at most 1 MiB.
 
-        With ``lf_ends`` the rows end in ``\\n`` alone, as a text editor may
-        save them, so a chunk holds more of the shorter lines.
+        With ``lf_ends`` every line, the header's too, ends in ``\\n`` alone, as
+        a text editor may save them, so a chunk holds more of the shorter lines.
         """
         res = engine.run(unconstrained_config(seed=3, scheme="equal-neighbor", m=64,
-                                              horizon=1100, n=2))
+                                              horizon=1400, n=2))
         path = tmp_path / "t.csv"
         engine.write_trajectory_csv(res, path)
         assert path.stat().st_size > 4 << 20
@@ -530,7 +550,7 @@ class TestTrajectoryCsv:
             path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
         tracemalloc.start()
         try:
-            states = engine.read_trajectory_states(path, 64, 2, 1100)
+            states = engine.read_trajectory_states(path, 64, 2, 1400)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
