@@ -20,9 +20,9 @@ from .weights import COLUMN_SUM_TOL, MatrixSequence, _column_errors
 
 STOCHASTIC_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
-DEFAULT_SPREAD_TOL = 1e-10
-DEFAULT_MAX_WINDOW = 2 ** 14
+SPREAD_TOL = 1e-10  # a backward product has collapsed once its column spread is this small
 FIRST_WINDOW = 8  # backward products start this long and double
+MAX_WINDOW = 2 ** 14
 
 
 class NotDoublyStochastic(ValueError):
@@ -132,49 +132,43 @@ def window_averaged_product(seq: MatrixSequence, t: int, window: int) -> tuple[n
     return p.mean(axis=0), spread
 
 
-def backward_product_adjoint(seq: MatrixSequence, t: int,
-                             spread_tol: float = DEFAULT_SPREAD_TOL,
-                             max_window: int = DEFAULT_MAX_WINDOW) -> np.ndarray:
+def backward_product_adjoint(seq: MatrixSequence, t: int) -> np.ndarray:
     """Limit row of the backward products starting at ``t``.
 
     Accumulates ``P = A(t+T-1)...A(t)`` with ``T`` doubled from
-    ``FIRST_WINDOW`` until the largest column spread of ``P`` falls below
-    ``spread_tol``; the returned vector is the arithmetic mean of the rows of
-    ``P``.  Because products of stochastic matrices only shrink column
-    ranges, every entry of the true limit lies inside the final column
-    envelope, so the result is within ``spread_tol`` of it entrywise.
+    ``FIRST_WINDOW`` (8) until the largest column spread of ``P`` is at most
+    ``SPREAD_TOL`` (1e-10); the returned vector is the arithmetic mean of the
+    rows of ``P``.  Because products of stochastic matrices only shrink
+    column ranges, every entry of the true limit lies inside the final column
+    envelope, so the result is within ``SPREAD_TOL`` of it entrywise.  A
+    product still wider after ``MAX_WINDOW`` (16384) steps raises
+    ``NotErgodicWithinWindow``.
     """
-    if spread_tol <= 0:
-        raise ValueError("spread_tol must be positive")
-    if max_window < FIRST_WINDOW:
-        raise ValueError(f"max_window must be at least {FIRST_WINDOW}, not {max_window}")
     p = None
     length = 0
     window = FIRST_WINDOW
-    while window <= max_window:
+    while window <= MAX_WINDOW:
         p, spread = _extend_product(seq, p, range(t + length, t + window))
         length = window
-        if spread <= spread_tol:
+        if spread <= SPREAD_TOL:
             return p.mean(axis=0)
         window *= 2
     raise NotErgodicWithinWindow(
-        f"t={t}: column spread {spread:.3e} > {spread_tol:.1e} after window {length}")
+        f"t={t}: column spread {spread:.3e} > {SPREAD_TOL:.1e} after window {length}")
 
 
-def assemble_adjoint(seq: MatrixSequence, horizon: int,
-                     spread_tol: float = DEFAULT_SPREAD_TOL,
-                     max_window: int = DEFAULT_MAX_WINDOW) -> AbsoluteProbabilitySequence:
+def assemble_adjoint(seq: MatrixSequence, horizon: int) -> AbsoluteProbabilitySequence:
     """Adjoint sequence over ``t = 0..horizon`` from backward products.
 
     One backward product anchors ``pi(horizon)`` and the rest of the
     sequence follows from the exact recursion ``pi(t) = A(t)' pi(t+1)``,
     which the true limit vectors satisfy identically; stochastic-transpose
-    contraction keeps every ``pi(t)`` within ``m * spread_tol`` (L1) of the
+    contraction keeps every ``pi(t)`` within ``m * SPREAD_TOL`` (L1) of the
     per-step product limit.  Since each ``pi(t)`` is ``A(t)' pi(t+1)`` as
     :func:`adjoint_residuals` forms it, every residual is exactly zero.
     """
     vectors = np.empty((horizon + 1, seq.m))
-    vectors[horizon] = backward_product_adjoint(seq, horizon, spread_tol, max_window)
+    vectors[horizon] = backward_product_adjoint(seq, horizon)
     steps = range(horizon - 1, -1, -1)
     for t, a in zip(steps, seq.dense_steps(steps)):
         vectors[t] = a.T @ vectors[t + 1]

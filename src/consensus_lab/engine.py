@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import seeding
-from .adjoint import (DEFAULT_MAX_WINDOW, DEFAULT_SPREAD_TOL, FIRST_WINDOW,
-                      AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
+from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
                       uniform_adjoint)
 from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
@@ -42,8 +41,13 @@ DECREMENT_FLOOR = float(np.finfo(float).tiny)
 
 _INITIAL_KINDS = ("uniform-box", "explicit")
 _ADJOINT_METHODS = ("auto", "uniform", "backward-product", "stationary")
-# Each regularity method, with the keys it cannot do without.
-_REGULARITY_METHODS = {"sampling": (), "interior": ("theta", "x_bar"), "fixed": ("r",)}
+# The keys each config section may hold.  A regularity section holds its method
+# and that method's keys, each of them required but sampling's samples.
+_SECTION_KEYS = {"graph": ("kind", "regular_tree_d", "extra_edge_prob", "graph", "graphs"),
+                 "weights": ("scheme", "gamma", "matrices"),
+                 "initial": ("kind", "low", "high", "states"),
+                 "adjoint": ("method",)}
+_REGULARITY_METHODS = {"sampling": ("samples",), "interior": ("theta", "x_bar"), "fixed": ("r",)}
 
 
 class YNotInX(ValueError):
@@ -107,8 +111,6 @@ _VALUE_CHECKS = (("graph", "regular_tree_d", _is_integer, "an integer"),
                  ("weights", "matrices", _is_objects, "a list of objects"),
                  ("initial", "low", _is_number, "a finite number"),
                  ("initial", "high", _is_number, "a finite number"),
-                 ("adjoint", "spread_tol", _is_positive, "a positive finite number"),
-                 ("adjoint", "max_window", _is_integer, "an integer"),
                  ("regularity", "theta", _is_positive, "a positive finite number"),
                  ("regularity", "r", lambda v: _is_number(v) and v >= 1,
                   "a finite number >= 1"),
@@ -130,9 +132,7 @@ class RunConfig:
     initial: dict
     constraints: tuple = ()
     adjoint: dict = field(default_factory=dict)
-    rate_ks: tuple = (0, "half")
     regularity: dict | None = None
-    y_point: tuple | None = None
 
     def __post_init__(self):
         for name in ("m", "n", "horizon", "seed"):
@@ -155,13 +155,6 @@ class RunConfig:
                     raise ConfigError(f"constraints[{i}] is not a valid set: {exc}") from exc
                 if dim != self.n:
                     raise ConfigError(f"constraints[{i}] has {dim} coordinates, not n={self.n}")
-        if not isinstance(self.rate_ks, (list, tuple)):
-            raise ConfigError(f"rate_ks must be a list, not {self.rate_ks!r}")
-        object.__setattr__(self, "rate_ks", tuple(self.rate_ks))
-        for k in self.rate_ks:
-            if k != "half" and not (_is_integer(k) and 0 <= k <= self.horizon):
-                raise ConfigError(f"rate_ks entry {k!r} must be 'half' or an integer "
-                                  f"in [0, {self.horizon}]")
         if self.regularity is not None and not isinstance(self.regularity, dict):
             raise ConfigError("regularity must be an object")
         regularity = {"method": "sampling"} if self.regularity is None else self.regularity
@@ -171,11 +164,17 @@ class RunConfig:
                 ("regularity method", regularity.get("method"), tuple(_REGULARITY_METHODS))):
             if value not in allowed:
                 raise ConfigError(f"unknown {what} {value!r}")
-        for key in _REGULARITY_METHODS[regularity["method"]]:
-            if regularity.get(key) is None:
+        method_keys = _REGULARITY_METHODS[regularity["method"]]
+        for key in method_keys:
+            if key != "samples" and regularity.get(key) is None:
                 raise ConfigError(f"regularity method {regularity['method']!r} needs {key!r}")
         sections = {"graph": self.graph, "weights": self.weights, "initial": self.initial,
                     "adjoint": self.adjoint, "regularity": regularity}
+        known = dict(_SECTION_KEYS, regularity=("method", *method_keys))
+        unknown = [f"{name}.{key}" for name, section in sections.items()
+                   for key in section if key not in known[name]]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         for section, key, test, what in _VALUE_CHECKS:
             if key in sections[section] and not test(sections[section][key]):
                 raise ConfigError(f"{section}.{key} must be {what}, "
@@ -214,25 +213,18 @@ class RunConfig:
                 check_gamma(float(self.weights["gamma"]), self.m)
             except GammaTooSmall as exc:
                 raise ConfigError(f"weights.{exc}") from exc
-        if self.adjoint.get("max_window", FIRST_WINDOW) < FIRST_WINDOW:
-            raise ConfigError(f"adjoint.max_window must be at least {FIRST_WINDOW}, "
-                              f"not {self.adjoint['max_window']!r}")
-        for name, point in (("regularity.x_bar", regularity.get("x_bar")),
-                            ("y_point", self.y_point)):
-            if point is not None and not (isinstance(point, (list, tuple))
-                                          and len(point) == self.n
-                                          and all(map(_is_number, point))):
-                raise ConfigError(f"{name} must be a list of {self.n} finite numbers, "
-                                  f"not {point!r}")
-        if self.y_point is not None:
-            object.__setattr__(self, "y_point", tuple(self.y_point))
+        x_bar = regularity.get("x_bar")
+        if x_bar is not None and not (isinstance(x_bar, (list, tuple)) and len(x_bar) == self.n
+                                      and all(map(_is_number, x_bar))):
+            raise ConfigError(f"regularity.x_bar must be a list of {self.n} finite numbers, "
+                              f"not {x_bar!r}")
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"a config must be an object, not {d!r}")
         known = {"m", "n", "horizon", "seed", "mode", "graph", "weights", "initial",
-                 "constraints", "adjoint", "rate_ks", "regularity", "y_point"}
+                 "constraints", "adjoint", "regularity"}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
@@ -250,8 +242,7 @@ class RunConfig:
                 seed=d["seed"], mode=d["mode"], graph=dict(d["graph"]),
                 weights=dict(d["weights"]), initial=dict(d["initial"]),
                 constraints=tuple(constraints), adjoint=dict(adjoint),
-                rate_ks=d.get("rate_ks", (0, "half")),
-                regularity=d.get("regularity"), y_point=d.get("y_point"),
+                regularity=d.get("regularity"),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
@@ -260,9 +251,7 @@ class RunConfig:
         return {"m": self.m, "n": self.n, "horizon": self.horizon, "seed": self.seed,
                 "mode": self.mode, "graph": self.graph, "weights": self.weights,
                 "initial": self.initial, "constraints": list(self.constraints),
-                "adjoint": self.adjoint, "rate_ks": list(self.rate_ks),
-                "regularity": self.regularity,
-                "y_point": list(self.y_point) if self.y_point else None}
+                "adjoint": self.adjoint, "regularity": self.regularity}
 
 
 def build_graph_sequence(config: RunConfig) -> GraphSequence:
@@ -365,12 +354,12 @@ def simulate(config: RunConfig, mseq: MatrixSequence,
 
 def _fixed_test_point(config: RunConfig, states: np.ndarray, pi: np.ndarray,
                       intersection: ConvexSet) -> np.ndarray:
-    if config.y_point is not None:
-        y = np.array(config.y_point, dtype=float)
-    elif config.regularity and config.regularity.get("x_bar") is not None:
-        y = np.array(config.regularity["x_bar"], dtype=float)
-    else:
-        y = intersection.project(pi[0] @ states[0])
+    """The test point ``y`` in ``X`` of the comparison function ``V``: the
+    interior regularity's ``x_bar``, else ``P_X(pi(0)'x(0))``; raises
+    ``YNotInX`` if ``y`` leaves ``X`` by more than ``FEASIBILITY_TOL``."""
+    spec = config.regularity or {}
+    y = (np.array(spec["x_bar"], dtype=float) if "x_bar" in spec
+         else intersection.project(pi[0] @ states[0]))
     if intersection.violation(y) > FEASIBILITY_TOL:
         raise YNotInX(f"fixed test point violates X by {intersection.violation(y):.3e}")
     return y
@@ -420,10 +409,6 @@ def annotate(config: RunConfig, mseq: MatrixSequence,
                       v_values=v_values, dist_sq=dist_sq, y_point=y)
 
 
-def _rate_k_values(config: RunConfig) -> list[int]:
-    return sorted({config.horizon // 2 if k == "half" else int(k) for k in config.rate_ks})
-
-
 def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
                           adjoint: AbsoluteProbabilitySequence,
                           traj: Trajectory, r: float | None) -> Certificates:
@@ -435,7 +420,8 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
     Identity-style checks store the absolute residual as ``lhs`` and the
     tolerance as ``rhs`` with slack 1.  A constrained run's last two blocks
     take the quotient :func:`rate_quotient` at the regularity constant ``r``
-    (``VacuousBound`` if it rounds to one); an unconstrained run ignores ``r``.
+    (``VacuousBound`` if it rounds to one); an unconstrained run ignores ``r``
+    and ends with the vector-rate envelopes from ``k = 0`` and ``k = h // 2``.
     """
     h = traj.horizon
     beta, p_star = compliance.beta, compliance.p_star
@@ -453,7 +439,7 @@ def evaluate_certificates(config: RunConfig, compliance: ComplianceReport,
              CheckBlock("decrement-bound", drop * traj.spread_sq[:h], decrement,
                         floor=DECREMENT_FLOOR)),
             *[vector_contraction_certificate(traj.states, adjoint, beta, p_star, k)
-              for k in _rate_k_values(config)])
+              for k in sorted({0, h // 2})])
 
     floor = noise_floor(traj.states, DYKSTRA_TOL, reach=2.0)
     w_vals = v_function(traj.w[1:], adjoint.vectors[1:], traj.y_point)
@@ -491,14 +477,12 @@ def _build_adjoint(config: RunConfig, mseq: MatrixSequence,
                    compliance: ComplianceReport) -> AbsoluteProbabilitySequence:
     spec = config.adjoint
     method = spec.get("method", "auto")
-    spread_tol = float(spec.get("spread_tol", DEFAULT_SPREAD_TOL))
-    max_window = int(spec.get("max_window", DEFAULT_MAX_WINDOW))
     if method == "auto":
         method = "uniform" if compliance.doubly_stochastic else "backward-product"
     if method == "uniform":
         return uniform_adjoint(mseq, config.horizon)
     if method == "backward-product":
-        return assemble_adjoint(mseq, config.horizon, spread_tol, max_window)
+        return assemble_adjoint(mseq, config.horizon)
     return stationary_adjoint(mseq, config.horizon)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from consensus_lab.adjoint import AbsoluteProbabilitySequence
 from consensus_lab.certificates import VALUE_SLACK, CertificateRecord
 from consensus_lab.engine import (CONSERVATION_TOL, DECREMENT_FLOOR, IDENTITY_TOL, RunConfig,
-                                  Trajectory, _rate_k_values)
+                                  Trajectory)
 from consensus_lab.lyapunov import (_EPS, _PRUNE_MIN_ENTRIES, _SQRT_TINY,
                                     _row_shifted_decrements, contraction_drop, rate_quotient,
                                     weighted_variance)
@@ -383,7 +383,7 @@ def evaluate_certificates_per_step(config: RunConfig, compliance: ComplianceRepo
                                    slack=1.0))
             records.append(bounded("decrement-bound", t, None, drop * float(traj.spread_sq[t]),
                                    float(traj.decrement[t]), floor=DECREMENT_FLOOR))
-        for k in _rate_k_values(config):
+        for k in sorted({0, h // 2}):   # the envelope starts every run checks
             records.extend(vector_contraction_certificate_per_step(traj.states, adjoint, beta,
                                                                    p_star, k))
         return records

@@ -223,7 +223,7 @@ def test_06_adjoint_validity():
     for seed in range(8):
         seq = MatrixSequence.from_scheme(
             GraphSequence.random_rooted(4 + seed, 0.3, seed=seed), "equal-neighbor")
-        aps = assemble_adjoint(seq, 60, spread_tol=spread_tol)
+        aps = assemble_adjoint(seq, 60)
         assert aps.residuals.max() <= 1e-8
         assert 0.0 < aps.delta <= 1.0 / aps.m
 
@@ -231,12 +231,12 @@ def test_06_adjoint_validity():
                                          "quarter")
     uni = uniform_adjoint(quarter, 30)
     assert (uni.vectors == 0.125).all()
-    assembled = assemble_adjoint(quarter, 30, spread_tol=spread_tol)
+    assembled = assemble_adjoint(quarter, 30)
     assert np.abs(assembled.vectors - 0.125).max() <= spread_tol
 
     seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(6, 0.4, seed=77),
                                      "equal-neighbor")
-    phi = backward_product_adjoint(seq, 0, spread_tol=spread_tol)
+    phi = backward_product_adjoint(seq, 0)
     for window in (8, 16, 32, 64, 128, 256, 512, 1024):
         vec, spread = window_averaged_product(seq, 0, window)
         if spread <= spread_tol:

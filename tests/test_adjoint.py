@@ -54,16 +54,8 @@ class TestBackwardProduct:
 
     def test_identity_not_ergodic(self):
         seq = MatrixSequence.custom([np.eye(3)])
-        with pytest.raises(NotErgodicWithinWindow):
-            backward_product_adjoint(seq, 0, max_window=256)
-
-    def test_window_below_first_doubling_rejected(self):
-        seq = MatrixSequence.custom([np.full((3, 3), 1 / 3)])
-        for max_window in (0, 4, 7):
-            with pytest.raises(ValueError, match="max_window"):
-                backward_product_adjoint(seq, 0, max_window=max_window)
-        np.testing.assert_allclose(backward_product_adjoint(seq, 0, max_window=8),
-                                   np.full(3, 1 / 3), atol=1e-15)
+        with pytest.raises(NotErgodicWithinWindow, match="after window 16384"):
+            backward_product_adjoint(seq, 0)
 
     def test_constant_doubly_stochastic_uniform(self):
         a = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
@@ -81,7 +73,7 @@ class TestBackwardProduct:
         seq = MatrixSequence.from_scheme(GraphSequence.random_rooted(6, 0.5, seed=3),
                                          "equal-neighbor")
         spread_tol = 1e-10
-        phi = backward_product_adjoint(seq, 0, spread_tol=spread_tol)
+        phi = backward_product_adjoint(seq, 0)
         for window in (64, 128, 256, 512):
             vec, spread = window_averaged_product(seq, 0, window)
             if spread <= spread_tol:

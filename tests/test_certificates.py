@@ -20,11 +20,12 @@ from consensus_lab import engine
 from consensus_lab.certificates import (CertificateRecord, Certificates, CheckBlock,
                                         summarize, write_certificates_csv,
                                         write_certificates_json)
-from consensus_lab.lyapunov import noise_floor
+from consensus_lab.lyapunov import noise_floor, vector_contraction_certificate
 from consensus_lab.sets import DYKSTRA_TOL
 
 from conftest import _constrained_config, _unconstrained_config
-from oracles import adversarial_array, evaluate_certificates_per_step, v_noise_floor
+from oracles import (adversarial_array, evaluate_certificates_per_step, v_noise_floor,
+                     vector_contraction_certificate_per_step)
 from oracles import noise_floor as noise_floor_per_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -86,12 +87,20 @@ class TestWholeSeriesRecords:
                                                       horizon=150, n=n))
 
     def test_several_rate_ks(self):
-        config = dataclasses.replace(
-            _unconstrained_config(5, "equal-neighbor", m=7, horizon=120, n=2),
-            rate_ks=(0, 7, "half", 119, 120))
-        result = assert_same_records(config)
+        """A run checks the envelope from k = 0 and h // 2; the block form must
+        equal the step loop from any start, the horizon's ends included."""
+        result = assert_same_records(_unconstrained_config(5, "equal-neighbor", m=7,
+                                                           horizon=120, n=2))
         ks = {r.k for r in result.records if r.check == "vector-rate-contraction"}
-        assert ks == {0, 7, 60, 119, 120}
+        assert ks == {0, 60}
+        beta, p_star = result.compliance.beta, result.compliance.p_star
+        for k in (0, 7, 60, 119, 120):
+            got = Certificates(vector_contraction_certificate(
+                result.trajectory.states, result.adjoint, beta, p_star, k))
+            want = vector_contraction_certificate_per_step(
+                result.trajectory.states, result.adjoint, beta, p_star, k)
+            assert len(got) == len(want) == 121 - k
+            assert [record_key(r) for r in got] == [record_key(r) for r in want]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_constrained(self, seed):

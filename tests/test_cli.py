@@ -168,11 +168,13 @@ class TestSimulate:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("ks", [[-1], [1000000]])
-    def test_bad_rate_ks_exit_config(self, tmp_path, ks):
+    def test_bad_rate_ks_exit_config(self, tmp_path, caplog, ks):
+        """rate_ks is no config key: every run checks k = 0 and horizon // 2."""
         scenario = random_rooted_scenario(tmp_path, rate_ks=ks)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
-        assert not (out / "report.json").exists()
+        assert "unknown config keys ['rate_ks']" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [
         {"weights": {"scheme": "custom",
@@ -624,11 +626,8 @@ class TestValidateBeforeWork:
         ("regularity", {"method": "fixed"}),
         ("regularity", {"method": "fixed", "r": "two"}),
         ("regularity", {"method": "sampling", "samples": 2.5}),
-        ("adjoint", {"method": "backward-product", "spread_tol": "tiny"}),
-        ("adjoint", {"method": "backward-product", "max_window": 1024.5}),
         ("initial", {"kind": "uniform-box", "low": "low", "high": 3}),
         ("initial", {"kind": "uniform-box", "low": -3, "high": None}),
-        ("adjoint", {"method": "backward-product", "max_window": 4}),
         ("initial", 5), ("graph", ["static"]), ("weights", "laplacian"), ("adjoint", 0),
         ("constraints", "abc"), ("constraints", [None, 1, "ball"]),
         ("regularity", {"method": "fixed", "r": -1}),
@@ -637,9 +636,6 @@ class TestValidateBeforeWork:
         ("regularity", {"method": "interior", "theta": 0.0, "x_bar": [0.0, 0.0]}),
         ("regularity", {"method": "interior", "theta": -0.5, "x_bar": [0.0, 0.0]}),
         ("regularity", {"method": "sampling", "samples": 0}),
-        ("adjoint", {"method": "backward-product", "spread_tol": 0.0}),
-        ("adjoint", {"method": "backward-product", "spread_tol": -1e-10}),
-        ("rate_ks", 5), ("y_point", 5), ("y_point", [1, "a"]), ("y_point", [0.0]),
         ("constraints", [HALFSPACE, {"type": "box", "lower": [-0.5], "upper": [0.5]}, BALL]),
         ("constraints", [HALFSPACE, BOX, {"type": "ball", "center": [0.0, 0.0, 0.0],
                                           "radius": 2.5}]),
@@ -668,12 +664,10 @@ class TestValidateBeforeWork:
             "fractional-m", "fractional-horizon", "fractional-seed", "bool-n",
             "unknown-key", "no-theta", "string-theta", "no-x_bar",
             "string-x_bar", "short-x_bar", "no-r", "string-r", "fractional-samples",
-            "string-spread_tol", "fractional-max_window", "string-low", "null-high",
-            "small-max_window", "number-initial", "list-graph", "string-weights",
+            "string-low", "null-high", "number-initial", "list-graph", "string-weights",
             "number-adjoint", "string-constraints", "non-object-constraint", "r-minus-one",
             "negative-r", "r-below-one", "zero-theta", "negative-theta", "zero-samples",
-            "zero-spread_tol", "negative-spread_tol", "number-rate_ks", "number-y_point",
-            "string-y_point", "short-y_point", "one-coordinate-box", "three-coordinate-ball",
+            "one-coordinate-box", "three-coordinate-ball",
             "nan-halfspace-normal", "nan-halfspace-offset", "nan-hyperplane-normal",
             "nan-hyperplane-offset", "nan-ball-center", "nan-ball-radius",
             "ball-polyhedron-facet", "ball-without-keys", "fractional-regular_tree_d",
@@ -681,6 +675,41 @@ class TestValidateBeforeWork:
             "unknown-scheme", "string-gamma", "bool-gamma", "no-gamma", "gamma-equal-m",
             "gamma-below-m"])
     def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
+        self.exits_before_compliance(tmp_path, monkeypatch, key, value)
+
+    @pytest.mark.parametrize("key,value,name", [
+        ("adjoint", {"method": "backward-product", "spread_tol": "tiny"}, "adjoint.spread_tol"),
+        ("adjoint", {"method": "backward-product", "max_window": 1024.5}, "adjoint.max_window"),
+        ("adjoint", {"method": "backward-product", "max_window": 4}, "adjoint.max_window"),
+        ("adjoint", {"method": "backward-product", "spread_tol": 0.0}, "adjoint.spread_tol"),
+        ("adjoint", {"method": "backward-product", "spread_tol": -1e-10}, "adjoint.spread_tol"),
+        ("rate_ks", 5, "rate_ks"), ("y_point", 5, "y_point"),
+        ("y_point", [1, "a"], "y_point"), ("y_point", [0.0], "y_point"),
+        ("initial", {"kind": "uniform-box", "lo": -5, "hi": 5}, "initial.lo"),
+        ("adjoint", {"methd": "backward-product"}, "adjoint.methd"),
+        ("graph", {"kind": "random-rooted", "extra_edge_probability": 0.5},
+         "graph.extra_edge_probability"),
+        ("weights", {"scheme": "equal-neighbor", "gama": 20}, "weights.gama"),
+        ("regularity", {"method": "sampling", "theta": 0.5}, "regularity.theta"),
+        ("regularity", {"method": "sampling", "x_bar": [0.0, 0.0]}, "regularity.x_bar"),
+        ("regularity", {"method": "interior", "theta": 0.5, "x_bar": [0.0, 0.0],
+                        "samples": 500}, "regularity.samples"),
+        ("regularity", {"method": "fixed", "r": 2.0, "theta": 0.5}, "regularity.theta"),
+    ], ids=["removed-spread_tol-string", "removed-max_window-fractional",
+            "removed-max_window-small", "removed-spread_tol-zero", "removed-spread_tol-negative",
+            "removed-rate_ks-number", "removed-y_point-number", "removed-y_point-string",
+            "removed-y_point-short", "initial-lo-hi", "adjoint-methd",
+            "graph-extra_edge_probability", "weights-gama", "sampling-theta", "sampling-x_bar",
+            "interior-samples", "fixed-theta"])
+    def test_unknown_key_refused(self, tmp_path, monkeypatch, caplog, key, value, name):
+        """A key no run reads, a removed one or a misspelt one, at the top level or
+        inside a section (regularity's keys follow its method), is refused by name."""
+        self.exits_before_compliance(tmp_path, monkeypatch, key, value)
+        assert caplog.text.count(f"unknown config keys [{name!r}") == 2
+
+    @staticmethod
+    def exits_before_compliance(tmp_path, monkeypatch, key, value):
+        """With ``config[key] = value``, simulate and verify exit 2 before compliance."""
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),
                          "--out", str(out)]) == 0

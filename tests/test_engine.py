@@ -192,17 +192,21 @@ class TestRunConfigValidation:
 
     @pytest.mark.parametrize("ks", [[-1], [41], [1000000], [True], [2.0], ["full"]])
     def test_rate_ks_rejected(self, ks):
-        with pytest.raises(engine.ConfigError):
+        """rate_ks is no config key, whatever its value."""
+        with pytest.raises(engine.ConfigError, match=r"unknown config keys \['rate_ks'\]"):
             engine.RunConfig.from_json_dict(dict(self.BASE, rate_ks=ks))
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(engine.ConfigError):
             engine.RunConfig.from_json_dict(dict(self.BASE, n=0))
 
-    def test_rate_ks_bounds_accepted(self):
-        cfg = engine.RunConfig.from_json_dict(dict(self.BASE, rate_ks=[0, "half", 40]))
-        res = engine.run(cfg)
-        assert {r.k for r in res.records if r.check == "vector-rate-contraction"} == {0, 20, 40}
+    def test_rate_ks_bounds_refused(self):
+        """In-range bounds are refused as well; every run checks the envelope from
+        k = 0 and horizon // 2."""
+        with pytest.raises(engine.ConfigError, match=r"unknown config keys \['rate_ks'\]"):
+            engine.RunConfig.from_json_dict(dict(self.BASE, rate_ks=[0, "half", 40]))
+        res = engine.run(engine.RunConfig.from_json_dict(self.BASE))
+        assert {r.k for r in res.records if r.check == "vector-rate-contraction"} == {0, 20}
 
 
 class TestRunUnconstrained:
