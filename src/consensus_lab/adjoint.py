@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import write_bits_csv
 from .seeding import substream
 from .weights import COLUMN_SUM_TOL, MatrixSequence, _column_errors
 
@@ -43,8 +44,9 @@ class AbsoluteProbabilitySequence:
 
     ``residuals[t]`` is ``|| pi(t) - A(t)' pi(t+1) ||_1``, one per step below
     the horizon; construction rejects any other count and any residual above
-    1e-8.  ``adjoint.csv`` holds the vectors where they change and
-    ``adjoint.json`` the residuals.
+    1e-8.  ``adjoint.csv`` holds the vectors where they change, each entry
+    as the 16 hex digits of its binary64 bits (:func:`write_adjoint_csv`),
+    and ``adjoint.json`` the residuals.
     """
 
     vectors: np.ndarray
@@ -237,17 +239,16 @@ def permutation_counterexample(m: int, seed: int, horizon: int = 16):
 
 
 def write_adjoint_csv(aps: AbsoluteProbabilitySequence, path) -> None:
-    """CSV ``t, i, pi``: step 0, then each step whose vector's bytes differ from the
-    previous step's (``tobytes``: ``-0.0`` is not ``0.0``); a reader holds each vector
-    until the next written step.  The bytes are ``csv.writer``'s (CRLF line ends, no
-    quoting), from one ``%`` pass over a template per written step."""
-    template = "\n".join(f",{i},%r" for i in range(aps.m))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,i,pi\r\n")
-        for t, vector in enumerate(aps.vectors):
-            if t == 0 or vector.tobytes() != aps.vectors[t - 1].tobytes():
-                cells = (template % tuple(vector.tolist())).split("\n")
-                fh.write(f"{t}" + f"\r\n{t}".join(cells) + "\r\n")
+    """CSV ``t,i,pi_bits``: the ``m`` rows of step 0, then of each step whose vector's
+    bytes differ from the previous step's (``-0.0`` is not ``0.0``); a reader holds
+    each vector until the next written step.  ``pi_bits`` is the entry's big-endian
+    IEEE-754 binary64 pattern as 16 lowercase hex digits, ``struct.pack(">d", x).hex()``.
+    The bytes are ``csv.writer``'s (CRLF line ends), written one block of steps at a
+    time by :func:`codec.write_bits_csv`, the trajectory's codec."""
+    bits = np.ascontiguousarray(aps.vectors).view(np.uint64)
+    steps = np.flatnonzero(np.append(True, (bits[1:] != bits[:-1]).any(axis=1)))
+    write_bits_csv(path, "t,i,pi_bits", [[f"{i},"] for i in range(aps.m)],
+                   aps.vectors[steps, :, None], steps)
 
 
 def write_adjoint_sidecar(aps: AbsoluteProbabilitySequence, path) -> None:

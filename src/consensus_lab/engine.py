@@ -9,8 +9,6 @@ envelopes that depend on a set-regularity constant.
 """
 from __future__ import annotations
 
-import binascii
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -22,6 +20,7 @@ from . import seeding
 from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
                       uniform_adjoint)
 from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
+from .codec import NIBBLE, row_blocks, write_bits_csv
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, geometric_envelope, noise_floor,
@@ -48,6 +47,7 @@ _SECTION_KEYS = {"graph": ("kind", "regular_tree_d", "extra_edge_prob", "graph",
                  "initial": ("kind", "low", "high", "states"),
                  "adjoint": ("method",)}
 _REGULARITY_METHODS = {"sampling": ("samples",), "interior": ("theta", "x_bar"), "fixed": ("r",)}
+_MATRIX_KEYS = ("m", "rows")   # of each weights.matrices entry; m, if given, counts the rows
 
 
 class YNotInX(ValueError):
@@ -179,6 +179,11 @@ class RunConfig:
             if key in sections[section] and not test(sections[section][key]):
                 raise ConfigError(f"{section}.{key} must be {what}, "
                                   f"not {sections[section][key]!r}")
+        matrices = self.weights.get("matrices", ())
+        unknown = [f"weights.matrices[{k}].{key}" for k, mm in enumerate(matrices)
+                   for key in mm if key not in _MATRIX_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         # A graph's own JSON holds an integer m and [j, i] edges of 1-based node ids; custom
         # matrix rows (whose reader names non-finite ones) and explicit states hold numbers.
         own = [("graph.graph", self.graph["graph"])] if "graph" in self.graph else []
@@ -189,13 +194,17 @@ class RunConfig:
         lists = [(f"{name}.edges", spec.get("edges", []), _is_edge, "two-integer lists")
                  for name, spec in own]
         lists += [(f"weights.matrices[{k}].rows", mm.get("rows"), _is_row, "lists of numbers")
-                  for k, mm in enumerate(self.weights.get("matrices", ()))]
+                  for k, mm in enumerate(matrices)]
         if "states" in self.initial:
             lists.append(("initial.states", self.initial["states"], _is_row, "lists of numbers"))
         for name, value, test, what in lists:
             bad = _bad_item(value, test)
             if bad is not None:
                 raise ConfigError(f"{name} must be a list of {what}, not {bad}")
+        for k, mm in enumerate(matrices):
+            if "m" in mm and not (_is_integer(mm["m"]) and mm["m"] == len(mm["rows"])):
+                raise ConfigError(f"weights.matrices[{k}].m must equal its row count "
+                                  f"{len(mm['rows'])}, not {mm['m']!r}")
         states = self.initial.get("states", ())
         if self.initial.get("kind") == "explicit" and not (len(states) == self.m and all(
                 len(row) == self.n and all(map(math.isfinite, row)) for row in states)):
@@ -593,38 +602,10 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
 # trajectory CSV round trip
 
 _HEADER = "t,agent,coord,x_bits"
-# Bytes of rows that the trajectory writer and reader handle at a time.
-_CHUNK_BYTES = 1 << 16
-_NIBBLE = np.full(256, 16, np.uint8)  # 16 marks a byte that is no lowercase hex digit
-_NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
-def _trajectory_blocks(m: int, n: int, horizon: int, eol: str):
-    """Yield ``(t0, t1, block, cells)``: ``block`` holds the rows of steps
-    ``t0..t1-1``, about ``_CHUNK_BYTES``, with each ``x_bits`` cell all zeros,
-    and ``cells`` pairs each run of a step's rows of one width, a slice of its
-    ``m * n`` rows, with the ``(t1 - t0, rows, 16)`` view of their cells.
-    """
-    tails = [f"{agent},{coord},{'0' * 16}{eol}" for agent in range(m) for coord in range(n)]
-    runs = [(width, len(list(g))) for width, g in itertools.groupby(tails, key=len)]
-    widest = sum(map(len, tails)) + m * n * (len(str(horizon)) + 1)
-    buffer = np.empty(max(_CHUNK_BYTES, widest), np.uint8)  # one, so no two blocks coexist
-    for digits in range(1, len(str(horizon)) + 1):   # one row template per width of t
-        template = np.frombuffer(("0" * digits + ",").join(["", *tails]).encode(), np.uint8)
-        k, end = buffer.size // template.size, min(10 ** digits, horizon + 1)
-        for t0 in range((digits > 1) * 10 ** (digits - 1), end, k):
-            t1 = min(t0 + k, end)
-            block = buffer[:(t1 - t0) * template.size].reshape(t1 - t0, -1)
-            block[...] = template
-            t_text = np.frombuffer("".join(map(str, range(t0, t1))).encode(), np.uint8)
-            cells, start, row = [], 0, 0
-            for width, count in runs:
-                width += digits + 1
-                rows = block[:, start:start + count * width].reshape(t1 - t0, count, width)
-                rows[..., :digits] = t_text.reshape(-1, 1, digits)
-                cells.append((slice(row, row + count), rows[..., -16 - len(eol):-len(eol)]))
-                start, row = start + count * width, row + count
-            yield t0, t1, block, cells
+def _trajectory_tails(m: int, n: int) -> list[list[str]]:
+    return [[f"{agent},{coord}," for coord in range(n)] for agent in range(m)]
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:
@@ -633,16 +614,11 @@ def write_trajectory_csv(result: RunResult, path) -> None:
     ``x_bits`` is the state's big-endian IEEE-754 binary64 pattern as 16
     lowercase hex digits, ``struct.pack(">d", x).hex()``.  The averages ``w``
     are not written: :func:`annotate` forms them again.  The bytes are those
-    of ``csv.writer`` (CRLF line ends), written one block of steps at a time.
+    of ``csv.writer`` (CRLF line ends), written one block of steps at a time
+    by :func:`codec.write_bits_csv`.
     """
     x = result.trajectory.states
-    with open(path, "wb") as fh:
-        fh.write(f"{_HEADER}\r\n".encode())
-        for t0, t1, block, cells in _trajectory_blocks(*x.shape[1:], len(x) - 1, "\r\n"):
-            for rows, cell in cells:
-                hexed = binascii.hexlify(x.reshape(len(x), -1)[t0:t1, rows].astype(">f8"))
-                cell[...] = np.frombuffer(hexed, np.uint8).reshape(cell.shape)
-            fh.write(block)
+    write_bits_csv(path, _HEADER, _trajectory_tails(*x.shape[1:]), x, range(len(x)))
 
 
 def read_trajectory_states(path, m: int, n: int, horizon: int) -> np.ndarray:
@@ -655,20 +631,21 @@ def read_trajectory_states(path, m: int, n: int, horizon: int) -> np.ndarray:
     ``ConfigError``.
     """
     states = np.empty((horizon + 1, m, n))
-    flat = states.reshape(horizon + 1, -1)
     with open(path, "rb") as fh:
         header = fh.readline(len(_HEADER) + 2)
         eol = header[len(_HEADER):]
         if header[:len(_HEADER)] != _HEADER.encode() or eol not in (b"\r\n", b"\n"):
             raise ConfigError(f"trajectory CSV header is not {_HEADER}")
-        for t0, t1, block, cells in _trajectory_blocks(m, n, horizon, eol.decode()):
+        for t0, t1, block, cells in row_blocks(_trajectory_tails(m, n), range(horizon + 1),
+                                               eol.decode()):
             want, size = block.copy(), fh.readinto(block)
-            for rows, cell in cells:
-                nibbles = _NIBBLE[cell]
+            for agents, coords, cell in cells:
+                nibbles = NIBBLE[cell]
                 octets = nibbles[..., 0::2] << 4 | nibbles[..., 1::2]
-                flat[t0:t1, rows] = octets.view(">f8")[..., 0]
+                states[t0:t1, agents, coords] = octets.view(">f8")[..., 0]
                 cell[nibbles < 16] = ord("0")  # a byte that is no hex digit stays, and differs
-            if size < block.size or not np.array_equal(block, want) or np.isnan(flat[t0:t1]).any():
+            if (size < block.size or not np.array_equal(block, want)
+                    or np.isnan(states[t0:t1]).any()):
                 raise ConfigError(f"trajectory CSV steps {t0}..{t1 - 1}: bad rows or a NaN state")
         if fh.read(1):
             raise ConfigError("trajectory CSV has bytes after its last row")

@@ -88,6 +88,11 @@ class DiGraph:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DiGraph":
+        """The graph of :meth:`to_json_dict`'s JSON; any key but ``m`` and ``edges``
+        raises ``ValueError`` naming it."""
+        unknown = sorted(set(d) - {"m", "edges"})
+        if unknown:
+            raise ValueError(f"unknown graph keys {unknown}")
         return DiGraph(int(d["m"]), [(int(j) - 1, int(i) - 1) for j, i in d["edges"]])
 
 

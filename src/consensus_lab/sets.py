@@ -591,8 +591,17 @@ def regularity_interior(sets, theta: float, x_bar, region: Ball) -> RegularityEs
                               x_bar=tuple(map(float, x_bar)))
 
 
+# The keys each set type reads beside its "type".
+_SPEC_KEYS = {"halfspace": ("a", "b"), "hyperplane": ("a", "b"), "box": ("lower", "upper"),
+              "ball": ("center", "radius"), "polyhedron": ("halfspaces",),
+              "intersection": ("members",)}
+
+
 def set_from_json_dict(d: dict) -> ConvexSet:
-    """Parse the set-specification JSON; box bounds accept null or "inf"/"-inf"."""
+    """Parse the set-specification JSON; box bounds accept null or "inf"/"-inf".
+
+    A key its type does not read raises ``ValueError`` naming it.
+    """
 
     def bound(v, sign: float) -> float:
         return sign * np.inf if v is None else float(v)
@@ -600,6 +609,11 @@ def set_from_json_dict(d: dict) -> ConvexSet:
     if not isinstance(d, dict):
         raise ValueError(f"a set spec must be an object, not {d!r}")
     kind = d["type"]
+    if not (isinstance(kind, str) and kind in _SPEC_KEYS):
+        raise ValueError(f"unknown set type {kind!r}")
+    unknown = sorted(set(d) - {"type", *_SPEC_KEYS[kind]})
+    if unknown:
+        raise ValueError(f"unknown {kind} keys {unknown}")
     if kind == "halfspace":
         return Halfspace(np.array(d["a"], dtype=float), float(d["b"]))
     if kind == "hyperplane":
@@ -615,6 +629,4 @@ def set_from_json_dict(d: dict) -> ConvexSet:
         if not all(isinstance(h, Halfspace) for h in facets):
             raise ValueError("polyhedron facets must be halfspaces")
         return Intersection(facets)
-    if kind == "intersection":
-        return Intersection(tuple(set_from_json_dict(mm) for mm in d["members"]))
-    raise ValueError(f"unknown set type {kind!r}")
+    return Intersection(tuple(set_from_json_dict(mm) for mm in d["members"]))

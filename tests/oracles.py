@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 
 import numpy as np
 
@@ -64,23 +65,28 @@ def read_adjoint(csv_path, sidecar_path) -> tuple[np.ndarray, np.ndarray]:
     """``pi(0..h)`` and the ``h`` residuals from ``adjoint.csv`` and its JSON sidecar.
 
     The CSV holds step 0 and each step whose vector changed; every other step
-    repeats the last written one.  ``h`` is the length of ``residual_l1``.
+    repeats the last written one.  Each ``pi_bits`` cell is 16 lowercase hex
+    digits of a big-endian binary64, decoded bit for bit.  ``h`` is the
+    length of ``residual_l1``.
     """
     with open(sidecar_path) as fh:
         residuals = np.array(json.load(fh)["residual_l1"], dtype=float)
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if rows[0] != ["t", "i", "pi"]:
+    if rows[0] != ["t", "i", "pi_bits"]:
         raise ValueError(f"unexpected header {rows[0]}")
-    written: dict[int, list[float]] = {}
-    for t, i, p in rows[1:]:
+    written: dict[int, list[str]] = {}
+    for t, i, bits in rows[1:]:
         cells = written.setdefault(int(t), [])
         if int(i) != len(cells):
             raise ValueError(f"t={t}: agent {i} out of order")
-        cells.append(float(p))
+        if re.fullmatch("[0-9a-f]{16}", bits) is None:
+            raise ValueError(f"t={t}, i={i}: {bits!r} is not 16 lowercase hex digits")
+        cells.append(bits)
     vectors = np.empty((residuals.size + 1, len(written[0])))
     for t in range(vectors.shape[0]):
-        vectors[t] = written.get(t, vectors[t - 1])
+        vectors[t] = (np.frombuffer(bytes.fromhex("".join(written[t])), ">f8")
+                      if t in written else vectors[t - 1])
     if set(written) - set(range(vectors.shape[0])):
         raise ValueError("a written step lies beyond the horizon")
     return vectors, residuals

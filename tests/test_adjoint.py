@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,14 +235,15 @@ class TestRejectsNonFinite:
 
 def csv_writer_adjoint(aps, path):
     """Row-by-row ``csv.writer`` export, the byte-level reference for the block writer:
-    step 0, then each step whose vector's bytes differ from the previous step's."""
+    step 0, then each step whose vector's bytes differ from the previous step's, each
+    entry the 16 hex digits of its big-endian binary64 bits."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["t", "i", "pi"])
+        wr.writerow(["t", "i", "pi_bits"])
         for t in range(aps.horizon + 1):
             if t == 0 or aps.vectors[t].tobytes() != aps.vectors[t - 1].tobytes():
                 for i in range(aps.m):
-                    wr.writerow([t, i, repr(float(aps.vectors[t, i]))])
+                    wr.writerow([t, i, struct.pack(">d", aps.vectors[t, i]).hex()])
 
 
 def write_and_compare(aps, tmp_path) -> bytes:
@@ -283,6 +285,10 @@ class TestAdjointCsv:
         assert not {2, 3, 5} & set(written)
         assert got.count(b"\r\n") == 1 + len(written) * m
         assert [int(line.split(b",")[0]) for line in got.split(b"\r\n")[1:-1:m]] == written
+        # Subnormals, infinities, NaNs and signed zeros all decode back bit for bit.
+        (tmp_path / "adjoint.json").write_text(json.dumps({"residual_l1": [0.0] * 8}))
+        decoded, _ = read_adjoint(tmp_path / "block.csv", tmp_path / "adjoint.json")
+        assert decoded.tobytes() == vectors.tobytes()
 
     def test_repeating_vectors_keep_signed_zeros(self, tmp_path):
         # Repeats, changes, repeats; the last two steps differ from the first
@@ -292,9 +298,11 @@ class TestAdjointCsv:
         aps = AbsoluteProbabilitySequence(vectors=vectors, residuals=np.zeros(7),
                                           method="user-supplied")
         got = write_and_compare(aps, tmp_path)
-        assert got.split(b"\r\n")[1::3] == [b"0,0,0.5", b"2,0,0.25", b"5,0,0.5", b"6,0,0.5", b""]
-        assert got.count(b",-0.0\r\n") == 1
-        assert got.count(b",0.0\r\n") == 2
+        half, quarter = b"3fe0000000000000", b"3fd0000000000000"
+        assert got.split(b"\r\n")[1::3] == [b"0,0," + half, b"2,0," + quarter, b"5,0," + half,
+                                             b"6,0," + half, b""]
+        assert got.count(b",8000000000000000\r\n") == 1
+        assert got.count(b",0000000000000000\r\n") == 2
 
     def test_uniform_at_scale_writes_one_step(self, tmp_path):
         aps = uniform_adjoint(quarter_sequence(8), 300)
@@ -329,6 +337,15 @@ class TestAdjointFilesRoundTrip:
         with open(tmp_path / "adjoint.json") as fh:
             sidecar = json.load(fh)
         assert sidecar["delta"] == aps.delta and sidecar["method"] == aps.method
+
+    def test_reader_refuses_decimal_layout(self, tmp_path):
+        """The earlier ``t,i,pi`` layout, one decimal ``repr`` per entry, is not read."""
+        aps = uniform_adjoint(quarter_sequence(3), 12)
+        write_adjoint_sidecar(aps, tmp_path / "adjoint.json")
+        (tmp_path / "adjoint.csv").write_text(
+            "t,i,pi\r\n" + "".join(f"0,{i},0.125\r\n" for i in range(8)), newline="")
+        with pytest.raises(ValueError, match="header"):
+            read_adjoint(tmp_path / "adjoint.csv", tmp_path / "adjoint.json")
 
     def test_sidecar_bytes_are_json_dump(self, tmp_path):
         aps = uniform_adjoint(quarter_sequence(3), 12)

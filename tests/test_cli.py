@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -674,8 +675,9 @@ class TestValidateBeforeWork:
             "string-extra_edge_prob", "number-in-graphs", "list-graph-graph", "list-scheme",
             "unknown-scheme", "string-gamma", "bool-gamma", "no-gamma", "gamma-equal-m",
             "gamma-below-m"])
-    def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, key, value):
-        self.exits_before_compliance(tmp_path, monkeypatch, key, value)
+    def test_unknown_method_exits_before_compliance(self, tmp_path, monkeypatch, stored_run,
+                                                    key, value):
+        self.exits_before_compliance(tmp_path, monkeypatch, stored_run, key, value)
 
     @pytest.mark.parametrize("key,value,name", [
         ("adjoint", {"method": "backward-product", "spread_tol": "tiny"}, "adjoint.spread_tol"),
@@ -701,19 +703,46 @@ class TestValidateBeforeWork:
             "removed-y_point-short", "initial-lo-hi", "adjoint-methd",
             "graph-extra_edge_probability", "weights-gama", "sampling-theta", "sampling-x_bar",
             "interior-samples", "fixed-theta"])
-    def test_unknown_key_refused(self, tmp_path, monkeypatch, caplog, key, value, name):
+    def test_unknown_key_refused(self, tmp_path, monkeypatch, caplog, stored_run, key, value,
+                                 name):
         """A key no run reads, a removed one or a misspelt one, at the top level or
         inside a section (regularity's keys follow its method), is refused by name."""
-        self.exits_before_compliance(tmp_path, monkeypatch, key, value)
+        self.exits_before_compliance(tmp_path, monkeypatch, stored_run, key, value)
         assert caplog.text.count(f"unknown config keys [{name!r}") == 2
 
-    @staticmethod
-    def exits_before_compliance(tmp_path, monkeypatch, key, value):
-        """With ``config[key] = value``, simulate and verify exit 2 before compliance."""
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp_path)),
+    @pytest.mark.parametrize("key,value,message", [
+        ("constraints", [HALFSPACE, BOX, dict(BALL, centre=[0.0, 0.0])],
+         "unknown ball keys ['centre']"),
+        ("constraints", [HALFSPACE, dict(BOX, lowr=[-2.0, -2.0]), BALL],
+         "unknown box keys ['lowr']"),
+        ("graph", {"kind": "static",
+                   "graph": {"m": 3, "edges": [[1, 2], [2, 3], [3, 1]], "weight": 1.0}},
+         "unknown graph keys ['weight']"),
+        ("weights", {"scheme": "custom",
+                     "matrices": [{"rows": np.full((3, 3), 1 / 3).tolist(), "row": [1.0]}]},
+         "unknown config keys ['weights.matrices[0].row']"),
+    ], ids=["ball-centre", "box-lowr", "graph-weight", "matrices-row"])
+    def test_unknown_nested_key_refused(self, tmp_path, monkeypatch, caplog, stored_run, key,
+                                        value, message):
+        """A key that a set spec, a graph's JSON or a custom matrix does not read
+        is refused by name, by simulate and by verify."""
+        self.exits_before_compliance(tmp_path, monkeypatch, stored_run, key, value)
+        assert caplog.text.count(message) == 2
+
+    @pytest.fixture(scope="class")
+    def stored_run(self, tmp_path_factory):
+        """``(report, trajectory path)`` of one constrained ``simulate``, shared by
+        every case; each case edits a deep copy of the report."""
+        tmp = tmp_path_factory.mktemp("stored_run")
+        out = tmp / "out"
+        assert cli.main(["simulate", "--scenario", str(constrained_scenario(tmp)),
                          "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        return json.loads((out / "report.json").read_text()), out / "trajectory.csv"
+
+    @staticmethod
+    def exits_before_compliance(tmp_path, monkeypatch, stored_run, key, value):
+        """With ``config[key] = value``, simulate and verify exit 2 before compliance."""
+        report, trajectory = copy.deepcopy(stored_run[0]), stored_run[1]
         report["config"][key] = value
         bad_report = write_json(tmp_path / "bad_report.json", report)
         bad_scenario = write_json(tmp_path / "bad_scenario.json", report["config"])
@@ -726,7 +755,7 @@ class TestValidateBeforeWork:
                          "--out", str(tmp_path / "bad_out")]) == 2
         assert not (tmp_path / "bad_out").exists()
         assert cli.main(["verify", "--report", str(bad_report),
-                         "--trajectory", str(out / "trajectory.csv")]) == 2
+                         "--trajectory", str(trajectory)]) == 2
 
     @pytest.mark.parametrize("overrides,message", [
         ({"graph": {"kind": "static", "regular_tree_d": [3]}},
@@ -754,6 +783,8 @@ class TestValidateBeforeWork:
         ({"weights": {"scheme": "custom", "matrices": [{"rows": [[1.0, "0.5"]]}]}},
          "weights.matrices[0].rows must be a list of lists of numbers, "
          "not a list holding [1.0, '0.5']"),
+        ({"weights": {"scheme": "custom", "matrices": [{"m": 3, "rows": np.eye(8).tolist()}]}},
+         "weights.matrices[0].m must equal its row count 8, not 3"),
         ({"initial": {"kind": "explicit", "states": [[0.0]] * 7 + [["1"]]}},
          "initial.states must be a list of lists of numbers, not a list holding ['1']"),
         ({"initial": {"kind": "explicit", "states": [[True]] + [[0.0]] * 7}},
@@ -767,7 +798,8 @@ class TestValidateBeforeWork:
     ], ids=["list-regular_tree_d", "list-gamma", "list-extra_edge_prob",
             "number-periodic-graphs", "number-static-edges", "triple-periodic-edges",
             "number-custom-matrices", "number-scheme", "fractional-graph-m", "string-graph-m",
-            "bool-periodic-graph-m", "string-weight", "string-state", "bool-state",
+            "bool-periodic-graph-m", "string-weight", "wrong-matrix-m", "string-state",
+            "bool-state",
             "short-states", "long-state-row", "inf-state"])
     def test_wrong_type_value_exit_2_without_output(self, tmp_path, monkeypatch, caplog, capsys,
                                                     overrides, message):

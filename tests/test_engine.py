@@ -9,7 +9,7 @@ import pytest
 
 from consensus_lab import (Ball, Box, MatrixSequence, NotCompliant, regular_tree_graph,
                            set_from_json_dict, v_function)
-from consensus_lab import engine
+from consensus_lab import codec, engine
 from consensus_lab.lyapunov import weighted_means
 from oracles import (ADVERSARIAL_FLOATS, adversarial_array, constrained_fields_per_point,
                      mean_square_identity_residual)
@@ -499,6 +499,21 @@ class TestTrajectoryCsv:
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         self._assert_bits_equal(engine.read_trajectory_states(tmp_path / "t.csv", m, 2, horizon),
                                 states)
+
+    def test_twelve_coordinates_round_trip(self, tmp_path):
+        """From ``n = 11`` a coordinate's width changes inside every agent's rows;
+        the codec still handles a step as one run per agent width and
+        coordinate width (here 2 × 2), and the bytes and bits round-trip."""
+        states = np.random.default_rng(12).normal(size=(12, 12, 12))
+        states[3, 4, 11] = -0.0
+        res = SimpleNamespace(trajectory=SimpleNamespace(states=states))
+        engine.write_trajectory_csv(res, tmp_path / "t.csv")
+        csv_writer_trajectory(res, tmp_path / "oracle.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        self._assert_bits_equal(engine.read_trajectory_states(tmp_path / "t.csv", 12, 12, 11),
+                                states)
+        tails = engine._trajectory_tails(12, 12)
+        assert all(len(cells) == 4 for *_, cells in codec.row_blocks(tails, range(12), "\r\n"))
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_write_memory_is_bounded(self, tmp_path, constrained):

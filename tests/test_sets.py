@@ -843,6 +843,19 @@ class TestJsonRoundTrip:
         s = set_from_json_dict({"type": "box", "lower": ["-inf", 0], "upper": [None, "inf"]})
         assert s.lower[0] == -np.inf and s.upper[0] == np.inf
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"type": "halfspace", "a": [1.0], "b": 0.0, "c": 1.0}, "unknown halfspace keys ['c']"),
+        ({"type": "ball", "center": [0.0], "centre": [0.0], "radius": 1.0},
+         "unknown ball keys ['centre']"),
+        ({"type": "intersection", "members": [
+            {"type": "box", "lower": [0.0], "upper": [1.0], "lowr": [0.0]}]},
+         "unknown box keys ['lowr']"),
+    ], ids=["halfspace-c", "ball-centre", "member-box-lowr"])
+    def test_unknown_key_named(self, spec, message):
+        """Each set type reads its own keys and names any other, nested members too."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            set_from_json_dict(spec)
+
 
 class TestSetValidation:
     """Bad set data is a ValueError when the set is built, never a projection failure."""
