@@ -18,8 +18,6 @@ import numpy as np
 
 # Bytes of rows that a writer or a reader handles at a time.
 CHUNK_BYTES = 1 << 16
-NIBBLE = np.full(256, 16, np.uint8)  # 16 marks a byte that is no lowercase hex digit
-NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
 def _width_runs(tails) -> list:
@@ -47,9 +45,11 @@ def row_blocks(tails, steps, eol: str):
     each ending in ``eol``.  ``steps`` is increasing.  ``block`` holds the
     rows of those steps, about ``CHUNK_BYTES``, with every bits cell all
     zeros.  ``cells`` pairs the ``(a, b)`` slices of each run of rows of
-    one width with the ``(j1 - j0, len(a), len(b), 16)`` view of their
-    cells: rows ``a`` whose tails have the same widths form one run per
-    width of ``b``, so a step has a few runs, not one per row.
+    one width with the ``(j1 - j0, len(a), len(b))`` view of their cells,
+    each one 16-byte item (``V16``): rows ``a`` whose tails have the same
+    widths form one run per width of ``b``, so a step has a few runs, not
+    one per row.  A cell, and a ``t`` stamp, is one item rather than an
+    axis of a few bytes, so that numpy copies it without a loop over them.
     """
     cell = 16 + len(eol)
     runs = _width_runs(tails)
@@ -71,17 +71,18 @@ def row_blocks(tails, steps, eol: str):
             for b, width in widths:
                 size = (b.stop - b.start) * width
                 view = group[..., offset:offset + size].reshape(*group.shape[:2], -1, width)
-                stamps.append(view[..., :digits])
-                cells.append((outer, b, view[..., -cell:-len(eol)]))
+                stamps.append(view[..., :digits].view(f"V{digits}")[..., 0])
+                cells.append((outer, b, view[..., -cell:-len(eol)].view("V16")[..., 0]))
                 offset += size
             start += group.shape[1] * span
         for j0 in range(j, end, k):
             count = min(k, end - j0)
             block = full[:count]
             block[...] = template
-            t_text = np.frombuffer("".join(map(str, steps[j0:j0 + count])).encode(), np.uint8)
+            t_text = np.frombuffer("".join(map(str, steps[j0:j0 + count])).encode(),
+                                   f"V{digits}")
             for stamp in stamps:
-                stamp[:count] = t_text.reshape(-1, 1, 1, digits)
+                stamp[:count] = t_text.reshape(-1, 1, 1)
             yield j0, j0 + count, block, [(a, b, view[:count]) for a, b, view in cells]
         j = end
 
@@ -93,7 +94,13 @@ def write_bits_csv(path, header: str, tails, values: np.ndarray, steps) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{header}\r\n".encode())
         for j0, j1, block, cells in row_blocks(tails, steps, "\r\n"):
-            for outer, inner, cell in cells:
-                hexed = binascii.hexlify(values[j0:j1, outer, inner].astype(">f8"))
-                cell[...] = np.frombuffer(hexed, np.uint8).reshape(cell.shape)
+            fill_cells(cells, values[j0:j1])
             fh.write(block)
+
+
+def fill_cells(cells, values: np.ndarray) -> None:
+    """Write the bits of each ``values[j, a, b]`` into the ``cells`` of a
+    :func:`row_blocks` block, ``values`` holding that block's steps."""
+    for outer, inner, cell in cells:
+        hexed = binascii.hexlify(values[:, outer, inner].astype(">f8"))
+        cell[...] = np.frombuffer(hexed, "V16").reshape(cell.shape)

@@ -20,7 +20,7 @@ from . import seeding
 from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
                       uniform_adjoint)
 from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
-from .codec import NIBBLE, row_blocks, write_bits_csv
+from .codec import fill_cells, row_blocks, write_bits_csv
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, geometric_envelope, noise_floor,
@@ -626,9 +626,11 @@ def read_trajectory_states(path, m: int, n: int, horizon: int) -> np.ndarray:
 
     The file must hold the bytes :func:`write_trajectory_csv` writes for that
     shape, with the header's line end, ``\\r\\n`` or ``\\n``, on every row.
-    It is read one block of steps at a time.  Any other header, row, cell or
-    line end, a NaN state, a short file or bytes after the last row raise
-    ``ConfigError``.
+    It is read one block of steps at a time: each bits cell is decoded
+    arithmetically, and the block written again from the decoded states must
+    equal the bytes read.  Any other header, row, cell or line end (an
+    uppercase hex digit too), a NaN state, a short file or bytes after the
+    last row raise ``ConfigError``.
     """
     states = np.empty((horizon + 1, m, n))
     with open(path, "rb") as fh:
@@ -638,13 +640,17 @@ def read_trajectory_states(path, m: int, n: int, horizon: int) -> np.ndarray:
             raise ConfigError(f"trajectory CSV header is not {_HEADER}")
         for t0, t1, block, cells in row_blocks(_trajectory_tails(m, n), range(horizon + 1),
                                                eol.decode()):
-            want, size = block.copy(), fh.readinto(block)
+            template, size = block.copy(), fh.readinto(block)
             for agents, coords, cell in cells:
-                nibbles = NIBBLE[cell]
-                octets = nibbles[..., 0::2] << 4 | nibbles[..., 1::2]
-                states[t0:t1, agents, coords] = octets.view(">f8")[..., 0]
-                cell[nibbles < 16] = ord("0")  # a byte that is no hex digit stays, and differs
-            if (size < block.size or not np.array_equal(block, want)
+                digits = cell.copy().view(np.uint8)            # contiguous, 16 bytes a cell
+                nibbles = (digits & 15) + 9 * (digits >> 6)   # a lowercase hex digit's value
+                pairs = nibbles.view("<u2")                   # (high, low) nibbles
+                octets = (pairs << 4 | pairs >> 8).astype(np.uint8)
+                states[t0:t1, agents, coords] = octets.view(">f8").reshape(cell.shape)
+            got = block.copy()
+            block[...] = template
+            fill_cells(cells, states[t0:t1])   # any byte but a lowercase hex digit differs
+            if (size < block.size or not np.array_equal(block, got)
                     or np.isnan(states[t0:t1]).any()):
                 raise ConfigError(f"trajectory CSV steps {t0}..{t1 - 1}: bad rows or a NaN state")
         if fh.read(1):

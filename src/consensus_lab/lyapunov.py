@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adjoint import AbsoluteProbabilitySequence
 from .certificates import CheckBlock
@@ -80,33 +81,112 @@ def weighted_variance(states: np.ndarray,
     """
     states = np.asarray(states, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    d = states - states[..., :1, :]
+    d = np.empty_like(states)
+    for c in range(states.shape[-1]):   # one coordinate at a time: numpy loops slowly over n
+        np.subtract(states[..., c], states[..., :1, c], out=d[..., c])
     return v_function(d, weights, weighted_means(weights, d)), weighted_means(weights, states)
 
 
 # squared_spread prunes only scans of more than this many m*m*n entries;
 # below it the pruning's ten or so numpy calls cost more than they save.
 _PRUNE_MIN_ENTRIES = 1 << 14
+# numpy adds fewer than 8 terms of a reduction in order, so a row sum of at
+# most this many nonzeros is column adds; longer rows keep np.add.reduceat.
+_ROW_SUM_TERMS = 8
 _EPS = float(np.finfo(float).eps)
 _SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))
 
 
-def _row_shifted_decrements(support: tuple[np.ndarray, ...], x: np.ndarray,
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over axis 1 of ``(s, k, r)`` terms, ``k <= _ROW_SUM_TERMS``, with the bits
+    of ``np.add.reduceat`` over rows of ``k`` nonzeros.
+
+    ``reduceat`` adds a row's first term to numpy's sum of the rest, which
+    below 8 terms runs in order: ``t0 + ((t1 + t2) + t3)``.  Here each step is
+    one add of whole ``(s, r)`` columns.  A shorter row's missing terms must
+    be ``-0.0``, which leaves every sum, a signed zero too, as it is.
+    """
+    if terms.shape[1] == 1:
+        return terms[:, 0].copy()
+    tail = terms[:, 1].copy()
+    for k in range(2, terms.shape[1]):
+        tail += terms[:, k]
+    return np.add(terms[:, 0], tail, out=tail)
+
+
+def _row_slots(starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """``(index, pad)``: ``index[k, i]`` is the position of row ``i``'s ``k``-th
+    nonzero, or of its first where the row is shorter, which ``pad`` marks;
+    ``pad`` is ``None`` if every row has the same length."""
+    k = np.arange(lengths.max())[:, None]
+    pad = k >= lengths
+    return starts + np.where(pad, 0, k), (pad if pad.any() else None)
+
+
+def _squared_norms(d: list) -> np.ndarray:
+    """``sum_c d[c]^2`` in ``einsum``'s order over a last axis of ``len(d)``; overwrites ``d``.
+
+    Up to two coordinates that is coordinate order.  From three on numpy's
+    ``einsum`` adds in another (``(d0^2 + d2^2) + d1^2`` for three), so the
+    planes are stacked for one ``einsum``.
+    """
+    if len(d) > 2:
+        stacked = np.stack(d, axis=-1)
+        return np.einsum("...n,...n->...", stacked, stacked)
+    sq = np.multiply(d[0], d[0], out=d[0])
+    for dc in d[1:]:
+        sq += np.multiply(dc, dc, out=dc)
+    return sq
+
+
+def _row_shifted_decrements(support: tuple[np.ndarray, ...], planes: list,
                             nu: np.ndarray) -> np.ndarray:
-    """Decrement of each state block ``x[s]`` (shape ``(m, n)``) weighted by ``nu[s]``.
+    """Decrement of each state block weighted by ``nu[s]``, from its coordinate planes.
 
     ``support`` (:func:`weights._row_supports`, ``(cols, weights, starts)``)
     is one matrix's, shared by every block, or that of one matrix per block
-    with columns ``k*m + j``.  No row index is formed: a row's own value is
-    repeated once per nonzero of the row.
+    with columns ``k*m + j``; ``planes[c]`` holds coordinate ``c`` of the
+    blocks, ``(s, rows)`` once reshaped.  Rows of at most
+    ``_ROW_SUM_TERMS`` nonzeros are laid out slot by slot, ``(s, k, rows)``
+    (:func:`_row_slots`), so that a row's own value broadcasts and each row
+    sum is column adds (:func:`_row_sums`); a missing slot's terms are set
+    to ``-0.0``.  Longer rows stay in row order, ``(s, nnz)``, with the row's
+    own value repeated once per nonzero and ``np.add.reduceat`` sums.  The
+    blocks go as many at a time as keep every plane's gather, missing slots
+    included, within ``_BLOCK_ENTRIES`` entries (one block at least).
     """
     cols, weights, starts = support
+    rows = starts.size
     lengths = _lengths(starts, cols.size)
-    x = x.reshape(-1, starts.size, x.shape[-1])
-    d = x[:, cols] - np.repeat(x, lengths, axis=1)                # d_ij = x_j - x_i
-    mu = np.add.reduceat(d * weights[:, None], starts, axis=1)    # mu_i = sum_j A_ij d_ij
-    d -= np.repeat(mu, lengths, axis=1)
-    per_row = np.add.reduceat(np.einsum("sen,sen->se", d, d) * weights, starts, axis=1)
+    if lengths.max() > _ROW_SUM_TERMS:
+        def total(terms):
+            return np.add.reduceat(terms, starts, axis=1)
+
+        def each(v):
+            return np.repeat(v, lengths, axis=1)
+    else:
+        index, pad = _row_slots(starts, lengths)
+        cols, weights = cols[index], weights[index]
+
+        def total(terms):
+            if pad is not None:
+                np.copyto(terms, -0.0, where=pad)
+            return _row_sums(terms)
+
+        def each(v):
+            return v[:, None]
+    x = [plane.reshape(-1, rows) for plane in planes]
+    per_row = np.empty(x[0].shape)
+    size = max(1, _BLOCK_ENTRIES // (cols.size * len(x)))
+    for lo in range(0, len(per_row), size):
+        d = []
+        for xc in x:
+            xc = xc[lo:lo + size]
+            dc = np.take(xc, cols, axis=1)            # C order, as xc[:, cols] is not
+            dc -= each(xc)                            # d_ij = x_j - x_i
+            dc -= each(total(dc * weights))           # mu_i = sum_j A_ij d_ij
+            d.append(dc)
+        per_row[lo:lo + size] = total(_squared_norms(d) * weights)
     return np.einsum("si,si->s", per_row.reshape(nu.shape), nu)
 
 
@@ -125,13 +205,19 @@ def decrement_series(seq: MatrixSequence, states: np.ndarray, pi: np.ndarray) ->
     cost is ``O(nnz(A) n)`` per step, one kernel call per group of steps of
     :meth:`MatrixSequence.supports`: a block of random-rooted steps, or the
     steps that repeat one distinct matrix of a cyclic sequence, at most
-    ``2^16`` gathered entries at a time.  Each step's value has the bits it
-    gets alone.
+    ``2^16`` gathered entries at a time.  The kernel takes the group's
+    states one contiguous coordinate plane ``(steps, m)`` at a time.  A row
+    of at most 8 nonzeros is summed by column adds in ``np.add.reduceat``'s
+    order, a longer row by ``reduceat`` itself, and the squared norms keep
+    ``einsum``'s order for every ``n`` (:func:`_squared_norms`), so each
+    step's value has the bits it gets alone in the interleaved
+    ``reduceat`` form.
     """
-    h = states.shape[0] - 1
+    h, n = states.shape[0] - 1, states.shape[2]
     out = np.empty(h)
-    for steps, support in seq.supports(h, states.shape[2]):
-        out[steps] = _row_shifted_decrements(support, states[steps], pi[steps + 1])
+    for steps, support in seq.supports(h, n):
+        planes = [states[steps, :, c] for c in range(n)]
+        out[steps] = _row_shifted_decrements(support, planes, pi[steps + 1])
     return out
 
 
@@ -142,14 +228,17 @@ def squared_spread(x: np.ndarray) -> np.ndarray:
     values.  One coordinate reduces to ``(max - min)^2``, squared with
     Python's float power, which is libm's ``pow`` as numpy's scalar power
     is: numpy squares an array by multiplying, and the two round
-    differently.  Otherwise the squared coordinate differences of each
-    step's candidate points below are added in coordinate order into one
-    ``k x k`` buffer per step.  numpy sums fewer than 8 terms in that same
-    order, so for ``n < 8`` each value is
-    bit-identical to the maximum of the full ``m x m x n`` difference array
-    summed over its last axis.  The steps go a chunk of at most
-    ``_BLOCK_ENTRIES`` state entries at a time, and each chunk's buffers
-    hold at most that many pairs, or one step's.
+    differently.  Otherwise the steps go a chunk of at most
+    ``_BLOCK_ENTRIES`` state entries at a time, copied into one contiguous
+    ``(steps, m)`` plane per coordinate, and the squared coordinate
+    differences of each pair of a step's candidate points below are added
+    in coordinate order into one buffer per step, each pair taken one way
+    round (:func:`_pairwise_max`).  numpy sums fewer than 8 terms in that
+    same order, so for ``n < 8`` each value is bit-identical to the maximum
+    of the full ``m x m x n`` difference array summed over its last axis.
+    The steps of a chunk are sorted by their candidate count and cut into
+    groups whose buffers hold at most ``_BLOCK_ENTRIES`` entries, or one
+    step's; a group's buffers are as wide as its largest count.
 
     *Pruning* (the diameter argument of Preparata & Shamos, *Computational
     Geometry*, ch. 4).  Take any center ``c`` (here the rounded mean), let
@@ -164,7 +253,7 @@ def squared_spread(x: np.ndarray) -> np.ndarray:
     the maximum over the candidates is the maximum over all pairs, bit for
     bit.  Because the argument holds for every ``c``, the rounding of the
     mean itself never enters.  A step with fewer candidates than the most
-    of its chunk is padded with copies of ``x_p``: each added pair is a real
+    of its group is padded with copies of ``x_p``: each added pair is a real
     pair, whose value cannot exceed the maximum.
 
     *Margin.*  With ``u = 2^-53``, a rounded difference of two floats is
@@ -197,44 +286,74 @@ def squared_spread(x: np.ndarray) -> np.ndarray:
     out = np.empty(steps)
     size = max(1, _BLOCK_ENTRIES // (m * n))
     for lo in range(0, steps, size):
-        chunk = x[lo:lo + size]
+        planes = [x[lo:lo + size, :, c].copy() for c in range(n)]
         if m * m * n > _PRUNE_MIN_ENTRIES:
-            chunk = _spread_candidates(chunk)
-        _pairwise_max(chunk, out[lo:lo + size])
+            for group, idx in _spread_candidates(planes):
+                out[lo + group] = _pairwise_max([p[group[:, None], idx] for p in planes])
+        else:
+            out[lo:lo + size] = _pairwise_max(planes)
     return out
 
 
-def _spread_candidates(x: np.ndarray) -> np.ndarray:
-    """Each step's candidate points (see :func:`squared_spread`), padded with ``x_p``."""
-    steps, m, n = x.shape
-    y = x - x.mean(axis=1, keepdims=True)
-    d = np.sqrt(np.einsum("tmn,tmn->tm", y, y))
+def _spread_candidates(planes: list):
+    """Yield ``(steps, index)`` over a chunk's ``(T, m)`` coordinate planes: groups
+    of steps sorted by candidate count (see :func:`squared_spread`), with
+    each step's candidates in order, padded with ``p`` to the group's most."""
+    steps = np.arange(planes[0].shape[0])
+    d = np.sqrt(_squared_norms([x - x.mean(axis=1, keepdims=True) for x in planes]))
     p = d.argmax(axis=1)
-    y = x - np.take_along_axis(x, p[:, None, None], axis=1)
-    r, ell = d.max(axis=1), np.sqrt(np.einsum("tmn,tmn->tm", y, y).max(axis=1))
-    margin = 8.0 * (n + 4) * _EPS * (ell + r) + _SQRT_TINY
+    r = d.max(axis=1)
+    ell = np.sqrt(_squared_norms([x - x[steps, p][:, None] for x in planes]).max(axis=1))
+    margin = 8.0 * (len(planes) + 4) * _EPS * (ell + r) + _SQRT_TINY
     keep = ~(d < (ell - r - margin)[:, None])
     counts = keep.sum(axis=1)
-    k = int(counts.max())
-    first = np.argsort(~keep, axis=1, kind="stable")[:, :k]  # the candidates, in order
-    idx = np.where(np.arange(k) < counts[:, None], first, p[:, None])
-    return np.take_along_axis(x, idx[..., None], axis=1)
+    first = np.argsort(~keep, axis=1, kind="stable")  # the candidates, in order
+    order = np.argsort(counts, kind="stable")
+    entries = [_buffer_entries(k) for k in counts[order].tolist()]
+    lo = 0
+    while lo < len(order):
+        hi = lo + 1   # the group's last step has its most candidates, so its largest buffer
+        while hi < len(order) and entries[hi] * (hi + 1 - lo) <= _BLOCK_ENTRIES:
+            hi += 1
+        group = order[lo:hi]
+        k = counts[group[-1]]
+        yield group, np.where(np.arange(k) < counts[group, None], first[group, :k],
+                              p[group, None])
+        lo = hi
 
 
-def _pairwise_max(x: np.ndarray, out: np.ndarray) -> None:
-    """``out[t] = max_{j,l} sum_c (x[t, j, c] - x[t, l, c])^2``, in coordinate order."""
-    steps, k, n = x.shape
-    size = max(1, _BLOCK_ENTRIES // (k * k))
+def _buffer_entries(k: int) -> int:
+    """Entries of :func:`_pairwise_max`'s buffer for one step of ``k`` points."""
+    return (k // 2 + 1) * k
+
+
+def _pairwise_max(planes: list) -> np.ndarray:
+    """``max_{j,l} sum_c (x_c[t, j] - x_c[t, l])^2`` of each step ``t`` of ``(T, k)``
+    coordinate planes, in coordinate order.
+
+    ``x_j - x_l`` is exactly ``-(x_l - x_j)``, so a pair has one value either
+    way round, and the partners ``(j + s) mod k`` of each ``j`` for
+    ``s = 0 .. k // 2`` reach every pair, the diagonal included, once or
+    twice.  A strided view of each plane, wrapped around, gives them without
+    a gather, in a buffer of about half the ``k x k`` pairs, at most
+    ``_BLOCK_ENTRIES`` entries (or one step's) at a time.
+    """
+    steps, k = planes[0].shape
+    out = np.empty(steps)
+    size = max(1, _BLOCK_ENTRIES // _buffer_entries(k))
     for lo in range(0, steps, size):
-        c = x[lo:lo + size]
-        buf = c[:, :, None, 0] - c[:, None, :, 0]
-        buf *= buf
-        diff = np.empty_like(buf)
-        for j in range(1, n):
-            np.subtract(c[:, :, None, j], c[:, None, :, j], out=diff)
-            diff *= diff
-            buf += diff
+        buf = None
+        for plane in planes:
+            x = plane[lo:lo + size]
+            ring = np.concatenate([x, x[:, :k // 2]], axis=1)
+            sq = x[:, None, :] - sliding_window_view(ring, k, axis=1)   # [t, s, j]: x_j - x_(j+s)
+            sq *= sq
+            if buf is None:
+                buf = sq
+            else:
+                buf += sq
         out[lo:lo + size] = buf.max(axis=(1, 2))
+    return out
 
 
 def contraction_drop(delta: float, beta: float, p_star: int, r: float = 0.0) -> float:

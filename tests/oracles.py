@@ -3,6 +3,9 @@
 Scalar record builders, the operator-norm envelope for backward products,
 single-step decrement and identity residuals, the one-state squared spread
 and projection checks serve as oracles for the package's array code.
+``row_shifted_decrements`` and ``weighted_variance_reference`` are the
+decrement kernel and the comparison value in their reference forms, which
+the coordinate-plane kernels must reproduce bit for bit.
 ``evaluate_certificates_per_step`` is the step-by-step certificate loop
 that ``engine.evaluate_certificates`` replaces with whole-series arrays; the
 two must agree record for record, bit for bit, and ``certificate_records``
@@ -34,8 +37,8 @@ from consensus_lab.adjoint import AbsoluteProbabilitySequence
 from consensus_lab.certificates import VALUE_SLACK, CertificateRecord
 from consensus_lab.engine import (CONSERVATION_TOL, DECREMENT_FLOOR, IDENTITY_TOL, RunConfig,
                                   Trajectory)
-from consensus_lab.lyapunov import (_EPS, _PRUNE_MIN_ENTRIES, _SQRT_TINY,
-                                    _row_shifted_decrements, contraction_drop, rate_quotient,
+from consensus_lab.lyapunov import (_EPS, _PRUNE_MIN_ENTRIES, _SQRT_TINY, contraction_drop,
+                                    rate_quotient, v_function, weighted_means,
                                     weighted_variance)
 from consensus_lab.graphs import DiGraph, SpanningTree, bfs_spanning_tree, roots
 from consensus_lab.seeding import substream
@@ -44,7 +47,7 @@ from consensus_lab.sets import (_SPHERE_CHECK_SEED, DYKSTRA_MAX_SWEEPS, DYKSTRA_
                                 Halfspace, Hyperplane, InteriorBallNotContained, Intersection,
                                 RegularityEstimate, _vec)
 from consensus_lab.weights import (COLUMN_SUM_TOL, ROW_SUM_TOL, ComplianceReport,
-                                   MatrixSequence, _positions, _row_supports)
+                                   MatrixSequence, _lengths, _positions, _row_supports)
 
 NORM_SLACK = 1.0 + 1e-6
 
@@ -123,17 +126,48 @@ class InfeasiblePoint(ValueError):
     pass
 
 
+def row_shifted_decrements(support: tuple, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """The reference form of ``lyapunov.decrement_series``' kernel, kept fixed.
+
+    Decrement of each state block ``x[s]`` (shape ``(m, n)``) weighted by
+    ``nu[s]``, over a row support ``(cols, weights, starts)`` shared by every
+    block, or one with columns ``k*m + j`` of one matrix per block.  Every
+    row sum is ``np.add.reduceat`` over the interleaved ``(s, e, n)``
+    gather, and the squared norms one ``einsum`` over its last axis; the
+    package's coordinate-plane kernel must reproduce these bits.
+    """
+    cols, weights, starts = support
+    lengths = _lengths(starts, cols.size)
+    x = x.reshape(-1, starts.size, x.shape[-1])
+    d = x[:, cols] - np.repeat(x, lengths, axis=1)                # d_ij = x_j - x_i
+    mu = np.add.reduceat(d * weights[:, None], starts, axis=1)    # mu_i = sum_j A_ij d_ij
+    d -= np.repeat(mu, lengths, axis=1)
+    per_row = np.add.reduceat(np.einsum("sen,sen->se", d, d) * weights, starts, axis=1)
+    return np.einsum("si,si->s", per_row.reshape(nu.shape), nu)
+
+
 def pairwise_decrement_sum(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:
     """``(1/2) sum_i nu_i sum_{j,l} A_ij A_il ||x_j - x_l||^2`` for row-stochastic ``A``.
 
-    ``x`` has shape ``(m,)`` or ``(m, n)``.  One step of the row-shifted
-    kernel behind ``lyapunov.decrement_series``, which documents the form.
+    ``x`` has shape ``(m,)`` or ``(m, n)``.  One step of
+    :func:`row_shifted_decrements`; ``lyapunov.decrement_series`` documents
+    the form.
     """
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
     block = x.reshape(1, x.shape[0], -1)
     support = _row_supports(np.asarray(a, dtype=float)[None])
-    return float(_row_shifted_decrements(support, block, nu[None])[0])
+    return float(row_shifted_decrements(support, block, nu[None])[0])
+
+
+def weighted_variance_reference(states: np.ndarray,
+                                weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lyapunov.weighted_variance`` in its reference form, kept fixed: the
+    shift by agent 0's state is one broadcast over all coordinates."""
+    states = np.asarray(states, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    d = states - states[..., :1, :]
+    return v_function(d, weights, weighted_means(weights, d)), weighted_means(weights, states)
 
 
 def averaging_identity_residual(a: np.ndarray, x: np.ndarray, nu: np.ndarray) -> float:

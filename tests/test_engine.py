@@ -500,6 +500,25 @@ class TestTrajectoryCsv:
         self._assert_bits_equal(engine.read_trajectory_states(tmp_path / "t.csv", m, 2, horizon),
                                 states)
 
+    @pytest.mark.parametrize("digit, byte", [
+        (2, b"E"), (1, b"F"), (13, b"A"), (13, b" "), (13, b"\x10"), (13, b"g"), (13, b"G"),
+        (13, b"/"), (13, b":"), (13, b"`"), (13, b"\xb0"),
+    ])
+    def test_one_byte_that_is_no_lowercase_hex_digit_is_refused(self, tmp_path, digit, byte):
+        """One byte of one bits cell ``3fe6000000000000`` is replaced.  ``E``
+        and ``F`` (for ``e`` and ``f``), a space and ``0x10`` (for ``0``)
+        decode to the digit they replace, so only the re-encoded block's bytes
+        tell them apart; the rest are an uppercase letter, the neighbours of
+        the digit ranges and a byte above ``0x7f``."""
+        res = SimpleNamespace(trajectory=SimpleNamespace(states=np.full((3, 2, 2), 0.6875)))
+        path = tmp_path / "t.csv"
+        engine.write_trajectory_csv(res, path)
+        data = path.read_bytes()
+        at = data.index(b"1,1,0,3fe6000000000000") + len(b"1,1,0,") + digit
+        path.write_bytes(data[:at] + byte + data[at + 1:])
+        with pytest.raises(engine.ConfigError, match="steps 0..2"):
+            engine.read_trajectory_states(path, 2, 2, 2)
+
     def test_twelve_coordinates_round_trip(self, tmp_path):
         """From ``n = 11`` a coordinate's width changes inside every agent's rows;
         the codec still handles a step as one run per agent width and

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from consensus_lab import (GraphSequence, MatrixSequence, NegativeWeight, Vacuou
                            rate_quotient, regular_tree_graph, uniform_adjoint,
                            vector_contraction_certificate, verify_compliance,
                            weighted_variance)
+from consensus_lab import lyapunov
 from consensus_lab.certificates import Certificates, CheckBlock
 from consensus_lab.engine import DECREMENT_FLOOR
-from consensus_lab.lyapunov import (contraction_drop, decrement_series, geometric_envelope,
-                                    squared_spread)
+from consensus_lab.lyapunov import (_row_slots, _row_sums, contraction_drop, decrement_series,
+                                    geometric_envelope, squared_spread)
+from consensus_lab.weights import _lengths
 from oracles import (averaging_identity_residual, operator_norm_sq, pairwise_decrement_sum,
-                     product_convergence_records)
+                     product_convergence_records, weighted_variance_reference)
 
 
 def triple_sum_oracle(a, x, nu):
@@ -228,6 +231,89 @@ def test_batched_decrement_bit_equal_to_per_step_kernel(case):
     want = np.array([pairwise_decrement_sum(seq.matrix_at(t), states[t], pi[t + 1])
                      for t in range(h)])
     assert series.tobytes() == want.tobytes()
+
+
+# Coordinate counts of the plane kernels' reference checks: up to two
+# coordinates the squared norms add in coordinate order, from three on in
+# einsum's order, which the kernels must keep.
+PLANE_NS = [1, 2, 3, 8, 12]
+
+
+def test_row_sums_equal_reduceat_bit_for_bit():
+    """Column adds over the slot layout give ``np.add.reduceat``'s bits on rows
+    of 1 to 8 terms, signed zeros, infinities and their NaNs included."""
+    rng = np.random.default_rng(80)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 5e-324, 1e16, -1e16])
+    for widest in range(1, 9):
+        lengths = rng.integers(1, widest + 1, 400)
+        lengths[:2] = widest, 1
+        starts = np.cumsum(lengths) - lengths
+        terms = rng.standard_normal((3, lengths.sum())) * 10.0 ** rng.integers(-20, 20, (3, 1))
+        special = rng.random(terms.shape) < 0.3
+        terms[special] = rng.choice(specials, special.sum())
+        index, pad = _row_slots(starts, lengths)
+        assert (pad is None) == (lengths == widest).all()
+        slots = terms[:, index]
+        if pad is not None:
+            np.copyto(slots, -0.0, where=pad)
+        with np.errstate(invalid="ignore"):
+            want = np.add.reduceat(terms, starts, axis=1)
+            got = _row_sums(slots)
+        assert got.tobytes() == want.tobytes()
+
+
+def matrix_with_row_lengths(rng, lengths):
+    """Row-stochastic matrix whose row ``i`` has ``lengths[i]`` nonzeros, its diagonal one."""
+    m = len(lengths)
+    a = np.zeros((m, m))
+    for i, k in enumerate(lengths):
+        others = rng.choice(np.delete(np.arange(m), i), k - 1, replace=False)
+        a[i, np.append(others, i)] = rng.random(k) + 0.05
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _plane_kernel_cases(rng, m):
+    """``(sequence, widest row)``: cycles of rows of 1 to 20 nonzeros, one
+    width or mixed, and random-rooted blocks of narrow and of wide rows."""
+    cases = []
+    for widest in (1, 4, 8, 9, 20):
+        mixed = [matrix_with_row_lengths(rng, rng.integers(1, widest + 1, m)) for _ in range(2)]
+        uniform = matrix_with_row_lengths(rng, np.full(m, widest))
+        cases.append(MatrixSequence.custom([*mixed, uniform]))
+    for p in (0.02, 0.5):
+        cases.append(MatrixSequence.from_scheme(GraphSequence.random_rooted(m, p, seed=m),
+                                                "equal-neighbor"))
+    return cases
+
+
+@pytest.mark.parametrize("n", PLANE_NS)
+def test_decrement_series_bit_equal_to_reference_kernel(n):
+    """Slot-major column adds (rows of at most 8 nonzeros, padded or not) and
+    ``reduceat`` (longer rows) give every step the reference kernel's bits."""
+    rng = np.random.default_rng(70 + n)
+    m, h = 24, 23
+    widths = set()
+    for seq in _plane_kernel_cases(rng, m):
+        states = (rng.uniform(-1e3, 1e3, n)
+                  + rng.uniform(-1, 1, (h + 1, m, n)) * 10.0 ** rng.integers(-12, 3, n))
+        pi = rng.dirichlet(np.ones(m), h + 1)
+        widths.update(int(_lengths(s[2], s[0].size).max()) for _, s in seq.supports(h, n))
+        want = np.array([pairwise_decrement_sum(seq.matrix_at(t), states[t], pi[t + 1])
+                         for t in range(h)])
+        assert decrement_series(seq, states, pi).tobytes() == want.tobytes()
+        with mock.patch.object(lyapunov, "_BLOCK_ENTRIES", 64):   # one block at a time
+            assert decrement_series(seq, states, pi).tobytes() == want.tobytes()
+    assert {1, 4, 8, 9, 20} <= widths
+
+
+@pytest.mark.parametrize("n", PLANE_NS)
+def test_weighted_variance_bit_equal_to_reference(n):
+    rng = np.random.default_rng(60 + n)
+    states = rng.uniform(-1e3, 1e3, n) + rng.standard_normal((31, 40, n)) * 1e-3
+    states[3] = -0.0
+    weights = rng.dirichlet(np.ones(40), 31)
+    got, want = weighted_variance(states, weights), weighted_variance_reference(states, weights)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 class TestStepDecrement:

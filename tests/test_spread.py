@@ -137,3 +137,21 @@ def test_one_coordinate_squares_with_float_power():
     x = np.array([[0.0], [0.3624182010806754]])
     assert squared_spread_per_state(x) == 0.13134695247455286
     assert squared_spread(x[None]).tolist() == [0.13134695247455286]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("block", [1 << 10, 1 << 16])
+def test_count_groups_equal_per_state_oracle(n, block):
+    """A run whose steps keep from a few points to all of them: sorted by
+    candidate count and cut into groups of at most ``block`` pairs, every
+    step still gets the one-state oracle's bits, at each coordinate count."""
+    rng = np.random.default_rng(n)
+    m = 100
+    kinds = ["cloud", "outliers", "polygon", "consensus", "special"] * 6
+    states = np.stack([rng.uniform(-1, 1, n) + run_step(rng, kind, m, n)
+                       for kind in rng.permutation(kinds)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = [squared_spread_per_state(x).hex() for x in states]
+        with mock.patch.object(lyapunov, "_BLOCK_ENTRIES", block):
+            got = squared_spread(states)
+    assert [v.hex() for v in got.tolist()] == want
