@@ -239,16 +239,16 @@ def permutation_counterexample(m: int, seed: int, horizon: int = 16):
 
 
 def write_adjoint_csv(aps: AbsoluteProbabilitySequence, path) -> None:
-    """CSV ``t,i,pi_bits``: the ``m`` rows of step 0, then of each step whose vector's
-    bytes differ from the previous step's (``-0.0`` is not ``0.0``); a reader holds
-    each vector until the next written step.  ``pi_bits`` is the entry's big-endian
-    IEEE-754 binary64 pattern as 16 lowercase hex digits, ``struct.pack(">d", x).hex()``.
-    The bytes are ``csv.writer``'s (CRLF line ends), written one block of steps at a
-    time by :func:`codec.write_bits_csv`, the trajectory's codec."""
+    """CSV with header ``t,pi_0,...,pi_{m-1}``: the row ``t,<m bits cells>`` of step 0,
+    then of each step whose vector's bytes differ from the previous step's (``-0.0`` is
+    not ``0.0``); a reader holds each vector until the next written step.  Each bits
+    cell is the entry's big-endian IEEE-754 binary64 pattern as 16 lowercase hex
+    digits, ``struct.pack(">d", x).hex()``.  The bytes are ``csv.writer``'s (CRLF line
+    ends), written by :func:`codec.write_bits_csv`, the trajectory's codec."""
     bits = np.ascontiguousarray(aps.vectors).view(np.uint64)
     steps = np.flatnonzero(np.append(True, (bits[1:] != bits[:-1]).any(axis=1)))
-    write_bits_csv(path, "t,i,pi_bits", [[f"{i},"] for i in range(aps.m)],
-                   aps.vectors[steps, :, None], steps)
+    write_bits_csv(path, "t," + ",".join(f"pi_{i}" for i in range(aps.m)), aps.vectors[steps],
+                   steps)
 
 
 def write_adjoint_sidecar(aps: AbsoluteProbabilitySequence, path) -> None:

@@ -20,7 +20,7 @@ from . import seeding
 from .adjoint import (AbsoluteProbabilitySequence, assemble_adjoint, stationary_adjoint,
                       uniform_adjoint)
 from .certificates import CertificateRecord, Certificates, CheckBlock, summarize
-from .codec import fill_cells, row_blocks, write_bits_csv
+from .codec import read_bits_csv, write_bits_csv
 from .graphs import DiGraph, GraphSequence, regular_tree_graph
 from .lyapunov import (contraction_drop, decrement_series,
                        doubly_stochastic_rate_factor, geometric_envelope, noise_floor,
@@ -38,14 +38,15 @@ VACUOUS_EPS = 1e-12
 # D(t) sums nonnegative terms, so VALUE_SLACK covers its rounding; this covers underflow.
 DECREMENT_FLOOR = float(np.finfo(float).tiny)
 
-_INITIAL_KINDS = ("uniform-box", "explicit")
 _ADJOINT_METHODS = ("auto", "uniform", "backward-product", "stationary")
-# The keys each config section may hold.  A regularity section holds its method
-# and that method's keys, each of them required but sampling's samples.
-_SECTION_KEYS = {"graph": ("kind", "regular_tree_d", "extra_edge_prob", "graph", "graphs"),
-                 "weights": ("scheme", "gamma", "matrices"),
-                 "initial": ("kind", "low", "high", "states"),
-                 "adjoint": ("method",)}
+# The keys a config section may hold besides its kind, scheme or method, by that
+# value: only the keys the run reads.  A static graph reads regular_tree_d or its
+# own graph, one of the two.  A regularity method's keys are each required but
+# sampling's samples.
+_GRAPH_KEYS = {"static": ("regular_tree_d", "graph"), "periodic": ("graphs",),
+               "random-rooted": ("extra_edge_prob",)}
+_SCHEME_KEYS = {"laplacian": ("gamma",), "custom": ("matrices",)}   # the rest read none
+_INITIAL_KEYS = {"uniform-box": ("low", "high"), "explicit": ("states",)}
 _REGULARITY_METHODS = {"sampling": ("samples",), "interior": ("theta", "x_bar"), "fixed": ("r",)}
 _MATRIX_KEYS = ("m", "rows")   # of each weights.matrices entry; m, if given, counts the rows
 
@@ -155,11 +156,16 @@ class RunConfig:
                     raise ConfigError(f"constraints[{i}] is not a valid set: {exc}") from exc
                 if dim != self.n:
                     raise ConfigError(f"constraints[{i}] has {dim} coordinates, not n={self.n}")
+        for key, given in (("constraints", len(self.constraints) > 0),
+                           ("regularity", self.regularity is not None)):
+            if given and self.mode == "unconstrained":
+                raise ConfigError(f"mode 'unconstrained' reads no {key}")
         if self.regularity is not None and not isinstance(self.regularity, dict):
             raise ConfigError("regularity must be an object")
         regularity = {"method": "sampling"} if self.regularity is None else self.regularity
         for what, value, allowed in (
-                ("initial kind", self.initial.get("kind", "uniform-box"), _INITIAL_KINDS),
+                ("graph kind", self.graph.get("kind"), tuple(_GRAPH_KEYS)),
+                ("initial kind", self.initial.get("kind", "uniform-box"), tuple(_INITIAL_KEYS)),
                 ("adjoint method", self.adjoint.get("method", "auto"), _ADJOINT_METHODS),
                 ("regularity method", regularity.get("method"), tuple(_REGULARITY_METHODS))):
             if value not in allowed:
@@ -170,15 +176,22 @@ class RunConfig:
                 raise ConfigError(f"regularity method {regularity['method']!r} needs {key!r}")
         sections = {"graph": self.graph, "weights": self.weights, "initial": self.initial,
                     "adjoint": self.adjoint, "regularity": regularity}
-        known = dict(_SECTION_KEYS, regularity=("method", *method_keys))
-        unknown = [f"{name}.{key}" for name, section in sections.items()
-                   for key in section if key not in known[name]]
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
         for section, key, test, what in _VALUE_CHECKS:
             if key in sections[section] and not test(sections[section][key]):
                 raise ConfigError(f"{section}.{key} must be {what}, "
                                   f"not {sections[section][key]!r}")
+        kind = self.graph["kind"]
+        known = {"graph": ("kind", *_GRAPH_KEYS[kind]),
+                 "weights": ("scheme", *_SCHEME_KEYS.get(self.weights.get("scheme"), ())),
+                 "initial": ("kind", *_INITIAL_KEYS[self.initial.get("kind", "uniform-box")]),
+                 "adjoint": ("method",), "regularity": ("method", *method_keys)}
+        unknown = [f"{name}.{key}" for name, section in sections.items()
+                   for key in section if key not in known[name]]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        if kind == "static" and ("regular_tree_d" in self.graph) == ("graph" in self.graph):
+            raise ConfigError("graph.kind 'static' needs exactly one of graph.regular_tree_d "
+                              "and graph.graph")
         matrices = self.weights.get("matrices", ())
         unknown = [f"weights.matrices[{k}].{key}" for k, mm in enumerate(matrices)
                    for key in mm if key not in _MATRIX_KEYS]
@@ -274,11 +287,9 @@ def build_graph_sequence(config: RunConfig) -> GraphSequence:
         seq = GraphSequence.static(g)
     elif kind == "periodic":
         seq = GraphSequence.periodic([DiGraph.from_json_dict(d) for d in spec["graphs"]])
-    elif kind == "random-rooted":
+    else:   # random-rooted, the one kind left after RunConfig's checks
         seq = GraphSequence.random_rooted(config.m, float(spec.get("extra_edge_prob", 0.0)),
                                           config.seed)
-    else:
-        raise ConfigError(f"unknown graph kind {kind!r}")
     if seq.m != config.m:
         raise ConfigError(f"graph has m={seq.m}, config says m={config.m}")
     return seq
@@ -601,61 +612,39 @@ def _build_report(config: RunConfig, compliance: ComplianceReport,
 # ---------------------------------------------------------------------------
 # trajectory CSV round trip
 
-_HEADER = "t,agent,coord,x_bits"
-
-
-def _trajectory_tails(m: int, n: int) -> list[list[str]]:
-    return [[f"{agent},{coord}," for coord in range(n)] for agent in range(m)]
+def _trajectory_header(m: int, n: int) -> str:
+    return "t," + ",".join(f"x_{agent}_{coord}" for agent in range(m) for coord in range(n))
 
 
 def write_trajectory_csv(result: RunResult, path) -> None:
-    """The states: one row ``t,agent,coord,x_bits`` per (t, agent, coord).
+    """The states: header ``t,x_0_0,x_0_1,...``, then one row ``t,<m·n bits cells>``
+    per step, agent-major (the states' C order).
 
-    ``x_bits`` is the state's big-endian IEEE-754 binary64 pattern as 16
+    Each bits cell is the state's big-endian IEEE-754 binary64 pattern as 16
     lowercase hex digits, ``struct.pack(">d", x).hex()``.  The averages ``w``
     are not written: :func:`annotate` forms them again.  The bytes are those
-    of ``csv.writer`` (CRLF line ends), written one block of steps at a time
-    by :func:`codec.write_bits_csv`.
+    of ``csv.writer`` (CRLF line ends), written by :func:`codec.write_bits_csv`.
     """
     x = result.trajectory.states
-    write_bits_csv(path, _HEADER, _trajectory_tails(*x.shape[1:]), x, range(len(x)))
+    write_bits_csv(path, _trajectory_header(*x.shape[1:]), x.reshape(len(x), -1), range(len(x)))
 
 
 def read_trajectory_states(path, m: int, n: int, horizon: int) -> np.ndarray:
     """Parse the ``(horizon+1, m, n)`` states back from a trajectory CSV.
 
     The file must hold the bytes :func:`write_trajectory_csv` writes for that
-    shape, with the header's line end, ``\\r\\n`` or ``\\n``, on every row.
-    It is read one block of steps at a time: each bits cell is decoded
-    arithmetically, and the block written again from the decoded states must
-    equal the bytes read.  Any other header, row, cell or line end (an
-    uppercase hex digit too), a NaN state, a short file or bytes after the
-    last row raise ``ConfigError``.
+    shape, with the header's line end, ``\\r\\n`` or ``\\n``, on every row;
+    :func:`codec.read_bits_csv` reads it.  Any other header, row, cell or line
+    end, a NaN state, a short file or bytes after the last row raise
+    ``ConfigError``.
     """
-    states = np.empty((horizon + 1, m, n))
-    with open(path, "rb") as fh:
-        header = fh.readline(len(_HEADER) + 2)
-        eol = header[len(_HEADER):]
-        if header[:len(_HEADER)] != _HEADER.encode() or eol not in (b"\r\n", b"\n"):
-            raise ConfigError(f"trajectory CSV header is not {_HEADER}")
-        for t0, t1, block, cells in row_blocks(_trajectory_tails(m, n), range(horizon + 1),
-                                               eol.decode()):
-            template, size = block.copy(), fh.readinto(block)
-            for agents, coords, cell in cells:
-                digits = cell.copy().view(np.uint8)            # contiguous, 16 bytes a cell
-                nibbles = (digits & 15) + 9 * (digits >> 6)   # a lowercase hex digit's value
-                pairs = nibbles.view("<u2")                   # (high, low) nibbles
-                octets = (pairs << 4 | pairs >> 8).astype(np.uint8)
-                states[t0:t1, agents, coords] = octets.view(">f8").reshape(cell.shape)
-            got = block.copy()
-            block[...] = template
-            fill_cells(cells, states[t0:t1])   # any byte but a lowercase hex digit differs
-            if (size < block.size or not np.array_equal(block, got)
-                    or np.isnan(states[t0:t1]).any()):
-                raise ConfigError(f"trajectory CSV steps {t0}..{t1 - 1}: bad rows or a NaN state")
-        if fh.read(1):
-            raise ConfigError("trajectory CSV has bytes after its last row")
-    return states
+    try:
+        states = read_bits_csv(path, _trajectory_header(m, n), range(horizon + 1), m * n)
+    except ValueError as exc:
+        raise ConfigError(f"trajectory CSV {exc}") from exc
+    if np.isnan(states.min()):   # a NaN propagates through min, with no array of flags
+        raise ConfigError("trajectory CSV holds a NaN state")
+    return states.reshape(horizon + 1, m, n)
 
 
 def write_plot_data_csv(result: RunResult, path) -> None:

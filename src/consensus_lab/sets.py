@@ -287,8 +287,7 @@ class Intersection(ConvexSet):
         return _worst(self.members, x)
 
 
-def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
-                    max_sweeps: int = DYKSTRA_MAX_SWEEPS) -> np.ndarray:
+def dykstra_project(sets, x, max_sweeps: int = DYKSTRA_MAX_SWEEPS) -> np.ndarray:
     """Exact Euclidean projection onto an intersection via Dykstra increments.
 
     Unlike plain cyclic projections, carrying per-set increments makes the
@@ -296,10 +295,10 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
     for many sweeps, or end a sweep where it began, while the increments
     rebalance (Birgin & Raydan 2005, "Robust stopping criteria for Dykstra's
     algorithm"), so a point only converges at a sweep that moved neither
-    the iterate nor any increment by more than ``tol`` and left the point
-    feasible for every member within 1e-10; a sweep that changes neither
-    the iterate nor any increment is a fixed point of the whole recursion
-    and ends the search immediately.
+    the iterate nor any increment by more than ``DYKSTRA_TOL`` and left the
+    point feasible for every member within 1e-10; a sweep that changes
+    neither the iterate nor any increment is a fixed point of the whole
+    recursion and ends the search immediately.
 
     ``x`` has shape ``(..., n)``.  Each point runs its own recursion with its
     own increments, and a point leaves the batch the sweep it stops, so every
@@ -329,7 +328,7 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
     outside = np.flatnonzero(~inside)
     for start in range(0, outside.size, _SAMPLE_BLOCK):
         rows = outside[start:start + _SAMPLE_BLOCK]
-        result[rows], worst[rows], converged[rows] = _dykstra_sweeps(sets, points[rows], tol,
+        result[rows], worst[rows], converged[rows] = _dykstra_sweeps(sets, points[rows],
                                                                      max_sweeps)
     failed = np.flatnonzero(~converged)
     if failed.size:
@@ -339,12 +338,12 @@ def dykstra_project(sets, x, tol: float = DYKSTRA_TOL,
     return result.reshape(x.shape)
 
 
-def _dykstra_sweeps(sets, points, tol, max_sweeps):
+def _dykstra_sweeps(sets, points, max_sweeps):
     """Dykstra's sweeps for each row of ``points``, shape ``(k, n)``.
 
     Returns the rows' results, their member violations at their last sweep
-    that left the iterate within ``tol`` of where it began (``inf`` for a row
-    with no such sweep), and whether each row converged.  A row's result is
+    that left the iterate within ``DYKSTRA_TOL`` of where it began (``inf``
+    for a row with no such sweep), and whether each row converged.  A row's result is
     the iterate of that sweep (its point if none).
     """
     result = points.copy()
@@ -365,7 +364,8 @@ def _dykstra_sweeps(sets, points, tol, max_sweeps):
             current = s.project(target)
             np.subtract(target, current, out=spare[idx])
         increments, spare = spare, increments
-        settled = np.flatnonzero(_per_point(np.maximum, np.abs(current - previous)) <= tol)
+        moves = _per_point(np.maximum, np.abs(current - previous))
+        settled = np.flatnonzero(moves <= DYKSTRA_TOL)
         if not settled.size:
             continue
         # How far each increment moved, which is how far each member's step
@@ -378,7 +378,7 @@ def _dykstra_sweeps(sets, points, tol, max_sweeps):
             np.abs(new[settled] - old[settled]) for new, old in zip(increments, spare))))
         here = active[settled]
         result[here], worst[here] = current[settled], np.nan  # NaN: not evaluated yet
-        stops = moved <= tol  # only these can stop a point, so only they evaluate the members
+        stops = moved <= DYKSTRA_TOL  # only these can stop, so only they evaluate the members
         if stops.any():
             worst[here[stops]] = _worst(sets, result[here[stops]])
             stops[stops] = worst[here[stops]] <= FEASIBILITY_TOL

@@ -67,26 +67,29 @@ def adversarial_array(rng: np.random.Generator, shape) -> np.ndarray:
 def read_adjoint(csv_path, sidecar_path) -> tuple[np.ndarray, np.ndarray]:
     """``pi(0..h)`` and the ``h`` residuals from ``adjoint.csv`` and its JSON sidecar.
 
-    The CSV holds step 0 and each step whose vector changed; every other step
-    repeats the last written one.  Each ``pi_bits`` cell is 16 lowercase hex
-    digits of a big-endian binary64, decoded bit for bit.  ``h`` is the
-    length of ``residual_l1``.
+    The CSV holds one row ``t,<bits>,...`` for step 0 and for each step whose
+    vector changed, in increasing ``t``; every other step repeats the last
+    written one.  Each bits cell is 16 lowercase hex digits of a big-endian
+    binary64, decoded bit for bit.  ``h`` is the length of ``residual_l1``.
     """
     with open(sidecar_path) as fh:
         residuals = np.array(json.load(fh)["residual_l1"], dtype=float)
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if rows[0] != ["t", "i", "pi_bits"]:
+    m = len(rows[0]) - 1
+    if rows[0] != ["t"] + [f"pi_{i}" for i in range(m)]:
         raise ValueError(f"unexpected header {rows[0]}")
     written: dict[int, list[str]] = {}
-    for t, i, bits in rows[1:]:
-        cells = written.setdefault(int(t), [])
-        if int(i) != len(cells):
-            raise ValueError(f"t={t}: agent {i} out of order")
-        if re.fullmatch("[0-9a-f]{16}", bits) is None:
-            raise ValueError(f"t={t}, i={i}: {bits!r} is not 16 lowercase hex digits")
-        cells.append(bits)
-    vectors = np.empty((residuals.size + 1, len(written[0])))
+    for t, *cells in rows[1:]:
+        if len(cells) != m:
+            raise ValueError(f"t={t}: {len(cells)} cells, not {m}")
+        if written and int(t) <= max(written):
+            raise ValueError(f"t={t} does not follow t={max(written)}")
+        bad = [bits for bits in cells if re.fullmatch("[0-9a-f]{16}", bits) is None]
+        if bad:
+            raise ValueError(f"t={t}: {bad[0]!r} is not 16 lowercase hex digits")
+        written[int(t)] = cells
+    vectors = np.empty((residuals.size + 1, m))
     for t in range(vectors.shape[0]):
         vectors[t] = (np.frombuffer(bytes.fromhex("".join(written[t])), ">f8")
                       if t in written else vectors[t - 1])

@@ -235,15 +235,14 @@ class TestRejectsNonFinite:
 
 def csv_writer_adjoint(aps, path):
     """Row-by-row ``csv.writer`` export, the byte-level reference for the block writer:
-    step 0, then each step whose vector's bytes differ from the previous step's, each
-    entry the 16 hex digits of its big-endian binary64 bits."""
+    the row of step 0, then of each step whose vector's bytes differ from the previous
+    step's, each entry the 16 hex digits of its big-endian binary64 bits."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["t", "i", "pi_bits"])
+        wr.writerow(["t"] + [f"pi_{i}" for i in range(aps.m)])
         for t in range(aps.horizon + 1):
             if t == 0 or aps.vectors[t].tobytes() != aps.vectors[t - 1].tobytes():
-                for i in range(aps.m):
-                    wr.writerow([t, i, struct.pack(">d", aps.vectors[t, i]).hex()])
+                wr.writerow([t] + [struct.pack(">d", p).hex() for p in aps.vectors[t]])
 
 
 def write_and_compare(aps, tmp_path) -> bytes:
@@ -266,7 +265,7 @@ class TestAdjointCsv:
             aps = assemble_adjoint(MatrixSequence.custom(mats), 40)
             steps = 41
         got = write_and_compare(aps, tmp_path)
-        assert got.count(b"\r\n") == 1 + steps * aps.m
+        assert got.count(b"\r\n") == 1 + steps and got.count(b",") == (1 + steps) * aps.m
 
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_adversarial_values_bytes(self, tmp_path, m):
@@ -283,8 +282,9 @@ class TestAdjointCsv:
         written = [t for t in range(9)
                    if t == 0 or vectors[t].tobytes() != vectors[t - 1].tobytes()]
         assert not {2, 3, 5} & set(written)
-        assert got.count(b"\r\n") == 1 + len(written) * m
-        assert [int(line.split(b",")[0]) for line in got.split(b"\r\n")[1:-1:m]] == written
+        assert got.count(b"\r\n") == 1 + len(written)
+        assert got.count(b",") == (1 + len(written)) * m
+        assert [int(line.split(b",")[0]) for line in got.split(b"\r\n")[1:-1]] == written
         # Subnormals, infinities, NaNs and signed zeros all decode back bit for bit.
         (tmp_path / "adjoint.json").write_text(json.dumps({"residual_l1": [0.0] * 8}))
         decoded, _ = read_adjoint(tmp_path / "block.csv", tmp_path / "adjoint.json")
@@ -298,9 +298,11 @@ class TestAdjointCsv:
         aps = AbsoluteProbabilitySequence(vectors=vectors, residuals=np.zeros(7),
                                           method="user-supplied")
         got = write_and_compare(aps, tmp_path)
-        half, quarter = b"3fe0000000000000", b"3fd0000000000000"
-        assert got.split(b"\r\n")[1::3] == [b"0,0," + half, b"2,0," + quarter, b"5,0," + half,
-                                             b"6,0," + half, b""]
+        half, quarter = "3fe0000000000000", "3fd0000000000000"
+        zero, negative_zero = "0000000000000000", "8000000000000000"
+        assert got.decode().split("\r\n")[1:] == [
+            f"0,{half},{half},{zero}", f"2,{quarter},{quarter},{half}",
+            f"5,{half},{half},{zero}", f"6,{half},{half},{negative_zero}", ""]
         assert got.count(b",8000000000000000\r\n") == 1
         assert got.count(b",0000000000000000\r\n") == 2
 
@@ -308,7 +310,7 @@ class TestAdjointCsv:
         aps = uniform_adjoint(quarter_sequence(8), 300)
         assert aps.m == 256
         got = write_and_compare(aps, tmp_path)
-        assert got.count(b"\r\n") == 1 + 256
+        assert got.count(b"\r\n") == 1 + 1 and got.count(b",") == 2 * 256
 
 
 class TestAdjointFilesRoundTrip:
@@ -344,6 +346,16 @@ class TestAdjointFilesRoundTrip:
         write_adjoint_sidecar(aps, tmp_path / "adjoint.json")
         (tmp_path / "adjoint.csv").write_text(
             "t,i,pi\r\n" + "".join(f"0,{i},0.125\r\n" for i in range(8)), newline="")
+        with pytest.raises(ValueError, match="header"):
+            read_adjoint(tmp_path / "adjoint.csv", tmp_path / "adjoint.json")
+
+    def test_reader_refuses_long_layout(self, tmp_path):
+        """The earlier ``t,i,pi_bits`` layout, one row per entry, is not read."""
+        aps = uniform_adjoint(quarter_sequence(3), 12)
+        write_adjoint_sidecar(aps, tmp_path / "adjoint.json")
+        (tmp_path / "adjoint.csv").write_text(
+            "t,i,pi_bits\r\n" + "".join(f"0,{i},3fc0000000000000\r\n" for i in range(8)),
+            newline="")
         with pytest.raises(ValueError, match="header"):
             read_adjoint(tmp_path / "adjoint.csv", tmp_path / "adjoint.json")
 

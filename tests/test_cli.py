@@ -401,9 +401,9 @@ class TestVerify:
     def test_perturbed_state_fails(self, tmp_path):
         out = self._simulate(tmp_path)
         rows = list(csv.reader((out / "trajectory.csv").open()))
-        xcol = rows[0].index("x_bits")
+        xcol = rows[0].index("x_0_0")
         for row in rows[1:]:
-            if row[0] == "40" and row[1] == "0":
+            if row[0] == "40":
                 x = struct.unpack(">d", bytes.fromhex(row[xcol]))[0]
                 row[xcol] = struct.pack(">d", x + 1e-3).hex()
                 break
@@ -469,16 +469,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("relabel", ["t", "agent"])
     def test_negative_index_rows_exit_config(self, tmp_path, relabel):
-        """Relabelled rows keep the row count; numpy would wrap a negative index."""
+        """A negative ``t`` or agent label keeps the cell count; numpy would wrap a
+        negative index."""
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario", str(quarter_scenario(tmp_path, horizon=20)),
                          "--out", str(out)]) == 0
         rows = list(csv.reader((out / "trajectory.csv").open()))
-        for row in rows[1:]:
-            if relabel == "t" and row[0] == "20":
-                row[0] = "-1"
-            elif relabel == "agent" and row[0] == "5" and row[1] == "0":
-                row[1] = "-8"
+        if relabel == "t":
+            rows[-1][0] = "-1"
+        else:
+            rows[0][rows[0].index("x_0_0")] = "x_-8_0"
         bad = tmp_path / "negative.csv"
         with bad.open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -491,28 +491,38 @@ class TestVerify:
         "non-ascii-x", "quoted-t", "quoted-x", "extra-cell", "old-header", "w-header",
         "uppercase-x", "nan-bits-x", "15-digit-x", "17-digit-x", "swapped-rows",
         "mixed-line-ends", "trailing-bytes", "decimal-x", "decimal-header", "nan-payload-x",
+        "missing-cell", "long-layout",
     ])
     def test_malformed_trajectory_exit_config(self, tmp_path, case):
         """Each edit of one middle row (or the header) of a good file is rejected.
 
-        The writer never quotes, so a quoted cell is refused.  ``w-header``
-        is the whole file in the earlier five-column layout, a blank ``w``
-        cell ending each row, and ``decimal-header`` the whole file in the
-        earlier four-column layout, each state its decimal ``repr`` under the
-        header ``t,agent,coord,x``; no reader accepts either.  ``nan-bits-x``
-        is the bit pattern of a quiet NaN, ``nan-payload-x`` a negative
-        signalling one.
+        A row holds ``t`` and then the ``m = 8`` agents' ``n = 2`` bits cells,
+        agent-major.  ``agent-beyond-m`` adds a ninth agent's two cells to the
+        row, ``coord-beyond-n`` a third cell to each agent, and ``missing-cell``
+        drops the last one.  The writer never quotes, so a quoted cell is
+        refused.  The earlier layouts hold one row per state under the labels
+        ``t,agent,coord``: ``long-layout`` is the whole file in the
+        four-column bits layout, header ``t,agent,coord,x_bits``,
+        ``decimal-header`` each state as its decimal ``repr`` under the
+        header ``t,agent,coord,x``, and ``w-header`` the bits layout with a
+        blank ``w`` cell ending each row, under ``t,agent,coord,x,w``; no
+        reader accepts any of them.  ``nan-bits-x`` is the bit pattern of a
+        quiet NaN, ``nan-payload-x`` a negative signalling one.
         """
+        m, n = 8, 2
         out = tmp_path / "out"
         assert cli.main(["simulate", "--scenario",
-                         str(quarter_scenario(tmp_path, n=2, horizon=20)),
+                         str(quarter_scenario(tmp_path, n=n, horizon=20)),
                          "--out", str(out)]) == 0
         lines = (out / "trajectory.csv").read_bytes().decode().splitlines(keepends=True)
         mid = len(lines) // 2
         cells = lines[mid].rstrip("\r\n").split(",")
+        assert len(cells) == 1 + m * n
+        long_rows = [(row[0], agent, coord, row[1 + agent * n + coord])
+                     for row in (line.rstrip("\r\n").split(",") for line in lines[1:])
+                     for agent in range(m) for coord in range(n)]
         edits = {"fractional-t": (0, "1.5"), "non-numeric-x": (3, "abc"),
-                 "t-beyond-horizon": (0, "21"), "agent-beyond-m": (1, "8"),
-                 "coord-beyond-n": (2, "2"), "nan-x": (3, "nan"),
+                 "t-beyond-horizon": (0, "21"), "nan-x": (3, "nan"),
                  "non-ascii-x": (3, cells[3] + "\xff"),
                  "quoted-t": (0, f'"{cells[0]}"'), "quoted-x": (3, f'"{cells[3]}"'),
                  "uppercase-x": (3, cells[3].upper()),
@@ -521,16 +531,30 @@ class TestVerify:
                  "decimal-x": (3, repr(struct.unpack(">d", bytes.fromhex(cells[3]))[0]))}
         assert cells[3].upper() != cells[3]   # the state's bits hold a hex letter
         if case == "header":
-            lines[0] = lines[0].replace("agent", "agents", 1)
+            lines[0] = lines[0].replace("x_0_1", "x_0_10", 1)
         elif case == "old-header":
             lines[0] = "t,agent,coord,x,w,spread_sq,lyap,decrement,V_vt,dist_sq_X\r\n"
         elif case == "w-header":
-            lines = [line.replace("\r\n", ",\r\n") for line in lines]
-            lines[0] = "t,agent,coord,x,w\r\n"
+            lines = ["t,agent,coord,x,w\r\n"] + [f"{t},{a},{c},{x},\r\n"
+                                                  for t, a, c, x in long_rows]
+        elif case == "long-layout":
+            lines = ["t,agent,coord,x_bits\r\n"] + [f"{t},{a},{c},{x}\r\n"
+                                                     for t, a, c, x in long_rows]
+        elif case == "decimal-header":
+            lines = ["t,agent,coord,x\r\n"] + [
+                f"{t},{a},{c},{struct.unpack('>d', bytes.fromhex(x))[0]!r}\r\n"
+                for t, a, c, x in long_rows]
         elif case == "short-row":
             lines[mid] = ",".join(cells[:3]) + "\r\n"
+        elif case == "missing-cell":
+            lines[mid] = ",".join(cells[:-1]) + "\r\n"
         elif case == "extra-cell":
             lines[mid] = ",".join(cells + ["0.0"]) + "\r\n"
+        elif case == "agent-beyond-m":
+            lines[mid] = ",".join(cells + cells[1:1 + n]) + "\r\n"
+        elif case == "coord-beyond-n":
+            lines[mid] = ",".join(cells[:1] + [x for agent in range(m) for x in (
+                *cells[1 + agent * n:1 + (agent + 1) * n], cells[1 + agent * n])]) + "\r\n"
         elif case == "duplicate-row":
             lines[mid] = lines[mid - 1]
         elif case == "blank-line":
@@ -541,10 +565,6 @@ class TestVerify:
             lines[mid] = lines[mid].replace("\r\n", "\n")
         elif case == "trailing-bytes":
             lines.append("0")
-        elif case == "decimal-header":
-            lines = ["t,agent,coord,x\r\n"] + [
-                ",".join(c[:3] + [repr(struct.unpack(">d", bytes.fromhex(c[3]))[0])]) + "\r\n"
-                for c in (line.rstrip("\r\n").split(",") for line in lines[1:])]
         else:
             col, value = edits[case]
             cells[col] = value
@@ -728,6 +748,54 @@ class TestValidateBeforeWork:
         is refused by name, by simulate and by verify."""
         self.exits_before_compliance(tmp_path, monkeypatch, stored_run, key, value)
         assert caplog.text.count(message) == 2
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("graph", {"kind": "static", "regular_tree_d": 3, "extra_edge_prob": 0.1},
+         "unknown config keys ['graph.extra_edge_prob']"),
+        ("graph", {"kind": "static", "regular_tree_d": 3,
+                   "graph": {"m": 8, "edges": [[1, 2], [2, 1]]}},
+         "graph.kind 'static' needs exactly one of graph.regular_tree_d and graph.graph"),
+        ("graph", {"kind": "periodic", "regular_tree_d": 3,
+                   "graphs": [{"m": 8, "edges": [[1, 2], [2, 1]]}]},
+         "unknown config keys ['graph.regular_tree_d']"),
+        ("weights", {"scheme": "quarter", "gamma": 20},
+         "unknown config keys ['weights.gamma']"),
+        ("weights", {"scheme": "quarter", "matrices": [{"rows": np.eye(8).tolist()}]},
+         "unknown config keys ['weights.matrices']"),
+        ("initial", {"kind": "uniform-box", "states": [[0.5]] * 8},
+         "unknown config keys ['initial.states']"),
+        ("initial", {"kind": "explicit", "states": [[0.5]] * 8, "low": -1.0},
+         "unknown config keys ['initial.low']"),
+        ("regularity", {"method": "sampling"}, "mode 'unconstrained' reads no regularity"),
+        ("constraints", [{"type": "ball", "center": [0.0], "radius": 1.0}],
+         "mode 'unconstrained' reads no constraints"),
+    ], ids=["static-extra_edge_prob", "static-graph-beside-regular_tree_d",
+            "periodic-regular_tree_d", "quarter-gamma", "quarter-matrices",
+            "uniform-box-states", "explicit-low", "unconstrained-regularity",
+            "unconstrained-constraints"])
+    def test_key_the_run_does_not_read_refused(self, tmp_path, monkeypatch, caplog,
+                                               stored_unconstrained_run, key, value, message):
+        """A key of another graph kind, weights scheme, initial kind or mode is
+        refused by name, by simulate and by verify, though some run reads it."""
+        self.exits_before_compliance(tmp_path, monkeypatch, stored_unconstrained_run, key,
+                                     value)
+        assert caplog.text.count(message) == 2
+
+    def test_stored_unconstrained_config_loads(self, tmp_path, stored_unconstrained_run):
+        """The empty constraints and null regularity that a report stores for an
+        unconstrained run are not keys the run fails to read."""
+        report, trajectory = stored_unconstrained_run
+        assert report["config"]["constraints"] == [] and report["config"]["regularity"] is None
+        assert cli.main(["verify", "--report", str(trajectory.parent / "report.json"),
+                         "--trajectory", str(trajectory)]) == 0
+
+    @pytest.fixture(scope="class")
+    def stored_unconstrained_run(self, tmp_path_factory):
+        """``(report, trajectory path)`` of regular_tree_d3's ``simulate``."""
+        out = tmp_path_factory.mktemp("stored_unconstrained_run") / "out"
+        assert cli.main(["simulate", "--scenario", str(SCENARIOS / "regular_tree_d3.json"),
+                         "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text()), out / "trajectory.csv"
 
     @pytest.fixture(scope="class")
     def stored_run(self, tmp_path_factory):

@@ -9,7 +9,7 @@ import pytest
 
 from consensus_lab import (Ball, Box, MatrixSequence, NotCompliant, regular_tree_graph,
                            set_from_json_dict, v_function)
-from consensus_lab import codec, engine
+from consensus_lab import engine
 from consensus_lab.lyapunov import weighted_means
 from oracles import (ADVERSARIAL_FLOATS, adversarial_array, constrained_fields_per_point,
                      mean_square_identity_residual)
@@ -25,7 +25,8 @@ def one_step(x, a, specs=None):
     x = np.asarray(x, dtype=float)
     config = engine.RunConfig(
         m=x.shape[0], n=x.shape[1], horizon=1, seed=0,
-        mode="unconstrained" if specs is None else "constrained", graph={}, weights={},
+        mode="unconstrained" if specs is None else "constrained",
+        graph={"kind": "static", "graph": {"m": x.shape[0], "edges": []}}, weights={},
         initial={"kind": "explicit", "states": x.tolist()}, constraints=specs or ())
     sets = None if specs is None else tuple(map(set_from_json_dict, specs))
     states = engine.simulate(config, MatrixSequence.custom([a]), sets)
@@ -392,20 +393,19 @@ class TestAnnotateAgainstPairwiseOracle:
 
 
 def csv_writer_trajectory(result, path):
-    """Row-by-row ``csv.writer`` export, the byte-level reference for the streamed writer.
+    """Row-by-row ``csv.writer`` export, the byte-level reference for the block writer.
 
-    Each ``x_bits`` cell is the state's big-endian binary64 pattern in hex.
+    One row per step, ``t`` and then each state's big-endian binary64 pattern
+    in hex, agent-major under the header ``t,x_0_0,x_0_1,...``.
     """
     states = result.trajectory.states
     m, n = states.shape[1], states.shape[2]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["t", "agent", "coord", "x_bits"])
+        wr.writerow(["t"] + [f"x_{agent}_{coord}" for agent in range(m) for coord in range(n)])
         for t in range(len(states)):
-            for agent in range(m):
-                for coord in range(n):
-                    wr.writerow([t, agent, coord,
-                                 struct.pack(">d", states[t, agent, coord]).hex()])
+            wr.writerow([t] + [struct.pack(">d", states[t, agent, coord]).hex()
+                               for agent in range(m) for coord in range(n)])
 
 
 def csv_writer_plot_data(result, path):
@@ -451,7 +451,7 @@ class TestTrajectoryCsv:
         res = engine.run(unconstrained_config(seed=5, scheme="equal-neighbor", m=7,
                                               horizon=60, n=3))
         got = self._assert_same_bytes(res, tmp_path)
-        assert got.count(b"\r\n") == 1 + 61 * 7 * 3
+        assert got.count(b"\r\n") == 1 + 61 and got.count(b",") == (1 + 61) * 7 * 3
 
     def test_constrained_bytes(self, tmp_path, constrained_config):
         res = engine.run(constrained_config(seed=42, horizon=60))
@@ -463,7 +463,7 @@ class TestTrajectoryCsv:
     def test_adversarial_values_bytes(self, tmp_path, constrained, m, n):
         res = adversarial_result(m * 10 + n, m, n, 7, constrained)
         got = self._assert_same_bytes(res, tmp_path)
-        assert got.count(b"\r\n") == 1 + 8 * m * n
+        assert got.count(b"\r\n") == 1 + 8 and got.count(b",") == (1 + 8) * m * n
 
     @pytest.mark.parametrize("constrained", [False, True])
     @pytest.mark.parametrize("last", [0.0, -0.0, np.nan, None])
@@ -514,15 +514,15 @@ class TestTrajectoryCsv:
         path = tmp_path / "t.csv"
         engine.write_trajectory_csv(res, path)
         data = path.read_bytes()
-        at = data.index(b"1,1,0,3fe6000000000000") + len(b"1,1,0,") + digit
+        at = data.index(b"\r\n1,") + len(b"\r\n1,") + 17 * 2 + digit   # step 1, agent 1, coord 0
+        assert data[at - digit:at - digit + 16] == b"3fe6000000000000"
         path.write_bytes(data[:at] + byte + data[at + 1:])
         with pytest.raises(engine.ConfigError, match="steps 0..2"):
             engine.read_trajectory_states(path, 2, 2, 2)
 
     def test_twelve_coordinates_round_trip(self, tmp_path):
-        """From ``n = 11`` a coordinate's width changes inside every agent's rows;
-        the codec still handles a step as one run per agent width and
-        coordinate width (here 2 × 2), and the bytes and bits round-trip."""
+        """From ``n = 11`` the header's labels ``x_a_c`` change width inside every
+        agent's cells; the bytes and bits still round-trip."""
         states = np.random.default_rng(12).normal(size=(12, 12, 12))
         states[3, 4, 11] = -0.0
         res = SimpleNamespace(trajectory=SimpleNamespace(states=states))
@@ -531,16 +531,14 @@ class TestTrajectoryCsv:
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         self._assert_bits_equal(engine.read_trajectory_states(tmp_path / "t.csv", 12, 12, 11),
                                 states)
-        tails = engine._trajectory_tails(12, 12)
-        assert all(len(cells) == 4 for *_, cells in codec.row_blocks(tails, range(12), "\r\n"))
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_write_memory_is_bounded(self, tmp_path, constrained):
         """The writer holds a few steps' text at a time, not the file."""
         rng = np.random.default_rng(8)
-        states = rng.normal(size=(401, 256, 2))
+        states = rng.normal(size=(501, 256, 2))
         w = states + rng.normal(size=states.shape) if constrained else None
-        res = SimpleNamespace(trajectory=SimpleNamespace(states=states, w=w, horizon=400))
+        res = SimpleNamespace(trajectory=SimpleNamespace(states=states, w=w, horizon=500))
         path = tmp_path / "t.csv"
         tracemalloc.start()
         try:
@@ -580,7 +578,7 @@ class TestTrajectoryCsv:
         a text editor may save them, so a chunk holds more of the shorter lines.
         """
         res = engine.run(unconstrained_config(seed=3, scheme="equal-neighbor", m=64,
-                                              horizon=1400, n=2))
+                                              horizon=2000, n=2))
         path = tmp_path / "t.csv"
         engine.write_trajectory_csv(res, path)
         assert path.stat().st_size > 4 << 20
@@ -588,7 +586,7 @@ class TestTrajectoryCsv:
             path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
         tracemalloc.start()
         try:
-            states = engine.read_trajectory_states(path, 64, 2, 1400)
+            states = engine.read_trajectory_states(path, 64, 2, 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
